@@ -14,9 +14,9 @@ root:
   formulation solved to proven optimality both ways;
 * end-to-end Helix MILP planning (headline, target >= 3x) — the
   pre-optimization configuration (full-budget solve, rebuild-per-round
-  LNS) vs. adaptive budget slicing + incremental bounds-tightened LNS
-  re-solves, on both the HiGHS and bnb backends, with final placement
-  throughput cross-checked for parity.
+  LNS) vs. the root-node probe and adaptive budget slicing + incremental
+  bounds-tightened LNS re-solves, on both the HiGHS and bnb backends, with
+  final placement throughput cross-checked for parity.
 
 Run directly (``python benchmarks/bench_perf_milp.py``) or through pytest
 (``pytest benchmarks/bench_perf_milp.py``).

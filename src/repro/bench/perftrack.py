@@ -598,9 +598,10 @@ def bench_milp_planner(
     reference "MILP-bound" configuration). The legacy run reproduces the
     pre-PR-2 behaviour — one full-budget HiGHS solve plus
     rebuild-and-recompile LNS rounds at the historical window size; the
-    fast runs use adaptive budget slicing and incremental bounds-tightened
-    LNS re-solves, once per backend. Final placement throughputs are
-    cross-checked for parity. Returns the recorded metrics.
+    fast runs use the root-node probe, adaptive budget slicing and
+    incremental bounds-tightened LNS re-solves, once per backend. Final
+    placement throughputs are cross-checked for parity. Returns the
+    recorded metrics.
     """
     from repro.cluster import small_cluster_fig12
     from repro.models.specs import LLAMA_30B

@@ -16,6 +16,8 @@ _STATUS_OPTIMAL = 0
 _STATUS_INFEASIBLE = 2
 _STATUS_UNBOUNDED = 3
 _STATUS_TIME_OR_ITER = 1
+# "Other": scipy also reports HiGHS stopping at ``node_limit`` this way.
+_STATUS_OTHER = 4
 
 
 def solve_with_highs(
@@ -23,6 +25,8 @@ def solve_with_highs(
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
     objective_cutoff: float | None = None,
+    node_limit: int | None = None,
+    presolve: bool | None = None,
 ) -> MilpSolution:
     """Solve a problem with HiGHS via ``scipy.optimize.milp``.
 
@@ -36,6 +40,12 @@ def solve_with_highs(
             maximization). Injected as a linear cut ``objective >= cutoff``,
             emulating a heuristic warm start by pruning the tree below the
             heuristic's value.
+        node_limit: Optional cap on branch-and-bound nodes. Unlike a time
+            limit this makes the returned incumbent independent of machine
+            speed. A solve stopped by it is ``FEASIBLE`` when HiGHS found an
+            incumbent and ``NO_SOLUTION`` otherwise.
+        presolve: Optional switch for HiGHS presolve (scipy's default is
+            on).
 
     Returns:
         A :class:`MilpSolution`; ``status`` reflects optimality or an early
@@ -51,6 +61,10 @@ def solve_with_highs(
         options["time_limit"] = float(time_limit)
     if mip_rel_gap is not None:
         options["mip_rel_gap"] = float(mip_rel_gap)
+    if node_limit is not None:
+        options["node_limit"] = int(node_limit)
+    if presolve is not None:
+        options["presolve"] = bool(presolve)
 
     constraints = None
     if compiled.a_matrix.shape[0] > 0:
@@ -77,7 +91,13 @@ def solve_with_highs(
         return MilpSolution(status=SolveStatus.UNBOUNDED, solve_time=elapsed)
     if result.x is None:
         return MilpSolution(status=SolveStatus.NO_SOLUTION, solve_time=elapsed)
-    if result.status not in (_STATUS_OPTIMAL, _STATUS_TIME_OR_ITER):
+    stopped_at_node_limit = (
+        result.status == _STATUS_OTHER and node_limit is not None
+    )
+    if (
+        result.status not in (_STATUS_OPTIMAL, _STATUS_TIME_OR_ITER)
+        and not stopped_at_node_limit
+    ):
         raise SolverError(f"HiGHS returned unexpected status {result.status}: {result.message}")
 
     values = {

@@ -15,8 +15,9 @@ The formulation follows Tables 5 and 6 of the paper exactly:
 
 The §4.5 optimizations are all implemented: cluster pruning
 (:func:`~repro.placement.pruning.prune_cluster`), heuristic warm starts
-(best-of Swarm/Petals/SP, injected as an objective cutoff for HiGHS or as
-the initial incumbent for our branch-and-bound), and the compute-sum upper
+(best-of Swarm/Petals/SP: the bar HiGHS's root-node probe must beat
+before any time budget is spent, optionally an objective cutoff, and the
+initial incumbent for our branch-and-bound), and the compute-sum upper
 bound both as a strengthening cut and as an early-stop criterion.
 """
 
@@ -38,6 +39,11 @@ from repro.milp.solution import MilpSolution, SolveStatus
 from repro.models.specs import ModelSpec
 from repro.placement.base import PlacementPlanner, PlannerResult
 from repro.placement.pruning import prune_cluster
+
+#: Solve outcomes that more budget cannot change.
+_CONCLUSIVE = (
+    SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED
+)
 
 
 @dataclass
@@ -89,12 +95,14 @@ class HelixMilpPlanner(PlacementPlanner):
             hint's value as an objective cut. This prunes the tree like a
             MIP start but also makes *finding* an incumbent harder, so it
             is off by default; the ``bnb`` backend warm-starts natively.
-        adaptive_budget: Spend the HiGHS time budget in growing slices and
-            stop as soon as a slice fails to improve on the best incumbent
-            seen (including the heuristic hint). scipy's ``milp`` cannot
-            report incumbents mid-solve, so this is the only way to stop
-            paying for wall-clock that is no longer buying solution
-            quality. Disable to reproduce the single full-budget solve.
+        adaptive_budget: Before spending the HiGHS time budget, solve the
+            root node alone (one node, no presolve) and stop there when it
+            is solved outright or its incumbent does not beat the best
+            heuristic hint — scipy's ``milp`` takes no MIP start, so that
+            hint is what a warm-started solver would keep. Otherwise spend
+            the budget in growing slices and stop as soon as a slice fails
+            to improve on the best incumbent seen (including the hint).
+            Disable to reproduce the single full-budget solve.
         lns_mode: ``"incremental"`` (default) freezes nodes outside each
             LNS window by tightening variable *bounds* on the cached
             compiled formulation — no rebuild, no recompile, and HiGHS
@@ -914,25 +922,50 @@ class HelixMilpPlanner(PlacementPlanner):
         formulation: MilpFormulation,
         best_hint: tuple[float, ModelPlacement] | None,
     ) -> MilpSolution:
-        """Spend the HiGHS budget in growing slices with stall detection.
+        """Root-probe the MILP, then spend the budget in growing slices.
 
-        scipy's ``milp`` has no incumbent callback, so a single
-        ``time_limit``-long call pays the full budget even when the
-        incumbent stopped improving seconds in — on the Fig. 12 small
-        cluster HiGHS finds only a trivial incumbent and the heuristic hint
-        carries the plan, making ~90% of the budget pure waste. Restart
-        with doubling slices instead and stop when a slice fails to beat
-        both the previous slice's incumbent and the best hint (or reaches
-        the §4.5 compute-sum early-stop bound). The doubling keeps total
-        re-exploration bounded by ~2x the final slice.
+        scipy's ``milp`` takes no MIP start and has no incumbent callback,
+        so HiGHS cannot be told about the heuristic hint the paper (§4.6)
+        starts Gurobi from. Instead, one **root-node probe** (a single
+        node without presolve, hence deterministic and cheap) decides
+        whether the budget is worth spending:
+
+        * the probe solves the MILP outright (optimal, infeasible or
+          unbounded): return it;
+        * its incumbent, orchestrated and scored on the full cluster, does
+          not beat the best hint: return it, and :meth:`plan` keeps the
+          hint — on the Fig. 12 small cluster this is the whole solve;
+        * otherwise (it beat the hint, or there is no hint): restart with
+          doubling time slices and stop when a slice fails to beat both
+          the best earlier incumbent and the hint (or reaches the §4.5
+          compute-sum early-stop bound). The doubling keeps total
+          re-exploration bounded by ~2x the final slice.
+
+        Incumbents are compared by full-cluster :meth:`_placement_value`,
+        the metric :meth:`plan` adopts by: a pruned formulation's objective
+        under-counts the hint's value on the full cluster.
         """
         hint_value = best_hint[0] if best_hint is not None else float("-inf")
-        early_stop = formulation.upper_bound * (1.0 - self.mip_rel_gap)
         remaining = max(self.time_limit, 0.1)
+        self.milp_solve_count += 1
+        best_solution = solve_with_highs(
+            formulation.problem,
+            time_limit=remaining,
+            mip_rel_gap=self.mip_rel_gap,
+            node_limit=1,
+            presolve=False,
+        )
+        if best_solution.status in _CONCLUSIVE:
+            return best_solution
+        best_value = self._incumbent_value(formulation, best_solution)
+        if best_hint is not None and best_value <= hint_value + 1e-9:
+            return best_solution  # the hint stands; see plan()
+        remaining -= best_solution.solve_time
+
+        early_stop = formulation.upper_bound * (1.0 - self.mip_rel_gap)
         slice_budget = max(0.5, self.time_limit / 8.0)
         previous = float("-inf")
-        best_solution: MilpSolution | None = None
-        while best_solution is None or remaining > 0.05:
+        while remaining > 0.05:
             self.milp_solve_count += 1
             solution = solve_with_highs(
                 formulation.problem,
@@ -940,33 +973,32 @@ class HelixMilpPlanner(PlacementPlanner):
                 mip_rel_gap=self.mip_rel_gap,
             )
             remaining -= solution.solve_time
-            if best_solution is None or (
-                solution.status.has_solution
-                and (
-                    not best_solution.status.has_solution
-                    or solution.objective > best_solution.objective
-                )
-            ):
-                best_solution = solution
-            if solution.status in (
-                SolveStatus.OPTIMAL,
-                SolveStatus.INFEASIBLE,
-                SolveStatus.UNBOUNDED,
-            ):
+            if solution.status in _CONCLUSIVE:
                 return solution
-            objective = (
-                solution.objective
-                if solution.status.has_solution
-                else float("-inf")
-            )
-            if objective >= early_stop:
+            value = self._incumbent_value(formulation, solution)
+            if value > best_value:
+                best_solution, best_value = solution, value
+            if (
+                solution.status.has_solution
+                and solution.objective >= early_stop
+            ):
                 break  # the paper's compute-sum early stop
             reference = max(previous, hint_value)
-            if objective <= reference + 1e-9 and reference > float("-inf"):
+            if value <= reference + 1e-9 and reference > float("-inf"):
                 break  # stalled: more budget is not buying improvement
-            previous = max(previous, objective)
+            previous = max(previous, value)
             slice_budget *= 2.0
         return best_solution
+
+    def _incumbent_value(
+        self, formulation: MilpFormulation, solution: MilpSolution
+    ) -> float:
+        """Full-cluster value of a solution's placement (-inf without one)."""
+        if not solution.status.has_solution:
+            return float("-inf")
+        return self._placement_value(
+            self.orchestrate(formulation, solution.values)
+        )
 
     def orchestrate(
         self, formulation: MilpFormulation, values: dict[str, float]

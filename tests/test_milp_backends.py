@@ -11,18 +11,35 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from repro.bench.perftrack import TINY_BENCH_MODEL
-from repro.cluster import Cluster, Profiler, A100_40G, L4, T4
+from repro.cluster import (
+    Cluster,
+    Profiler,
+    A100_40G,
+    L4,
+    T4,
+    geo_distributed_24,
+    small_cluster_fig12,
+    toy_cluster_fig1,
+    toy_cluster_fig2,
+)
+from repro.core.errors import SolverError
 from repro.core.units import GBIT
 from repro.milp import (
     BranchAndBoundSolver,
     MilpProblem,
+    MilpSolution,
     SolveStatus,
     lin_sum,
     solve_with_highs,
 )
+from repro.milp import scipy_backend
+from repro.models.specs import LLAMA_30B
+from repro.placement import helix_milp
 from repro.placement.helix_milp import HelixMilpPlanner
+from repro.placement.pruning import prune_cluster
 
 
 def random_helix_cluster(seed: int) -> Cluster:
@@ -119,6 +136,142 @@ class TestPlannerEdgeCases:
         )
         result = planner.plan()
         assert result.max_throughput > 0
+
+
+class TestNodeLimitedSolve:
+    def test_root_node_stop_is_feasible(self):
+        # HiGHS reports a node-limit stop as scipy status 4 ("Solution
+        # limit reached"); with an incumbent it is an early FEASIBLE stop.
+        _, formulation = helix_problem(0)
+        root = solve_with_highs(
+            formulation.problem, node_limit=1, presolve=False
+        )
+        assert root.status is SolveStatus.FEASIBLE
+        assert formulation.problem.check_feasible(root.values) == []
+        optimum = solve_with_highs(formulation.problem)
+        assert root.objective <= optimum.objective + 1e-6
+
+    def test_node_limit_stop_without_incumbent_is_no_solution(self):
+        _, formulation = helix_problem(0)
+        solution = solve_with_highs(
+            formulation.problem, node_limit=0, presolve=False
+        )
+        assert solution.status is SolveStatus.NO_SOLUTION
+
+    @pytest.mark.parametrize("node_limit", [None, 5])
+    def test_status_4_raises_unless_node_limited(self, monkeypatch, node_limit):
+        # The mapping is keyed on node_limit having been set, never on the
+        # message text: any other status-4 stop is still an error.
+        p = MilpProblem()
+        x = p.add_var("x", 0, 3, integer=True)
+        p.set_objective(x)
+        monkeypatch.setattr(
+            scipy_backend, "milp",
+            lambda **_: OptimizeResult(
+                status=4, message="Solution limit reached",
+                x=np.array([1.0]), fun=-1.0,
+            ),
+        )
+        if node_limit is None:
+            with pytest.raises(SolverError, match="unexpected status 4"):
+                solve_with_highs(p)
+        else:
+            solution = solve_with_highs(p, node_limit=node_limit)
+            assert solution.status is SolveStatus.FEASIBLE
+            assert solution.objective == pytest.approx(1.0)
+
+
+def _differential_cases():
+    cases = [
+        pytest.param(lambda s=seed: random_helix_cluster(s), id=f"rand-{seed}")
+        for seed in range(12)
+    ]
+    cases.append(pytest.param(toy_cluster_fig1, id="toy-fig1"))
+    cases.append(pytest.param(toy_cluster_fig2, id="toy-fig2"))
+    return cases
+
+
+class TestRootProbe:
+    @pytest.mark.parametrize("make_cluster", _differential_cases())
+    def test_default_matches_full_budget_reference(self, make_cluster):
+        # The root probe may stop the default path early; it must never
+        # cost more than the gap against the single full-budget solve.
+        cluster = make_cluster()
+        gap = 1e-4
+        default = HelixMilpPlanner(
+            cluster, TINY_BENCH_MODEL, Profiler(), time_limit=10,
+            mip_rel_gap=gap,
+        ).plan()
+        reference = HelixMilpPlanner(
+            cluster, TINY_BENCH_MODEL, Profiler(), time_limit=10,
+            mip_rel_gap=gap, adaptive_budget=False,
+        ).plan()
+        assert default.max_throughput >= reference.max_throughput * (1 - gap)
+
+    def test_fig12_plan_is_deterministic_and_single_solve(self):
+        # The benchmark's fig12 configuration: the probe cannot beat the
+        # heuristic hint, so planning is one node-limited (hence
+        # machine-speed independent) solve that returns the hint.
+        def plan():
+            planner = HelixMilpPlanner(
+                small_cluster_fig12(), LLAMA_30B, Profiler(),
+                time_limit=10, mip_rel_gap=0.05,
+            )
+            result = planner.plan()
+            intervals = sorted(
+                (nid, stage.start, stage.end)
+                for nid, stage in result.placement.assignments.items()
+            )
+            return planner.milp_solve_count, result.max_throughput, intervals
+
+        first, second = plan(), plan()
+        assert first == second
+        assert first[0] == 1
+        assert first[1] == 1240.3123939656934
+
+    def test_stall_test_scores_incumbents_on_the_full_cluster(
+        self, monkeypatch
+    ):
+        # geo with prune_degree=6: the best heuristic placement scores
+        # ~5099 on the full cluster but only ~2264 as the pruned MILP's
+        # objective. Seeded with a weaker hint (~3935), an incumbent equal
+        # to that best placement beats the hint and is no stall, even
+        # though its MILP objective is below the hint's value.
+        cluster = geo_distributed_24()
+        planner = HelixMilpPlanner(
+            cluster, LLAMA_30B, Profiler(), prune_degree=6,
+            time_limit=20, mip_rel_gap=0.03,
+        )
+        work = prune_cluster(cluster, 6)
+        formulation = planner.build_formulation(work)
+        hints = sorted(
+            planner.heuristic_hints(work), key=planner._placement_value
+        )
+        weak, best = hints[0], hints[-1]
+        values = planner.assignment_from_placement(formulation, best, work)
+        objective = formulation.problem.objective.evaluate(values)
+        assert objective < planner._placement_value(weak)
+        assert planner._placement_value(weak) < planner._placement_value(best)
+
+        calls = []
+
+        def fake_solve(problem, **kwargs):
+            calls.append(kwargs)
+            return MilpSolution(
+                status=SolveStatus.FEASIBLE, objective=objective,
+                values=dict(values), solve_time=0.01,
+            )
+
+        monkeypatch.setattr(helix_milp, "solve_with_highs", fake_solve)
+        planner.hints = [weak]
+        result = planner.plan()
+        # Probe, one slice that beats the hint, one slice that stalls.
+        assert planner.milp_solve_count == len(calls) == 3
+        assert calls[0]["node_limit"] == 1 and calls[0]["presolve"] is False
+        assert all("node_limit" not in kwargs for kwargs in calls[1:])
+        assert result.max_throughput == pytest.approx(
+            planner._placement_value(best)
+        )
 
 
 class TestFeatureAblations:
