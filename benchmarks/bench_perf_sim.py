@@ -1,8 +1,9 @@
-"""Serving-simulator throughput benchmark: hop-table engine vs. baseline.
+"""Serving-simulator throughput benchmark: the engine vs. its baseline.
 
 Runs the flooded / Poisson-online / churn-soak scenarios at small, medium,
-and large trace sizes through both the overhauled hop-table engine and the
-frozen pre-overhaul engine (``repro.sim._legacy_reference``), then writes
+and large trace sizes through both the simulation engine and the frozen
+pre-overhaul engine (``repro.sim._legacy_reference``), plus the diurnal
+scenario through the engine alone, then writes
 ``BENCH_sim.json`` at the repo root. The headline number is the flooded
 fig12-small ``sim_flooded_large_speedup`` — the tentpole >=10x
 simulated-tokens-per-wall-second target.

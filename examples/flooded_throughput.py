@@ -1,6 +1,6 @@
 """Flood fig12-small with 10,000 synthetic-Azure requests, end to end.
 
-Plan (Helix MILP) -> simulate (the hop-table engine) -> report. The trace
+Plan (Helix MILP) -> simulate -> report. The trace
 is a synthetic-Azure offline flood — every request is available at t=0 and
 the cluster serves at full KV-bounded concurrency, the ROADMAP's
 "heavy traffic from millions of users" regime scaled to one example. On
@@ -56,7 +56,7 @@ def main() -> None:
     total_tokens = sum(r.output_len for r in trace)
     print(f"\ntrace: {len(trace):,} requests, {total_tokens:,} output tokens")
 
-    # 3. Serve the flood through the hop-table simulation engine.
+    # 3. Serve the flood through the simulation engine.
     scheduler = HelixScheduler(
         cluster, model, result.placement, profiler, flow=result.flow,
         expected_output_len=total_tokens / len(trace),
@@ -72,12 +72,15 @@ def main() -> None:
     # 4. Report: serving metrics plus the engine's own telemetry.
     generated = sum(r.tokens_generated for r in simulation.records)
     stats = simulation.engine_stats
+    fast_forwarded = (
+        stats["fast_forwarded_tokens"] + stats["vec_fast_forwarded_tokens"]
+    )
     print(f"\nsimulated {simulation.now:,.0f}s of serving in {wall:.1f}s wall")
     print(f"  {generated / wall:,.0f} simulated tokens per wall-second")
     print(f"  {stats['events_popped']:,} events popped "
           f"({stats['events_popped'] / max(1, generated):.2f} per token), "
           f"{stats['grouped_hops']:,} hops coalesced, "
-          f"{stats['fast_forwarded_tokens']:,} tokens fast-forwarded")
+          f"{fast_forwarded:,} tokens fast-forwarded")
     print(f"\nserving: {metrics.summary()}")
     print("top congested links:")
     for src, dst, delay in simulation.congestion_report(top=3):

@@ -23,14 +23,13 @@ measured once:
   constant fallback (and double-checks the disrupted paths agree).
 * **diurnal** — a multi-day diurnal arrival trace on a single-stage
   serving pipeline at low offered load: long closed windows where the
-  batch engine's vectorized steady-state fast-forward macro-steps whole
-  decode rounds. This is the batch engine's headline scenario — the
-  ``large`` tier serves 100,000 requests spanning simulated months, and
-  the target is >=1M simulated tokens per wall-second
-  (``sim_diurnal_large_batch_tokens_per_s``). Only the hop-table and
-  batch engines run it; the frozen baseline would take hours.
+  vectorized fast-forward macro-steps whole decode rounds. The ``large``
+  tier serves 100,000 requests spanning simulated months, and the target
+  is >=1M simulated tokens per wall-second
+  (``sim_diurnal_large_hop_table_tokens_per_s``). Only the current
+  engine runs it; the frozen baseline would take hours.
 
-Each scenario runs on every engine at three trace sizes and records
+Each scenario runs on both engines at three trace sizes and records
 simulated-tokens-per-wall-second, events popped, engine telemetry
 (grouped hops, fast-forwarded tokens), and peak RSS. Token counts and
 decode throughput are asserted equal between engines on every run — the
@@ -84,11 +83,10 @@ _DIURNAL_TIERS = {"small": 2000, "medium": 20000, "large": 100000}
 _DIURNAL_LOAD = 0.02
 _DIURNAL_OUTPUT_LEN = 512
 
-#: (label, simulation class, extra constructor kwargs).
+#: (label, simulation class) per engine.
 _ENGINES = (
-    ("legacy", LegacySimulation, {}),
-    ("hop_table", Simulation, {}),
-    ("batch", Simulation, {"engine": "batch"}),
+    ("legacy", LegacySimulation),
+    ("hop_table", Simulation),
 )
 
 
@@ -128,7 +126,7 @@ def _serve(
 ) -> dict[str, float]:
     """Run one scenario on every engine; record timings and speedups."""
     rows: dict[str, tuple[float, int]] = {}
-    for label, sim_cls, extra in engines:
+    for label, sim_cls in engines:
         scheduler = HelixScheduler(
             cluster, model, result.placement, profiler,
             flow=result.flow, expected_output_len=expected_output_len,
@@ -136,7 +134,7 @@ def _serve(
         sim = sim_cls(
             cluster, model, result.placement, scheduler, trace,
             profiler=profiler, max_batch_tokens=max_batch_tokens,
-            max_time=max_time, seed=0, **extra,
+            max_time=max_time, seed=0,
         )
         if churn_events:
             for event in churn_events:
@@ -172,12 +170,8 @@ def _serve(
         f"{name}_{label}_tokens_per_s": tokens / wall
         for label, (wall, tokens) in rows.items()
     }
-    if "legacy" in rows and "hop_table" in rows:
+    if "legacy" in rows:
         metrics[f"{name}_speedup"] = rows["legacy"][0] / rows["hop_table"][0]
-    if "batch" in rows and "hop_table" in rows:
-        metrics[f"{name}_batch_vs_hop"] = (
-            rows["hop_table"][0] / rows["batch"][0]
-        )
     for key, value in metrics.items():
         tracker.record(key, value)
     return metrics
@@ -261,8 +255,8 @@ def _diurnal_material() -> tuple:
     One A100 holds every layer of a small 8-layer model, so a request's
     decode round is entry transmit -> one batch -> token return. At low
     offered load the simulation is almost entirely closed windows of
-    identical rounds — exactly the steady state the batch engine's
-    vectorized fast-forward macro-steps. The multi-node regimes are
+    identical rounds — exactly the steady state the vectorized
+    fast-forward macro-steps. The multi-node regimes are
     covered by the flooded / poisson / churn scenarios above.
     """
     model = ModelSpec(
@@ -300,13 +294,13 @@ def _diurnal_solo_latency(cluster, model, result, profiler) -> float:
 def bench_sim_diurnal(
     tracker: PerfTracker, size: str = "large", quick: bool = False
 ) -> dict:
-    """The batch engine's headline: a multi-day diurnal arrival trace.
+    """The fast-forward headline: a multi-day diurnal arrival trace.
 
     The arrival rate is calibrated against the measured solo latency so
     the offered load (and therefore the closed-window fraction) is
-    machine-independent. Runs the hop-table and batch engines only: the
-    frozen baseline has no fast-forward at all, so even the small tier
-    would take minutes and the 100k tier hours.
+    machine-independent. Runs the current engine only: the frozen
+    baseline has no fast-forward at all, so even the small tier would
+    take minutes and the 100k tier hours.
     """
     del quick  # no planner: the placement is fixed, every tier is cheap
     num_requests = _DIURNAL_TIERS[size]

@@ -28,7 +28,7 @@ _HEADLINE_BENCHES = {
     "chaos-sweep": "chaos_sweep",
     "elastic-sweep": "elastic_sweep",
     "tenant-sweep": "tenant_sweep",
-    "batch-sweep": "batch_sweep",
+    "fast-path-sweep": "fast_path_sweep",
     "policy-compare": "policy_compare",
 }
 

@@ -309,7 +309,7 @@ def tenant_sweep_aggregate(spec, records: list[dict]) -> dict:
     }
 
 
-def batch_sweep_aggregate(spec, records: list[dict]) -> dict:
+def fast_path_sweep_aggregate(spec, records: list[dict]) -> dict:
     diurnal_records, sweep_records = _split(records, "diurnal_perf")
     rows = [_row(r) for r in sweep_records]
     failures = sum(1 for r in rows if not r.get("ok"))
@@ -318,11 +318,7 @@ def batch_sweep_aggregate(spec, records: list[dict]) -> dict:
         "addresses": len(rows),
         "failures": failures,
         "diurnal_tier": diurnal.get("tier"),
-        "diurnal_batch_tokens_per_s": diurnal.get("batch_tokens_per_s"),
-        "diurnal_hop_table_tokens_per_s": diurnal.get(
-            "hop_table_tokens_per_s"
-        ),
-        "diurnal_batch_vs_hop": diurnal.get("batch_vs_hop"),
+        "diurnal_tokens_per_s": diurnal.get("tokens_per_s"),
         "diurnal_span_days": diurnal.get("span_days"),
     }
     failures += sum(1 for r in diurnal_records if not r.get("ok"))
@@ -401,7 +397,7 @@ AGGREGATORS = {
     "chaos_sweep": chaos_sweep_aggregate,
     "elastic_sweep": elastic_sweep_aggregate,
     "tenant_sweep": tenant_sweep_aggregate,
-    "batch_sweep": batch_sweep_aggregate,
+    "fast_path_sweep": fast_path_sweep_aggregate,
     "policy_compare": policy_compare_aggregate,
     "perf_suite": perf_suite_aggregate,
 }

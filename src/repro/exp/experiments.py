@@ -96,25 +96,25 @@ def tenant_sweep(seeds: int = 25, size: str = "full") -> ExperimentSpec:
     )
 
 
-def batch_sweep(
+def fast_path_sweep(
     seeds: int = 10,
     size: str = "full",
     diurnal_tier: str = "large",
 ) -> ExperimentSpec:
-    """Batch-engine equivalence soak plus the diurnal perf headline."""
+    """Coalesced-vs-per-hop equivalence soak plus the diurnal headline."""
     return ExperimentSpec.make(
-        name="batch-sweep",
+        name="fast-path-sweep",
         description=(
-            "hop-vs-batch engine equivalence over all families + the "
-            "diurnal tokens/s headline (BENCH_batch.json)"
+            "coalesced-vs-per-hop equivalence over all families + the "
+            "diurnal tokens/s headline"
         ),
-        kind="batch_equivalence",
+        kind="fast_path_equivalence",
         grid={"family": list(ALL_FAMILIES), "seed": list(range(seeds))},
         base={"size": size},
         extra_cells=(
             RunCell.make("diurnal_perf", {"tier": diurnal_tier}),
         ),
-        aggregate="batch_sweep",
+        aggregate="fast_path_sweep",
     )
 
 
@@ -183,7 +183,7 @@ EXPERIMENTS = {
     "chaos-sweep": chaos_sweep,
     "elastic-sweep": elastic_sweep,
     "tenant-sweep": tenant_sweep,
-    "batch-sweep": batch_sweep,
+    "fast-path-sweep": fast_path_sweep,
     "policy-compare": policy_compare,
     "bench-flow": bench_flow,
     "bench-milp": bench_milp,

@@ -51,9 +51,9 @@ class KVCachePool:
         single-token allocations would have landed past capacity
         (``min(tokens, used_after - capacity)`` when positive), and the
         peak is taken once at the end — the running maximum of a
-        monotonically growing occupancy is its final value. This is the
-        simulator's batch-engine fast path; it must stay observably
-        identical to the per-token loop.
+        monotonically growing occupancy is its final value. The
+        simulator's vectorized forwarding and fast-forward charge through
+        it; it must stay observably identical to the per-token loop.
         """
         used = self.used_tokens + tokens
         over = used - self.capacity_tokens

@@ -407,8 +407,8 @@ class TokenTimeline:
         (bucket indices are the same ``int(t * 1/resolution)`` truncation
         and counts are integers, so the fold is exact); one
         ``numpy.bincount`` over the touched bucket range replaces the
-        per-token Python loop. This is the batch engine's per-run
-        timeline write.
+        per-token Python loop. The vectorized fast-forward writes its
+        committed rounds through it.
         """
         buckets = (_np.asarray(times) * self._inv).astype(_np.int64)
         if buckets.size == 0:

@@ -38,44 +38,3 @@ class Request:
     def total_tokens(self) -> int:
         """Prompt plus generated tokens."""
         return self.input_len + self.output_len
-
-
-class RequestInterner:
-    """Maps string request ids to dense consecutive integers.
-
-    The batch-level engine keys its hot per-request state by dense int
-    rather than by string id, so the state lives in flat numpy arrays
-    indexed by position instead of hash lookups. Interning is stable for
-    the lifetime of the simulation: the first request to intern gets 0,
-    the next new one 1, and so on; re-interning an id returns its
-    original slot.
-    """
-
-    __slots__ = ("_ids", "_names")
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._names: list[str] = []
-
-    def intern(self, request_id: str) -> int:
-        """Return the dense integer for ``request_id``, minting if new."""
-        dense = self._ids.get(request_id)
-        if dense is None:
-            dense = len(self._names)
-            self._ids[request_id] = dense
-            self._names.append(request_id)
-        return dense
-
-    def name_of(self, dense: int) -> str:
-        """Inverse lookup: the request id interned at slot ``dense``."""
-        return self._names[dense]
-
-    def index_of(self, request_id: str) -> int | None:
-        """The dense integer of ``request_id``, or ``None`` if unseen."""
-        return self._ids.get(request_id)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __contains__(self, request_id: str) -> bool:
-        return request_id in self._ids

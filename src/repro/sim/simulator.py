@@ -1,4 +1,4 @@
-"""The discrete-event serving simulation (hop-table engine).
+"""The discrete-event serving simulation.
 
 One :class:`Simulation` wires together a cluster, a model placement, a
 scheduler, and a request trace, then plays the serving system forward:
@@ -49,26 +49,13 @@ testing and benchmarking):
   macro-step) with no heap traffic at all, stopping exactly at finish,
   the ``max_time`` horizon, or the next event's time — where the one
   in-flight hop is re-materialized into the heap and stepping resumes.
+  Without tenancy or a progress hook, whole decode rounds inside the
+  window are replayed with numpy folds
+  (:meth:`Simulation._vec_fast_forward`, guess-and-verify, bit-exact
+  committed prefix); the scalar loop handles the boundary round.
 * **Bounded timeline.** The global token timeline accumulates into
   fixed-width buckets (:class:`~repro.sim.metrics.TokenTimeline`) online
   instead of appending one float per token forever.
-* **Batch-level engine** (``engine="batch"``). On top of the hop-table
-  machinery, hot per-request state — tokens generated, output target,
-  entry-channel id, attempt — moves into dense structured numpy arrays
-  keyed by interned dense-int request ids
-  (:class:`~repro.sim.request.RequestInterner`). The coordinator's token
-  drain then advances whole same-channel cohorts per heap event: a run
-  of mid-decode tokens is masked, validated, and committed with array
-  folds (:meth:`Simulation._vec_token_run`) instead of per-token Python
-  work, groups carry uniform-token-layer metadata so busy-executor
-  cohort enqueues cost O(1), and the closed-window fast-forward
-  generalizes from "sole live request" to any request whose executors
-  are provably quiescent while other live requests sit parked in the
-  heap. Every wide path replays the identical float operations in the
-  identical order as the scalar engine, so ``engine="batch"`` is
-  observably bit-identical to ``engine="hop"`` (the differential suite
-  asserts it across the scenario matrix, chaos/elastic/tenant families
-  included).
 
 The loop also supports *online dynamics* (the ``repro.online`` package):
 environment events scheduled with :meth:`Simulation.schedule_event` can
@@ -105,7 +92,7 @@ from repro.sim.metrics import (
 )
 from repro.sim.network_sim import LinkChannel
 from repro.sim.node_exec import NodeExecutor, StageWork
-from repro.sim.request import Request, RequestInterner
+from repro.sim.request import Request
 
 # Integer event kinds (heap entries are ``(when, seq, kind, payload)``).
 K_ARRIVAL = 0  #: a trace request reaches the coordinator
@@ -114,8 +101,9 @@ K_BATCH = 2    #: a node finishes executing one batch
 K_TOKEN = 3    #: contiguous token deliveries to the coordinator
 K_ENV = 4      #: an environment callback (online dynamics)
 
-#: Minimum same-channel single-token run length worth the numpy setup cost
-#: in the batch-forwarding loop.
+#: Minimum run length worth the numpy setup cost: same-channel
+#: single-token works in the batch-forwarding loop, and decode rounds in
+#: the vectorized fast-forward.
 _VEC_MIN = 16
 
 
@@ -150,7 +138,7 @@ class _HopGroup:
     exact-time ties order identically to per-hop stepping.
     """
 
-    __slots__ = ("kind", "times", "seqs", "works", "index", "utl")
+    __slots__ = ("kind", "times", "seqs", "works", "index")
 
     def __init__(self, kind: int) -> None:
         self.kind = kind
@@ -158,12 +146,6 @@ class _HopGroup:
         self.seqs: list[int] = []
         self.works: list[StageWork] = []
         self.index = 0
-        # Uniform-token-layer metadata (batch engine): >= 0 asserts every
-        # work in the group is single-token with ``tl == utl``, letting
-        # the busy-executor cohort enqueue compute its slice totals in
-        # O(1). Set by the vectorized producers, invalidated by any
-        # append that cannot prove uniformity; -1 means unknown/mixed.
-        self.utl = -1
 
 
 class _ActiveRequest:
@@ -172,7 +154,7 @@ class _ActiveRequest:
     __slots__ = (
         "request", "request_id", "pipeline", "record", "attempt", "live",
         "hops", "entry_channel", "prompt_works", "decode_works", "done",
-        "output_len", "sched_id", "hedge", "is_hedge", "dense", "entry_work",
+        "output_len", "sched_id", "hedge", "is_hedge",
     )
 
     def __init__(self, request, pipeline, record, attempt):
@@ -202,11 +184,6 @@ class _ActiveRequest:
         self.entry_channel: LinkChannel | None = None
         self.prompt_works: list[StageWork] = []
         self.decode_works: list[StageWork] = []
-        # Batch engine: this attempt's row in the dense state arrays (-1
-        # under the hop engine) and its stage-0 decode work (the re-entry
-        # work the coordinator ships every iteration).
-        self.dense = -1
-        self.entry_work: StageWork | None = None
 
     def kv_allocated(self, stage_index: int) -> int:
         """KV tokens this attempt has allocated on ``stage_index``.
@@ -223,81 +200,6 @@ class _ActiveRequest:
             return prompt
         q, r = divmod(decode_done, depth)
         return prompt + q + (1 if stage_index < r else 0)
-
-
-#: One row per scheduled attempt in the batch engine's dense state.
-_DENSE_DTYPE = _np.dtype([
-    ("req", _np.int64),      # interned request id
-    ("tg", _np.int64),       # tokens generated (mirrors the record)
-    ("out", _np.int64),      # output-length target
-    ("ent", _np.int64),      # interned entry-channel id
-    ("attempt", _np.int64),  # attempt number of this row
-    ("live", _np.bool_),     # attempt still in flight
-])
-
-
-class _DenseState:
-    """Hot per-attempt request state in one dense structured numpy array.
-
-    The batch-level engine moves the fields its wide token path reads —
-    tokens generated, output target, entry-channel id — out of Python
-    objects into flat arrays keyed by a dense row index, so eligibility
-    masks over a whole token cohort are a few array ops instead of
-    per-token attribute chains. Rows are append-only: every scheduled
-    attempt (retries and hedge shadows included) gets its own row, and
-    the authoritative :class:`~repro.sim.metrics.RequestRecord` stays
-    the source of truth — the dense mirror is only consulted for wide
-    masks and is kept exactly in sync by every token-count mutation.
-    """
-
-    __slots__ = ("arr", "rows", "tg", "out", "ent", "interner", "_channel_ids")
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self.arr = _np.zeros(capacity, dtype=_DENSE_DTYPE)
-        self.rows = 0
-        self.interner = RequestInterner()
-        self._channel_ids: dict[LinkChannel, int] = {}
-        self._refresh_views()
-
-    def _refresh_views(self) -> None:
-        arr = self.arr
-        self.tg = arr["tg"]
-        self.out = arr["out"]
-        self.ent = arr["ent"]
-
-    def channel_id(self, channel) -> int:
-        """Dense integer for a channel object (identity-keyed)."""
-        ids = self._channel_ids
-        cid = ids.get(channel)
-        if cid is None:
-            cid = len(ids)
-            ids[channel] = cid
-        return cid
-
-    def add_row(self, request_id, output_len, entry_channel, attempt) -> int:
-        """Register one scheduled attempt; returns its dense row index."""
-        row = self.rows
-        arr = self.arr
-        if row == len(arr):
-            grown = _np.zeros(2 * len(arr), dtype=_DENSE_DTYPE)
-            grown[:row] = arr
-            self.arr = grown
-            self._refresh_views()
-        rec = self.arr[row]
-        rec["req"] = self.interner.intern(request_id)
-        rec["tg"] = 0
-        rec["out"] = output_len
-        rec["ent"] = self.channel_id(entry_channel)
-        rec["attempt"] = attempt
-        rec["live"] = True
-        self.rows = row + 1
-        return row
-
-    def retire(self, row: int) -> None:
-        """Mark an attempt's row dead (finish, cancel, or requeue)."""
-        rec = self.arr[row]
-        rec["live"] = False
-        rec["tg"] = 0
 
 
 @dataclass(frozen=True)
@@ -367,12 +269,6 @@ class Simulation:
             lower-priority queued request to admit a higher-priority
             arrival). ``None`` (the default) keeps the single-tenant
             legacy semantics bit-identically.
-        engine: ``"hop"`` (the default) is the per-event hop-table
-            engine; ``"batch"`` adds the cross-request batch level on
-            top — dense per-attempt state arrays, vectorized coordinator
-            token runs, O(1) cohort enqueues, and the generalized
-            closed-window fast-forward. The two engines are observably
-            bit-identical on every trace; only wall-clock speed differs.
     """
 
     def __init__(
@@ -394,15 +290,9 @@ class Simulation:
         debug_validate: bool = False,
         residency=None,
         tenancy=None,
-        engine: str = "hop",
     ) -> None:
         if not requests:
             raise SimulationError("request trace is empty")
-        if engine not in ("hop", "batch"):
-            raise SimulationError(
-                f"unknown engine {engine!r}: choose 'hop' or 'batch'"
-            )
-        self.engine = engine
         self.cluster = cluster
         self.model = model
         self.placement = placement
@@ -518,16 +408,12 @@ class Simulation:
             type(scheduler).notify_node_progress
             is not Scheduler.notify_node_progress
         )
-        # Batch engine: dense per-attempt state (None = hop engine; every
-        # batch-level path keys off this).
-        self._dense = _DenseState() if engine == "batch" else None
-        # Engine telemetry (for benchmarks and tests).
+        # Engine telemetry (for benchmarks and tests). The two token
+        # counters are disjoint: scalar vs. vectorized fast-forward.
         self.events_popped = 0
         self.grouped_hops = 0
         self.fast_forwarded_tokens = 0
-        self.vectorized_tokens = 0
         self.vec_fast_forwarded_tokens = 0
-        self.group_fast_forwards = 0
 
     def _bind_node(self, node_id: str) -> None:
         """Create (or re-create) the executor and KV pool for a used node."""
@@ -710,12 +596,6 @@ class Simulation:
             request=request, pipeline=pipeline, record=record, attempt=attempt
         )
         self._build_hops(active)
-        dense = self._dense
-        if dense is not None:
-            active.dense = dense.add_row(
-                request.request_id, active.output_len,
-                active.entry_channel, attempt,
-            )
         self._active[request.request_id] = active
         if self._tenancy is not None:
             self._tenancy.note_dispatch(
@@ -798,7 +678,6 @@ class Simulation:
                 f"no link {entry_key[0]!r}->{entry_key[1]!r} for transmission"
             )
         active.entry_channel = entry
-        active.entry_work = decode_works[0]
 
     def _retry_pending(self) -> None:
         while self._pending:
@@ -875,18 +754,11 @@ class Simulation:
                     while j > i and times[j - 1] == top_t and seqs[j - 1] > top_seq:
                         j -= 1
                     span = works[i:j]
-                    utl = group.utl
-                    if utl >= 0:
-                        # Uniform single-token cohort: slice totals are
-                        # O(1) integer products, no per-work scan.
-                        tokens = j - i
-                        tl = tokens * utl
-                    else:
-                        tokens = 0
-                        tl = 0
-                        for peer in span:
-                            tokens += peer.num_tokens
-                            tl += peer.tl
+                    tokens = 0
+                    tl = 0
+                    for peer in span:
+                        tokens += peer.num_tokens
+                        tl += peer.tl
                     executor.enqueue_run(span, tokens, tl)
                     i = j
                     if i == n:
@@ -1023,7 +895,6 @@ class Simulation:
         seq = self._seq
         token_bytes = self._token_bytes
         abpt = self._abpt
-        batch_engine = self._dense is not None
         # Run caches: consecutive works almost always share a pool (same
         # stage) and a channel (same next hop); their mutable fields live
         # in locals for the duration of the run and are written back when
@@ -1113,10 +984,6 @@ class Simulation:
                     if group is None:
                         group = _HopGroup(K_TOKEN if run_final else K_GROUP)
                         scratch[run_channel] = group
-                        if batch_engine:
-                            group.utl = nx[0].tl
-                    elif batch_engine and group.utl != nx[0].tl:
-                        group.utl = -1
                     group.times.extend(arrivals.tolist())
                     group.seqs.extend(range(seq, seq + k))
                     seq += k
@@ -1176,10 +1043,6 @@ class Simulation:
                     if group is None:
                         group = _HopGroup(kind)
                         scratch[ch] = group
-                    elif batch_engine and group.utl >= 0:
-                        # Scalar appends may mix phases and widths; the
-                        # uniformity claim no longer holds.
-                        group.utl = -1
                     g_times = group.times
                     g_seqs = group.seqs
                     g_works = group.works
@@ -1252,15 +1115,6 @@ class Simulation:
         tl_counts = timeline._counts
         tl_inv = timeline._inv
         tl_added = 0
-        dense = self._dense
-        batch_engine = dense is not None
-        # The wide token path engages only on the clean steady state: no
-        # disruption latch (stale-work filtering stays scalar), no
-        # per-token tenancy accounting, coalescing on.
-        batch_vec = (
-            batch_engine and coalesce and not disrupted and tenancy is None
-        )
-        vec_scan = i
         # Earliest re-entry arrival accumulated in scratch but not yet in
         # the heap; the drain must not run past it.
         pending_first = math.inf
@@ -1286,22 +1140,6 @@ class Simulation:
                 self._flush_scratch()
                 self._halt = True
                 return
-            if batch_vec and i >= vec_scan and n - i >= _VEC_MIN:
-                advanced, skip, pending_first = self._vec_token_run(
-                    group, i, top_t, pending_first
-                )
-                if advanced:
-                    i += advanced
-                    if i == n:
-                        group.index = n
-                        timeline.count += tl_added
-                        self._flush_scratch()
-                        return
-                    continue
-                # Nothing committed: let the scalar path chew through at
-                # least ``skip`` tokens (first/last tokens, channel
-                # switches, tie races) before paying the gather again.
-                vec_scan = i + (skip if skip >= _VEC_MIN else _VEC_MIN)
             self._now = t
             work = works[i]
             i += 1
@@ -1321,7 +1159,6 @@ class Simulation:
                         if peer.sched_id in self._active:
                             self._cancel_attempt(peer)
                         disrupted = True
-                        batch_vec = False
                     record.first_token_time = t
                     if tenancy is not None:
                         tenancy.note_first_token(
@@ -1329,8 +1166,6 @@ class Simulation:
                         )
                 token_times.append(t)
                 record.tokens_generated += 1
-                if batch_engine:
-                    dense.tg[owner.dense] += 1
                 if tenancy is not None:
                     tenancy.note_token(owner.request.tenant_id, t)
                 self._last_token_time = t
@@ -1356,33 +1191,18 @@ class Simulation:
                     and i == n
                     and not scratch
                     and not self._pending
-                    and (
-                        len(self._active) == 1
-                        and not any(
-                            hop.executor.busy for hop in owner.hops
-                        )
-                        or batch_engine
-                        and len(self._active) > 1
-                        and owner.hedge is None
-                        and not any(
-                            hop.executor.busy or hop.executor.queue
-                            for hop in owner.hops
-                        )
-                    )
+                    and len(self._active) == 1
+                    and not any(hop.executor.busy for hop in owner.hops)
                 ):
-                    # Closed window: this request decodes over provably
-                    # quiescent executors — fast-forward it without the
-                    # event loop until it finishes or the next scheduled
-                    # event (an arrival, churn, a stale completion) is
-                    # due. The hop engine requires it to be the sole live
-                    # request; the batch engine generalizes to any
-                    # non-interfering request — every other live request
-                    # is parked in the heap (its next transition is a
-                    # scheduled event at or past the window limit), so
-                    # nothing can touch this request's executors or
-                    # channels before the limit either way.
-                    if len(self._active) > 1:
-                        self.group_fast_forwards += 1
+                    # Closed window: the sole live request decodes over
+                    # idle executors — fast-forward it without the event
+                    # loop until it finishes or the next scheduled event
+                    # (an arrival, churn, a stale completion) is due. The
+                    # trigger is deliberately this narrow: widening it to
+                    # any request with quiescent executors scans the
+                    # pipeline on every token; on the geo-online benchmark
+                    # it fast-forwarded no more tokens and ran no faster
+                    # (0.95-0.99x in interleaved runs, 2-core Xeon).
                     group.index = n
                     timeline.count += tl_added
                     self._fast_forward(owner)
@@ -1414,13 +1234,6 @@ class Simulation:
                         if subgroup is None:
                             subgroup = _HopGroup(K_GROUP)
                             scratch[channel] = subgroup
-                            if batch_engine:
-                                subgroup.utl = owner.entry_work.tl
-                        elif (
-                            batch_engine
-                            and subgroup.utl != owner.entry_work.tl
-                        ):
-                            subgroup.utl = -1
                         subgroup.times.append(arrival)
                         subgroup.seqs.append(seq)
                         subgroup.works.append(owner.decode_works[0])
@@ -1446,172 +1259,6 @@ class Simulation:
         heappush(events, (times[i], seqs[i], K_TOKEN, group))
         self._flush_scratch()
 
-    def _vec_token_run(
-        self,
-        group: _HopGroup,
-        i: int,
-        top_t: float,
-        pending_first: float,
-    ) -> tuple[int, int, float]:
-        """Advance a run of steady-state decode token deliveries at once.
-
-        The scalar drain in :meth:`_on_token_group` performs, per token:
-        record bookkeeping, the timeline bucket update, and the re-entry
-        transmit on the owner's entry channel. For a run of *mid-decode*
-        tokens whose owners share one entry channel, all of that
-        collapses into one gather over the dense state plus a handful of
-        array folds. Eligibility is decided entirely from the dense
-        arrays (``tokens_generated > 0`` excludes first tokens and their
-        hedge/TTFT bookkeeping; ``tokens_generated + 1 < output_len``
-        excludes finishing tokens and the heap-top refresh they force);
-        a candidate run is then cut at the heap top (exact-time ties go
-        scalar, where the sequence compare decides), the horizon, and
-        the earliest re-entry feedback bound, and finally validated
-        against one of two bit-exact channel regimes:
-
-        * **saturated** — every transmit starts at the previous end;
-          the end times are the same strict left fold
-          ``np.add.accumulate`` replays bit-for-bit (asserted in tests);
-        * **free** — every transmit starts at the token's own time;
-          queueing is exactly ``0.0`` per token, and ``total += 0.0``
-          plus the max update are bit-exact no-ops the scalar path also
-          performs, so both are skipped.
-
-        The longer valid prefix matches the true scalar behaviour
-        step-for-step (at every index only the regime tracking the real
-        ``next_free_time`` survives its validity test; where both
-        survive the two formulas coincide exactly), so the committed
-        prefix is observably identical to scalar processing.
-
-        Returns ``(advanced, skip, pending_first)``: ``advanced`` tokens
-        starting at ``group.index == i`` were fully committed (records,
-        dense state, timeline, channel counters, re-entry works, event
-        sequence numbers); when 0, the caller should run at least
-        ``skip`` tokens through the scalar path before re-attempting.
-        """
-        times = group.times
-        works = group.works
-        chunk = len(times) - i
-        if chunk > 1024:
-            chunk = 1024
-        dense = self._dense
-        owners = [work.owner for work in works[i:i + chunk]]
-        idx = _np.fromiter(
-            (owner.dense for owner in owners), _np.int64, count=chunk
-        )
-        tg = dense.tg[idx]
-        ent = dense.ent[idx]
-        mask = (tg > 0) & (tg + 1 < dense.out[idx]) & (ent == ent[0])
-        if not mask[0]:
-            good = _np.flatnonzero(mask)
-            return 0, int(good[0]) if good.size else chunk, pending_first
-        bad = _np.flatnonzero(~mask)
-        k = int(bad[0]) if bad.size else chunk
-        t_arr = _np.array(times[i:i + k])
-        if t_arr[k - 1] >= top_t:
-            k = int(_np.searchsorted(t_arr, top_t, side="left"))
-            if k < _VEC_MIN:
-                return 0, k, pending_first
-            t_arr = t_arr[:k]
-        max_time = self.max_time
-        if t_arr[k - 1] > max_time:
-            k = int(_np.searchsorted(t_arr, max_time, side="right"))
-            if k < _VEC_MIN:
-                return 0, k, pending_first
-            t_arr = t_arr[:k]
-        channel = owners[0].entry_channel
-        token_bytes = self._token_bytes
-        transmission = token_bytes / channel.bandwidth
-        nf = channel.next_free_time
-        t0 = times[i]
-        start0 = nf if nf > t0 else t0
-        # The drain must not run past the earliest unflushed re-entry;
-        # within this run that is the first token's own re-entry arrival
-        # (the entry channel is FIFO, so arrivals are nondecreasing).
-        bound = start0 + transmission + channel.latency
-        if pending_first < bound:
-            bound = pending_first
-        if t_arr[k - 1] > bound:
-            k = int(_np.searchsorted(t_arr, bound, side="right"))
-            if k < _VEC_MIN:
-                return 0, k, pending_first
-            t_arr = t_arr[:k]
-        chain = _np.empty(k)
-        chain[0] = start0 + transmission
-        chain[1:] = transmission
-        ends_sat = _np.add.accumulate(chain)
-        later = t_arr[1:]
-        bad_sat = _np.flatnonzero(ends_sat[:-1] < later)
-        k_sat = int(bad_sat[0]) + 1 if bad_sat.size else k
-        if nf > t0:
-            k_free = 0
-        else:
-            bad_free = _np.flatnonzero(t_arr[:-1] + transmission > later)
-            k_free = int(bad_free[0]) + 1 if bad_free.size else k
-        if k_sat >= k_free:
-            saturated = True
-            if k_sat < k:
-                k = k_sat
-                t_arr = t_arr[:k]
-            ends = ends_sat[:k]
-        else:
-            saturated = False
-            k = k_free
-            t_arr = t_arr[:k]
-            ends = t_arr + transmission
-        if k < _VEC_MIN:
-            return 0, k, pending_first
-        # ---- commit ----
-        arrivals = ends + channel.latency
-        channel.next_free_time = float(ends[k - 1])
-        fold = _np.empty(k + 1)
-        fold[0] = channel.bytes_sent
-        fold[1:] = token_bytes
-        channel.bytes_sent = float(_np.add.accumulate(fold)[-1])
-        channel.messages_sent += k
-        if saturated:
-            queueing = _np.empty(k)
-            queueing[0] = start0 - t0
-            queueing[1:] = ends_sat[:k - 1] - later[:k - 1]
-            fold[0] = channel.total_queueing_delay
-            fold[1:] = queueing
-            channel.total_queueing_delay = float(
-                _np.add.accumulate(fold)[-1]
-            )
-            top_queueing = float(queueing.max())
-            if top_queueing > channel.max_queueing_delay:
-                channel.max_queueing_delay = top_queueing
-        self._timeline.add_many(t_arr)
-        dense.tg[idx[:k]] += 1
-        scratch = self._scratch
-        sub = scratch.get(channel)
-        utl = owners[0].entry_work.tl
-        if sub is None:
-            sub = _HopGroup(K_GROUP)
-            sub.utl = utl
-            scratch[channel] = sub
-        elif sub.utl != utl:
-            sub.utl = -1
-        seq = self._seq
-        sub.seqs.extend(range(seq, seq + k))
-        self._seq = seq + k
-        arr_list = arrivals.tolist()
-        sub.times.extend(arr_list)
-        append_work = sub.works.append
-        t_list = times[i:i + k]
-        for owner, t in zip(owners[:k], t_list):
-            record = owner.record
-            record.token_times.append(t)
-            record.tokens_generated += 1
-            append_work(owner.entry_work)
-        last = t_list[k - 1]
-        self._now = last
-        self._last_token_time = last
-        self.vectorized_tokens += k
-        if arr_list[0] < pending_first:
-            pending_first = arr_list[0]
-        return k, 0, pending_first
-
     def _flush_scratch(self) -> None:
         scratch = self._scratch
         if not scratch:
@@ -1625,12 +1272,9 @@ class Simulation:
     def _fast_forward(self, owner: _ActiveRequest) -> None:
         """Run the decode of the sole live request inline (macro-step).
 
-        Preconditions (checked by the caller): empty pending queue, empty
-        scratch, all of the request's executors idle with empty queues,
-        current time at its just-emitted token, and every *other* live
-        request (the hop engine allows none; the batch engine any number)
-        parked in the heap — its next transition a scheduled event at or
-        past the window limit. Until the next heap
+        Preconditions (checked by the caller): exactly one live request,
+        empty pending queue, empty scratch, all of the request's executors
+        idle, and current time at its just-emitted token. Until the next heap
         event is due, the system is closed: the only thing that can happen
         is this request's own iteration chain. The loop performs the
         identical float operations, in the identical order, as the event
@@ -1657,17 +1301,13 @@ class Simulation:
         token_times = record.token_times
         decode_works = owner.decode_works
         tenancy = self._tenancy
-        if (
-            self._dense is not None
-            and tenancy is None
-            and not notify
-        ):
-            # Batch engine: macro-step whole decode rounds vectorized
-            # (guess-and-verify; bit-exact committed prefix). The scalar
-            # loop below then handles the boundary round.
+        if tenancy is None and not notify:
+            # Macro-step whole decode rounds vectorized (guess-and-verify;
+            # bit-exact committed prefix). Per-token tenant accounting and
+            # progress callbacks are order-sensitive, so they stay scalar.
+            # The scalar loop below then handles the boundary round.
             self._vec_fast_forward(owner, limit)
             if record.tokens_generated >= owner.output_len:
-                self._dense.tg[owner.dense] = record.tokens_generated
                 self._finish(owner)
                 return
         seq = self._seq
@@ -1796,16 +1436,10 @@ class Simulation:
             if record.tokens_generated >= owner.output_len:
                 self._seq = seq
                 self.fast_forwarded_tokens += produced
-                dense = self._dense
-                if dense is not None:
-                    dense.tg[owner.dense] = record.tokens_generated
                 self._finish(owner)
                 return
         self._seq = seq
         self.fast_forwarded_tokens += produced
-        dense = self._dense
-        if dense is not None:
-            dense.tg[owner.dense] = record.tokens_generated
 
     def _vec_fast_forward(self, owner: _ActiveRequest, limit: float) -> int:
         """Macro-step whole decode rounds of a closed window at once.
@@ -1967,9 +1601,7 @@ class Simulation:
             total += p
             if p < R:
                 break  # cut short: the scalar loop takes over from t
-        if total:
-            self.fast_forwarded_tokens += total
-            self.vec_fast_forwarded_tokens += total
+        self.vec_fast_forwarded_tokens += total
         return total
 
     def _finish(self, active: _ActiveRequest) -> None:
@@ -1981,8 +1613,6 @@ class Simulation:
         for index, hop in enumerate(active.hops):
             hop.pool.free(active.kv_allocated(index))
         active.live = False
-        if self._dense is not None:
-            self._dense.retire(active.dense)
         del self._active[active.sched_id]
         if self._tenancy is not None:
             self._tenancy.note_release(active.sched_id, self._now)
@@ -2010,8 +1640,6 @@ class Simulation:
                 hop.pool.free(active.kv_allocated(index))
         active.live = False
         self._disrupted = True
-        if self._dense is not None:
-            self._dense.retire(active.dense)
         del self._active[active.sched_id]
         if self._tenancy is not None:
             self._tenancy.note_release(active.sched_id, self._now)
@@ -2079,12 +1707,6 @@ class Simulation:
         except SimulationError:
             self.scheduler.notify_failed(hedge_id)
             return
-        dense = self._dense
-        if dense is not None:
-            hedge.dense = dense.add_row(
-                hedge_id, hedge.output_len, hedge.entry_channel,
-                hedge.attempt,
-            )
         hedge.hedge = active
         active.hedge = hedge
         self._active[hedge_id] = hedge
@@ -2135,8 +1757,6 @@ class Simulation:
                 hop.pool.free(active.kv_allocated(index))
         active.live = False
         self._disrupted = True
-        if self._dense is not None:
-            self._dense.retire(active.dense)
         del self._active[active.sched_id]
         if self._tenancy is not None:
             self._tenancy.note_release(active.sched_id, self._now)
@@ -2890,16 +2510,15 @@ class Simulation:
 
     @property
     def engine_stats(self) -> dict[str, int]:
-        """Hot-loop telemetry: events popped, grouped hops, fast-forwards,
-        and the batch engine's wide-path counters (always present, zero
-        under the hop engine)."""
+        """Hot-loop telemetry: events popped, grouped hops, and the
+        fast-forward counters. ``fast_forwarded_tokens`` (scalar loop) and
+        ``vec_fast_forwarded_tokens`` (vectorized rounds) are disjoint;
+        their sum is every token produced inside closed windows."""
         return {
             "events_popped": self.events_popped,
             "grouped_hops": self.grouped_hops,
             "fast_forwarded_tokens": self.fast_forwarded_tokens,
-            "vectorized_tokens": self.vectorized_tokens,
             "vec_fast_forwarded_tokens": self.vec_fast_forwarded_tokens,
-            "group_fast_forwards": self.group_fast_forwards,
         }
 
     @property

@@ -8,7 +8,7 @@ it (``PYTHONPATH=src python -m repro.testkit <family> <seed>``).
 
 from repro.testkit.differential import (
     check_backend_agreement,
-    check_batch_engine,
+    check_fast_paths,
     check_incremental_compile,
     check_lns_modes_agree,
     check_milp_oracles,
@@ -43,9 +43,9 @@ __all__ = [
     "Violation",
     "assert_scenario_ok",
     "check_backend_agreement",
-    "check_batch_engine",
     "check_chaos",
     "check_elastic",
+    "check_fast_paths",
     "check_flow_solution",
     "check_incremental_compile",
     "check_lns_modes_agree",

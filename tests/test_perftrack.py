@@ -97,10 +97,10 @@ def test_sim_bench_smoke_writes_artifact(tmp_path):
     """Tier-1-safe smoke run of the simulator perf harness.
 
     Small tiers with a heuristic placement, but the flooded / Poisson /
-    churn scenarios, both engines, and the ``BENCH_sim.json`` generation
-    path are exercised end to end. The flooded smoke tier must show the
-    hop-table engine at >=2x the frozen baseline — far under the >=10x the
-    full-size flood records, so CI noise cannot flake it.
+    churn / diurnal scenarios, both engines, and the ``BENCH_sim.json``
+    generation path are exercised end to end. The flooded smoke tier must
+    show the current engine at >=2x the frozen baseline — far under the
+    >=10x the full-size flood records, so CI noise cannot flake it.
     """
     from repro.bench.simbench import run_sim_bench
 
@@ -112,30 +112,23 @@ def test_sim_bench_smoke_writes_artifact(tmp_path):
     assert doc["derived"]["sim_flooded_small_speedup"] >= 2.0
     assert doc["derived"]["sim_poisson_small_speedup"] > 1.0
     assert doc["derived"]["sim_churn_small_speedup"] > 1.0
-    # The batch engine's headline gate: >=2x the hop-table engine on the
-    # diurnal smoke tier, where closed windows dominate and the
-    # vectorized steady-state fast-forward is what's being measured.
-    # Flooded-small is not gated: the hop engine already vectorizes the
-    # decode cohorts there, so the two engines sit within single-run
-    # wall-clock noise of each other and any fixed floor near 1x flakes.
-    assert doc["derived"]["sim_diurnal_small_batch_vs_hop"] >= 2.0
     assert doc["derived"]["sim_diurnal_small_span_days"] > 1.0
     names = [t["name"] for t in doc["timings"]]
     assert "sim_flooded_small_legacy" in names
     assert "sim_flooded_small_hop_table" in names
-    assert "sim_flooded_small_batch" in names
-    assert "sim_diurnal_small_batch" in names
+    assert "sim_diurnal_small_hop_table" in names
+    assert not any(name.endswith("_batch") for name in names)
     # Telemetry proves the coalescing machinery actually engaged.
     hop_rows = [
         t for t in doc["timings"] if t["name"].endswith("_hop_table")
     ]
     assert any(row["meta"].get("grouped_hops", 0) > 0 for row in hop_rows)
-    assert any(
-        row["meta"].get("fast_forwarded_tokens", 0) > 0 for row in hop_rows
+    # ... and that the vectorized fast-forward did the diurnal work: an
+    # exact count gate (deterministic, unlike a single-run wall-clock
+    # ratio) on the tier where closed windows dominate.
+    diurnal = next(
+        t for t in doc["timings"]
+        if t["name"] == "sim_diurnal_small_hop_table"
     )
-    # ... and that the batch engine's macro-stepping did the diurnal work.
-    diurnal_batch = next(
-        t for t in doc["timings"] if t["name"] == "sim_diurnal_small_batch"
-    )
-    tokens = diurnal_batch["meta"]["tokens"]
-    assert diurnal_batch["meta"]["vec_fast_forwarded_tokens"] > 0.5 * tokens
+    tokens = diurnal["meta"]["tokens"]
+    assert diurnal["meta"]["vec_fast_forwarded_tokens"] >= 0.9 * tokens
