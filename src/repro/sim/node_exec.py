@@ -178,11 +178,10 @@ class NodeExecutor:
     def enqueue_run(self, span: list[StageWork], tokens: int, tl: int) -> None:
         """Enqueue a pre-summed run of works in one call.
 
-        The simulator's cohort path hands over a contiguous slice of a
-        same-executor group together with its token / token-layer totals
-        (often computed in O(1) from uniform-group metadata). Counters
-        must advance exactly as ``len(span)`` individual ``enqueue``
-        calls would.
+        A hop-group drain hands over the contiguous slice of its works
+        that reach this (busy) executor before the next event, together
+        with the slice's summed tokens and token-layers. Counters advance
+        exactly as ``len(span)`` individual ``enqueue`` calls would.
         """
         self.queue.extend(span)
         self.queue_tokens += tokens

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -31,6 +32,8 @@ class Request:
             raise ValueError(f"input_len must be >= 1, got {self.input_len}")
         if self.output_len < 1:
             raise ValueError(f"output_len must be >= 1, got {self.output_len}")
+        if not math.isfinite(self.arrival_time):
+            raise ValueError(f"non-finite arrival_time {self.arrival_time}")
         if self.arrival_time < 0:
             raise ValueError(f"negative arrival_time {self.arrival_time}")
 

@@ -31,17 +31,28 @@ testing and benchmarking):
   with integer kinds; ``seq`` is a global monotone counter allocated one
   per *logical* event, so event ordering — including exact-time ties — is
   identical whether or not hops are grouped.
-* **Hop groups (decode coalescing).** When a batch completes, the works
-  forwarded over one FIFO channel arrive contiguously; they are carried
-  in one *group event* instead of one heap event per hop. A group drains
-  work-by-work at each work's true arrival time but pauses — re-pushing
-  its remainder — the moment any other event (a new arrival, a churn
-  callback, another node's batch) is due first, so any contention change
-  invalidates the window and falls back to per-hop stepping.  Group
-  handlers replay the identical float operations in the identical order
-  as per-hop stepping, which makes the two modes bit-identical
-  (``coalescing=False`` forces per-hop events; the differential suite
-  asserts exact equality across the scenario matrix).
+* **Bare one-hop events.** A hop that travels alone — the prompt
+  shipment, a batch forwarding exactly one work, a lone token's decode
+  re-entry, and every hop under ``coalescing=False`` or gray mode — is
+  pushed as the :class:`~repro.sim.node_exec.StageWork` itself
+  (``K_HOP`` at a stage, ``K_TOKEN_ONE`` at the coordinator) with the
+  ``seq`` it would own inside a group, so it costs one tuple and a small
+  handler.
+* **Hop groups (decode coalescing).** When a batch completes, two or more
+  works forwarded over one FIFO channel arrive contiguously; they are
+  carried in one *group event* instead of one heap event per hop. A group
+  drains work-by-work at each work's true arrival time but pauses —
+  re-pushing its remainder — the moment any other event (a new arrival, a
+  churn callback, another node's batch) is due first, so any contention
+  change invalidates the window and falls back to per-hop stepping. Group
+  and bare handlers replay the identical float operations in the
+  identical order as per-hop stepping, which makes the two modes
+  bit-identical (``coalescing=False`` forces one bare event per hop; the
+  differential suite asserts exact equality across the scenario matrix).
+* **Lazy arrivals.** :meth:`Simulation.run` reserves one ``seq`` per
+  trace request up front but keeps only the next arrival in the heap
+  (popping arrival *i* pushes arrival *i + 1*), so the heap holds the
+  live work rather than the whole future trace.
 * **Closed-window fast-forward.** When exactly one request is live, the
   pending queue is empty, and its executors are idle, nothing can happen
   before the next scheduled heap event except the request's own decode
@@ -95,11 +106,13 @@ from repro.sim.node_exec import NodeExecutor, StageWork
 from repro.sim.request import Request
 
 # Integer event kinds (heap entries are ``(when, seq, kind, payload)``).
-K_ARRIVAL = 0  #: a trace request reaches the coordinator
-K_GROUP = 1    #: contiguous stage arrivals on one channel (hop group)
-K_BATCH = 2    #: a node finishes executing one batch
-K_TOKEN = 3    #: contiguous token deliveries to the coordinator
-K_ENV = 4      #: an environment callback (online dynamics)
+K_ARRIVAL = 0    #: a trace request reaches the coordinator
+K_GROUP = 1      #: contiguous stage arrivals on one channel (hop group)
+K_BATCH = 2      #: a node finishes executing one batch
+K_TOKEN = 3      #: contiguous token deliveries to the coordinator
+K_ENV = 4        #: an environment callback (online dynamics)
+K_HOP = 5        #: one bare StageWork reaches its stage
+K_TOKEN_ONE = 6  #: one bare StageWork delivers a token to the coordinator
 
 #: Minimum run length worth the numpy setup cost: same-channel
 #: single-token works in the batch-forwarding loop, and decode rounds in
@@ -140,11 +153,17 @@ class _HopGroup:
 
     __slots__ = ("kind", "times", "seqs", "works", "index")
 
-    def __init__(self, kind: int) -> None:
+    def __init__(
+        self,
+        kind: int,
+        times: list[float],
+        seqs: list[int],
+        works: list[StageWork],
+    ) -> None:
         self.kind = kind
-        self.times: list[float] = []
-        self.seqs: list[int] = []
-        self.works: list[StageWork] = []
+        self.times = times
+        self.seqs = seqs
+        self.works = works
         self.index = 0
 
 
@@ -244,11 +263,12 @@ class Simulation:
         controller: Optional online controller (see
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.
-        coalescing: Enable hop-group events and the closed-window decode
-            fast-forward. ``False`` forces one heap event per hop — the
-            bit-identical per-token reference the differential suite
-            compares against. Results are identical either way; only the
-            wall-clock speed differs.
+        coalescing: Enable hop-group events (hops sharing a channel ride
+            one heap event), vectorized cohort forwarding, and the
+            closed-window decode fast-forward. ``False`` forces one bare
+            heap event per hop — the bit-identical per-token reference the
+            differential suite compares against. Results are identical
+            either way; only the wall-clock speed differs.
         timeline_resolution: Bucket width (seconds) of the global token
             timeline; keep it a power of two so windowed goodput over the
             derived view matches the exact timeline (see
@@ -293,6 +313,13 @@ class Simulation:
     ) -> None:
         if not requests:
             raise SimulationError("request trace is empty")
+        seen: set[str] = set()
+        for request in requests:
+            if request.request_id in seen:
+                raise SimulationError(
+                    f"duplicate request_id {request.request_id!r} in trace"
+                )
+            seen.add(request.request_id)
         self.cluster = cluster
         self.model = model
         self.placement = placement
@@ -391,16 +418,19 @@ class Simulation:
         self._coalesce = coalescing
         self._token_bytes = model.token_bytes
         self._abpt = model.activation_bytes_per_token
-        self._scratch: dict[LinkChannel, _HopGroup] = {}
+        # Hops coalescing per channel until the handler flushes them: a
+        # lone hop waits as its ready-made bare heap event (a tuple) and
+        # becomes a _HopGroup only when a second hop joins it.
+        self._scratch: dict[LinkChannel, tuple | _HopGroup] = {}
         # True once any attempt was disrupted; until then every in-flight
         # work provably belongs to a live attempt and the per-work
         # staleness checks are skipped.
         self._disrupted = False
         # True once any link turned flaky. Fault delays can reorder
         # arrivals within what would have been one sorted hop group, so
-        # gray mode latches coalescing off (single-entry groups preserve
-        # heap ordering); like _disrupted it flips at most once, keeping
-        # the fault-free hot path untouched.
+        # gray mode latches coalescing off (bare one-hop events preserve
+        # heap ordering); it unlatches once the last fault heals
+        # (clear_link_flaky), and the fault-free hot path stays untouched.
         self._gray = False
         # Schedulers that keep the base class's no-op progress hook skip
         # the per-batch callback entirely.
@@ -479,11 +509,15 @@ class Simulation:
         if self.controller is not None:
             self.controller.start(self)
         events = self._events
-        seq = self._seq
-        for request in self.requests:
-            heappush(events, (request.arrival_time, seq, K_ARRIVAL, request))
-            seq += 1
-        self._seq = seq
+        # Arrival i owns seq ``base + i`` (the block is reserved now, so
+        # ordering is exactly as if the whole trace were preloaded), but
+        # only the next arrival sits in the heap: popping arrival i pushes
+        # arrival i + 1 before handling i.
+        requests = self.requests
+        base = self._seq
+        last = base + len(requests) - 1
+        self._seq = last + 1
+        heappush(events, (requests[0].arrival_time, base, K_ARRIVAL, requests[0]))
 
         max_time = self.max_time
         pops = 0
@@ -495,14 +529,24 @@ class Simulation:
             pops += 1
             self._now = when
             kind = item[2]
-            if kind == K_GROUP:
+            if kind == K_BATCH:
+                self._on_batch_complete(*item[3])
+            elif kind == K_HOP:
+                self._on_hop(item[3])
+            elif kind == K_GROUP:
                 self._on_group(item[3])
-            elif kind == K_BATCH:
-                payload = item[3]
-                self._on_batch_complete(*payload)
+            elif kind == K_TOKEN_ONE:
+                self._on_token(item[3])
             elif kind == K_TOKEN:
                 self._on_token_group(item[3])
             elif kind == K_ARRIVAL:
+                seq = item[1]
+                if seq < last:
+                    request = requests[seq - base + 1]
+                    heappush(
+                        events,
+                        (request.arrival_time, seq + 1, K_ARRIVAL, request),
+                    )
                 self._on_arrival(item[3])
             else:
                 item[3](self)
@@ -687,20 +731,16 @@ class Simulation:
             self._pending.popleft()
 
     def _start_prompt(self, active: _ActiveRequest) -> None:
-        """Ship the prompt to the first stage (one single-entry group)."""
+        """Ship the prompt to the first stage (one bare hop event)."""
         num_bytes = active.request.input_len * self._token_bytes
         arrival = active.entry_channel.transmit(self._now, num_bytes)
         if self._gray:
             fault = active.entry_channel.fault
             if fault is not None:
                 arrival += fault.delay()
-        group = _HopGroup(K_GROUP)
-        group.times.append(arrival)
         seq = self._seq
         self._seq = seq + 1
-        group.seqs.append(seq)
-        group.works.append(active.prompt_works[0])
-        heappush(self._events, (arrival, group.seqs[0], K_GROUP, group))
+        heappush(self._events, (arrival, seq, K_HOP, active.prompt_works[0]))
 
     # ------------------------------------------------------------------
     # Hot loop: group drains, batches, tokens
@@ -767,48 +807,49 @@ class Simulation:
                         return
                     continue  # the loop head re-checks pause/halt for i
             i += 1
-            owner = work.owner
-            if not disrupted or (owner.live and owner.attempt == work.attempt):
-                executor = work.hop.executor
-                if executor.busy or executor.queue:
-                    executor.queue.append(work)
-                    executor.queue_tokens += work.num_tokens
-                    executor.queue_tl += work.tl
-                    if not executor.busy:
-                        self._now = t
-                        self._start_batch(executor)
-                        top = events[0]  # push above guarantees non-empty
-                        top_t = top[0]
-                        top_seq = top[1]
-                else:
-                    # Idle node, empty queue: the arrival is the batch.
-                    self._now = t
-                    executor.busy = True
-                    tl = work.tl
-                    elapsed = (
-                        tl / executor.compute_rate
-                        + executor.weights_time
-                        + executor.overhead
-                    )
-                    seq = self._seq
-                    self._seq = seq + 1
-                    heappush(
-                        events,
-                        (
-                            t + elapsed,
-                            seq,
-                            K_BATCH,
-                            (executor, executor.epoch, [work], elapsed,
-                             tl, work.num_tokens),
-                        ),
-                    )
-                    top = events[0]
-                    top_t = top[0]
-                    top_seq = top[1]
+            self._now = t
+            if self._on_hop(work):
+                top = events[0]  # the batch push guarantees non-empty
+                top_t = top[0]
+                top_seq = top[1]
             if i == n:
                 group.index = n
                 self._now = times[n - 1]
                 return
+
+    def _on_hop(self, work: StageWork) -> bool:
+        """One stage arrival at ``self._now``: a bare ``K_HOP`` event, or
+        one entry of a group drain. Returns True when it started a batch
+        (the heap top may have moved)."""
+        if self._disrupted:
+            owner = work.owner
+            if not (owner.live and owner.attempt == work.attempt):
+                return False
+        executor = work.hop.executor
+        if executor.busy or executor.queue:
+            executor.queue.append(work)
+            executor.queue_tokens += work.num_tokens
+            executor.queue_tl += work.tl
+            if executor.busy:
+                return False
+            self._start_batch(executor)
+            return True
+        # Idle node, empty queue: the arrival is the batch.
+        executor.busy = True
+        tl = work.tl
+        elapsed = tl / executor.compute_rate + executor.weights_time + executor.overhead
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(
+            self._events,
+            (
+                self._now + elapsed,
+                seq,
+                K_BATCH,
+                (executor, executor.epoch, [work], elapsed, tl, work.num_tokens),
+            ),
+        )
+        return True
 
     def _start_batch(self, executor: NodeExecutor) -> None:
         cap = executor.max_batch_tokens
@@ -885,7 +926,63 @@ class Simulation:
         stats.tokens += tokens
         if self._notify_progress:
             self.scheduler.notify_node_progress(executor.node_id, tokens, elapsed)
+        if len(batch) > 1:
+            self._forward_batch(batch)
+        else:
+            # Most batches carry one work (82% on the geo-online
+            # benchmark): it travels on as a bare event. Same arithmetic,
+            # in the same order, as one iteration of _forward_batch.
+            work = batch[0]
+            owner = work.owner
+            if not self._disrupted or (
+                owner.live and owner.attempt == work.attempt
+            ):
+                hop = work.hop
+                num_tokens = work.num_tokens
+                pool = hop.pool
+                used = pool.used_tokens + num_tokens
+                if used > pool.capacity_tokens:
+                    pool.overflow_events += 1
+                pool.used_tokens = used
+                if used > pool.peak_tokens:
+                    pool.peak_tokens = used
+                owner.done += 1
+                now = self._now
+                channel = hop.channel
+                final = hop.final
+                num_bytes = self._token_bytes if final else num_tokens * self._abpt
+                nf = channel.next_free_time
+                start = nf if nf > now else now
+                queueing = start - now
+                end = start + num_bytes / channel.bandwidth
+                channel.next_free_time = end
+                channel.bytes_sent += num_bytes
+                channel.messages_sent += 1
+                channel.total_queueing_delay += queueing
+                if queueing > channel.max_queueing_delay:
+                    channel.max_queueing_delay = queueing
+                arrival = end + channel.latency
+                if self._gray:
+                    fault = channel.fault
+                    if fault is not None:
+                        arrival += fault.delay()
+                elif self._coalesce:
+                    self.grouped_hops += 1
+                seq = self._seq
+                self._seq = seq + 1
+                heappush(
+                    self._events,
+                    (arrival, seq, K_TOKEN_ONE if final else K_HOP, work.next),
+                )
+        if executor.queue:
+            self._start_batch(executor)
 
+    def _forward_batch(self, batch: list[StageWork]) -> None:
+        """Charge KV and forward every work of a multi-work batch.
+
+        Works sharing a channel coalesce into one hop group; a channel
+        that receives one work gets a bare event (see ``_scratch``).
+        """
         now = self._now
         disrupted = self._disrupted
         gray = self._gray
@@ -905,7 +1002,10 @@ class Simulation:
         ch_nf = ch_bytes = ch_qd = ch_maxq = ch_bw = ch_lat = 0.0
         ch_msgs = 0
         final = False
-        kind = K_GROUP
+        kind = K_HOP
+        # The current channel's scratch entry: None, a lone bare event,
+        # or a group (whose lists are then cached in g_*).
+        entry = None
         g_times = g_seqs = g_works = None
         n_works = len(batch)
         # Long runs of single-token works on one channel (the steady-state
@@ -980,10 +1080,7 @@ class Simulation:
                     top_queueing = float(queueing.max())
                     if top_queueing > run_channel.max_queueing_delay:
                         run_channel.max_queueing_delay = top_queueing
-                    group = scratch.get(run_channel)
-                    if group is None:
-                        group = _HopGroup(K_TOKEN if run_final else K_GROUP)
-                        scratch[run_channel] = group
+                    group = self._scratch_group(run_channel, run_final)
                     group.times.extend(arrivals.tolist())
                     group.seqs.extend(range(seq, seq + k))
                     seq += k
@@ -1037,15 +1134,14 @@ class Simulation:
                 ch_bw = ch.bandwidth
                 ch_lat = ch.latency
                 final = hop.final
-                kind = K_TOKEN if final else K_GROUP
+                kind = K_TOKEN_ONE if final else K_HOP
+                g_times = None
                 if coalesce:
-                    group = scratch.get(ch)
-                    if group is None:
-                        group = _HopGroup(kind)
-                        scratch[ch] = group
-                    g_times = group.times
-                    g_seqs = group.seqs
-                    g_works = group.works
+                    entry = scratch.get(ch)
+                    if entry is not None and entry.__class__ is not tuple:
+                        g_times = entry.times
+                        g_seqs = entry.seqs
+                        g_works = entry.works
             num_bytes = token_bytes if final else num_tokens * abpt
             start = ch_nf if ch_nf > now else now
             queueing = start - now
@@ -1062,16 +1158,23 @@ class Simulation:
                 fault = ch.fault
                 if fault is not None:
                     arrival += fault.delay()
-            if coalesce:
+            if g_times is not None:
                 g_times.append(arrival)
                 g_seqs.append(seq)
                 g_works.append(work.next)
+            elif not coalesce:
+                heappush(events, (arrival, seq, kind, work.next))
+            elif entry is None:
+                entry = scratch[ch] = (arrival, seq, kind, work.next)
             else:
-                group = _HopGroup(kind)
-                group.times.append(arrival)
-                group.seqs.append(seq)
-                group.works.append(work.next)
-                heappush(events, (arrival, seq, kind, group))
+                # A second hop joins the channel's lone one: now a group.
+                entry = scratch[ch] = _HopGroup(
+                    K_TOKEN if final else K_GROUP,
+                    [entry[0], arrival], [entry[1], seq], [entry[3], work.next],
+                )
+                g_times = entry.times
+                g_seqs = entry.seqs
+                g_works = entry.works
             seq += 1
         self._seq = seq
         if pool is not None:
@@ -1084,17 +1187,21 @@ class Simulation:
             channel.messages_sent = ch_msgs
             channel.total_queueing_delay = ch_qd
             channel.max_queueing_delay = ch_maxq
-        if coalesce and scratch:
-            for group in scratch.values():
-                heappush(
-                    events,
-                    (group.times[0], group.seqs[0], group.kind, group),
-                )
-                self.grouped_hops += len(group.times)
-            scratch.clear()
+        self._flush_scratch()
 
-        if executor.queue:
-            self._start_batch(executor)
+    def _scratch_group(self, channel: LinkChannel, final: bool) -> _HopGroup:
+        """The channel's scratch group, created (or promoted from a lone
+        bare event) on demand; ``final`` picks the token-group kind."""
+        entry = self._scratch.get(channel)
+        if entry is not None and entry.__class__ is not tuple:
+            return entry
+        group = _HopGroup(K_TOKEN if final else K_GROUP, [], [], [])
+        if entry is not None:
+            group.times.append(entry[0])
+            group.seqs.append(entry[1])
+            group.works.append(entry[3])
+        self._scratch[channel] = group
+        return group
 
     def _on_token_group(self, group: _HopGroup) -> None:
         """Drain contiguous token deliveries at the coordinator."""
@@ -1105,22 +1212,17 @@ class Simulation:
         n = len(times)
         events = self._events
         max_time = self.max_time
-        disrupted = self._disrupted
-        gray = self._gray
-        coalesce = self._coalesce and not gray
         scratch = self._scratch
-        tenancy = self._tenancy
-        token_bytes = self._token_bytes
-        timeline = self._timeline
-        tl_counts = timeline._counts
-        tl_inv = timeline._inv
-        tl_added = 0
+        coalesce = self._coalesce and not self._gray
+        # The last re-entry channel and its scratch entry (consecutive
+        # tokens usually re-enter over the same one).
+        r_channel = r_entry = None
         # Earliest re-entry arrival accumulated in scratch but not yet in
         # the heap; the drain must not run past it.
         pending_first = math.inf
-        # The heap top only changes when a token finishes its request (a
-        # pending admission may push prompt events) or, without
-        # coalescing, when the re-entry is pushed directly.
+        # The heap top only moves when a delivery pushes to the heap: a
+        # finish (pending admissions ship prompts) or, without coalescing,
+        # the re-entry itself.
         if events:
             top = events[0]
             top_t = top[0]
@@ -1136,137 +1238,164 @@ class Simulation:
                 break
             if t > max_time:
                 group.index = i
-                timeline.count += tl_added
                 self._flush_scratch()
                 self._halt = True
                 return
             self._now = t
             work = works[i]
             i += 1
-            owner = work.owner
-            if not disrupted or (owner.live and owner.attempt == work.attempt):
-                record = owner.record
-                token_times = record.token_times
-                if not token_times:
-                    peer = owner.hedge
-                    if peer is not None:
-                        # First token decides the hedge race: this attempt
-                        # wins, the peer is cancelled (and the winner, if
-                        # it was the shadow, is promoted to primary).
-                        owner.hedge = None
-                        peer.hedge = None
-                        owner.is_hedge = False
-                        if peer.sched_id in self._active:
-                            self._cancel_attempt(peer)
-                        disrupted = True
-                    record.first_token_time = t
-                    if tenancy is not None:
-                        tenancy.note_first_token(
-                            owner.request.tenant_id, t - record.arrival_time
-                        )
-                token_times.append(t)
-                record.tokens_generated += 1
-                if tenancy is not None:
-                    tenancy.note_token(owner.request.tenant_id, t)
-                self._last_token_time = t
-                bucket = int(t * tl_inv)
-                if bucket < len(tl_counts):
-                    tl_counts[bucket] += 1
-                    tl_added += 1
+            reentry = self._deliver_token(work, i == n and not scratch)
+            if reentry is not None and coalesce:
+                channel = work.owner.entry_channel
+                if channel is not r_channel:
+                    r_channel = channel
+                    r_entry = scratch.get(channel)
+                arrival = reentry[0]
+                if r_entry is None:
+                    r_entry = scratch[channel] = reentry
                 else:
-                    timeline.count += tl_added
-                    tl_added = 0
-                    timeline.add(t)
-                if record.tokens_generated >= owner.output_len:
-                    self._finish(owner)
-                    if events:
-                        top = events[0]
-                        top_t = top[0]
-                        top_seq = top[1]
-                    else:
-                        top_t = math.inf
-                        top_seq = 0
-                elif (
-                    coalesce
-                    and i == n
-                    and not scratch
-                    and not self._pending
-                    and len(self._active) == 1
-                    and not any(hop.executor.busy for hop in owner.hops)
-                ):
-                    # Closed window: the sole live request decodes over
-                    # idle executors — fast-forward it without the event
-                    # loop until it finishes or the next scheduled event
-                    # (an arrival, churn, a stale completion) is due. The
-                    # trigger is deliberately this narrow: widening it to
-                    # any request with quiescent executors scans the
-                    # pipeline on every token; on the geo-online benchmark
-                    # it fast-forwarded no more tokens and ran no faster
-                    # (0.95-0.99x in interleaved runs, 2-core Xeon).
-                    group.index = n
-                    timeline.count += tl_added
-                    self._fast_forward(owner)
-                    return
+                    if r_entry.__class__ is tuple:
+                        r_entry = self._scratch_group(channel, False)
+                    r_entry.times.append(arrival)
+                    r_entry.seqs.append(reentry[1])
+                    r_entry.works.append(reentry[3])
+                if arrival < pending_first:
+                    pending_first = arrival
+            else:
+                if reentry is not None:
+                    heappush(events, reentry)
+                if events:
+                    top = events[0]
+                    top_t = top[0]
+                    top_seq = top[1]
                 else:
-                    # Decode re-entry: coordinator ships one token id back
-                    # to the first stage (inline transmit).
-                    channel = owner.entry_channel
-                    nf = channel.next_free_time
-                    start = nf if nf > t else t
-                    queueing = start - t
-                    transmission = token_bytes / channel.bandwidth
-                    end = start + transmission
-                    channel.next_free_time = end
-                    channel.bytes_sent += token_bytes
-                    channel.messages_sent += 1
-                    channel.total_queueing_delay += queueing
-                    if queueing > channel.max_queueing_delay:
-                        channel.max_queueing_delay = queueing
-                    arrival = end + channel.latency
-                    if gray:
-                        fault = channel.fault
-                        if fault is not None:
-                            arrival += fault.delay()
-                    seq = self._seq
-                    self._seq = seq + 1
-                    if coalesce:
-                        subgroup = scratch.get(channel)
-                        if subgroup is None:
-                            subgroup = _HopGroup(K_GROUP)
-                            scratch[channel] = subgroup
-                        subgroup.times.append(arrival)
-                        subgroup.seqs.append(seq)
-                        subgroup.works.append(owner.decode_works[0])
-                        if arrival < pending_first:
-                            pending_first = arrival
-                    else:
-                        subgroup = _HopGroup(K_GROUP)
-                        subgroup.times.append(arrival)
-                        subgroup.seqs.append(seq)
-                        subgroup.works.append(owner.decode_works[0])
-                        heappush(events, (arrival, seq, K_GROUP, subgroup))
-                        top = events[0]
-                        top_t = top[0]
-                        top_seq = top[1]
+                    top_t = math.inf
+                    top_seq = 0
             if i == n:
                 group.index = n
-                timeline.count += tl_added
                 self._flush_scratch()
                 return
         # Paused: something else is due first.
         group.index = i
-        timeline.count += tl_added
         heappush(events, (times[i], seqs[i], K_TOKEN, group))
         self._flush_scratch()
 
+    def _on_token(self, work: StageWork) -> None:
+        """A bare ``K_TOKEN_ONE`` event: one token reaches the coordinator."""
+        reentry = self._deliver_token(work, True)
+        if reentry is not None:
+            heappush(self._events, reentry)
+            if self._coalesce and not self._gray:
+                self.grouped_hops += 1
+
+    def _deliver_token(self, work: StageWork, closed: bool) -> tuple | None:
+        """Emit one token at ``self._now``; both token handlers use this.
+
+        Settles the hedge race on a first token, records the token
+        (request, tenancy, global timeline), and then finishes the
+        request, fast-forwards a closed window (only when ``closed``: the
+        caller holds no further deliveries or scratch hops), or transmits
+        the decode re-entry. Returns the re-entry's bare ``K_HOP`` heap
+        event for the caller to schedule, or ``None`` (a stale work, a
+        finish, or a fast-forward — the heap may have changed).
+        """
+        owner = work.owner
+        if self._disrupted and not (
+            owner.live and owner.attempt == work.attempt
+        ):
+            return None
+        t = self._now
+        record = owner.record
+        token_times = record.token_times
+        tenancy = self._tenancy
+        if not token_times:
+            peer = owner.hedge
+            if peer is not None:
+                # First token decides the hedge race: this attempt wins,
+                # the peer is cancelled (and the winner, if it was the
+                # shadow, is promoted to primary).
+                owner.hedge = None
+                peer.hedge = None
+                owner.is_hedge = False
+                if peer.sched_id in self._active:
+                    self._cancel_attempt(peer)
+            record.first_token_time = t
+            if tenancy is not None:
+                tenancy.note_first_token(
+                    owner.request.tenant_id, t - record.arrival_time
+                )
+        token_times.append(t)
+        record.tokens_generated += 1
+        if tenancy is not None:
+            tenancy.note_token(owner.request.tenant_id, t)
+        self._last_token_time = t
+        timeline = self._timeline
+        counts = timeline._counts
+        bucket = int(t * timeline._inv)
+        if bucket < len(counts):  # TokenTimeline.add, inlined
+            counts[bucket] += 1
+            timeline.count += 1
+        else:
+            timeline.add(t)
+        if record.tokens_generated >= owner.output_len:
+            self._finish(owner)
+            return None
+        if (
+            closed
+            and self._coalesce
+            and not self._gray
+            and not self._pending
+            and len(self._active) == 1
+            and not any(hop.executor.busy for hop in owner.hops)
+        ):
+            # Closed window: the sole live request decodes over idle
+            # executors — fast-forward it without the event loop until it
+            # finishes or the next scheduled event (an arrival, churn, a
+            # stale completion) is due. The trigger is deliberately this
+            # narrow: widening it to any request with quiescent executors
+            # scans the pipeline on every token; on the geo-online
+            # benchmark it fast-forwarded no more tokens and ran no faster
+            # (0.95-0.99x in interleaved runs, 2-core Xeon).
+            self._fast_forward(owner)
+            return None
+        # Decode re-entry: the coordinator ships one token id back to the
+        # first stage (inline transmit).
+        channel = owner.entry_channel
+        token_bytes = self._token_bytes
+        nf = channel.next_free_time
+        start = nf if nf > t else t
+        queueing = start - t
+        end = start + token_bytes / channel.bandwidth
+        channel.next_free_time = end
+        channel.bytes_sent += token_bytes
+        channel.messages_sent += 1
+        channel.total_queueing_delay += queueing
+        if queueing > channel.max_queueing_delay:
+            channel.max_queueing_delay = queueing
+        arrival = end + channel.latency
+        if self._gray:
+            fault = channel.fault
+            if fault is not None:
+                arrival += fault.delay()
+        seq = self._seq
+        self._seq = seq + 1
+        return (arrival, seq, K_HOP, owner.decode_works[0])
+
     def _flush_scratch(self) -> None:
+        """Push every scratch entry: lone hops bare, the rest as groups."""
         scratch = self._scratch
         if not scratch:
             return
         events = self._events
-        for group in scratch.values():
-            heappush(events, (group.times[0], group.seqs[0], group.kind, group))
-            self.grouped_hops += len(group.times)
+        hops = 0
+        for entry in scratch.values():
+            if entry.__class__ is tuple:
+                heappush(events, entry)
+                hops += 1
+            else:
+                heappush(events, (entry.times[0], entry.seqs[0], entry.kind, entry))
+                hops += len(entry.times)
+        self.grouped_hops += hops
         scratch.clear()
 
     def _fast_forward(self, owner: _ActiveRequest) -> None:
@@ -1333,11 +1462,7 @@ class Simulation:
             seq += 1
             if cur >= limit:
                 # The stage-0 arrival is not ours to run: re-materialize it.
-                group = _HopGroup(K_GROUP)
-                group.times.append(cur)
-                group.seqs.append(arrival_seq)
-                group.works.append(decode_works[0])
-                heappush(events, (cur, arrival_seq, K_GROUP, group))
+                heappush(events, (cur, arrival_seq, K_HOP, decode_works[0]))
                 stopped = True
                 break
             if cur > max_time:
@@ -1406,13 +1531,10 @@ class Simulation:
                 seq += 1
                 if cur >= limit:
                     self._now = completion
-                    group = _HopGroup(K_TOKEN if hop.final else K_GROUP)
-                    group.times.append(cur)
-                    group.seqs.append(forward_seq)
-                    group.works.append(decode_works[hop.stage_index].next)
-                    heappush(
-                        events, (cur, forward_seq, group.kind, group)
-                    )
+                    heappush(events, (
+                        cur, forward_seq, K_TOKEN_ONE if hop.final else K_HOP,
+                        decode_works[hop.stage_index].next,
+                    ))
                     stopped = True
                     break
                 if cur > max_time:
@@ -2511,7 +2633,10 @@ class Simulation:
     @property
     def engine_stats(self) -> dict[str, int]:
         """Hot-loop telemetry: events popped, grouped hops, and the
-        fast-forward counters. ``fast_forwarded_tokens`` (scalar loop) and
+        fast-forward counters. ``grouped_hops`` counts the hops a batch
+        or token drain forwarded while coalescing — in a group or, when
+        alone on its channel, as a bare event; it stays 0 per-hop.
+        ``fast_forwarded_tokens`` (scalar loop) and
         ``vec_fast_forwarded_tokens`` (vectorized rounds) are disjoint;
         their sum is every token produced inside closed windows."""
         return {

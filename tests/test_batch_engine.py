@@ -260,3 +260,34 @@ def test_engine_stats_exposes_batch_telemetry():
         stats["fast_forwarded_tokens"] + stats["vec_fast_forwarded_tokens"]
         == 299
     )
+
+
+# Logical event counts, recorded before one-hop events went bare and
+# arrivals went lazy: how a hop is carried must not add or drop events.
+PINNED_EVENT_COUNTS = {
+    ("full_mesh", 0, True): (1746, 1004),
+    ("full_mesh", 0, False): (2391, 0),
+    # Two flaky-link windows with traffic arriving inside them: gray mode.
+    (CHAOS_FAMILY, 20, True): (2741, 20),
+    (CHAOS_FAMILY, 20, False): (2992, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "family,seed,coalescing", list(PINNED_EVENT_COUNTS),
+    ids=[f"{f}-{s}-{'coalesced' if c else 'perhop'}"
+         for f, s, c in PINNED_EVENT_COUNTS],
+)
+def test_event_counts_are_pinned(family, seed, coalescing):
+    from repro.online.faults import FlakyLink
+    from repro.scenarios.generator import generate_scenario
+    from repro.testkit.harness import run_scenario
+
+    scenario = generate_scenario(family, seed, "smoke")
+    if family == CHAOS_FAMILY:
+        onset = min(e.time for e in scenario.churn if isinstance(e, FlakyLink))
+        assert any(r.arrival_time > onset for r in scenario.requests)
+    stats = run_scenario(scenario, coalescing=coalescing).sim.engine_stats
+    assert (stats["events_popped"], stats["grouped_hops"]) == (
+        PINNED_EVENT_COUNTS[family, seed, coalescing]
+    )

@@ -229,3 +229,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Request("r", 5, 5, arrival_time=-1.0)
         assert Request("r", 5, 5).total_tokens == 10
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf, -math.inf])
+    def test_request_rejects_non_finite_arrival(self, when):
+        # NaN slips past a plain ``< 0`` check and would corrupt the sorted
+        # arrival order the simulator feeds its heap from.
+        with pytest.raises(ValueError, match="non-finite"):
+            Request("r", 5, 5, arrival_time=when)

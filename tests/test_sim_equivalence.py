@@ -13,6 +13,8 @@ frozen pre-overhaul event loop. These tests enforce that specification:
 * a scripted closed-window scenario proves the fast-forward engages and
   that a churn event lands mid-window, forcing invalidation (the window
   re-materializes its in-flight hop and falls back to stepping);
+* a Poisson trace cut mid-way by the horizon shows arrivals enter the
+  event heap one at a time and leave all three engines equal;
 * the precomputed roofline constants are checked bit-for-bit against
   ``Profiler.batch_time``, and numpy's ``add.accumulate`` against the
   strict left fold the scalar transmit chain performs.
@@ -147,6 +149,51 @@ def test_flooded_equivalence_with_batch_cohorts():
         fast_channel = fast.channels[key]
         assert fast_channel.bytes_sent == channel.bytes_sent
         assert fast_channel.total_queueing_delay == channel.total_queueing_delay
+
+
+def test_arrivals_enter_the_heap_one_at_a_time():
+    """The heap holds the next arrival, never the whole future trace.
+
+    Env callbacks sample the event heap across a Poisson trace; a horizon
+    that cuts mid-trace must still leave every engine in exactly the same
+    state (the unreached arrivals simply never pop).
+    """
+    from repro.sim.simulator import K_ARRIVAL
+    from repro.testkit.differential import (
+        _compare_observables,
+        _engine_observables,
+    )
+    from repro.trace.arrival import poisson_arrivals
+
+    base = [Request(f"p{i:03d}", 32 + i % 7, 12 + i % 5) for i in range(300)]
+    trace = poisson_arrivals(base, 3.0, seed=3)
+    horizon = 40.0
+    assert trace[-1].arrival_time > 2 * horizon  # the cut is mid-trace
+
+    samples = []
+
+    def sample(sim):
+        samples.append(sum(1 for item in sim._events if item[2] == K_ARRIVAL))
+
+    runs = {}
+    for label, kwargs in (
+        ("hop", {}),
+        ("perhop", {"coalescing": False}),
+        ("legacy", {"sim_cls": LegacySimulation}),
+    ):
+        sim = _fig12_serving(list(trace), max_time=horizon, seed=0, **kwargs)
+        if label != "legacy":
+            for k in range(1, 40):
+                sim.schedule_event(k * 1.0, sample)
+        runs[label] = _engine_observables(sim, sim.run())
+    assert len(samples) == 2 * 39
+    assert max(samples) == 1
+    for label in ("hop", "perhop"):
+        violations = _compare_observables(
+            f"{label}-vs-legacy", runs[label], runs["legacy"]
+        )
+        assert not violations, "\n".join(str(v) for v in violations)
+    assert 0 < runs["hop"]["metrics"].requests_submitted < len(trace)
 
 
 def test_max_time_truncation_matches_legacy():

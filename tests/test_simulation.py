@@ -77,6 +77,23 @@ class TestBasicRuns:
                 small_cluster, tiny_model, placement8, scheduler, []
             )
 
+    @pytest.mark.parametrize("second_arrival", [0.5, 1e4])
+    def test_duplicate_request_ids_rejected(self, second_arrival):
+        # A close duplicate used to crash inside run() ("already
+        # scheduled"); a late one silently merged into one record.
+        from repro.cluster import Profiler, small_cluster_fig12
+        from repro.models.specs import LLAMA_30B
+        from repro.placement.petals import PetalsPlanner
+
+        cluster = small_cluster_fig12()
+        result = PetalsPlanner(cluster, LLAMA_30B, Profiler()).plan()
+        scheduler = HelixScheduler(
+            cluster, LLAMA_30B, result.placement, flow=result.flow
+        )
+        requests = [Request("r", 64, 20, 0.0), Request("r", 64, 20, second_arrival)]
+        with pytest.raises(SimulationError, match="duplicate request_id 'r'"):
+            Simulation(cluster, LLAMA_30B, result.placement, scheduler, requests)
+
     def test_max_time_truncates(self, small_cluster, tiny_model, placement8):
         requests = [Request(f"r{i}", 512, 200) for i in range(50)]
         metrics = make_simulation(
