@@ -112,7 +112,7 @@ class Cluster:
     def set_link_bandwidth(self, src: str, dst: str, bandwidth: float) -> Link:
         """Replace the ``src -> dst`` link with one at ``bandwidth``.
 
-        Links are frozen (profiler lookups memoize on them), so changing a
+        Links are frozen (subclusters share them), so changing a
         live link's bandwidth — degradation, partition, repair — swaps in a
         fresh :class:`Link` with the same latency. Returns the new link.
         """

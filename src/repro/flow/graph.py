@@ -15,6 +15,11 @@ A connection is *valid* (paper's three criteria) when:
    finishes — with partial inference (§4.4), ``s_j <= e_i < e_j``; without
    it, exactly ``e_i == s_j``.
 
+Criteria 1 and 2 are criterion 3 with the coordinator given a
+pseudo-interval: as a source it has finished everything before layer 0,
+and as a sink it holds the virtual layer ``L`` right after the model's
+last one. :func:`_handoff_valid` is the one implementation of the rule.
+
 The max flow of the resulting graph is the placement's maximum serving
 throughput in tokens/second.
 
@@ -27,8 +32,8 @@ cluster (§4.5's warm starts, incumbent checks, and our LNS loop), a
   invalid connections and unused nodes). The underlying flat-array kernel
   skips zero-capacity edges entirely, so solves stay as fast as on a graph
   containing only the valid edges.
-* Profiler lookups (``T_j`` per stage size, link token capacities) are
-  computed once and cached.
+* Link token capacities are computed once per graph; ``T_j`` only for
+  nodes whose stage size changed.
 * :meth:`FlowGraph.reevaluate` diffs the new placement against the current
   one and rewrites capacities only for node edges whose interval changed
   and link edges incident to a changed node — no vertex, edge, or registry
@@ -51,13 +56,36 @@ from repro.models.specs import ModelSpec
 SOURCE = "source"
 SINK = "sink"
 
+_Span = tuple[int, int]
 
-def _in_vertex(node_id: str) -> str:
-    return f"{node_id}::in"
+#: The coordinator's pseudo-interval as a connection's source: it hands
+#: off at layer 0. As a sink it is ``_sink_span(num_layers)``.
+_SOURCE_SPAN: _Span = (0, 0)
 
 
-def _out_vertex(node_id: str) -> str:
-    return f"{node_id}::out"
+def _sink_span(num_layers: int) -> _Span:
+    """The coordinator's pseudo-interval as a sink: the virtual layer ``L``."""
+    return (num_layers, num_layers + 1)
+
+
+def _handoff_valid(
+    src: _Span | None, dst: _Span | None, partial_inference: bool
+) -> bool:
+    """The validity rule on ``(start, end)`` spans; ``None`` holds nothing."""
+    if src is None or dst is None:
+        return False
+    if partial_inference:
+        return dst[0] <= src[1] < dst[1]
+    return src[1] == dst[0]
+
+
+def _placement_span(
+    placement: ModelPlacement, endpoint: str, coordinator: _Span
+) -> _Span | None:
+    if endpoint == COORDINATOR:
+        return coordinator
+    stage = placement.assignments.get(endpoint)
+    return None if stage is None else (stage.start, stage.end)
 
 
 def connection_is_valid(
@@ -70,22 +98,11 @@ def connection_is_valid(
 
     ``src``/``dst`` may be node ids or :data:`~repro.cluster.node.COORDINATOR`.
     """
-    if src == COORDINATOR and dst == COORDINATOR:
-        return False
-    if src == COORDINATOR:
-        return placement.holds_layers(dst) and placement.interval(dst).start == 0
-    if dst == COORDINATOR:
-        return (
-            placement.holds_layers(src)
-            and placement.interval(src).end == placement.num_layers
-        )
-    if not (placement.holds_layers(src) and placement.holds_layers(dst)):
-        return False
-    src_end = placement.interval(src).end
-    dst_stage = placement.interval(dst)
-    if partial_inference:
-        return dst_stage.start <= src_end < dst_stage.end
-    return src_end == dst_stage.start
+    return _handoff_valid(
+        _placement_span(placement, src, _SOURCE_SPAN),
+        _placement_span(placement, dst, _sink_span(placement.num_layers)),
+        partial_inference,
+    )
 
 
 @dataclass(frozen=True)
@@ -130,7 +147,7 @@ class FlowGraph:
         cluster: The serving cluster.
         model: The served model.
         placement: A validated model placement.
-        profiler: Source of ``T_j`` and link token capacities.
+        profiler: Source of the node throughputs ``T_j``.
         partial_inference: Whether overlapping intervals may hand off
             mid-interval (paper §4.4's partial inference).
     """
@@ -148,6 +165,12 @@ class FlowGraph:
         self.placement = placement
         self.profiler = profiler or Profiler()
         self.partial_inference = partial_inference
+        # Per-token message size, indexed by "carries activations": token
+        # ids on coordinator links, hidden states between compute nodes
+        # (the sizes Profiler.link_token_capacity divides by).
+        self._per_token = (
+            float(model.token_bytes), model.activation_bytes_per_token
+        )
         self._network = FlowNetwork()
         # Static structure, built once per cluster.
         self._node_edge_ids: dict[str, int] = {}
@@ -155,7 +178,7 @@ class FlowGraph:
         self._link_caps: dict[tuple[str, str], float] = {}
         self._links_by_node: dict[str, list[tuple[str, str]]] = {}
         # Placement-dependent state, updated incrementally.
-        self._intervals: dict[str, tuple[int, int] | None] = {}
+        self._intervals: dict[str, _Span | None] = {}
         self._link_valid: dict[tuple[str, str], bool] = {}
         self._node_capacities: dict[str, float] = {}
         self._connection_capacities: dict[tuple[str, str], float] = {}
@@ -167,33 +190,42 @@ class FlowGraph:
     def _build_network(self) -> None:
         """Create every vertex and edge once; capacities start at zero."""
         net = self._network
+        add_edge = net.add_edge
         net.add_node(SOURCE)
         net.add_node(SINK)
 
+        node_edge_ids = self._node_edge_ids
+        intervals = self._intervals
+        links_by_node = self._links_by_node
+        in_vertex: dict[str, str] = {}
+        out_vertex: dict[str, str] = {}
         for node_id in self.cluster.node_ids:
-            edge_id = net.add_edge(_in_vertex(node_id), _out_vertex(node_id), 0.0)
-            self._node_edge_ids[node_id] = edge_id
-            self._intervals[node_id] = None
-            self._links_by_node[node_id] = []
+            u = in_vertex[node_id] = f"{node_id}::in"
+            v = out_vertex[node_id] = f"{node_id}::out"
+            node_edge_ids[node_id] = add_edge(u, v, 0.0)
+            intervals[node_id] = None
+            links_by_node[node_id] = []
 
-        for (src, dst), link in self.cluster.links.items():
-            carries_activations = src != COORDINATOR and dst != COORDINATOR
-            capacity = self.profiler.link_token_capacity(
-                link, self.model, carries_activations
-            )
+        token_bytes, activation_bytes = self._per_token
+        link_edge_ids = self._link_edge_ids
+        link_caps = self._link_caps
+        link_valid = self._link_valid
+        for key, link in self.cluster.links.items():
+            src, dst = key
             if src == COORDINATOR:
-                u, v = SOURCE, _in_vertex(dst)
+                u, v, per_token = SOURCE, in_vertex[dst], token_bytes
+                links_by_node[dst].append(key)
             elif dst == COORDINATOR:
-                u, v = _out_vertex(src), SINK
+                u, v, per_token = out_vertex[src], SINK, token_bytes
+                links_by_node[src].append(key)
             else:
-                u, v = _out_vertex(src), _in_vertex(dst)
-            key = (src, dst)
-            self._link_edge_ids[key] = net.add_edge(u, v, 0.0)
-            self._link_caps[key] = capacity
-            self._link_valid[key] = False
-            for endpoint in (src, dst):
-                if endpoint != COORDINATOR:
-                    self._links_by_node[endpoint].append(key)
+                u, v = out_vertex[src], in_vertex[dst]
+                per_token = activation_bytes
+                links_by_node[src].append(key)
+                links_by_node[dst].append(key)
+            link_edge_ids[key] = add_edge(u, v, 0.0)
+            link_caps[key] = link.bandwidth / per_token
+            link_valid[key] = False
 
     def _apply_placement(self, placement: ModelPlacement) -> None:
         """Point the network at ``placement``, rewriting only changed edges."""
@@ -207,14 +239,15 @@ class FlowGraph:
 
         net = self._network
         assignments = placement.assignments
+        intervals = self._intervals
         changed: list[str] = []
-        for node_id, previous in self._intervals.items():
+        for node_id, previous in intervals.items():
             stage = assignments.get(node_id)
             current = (stage.start, stage.end) if stage is not None else None
             if current == previous:
                 continue
             changed.append(node_id)
-            self._intervals[node_id] = current
+            intervals[node_id] = current
             if current is None:
                 capacity = 0.0
                 self._node_capacities.pop(node_id, None)
@@ -241,12 +274,19 @@ class FlowGraph:
 
         flipped = False
         partial = self.partial_inference
+        sink = _sink_span(placement.num_layers)
+        link_valid = self._link_valid
         for key in recheck:
-            valid = connection_is_valid(placement, key[0], key[1], partial)
-            if valid == self._link_valid[key]:
+            src, dst = key
+            valid = _handoff_valid(
+                _SOURCE_SPAN if src == COORDINATOR else intervals[src],
+                sink if dst == COORDINATOR else intervals[dst],
+                partial,
+            )
+            if valid == link_valid[key]:
                 continue
             flipped = True
-            self._link_valid[key] = valid
+            link_valid[key] = valid
             if valid:
                 capacity = self._link_caps[key]
                 self._connection_capacities[key] = capacity
@@ -338,9 +378,7 @@ class FlowGraph:
             carries_activations = (
                 key[0] != COORDINATOR and key[1] != COORDINATOR
             )
-            capacity = self.profiler.link_token_capacity(
-                link, self.model, carries_activations
-            )
+            capacity = link.bandwidth / self._per_token[carries_activations]
             if capacity == self._link_caps[key]:
                 continue
             changed.append(key)

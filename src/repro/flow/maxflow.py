@@ -110,8 +110,13 @@ class FlowNetwork:
             raise ValueError(f"negative capacity on {src!r}->{dst!r}")
         if src == dst:
             raise ValueError(f"self-loop on {src!r}")
-        u = self.add_node(src)
-        v = self.add_node(dst)
+        index = self._index
+        u = index.get(src)
+        if u is None:
+            u = self.add_node(src)
+        v = index.get(dst)
+        if v is None:
+            v = self.add_node(dst)
         edge_id = len(self._arc_to) // 2
         self._arc_to.extend((v, u))
         self._arc_cap.extend((capacity, 0.0))

@@ -132,6 +132,8 @@ class FailureDetector:
         self.sim = sim
         self.config = config or DetectorConfig()
         self.on_confirm = on_confirm
+        # Monitored nodes; start() inserts them sorted by id, which is
+        # the order every check visits them in.
         self._nodes: dict[str, _NodeState] = {}
         self.confirmed: set[str] = set()
         #: Chronological ``(time, event, node_id)`` rows; ``event`` is one
@@ -231,10 +233,9 @@ class FailureDetector:
         )
         config = self.config
         down = sim.down_nodes
-        for node_id in sorted(self._nodes):
+        for node_id, state in self._nodes.items():
             if node_id in self.confirmed or node_id in down:
                 continue
-            state = self._nodes[node_id]
             executor = sim.executors.get(node_id)
             if executor is not None:
                 batches = executor.stats.batches

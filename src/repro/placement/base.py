@@ -29,8 +29,10 @@ class PlannerResult:
             SP+), the ordered node lists of each pipeline; ``None`` for
             flow-based planners.
         milp: The underlying MILP solution, for the Helix planner.
-        num_variables: MILP variable count (Table 8 reproduction).
-        num_constraints: MILP constraint count (Table 8 reproduction).
+        num_variables: MILP variable count (Table 8 reproduction); 0 when
+            no MILP was built.
+        num_constraints: MILP constraint count (Table 8 reproduction); 0
+            when no MILP was built.
         solve_time: Seconds spent planning.
     """
 

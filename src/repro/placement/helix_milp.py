@@ -161,9 +161,10 @@ class HelixMilpPlanner(PlacementPlanner):
         self.last_solver_stats = None  # set by the bnb backend
         #: Telemetry: MILP solve calls issued during the last plan().
         self.milp_solve_count = 0
-        # Formulation reused across replan() calls (the LNS rounds only
-        # tighten bounds and append/truncate constraints, so the compiled
-        # structure cache stays valid between calls).
+        # Formulation reused across replan() calls, built by the first one
+        # that runs an LNS round (the rounds only tighten bounds and
+        # append/truncate constraints, so the compiled structure cache
+        # stays valid between calls).
         self._replan_formulation: MilpFormulation | None = None
         # Layer-residency hint (set by the online controller before a
         # replan): node_id -> resident layer set, plus the relative bonus
@@ -779,11 +780,13 @@ class HelixMilpPlanner(PlacementPlanner):
             base: Incumbent placement to improve; node ids outside this
                 planner's cluster are ignored.
             lns_rounds: LNS round count for this replan (default: the
-                planner's ``lns_rounds``, but at least one round).
+                planner's ``lns_rounds``, but at least one round). With 0
+                no MILP formulation is built at all.
 
         Returns:
             A :class:`PlannerResult` whose flow solution is ready to be
-            hot-swapped into a scheduler.
+            hot-swapped into a scheduler. Its ``num_variables`` and
+            ``num_constraints`` are 0 when no MILP was built.
 
         Raises:
             PlacementError: When neither ``base`` nor any heuristic produces
@@ -794,9 +797,6 @@ class HelixMilpPlanner(PlacementPlanner):
         work_cluster = self.cluster
         if self.prune_degree is not None:
             work_cluster = prune_cluster(self.cluster, self.prune_degree)
-        if self._replan_formulation is None:
-            self._replan_formulation = self.build_formulation(work_cluster)
-        formulation = self._replan_formulation
 
         candidates: list[ModelPlacement] = []
         if base is not None:
@@ -837,9 +837,15 @@ class HelixMilpPlanner(PlacementPlanner):
                 "no servable placement exists on the surviving cluster"
             )
 
+        num_variables = num_constraints = 0
         if rounds == 0:
             placement = incumbent[1]
         else:
+            if self._replan_formulation is None:
+                self._replan_formulation = self.build_formulation(work_cluster)
+            formulation = self._replan_formulation
+            num_variables = formulation.problem.num_variables
+            num_constraints = formulation.problem.num_constraints
             saved_rounds = self.lns_rounds
             self.lns_rounds = rounds
             try:
@@ -858,8 +864,8 @@ class HelixMilpPlanner(PlacementPlanner):
             planner_name=self.name,
             placement=placement,
             flow=flow,
-            num_variables=formulation.problem.num_variables,
-            num_constraints=formulation.problem.num_constraints,
+            num_variables=num_variables,
+            num_constraints=num_constraints,
             solve_time=time.perf_counter() - start,
         )
 

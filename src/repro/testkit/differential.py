@@ -156,17 +156,32 @@ def check_reevaluate_vs_rebuild(
                 f"placement #{index}: incremental max flow "
                 f"{incremental.max_flow} != rebuild {fresh.max_flow}",
             ))
-        for key, value in fresh.connection_flows.items():
-            other = incremental.connection_flows.get(key)
-            if other is None:
+        # Per-connection flows may legitimately differ between two optimal
+        # solutions; the value, the valid-connection *sets* and the node
+        # capacities must agree.
+        rebuilt = fresh.connection_flows
+        retargeted = incremental.connection_flows
+        for key in rebuilt:
+            if key not in retargeted:
                 violations.append(Violation(
                     "reevaluate_vs_rebuild",
                     f"placement #{index}: connection {key} missing from "
                     "the incremental solution",
                 ))
-            # Per-connection flows may legitimately differ between two
-            # optimal solutions; only the valid-connection *sets* and the
-            # value must agree, checked above and here.
+        for key in retargeted:
+            if key not in rebuilt:
+                violations.append(Violation(
+                    "reevaluate_vs_rebuild",
+                    f"placement #{index}: stale connection {key} in the "
+                    "incremental solution",
+                ))
+        if incremental.node_capacities != fresh.node_capacities:
+            violations.append(Violation(
+                "reevaluate_vs_rebuild",
+                f"placement #{index}: incremental node capacities "
+                f"{incremental.node_capacities} != rebuild "
+                f"{fresh.node_capacities}",
+            ))
     return violations
 
 

@@ -9,8 +9,11 @@ Each oracle cross-validates one of the incremental machines added in PRs
 * incremental ``MilpProblem.compile`` vs. an invalidated cold compile.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.flow.graph import FlowGraph
 from repro.scenarios import SCENARIO_FAMILIES, generate_scenario
 from repro.testkit import (
     check_backend_agreement,
@@ -41,6 +44,48 @@ class TestFlowOracles:
         a = random_placements(generate_scenario("geo_regions", 2))
         b = random_placements(generate_scenario("geo_regions", 2))
         assert a == b
+
+    def test_stale_incremental_connection_is_flagged(self, monkeypatch):
+        # A reevaluate that keeps one connection the rebuild drops (at
+        # zero flow, so the max flow still agrees) must not pass: the
+        # valid-connection sets are compared in both directions.
+        original = FlowGraph.reevaluate
+
+        def stale_reevaluate(graph, placement):
+            solution = original(graph, placement)
+            stale = next(
+                key for key in graph.cluster.links
+                if key not in solution.connection_flows
+            )
+            return dataclasses.replace(
+                solution,
+                connection_flows={**solution.connection_flows, stale: 0.0},
+            )
+
+        scenario = generate_scenario("full_mesh", 0)
+        _fail(check_reevaluate_vs_rebuild(scenario))
+        monkeypatch.setattr(FlowGraph, "reevaluate", stale_reevaluate)
+        violations = check_reevaluate_vs_rebuild(scenario)
+        assert violations
+        assert all("stale connection" in v.detail for v in violations)
+
+    def test_node_capacity_mismatch_is_flagged(self, monkeypatch):
+        original = FlowGraph.reevaluate
+
+        def skewed_reevaluate(graph, placement):
+            solution = original(graph, placement)
+            return dataclasses.replace(
+                solution,
+                node_capacities={
+                    nid: 2.0 * cap
+                    for nid, cap in solution.node_capacities.items()
+                },
+            )
+
+        monkeypatch.setattr(FlowGraph, "reevaluate", skewed_reevaluate)
+        violations = check_reevaluate_vs_rebuild(generate_scenario("star", 0))
+        assert violations
+        assert all("node capacities" in v.detail for v in violations)
 
 
 class TestMilpOracles:

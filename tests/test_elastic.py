@@ -348,3 +348,85 @@ class TestElasticScenarios:
         assert all(
             nid in scenario.cluster.down_node_ids for nid in scenario.spares
         )
+
+    def test_elastic_replans_build_no_milp(self, monkeypatch):
+        """The harness replans deterministically, so no MILP is formulated."""
+        from repro.placement.helix_milp import HelixMilpPlanner
+
+        calls = {"replan": 0, "build_formulation": 0}
+        for name in calls:
+            original = getattr(HelixMilpPlanner, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(HelixMilpPlanner, name, counted)
+        assert_scenario_ok(verify_scenario("elastic", 0, "smoke"))
+        assert calls["replan"] >= 1
+        assert calls["build_formulation"] == 0
+
+
+# ----------------------------------------------------------------------
+# Deterministic replans formulate no MILP
+# ----------------------------------------------------------------------
+def _elastic_replan_material():
+    """An elastic smoke address's plan, with its first used node lost."""
+    from repro.scenarios import generate_scenario
+    from repro.testkit.harness import plan_scenario
+
+    scenario = generate_scenario("elastic", 0, "smoke")
+    _, result = plan_scenario(scenario)
+    lost = result.placement.used_nodes[0]
+    survivors = scenario.cluster.subcluster([
+        nid for nid in scenario.cluster.available_node_ids if nid != lost
+    ])
+    return scenario.model, result.placement, survivors
+
+
+class TestDeterministicReplan:
+    def test_zero_rounds_never_formulates(self, monkeypatch):
+        from repro.placement.helix_milp import HelixMilpPlanner
+
+        model, base, cluster = _elastic_replan_material()
+        planner = HelixMilpPlanner(cluster, model)
+        # The deterministic replan adopts the best servable candidate among
+        # the degraded base and the heuristic hints; ties keep the earlier.
+        degraded = ModelPlacement.from_intervals(model.num_layers, {
+            nid: (stage.start, stage.end)
+            for nid, stage in base.assignments.items() if nid in cluster
+        })
+        candidates = [degraded] + planner.heuristic_hints(cluster)
+        values = [planner.placement_throughput(c) for c in candidates]
+        expected = candidates[values.index(max(values))]
+
+        def refuse(self, cluster=None):
+            raise AssertionError("lns_rounds=0 must not build the MILP")
+
+        monkeypatch.setattr(HelixMilpPlanner, "build_formulation", refuse)
+        result = HelixMilpPlanner(cluster, model).replan(base, lns_rounds=0)
+        assert result.placement == expected
+        assert result.max_throughput == pytest.approx(max(values))
+        assert (result.num_variables, result.num_constraints) == (0, 0)
+
+    def test_lns_rounds_build_the_formulation_once(self, monkeypatch):
+        from repro.placement.helix_milp import HelixMilpPlanner
+
+        model, base, cluster = _elastic_replan_material()
+        built = []
+        original = HelixMilpPlanner.build_formulation
+
+        def counted(self, cluster=None):
+            formulation = original(self, cluster)
+            built.append(formulation)
+            return formulation
+
+        monkeypatch.setattr(HelixMilpPlanner, "build_formulation", counted)
+        planner = HelixMilpPlanner(cluster, model, lns_time_limit=2.0)
+        first = planner.replan(base, lns_rounds=1)
+        second = planner.replan(base, lns_rounds=1)
+        assert len(built) == 1
+        problem = built[0].problem
+        for result in (first, second):
+            assert result.num_variables == problem.num_variables > 0
+            assert result.num_constraints == problem.num_constraints > 0

@@ -1,11 +1,20 @@
 """Tests for the cluster graph abstraction (paper §4.3)."""
 
+import random
+
 import pytest
 
-from repro.cluster import COORDINATOR, Profiler, toy_cluster_fig2
+from repro.cluster import (
+    COORDINATOR,
+    Profiler,
+    geo_distributed_24,
+    small_cluster_fig12,
+    toy_cluster_fig2,
+)
 from repro.core.errors import ClusterError, PlacementError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph, connection_is_valid, placement_max_flow
+from repro.models.specs import LLAMA_30B
 
 
 @pytest.fixture()
@@ -269,3 +278,60 @@ class TestReevaluate:
         assert back.max_flow == pytest.approx(
             FlowGraph(small_cluster, tiny_model, short).solve().max_flow
         )
+
+
+def _random_placement(rng, node_ids, num_layers):
+    """A seeded placement with pinned first- and last-layer holders."""
+    intervals = {}
+    for nid in node_ids:
+        if rng.random() < 0.3:
+            continue
+        start = rng.randrange(num_layers)
+        intervals[nid] = (start, rng.randint(start + 1, num_layers))
+    first, last = rng.sample(node_ids, 2)
+    intervals[first] = (0, rng.randint(1, num_layers))
+    intervals[last] = (rng.randrange(num_layers), num_layers)
+    return ModelPlacement.from_intervals(num_layers, intervals)
+
+
+@pytest.mark.parametrize(
+    "preset", [small_cluster_fig12, geo_distributed_24], ids=lambda p: p.__name__
+)
+class TestFlatBuild:
+    """The flat build agrees with the profiler and the validity rule."""
+
+    def test_link_capacities_match_the_profiler(self, preset):
+        cluster = preset()
+        profiler = Profiler()
+        placement = ModelPlacement.from_intervals(
+            LLAMA_30B.num_layers, {cluster.node_ids[0]: (0, LLAMA_30B.num_layers)}
+        )
+        graph = FlowGraph(cluster, LLAMA_30B, placement, profiler)
+        assert set(graph._link_caps) == set(cluster.links)
+        for (src, dst), link in cluster.links.items():
+            carries_activations = COORDINATOR not in (src, dst)
+            assert graph._link_caps[(src, dst)] == profiler.link_token_capacity(
+                link, LLAMA_30B, carries_activations
+            )
+
+    @pytest.mark.parametrize("partial", [True, False])
+    def test_valid_connections_follow_the_rule(self, preset, partial, tiny_model):
+        cluster = preset()
+        rng = random.Random(f"flat-build:{preset.__name__}:{partial}")
+        num_layers = tiny_model.num_layers
+        evaluator = None
+        for _ in range(25):
+            placement = _random_placement(rng, cluster.node_ids, num_layers)
+            expected = {
+                key for key in cluster.links
+                if connection_is_valid(placement, *key, partial)
+            }
+            fresh = FlowGraph(
+                cluster, tiny_model, placement, partial_inference=partial
+            )
+            assert set(fresh.valid_connections()) == expected
+            if evaluator is None:
+                evaluator = fresh
+            else:
+                evaluator.reevaluate(placement)
+                assert set(evaluator.valid_connections()) == expected
