@@ -2,10 +2,8 @@
 
 :mod:`repro.bench.runner` glues planner -> scheduler -> simulator into the
 paper's two serving settings (offline and online). :mod:`repro.bench.tables`
-regenerates the static tables. :mod:`repro.bench.perftrack` times the flow
-kernel and planner and writes the ``BENCH_flow.json`` perf trajectory.
-``benchmarks/`` (pytest-benchmark) calls into this package, one module per
-table/figure.
+regenerates the static tables. ``benchmarks/`` (pytest-benchmark) calls
+into this package, one module per table/figure.
 """
 
 from repro.bench.runner import (
@@ -28,12 +26,6 @@ from repro.bench.casestudy import (
     congestion_report,
     format_utilization,
 )
-from repro.bench.perftrack import (
-    PerfTracker,
-    run_flow_bench,
-    run_milp_bench,
-    run_online_bench,
-)
 
 __all__ = [
     "ExperimentResult",
@@ -50,8 +42,4 @@ __all__ = [
     "utilization_report",
     "congestion_report",
     "format_utilization",
-    "PerfTracker",
-    "run_flow_bench",
-    "run_milp_bench",
-    "run_online_bench",
 ]

@@ -1,6 +1,6 @@
 """Machine provenance stamping for benchmark artifacts.
 
-Every ``BENCH_*.json`` number is only comparable to another run if both
+Every benchmark number is only comparable to another run if both
 record *where* they ran: the same sweep is 4x faster on an 8-core runner
 than on a 1-core container without either result being wrong. The stamp
 deliberately stays tiny — CPU model, logical core count, python version,

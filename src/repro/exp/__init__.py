@@ -1,13 +1,13 @@
 """Process-parallel, resumable experiment orchestration.
 
-One command for the whole perf trajectory: an *experiment* is a named
-parameter grid (families x seeds x policies) expanded into a
-deterministic manifest of content-hashed cells, executed by a worker
-pool, with every completed cell's record persisted immediately so a
-killed sweep resumes exactly where it stopped (``python -m repro.exp run
-<name> --workers N``). Aggregators rebuild the legacy sweep-report and
-``BENCH_*.json`` shapes from the records, and an index over all
-experiments feeds plotting scripts.
+One command for every sweep: an *experiment* is a named parameter grid
+(families x seeds x policies) expanded into a deterministic manifest of
+content-hashed cells, executed by a worker pool, with every completed
+cell's record persisted immediately so a killed sweep resumes exactly
+where it stopped (``python -m repro.exp run <name> --workers N``).
+Aggregators rebuild the sweep reports and the chaos / elastic / tenant
+headline documents from the records, and an index over all experiments
+feeds plotting scripts.
 """
 
 from repro.exp.aggregate import AGGREGATORS

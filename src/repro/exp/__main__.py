@@ -1,14 +1,14 @@
-"""CLI: ``python -m repro.exp`` — one command for the perf trajectory.
+"""CLI: ``python -m repro.exp`` — one command for every named sweep.
 
 Subcommands::
 
     run <name>   execute a named experiment (resumable, --workers N)
     list         print every registered experiment
     index        rebuild the plotting index over the results root
-    bench        self-benchmark the orchestrator (writes BENCH_exp.json)
 
 ``run`` exits 1 when any cell fails, so CI jobs routed through it keep
-their fail-and-upload-artifact behavior.
+their fail-and-upload-artifact behavior, and 2 when a flag the
+experiment does not take was set.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ _HEADLINE_BENCHES = {
     "chaos-sweep": "chaos_sweep",
     "elastic-sweep": "elastic_sweep",
     "tenant-sweep": "tenant_sweep",
-    "fast-path-sweep": "fast_path_sweep",
     "policy-compare": "policy_compare",
 }
 
@@ -48,14 +47,17 @@ def _cmd_index(results_dir: str) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = get_experiment(
-        args.name,
-        seeds=args.seeds,
-        size=args.size,
-        milp_oracles=args.milp_oracles or None,
-        diurnal_tier=args.diurnal_tier,
-        families=tuple(args.families) if args.families else None,
-    )
+    try:
+        spec = get_experiment(
+            args.name,
+            seeds=args.seeds,
+            size=args.size,
+            milp_oracles=args.milp_oracles or None,
+            families=tuple(args.families) if args.families else None,
+        )
+    except TypeError as exc:
+        print(f"run: {exc}", file=sys.stderr)
+        return 2
     report = run_experiment(
         spec,
         workers=args.workers,
@@ -101,25 +103,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if report.failures else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.exp.selfbench import run_orchestration_bench
-
-    document = run_orchestration_bench(
-        workers=args.workers,
-        seeds=args.seeds,
-        size=args.size,
-        path=args.output,
-    )
-    derived = document["derived"]
-    print(
-        f"orchestration: serial {derived['serial_seconds']}s vs "
-        f"{args.workers} workers {derived['parallel_seconds']}s "
-        f"(x{derived['speedup']}), fingerprints identical: "
-        f"{derived['fingerprints_identical']}"
-    )
-    return 0 if derived["fingerprints_identical"] else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.exp", description=__doc__.splitlines()[0]
@@ -135,8 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--size", default=None, choices=("smoke", "full"))
     run.add_argument("--milp-oracles", action="store_true",
                      help="also run the MILP differential oracles")
-    run.add_argument("--diurnal-tier", default=None,
-                     choices=("small", "medium", "large"))
     run.add_argument("--families", nargs="+", default=None,
                      help="restrict the family axis")
     run.add_argument("--results-dir", default=str(DEFAULT_ROOT),
@@ -155,22 +136,11 @@ def main(argv: list[str] | None = None) -> int:
     index = sub.add_parser("index", help="rebuild the plotting index")
     index.add_argument("--results-dir", default=str(DEFAULT_ROOT))
 
-    bench = sub.add_parser(
-        "bench", help="self-benchmark the orchestrator (BENCH_exp.json)"
-    )
-    bench.add_argument("--workers", type=int, default=8)
-    bench.add_argument("--seeds", type=int, default=25,
-                       help="seeds per classic family (25 -> 100 addresses)")
-    bench.add_argument("--size", default="full", choices=("smoke", "full"))
-    bench.add_argument("--output", default="BENCH_exp.json")
-
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "index":
         return _cmd_index(args.results_dir)
-    if args.command == "bench":
-        return _cmd_bench(args)
     return _cmd_run(args)
 
 

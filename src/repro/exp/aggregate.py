@@ -3,8 +3,7 @@
 Each aggregator takes ``(spec, records)`` — records in manifest order —
 and returns a JSON document shaped like the report the corresponding
 standalone sweep script has always written, so downstream consumers
-(perf-tracking diffs, the BENCH_* headline files, plotting scripts) keep
-working unchanged.
+(the headline files, plotting scripts) keep working unchanged.
 
 Aggregates deliberately exclude wall-clock fields (per-cell ``seconds``,
 sweep wall time): a resumed run re-executes some cells with different
@@ -310,26 +309,14 @@ def tenant_sweep_aggregate(spec, records: list[dict]) -> dict:
 
 
 def fast_path_sweep_aggregate(spec, records: list[dict]) -> dict:
-    diurnal_records, sweep_records = _split(records, "diurnal_perf")
-    rows = [_row(r) for r in sweep_records]
-    failures = sum(1 for r in rows if not r.get("ok"))
-    diurnal = _row(diurnal_records[0]) if diurnal_records else {}
-    headline = {
-        "addresses": len(rows),
-        "failures": failures,
-        "diurnal_tier": diurnal.get("tier"),
-        "diurnal_tokens_per_s": diurnal.get("tokens_per_s"),
-        "diurnal_span_days": diurnal.get("span_days"),
-    }
-    failures += sum(1 for r in diurnal_records if not r.get("ok"))
+    rows = [_row(r) for r in records]
     return {
         "experiment": spec.name,
         "families": list(_grid_axis(spec, "family")),
         "size": spec.base_dict.get("size", "full"),
         "seeds": len(_grid_axis(spec, "seed")),
-        "failures": failures,
+        "failures": sum(1 for r in rows if not r.get("ok")),
         "failing_addresses": _failing(rows),
-        "headline": headline,
         "results": rows,
     }
 
@@ -376,20 +363,6 @@ def policy_compare_aggregate(spec, records: list[dict]) -> dict:
     }
 
 
-def perf_suite_aggregate(spec, records: list[dict]) -> dict:
-    """Single-cell BENCH_* regeneration: surface the derived numbers."""
-    rows = [_row(r) for r in records]
-    derived = {}
-    for row in rows:
-        derived.update(row.get("derived") or {})
-    return {
-        "experiment": spec.name,
-        "failures": sum(1 for r in rows if not r.get("ok")),
-        "headline": derived,
-        "results": rows,
-    }
-
-
 #: Aggregator registry: ``ExperimentSpec.aggregate`` -> callable.
 AGGREGATORS = {
     "generic": generic_aggregate,
@@ -399,5 +372,4 @@ AGGREGATORS = {
     "tenant_sweep": tenant_sweep_aggregate,
     "fast_path_sweep": fast_path_sweep_aggregate,
     "policy_compare": policy_compare_aggregate,
-    "perf_suite": perf_suite_aggregate,
 }

@@ -6,13 +6,10 @@ call and the returned record is plain JSON for the run store. Cells catch
 their own crashes (converting them to ``sweep_crash`` violations) — a bad
 address must never take the worker pool down with it.
 
-Two process-local caches make repeated grid cells cheap:
-
-* :func:`_cached_plan` memoizes the placement search per ``(family, seed,
-  size)`` address, so a policy-grid experiment that evaluates the same
-  scenario under several schedulers plans it once per worker;
-* the perf-suite cells reuse the existing ``run_*_bench`` harnesses,
-  which already cache profiler tables per process.
+A process-local plan cache (:data:`_PLAN_CACHE`) memoizes the placement
+search per ``(family, seed, size)`` address, so a policy-grid experiment
+that evaluates the same scenario under several schedulers plans it once
+per worker.
 """
 
 from __future__ import annotations
@@ -335,76 +332,6 @@ def selector_contrast_cell(params: dict) -> dict:
         return record
 
 
-# ----------------------------------------------------------------------
-# Perf cells (the BENCH_* regenerators)
-# ----------------------------------------------------------------------
-def diurnal_perf_cell(params: dict) -> dict:
-    """The diurnal tokens/s timing (the fast-path sweep's headline case)."""
-    from repro.bench.perftrack import PerfTracker
-    from repro.bench.simbench import bench_sim_diurnal
-
-    tier = params.get("tier", "large")
-    started = time.perf_counter()
-    try:
-        tracker = PerfTracker(label=f"fast-path-sweep-{tier}")
-        derived = bench_sim_diurnal(tracker, tier)
-    except Exception:  # noqa: BLE001
-        record = _crash_record(params)
-        record["tier"] = tier
-        record["seconds"] = round(time.perf_counter() - started, 3)
-        return record
-    prefix = f"sim_diurnal_{tier}"
-    return {
-        "ok": True,
-        "tier": tier,
-        "tokens_per_s": round(derived[f"{prefix}_hop_table_tokens_per_s"], 1),
-        "span_days": round(derived[f"{prefix}_span_days"], 2),
-        "seconds": round(time.perf_counter() - started, 3),
-    }
-
-
-def perf_suite_cell(params: dict) -> dict:
-    """Regenerate one ``BENCH_*.json`` artifact (flow/milp/online/sim).
-
-    The artifact is written to its committed repo-root path (or
-    ``params["out"]``), exactly what the standalone ``bench_perf_*``
-    scripts do — so every headline number is reachable through
-    ``python -m repro.exp run bench-<suite>``.
-    """
-    suite = params["suite"]
-    smoke = params.get("smoke", False)
-    out = params.get("out")
-    started = time.perf_counter()
-    try:
-        if suite == "flow":
-            from repro.bench.perftrack import run_flow_bench
-            document = run_flow_bench(smoke=smoke, path=out)
-        elif suite == "milp":
-            from repro.bench.perftrack import run_milp_bench
-            document = run_milp_bench(smoke=smoke, path=out)
-        elif suite == "online":
-            from repro.bench.perftrack import run_online_bench
-            document = run_online_bench(smoke=smoke, path=out)
-        elif suite == "sim":
-            from repro.bench.simbench import run_sim_bench
-            document = run_sim_bench(smoke=smoke, path=out)
-        else:
-            raise ValueError(f"unknown perf suite {suite!r}")
-    except Exception:  # noqa: BLE001
-        record = _crash_record(params)
-        record["suite"] = suite
-        record["seconds"] = round(time.perf_counter() - started, 3)
-        return record
-    return {
-        "ok": True,
-        "suite": suite,
-        "smoke": smoke,
-        "label": document["label"],
-        "derived": document["derived"],
-        "seconds": round(time.perf_counter() - started, 3),
-    }
-
-
 #: The cell-function registry: manifest ``kind`` -> callable.
 CELL_KINDS = {
     "verify": verify_cell,
@@ -412,6 +339,4 @@ CELL_KINDS = {
     "fast_path_equivalence": fast_path_equivalence_cell,
     "spare_recovery": spare_recovery_cell,
     "selector_contrast": selector_contrast_cell,
-    "diurnal_perf": diurnal_perf_cell,
-    "perf_suite": perf_suite_cell,
 }

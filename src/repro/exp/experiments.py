@@ -96,24 +96,14 @@ def tenant_sweep(seeds: int = 25, size: str = "full") -> ExperimentSpec:
     )
 
 
-def fast_path_sweep(
-    seeds: int = 10,
-    size: str = "full",
-    diurnal_tier: str = "large",
-) -> ExperimentSpec:
-    """Coalesced-vs-per-hop equivalence soak plus the diurnal headline."""
+def fast_path_sweep(seeds: int = 10, size: str = "full") -> ExperimentSpec:
+    """Coalesced-vs-per-hop equivalence soak over every family."""
     return ExperimentSpec.make(
         name="fast-path-sweep",
-        description=(
-            "coalesced-vs-per-hop equivalence over all families + the "
-            "diurnal tokens/s headline"
-        ),
+        description="coalesced-vs-per-hop equivalence over all families",
         kind="fast_path_equivalence",
         grid={"family": list(ALL_FAMILIES), "seed": list(range(seeds))},
         base={"size": size},
-        extra_cells=(
-            RunCell.make("diurnal_perf", {"tier": diurnal_tier}),
-        ),
         aggregate="fast_path_sweep",
     )
 
@@ -147,36 +137,6 @@ def policy_compare(
     )
 
 
-def _perf(name: str, suite: str, smoke: bool = False) -> ExperimentSpec:
-    return ExperimentSpec.make(
-        name=name,
-        description=(
-            f"regenerate BENCH_{suite}.json via the {suite} perf suite"
-        ),
-        kind="perf_suite",
-        extra_cells=(
-            RunCell.make("perf_suite", {"suite": suite, "smoke": smoke}),
-        ),
-        aggregate="perf_suite",
-    )
-
-
-def bench_flow(smoke: bool = False) -> ExperimentSpec:
-    return _perf("bench-flow", "flow", smoke)
-
-
-def bench_milp(smoke: bool = False) -> ExperimentSpec:
-    return _perf("bench-milp", "milp", smoke)
-
-
-def bench_online(smoke: bool = False) -> ExperimentSpec:
-    return _perf("bench-online", "online", smoke)
-
-
-def bench_sim(smoke: bool = False) -> ExperimentSpec:
-    return _perf("bench-sim", "sim", smoke)
-
-
 #: name -> factory(**overrides). ``python -m repro.exp list`` prints this.
 EXPERIMENTS = {
     "scenario-sweep": scenario_sweep,
@@ -185,15 +145,18 @@ EXPERIMENTS = {
     "tenant-sweep": tenant_sweep,
     "fast-path-sweep": fast_path_sweep,
     "policy-compare": policy_compare,
-    "bench-flow": bench_flow,
-    "bench-milp": bench_milp,
-    "bench-online": bench_online,
-    "bench-sim": bench_sim,
 }
 
 
 def get_experiment(name: str, **overrides) -> ExperimentSpec:
-    """Build a named experiment, applying only the overrides it accepts."""
+    """Build a named experiment; a ``None`` override keeps the default.
+
+    Raises:
+        KeyError: ``name`` is not registered.
+        TypeError: an override the experiment does not take was set. The
+            message names it as its ``run`` flag, so a CLI flag can never
+            be dropped silently.
+    """
     try:
         factory = EXPERIMENTS[name]
     except KeyError:
@@ -203,9 +166,12 @@ def get_experiment(name: str, **overrides) -> ExperimentSpec:
         ) from None
     import inspect
 
-    accepted = set(inspect.signature(factory).parameters)
     kwargs = {
-        key: value for key, value in overrides.items()
-        if key in accepted and value is not None
+        key: value for key, value in overrides.items() if value is not None
     }
+    accepted = set(inspect.signature(factory).parameters)
+    rejected = sorted(set(kwargs) - accepted)
+    if rejected:
+        flags = ", ".join("--" + key.replace("_", "-") for key in rejected)
+        raise TypeError(f"experiment {name!r} does not take {flags}")
     return factory(**kwargs)

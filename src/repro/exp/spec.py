@@ -81,7 +81,7 @@ class RunCell:
         params = self.params_dict
         parts = [
             str(params[key])
-            for key in ("family", "seed", "scheduler", "suite", "tier")
+            for key in ("family", "seed", "scheduler")
             if key in params
         ]
         return f"{self.kind}:{'/'.join(parts)}" if parts else self.kind
@@ -101,7 +101,7 @@ class ExperimentSpec:
             the manifest is deterministic and diffable.
         base: Constant params merged into every grid cell.
         extra_cells: Hand-placed cells appended after the grid
-            (controlled contrast experiments, headline perf cases).
+            (controlled contrast experiments).
         aggregate: Key into the aggregator registry
             (:data:`repro.exp.aggregate.AGGREGATORS`).
     """

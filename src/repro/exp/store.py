@@ -24,8 +24,8 @@ DEFAULT_ROOT = Path("benchmarks/results/exp")
 
 #: Columns of runs.csv; every record key outside these goes into `extra`.
 _CSV_COLUMNS = (
-    "hash", "kind", "family", "seed", "size", "scheduler", "suite",
-    "tier", "ok", "seconds", "fingerprint", "planner",
+    "hash", "kind", "family", "seed", "size", "scheduler", "ok",
+    "seconds", "fingerprint", "planner",
 )
 
 

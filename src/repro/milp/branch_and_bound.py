@@ -33,7 +33,7 @@ machinery layered on top of the textbook skeleton:
   early, matching the paper's early-incumbent observation.
 
 Every feature has an independent switch so ablations can measure its
-node/LP-count contribution (``benchmarks/bench_perf_milp.py`` does).
+node/LP-count contribution (``tests/test_milp_backends.py`` pins one).
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import Cluster
@@ -77,15 +76,9 @@ class PlacementPlanner(abc.ABC):
         self.model = model
         self.profiler = profiler or Profiler()
         self.partial_inference = partial_inference
-        #: When true (default), candidate placements are evaluated through a
-        #: per-cluster :class:`FlowGraph` that is built once and re-targeted
-        #: via :meth:`FlowGraph.reevaluate`. Set false to rebuild the graph
-        #: for every evaluation (the perf harness's rebuild baseline).
-        self.incremental_flow = True
+        #: Per-cluster :class:`FlowGraph`, built once and re-targeted via
+        #: :meth:`FlowGraph.reevaluate` for every later candidate.
         self._flow_evaluators: dict[int, tuple[Cluster, FlowGraph]] = {}
-        #: Evaluation telemetry, reported by the perf harness.
-        self.flow_eval_count = 0
-        self.flow_eval_seconds = 0.0
 
     @abc.abstractmethod
     def plan(self) -> PlannerResult:
@@ -137,26 +130,16 @@ class PlacementPlanner(abc.ABC):
         """
         if cluster is None:  # not truthiness: an empty Cluster is falsy
             cluster = self.cluster
-        start = time.perf_counter()
-        try:
-            if not self.incremental_flow:
-                return FlowGraph(
-                    cluster, self.model, placement, self.profiler,
-                    self.partial_inference,
-                ).solve()
-            entry = self._flow_evaluators.get(id(cluster))
-            if entry is None:
-                graph = FlowGraph(
-                    cluster, self.model, placement, self.profiler,
-                    self.partial_inference,
-                )
-                # Keep the cluster reference alive so its id stays unique.
-                self._flow_evaluators[id(cluster)] = (cluster, graph)
-                return graph.solve()
-            return entry[1].reevaluate(placement)
-        finally:
-            self.flow_eval_count += 1
-            self.flow_eval_seconds += time.perf_counter() - start
+        entry = self._flow_evaluators.get(id(cluster))
+        if entry is None:
+            graph = FlowGraph(
+                cluster, self.model, placement, self.profiler,
+                self.partial_inference,
+            )
+            # Keep the cluster reference alive so its id stays unique.
+            self._flow_evaluators[id(cluster)] = (cluster, graph)
+            return graph.solve()
+        return entry[1].reevaluate(placement)
 
     def placement_throughput(
         self, placement: ModelPlacement, cluster: Cluster | None = None

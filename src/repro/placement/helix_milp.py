@@ -108,8 +108,8 @@ class HelixMilpPlanner(PlacementPlanner):
             compiled formulation — no rebuild, no recompile, and HiGHS
             presolve eliminates the frozen variables. ``"rebuild"``
             reproduces the pre-optimization behaviour (equality
-            constraints appended per round, full recompile) for perf
-            baselines.
+            constraints appended per round, full recompile) as the
+            differential reference.
         lns_seed: Seed of the LNS window-selection RNG. The search never
             touches global random state, so a planner configuration plus
             this seed reproduces the exact round sequence.
@@ -588,9 +588,10 @@ class HelixMilpPlanner(PlacementPlanner):
     ):
         """Pre-optimization LNS round: fix-by-constraint, full recompile.
 
-        Kept as the measured baseline for ``BENCH_milp.json``; the compile
-        cache is explicitly invalidated so the round pays the historical
-        per-round formulation compile cost.
+        Kept as the reference that
+        :func:`~repro.testkit.differential.check_lns_modes_agree` compares
+        the incremental round against; the compile cache is explicitly
+        invalidated so every round compiles the formulation from scratch.
         """
         problem = formulation.problem
         base_len = len(problem.constraints)

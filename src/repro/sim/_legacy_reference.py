@@ -3,17 +3,10 @@
 This is the per-(request, stage, token)-hop event loop the simulator
 shipped before the hot-path overhaul: one string-keyed heap event per hop,
 ``Profiler`` consulted per batch, per-token timeline appends. It is kept
-verbatim (modulo the class rename) for two jobs:
-
-* **Differential oracle** — ``repro.testkit`` replays scenario addresses
-  through both engines and requires exactly equal serving metrics and
-  per-request token times (the overhaul must not change any observable
-  metric).
-* **Benchmark baseline** — ``benchmarks/bench_perf_sim.py`` measures the
-  overhauled engine's simulated-tokens-per-wall-second against this
-  engine on the same scenarios, so the recorded speedups stay
-  reproducible on any machine instead of referring to a number measured
-  once on one laptop.
+verbatim (modulo the class rename) as a differential oracle:
+``repro.testkit`` replays scenario addresses through both engines and
+requires exactly equal serving metrics and per-request token times (the
+overhaul must not change any observable metric).
 
 Do not optimize or otherwise modify this module: its value is that it
 stays byte-for-byte the old engine. New features land in

@@ -1,6 +1,6 @@
 """Tests for the experiment orchestration harness (:mod:`repro.exp`).
 
-The properties the perf trajectory depends on:
+The properties the sweeps depend on:
 
 * manifests are deterministic and content hashes are order-independent;
 * a killed sweep resumes — only missing cells execute, and the final
@@ -80,19 +80,28 @@ class TestSpec:
             spec = get_experiment(name)
             manifest = spec.manifest()
             assert manifest["total_cells"] >= 1
-            assert spec.kind in CELL_KINDS or not spec.grid
+            assert spec.kind in CELL_KINDS
             for entry in manifest["cells"]:
                 assert entry["kind"] in CELL_KINDS
 
     def test_gridless_spec_has_only_extra_cells(self):
-        spec = get_experiment("bench-flow")
+        spec = ExperimentSpec.make(
+            name="gridless",
+            description="extra cells only",
+            kind="verify",
+            extra_cells=(RunCell.make("marker", {"marker": "a"}),),
+        )
         cells = spec.cells()
         assert len(cells) == 1
-        assert cells[0].params_dict == {"suite": "flow", "smoke": False}
+        assert cells[0].params_dict == {"marker": "a"}
 
     def test_get_experiment_applies_known_overrides_only(self):
-        spec = get_experiment("chaos-sweep", seeds=2, diurnal_tier="small")
+        # None means "flag not set": it keeps the default, even for an
+        # override the experiment does not take.
+        spec = get_experiment("chaos-sweep", seeds=2, families=None)
         assert len(spec.cells()) == 2
+        with pytest.raises(TypeError, match="does not take --families"):
+            get_experiment("chaos-sweep", families=("chaos",))
         with pytest.raises(KeyError, match="unknown experiment"):
             get_experiment("no-such-experiment")
 
@@ -233,13 +242,6 @@ class TestStoreArtifacts:
         assert machine["python"].count(".") == 2
         assert machine["cpu_model"]
 
-    def test_perftracker_carries_machine_stamp(self):
-        from repro.bench.perftrack import PerfTracker
-
-        doc = PerfTracker(label="stamp-test").to_dict()
-        assert doc["machine"]["cpu_count"] >= 1
-        assert doc["machine"]["cpu_model"]
-
     def test_canonical_normalizes_tuples(self):
         assert _canonical((1, 2)) == [1, 2]
         assert _canonical({"b": (1,), "a": None}) == {"b": [1], "a": None}
@@ -295,3 +297,20 @@ class TestCLI:
             "--headline-out", str(tmp_path / "nope.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("name,flag", [
+        ("chaos-sweep", ["--families", "full_mesh"]),
+        ("tenant-sweep", ["--milp-oracles"]),
+    ])
+    def test_flag_the_experiment_does_not_take_exits_2(
+        self, tmp_path, capsys, name, flag
+    ):
+        from repro.exp.__main__ import main
+
+        code = main([
+            "run", name, "--seeds", "1", "--size", "smoke",
+            "--results-dir", str(tmp_path), "--quiet", *flag,
+        ])
+        assert code == 2
+        assert f"does not take {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()  # nothing ran

@@ -814,32 +814,60 @@ class TestReplanEntryPoint:
         assert result.max_throughput >= base_value - 1e-6
 
 
-@pytest.mark.perf
-def test_online_churn_bench_meets_acceptance(tmp_path):
+def test_online_churn_bench_meets_acceptance():
     """The fig12-small kill-a-planned-node scenario, tier-1 sized.
 
-    Acceptance: windowed goodput recovers to >= 70% of its pre-failure
-    level after the repaired placement applies, and the replanning itself
-    rides the incremental paths (warm-started LNS re-solve < 2 s wall).
+    LLaMA-30B is planned on the Fig. 12 cluster and flooded with a scaled
+    Azure trace (KV capacity scaled alike); the planned node carrying the
+    most max flow dies at t=12 s. Acceptance: windowed goodput recovers to
+    >= 70% of its pre-failure level after the repaired placement applies,
+    and the replanning itself rides the incremental paths (warm-started
+    LNS re-solve < 2 s wall).
     """
-    import json
-
-    from repro.bench.perftrack import run_online_bench
-
-    path = tmp_path / "BENCH_online.json"
-    doc = run_online_bench(smoke=True, path=path)
-    assert path.exists()
-    on_disk = json.loads(path.read_text())
-    assert on_disk["derived"] == doc["derived"]
-    derived = doc["derived"]
-    assert derived["online_recovery_ratio"] >= 0.7, (
-        "fig12 churn scenario failed to recover: "
-        f"ratio {derived['online_recovery_ratio']:.2f}"
+    from repro.cluster import Profiler, small_cluster_fig12
+    from repro.models.specs import LLAMA_30B
+    from repro.trace import offline_arrivals
+    from repro.trace.azure import (
+        AZURE_MEAN_OUTPUT, AzureTraceConfig, synthesize_azure_trace,
     )
-    assert derived["online_replan_wall_s"] < 2.0
-    assert derived["online_replan_count"] >= 1
-    assert derived["online_requests_retried"] > 0
-    assert derived["online_kv_overflows"] == 0
+
+    scale = 0.25
+    cluster = small_cluster_fig12()
+    profiler = Profiler(kv_capacity_scale=scale)
+    result = HelixMilpPlanner(
+        cluster, LLAMA_30B, profiler, time_limit=8.0, mip_rel_gap=0.05
+    ).plan()
+    trace = offline_arrivals(synthesize_azure_trace(
+        AzureTraceConfig(num_requests=150, seed=0, scale=scale)
+    ))
+    scheduler = HelixScheduler(
+        cluster, LLAMA_30B, result.placement, profiler, flow=result.flow,
+        expected_output_len=AZURE_MEAN_OUTPUT * scale,
+    )
+    node_flows = result.flow.node_flows
+    victim = max(
+        result.placement.used_nodes, key=lambda nid: node_flows.get(nid, 0.0)
+    )
+    controller = OnlineController(
+        LLAMA_30B, events=[NodeFailure(12.0, victim)], profiler=profiler,
+        replan_lns_rounds=2, replan_time_limit=1.0,
+    )
+    sim = Simulation(
+        cluster, LLAMA_30B, result.placement, scheduler, trace,
+        profiler=profiler, max_batch_tokens=2048, max_time=30.0, seed=0,
+        controller=controller,
+    )
+    metrics = sim.run()
+    applied = controller.applied_replans
+    assert len(applied) >= 1, controller.replans
+    report = controller.report(sim, window=3.0)
+    assert report.recovery_ratio >= 0.7, (
+        "fig12 churn scenario failed to recover: "
+        f"ratio {report.recovery_ratio:.2f}"
+    )
+    assert max(r.wall_seconds for r in applied) < 2.0
+    assert metrics.requests_retried > 0
+    assert metrics.kv_overflow_events == 0
 
 
 class TestScheduleValidation:
