@@ -22,6 +22,7 @@ from repro import (
     small_cluster_fig12,
     synthesize_azure_trace,
 )
+from repro.bench import congestion_report
 from repro.trace import offline_arrivals
 
 NUM_REQUESTS = 10_000
@@ -83,8 +84,9 @@ def main() -> None:
           f"{fast_forwarded:,} tokens fast-forwarded")
     print(f"\nserving: {metrics.summary()}")
     print("top congested links:")
-    for src, dst, delay in simulation.congestion_report(top=3):
-        print(f"  {src} -> {dst}: mean queueing {delay * 1000:.1f} ms")
+    for row in congestion_report(simulation, top=3):
+        print(f"  {row.src} -> {row.dst}: mean queueing "
+              f"{row.mean_queueing_delay * 1000:.1f} ms")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from repro import (
     make_scheduler,
     synthesize_azure_trace,
 )
+from repro.bench import congestion_report
 from repro.trace import offline_arrivals
 
 TRACE_SCALE = 0.25
@@ -68,8 +69,9 @@ def main() -> None:
               f"avg pipeline depth {metrics.avg_pipeline_depth:.1f}")
         print(f"serving: {metrics.summary()}")
         print("most congested links (mean queueing delay):")
-        for src, dst, delay in simulation.congestion_report(top=3):
-            print(f"  {src} -> {dst}: {delay * 1000:.1f} ms")
+        for row in congestion_report(simulation, top=3):
+            print(f"  {row.src} -> {row.dst}: "
+                  f"{row.mean_queueing_delay * 1000:.1f} ms")
 
 
 if __name__ == "__main__":

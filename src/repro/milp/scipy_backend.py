@@ -24,7 +24,6 @@ def solve_with_highs(
     problem: MilpProblem,
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
-    objective_cutoff: float | None = None,
     node_limit: int | None = None,
     presolve: bool | None = None,
 ) -> MilpSolution:
@@ -35,11 +34,7 @@ def solve_with_highs(
         time_limit: Optional wall-clock limit in seconds.
         mip_rel_gap: Optional relative MIP gap at which to stop early (the
             paper's early-stop criterion uses the compute-sum upper bound;
-            planners translate it into a gap/cutoff here).
-        objective_cutoff: Optional known lower bound on the optimum (for
-            maximization). Injected as a linear cut ``objective >= cutoff``,
-            emulating a heuristic warm start by pruning the tree below the
-            heuristic's value.
+            planners translate it into a gap here).
         node_limit: Optional cap on branch-and-bound nodes. Unlike a time
             limit this makes the returned incumbent independent of machine
             speed. A solve stopped by it is ``FEASIBLE`` when HiGHS found an
@@ -51,11 +46,7 @@ def solve_with_highs(
         A :class:`MilpSolution`; ``status`` reflects optimality or an early
         stop with/without an incumbent.
     """
-    work = problem
-    if objective_cutoff is not None:
-        work = _with_cutoff(problem, objective_cutoff)
-
-    compiled = work.compile()
+    compiled = problem.compile()
     options: dict[str, object] = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
@@ -84,8 +75,6 @@ def solve_with_highs(
 
     sign = -1.0 if compiled.maximize else 1.0
     if result.status == _STATUS_INFEASIBLE:
-        # With a cutoff cut, "infeasible" only means "nothing better than
-        # the cutoff exists", which the caller must disambiguate.
         return MilpSolution(status=SolveStatus.INFEASIBLE, solve_time=elapsed)
     if result.status == _STATUS_UNBOUNDED:
         return MilpSolution(status=SolveStatus.UNBOUNDED, solve_time=elapsed)
@@ -128,21 +117,3 @@ def _extract_bound(result, sign: float, constant: float, objective: float) -> fl
         return objective if result.status == _STATUS_OPTIMAL else sign * float("inf")
     return sign * float(dual) + constant
 
-
-def _with_cutoff(problem: MilpProblem, cutoff: float) -> MilpProblem:
-    """Clone-by-reference with an extra ``objective >= cutoff`` cut.
-
-    The clone shares Variable objects, so solution values map back to the
-    original problem's variable names directly.
-    """
-    clone = MilpProblem(name=f"{problem.name}+cutoff")
-    clone.variables = problem.variables
-    clone._names = problem._names
-    clone.constraints = list(problem.constraints)
-    clone.objective = problem.objective
-    clone.maximize = problem.maximize
-    if problem.maximize:
-        clone.constraints.append(problem.objective >= cutoff)
-    else:
-        clone.constraints.append(problem.objective <= cutoff)
-    return clone

@@ -16,9 +16,9 @@ The formulation follows Tables 5 and 6 of the paper exactly:
 The §4.5 optimizations are all implemented: cluster pruning
 (:func:`~repro.placement.pruning.prune_cluster`), heuristic warm starts
 (best-of Swarm/Petals/SP: the bar HiGHS's root-node probe must beat
-before any time budget is spent, optionally an objective cutoff, and the
-initial incumbent for our branch-and-bound), and the compute-sum upper
-bound both as a strengthening cut and as an early-stop criterion.
+before any time budget is spent, and the initial incumbent for our
+branch-and-bound), and the compute-sum upper bound both as a
+strengthening cut and as an early-stop criterion.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ class HelixMilpPlanner(PlacementPlanner):
         backend: ``"highs"`` (scipy/HiGHS, default) or ``"bnb"`` (our
             branch-and-bound, which records an incumbent trajectory).
         mip_rel_gap: Relative optimality gap at which the solver may stop.
-        hint_cutoff: With the HiGHS backend, additionally inject the best
-            hint's value as an objective cut. This prunes the tree like a
-            MIP start but also makes *finding* an incumbent harder, so it
-            is off by default; the ``bnb`` backend warm-starts natively.
         adaptive_budget: Before spending the HiGHS time budget, solve the
             root node alone (one node, no presolve) and stop there when it
             is solved outright or its incumbent does not beat the best
@@ -130,7 +126,6 @@ class HelixMilpPlanner(PlacementPlanner):
         hints: str | list[ModelPlacement] | None = "auto",
         backend: str = "highs",
         mip_rel_gap: float = 1e-4,
-        hint_cutoff: bool = False,
         lns_rounds: int = 0,
         lns_window: int = 8,
         lns_time_limit: float = 20.0,
@@ -149,7 +144,6 @@ class HelixMilpPlanner(PlacementPlanner):
         self.hints = hints
         self.backend = backend
         self.mip_rel_gap = mip_rel_gap
-        self.hint_cutoff = hint_cutoff
         self.lns_rounds = lns_rounds
         self.lns_window = lns_window
         self.lns_time_limit = lns_time_limit
@@ -901,28 +895,14 @@ class HelixMilpPlanner(PlacementPlanner):
             self.last_solver_stats = solver.stats
             return solution
 
-        cutoff = None
-        if self.hint_cutoff and best_hint is not None and best_hint[0] > 0:
-            cutoff = best_hint[0] * (1.0 - 1e-9)
-        if self.adaptive_budget and cutoff is None:
+        if self.adaptive_budget:
             return self._solve_highs_adaptive(formulation, best_hint)
         self.milp_solve_count += 1
-        solution = solve_with_highs(
+        return solve_with_highs(
             formulation.problem,
             time_limit=self.time_limit,
             mip_rel_gap=self.mip_rel_gap,
-            objective_cutoff=cutoff,
         )
-        if solution.status is SolveStatus.INFEASIBLE and cutoff is not None:
-            # Nothing strictly better than the hint exists; fall back to the
-            # hint-free solve, which returns the (optimal) hint-level value.
-            self.milp_solve_count += 1
-            solution = solve_with_highs(
-                formulation.problem,
-                time_limit=self.time_limit,
-                mip_rel_gap=self.mip_rel_gap,
-            )
-        return solution
 
     def _solve_highs_adaptive(
         self,
@@ -1107,7 +1087,6 @@ class HelixMilpPlanner(PlacementPlanner):
             hints=self.hints,
             backend=self.backend,
             mip_rel_gap=self.mip_rel_gap,
-            hint_cutoff=self.hint_cutoff,
             lns_rounds=self.lns_rounds,
             lns_window=self.lns_window,
             lns_time_limit=self.lns_time_limit,

@@ -52,8 +52,8 @@ class KVCachePool:
         (``min(tokens, used_after - capacity)`` when positive), and the
         peak is taken once at the end — the running maximum of a
         monotonically growing occupancy is its final value. The
-        simulator's vectorized forwarding and fast-forward charge through
-        it; it must stay observably identical to the per-token loop.
+        simulator's vectorized fast-forward charges through it; it must
+        stay observably identical to the per-token loop.
         """
         used = self.used_tokens + tokens
         over = used - self.capacity_tokens

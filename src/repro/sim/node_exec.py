@@ -18,6 +18,7 @@ association order, so the two agree bit-for-bit (asserted in tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.node import ComputeNode
@@ -66,11 +67,6 @@ class StageWork:
     owner: object = field(default=None, compare=False, repr=False)
     hop: object = field(default=None, compare=False, repr=False)
     next: object = field(default=None, compare=False, repr=False)
-
-    @property
-    def token_layers(self) -> float:
-        """Work contribution in token-layer units."""
-        return float(self.num_tokens * self.num_layers)
 
 
 @dataclass(slots=True)
@@ -151,8 +147,10 @@ class NodeExecutor:
         values are recomputed from the profiler, so a restored executor is
         bit-identical to one that never straggled.
         """
-        if factor <= 0:
-            raise ValueError(f"slowdown factor must be positive, got {factor}")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(
+                f"slowdown factor must be finite and positive, got {factor}"
+            )
         self.slowdown = factor
         rate = self.profiler.compute_rate(self.node, self.model)
         weights = self.resident_layers * self.profiler.weight_read_time(
@@ -169,76 +167,29 @@ class NodeExecutor:
             self.overhead = overhead * factor
 
     # ------------------------------------------------------------------
-    def enqueue(self, work: StageWork) -> None:
-        """Add work to the node's input queue."""
-        self.queue.append(work)
-        self.queue_tokens += work.num_tokens
-        self.queue_tl += work.tl
-
     def enqueue_run(self, span: list[StageWork], tokens: int, tl: int) -> None:
         """Enqueue a pre-summed run of works in one call.
 
         A hop-group drain hands over the contiguous slice of its works
         that reach this (busy) executor before the next event, together
-        with the slice's summed tokens and token-layers. Counters advance
-        exactly as ``len(span)`` individual ``enqueue`` calls would.
+        with the slice's summed tokens and token-layers.
         """
         self.queue.extend(span)
         self.queue_tokens += tokens
         self.queue_tl += tl
 
-    def has_work(self) -> bool:
-        """Whether the queue is non-empty."""
-        return bool(self.queue)
+    def quiesce(self, busy: bool = False) -> None:
+        """Stop the node: drop its queued work and strand its batch.
 
-    def take_batch(self) -> list[StageWork]:
-        """Remove and return the next batch (FIFO, optionally token-capped).
-
-        Always returns at least one item when work is queued, even if that
-        single item exceeds the token cap (a long prompt must still run).
+        The epoch bump makes the in-flight batch (if any) complete as a
+        no-op. ``busy=True`` leaves a blackhole — arrivals enqueue forever
+        and no batch ever starts — for a node that died silently.
         """
-        queue = self.queue
-        if not queue:
-            return []
-        cap = self.max_batch_tokens
-        if cap is None or self.queue_tokens <= cap:
-            self.queue = []
-            self.queue_tokens = 0
-            self.queue_tl = 0
-            return queue
-        cut = 1
-        tokens = queue[0].num_tokens
-        tl = queue[0].tl
-        for item in queue[1:]:
-            if tokens + item.num_tokens > cap:
-                break
-            tokens += item.num_tokens
-            tl += item.tl
-            cut += 1
-        if cut == len(queue):
-            self.queue = []
-            self.queue_tokens = 0
-            self.queue_tl = 0
-            return queue
-        batch = queue[:cut]
-        del queue[:cut]
-        self.queue_tokens -= tokens
-        self.queue_tl -= tl
-        return batch
-
-    def batch_time(self, batch: list[StageWork]) -> float:
-        """Wall time to execute ``batch`` on this node."""
-        token_layers = sum(work.token_layers for work in batch)
-        return self.profiler.batch_time(
-            self.node, self.model, token_layers, self.resident_layers
-        )
-
-    def record_batch(self, batch: list[StageWork], elapsed: float) -> None:
-        """Update utilization statistics after a batch completes."""
-        self.stats.batches += 1
-        self.stats.busy_time += elapsed
-        self.stats.token_layers += sum(w.token_layers for w in batch)
-        self.stats.tokens += sum(w.num_tokens for w in batch)
+        self.epoch += 1
+        self.queue.clear()
+        self.queue_tokens = 0
+        self.queue_tl = 0
+        self.busy = busy
 
     def utilization(self, duration: float) -> float:
         """Busy-time fraction over a duration."""

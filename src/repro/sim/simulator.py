@@ -114,9 +114,8 @@ K_ENV = 4        #: an environment callback (online dynamics)
 K_HOP = 5        #: one bare StageWork reaches its stage
 K_TOKEN_ONE = 6  #: one bare StageWork delivers a token to the coordinator
 
-#: Minimum run length worth the numpy setup cost: same-channel
-#: single-token works in the batch-forwarding loop, and decode rounds in
-#: the vectorized fast-forward.
+#: Minimum number of decode rounds worth the numpy setup cost in the
+#: vectorized fast-forward.
 _VEC_MIN = 16
 
 
@@ -264,15 +263,11 @@ class Simulation:
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.
         coalescing: Enable hop-group events (hops sharing a channel ride
-            one heap event), vectorized cohort forwarding, and the
-            closed-window decode fast-forward. ``False`` forces one bare
-            heap event per hop — the bit-identical per-token reference the
-            differential suite compares against. Results are identical
+            one heap event) and the closed-window decode fast-forward.
+            ``False`` forces one bare heap event per hop — the
+            bit-identical per-token reference the differential suite
+            compares against. Results are identical
             either way; only the wall-clock speed differs.
-        timeline_resolution: Bucket width (seconds) of the global token
-            timeline; keep it a power of two so windowed goodput over the
-            derived view matches the exact timeline (see
-            :class:`~repro.sim.metrics.TokenTimeline`).
         residency: Optional :class:`~repro.sim.residency.ResidencyConfig`.
             When set, nodes track which model layers actually live in
             their VRAM: a node that (re)joins the placement *warms up*
@@ -305,7 +300,6 @@ class Simulation:
         seed: int | None = None,
         controller=None,
         coalescing: bool = True,
-        timeline_resolution: float = 0.0625,
         policy=None,
         debug_validate: bool = False,
         residency=None,
@@ -358,7 +352,7 @@ class Simulation:
         self._records: dict[str, RequestRecord] = {}
         self._pipeline_depths: list[int] = []
         self._last_token_time = 0.0
-        self._timeline = TokenTimeline(timeline_resolution)
+        self._timeline = TokenTimeline()
         self._down_nodes: set[str] = set()
         # Gray-failure state. Silently-down nodes have physically died but
         # nothing in the control plane knows yet (the scheduler keeps
@@ -864,8 +858,9 @@ class Simulation:
             executor.queue_tokens = 0
             executor.queue_tl = 0
         else:
-            # Token-capped batch formation in one pass (same FIFO cut rule
-            # as NodeExecutor.take_batch, fused with the batch pricing).
+            # Token-capped batch formation in one pass, fused with the
+            # batch pricing: a FIFO prefix that fits the cap, but always at
+            # least one work (a prompt longer than the cap must still run).
             queue = executor.queue
             tokens = queue[0].num_tokens
             tl = queue[0].tl
@@ -1007,88 +1002,7 @@ class Simulation:
         # or a group (whose lists are then cached in g_*).
         entry = None
         g_times = g_seqs = g_works = None
-        n_works = len(batch)
-        # Long runs of single-token works on one channel (the steady-state
-        # decode cohort) vectorize: after the first transmit the channel is
-        # continuously busy, so every start time equals the previous end
-        # time and the whole chain is one strict left fold —
-        # np.add.accumulate reproduces it bit-for-bit (asserted in tests).
-        vec_ok = coalesce and not disrupted and n_works >= _VEC_MIN
-        scan_limit = 0
-        idx = 0
-        while idx < n_works:
-            work = batch[idx]
-            if vec_ok and idx >= scan_limit and work.num_tokens == 1:
-                hop = work.hop
-                run_channel = hop.channel
-                j = idx + 1
-                while j < n_works:
-                    peer = batch[j]
-                    if (
-                        peer.num_tokens != 1
-                        or peer.hop.channel is not run_channel
-                    ):
-                        break
-                    j += 1
-                k = j - idx
-                if k >= _VEC_MIN:
-                    # Write back the scalar run caches before going wide.
-                    if pool is not None:
-                        pool.used_tokens = p_used
-                        pool.peak_tokens = p_peak
-                        pool.overflow_events = p_over
-                        pool = None
-                    if channel is not None:
-                        channel.next_free_time = ch_nf
-                        channel.bytes_sent = ch_bytes
-                        channel.messages_sent = ch_msgs
-                        channel.total_queueing_delay = ch_qd
-                        channel.max_queueing_delay = ch_maxq
-                        channel = None
-                    run = batch[idx:j]
-                    hop.pool.charge_run(k)
-                    nx = []
-                    nx_append = nx.append
-                    for peer in run:
-                        peer.owner.done += 1
-                        nx_append(peer.next)
-                    run_final = hop.final
-                    num_bytes = token_bytes if run_final else 1 * abpt
-                    bw = run_channel.bandwidth
-                    transmission = num_bytes / bw
-                    nf = run_channel.next_free_time
-                    start = nf if nf > now else now
-                    chain = _np.empty(k)
-                    chain[0] = start + transmission
-                    chain[1:] = transmission
-                    ends = _np.add.accumulate(chain)
-                    queueing = _np.empty(k)
-                    queueing[0] = start - now
-                    queueing[1:] = ends[:-1] - now
-                    arrivals = ends + run_channel.latency
-                    run_channel.next_free_time = float(ends[-1])
-                    fold = _np.empty(k + 1)
-                    fold[0] = run_channel.bytes_sent
-                    fold[1:] = num_bytes
-                    run_channel.bytes_sent = float(_np.add.accumulate(fold)[-1])
-                    run_channel.messages_sent += k
-                    fold[0] = run_channel.total_queueing_delay
-                    fold[1:] = queueing
-                    run_channel.total_queueing_delay = float(
-                        _np.add.accumulate(fold)[-1]
-                    )
-                    top_queueing = float(queueing.max())
-                    if top_queueing > run_channel.max_queueing_delay:
-                        run_channel.max_queueing_delay = top_queueing
-                    group = self._scratch_group(run_channel, run_final)
-                    group.times.extend(arrivals.tolist())
-                    group.seqs.extend(range(seq, seq + k))
-                    seq += k
-                    group.works.extend(nx)
-                    idx = j
-                    continue
-                scan_limit = j  # short run: process it scalar, no rescans
-            idx += 1
+        for work in batch:
             owner = work.owner
             if disrupted and not (
                 owner.live and owner.attempt == work.attempt
@@ -1871,20 +1785,7 @@ class Simulation:
         record.token_times = []
         record.first_token_time = math.nan
         record.schedule_time = math.nan
-        down = self._down_nodes
-        silent = self._silent_down
-        for index, hop in enumerate(active.hops):
-            node_id = hop.node_id
-            if node_id not in down and node_id not in silent:
-                hop.pool.free(active.kv_allocated(index))
-        active.live = False
-        self._disrupted = True
-        del self._active[active.sched_id]
-        if self._tenancy is not None:
-            self._tenancy.note_release(active.sched_id, self._now)
-        self.scheduler.notify_failed(active.sched_id)
-        if self._draining:
-            self._check_drains()
+        self._cancel_attempt(active)
         policy = self._policy
         if policy is None:
             self._pending.append(active.request)
@@ -1932,61 +1833,27 @@ class Simulation:
         self.cluster.node(node_id)  # referential check
         if node_id in self._down_nodes:
             return []
-        executor = self.executors.get(node_id)
-        pool = self.kv_pools.get(node_id)
-        if not announce:
-            if node_id in self._silent_down:
-                return []
-            self._zombie_nodes.discard(node_id)
-            self._silent_down.add(node_id)
-            self._fault_times.setdefault(node_id, self._now)
-            if self._residency is not None:
-                # The crash wipes VRAM; the control plane learns when the
-                # failure is confirmed, but the physics happens now.
-                self._residency.flush(node_id)
-            if executor is not None:
-                executor.epoch += 1
-                executor.queue.clear()
-                executor.queue_tokens = 0
-                executor.queue_tl = 0
-                # A permanently-busy executor is a blackhole: arrivals
-                # enqueue forever and no batch of the new epoch ever runs.
-                executor.busy = True
-            if pool is not None:
-                pool.used_tokens = 0  # KV state is gone
+        if announce:
+            self._fault_times.pop(node_id, None)
+            return self._take_down(node_id)
+        if node_id in self._silent_down:
             return []
-        self._silent_down.discard(node_id)
         self._zombie_nodes.discard(node_id)
-        self._fault_times.pop(node_id, None)
-        self._abort_drain(node_id)
+        self._silent_down.add(node_id)
+        self._fault_times.setdefault(node_id, self._now)
         if self._residency is not None:
+            # The crash wipes VRAM; the control plane learns when the
+            # failure is confirmed, but the physics happens now.
             self._residency.flush(node_id)
-            self.scheduler.mark_node_warm(node_id)
-        self.cluster.set_node_available(node_id, False)
-        self._down_nodes.add(node_id)
-        self._disrupted = True
-        self.scheduler.mark_node_down(node_id)
-
+        executor = self.executors.get(node_id)
         if executor is not None:
-            executor.epoch += 1
-            executor.queue.clear()
-            executor.queue_tokens = 0
-            executor.queue_tl = 0
-            executor.busy = False
+            # A permanently-busy executor is a blackhole: arrivals
+            # enqueue forever and no batch of the new epoch ever runs.
+            executor.quiesce(busy=True)
+        pool = self.kv_pools.get(node_id)
         if pool is not None:
             pool.used_tokens = 0  # KV state is gone
-
-        requeued = [
-            rid
-            for rid, active in self._active.items()
-            if node_id in active.pipeline.node_ids
-        ]
-        for rid in requeued:
-            active = self._active.get(rid)
-            if active is not None:  # hedge peers vanish with their primary
-                self._requeue(active, migrated=False)
-        self._retry_pending()
-        return requeued
+        return []
 
     def confirm_node_failure(self, node_id: str) -> float:
         """A detector confirms a silently-failed/zombie (or healthy) node dead.
@@ -2006,6 +1873,22 @@ class Simulation:
         if node_id in self._down_nodes:
             return math.nan
         fault_time = self._fault_times.get(node_id)
+        executor = self.executors.get(node_id)
+        if executor is not None:
+            self._confirmed_dead_marks[node_id] = executor.stats.tokens
+        self._take_down(node_id)
+        if fault_time is None:
+            return math.nan
+        return self._now - fault_time
+
+    def _take_down(self, node_id: str) -> list[str]:
+        """The control-plane half of a crash, shared by an announced
+        :meth:`fail_node` and :meth:`confirm_node_failure`.
+
+        The node is masked and marked down, its resident layers and KV
+        state are gone, its executor quiesces, and every attempt routed
+        through it is requeued. Returns the requeued request ids.
+        """
         self._silent_down.discard(node_id)
         self._zombie_nodes.discard(node_id)
         self._abort_drain(node_id)
@@ -2018,15 +1901,10 @@ class Simulation:
         self.scheduler.mark_node_down(node_id)
         executor = self.executors.get(node_id)
         if executor is not None:
-            executor.epoch += 1
-            executor.queue.clear()
-            executor.queue_tokens = 0
-            executor.queue_tl = 0
-            executor.busy = False
-            self._confirmed_dead_marks[node_id] = executor.stats.tokens
+            executor.quiesce()
         pool = self.kv_pools.get(node_id)
         if pool is not None:
-            pool.used_tokens = 0
+            pool.used_tokens = 0  # KV state is gone
         requeued = [
             rid
             for rid, active in self._active.items()
@@ -2034,12 +1912,10 @@ class Simulation:
         ]
         for rid in requeued:
             active = self._active.get(rid)
-            if active is not None:
+            if active is not None:  # hedge peers vanish with their primary
                 self._requeue(active, migrated=False)
         self._retry_pending()
-        if fault_time is None:
-            return math.nan
-        return self._now - fault_time
+        return requeued
 
     def make_zombie(self, node_id: str) -> None:
         """A node wedges: it accepts work (and heartbeats) but never finishes.
@@ -2072,9 +1948,9 @@ class Simulation:
         tables of live attempts re-cache the node's decode time so future
         iterations (including fast-forwarded ones) price correctly.
         """
-        if factor <= 0:
+        if not (math.isfinite(factor) and factor > 0):
             raise SimulationError(
-                f"slowdown factor must be positive, got {factor}"
+                f"slowdown factor must be finite and positive, got {factor}"
             )
         self.cluster.node(node_id)
         executor = self.executors.get(node_id)
@@ -2132,12 +2008,12 @@ class Simulation:
         """A flaky link heals.
 
         Once the *last* live fault object is gone, gray mode unlatches:
-        coalescing, vectorization, and the fast-forward come back on. That
-        is safe because fault delays only perturb *future* arrivals —
-        everything already in the heap was priced when its fault (if any)
-        was live, and with no fault remaining, new hop groups are sorted
-        again. A differential test asserts post-heal timelines are
-        unchanged against a per-hop run.
+        coalescing and the fast-forward come back on. That is safe
+        because fault delays only perturb *future* arrivals — everything
+        already in the heap was priced when its fault (if any) was live,
+        and with no fault remaining, new hop groups are sorted again. A
+        differential test asserts post-heal timelines are unchanged
+        against a per-hop run.
         """
         keys = [(src, dst)]
         if bidirectional:
@@ -2232,11 +2108,7 @@ class Simulation:
         self._down_nodes.add(node_id)
         executor = self.executors.get(node_id)
         if executor is not None:
-            executor.epoch += 1
-            executor.queue.clear()
-            executor.queue_tokens = 0
-            executor.queue_tl = 0
-            executor.busy = False
+            executor.quiesce()
         kv_leaked = 0
         pool = self.kv_pools.get(node_id)
         if pool is not None:
@@ -2382,10 +2254,10 @@ class Simulation:
         the reverse direction is degraded too when it exists (links may be
         asymmetric).
         """
-        if factor <= 0:
+        if not (math.isfinite(factor) and factor > 0):
             raise SimulationError(
-                f"degradation factor must be positive, got {factor} "
-                "(sever connectivity by failing nodes instead)"
+                f"degradation factor must be finite and positive, got "
+                f"{factor} (sever connectivity by failing nodes instead)"
             )
         self.cluster.link(src, dst)  # referential check before mutating
         keys = [(src, dst)]
@@ -2505,11 +2377,7 @@ class Simulation:
                 continue
             executor = self.executors.get(node_id)
             if executor is not None:
-                executor.epoch += 1
-                executor.queue.clear()
-                executor.queue_tokens = 0
-                executor.queue_tl = 0
-                executor.busy = False
+                executor.quiesce()
         # A joined node brings new links; give them channels.
         for key, link in self.cluster.links.items():
             if key not in self.channels:
@@ -2604,10 +2472,11 @@ class Simulation:
 
         Unlike per-request records (reset when an attempt is disrupted),
         this global timeline is append-only: tokens emitted by an attempt
-        that later failed stay in it. It is stored in fixed-width buckets
-        (``timeline_resolution`` wide), so this derived view reports each
-        token at its bucket's start time; memory stays bounded by the
-        simulated horizon instead of growing with the token count. Feeding
+        that later failed stay in it. It is stored in 1/16 s buckets (a
+        :class:`~repro.sim.metrics.TokenTimeline`), so this derived view
+        reports each token at its bucket's start time; memory stays
+        bounded by the simulated horizon instead of growing with the
+        token count. Feeding
         it to :func:`~repro.sim.metrics.goodput_timeline` with any window
         that is a multiple of the resolution yields exactly the same
         windowed goodput as the exact times — including the dip around a
@@ -2617,13 +2486,8 @@ class Simulation:
 
     @property
     def token_buckets(self) -> list[int]:
-        """Raw token counts per ``timeline_resolution``-wide bucket."""
+        """Raw token counts per token-timeline bucket."""
         return self._timeline.bucket_counts()
-
-    @property
-    def timeline_resolution(self) -> float:
-        """Bucket width of the token timeline, in seconds."""
-        return self._timeline.resolution
 
     @property
     def tokens_emitted(self) -> int:
@@ -2680,15 +2544,3 @@ class Simulation:
     def record_of(self, request_id: str) -> RequestRecord:
         """Per-request record (available after the run)."""
         return self._records[request_id]
-
-    def congestion_report(self, top: int = 5) -> list[tuple[str, str, float]]:
-        """Links with the largest mean queueing delay (src, dst, seconds)."""
-        ranked = sorted(
-            (
-                (key[0], key[1], channel.mean_queueing_delay)
-                for key, channel in self.channels.items()
-                if channel.messages_sent > 0
-            ),
-            key=lambda row: -row[2],
-        )
-        return ranked[:top]

@@ -526,8 +526,8 @@ def check_sim_engines(
     requires *exactly* equal observables — per-request token times,
     serving metrics, KV pools, executor utilization, and per-channel
     network statistics. This is the guarantee behind the overhaul: hop
-    groups, the closed-window fast-forward (scalar and vectorized), and
-    the vectorized forwarding change wall-clock speed and nothing else.
+    groups, bare one-hop events and the closed-window fast-forward
+    (scalar and vectorized) change wall-clock speed and nothing else.
     """
     legacy = _engine_observables(*_run_engine(family, seed, size, "legacy"))
     hop = _engine_observables(*_run_engine(family, seed, size, "hop"))

@@ -1,9 +1,8 @@
 """The simulator's fast paths must match the per-hop reference.
 
 With coalescing on (the default), the engine carries contiguous hops in
-group events, forwards same-channel decode cohorts with vectorized
-folds, fast-forwards closed windows — a sole live request over idle
-executors — and macro-steps whole decode rounds through the vectorized
+group events, fast-forwards closed windows — a sole live request over
+idle executors — and macro-steps whole decode rounds through the vectorized
 fast-forward. All of it is specified as *speed only*: these tests replay
 scenarios with ``coalescing=False`` (one heap event per hop, no
 fast-forward) as the reference and require exactly equal observables,
@@ -127,8 +126,8 @@ def test_simultaneous_completions_keep_tie_order():
     """Identical flooded requests finish at the same instant.
 
     Completion events then tie on time and are ordered by heap sequence
-    number alone; cohort advancement must allocate sequence numbers so
-    ties break exactly as per-hop stepping's.
+    number alone; hop groups must allocate sequence numbers so ties
+    break exactly as per-hop stepping's.
     """
     model = ModelSpec(
         name="batch-twin-8L", num_layers=8, hidden_size=1024, num_heads=8,

@@ -182,12 +182,6 @@ class TestSolvers:
         solution = solver.solve()
         assert solution.objective == pytest.approx(brute_force_knapsack(10))
 
-    def test_highs_cutoff_infeasible_when_above_optimum(self):
-        solution = solve_with_highs(
-            knapsack_problem(5), objective_cutoff=brute_force_knapsack(5) + 1
-        )
-        assert solution.status is SolveStatus.INFEASIBLE
-
     def test_highs_minimization(self):
         p = MilpProblem()
         x = p.add_var("x", 0, 10, integer=True)

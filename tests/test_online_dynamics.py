@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.errors import SimulationError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.online import (
@@ -195,6 +196,31 @@ class TestLinkEvents:
             original
         )
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_non_positive_factor_rejected(
+        self, small_cluster, tiny_model, placement8, factor
+    ):
+        sim = make_simulation(
+            small_cluster, tiny_model, placement8, [Request("r0", 16, 2)]
+        )
+        bandwidth = small_cluster.link("a100-0", "l4-0").bandwidth
+        executor = sim.executors["a100-0"]
+        constants = (
+            executor.compute_rate, executor.weights_time, executor.overhead,
+            executor.slowdown,
+        )
+        with pytest.raises(SimulationError):
+            sim.degrade_link("a100-0", "l4-0", factor)
+        with pytest.raises(SimulationError):
+            sim.set_compute_slowdown("a100-0", factor)
+        for key in (("a100-0", "l4-0"), ("l4-0", "a100-0")):
+            assert small_cluster.link(*key).bandwidth == bandwidth
+            assert sim.channels[key].link.bandwidth == bandwidth
+        assert (
+            executor.compute_rate, executor.weights_time, executor.overhead,
+            executor.slowdown,
+        ) == constants
+
     def test_degrade_asymmetric_link_skips_missing_reverse(
         self, tiny_model
     ):
@@ -314,8 +340,6 @@ class TestPlacementHotSwap:
         self, small_cluster, tiny_model, placement8
     ):
         from types import SimpleNamespace
-
-        from repro.core.errors import SimulationError
 
         requests = [Request("r0", 16, 2)]
         sim = make_simulation(small_cluster, tiny_model, placement8, requests)

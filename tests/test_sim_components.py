@@ -1,13 +1,24 @@
 """Tests for simulator components: links, executors, KV pools, metrics."""
 
 import math
+from heapq import heappop
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cluster import ComputeNode, Profiler, T4
 from repro.cluster.network import Link
-from repro.sim import KVCachePool, LinkChannel, NodeExecutor, Request, StageWork
+from repro.core.placement_types import ModelPlacement
+from repro.scheduling import RandomScheduler
+from repro.sim import (
+    KVCachePool,
+    LinkChannel,
+    NodeExecutor,
+    Request,
+    Simulation,
+    StageWork,
+)
+from repro.sim.simulator import K_BATCH
 from repro.sim.metrics import LatencyStats, RequestRecord, aggregate_metrics
 
 
@@ -57,54 +68,99 @@ class TestLinkChannel:
         assert last_arrival == pytest.approx(sum(sizes) / bandwidth)
 
 
+def _one_node_simulation(cluster, model, input_len=1):
+    """The real engine, a100-0 holding all 8 layers, serving one request
+    of ``input_len`` prompt tokens and a single output token."""
+    placement = ModelPlacement.from_intervals(8, {"a100-0": (0, 8)})
+    scheduler = RandomScheduler(cluster, model, placement)
+    return Simulation(
+        cluster, model, placement, scheduler, [Request("r", input_len, 1)]
+    )
+
+
 class TestNodeExecutor:
     def _executor(self, tiny_model, cap=None):
         node = ComputeNode("t4", T4)
         return NodeExecutor(node, tiny_model, Profiler(), 4, max_batch_tokens=cap)
 
-    def test_take_batch_drains_queue(self, tiny_model):
-        ex = self._executor(tiny_model)
-        for i in range(3):
-            ex.enqueue(StageWork(f"r{i}", 0, 10, 4, True))
-        batch = ex.take_batch()
-        assert len(batch) == 3
-        assert not ex.has_work()
+    @staticmethod
+    def _start_batch(sim, executor, works):
+        """Queue ``works`` and let the engine cut one batch; returns the
+        payload of the ``K_BATCH`` event it pushed (the batch is [2])."""
+        executor.enqueue_run(
+            works, sum(w.num_tokens for w in works), sum(w.tl for w in works)
+        )
+        sim._start_batch(executor)
+        _, _, kind, payload = heappop(sim._events)
+        assert kind == K_BATCH and payload[0] is executor
+        return payload
 
-    def test_batch_cap_respected(self, tiny_model):
+    @staticmethod
+    def _prompts(count, tokens):
+        return [
+            StageWork(f"r{i}", 0, tokens, 4, True, tl=tokens * 4)
+            for i in range(count)
+        ]
+
+    def test_take_batch_drains_queue(self, small_cluster, tiny_model):
+        sim = _one_node_simulation(small_cluster, tiny_model)
+        ex = self._executor(tiny_model)
+        batch = self._start_batch(sim, ex, self._prompts(3, 10))[2]
+        assert len(batch) == 3
+        assert not ex.queue and ex.busy
+
+    def test_batch_cap_respected(self, small_cluster, tiny_model):
+        sim = _one_node_simulation(small_cluster, tiny_model)
         ex = self._executor(tiny_model, cap=25)
-        for i in range(3):
-            ex.enqueue(StageWork(f"r{i}", 0, 10, 4, True))
-        batch = ex.take_batch()
+        batch = self._start_batch(sim, ex, self._prompts(3, 10))[2]
         assert len(batch) == 2  # 10 + 10 fits, third would exceed 25
         assert len(ex.queue) == 1
 
-    def test_single_oversize_item_still_runs(self, tiny_model):
+    def test_single_oversize_item_still_runs(self, small_cluster, tiny_model):
+        sim = _one_node_simulation(small_cluster, tiny_model)
         ex = self._executor(tiny_model, cap=5)
-        ex.enqueue(StageWork("big", 0, 100, 4, True))
-        assert len(ex.take_batch()) == 1
+        batch = self._start_batch(sim, ex, self._prompts(1, 100))[2]
+        assert len(batch) == 1
 
-    def test_batch_time_increases_with_work(self, tiny_model):
-        ex = self._executor(tiny_model)
-        small = [StageWork("a", 0, 1, 4, False)]
-        large = [StageWork("a", 0, 512, 4, True)]
-        assert ex.batch_time(large) > ex.batch_time(small)
+    def test_batch_time_increases_with_work(self, tiny_model, profiler):
+        node = ComputeNode("t4", T4)
+        small = profiler.batch_time(node, tiny_model, 1 * 4, 4)
+        large = profiler.batch_time(node, tiny_model, 512 * 4, 4)
+        assert large > small
 
-    def test_batch_amortizes_weight_read(self, tiny_model):
+    def test_batch_amortizes_weight_read(self, tiny_model, profiler):
         # Two tokens in one batch beat two single-token batches.
-        ex = self._executor(tiny_model)
-        one = ex.batch_time([StageWork("a", 0, 1, 4, False)])
-        two = ex.batch_time(
-            [StageWork("a", 0, 1, 4, False), StageWork("b", 0, 1, 4, False)]
-        )
+        node = ComputeNode("t4", T4)
+        one = profiler.batch_time(node, tiny_model, 1 * 4, 4)
+        two = profiler.batch_time(node, tiny_model, 2 * 4, 4)
         assert two < 2 * one
 
-    def test_stats_recorded(self, tiny_model):
-        ex = self._executor(tiny_model)
-        batch = [StageWork("a", 0, 10, 4, True)]
-        ex.record_batch(batch, 0.5)
+    def test_stats_recorded(self, small_cluster, tiny_model, profiler):
+        # A one-token request is a single prompt batch of 10 tokens.
+        sim = _one_node_simulation(small_cluster, tiny_model, input_len=10)
+        sim.run()
+        ex = sim.executors["a100-0"]
         assert ex.stats.batches == 1
         assert ex.stats.tokens == 10
-        assert ex.utilization(1.0) == pytest.approx(0.5)
+        assert ex.stats.busy_time == profiler.batch_time(
+            ex.node, tiny_model, 10 * 8, 8
+        )
+        assert ex.utilization(2 * ex.stats.busy_time) == pytest.approx(0.5)
+
+    def test_quiesce_drops_queue_and_strands_batch(
+        self, small_cluster, tiny_model
+    ):
+        sim = _one_node_simulation(small_cluster, tiny_model)
+        ex = self._executor(tiny_model, cap=25)
+        payload = self._start_batch(sim, ex, self._prompts(3, 10))
+        ex.quiesce(busy=True)
+        assert (ex.queue, ex.queue_tokens, ex.queue_tl) == ([], 0, 0)
+        assert ex.busy
+        # The stranded batch completes as a no-op.
+        sim._on_batch_complete(*payload)
+        assert ex.stats.batches == 0 and ex.busy
+        ex.quiesce()
+        assert not ex.busy
 
     def test_rejects_zero_layers(self, tiny_model):
         with pytest.raises(ValueError, match="resident"):

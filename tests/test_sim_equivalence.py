@@ -1,8 +1,9 @@
 """The simulator overhaul must not change any observable metric.
 
-The overhauled engine (groups, closed-window fast-forward, vectorized
-forwarding and macro-stepping) is specified as *bit-identical* to the
-frozen pre-overhaul event loop. These tests enforce that specification:
+The overhauled engine (hop groups, bare one-hop events and the
+closed-window fast-forward with its vectorized rounds) is specified as
+*bit-identical* to the frozen pre-overhaul event loop. These tests
+enforce that specification:
 
 * the differential oracle replays every tier-1 scenario address (all 4
   families x 6 seeds, churny addresses included) through the legacy
@@ -16,8 +17,9 @@ frozen pre-overhaul event loop. These tests enforce that specification:
 * a Poisson trace cut mid-way by the horizon shows arrivals enter the
   event heap one at a time and leave all three engines equal;
 * the precomputed roofline constants are checked bit-for-bit against
-  ``Profiler.batch_time``, and numpy's ``add.accumulate`` against the
-  strict left fold the scalar transmit chain performs.
+  ``Profiler.batch_time``, and numpy's ``add.accumulate`` (the vectorized
+  fast-forward's fold) against the strict left fold the scalar loop
+  performs.
 """
 
 import math
@@ -131,12 +133,13 @@ def test_churn_event_invalidates_fast_forward_window():
 
 
 def test_flooded_equivalence_with_batch_cohorts():
-    """A saturated uniform flood (vectorized cohorts) matches exactly."""
+    """A saturated uniform flood (long same-channel decode cohorts in
+    every batch) matches exactly, with pinned logical event counts."""
     requests = [Request(f"r{i:04d}", 16, 24) for i in range(120)]
     fast = _fig12_serving(list(requests), max_time=1e9, seed=0,
                           max_batch_tokens=2048)
     fast.run()
-    assert fast.grouped_hops > 0
+    assert (fast.events_popped, fast.grouped_hops) == (4407, 22920)
     legacy = _fig12_serving(list(requests), max_time=1e9, seed=0,
                             max_batch_tokens=2048, sim_cls=LegacySimulation)
     legacy.run()
@@ -217,8 +220,7 @@ def test_precomputed_batch_constants_match_profiler(tiny_model):
     profiler = Profiler()
     executor = NodeExecutor(node, tiny_model, profiler, resident_layers=4)
     for tokens in (1, 7, 64, 513):
-        batch = [StageWork("r", 0, tokens, 4, False, tl=tokens * 4)]
-        reference = executor.batch_time(batch)
+        reference = profiler.batch_time(node, tiny_model, float(tokens * 4), 4)
         fast = (
             (tokens * 4) / executor.compute_rate
             + executor.weights_time
@@ -245,17 +247,27 @@ def test_numpy_accumulate_is_strict_left_fold():
 
 
 def test_take_batch_counters_stay_consistent(tiny_model):
+    """The engine's token-capped cut keeps the queue counters in sync."""
+    from heapq import heappop
+
+    from repro.sim.simulator import K_BATCH
+
+    sim = _fig12_serving([Request("r", 16, 1)])
     executor = NodeExecutor(
         ComputeNode("t4", T4), tiny_model, Profiler(), 4, max_batch_tokens=25
     )
-    for i in range(6):
-        executor.enqueue(StageWork(f"r{i}", 0, 10, 4, True, tl=40))
-    batch = executor.take_batch()
-    assert len(batch) == 2
-    assert executor.queue_tokens == 40
-    assert executor.queue_tl == 160
-    while executor.has_work():
-        executor.take_batch()
+    works = [StageWork(f"r{i}", 0, 10, 4, True, tl=40) for i in range(6)]
+    executor.enqueue_run(works, 60, 240)
+    batches = []
+    while executor.queue:
+        sim._start_batch(executor)
+        _, _, kind, payload = heappop(sim._events)
+        assert kind == K_BATCH
+        batches.append(payload[2])
+        if len(batches) == 1:
+            assert executor.queue_tokens == 40
+            assert executor.queue_tl == 160
+    assert [len(batch) for batch in batches] == [2, 2, 2]
     assert executor.queue_tokens == 0
     assert executor.queue_tl == 0
 
