@@ -183,10 +183,9 @@ def run_online(
     scheduler_method: str,
     requests: list[Request],
     utilization: float = 0.75,
-    arrival_seed: int = 1,
     **kwargs,
 ) -> ExperimentResult:
-    """Online serving: diurnal arrivals at 75% of peak throughput (§6.2).
+    """Online serving: diurnal arrivals (seed 1) at 75% of peak throughput (§6.2).
 
     The peak used for rate scaling is the placement's max flow, matching
     the paper's per-method normalization ("75% of the cluster's peak
@@ -195,7 +194,7 @@ def run_online(
     rate = rate_for_utilization(
         planner_result.max_throughput, requests, utilization
     )
-    stamped = diurnal_arrivals(requests, mean_rate=rate, seed=arrival_seed)
+    stamped = diurnal_arrivals(requests, mean_rate=rate, seed=1)
     return run_serving(
         cluster,
         model,

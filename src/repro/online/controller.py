@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.cluster.profiler import Profiler
 from repro.core.errors import ClusterError, PlacementError, SolverError
@@ -53,6 +53,11 @@ from repro.online.events import (
     validate_schedule,
 )
 from repro.sim.metrics import DisruptionReport, disruption_report
+
+#: A failed replan is retried this many times, with an exponential
+#: backoff from this base delay in seconds (0.5 s, then 1 s).
+_REPLAN_RETRIES = 2
+_REPLAN_RETRY_BACKOFF = 0.5
 
 
 @dataclass
@@ -99,10 +104,8 @@ class OnlineController:
         replan_delay: Simulated seconds between an event and its repaired
             placement taking effect (0 = instantaneous). Deterministic, so
             seeded runs reproduce exactly.
-        partial_inference: Forwarded to the replanner.
-        planner_factory: ``factory(subcluster) -> planner`` override; the
-            planner must expose ``replan(base, lns_rounds)``. Default
-            builds a :class:`~repro.placement.helix_milp.HelixMilpPlanner`
+        partial_inference: Forwarded to the replanner, a
+            :class:`~repro.placement.helix_milp.HelixMilpPlanner`
             configured for incremental re-solves.
     """
 
@@ -116,11 +119,8 @@ class OnlineController:
         replan_time_limit: float = 1.0,
         replan_delay: float = 0.0,
         partial_inference: bool = True,
-        planner_factory: Callable | None = None,
         detection_mode: bool = False,
         detector_config: DetectorConfig | None = None,
-        replan_retries: int = 2,
-        replan_retry_backoff: float = 0.5,
         autoscaler=None,
     ) -> None:
         self.model = model
@@ -131,15 +131,12 @@ class OnlineController:
         self.replan_time_limit = replan_time_limit
         self.replan_delay = replan_delay
         self.partial_inference = partial_inference
-        self.planner_factory = planner_factory
         #: With detection on, node failures happen *silently*
         #: (``fail_node(announce=False)``) and the controller reacts only
         #: when its failure detector confirms the node — measuring true
         #: MTTD/MTTR instead of assuming an oracle announcement.
         self.detection_mode = detection_mode
         self.detector_config = detector_config
-        self.replan_retries = replan_retries
-        self.replan_retry_backoff = replan_retry_backoff
         #: Optional :class:`~repro.online.autoscale.Autoscaler`; attached
         #: to the simulation in :meth:`start` so its periodic backlog
         #: checks ride the same event loop as the churn schedule.
@@ -369,10 +366,8 @@ class OnlineController:
             # with exponential backoff instead of giving up until the next
             # event: transient solver failures should not strand the run
             # on a degraded placement forever.
-            if self._replan_attempt < self.replan_retries:
-                delay = self.replan_retry_backoff * (
-                    2.0 ** self._replan_attempt
-                )
+            if self._replan_attempt < _REPLAN_RETRIES:
+                delay = _REPLAN_RETRY_BACKOFF * 2.0 ** self._replan_attempt
                 self._replan_attempt += 1
                 sim.schedule_event(
                     sim.now + delay, lambda s: self.react(s)
@@ -404,8 +399,6 @@ class OnlineController:
         return record
 
     def _make_planner(self, subcluster):
-        if self.planner_factory is not None:
-            return self.planner_factory(subcluster)
         from repro.placement.helix_milp import HelixMilpPlanner
 
         return HelixMilpPlanner(

@@ -326,7 +326,7 @@ def validate_schedule(events: Sequence[ClusterEvent], cluster) -> None:
     raises :class:`~repro.core.errors.ClusterError` naming the offending
     event:
 
-    * no event may carry a negative time;
+    * no event may carry a negative (or NaN) time;
     * every node event must name a known node (a ``NodeJoin`` makes its
       node known from that point on, and must not collide with one);
     * every link event must name an existing link;
@@ -358,7 +358,7 @@ def validate_schedule(events: Sequence[ClusterEvent], cluster) -> None:
             )
 
     for event in sorted(events, key=lambda e: e.time):
-        if event.time < 0:
+        if not event.time >= 0:  # also rejects NaN
             raise ClusterError(
                 f"{type(event).__name__} scheduled at negative time "
                 f"{event.time:g}"

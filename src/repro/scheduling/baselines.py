@@ -19,22 +19,23 @@ from repro.core.placement_types import ModelPlacement
 from repro.scheduling.base import Scheduler
 from repro.scheduling.pipelines import PipelineStage, RequestPipeline
 
+#: Smoothing factor of SwarmScheduler's per-node throughput EWMA.
+_SMOOTHING = 0.3
+
 
 class SwarmScheduler(Scheduler):
     """Real-time-throughput-proportional routing.
 
     Args:
         seed: RNG seed for the proportional sampling.
-        ewma_alpha: Smoothing factor for the per-node throughput estimate.
         **kwargs: Forwarded to :class:`~repro.scheduling.base.Scheduler`.
     """
 
     name = "swarm"
 
-    def __init__(self, *args, seed: int = 0, ewma_alpha: float = 0.3, **kwargs) -> None:
+    def __init__(self, *args, seed: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._rng = random.Random(seed)
-        self._alpha = ewma_alpha
         # Initialize estimates from the profiler so cold-start routing is
         # sane, as SWARM does with its initial capacity announcements.
         self._throughput: dict[str, float] = {}
@@ -51,7 +52,7 @@ class SwarmScheduler(Scheduler):
         observed = tokens / elapsed
         previous = self._throughput.get(node_id, observed)
         self._throughput[node_id] = (
-            self._alpha * observed + (1 - self._alpha) * previous
+            _SMOOTHING * observed + (1 - _SMOOTHING) * previous
         )
 
     def _choose_next(

@@ -582,7 +582,6 @@ def disruption_report(
     tokens_lost: int = 0,
     replan_latencies: list[float] | None = None,
     recovery_threshold: float = 0.7,
-    settle: float | None = None,
     mttd_samples: list[float] | None = None,
     reaction_times: list[float] | None = None,
     false_positives: int = 0,
@@ -597,13 +596,11 @@ def disruption_report(
         end_time: End of the measurement horizon.
         first_disruption: Time of the first disruptive event.
         recovered_from: Time the last recovery action (replan/repair) took
-            effect; the post window starts ``settle`` seconds later.
+            effect; the post window starts one ``window`` later.
         requests_retried / requests_migrated / tokens_lost: Counters from
             :class:`ServingMetrics`.
         replan_latencies: Wall-clock seconds of each replanning.
         recovery_threshold: Goodput fraction defining "recovered".
-        settle: Seconds after ``recovered_from`` excluded from the post
-            window (default: one window).
         mttd_samples: Per-failure detection latencies (detection mode).
         reaction_times: Absolute sim times of control-plane reactions
             (detector confirmations, applied replans); gates the MTTR
@@ -614,7 +611,6 @@ def disruption_report(
             :class:`ServingMetrics`.
     """
     timeline = goodput_timeline(token_times, window, end_time)
-    settle = window if settle is None else settle
 
     # Pre window: full buckets strictly before the disruption, skipping the
     # first bucket (prompt-phase ramp-up would understate steady goodput).
@@ -626,7 +622,7 @@ def disruption_report(
     post = [
         rate
         for start, rate in timeline
-        if start >= recovered_from + settle
+        if start >= recovered_from + window
     ]
     pre_goodput = sum(pre) / len(pre) if pre else math.nan
     post_goodput = sum(post) / len(post) if post else math.nan

@@ -32,6 +32,7 @@ shedding): the differential suite asserts that a run under
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -76,22 +77,26 @@ class RequestPolicy:
     max_pending: int | None = None
 
     def __post_init__(self) -> None:
+        # Written as ``not (lo < value < inf)`` so NaN fails every check.
         for name in ("deadline", "ttft_timeout", "hedge_after"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff < 0:
+        if not 0 <= self.retry_backoff < math.inf:
             raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
+                f"retry_backoff must be finite and >= 0, got {self.retry_backoff}"
             )
-        if self.backoff_factor <= 0:
+        if not 0 < self.backoff_factor < math.inf:
             raise ValueError(
-                f"backoff_factor must be positive, got {self.backoff_factor}"
+                "backoff_factor must be finite and positive, "
+                f"got {self.backoff_factor}"
             )
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not 0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.max_pending}"

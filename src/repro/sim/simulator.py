@@ -56,14 +56,14 @@ testing and benchmarking):
 * **Closed-window fast-forward.** When exactly one request is live, the
   pending queue is empty, and its executors are idle, nothing can happen
   before the next scheduled heap event except the request's own decode
-  chain: those iterations are computed in one tight loop (one
-  macro-step) with no heap traffic at all, stopping exactly at finish,
-  the ``max_time`` horizon, or the next event's time — where the one
-  in-flight hop is re-materialized into the heap and stepping resumes.
-  Without tenancy or a progress hook, whole decode rounds inside the
-  window are replayed with numpy folds
+  chain: whole decode rounds are committed in one tight loop (one
+  macro-step) with no heap traffic at all, as long as no channel would
+  queue and the round's token lands before the next event and within
+  the ``max_time`` horizon. Without tenancy or a progress hook, long
+  windows first commit through numpy folds
   (:meth:`Simulation._vec_fast_forward`, guess-and-verify, bit-exact
-  committed prefix); the scalar loop handles the boundary round.
+  committed prefix). The round that cannot be committed is not special:
+  the re-entry is transmitted as usual and the event loop steps it.
 * **Bounded timeline.** The global token timeline accumulates into
   fixed-width buckets (:class:`~repro.sim.metrics.TokenTimeline`) online
   instead of appending one float per token forever.
@@ -117,6 +117,13 @@ K_TOKEN_ONE = 6  #: one bare StageWork delivers a token to the coordinator
 #: Minimum number of decode rounds worth the numpy setup cost in the
 #: vectorized fast-forward.
 _VEC_MIN = 16
+
+
+def _fold(total: float, step: float, count: int) -> float:
+    """``total + step + ... + step`` (``count`` adds) as a strict left fold."""
+    for _ in range(count):
+        total += step
+    return total
 
 
 class _Hop:
@@ -477,7 +484,7 @@ class Simulation:
         failures, recoveries, link degradations, replan applications —
         into the event loop.
         """
-        if when < self._now - 1e-9:
+        if not when >= self._now - 1e-9:  # also rejects NaN
             raise SimulationError(
                 f"event 'env' scheduled in the past ({when} < {self._now})"
             )
@@ -1207,11 +1214,12 @@ class Simulation:
 
         Settles the hedge race on a first token, records the token
         (request, tenancy, global timeline), and then finishes the
-        request, fast-forwards a closed window (only when ``closed``: the
-        caller holds no further deliveries or scratch hops), or transmits
-        the decode re-entry. Returns the re-entry's bare ``K_HOP`` heap
-        event for the caller to schedule, or ``None`` (a stale work, a
-        finish, or a fast-forward — the heap may have changed).
+        request or transmits the decode re-entry. When ``closed`` (the
+        caller holds no further deliveries or scratch hops) a closed
+        window first commits whole rounds through the fast-forward, and
+        the re-entry opens the first round it could not commit. Returns
+        the re-entry's bare ``K_HOP`` heap event for the caller to
+        schedule, or ``None`` (a stale work or a finish).
         """
         owner = work.owner
         if self._disrupted and not (
@@ -1263,15 +1271,18 @@ class Simulation:
             and not any(hop.executor.busy for hop in owner.hops)
         ):
             # Closed window: the sole live request decodes over idle
-            # executors — fast-forward it without the event loop until it
-            # finishes or the next scheduled event (an arrival, churn, a
-            # stale completion) is due. The trigger is deliberately this
-            # narrow: widening it to any request with quiescent executors
-            # scans the pipeline on every token; on the geo-online
-            # benchmark it fast-forwarded no more tokens and ran no faster
-            # (0.95-0.99x in interleaved runs, 2-core Xeon).
-            self._fast_forward(owner)
-            return None
+            # executors — commit its whole rounds without the event loop
+            # until it finishes or the next scheduled event (an arrival,
+            # churn, a stale completion) is due; the re-entry below opens
+            # the first round it could not commit. The trigger is
+            # deliberately this narrow: widening it to any request with
+            # quiescent executors scans the pipeline on every token; on
+            # the geo-online benchmark it fast-forwarded no more tokens
+            # and ran no faster (0.95-0.99x in interleaved runs, 2-core
+            # Xeon).
+            if self._fast_forward(owner):
+                return None
+            t = self._now
         # Decode re-entry: the coordinator ships one token id back to the
         # first stage (inline transmit).
         channel = owner.entry_channel
@@ -1312,170 +1323,112 @@ class Simulation:
         self.grouped_hops += hops
         scratch.clear()
 
-    def _fast_forward(self, owner: _ActiveRequest) -> None:
-        """Run the decode of the sole live request inline (macro-step).
+    def _fast_forward(self, owner: _ActiveRequest) -> bool:
+        """Commit whole decode rounds of the sole live request (macro-step).
 
         Preconditions (checked by the caller): exactly one live request,
         empty pending queue, empty scratch, all of the request's executors
-        idle, and current time at its just-emitted token. Until the next heap
-        event is due, the system is closed: the only thing that can happen
-        is this request's own iteration chain. The loop performs the
-        identical float operations, in the identical order, as the event
-        path would — entry transmit, per-hop batch and forward, token
-        delivery — and allocates the identical event sequence numbers, so
-        the results (including exact-time tie ordering afterwards) are
-        bit-identical; it merely skips the heap, the dispatch, and the
-        queue bookkeeping, none of which can be observed inside the
-        window. On reaching the boundary — the next heap event's time, or
-        the horizon — it stops mid-chain and re-materializes the one
-        in-flight event back into the heap.
+        idle, and current time at its just-emitted token. Until the next
+        heap event is due the system is closed: the only thing that can
+        happen is this request's own iteration chain. A round — entry
+        transmit, per-hop batch and forward, token delivery — is committed
+        only when no channel on it would queue (every queueing term is then
+        exactly ``0.0``) and its token lands strictly before the next heap
+        event and within the horizon; the chain is nondecreasing inside a
+        round, so the token bounds every event in it. A committed round
+        performs the identical float operations, in the identical order,
+        as the event path and advances the sequence counter by its exact
+        allocation, so the results (including exact-time tie ordering
+        afterwards) are bit-identical. Returns True when the request
+        finished; otherwise the caller transmits the next re-entry and the
+        event loop runs the round that could not be committed.
         """
         events = self._events
         limit = events[0][0] if events else math.inf
         record = owner.record
+        notify = self._notify_progress
+        tenancy = self._tenancy
+        if tenancy is None and not notify:
+            # Long windows commit through numpy folds first; per-token
+            # tenant accounting and progress callbacks are order-sensitive,
+            # so with either configured every round stays scalar.
+            self._vec_fast_forward(owner, limit)
         hops = owner.hops
+        depth = len(hops)
         entry = owner.entry_channel
         token_bytes = self._token_bytes
         abpt = self._abpt
-        timeline = self._timeline
-        notify = self._notify_progress
-        notify_fn = self.scheduler.notify_node_progress
         max_time = self.max_time
+        trans_e = token_bytes / entry.bandwidth
+        lat_e = entry.latency
+        steps = []
+        for hop in hops:
+            ch = hop.channel
+            nb = token_bytes if hop.final else abpt
+            steps.append((hop.decode_time, nb / ch.bandwidth, ch.latency))
+        e_free = entry.next_free_time
+        free = [hop.channel.next_free_time for hop in hops]
+        ends = [0.0] * depth
         token_times = record.token_times
-        decode_works = owner.decode_works
-        tenancy = self._tenancy
-        if tenancy is None and not notify:
-            # Macro-step whole decode rounds vectorized (guess-and-verify;
-            # bit-exact committed prefix). Per-token tenant accounting and
-            # progress callbacks are order-sensitive, so they stay scalar.
-            # The scalar loop below then handles the boundary round.
-            self._vec_fast_forward(owner, limit)
-            if record.tokens_generated >= owner.output_len:
-                self._finish(owner)
-                return
-        seq = self._seq
-        t = self._now
-        produced = 0
-        stopped = False
+        timeline = self._timeline
+        notify_fn = self.scheduler.notify_node_progress
         tenant_id = owner.request.tenant_id
-        while True:
-            # Coordinator ships the token id back to the first stage.
-            nf = entry.next_free_time
-            start = nf if nf > t else t
-            queueing = start - t
-            transmission = token_bytes / entry.bandwidth
-            end = start + transmission
-            entry.next_free_time = end
-            entry.bytes_sent += token_bytes
-            entry.messages_sent += 1
-            entry.total_queueing_delay += queueing
-            if queueing > entry.max_queueing_delay:
-                entry.max_queueing_delay = queueing
-            cur = end + entry.latency
-            arrival_seq = seq
-            seq += 1
-            if cur >= limit:
-                # The stage-0 arrival is not ours to run: re-materialize it.
-                heappush(events, (cur, arrival_seq, K_HOP, decode_works[0]))
-                stopped = True
-                break
-            if cur > max_time:
-                # The arrival would pop past the horizon; _now stays at
-                # the last processed event (the token at t).
-                self._halt = True
-                stopped = True
-                break
-            for hop in hops:
-                # Arrival at ``cur`` starts a single-work batch immediately
-                # (every executor is provably idle in the window).
-                executor = hop.executor
-                elapsed = hop.decode_time
+        t = self._now
+        rounds = 0
+        left = owner.output_len - record.tokens_generated
+        while rounds < left and e_free <= t:
+            e_end = t + trans_e
+            cur = e_end + lat_e
+            k = 0
+            for elapsed, trans, lat in steps:
                 completion = cur + elapsed
-                batch_seq = seq
-                seq += 1
-                if completion >= limit:
-                    executor.busy = True
-                    self._now = cur
-                    heappush(events, (
-                        completion, batch_seq, K_BATCH,
-                        (executor, executor.epoch,
-                         [decode_works[hop.stage_index]], elapsed,
-                         hop.decode_tl, 1),
-                    ))
-                    stopped = True
+                if free[k] > completion:
                     break
-                if completion > max_time:
-                    # The batch started but its completion never pops.
-                    executor.busy = True
-                    self._now = cur
-                    self._halt = True
-                    stopped = True
-                    break
-                stats = executor.stats
-                stats.batches += 1
-                stats.busy_time += elapsed
-                stats.token_layers += hop.decode_tl
-                stats.tokens += 1
-                if notify:
-                    notify_fn(hop.node_id, 1, elapsed)
-                pool = hop.pool
-                used = pool.used_tokens + 1
-                if used > pool.capacity_tokens:
-                    pool.overflow_events += 1
-                pool.used_tokens = used
-                if used > pool.peak_tokens:
-                    pool.peak_tokens = used
-                owner.done += 1
-                # Forward at the completion time.
-                num_bytes = token_bytes if hop.final else abpt
-                channel = hop.channel
-                nf = channel.next_free_time
-                start = nf if nf > completion else completion
-                queueing = start - completion
-                transmission = num_bytes / channel.bandwidth
-                end = start + transmission
-                channel.next_free_time = end
-                channel.bytes_sent += num_bytes
-                channel.messages_sent += 1
-                channel.total_queueing_delay += queueing
-                if queueing > channel.max_queueing_delay:
-                    channel.max_queueing_delay = queueing
-                cur = end + channel.latency
-                forward_seq = seq
-                seq += 1
-                if cur >= limit:
-                    self._now = completion
-                    heappush(events, (
-                        cur, forward_seq, K_TOKEN_ONE if hop.final else K_HOP,
-                        decode_works[hop.stage_index].next,
-                    ))
-                    stopped = True
-                    break
-                if cur > max_time:
-                    # The next arrival (stage or token) never pops.
-                    self._now = completion
-                    self._halt = True
-                    stopped = True
-                    break
-            if stopped:
+                end = completion + trans
+                ends[k] = end
+                cur = end + lat
+                k += 1
+            if k < depth or cur >= limit or cur > max_time:
                 break
-            # Token delivered to the coordinator at ``cur``.
+            e_free = e_end
+            free, ends = ends, free
+            if notify:
+                for hop in hops:
+                    notify_fn(hop.node_id, 1, hop.decode_time)
             t = cur
-            self._now = t
             token_times.append(t)
-            record.tokens_generated += 1
             if tenancy is not None:
                 tenancy.note_token(tenant_id, t)
-            self._last_token_time = t
             timeline.add(t)
-            produced += 1
-            if record.tokens_generated >= owner.output_len:
-                self._seq = seq
-                self.fast_forwarded_tokens += produced
-                self._finish(owner)
-                return
-        self._seq = seq
-        self.fast_forwarded_tokens += produced
+            rounds += 1
+        if rounds:
+            # Write back: every float counter is the left fold the event
+            # path would have performed round by round.
+            entry.next_free_time = e_free
+            entry.bytes_sent = _fold(entry.bytes_sent, token_bytes, rounds)
+            entry.messages_sent += rounds
+            for hop, (elapsed, _trans, _lat), end in zip(hops, steps, free):
+                ch = hop.channel
+                ch.next_free_time = end
+                nb = token_bytes if hop.final else abpt
+                ch.bytes_sent = _fold(ch.bytes_sent, nb, rounds)
+                ch.messages_sent += rounds
+                stats = hop.executor.stats
+                stats.batches += rounds
+                stats.busy_time = _fold(stats.busy_time, elapsed, rounds)
+                stats.token_layers += rounds * hop.decode_tl
+                stats.tokens += rounds
+                hop.pool.charge_run(rounds)
+            owner.done += depth * rounds
+            record.tokens_generated += rounds
+            self._now = t
+            self._last_token_time = t
+            self._seq += (1 + 2 * depth) * rounds
+            self.fast_forwarded_tokens += rounds
+        if record.tokens_generated >= owner.output_len:
+            self._finish(owner)
+            return True
+        return False
 
     def _vec_fast_forward(self, owner: _ActiveRequest, limit: float) -> int:
         """Macro-step whole decode rounds of a closed window at once.
@@ -1508,10 +1461,10 @@ class Simulation:
         strict left folds the scalar chain performs (``add.accumulate``
         for float accumulators; integer totals exactly), and the event
         sequence counter advances by the rounds' exact allocation count.
-        Returns the tokens produced; the caller's scalar loop handles
-        the boundary round (guess misses and saturated channels simply
-        end the committed prefix early — correctness never depends on
-        the guess being right).
+        Returns the tokens produced; the caller's scalar round loop
+        commits what it can of the rest (guess misses and saturated
+        channels simply end the committed prefix early — correctness
+        never depends on the guess being right).
         """
         record = owner.record
         rounds_left = owner.output_len - record.tokens_generated
@@ -2500,9 +2453,10 @@ class Simulation:
         fast-forward counters. ``grouped_hops`` counts the hops a batch
         or token drain forwarded while coalescing — in a group or, when
         alone on its channel, as a bare event; it stays 0 per-hop.
-        ``fast_forwarded_tokens`` (scalar loop) and
-        ``vec_fast_forwarded_tokens`` (vectorized rounds) are disjoint;
-        their sum is every token produced inside closed windows."""
+        ``fast_forwarded_tokens`` (rounds the scalar round loop
+        committed) and ``vec_fast_forwarded_tokens`` (rounds the
+        vectorized fast-forward committed) are disjoint; their sum is
+        every token a closed window produced without the event loop."""
         return {
             "events_popped": self.events_popped,
             "grouped_hops": self.grouped_hops,

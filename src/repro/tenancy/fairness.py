@@ -218,13 +218,9 @@ class WindowedFairnessTracker:
         ]
         return jain_index(ratios, any_demand=bool(demand))
 
-    def fairness_timeline(
-        self, end_time: float, step: float | None = None
-    ) -> list[tuple[float, float]]:
+    def fairness_timeline(self, end_time: float) -> list[tuple[float, float]]:
         """``(time, jain_index)`` samples over the run, one per window."""
-        step = self.config.window if step is None else step
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
+        step = self.config.window
         out: list[tuple[float, float]] = []
         t = step
         while t <= end_time + 1e-9:

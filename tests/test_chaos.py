@@ -230,6 +230,18 @@ class TestRequestPolicy:
         assert RequestPolicy().is_legacy
         assert not RequestPolicy(max_retries=3).is_legacy
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["deadline", "ttft_timeout", "hedge_after", "retry_backoff",
+         "backoff_factor", "jitter"],
+    )
+    def test_non_finite_knobs_are_rejected(self, field, value):
+        # A NaN deadline once lost every request, a NaN TTFT timeout never
+        # returned from run(), and a NaN hedge delay crashed mid-run.
+        with pytest.raises(ValueError, match=field):
+            RequestPolicy(**{field: value})
+
     def test_retry_delay_is_deterministic_and_backs_off(self):
         policy = RequestPolicy(retry_backoff=0.2, backoff_factor=2.0, jitter=0.5)
         d1 = policy.retry_delay("r0", 1)

@@ -204,6 +204,37 @@ class TestWarmVsColdMttr:
         assert_elastic_clean(warm_sim, warm_metrics)
         assert_elastic_clean(cold_sim, cold_metrics)
 
+    def test_failed_replan_retries_with_exponential_backoff(self):
+        """No spare: the lone survivor cannot hold 12 wide layers.
+
+        Every replan fails, so the controller retries twice, 0.5 s and
+        then 1 s after the previous attempt, and then waits for the next
+        event.
+        """
+        cluster = Cluster(name="elastic-no-spare")
+        cluster.add_node("t4-0", T4, region="region-0")
+        cluster.add_node("t4-1", T4, region="region-0")
+        cluster.connect_full_mesh(
+            ["t4-0", "t4-1"], 10 * GBIT, 0.001, include_coordinator=True
+        )
+        cluster.validate()
+        placement = ModelPlacement.from_intervals(
+            12, {"t4-0": (0, 6), "t4-1": (6, 12)}
+        )
+        controller = OnlineController(
+            _wide_model(), events=[NodeFailure(2.0, "t4-0")],
+            replan_lns_rounds=0,
+        )
+        sim = make_simulation(
+            cluster, _wide_model(), placement,
+            steady_trace(60, 0.1, input_len=16, output_len=4),
+            max_time=10.0, seed=0, controller=controller,
+        )
+        sim.run()
+        assert [(r.sim_time, r.status) for r in controller.replans] == [
+            (2.0, "failed"), (2.5, "failed"), (3.5, "failed"),
+        ]
+
 
 # ----------------------------------------------------------------------
 # Graceful drain

@@ -917,6 +917,23 @@ class TestScheduleValidation:
         with pytest.raises(ClusterError, match="negative time"):
             validate_schedule([NodeFailure(-1.0, "a100-0")], small_cluster)
 
+    def test_nan_time_rejected(self, small_cluster):
+        from repro.core.errors import ClusterError
+        from repro.online import validate_schedule
+
+        with pytest.raises(ClusterError):
+            validate_schedule([NodeFailure(math.nan, "a100-0")], small_cluster)
+
+    @pytest.mark.parametrize("when", [math.nan, -1.0])
+    def test_schedule_event_rejects_nan_and_past_times(
+        self, small_cluster, tiny_model, placement8, when
+    ):
+        sim = make_simulation(
+            small_cluster, tiny_model, placement8, [Request("r0", 16, 2)]
+        )
+        with pytest.raises(SimulationError, match="scheduled in the past"):
+            sim.schedule_event(when, lambda s: None)
+
     def test_unknown_node_rejected(self, small_cluster):
         from repro.core.errors import ClusterError
         from repro.online import validate_schedule

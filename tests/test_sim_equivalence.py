@@ -12,8 +12,9 @@ enforce that specification:
   (``tests/test_batch_engine.py`` extends the coalesced-vs-per-hop
   comparison to the chaos / elastic / tenant families);
 * a scripted closed-window scenario proves the fast-forward engages and
-  that a churn event lands mid-window, forcing invalidation (the window
-  re-materializes its in-flight hop and falls back to stepping);
+  that a churn event lands mid-window, forcing invalidation (the
+  fast-forward commits only the rounds before it, and the event loop
+  steps the round it cuts);
 * a Poisson trace cut mid-way by the horizon shows arrivals enter the
   event heap one at a time and leave all three engines equal;
 * the precomputed roofline constants are checked bit-for-bit against
