@@ -76,9 +76,10 @@ def test_fig6_single_cluster(benchmark, planner_cache, bench_trace, report, mode
         assert helix_off > swarm_off, "Helix must out-serve Swarm offline"
         assert helix_off > sp_off, "Helix must out-serve SP on LLaMA-70B"
     else:
-        # On 30B every type serves its own replicas; the serving gap is
-        # small at our scaled trace (see EXPERIMENTS.md deviations), so
-        # only a sanity band is asserted end to end.
+        # On 30B every type serves its own replicas, and the served
+        # decode order inverts the planned one (sp > swarm > helix at our
+        # scaled trace; ROADMAP item 3 tracks the miss), so only a sanity
+        # band is asserted end to end.
         assert helix_off > 0.7 * swarm_off
     factor_sp = helix_off / sp_off
     factor_swarm = helix_off / swarm_off

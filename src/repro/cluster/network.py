@@ -9,6 +9,7 @@ the flow-graph layer, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -31,13 +32,15 @@ class Link:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"self-loop link on {self.src!r}")
-        if self.bandwidth <= 0:
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError(
-                f"link {self.src!r}->{self.dst!r} must have positive bandwidth"
+                f"link {self.src!r}->{self.dst!r} must have finite positive "
+                f"bandwidth, got {self.bandwidth}"
             )
-        if self.latency < 0:
+        if not (math.isfinite(self.latency) and self.latency >= 0):
             raise ValueError(
-                f"link {self.src!r}->{self.dst!r} has negative latency"
+                f"link {self.src!r}->{self.dst!r} must have finite "
+                f"non-negative latency, got {self.latency}"
             )
 
     @property

@@ -1,11 +1,11 @@
 """Machine provenance stamping for benchmark artifacts.
 
 Every benchmark number is only comparable to another run if both
-record *where* they ran: the same sweep is 4x faster on an 8-core runner
-than on a 1-core container without either result being wrong. The stamp
-deliberately stays tiny — CPU model, logical core count, python version,
-platform string, and (when a worker pool produced the numbers) the worker
-count — so artifacts diff cleanly across machines.
+record *where* they ran: the same run is several times faster on a
+fast many-core runner than on a small container without either result
+being wrong. The stamp deliberately stays tiny — CPU model, logical core
+count, python version and platform string — so artifacts diff cleanly
+across machines.
 """
 
 from __future__ import annotations
@@ -39,18 +39,11 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def machine_stamp(workers: int | None = None) -> dict:
-    """The provenance dict stamped into every benchmark artifact.
-
-    Args:
-        workers: Worker-pool size that produced the numbers; ``None`` for
-            single-process benchmarks (recorded as 1 — the honest answer
-            for comparing against a parallel run of the same sweep).
-    """
+def machine_stamp() -> dict:
+    """The provenance dict stamped into every benchmark artifact."""
     return {
         "cpu_model": cpu_model(),
         "cpu_count": cpu_count(),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "workers": 1 if workers is None else int(workers),
     }

@@ -33,6 +33,7 @@ everything.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -67,14 +68,18 @@ class FairnessConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("W", "T"):
             raise ValueError(f"fairness mode must be 'W' or 'T', got {self.mode!r}")
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(
+                f"window must be finite and positive, got {self.window}"
+            )
         if self.backlog_windows < 1:
             raise ValueError(
                 f"backlog_windows must be >= 1, got {self.backlog_windows}"
             )
-        if self.slo_weight < 0:
-            raise ValueError(f"slo_weight must be >= 0, got {self.slo_weight}")
+        if not (math.isfinite(self.slo_weight) and self.slo_weight >= 0):
+            raise ValueError(
+                f"slo_weight must be finite and >= 0, got {self.slo_weight}"
+            )
         if self.selector not in ("deficit", "priority"):
             raise ValueError(
                 f"selector must be 'deficit' or 'priority', got {self.selector!r}"

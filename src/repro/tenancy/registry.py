@@ -13,6 +13,7 @@ tenant only adds its deltas).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -86,13 +87,16 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.tenant_id:
             raise ValueError("tenant_id must be non-empty")
-        if self.rate_share <= 0:
+        if not (math.isfinite(self.rate_share) and self.rate_share > 0):
             raise ValueError(
-                f"rate_share must be positive, got {self.rate_share}"
+                f"rate_share must be finite and positive, got {self.rate_share}"
             )
-        if self.adapter_bytes_per_layer < 0:
+        if not (
+            math.isfinite(self.adapter_bytes_per_layer)
+            and self.adapter_bytes_per_layer >= 0
+        ):
             raise ValueError(
-                "adapter_bytes_per_layer must be >= 0, got "
+                "adapter_bytes_per_layer must be finite and >= 0, got "
                 f"{self.adapter_bytes_per_layer}"
             )
 

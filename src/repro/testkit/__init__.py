@@ -22,7 +22,6 @@ from repro.testkit.harness import (
     plan_scenario,
     run_scenario,
     verify_scenario,
-    verify_scenario_record,
 )
 from repro.testkit.invariants import (
     SchedulerAuditor,
@@ -59,5 +58,4 @@ __all__ = [
     "random_placements",
     "run_scenario",
     "verify_scenario",
-    "verify_scenario_record",
 ]

@@ -15,9 +15,6 @@ failure text always carries the one-line repro command.
 from __future__ import annotations
 
 import hashlib
-import math
-import time
-import traceback
 from dataclasses import dataclass, field, replace
 
 from repro.bench.runner import make_planner, make_scheduler
@@ -139,10 +136,10 @@ def plan_scenario(scenario: Scenario) -> tuple[str, PlannerResult]:
     """Plan a scenario and return ``(method, result)`` without running it.
 
     The planner search is deterministic per address, so callers evaluating
-    the *same* scenario under several scheduling policies (a policy-grid
-    experiment) can plan once, serialize the placement intervals, and
-    replay them through :func:`run_scenario`'s ``plan`` argument instead
-    of re-running the search per policy cell.
+    the *same* scenario under several scheduling policies can plan once,
+    keep the placement intervals, and replay them through
+    :func:`run_scenario`'s ``plan`` argument instead of re-running the
+    search per policy.
     """
     method, _, result = _plan(scenario)
     return method, result
@@ -151,10 +148,9 @@ def plan_scenario(scenario: Scenario) -> tuple[str, PlannerResult]:
 def placement_intervals(result: PlannerResult) -> dict[str, tuple[int, int]]:
     """The plain ``{node_id: (start, end)}`` form of a planned placement.
 
-    This is the picklable currency of the experiment harness's per-process
-    plan cache: intervals survive process boundaries and fresh scenario
-    generations, unlike the planner/flow objects bound to one cluster
-    instance.
+    Intervals survive fresh scenario generations, unlike the planner and
+    flow objects bound to one cluster instance, so they are what a cached
+    plan keeps.
     """
     return {
         node_id: (stage.start, stage.end)
@@ -218,7 +214,7 @@ def run_scenario(
             per-hop reference path. Every invariant must hold either way.
         plan: Cached ``(method, intervals)`` from an earlier
             :func:`plan_scenario` of the same address, to skip the
-            placement search (policy-grid cells evaluate one plan under
+            placement search (a policy sweep evaluates one plan under
             several schedulers).
     """
     report = ScenarioReport(scenario=scenario)
@@ -399,7 +395,7 @@ def verify_scenario(
         flow_differential: Cross-validate ``FlowGraph.reevaluate`` against
             fresh rebuilds on seeded random placements of this scenario.
         scheduler: Scheduling-policy override (``None`` = the scenario's
-            own draw) — policy-grid experiments sweep this axis.
+            own draw) — the nightly policy sweep varies this axis.
         plan: Cached ``(method, intervals)`` plan hint, forwarded to
             :func:`run_scenario` on every (re)play.
     """
@@ -425,121 +421,6 @@ def verify_scenario(
                 f"{replay.fingerprint[:12]})",
             ))
     return report
-
-
-def _finite(value: float | None) -> float | None:
-    """NaN/inf -> ``None`` so records serialize as strict RFC-8259 JSON."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def verify_scenario_record(
-    family: str,
-    seed: int,
-    size: str = "full",
-    milp_oracles: bool = False,
-    determinism: bool = True,
-    flow_differential: bool = True,
-    scheduler: str | None = None,
-    plan: tuple[str, dict[str, tuple[int, int]]] | None = None,
-) -> dict:
-    """One sweep cell as a pure, picklable function returning plain JSON.
-
-    This is the experiment harness's unit of work: everything the sweep
-    aggregators consume (status, fingerprint, counters, per-family
-    telemetry) lands in one JSON-serializable dict, and any crash inside
-    the address is converted to a ``sweep_crash`` violation so a worker
-    never takes the whole sweep down with it. Importable and callable at
-    module top level — :mod:`multiprocessing` workers can pickle it.
-    """
-    from repro.testkit.differential import check_milp_oracles
-
-    started = time.perf_counter()
-    repro = (
-        "PYTHONPATH=src python -m repro.testkit "
-        f"{family} {seed} --size {size}"
-    )
-    record: dict = {
-        "family": family,
-        "seed": seed,
-        "size": size,
-        "planner": "?",
-        "planned_throughput": 0.0,
-        "fingerprint": "",
-        "repro": repro,
-    }
-    if scheduler is not None:
-        record["scheduler"] = scheduler
-    try:
-        report = verify_scenario(
-            family, seed, size,
-            determinism=determinism, flow_differential=flow_differential,
-            scheduler=scheduler, plan=plan,
-        )
-        violations = list(report.violations)
-        if milp_oracles:
-            violations += check_milp_oracles(family, seed, size)
-        record["planner"] = report.planner_used
-        record["planned_throughput"] = report.planned_throughput
-        record["fingerprint"] = report.fingerprint
-        record["repro"] = report.scenario.repro_command()
-        metrics = report.metrics
-        if metrics is not None:
-            record["counters"] = {
-                "submitted": metrics.requests_submitted,
-                "finished": metrics.requests_finished,
-                "shed": metrics.requests_shed,
-                "lost": metrics.requests_lost,
-            }
-            record["decode_throughput"] = _finite(metrics.decode_throughput)
-        disruption = report.disruption
-        if disruption is not None:
-            record["disruption"] = {
-                "mttd_mean_s": _finite(disruption.mttd_mean),
-                "mttd_max_s": _finite(disruption.mttd_max),
-                "mttr_s": _finite(disruption.mttr),
-                "time_to_recovery_s": _finite(disruption.time_to_recovery),
-                "recovery_ratio": _finite(disruption.recovery_ratio),
-                "false_positives": disruption.false_positives,
-            }
-        if report.elasticity is not None:
-            elasticity = dict(report.elasticity)
-            elasticity["autoscaler_actions"] = [
-                list(action) for action in elasticity["autoscaler_actions"]
-            ]
-            record["elasticity"] = elasticity
-        if report.tenancy is not None:
-            per_tenant = report.tenancy["per_tenant"]
-            record["tenancy"] = {
-                "tenants": len(per_tenant),
-                "fairness_index": _finite(report.tenancy["fairness_index"]),
-                "starvation_events": report.tenancy["starvation_events"],
-                "shed_by_priority": {
-                    str(priority): count
-                    for priority, count
-                    in report.tenancy["shed_by_priority"].items()
-                },
-                "kv_samples": report.tenancy["kv_samples"],
-                "slo_pairs": len(per_tenant),
-                "slo_met": sum(
-                    1 for tm in per_tenant.values() if tm.slo_met
-                ),
-            }
-    except Exception:  # noqa: BLE001 — a cell must never kill the sweep
-        violations = [Violation(
-            "sweep_crash",
-            f"unhandled exception:\n{traceback.format_exc()}",
-        )]
-    record["ok"] = not violations
-    if violations:
-        record["violations"] = [
-            {"invariant": v.invariant, "detail": v.detail}
-            for v in violations
-        ]
-    record["seconds"] = round(time.perf_counter() - started, 3)
-    return record
 
 
 def assert_scenario_ok(report: ScenarioReport) -> None:

@@ -8,7 +8,8 @@ The acceptance criteria of the robustness PR, as tier-1 smoke tests:
   holds on chaos scenario addresses;
 * goodput recovers to >= 75% of its pre-fault level after detection;
 * a default-constructed :class:`RequestPolicy` is bit-identical to the
-  legacy (no-policy) semantics.
+  legacy (no-policy) semantics;
+* the chaos sweep headline (seeds 0-24 at full size) is pinned exactly.
 """
 
 import math
@@ -568,3 +569,41 @@ class TestChaosScenarios:
             assert scenario.churn, "chaos scenarios must inject faults"
             hit_policy = hit_policy or scenario.policy is not None
         assert hit_policy
+
+
+# ----------------------------------------------------------------------
+# Chaos sweep headline (simulated time, so exact on every machine)
+# ----------------------------------------------------------------------
+def test_chaos_sweep_headline_is_pinned():
+    """Seeds 0-24 of the chaos family at full size, aggregated.
+
+    Detection (MTTD), recovery (MTTR, goodput ratio), false positives and
+    request accounting are all simulated-time quantities: a change that
+    moves any of them changes the model's behaviour and must say so by
+    re-pinning here.
+    """
+    reports = [verify_scenario("chaos", seed, "full") for seed in range(25)]
+    for report in reports:
+        assert_scenario_ok(report)
+    disruptions = [report.disruption for report in reports]
+    detected = [d for d in disruptions if math.isfinite(d.mttd_mean)]
+    recoveries = [
+        d.time_to_recovery for d in disruptions
+        if math.isfinite(d.time_to_recovery)
+    ]
+    ratios = [
+        d.recovery_ratio for d in disruptions
+        if math.isfinite(d.recovery_ratio)
+    ]
+    metrics = [report.metrics for report in reports]
+
+    assert len(detected) == 19
+    assert round(sum(d.mttd_mean for d in detected) / 19, 4) == 3.5768
+    assert round(max(d.mttd_max for d in detected), 4) == 3.6226
+    assert round(sum(recoveries) / len(recoveries), 4) == 1.9839
+    assert round(sum(ratios) / len(ratios), 4) == 0.8979
+    assert sum(d.false_positives for d in disruptions) == 0
+    assert sum(m.requests_submitted for m in metrics) == 1873
+    assert sum(m.requests_finished for m in metrics) == 1873
+    assert sum(m.requests_shed for m in metrics) == 0
+    assert sum(m.requests_lost for m in metrics) == 0

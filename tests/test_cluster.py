@@ -68,6 +68,29 @@ class TestLink:
         with pytest.raises(ValueError, match="bandwidth"):
             Link("a", "b", 0.0)
 
+    @pytest.mark.parametrize("bandwidth,latency", [
+        (float("nan"), 0.0),
+        (float("inf"), 0.0),
+        (1e9, float("nan")),
+        (1e9, float("inf")),
+        (1e9, -1.0),
+    ])
+    def test_non_finite_or_negative_rejected(self, bandwidth, latency):
+        with pytest.raises(ValueError, match="finite"):
+            Link("a", "b", bandwidth, latency)
+        cluster = Cluster()
+        cluster.add_node("n0", T4)
+        cluster.add_node("n1", T4)
+        with pytest.raises(ValueError, match="finite"):
+            cluster.connect("n0", "n1", bandwidth, latency)
+        if latency == 0.0:
+            # A bandwidth update keeps the link's latency: only a bad
+            # bandwidth reaches it.
+            cluster.connect("n0", "n1", 1e9, 0.001)
+            with pytest.raises(ValueError, match="finite"):
+                cluster.set_link_bandwidth("n0", "n1", bandwidth)
+            assert cluster.link("n0", "n1").bandwidth == 1e9
+
     def test_transmission_time(self):
         link = Link("a", "b", bandwidth=1000.0, latency=0.5)
         assert link.transmission_time(500) == pytest.approx(0.5)

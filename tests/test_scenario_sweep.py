@@ -6,8 +6,9 @@ where the draw includes it) — with all cross-layer invariants, the
 determinism check. Any failure message ends with the exact
 ``python -m repro.testkit <family> <seed>`` command that replays it.
 
-The extended many-seed sweep is ``python -m repro.exp run scenario-sweep
---seeds 25 --size full``, run by the scheduled CI job.
+The many-seed sweeps (25 seeds at full size, the MILP oracles, the
+fast-path differential and the scheduler grid) are
+``benchmarks/bench_sweeps.py``, run by the nightly CI job.
 """
 
 import pytest
