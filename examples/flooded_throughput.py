@@ -73,15 +73,11 @@ def main() -> None:
     # 4. Report: serving metrics plus the engine's own telemetry.
     generated = sum(r.tokens_generated for r in simulation.records)
     stats = simulation.engine_stats
-    fast_forwarded = (
-        stats["fast_forwarded_tokens"] + stats["vec_fast_forwarded_tokens"]
-    )
     print(f"\nsimulated {simulation.now:,.0f}s of serving in {wall:.1f}s wall")
     print(f"  {generated / wall:,.0f} simulated tokens per wall-second")
     print(f"  {stats['events_popped']:,} events popped "
           f"({stats['events_popped'] / max(1, generated):.2f} per token), "
-          f"{stats['grouped_hops']:,} hops coalesced, "
-          f"{fast_forwarded:,} tokens fast-forwarded")
+          f"{stats['grouped_hops']:,} hops coalesced")
     print(f"\nserving: {metrics.summary()}")
     print("top congested links:")
     for row in congestion_report(simulation, top=3):

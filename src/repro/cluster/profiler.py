@@ -23,6 +23,7 @@ its testbed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,6 +88,26 @@ class Profiler:
     reference_batch: int = 64
     weight_fraction: float = 0.5
     kv_capacity_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("mfu", "bandwidth_efficiency", "weight_fraction"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and 0.0 < value <= 1.0):
+                raise ValueError(f"{name} must be in (0, 1], got {value}")
+        overhead = self.batch_overhead
+        if not (math.isfinite(overhead) and overhead >= 0.0):
+            raise ValueError(
+                f"batch_overhead must be finite and >= 0, got {overhead}"
+            )
+        if not self.reference_batch >= 1:
+            raise ValueError(
+                f"reference_batch must be >= 1, got {self.reference_batch}"
+            )
+        scale = self.kv_capacity_scale
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError(
+                f"kv_capacity_scale must be finite and > 0, got {scale}"
+            )
 
     # ------------------------------------------------------------------
     # Node-side constants

@@ -43,26 +43,6 @@ class KVCachePool:
         self.peak_tokens = max(self.peak_tokens, self.used_tokens)
         return not overflowed
 
-    def charge_run(self, tokens: int) -> None:
-        """Charge a decode run of ``tokens`` single-token allocations.
-
-        Equivalent to ``tokens`` calls of ``allocate(1)`` folded into one
-        update: the overflow counter advances by how many of those
-        single-token allocations would have landed past capacity
-        (``min(tokens, used_after - capacity)`` when positive), and the
-        peak is taken once at the end — the running maximum of a
-        monotonically growing occupancy is its final value. The
-        simulator's vectorized fast-forward charges through it; it must
-        stay observably identical to the per-token loop.
-        """
-        used = self.used_tokens + tokens
-        over = used - self.capacity_tokens
-        if over > 0:
-            self.overflow_events += tokens if over > tokens else over
-        self.used_tokens = used
-        if used > self.peak_tokens:
-            self.peak_tokens = used
-
     def free(self, tokens: int) -> None:
         """Release ``tokens`` (clamped at zero)."""
         if tokens < 0:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as _np
-
 
 @dataclass
 class RequestRecord:
@@ -399,29 +397,6 @@ class TokenTimeline:
             counts.extend([0] * (index + 1 - len(counts)))
         counts[index] += 1
         self.count += 1
-
-    def add_many(self, times) -> None:
-        """Bulk-fold a sorted-or-not array of emission times.
-
-        Semantically identical to calling :meth:`add` once per element
-        (bucket indices are the same ``int(t * 1/resolution)`` truncation
-        and counts are integers, so the fold is exact); one
-        ``numpy.bincount`` over the touched bucket range replaces the
-        per-token Python loop. The vectorized fast-forward writes its
-        committed rounds through it.
-        """
-        buckets = (_np.asarray(times) * self._inv).astype(_np.int64)
-        if buckets.size == 0:
-            return
-        counts = self._counts
-        lo = int(buckets.min())
-        hi = int(buckets.max())
-        if hi >= len(counts):
-            counts.extend([0] * (hi + 1 - len(counts)))
-        for offset, added in enumerate(_np.bincount(buckets - lo).tolist()):
-            if added:
-                counts[lo + offset] += added
-        self.count += int(buckets.size)
 
     def bucket_counts(self) -> list[int]:
         """Token counts per bucket (bucket i covers ``[i*r, (i+1)*r)``)."""

@@ -53,17 +53,6 @@ testing and benchmarking):
   trace request up front but keeps only the next arrival in the heap
   (popping arrival *i* pushes arrival *i + 1*), so the heap holds the
   live work rather than the whole future trace.
-* **Closed-window fast-forward.** When exactly one request is live, the
-  pending queue is empty, and its executors are idle, nothing can happen
-  before the next scheduled heap event except the request's own decode
-  chain: whole decode rounds are committed in one tight loop (one
-  macro-step) with no heap traffic at all, as long as no channel would
-  queue and the round's token lands before the next event and within
-  the ``max_time`` horizon. Without tenancy or a progress hook, long
-  windows first commit through numpy folds
-  (:meth:`Simulation._vec_fast_forward`, guess-and-verify, bit-exact
-  committed prefix). The round that cannot be committed is not special:
-  the re-entry is transmitted as usual and the event loop steps it.
 * **Bounded timeline.** The global token timeline accumulates into
   fixed-width buckets (:class:`~repro.sim.metrics.TokenTimeline`) online
   instead of appending one float per token forever.
@@ -84,8 +73,6 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable
-
-import numpy as _np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import COORDINATOR
@@ -114,39 +101,18 @@ K_ENV = 4        #: an environment callback (online dynamics)
 K_HOP = 5        #: one bare StageWork reaches its stage
 K_TOKEN_ONE = 6  #: one bare StageWork delivers a token to the coordinator
 
-#: Minimum number of decode rounds worth the numpy setup cost in the
-#: vectorized fast-forward.
-_VEC_MIN = 16
-
-
-def _fold(total: float, step: float, count: int) -> float:
-    """``total + step + ... + step`` (``count`` adds) as a strict left fold."""
-    for _ in range(count):
-        total += step
-    return total
-
 
 class _Hop:
-    """One resolved pipeline hop: everything the hot loop needs, no dicts.
+    """One resolved pipeline hop: everything the hot loop needs, no dicts."""
 
-    ``decode_time`` caches the single-token batch time on this hop's
-    executor (same expression and association order as
-    ``Profiler.batch_time``, so it is bit-identical); ``decode_tl`` is the
-    matching integer token-layer count.
-    """
+    __slots__ = ("executor", "pool", "node_id", "channel", "final")
 
-    __slots__ = (
-        "executor", "pool", "node_id", "channel", "final", "stage_index",
-        "decode_time", "decode_tl",
-    )
-
-    def __init__(self, executor, pool, node_id, channel, final, stage_index):
+    def __init__(self, executor, pool, node_id, channel, final):
         self.executor = executor
         self.pool = pool
         self.node_id = node_id
         self.channel = channel
         self.final = final
-        self.stage_index = stage_index
 
 
 class _HopGroup:
@@ -260,8 +226,9 @@ class Simulation:
         max_batch_tokens: Per-batch token cap on every node (bounds the
             batch latency of flooded offline runs).
         max_time: Simulation horizon in seconds; events beyond it are not
-            processed.
-        warmup: Seconds excluded from the measurement window.
+            processed. Must exceed ``warmup``; ``math.inf`` is unbounded.
+        warmup: Seconds excluded from the measurement window (finite,
+            >= 0).
         seed: Top-level seed recorded for the run. The simulation itself is
             deterministic; thread the *same* seed into the trace and churn
             generators (``random_churn(..., seed=...)``) so one value
@@ -270,11 +237,10 @@ class Simulation:
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.
         coalescing: Enable hop-group events (hops sharing a channel ride
-            one heap event) and the closed-window decode fast-forward.
-            ``False`` forces one bare heap event per hop — the
-            bit-identical per-token reference the differential suite
-            compares against. Results are identical
-            either way; only the wall-clock speed differs.
+            one heap event). ``False`` forces one bare heap event per
+            hop — the bit-identical per-token reference the differential
+            suite compares against. Results are identical either way;
+            only the wall-clock speed differs.
         residency: Optional :class:`~repro.sim.residency.ResidencyConfig`.
             When set, nodes track which model layers actually live in
             their VRAM: a node that (re)joins the placement *warms up*
@@ -314,6 +280,14 @@ class Simulation:
     ) -> None:
         if not requests:
             raise SimulationError("request trace is empty")
+        if not (math.isfinite(warmup) and warmup >= 0.0):
+            raise SimulationError(
+                f"warmup must be finite and >= 0, got {warmup}"
+            )
+        if not max_time > warmup:  # also rejects NaN; inf is unbounded
+            raise SimulationError(
+                f"max_time must exceed warmup ({warmup}), got {max_time}"
+            )
         seen: set[str] = set()
         for request in requests:
             if request.request_id in seen:
@@ -439,12 +413,9 @@ class Simulation:
             type(scheduler).notify_node_progress
             is not Scheduler.notify_node_progress
         )
-        # Engine telemetry (for benchmarks and tests). The two token
-        # counters are disjoint: scalar vs. vectorized fast-forward.
+        # Engine telemetry (for benchmarks and tests).
         self.events_popped = 0
         self.grouped_hops = 0
-        self.fast_forwarded_tokens = 0
-        self.vec_fast_forwarded_tokens = 0
 
     def _bind_node(self, node_id: str) -> None:
         """Create (or re-create) the executor and KV pool for a used node."""
@@ -692,14 +663,8 @@ class Simulation:
                 raise SimulationError(
                     f"no link {key[0]!r}->{key[1]!r} for transmission"
                 )
-            hop = _Hop(executor, pool, node_id, channel, final, index)
+            hop = _Hop(executor, pool, node_id, channel, final)
             num_layers = stage.num_layers
-            hop.decode_tl = num_layers
-            hop.decode_time = (
-                num_layers / executor.compute_rate
-                + executor.weights_time
-                + executor.overhead
-            )
             hops.append(hop)
             prompt_works.append(StageWork(
                 rid, index, input_len, num_layers, True, attempt,
@@ -1165,7 +1130,7 @@ class Simulation:
             self._now = t
             work = works[i]
             i += 1
-            reentry = self._deliver_token(work, i == n and not scratch)
+            reentry = self._deliver_token(work)
             if reentry is not None and coalesce:
                 channel = work.owner.entry_channel
                 if channel is not r_channel:
@@ -1203,23 +1168,20 @@ class Simulation:
 
     def _on_token(self, work: StageWork) -> None:
         """A bare ``K_TOKEN_ONE`` event: one token reaches the coordinator."""
-        reentry = self._deliver_token(work, True)
+        reentry = self._deliver_token(work)
         if reentry is not None:
             heappush(self._events, reentry)
             if self._coalesce and not self._gray:
                 self.grouped_hops += 1
 
-    def _deliver_token(self, work: StageWork, closed: bool) -> tuple | None:
+    def _deliver_token(self, work: StageWork) -> tuple | None:
         """Emit one token at ``self._now``; both token handlers use this.
 
         Settles the hedge race on a first token, records the token
         (request, tenancy, global timeline), and then finishes the
-        request or transmits the decode re-entry. When ``closed`` (the
-        caller holds no further deliveries or scratch hops) a closed
-        window first commits whole rounds through the fast-forward, and
-        the re-entry opens the first round it could not commit. Returns
-        the re-entry's bare ``K_HOP`` heap event for the caller to
-        schedule, or ``None`` (a stale work or a finish).
+        request or transmits the decode re-entry. Returns the re-entry's
+        bare ``K_HOP`` heap event for the caller to schedule, or ``None``
+        (a stale work or a finish).
         """
         owner = work.owner
         if self._disrupted and not (
@@ -1262,27 +1224,6 @@ class Simulation:
         if record.tokens_generated >= owner.output_len:
             self._finish(owner)
             return None
-        if (
-            closed
-            and self._coalesce
-            and not self._gray
-            and not self._pending
-            and len(self._active) == 1
-            and not any(hop.executor.busy for hop in owner.hops)
-        ):
-            # Closed window: the sole live request decodes over idle
-            # executors — commit its whole rounds without the event loop
-            # until it finishes or the next scheduled event (an arrival,
-            # churn, a stale completion) is due; the re-entry below opens
-            # the first round it could not commit. The trigger is
-            # deliberately this narrow: widening it to any request with
-            # quiescent executors scans the pipeline on every token; on
-            # the geo-online benchmark it fast-forwarded no more tokens
-            # and ran no faster (0.95-0.99x in interleaved runs, 2-core
-            # Xeon).
-            if self._fast_forward(owner):
-                return None
-            t = self._now
         # Decode re-entry: the coordinator ships one token id back to the
         # first stage (inline transmit).
         channel = owner.entry_channel
@@ -1322,276 +1263,6 @@ class Simulation:
                 hops += len(entry.times)
         self.grouped_hops += hops
         scratch.clear()
-
-    def _fast_forward(self, owner: _ActiveRequest) -> bool:
-        """Commit whole decode rounds of the sole live request (macro-step).
-
-        Preconditions (checked by the caller): exactly one live request,
-        empty pending queue, empty scratch, all of the request's executors
-        idle, and current time at its just-emitted token. Until the next
-        heap event is due the system is closed: the only thing that can
-        happen is this request's own iteration chain. A round — entry
-        transmit, per-hop batch and forward, token delivery — is committed
-        only when no channel on it would queue (every queueing term is then
-        exactly ``0.0``) and its token lands strictly before the next heap
-        event and within the horizon; the chain is nondecreasing inside a
-        round, so the token bounds every event in it. A committed round
-        performs the identical float operations, in the identical order,
-        as the event path and advances the sequence counter by its exact
-        allocation, so the results (including exact-time tie ordering
-        afterwards) are bit-identical. Returns True when the request
-        finished; otherwise the caller transmits the next re-entry and the
-        event loop runs the round that could not be committed.
-        """
-        events = self._events
-        limit = events[0][0] if events else math.inf
-        record = owner.record
-        notify = self._notify_progress
-        tenancy = self._tenancy
-        if tenancy is None and not notify:
-            # Long windows commit through numpy folds first; per-token
-            # tenant accounting and progress callbacks are order-sensitive,
-            # so with either configured every round stays scalar.
-            self._vec_fast_forward(owner, limit)
-        hops = owner.hops
-        depth = len(hops)
-        entry = owner.entry_channel
-        token_bytes = self._token_bytes
-        abpt = self._abpt
-        max_time = self.max_time
-        trans_e = token_bytes / entry.bandwidth
-        lat_e = entry.latency
-        steps = []
-        for hop in hops:
-            ch = hop.channel
-            nb = token_bytes if hop.final else abpt
-            steps.append((hop.decode_time, nb / ch.bandwidth, ch.latency))
-        e_free = entry.next_free_time
-        free = [hop.channel.next_free_time for hop in hops]
-        ends = [0.0] * depth
-        token_times = record.token_times
-        timeline = self._timeline
-        notify_fn = self.scheduler.notify_node_progress
-        tenant_id = owner.request.tenant_id
-        t = self._now
-        rounds = 0
-        left = owner.output_len - record.tokens_generated
-        while rounds < left and e_free <= t:
-            e_end = t + trans_e
-            cur = e_end + lat_e
-            k = 0
-            for elapsed, trans, lat in steps:
-                completion = cur + elapsed
-                if free[k] > completion:
-                    break
-                end = completion + trans
-                ends[k] = end
-                cur = end + lat
-                k += 1
-            if k < depth or cur >= limit or cur > max_time:
-                break
-            e_free = e_end
-            free, ends = ends, free
-            if notify:
-                for hop in hops:
-                    notify_fn(hop.node_id, 1, hop.decode_time)
-            t = cur
-            token_times.append(t)
-            if tenancy is not None:
-                tenancy.note_token(tenant_id, t)
-            timeline.add(t)
-            rounds += 1
-        if rounds:
-            # Write back: every float counter is the left fold the event
-            # path would have performed round by round.
-            entry.next_free_time = e_free
-            entry.bytes_sent = _fold(entry.bytes_sent, token_bytes, rounds)
-            entry.messages_sent += rounds
-            for hop, (elapsed, _trans, _lat), end in zip(hops, steps, free):
-                ch = hop.channel
-                ch.next_free_time = end
-                nb = token_bytes if hop.final else abpt
-                ch.bytes_sent = _fold(ch.bytes_sent, nb, rounds)
-                ch.messages_sent += rounds
-                stats = hop.executor.stats
-                stats.batches += rounds
-                stats.busy_time = _fold(stats.busy_time, elapsed, rounds)
-                stats.token_layers += rounds * hop.decode_tl
-                stats.tokens += rounds
-                hop.pool.charge_run(rounds)
-            owner.done += depth * rounds
-            record.tokens_generated += rounds
-            self._now = t
-            self._last_token_time = t
-            self._seq += (1 + 2 * depth) * rounds
-            self.fast_forwarded_tokens += rounds
-        if record.tokens_generated >= owner.output_len:
-            self._finish(owner)
-            return True
-        return False
-
-    def _vec_fast_forward(self, owner: _ActiveRequest, limit: float) -> int:
-        """Macro-step whole decode rounds of a closed window at once.
-
-        Inside a fast-forward window each round applies the same chain of
-        float constants — entry transmit, per-hop batch / forward, token
-        delivery — to an evolving scalar time. Float addition is not
-        associative, so the sequence of token times cannot be collapsed
-        into one multiply; instead the chain is *replayed elementwise*:
-
-        1. run ONE reference round in plain float arithmetic (also
-           proving every channel starts free, i.e. zero queueing);
-        2. extrapolate candidate token times from its delta with one
-           ``np.add.accumulate``;
-        3. recompute the whole round chain elementwise over the
-           candidate start times — each numpy binary add performs the
-           identical IEEE operation the scalar loop would — and keep the
-           prefix where (a) the chain's output confirms the candidate it
-           was seeded from, (b) every channel stays free (its previous
-           end at or before its next start, so queueing is exactly
-           ``0.0`` and the ``+= 0.0`` / max updates are bit-exact
-           no-ops), and (c) the round's final token lands strictly
-           before the window limit and within the horizon (the chain is
-           nondecreasing inside a round, so the final token bounds every
-           intermediate checkpoint).
-
-        The committed prefix is therefore bit-identical to scalar
-        execution: token times come from the replayed chain itself (not
-        the guess), per-object counter updates collapse into the same
-        strict left folds the scalar chain performs (``add.accumulate``
-        for float accumulators; integer totals exactly), and the event
-        sequence counter advances by the rounds' exact allocation count.
-        Returns the tokens produced; the caller's scalar round loop
-        commits what it can of the rest (guess misses and saturated
-        channels simply end the committed prefix early — correctness
-        never depends on the guess being right).
-        """
-        record = owner.record
-        rounds_left = owner.output_len - record.tokens_generated
-        entry = owner.entry_channel
-        token_bytes = self._token_bytes
-        abpt = self._abpt
-        hops = owner.hops
-        depth = len(hops)
-        trans_e = token_bytes / entry.bandwidth
-        lat_e = entry.latency
-        consts = []
-        for hop in hops:
-            ch = hop.channel
-            nb = token_bytes if hop.final else abpt
-            consts.append(
-                (hop, ch, nb, nb / ch.bandwidth, ch.latency, hop.decode_time)
-            )
-        timeline = self._timeline
-        token_times = record.token_times
-        max_time = self.max_time
-        seq_per_round = 1 + 2 * depth
-        total = 0
-        t = self._now
-        while rounds_left - total >= _VEC_MIN:
-            # Reference round in plain float arithmetic; numpy scalar
-            # adds below perform the identical IEEE operations.
-            if entry.next_free_time > t:
-                break  # saturated entry: scalar handles the queueing
-            cur = (t + trans_e) + lat_e
-            free = True
-            for _hop, ch, _nb, trans, lat, elapsed in consts:
-                completion = cur + elapsed
-                if ch.next_free_time > completion:
-                    free = False
-                    break
-                cur = (completion + trans) + lat
-            if not free or cur >= limit or cur > max_time:
-                break
-            t1 = cur
-            R = rounds_left - total
-            if R > 8192:
-                R = 8192
-            cand = _np.empty(R)
-            cand[0] = t1
-            cand[1:] = t1 - t
-            guess = _np.add.accumulate(cand)
-            starts = _np.empty(R)
-            starts[0] = t
-            starts[1:] = guess[:-1]
-            p = R
-            e_end = starts + trans_e
-            viol = _np.flatnonzero(e_end[:-1] > starts[1:])
-            if viol.size:
-                v = int(viol[0]) + 1
-                if v < p:
-                    p = v
-            cur_a = e_end + lat_e
-            comps = []
-            ends = []
-            for _hop, ch, _nb, trans, lat, elapsed in consts:
-                comp = cur_a + elapsed
-                h_end = comp + trans
-                viol = _np.flatnonzero(h_end[:-1] > comp[1:])
-                if viol.size:
-                    v = int(viol[0]) + 1
-                    if v < p:
-                        p = v
-                comps.append(comp)
-                ends.append(h_end)
-                cur_a = h_end + lat
-            # Round r's chain is seeded from guess[r-1]; the chain output
-            # is the truth, so a guess/chain mismatch at r-1 invalidates
-            # rounds r onward (round r-1 itself is still exact).
-            bad = _np.flatnonzero(cur_a != guess)
-            if bad.size:
-                v = int(bad[0]) + 1
-                if v < p:
-                    p = v
-            cut = _np.flatnonzero(
-                (cur_a[:p] >= limit) | (cur_a[:p] > max_time)
-            )
-            if cut.size:
-                v = int(cut[0])
-                if v < p:
-                    p = v
-            if p < _VEC_MIN:
-                break
-            # ---- commit p full rounds ----
-            tok = cur_a[:p]
-            fold = _np.empty(p + 1)
-            fold[0] = entry.bytes_sent
-            fold[1:] = token_bytes
-            entry.bytes_sent = float(_np.add.accumulate(fold)[-1])
-            entry.messages_sent += p
-            entry.next_free_time = float(e_end[p - 1])
-            for (hop, ch, nb, _trans, _lat, elapsed), comp, h_end in zip(
-                consts, comps, ends
-            ):
-                executor = hop.executor
-                stats = executor.stats
-                stats.batches += p
-                fold[0] = stats.busy_time
-                fold[1:] = elapsed
-                stats.busy_time = float(_np.add.accumulate(fold)[-1])
-                # Integer-valued float totals: every partial sum of the
-                # scalar chain is integral, so one add is exact.
-                stats.token_layers += float(p * hop.decode_tl)
-                stats.tokens += float(p)
-                hop.pool.charge_run(p)
-                fold[0] = ch.bytes_sent
-                fold[1:] = nb
-                ch.bytes_sent = float(_np.add.accumulate(fold)[-1])
-                ch.messages_sent += p
-                ch.next_free_time = float(h_end[p - 1])
-            owner.done += depth * p
-            token_times.extend(tok.tolist())
-            record.tokens_generated += p
-            timeline.add_many(tok)
-            self._seq += seq_per_round * p
-            t = float(tok[p - 1])
-            self._now = t
-            self._last_token_time = t
-            total += p
-            if p < R:
-                break  # cut short: the scalar loop takes over from t
-        self.vec_fast_forwarded_tokens += total
-        return total
 
     def _finish(self, active: _ActiveRequest) -> None:
         record = active.record
@@ -1897,9 +1568,8 @@ class Simulation:
         """A node silently computes ``factor`` times slower (1.0 = healthy).
 
         Nothing is announced: the scheduler keeps its cost model and the
-        planner its constants — exactly the straggler gray failure. Hop
-        tables of live attempts re-cache the node's decode time so future
-        iterations (including fast-forwarded ones) price correctly.
+        planner its constants — exactly the straggler gray failure.
+        Batches started from now on price at the slowed compute rate.
         """
         if not (math.isfinite(factor) and factor > 0):
             raise SimulationError(
@@ -1912,14 +1582,6 @@ class Simulation:
                 f"node {node_id!r} holds no layers; cannot straggle"
             )
         executor.set_slowdown(factor)
-        for active in self._active.values():
-            for hop in active.hops:
-                if hop.executor is executor:
-                    hop.decode_time = (
-                        hop.decode_tl / executor.compute_rate
-                        + executor.weights_time
-                        + executor.overhead
-                    )
 
     def set_link_flaky(
         self,
@@ -1961,12 +1623,11 @@ class Simulation:
         """A flaky link heals.
 
         Once the *last* live fault object is gone, gray mode unlatches:
-        coalescing and the fast-forward come back on. That is safe
-        because fault delays only perturb *future* arrivals — everything
-        already in the heap was priced when its fault (if any) was live,
-        and with no fault remaining, new hop groups are sorted again. A
-        differential test asserts post-heal timelines are unchanged
-        against a per-hop run.
+        coalescing comes back on. That is safe because fault delays only
+        perturb *future* arrivals — everything already in the heap was
+        priced when its fault (if any) was live, and with no fault
+        remaining, new hop groups are sorted again. A differential test
+        asserts post-heal timelines are unchanged against a per-hop run.
         """
         keys = [(src, dst)]
         if bidirectional:
@@ -2449,19 +2110,17 @@ class Simulation:
 
     @property
     def engine_stats(self) -> dict[str, int]:
-        """Hot-loop telemetry: events popped, grouped hops, and the
-        fast-forward counters. ``grouped_hops`` counts the hops a batch
-        or token drain forwarded while coalescing — in a group or, when
-        alone on its channel, as a bare event; it stays 0 per-hop.
-        ``fast_forwarded_tokens`` (rounds the scalar round loop
-        committed) and ``vec_fast_forwarded_tokens`` (rounds the
-        vectorized fast-forward committed) are disjoint; their sum is
-        every token a closed window produced without the event loop."""
+        """Hot-loop telemetry: events popped and grouped hops.
+        ``grouped_hops`` counts the hops a batch or token drain forwarded
+        while coalescing — in a group or, when alone on its channel, as a
+        bare event; it stays 0 per-hop."""
         return {
             "events_popped": self.events_popped,
             "grouped_hops": self.grouped_hops,
-            "fast_forwarded_tokens": self.fast_forwarded_tokens,
-            "vec_fast_forwarded_tokens": self.vec_fast_forwarded_tokens,
+            # Every token goes through the event loop; the benchmark
+            # ledger still reads these two keys.
+            "fast_forwarded_tokens": 0,
+            "vec_fast_forwarded_tokens": 0,
         }
 
     @property

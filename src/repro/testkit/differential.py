@@ -337,7 +337,7 @@ def _run_engine(family: str, seed: int, size: str, engine: str):
 
     ``engine`` is ``"legacy"`` (the frozen pre-overhaul loop), ``"hop"``
     (the current engine), or ``"perhop"`` (the current engine with
-    coalescing disabled — one heap event per hop, no fast-forward). Every
+    coalescing disabled — one heap event per hop, no hop groups). Every
     run gets its own generation: serving and churn mutate the cluster,
     and schedulers are stateful.
     """
@@ -526,8 +526,8 @@ def check_sim_engines(
     requires *exactly* equal observables — per-request token times,
     serving metrics, KV pools, executor utilization, and per-channel
     network statistics. This is the guarantee behind the overhaul: hop
-    groups, bare one-hop events and the closed-window fast-forward
-    (scalar and vectorized) change wall-clock speed and nothing else.
+    groups, bare one-hop events and lazy arrivals change wall-clock speed
+    and nothing else.
     """
     legacy = _engine_observables(*_run_engine(family, seed, size, "legacy"))
     hop = _engine_observables(*_run_engine(family, seed, size, "hop"))
@@ -546,10 +546,9 @@ def check_fast_paths(
     and raw churn only; this oracle replays one address through the
     *complete* harness configuration — detection-mode chaos controllers,
     elastic residency and autoscaling, tenancy with fair queueing and
-    admission — with coalescing on (hop groups, closed-window and
-    vectorized fast-forward) and off (the per-hop reference), and
-    requires exactly equal observables (per-tenant token accounting
-    included). Works for every family in
+    admission — with coalescing on (hop groups) and off (the per-hop
+    reference), and requires exactly equal observables (per-tenant token
+    accounting included). Works for every family in
     :data:`repro.scenarios.generator.ALL_FAMILIES`; the chaos / elastic /
     tenant families are the ones only this oracle covers.
     """

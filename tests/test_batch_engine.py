@@ -1,13 +1,12 @@
 """The simulator's fast paths must match the per-hop reference.
 
 With coalescing on (the default), the engine carries contiguous hops in
-group events, fast-forwards closed windows — a sole live request over
-idle executors — and macro-steps whole decode rounds through the vectorized
-fast-forward. All of it is specified as *speed only*: these tests replay
-scenarios with ``coalescing=False`` (one heap event per hop, no
-fast-forward) as the reference and require exactly equal observables,
-including the full-config families the plain engine matrix cannot
-express (detection-mode chaos, elastic residency, tenancy).
+group events and a hop that travels alone as a bare event. All of it is
+specified as *speed only*: these tests replay scenarios with
+``coalescing=False`` (one heap event per hop) as the reference and
+require exactly equal observables, including the full-config families
+the plain engine matrix cannot express (detection-mode chaos, elastic
+residency, tenancy).
 
 ``tests/test_sim_equivalence.py`` covers the classic 24-address
 legacy / coalesced / per-hop matrix via ``check_sim_engines``.
@@ -49,10 +48,10 @@ def test_batch_engine_matches_on_full_config_address(family, seed):
 
 
 # ----------------------------------------------------------------------
-# Scripted single-pipeline scenarios (the fast-forward regime)
+# Scripted single-pipeline scenarios
 # ----------------------------------------------------------------------
 def _single_stage_material():
-    """One A100 holding every layer: the fast-forward's home pipeline."""
+    """One A100 holding every layer."""
     model = ModelSpec(
         name="batch-tiny-8L", num_layers=8, hidden_size=1024, num_heads=8,
         num_kv_heads=8, intermediate_size=2816,
@@ -103,29 +102,6 @@ def _assert_fast_paths_agree(requests, tenancy=None, events=(), max_time=1e9):
     return perhop[0], fast[0]
 
 
-def test_single_request_trace_macro_steps_almost_everything():
-    # Arrival at t=10 rather than t=0: very close to zero the
-    # extrapolated round guess can diverge from the replayed chain by an
-    # ulp within a few rounds, and the engine (correctly) falls back to
-    # scalar stepping rather than commit an inexact prefix.
-    requests = [Request("solo", 64, 300, 10.0)]
-    _, fast = _assert_fast_paths_agree(requests)
-    # One request on an idle pipeline is one long closed window; all but
-    # the boundary rounds commit through the vectorized fast-forward.
-    # The scalar and vectorized counters are disjoint: together they
-    # cover every token after the first (which opens the window).
-    assert fast.fast_forwarded_tokens + fast.vec_fast_forwarded_tokens == 299
-    assert fast.vec_fast_forwarded_tokens > 250
-    assert fast.record_of("solo").tokens_generated == 300
-
-
-def test_single_request_at_time_zero_still_matches():
-    """The ulp-divergent regime: scalar fallback, still bit-identical."""
-    requests = [Request("solo", 64, 300, 0.0)]
-    _, fast = _assert_fast_paths_agree(requests)
-    assert fast.fast_forwarded_tokens + fast.vec_fast_forwarded_tokens == 299
-
-
 # Where a window cut lands inside decode round k -> k+1 of a lone request
 # on the single-stage pipeline: coordinator -> a100-0 (1 ms link), one
 # batch, a100-0 -> coordinator (1 ms link). Transmissions take
@@ -140,25 +116,31 @@ _CUT_POINTS = {
 }
 
 
+def _tenancy_for(path):
+    """``path`` is the lone-request tests' tagging axis: ``"scalar"`` runs
+    carry a one-tenant config (per-token tenant accounting and the fair
+    pending queue), ``"vectorized"`` runs are untagged. The ids keep the
+    tests' established names."""
+    if path == "vectorized":
+        return None
+    from repro.tenancy import TenancyConfig, TenantRegistry, TenantSpec
+
+    return TenancyConfig(TenantRegistry([TenantSpec("t")]))
+
+
 @pytest.mark.parametrize("path", ["vectorized", "scalar"])
 @pytest.mark.parametrize("cut", ["event", "max_time"])
 @pytest.mark.parametrize("point", list(_CUT_POINTS))
 def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
-    """The round a cut lands in steps through the event loop, exactly.
+    """A cut inside a decode round leaves the engines equal, exactly.
 
-    The fast-forward commits whole rounds only; the round that contains
-    the next heap event (a no-op environment callback) or the horizon
-    must leave every observable — including channel free times and the
-    final clock — equal to per-hop stepping. The callback sees the state
-    per-hop stepping has at its time: a tie with a token goes to the
-    callback, which was scheduled first. A tenancy config keeps the
-    whole window on the scalar round loop.
+    The round that contains the next heap event (a no-op environment
+    callback) or the horizon must leave every observable — including
+    channel free times and the final clock — equal to per-hop stepping.
+    The callback sees the state per-hop stepping has at its time: a tie
+    with a token goes to the callback, which was scheduled first.
     """
-    from repro.tenancy import TenancyConfig, TenantRegistry, TenantSpec
-
-    tenancy = None
-    if path == "scalar":
-        tenancy = TenancyConfig(TenantRegistry([TenantSpec("t")]))
+    tenancy = _tenancy_for(path)
     requests = [Request("solo", 64, 300, 10.0, tenant_id="t")]
     reference, _ = _serve(requests, coalescing=False, tenancy=tenancy)
     times = reference.record_of("solo").token_times
@@ -180,30 +162,25 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
                 sim.record_of("solo").tokens_generated,
             ))
 
-        _, fast = _assert_fast_paths_agree(
+        _assert_fast_paths_agree(
             requests, tenancy=tenancy, events=[(when, probe)]
         )
         assert seen == [(busy, 151), (busy, 151)]
-    if path == "scalar":
-        assert fast.vec_fast_forwarded_tokens == 0
-        assert fast.fast_forwarded_tokens > 100
 
 
 @pytest.mark.parametrize("path", ["vectorized", "scalar"])
 @pytest.mark.parametrize("slow", ["entry", "inter-stage"])
 def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
-    """A cancelled hedge leaves a channel busy inside a closed window.
+    """A cancelled hedge leaves a channel busy under a lone request.
 
     One request on a two-stage pipeline with one slow link is hedged; the
     shadow's prompt queues behind the primary's on the slow link and is
     still transmitting when the primary's first token cancels it. The
-    surviving request is then alone, but its next round would queue on
-    that link: the fast-forward must not commit it, and per-hop stepping
-    must agree exactly.
+    surviving request is then alone, but its next round queues on that
+    link, and per-hop stepping must agree exactly.
     """
     from repro.cluster.node import COORDINATOR
     from repro.sim import RequestPolicy
-    from repro.tenancy import TenancyConfig, TenantRegistry, TenantSpec
 
     model = ModelSpec(
         name="batch-hedge-8L", num_layers=8, hidden_size=1024, num_heads=8,
@@ -230,16 +207,14 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     flow = FlowGraph(cluster, model, placement).solve()
     runs = {}
     for coalescing in (True, False):
-        tenancy = None
-        if path == "scalar":
-            tenancy = TenancyConfig(TenantRegistry([TenantSpec("t")]))
         scheduler = HelixScheduler(
             cluster, model, placement, flow=flow, expected_output_len=200.0
         )
         sim = Simulation(
             cluster, model, placement, scheduler,
             [Request("solo", 512, 200, 10.0, tenant_id="t")],
-            max_time=1e9, seed=0, coalescing=coalescing, tenancy=tenancy,
+            max_time=1e9, seed=0, coalescing=coalescing,
+            tenancy=_tenancy_for(path),
             policy=RequestPolicy(hedge_after=0.05),
         )
         runs[coalescing] = (sim, sim.run())
@@ -252,7 +227,6 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     fast = runs[True][0]
     assert fast.record_of("solo").tokens_generated == 200
     assert fast.channels[link[:2]].total_queueing_delay > 0
-    assert fast.fast_forwarded_tokens + fast.vec_fast_forwarded_tokens > 150
 
 
 def test_simultaneous_completions_keep_tie_order():
@@ -301,7 +275,7 @@ def test_simultaneous_completions_keep_tie_order():
 
 
 def test_mid_macro_step_churn_invalidates_window():
-    """A failure lands inside the fast-forward window: cut and retry."""
+    """A failure lands mid-decode of a lone request: cut and retry."""
     requests = [Request("victim", 16, 400, 0.0)]
 
     def fail(sim):
@@ -312,48 +286,24 @@ def test_mid_macro_step_churn_invalidates_window():
 
     events = [(1.0, fail)]
     _, fast = _assert_fast_paths_agree(requests, events=events)
-    assert fast.vec_fast_forwarded_tokens > 0
     record = fast.record_of("victim")
     assert record.retries == 1
     assert record.tokens_generated == 400
 
 
 def test_group_fast_forward_covers_concurrent_closed_windows():
-    """Overlapping requests: windows open only while one request is live.
+    """Overlapping requests join and leave each other's batches.
 
-    At offered load ~0.4 arrivals overlap, so closed windows keep being
-    cut by the next arrival and resume once a request is alone again;
-    every cut must still match per-hop stepping exactly.
+    At offered load ~0.4 arrivals overlap, so a request decodes alone for
+    a while, then shares its pipeline with the next arrival; every
+    transition must still match per-hop stepping exactly.
     """
     from repro.trace.arrival import diurnal_arrivals
 
     base = [Request(f"d{i:03d}", 64, 400) for i in range(60)]
     trace = diurnal_arrivals(base, 0.4 / 3.16, seed=0)
-    perhop, fast = _assert_fast_paths_agree(trace)
-    total = sum(record.tokens_generated for record in fast.records)
-    skipped = fast.fast_forwarded_tokens + fast.vec_fast_forwarded_tokens
-    assert fast.vec_fast_forwarded_tokens > 10_000
-    assert skipped < total  # concurrency stepped the rest
-    assert perhop.fast_forwarded_tokens + perhop.vec_fast_forwarded_tokens == 0
-
-
-def test_diurnal_trace_is_almost_all_vectorized_fast_forward():
-    """The fast-forward's home regime, gated on a count, not a rate.
-
-    A 2000-request diurnal trace at offered load 0.02 (arrival rate
-    times the solo latency) is almost always one closed window: the
-    vectorized fast-forward commits >= 90% of its tokens (1,000,066 of
-    1,024,000 when this was written).
-    """
-    from repro.trace.arrival import diurnal_arrivals
-
-    solo, _ = _serve([Request("solo", 64, 512, 0.0)])
-    latency = solo.records[0].finish_time - solo.records[0].arrival_time
-    base = [Request(f"d{i:06d}", 64, 512) for i in range(2000)]
-    sim, _ = _serve(diurnal_arrivals(base, 0.02 / latency, seed=0))
-    tokens = sum(record.tokens_generated for record in sim.records)
-    assert tokens == 2000 * 512
-    assert sim.vec_fast_forwarded_tokens >= 0.9 * tokens
+    _, fast = _assert_fast_paths_agree(trace)
+    assert sum(record.tokens_generated for record in fast.records) == 60 * 400
 
 
 def test_tenancy_tagged_trace_matches_and_disables_vec_paths():
@@ -389,9 +339,6 @@ def test_tenancy_tagged_trace_matches_and_disables_vec_paths():
     assert (
         fast[0].tenancy.tokens_by_tenant == perhop[0].tenancy.tokens_by_tenant
     )
-    # Per-token tenant accounting is order-sensitive; the fast-forward
-    # stays scalar rather than approximate it.
-    assert fast[0].vec_fast_forwarded_tokens == 0
 
 
 # ----------------------------------------------------------------------
@@ -404,27 +351,27 @@ def test_engine_stats_exposes_batch_telemetry():
         "events_popped", "grouped_hops", "fast_forwarded_tokens",
         "vec_fast_forwarded_tokens",
     }
-    # Disjoint counters: the vectorized tokens are not also counted as
-    # scalar fast-forwarded tokens.
-    assert stats["vec_fast_forwarded_tokens"] > stats["fast_forwarded_tokens"]
-    assert (
-        stats["fast_forwarded_tokens"] + stats["vec_fast_forwarded_tokens"]
-        == 299
-    )
+    # One arrival, then three events per token on the one-stage pipeline
+    # (stage arrival, batch completion, token delivery). Every hop after
+    # the prompt shipment travels alone and counts as grouped: 300 token
+    # forwards and 299 decode re-entries.
+    assert stats["events_popped"] == 1 + 3 * 300
+    assert stats["grouped_hops"] == 300 + 299
+    assert stats["fast_forwarded_tokens"] == 0
+    assert stats["vec_fast_forwarded_tokens"] == 0
 
 
-# Exact event counts: how a hop is carried (bare, in a group, or skipped
-# by the fast-forward) must not add or drop events unnoticed. The per-hop
-# counts date from before one-hop events went bare and arrivals went lazy.
-# The coalesced counts include the round at each closed-window boundary:
-# the fast-forward commits whole rounds only, so the round a window cut
-# lands in steps through the event loop (a few more pops than when the
-# fast-forward re-created its in-flight hop, never more than per-hop).
+# Exact event counts: how a hop is carried (bare or in a group) must not
+# add or drop events unnoticed. The per-hop counts date from before
+# one-hop events went bare and arrivals went lazy. At these two smoke
+# addresses no two hops of one batch share a channel, so no hop group
+# forms: every hop travels as a bare event (counted in ``grouped_hops``
+# while coalescing) and both modes pop the same events.
 PINNED_EVENT_COUNTS = {
-    ("full_mesh", 0, True): (1761, 1015),
+    ("full_mesh", 0, True): (2391, 1393),
     ("full_mesh", 0, False): (2391, 0),
     # Two flaky-link windows with traffic arriving inside them: gray mode.
-    (CHAOS_FAMILY, 20, True): (2749, 32),
+    (CHAOS_FAMILY, 20, True): (2992, 194),
     (CHAOS_FAMILY, 20, False): (2992, 0),
 }
 

@@ -331,3 +331,33 @@ class TestProfiler:
         assert profiler.max_layers(double, LLAMA_70B) > profiler.max_layers(
             single, LLAMA_70B
         )
+
+    @pytest.mark.parametrize("knob,value", [
+        ("mfu", 0.0),
+        ("mfu", -0.4),
+        ("mfu", float("nan")),
+        ("mfu", 1.5),
+        ("bandwidth_efficiency", 0.0),
+        ("bandwidth_efficiency", float("inf")),
+        ("weight_fraction", 2.0),
+        ("weight_fraction", 0.0),
+        ("batch_overhead", -0.001),
+        ("batch_overhead", float("nan")),
+        ("reference_batch", 0),
+        ("kv_capacity_scale", 0.0),
+        ("kv_capacity_scale", float("nan")),
+        ("kv_capacity_scale", float("inf")),
+    ])
+    def test_nonsense_knobs_rejected(self, knob, value):
+        # Zero rates used to raise ZeroDivisionError inside planning, a NaN
+        # KV scale failed converting NaN to int, and the rest served.
+        with pytest.raises(ValueError, match=knob):
+            Profiler(**{knob: value})
+
+    def test_boundary_knobs_accepted(self):
+        profiler = Profiler(
+            mfu=1.0, bandwidth_efficiency=1.0, weight_fraction=1.0,
+            batch_overhead=0.0, reference_batch=1, kv_capacity_scale=4.0,
+        )
+        node = ComputeNode("n", T4)
+        assert profiler.batch_time(node, LLAMA_70B, 0.0, 0) == 0.0

@@ -1,9 +1,8 @@
 """The simulator overhaul must not change any observable metric.
 
-The overhauled engine (hop groups, bare one-hop events and the
-closed-window fast-forward with its vectorized rounds) is specified as
-*bit-identical* to the frozen pre-overhaul event loop. These tests
-enforce that specification:
+The overhauled engine (hop groups, bare one-hop events and lazy
+arrivals) is specified as *bit-identical* to the frozen pre-overhaul
+event loop. These tests enforce that specification:
 
 * the differential oracle replays every tier-1 scenario address (all 4
   families x 6 seeds, churny addresses included) through the legacy
@@ -11,16 +10,13 @@ enforce that specification:
   disabled, and requires exactly equal observables
   (``tests/test_batch_engine.py`` extends the coalesced-vs-per-hop
   comparison to the chaos / elastic / tenant families);
-* a scripted closed-window scenario proves the fast-forward engages and
-  that a churn event lands mid-window, forcing invalidation (the
-  fast-forward commits only the rounds before it, and the event loop
-  steps the round it cuts);
+* scripted fig12 scenarios serve a sequential stream of lone requests
+  and cut one mid-decode with a node failure;
 * a Poisson trace cut mid-way by the horizon shows arrivals enter the
   event heap one at a time and leave all three engines equal;
 * the precomputed roofline constants are checked bit-for-bit against
-  ``Profiler.batch_time``, and numpy's ``add.accumulate`` (the vectorized
-  fast-forward's fold) against the strict left fold the scalar loop
-  performs.
+  ``Profiler.batch_time``, and numpy's ``add.accumulate`` against the
+  strict left fold a scalar loop performs.
 """
 
 import math
@@ -55,7 +51,7 @@ def test_engines_agree_on_matrix_address(family, seed):
 
 
 # ----------------------------------------------------------------------
-# Closed-window fast-forward: engagement and mid-window invalidation
+# Lone requests on the fig12 plan: a sequential stream, mid-decode churn
 # ----------------------------------------------------------------------
 def _fig12_serving(requests, **sim_kwargs):
     from repro.placement.petals import PetalsPlanner
@@ -76,14 +72,13 @@ def _fig12_serving(requests, **sim_kwargs):
 
 
 def test_fast_forward_engages_on_sequential_stream():
+    """Lone requests one after another: every token matches legacy."""
     requests = [
         Request(f"r{i}", 16, 300, arrival_time=i * 500.0) for i in range(3)
     ]
     sim = _fig12_serving(list(requests), max_time=1e9, seed=0)
     metrics = sim.run()
     assert metrics.requests_finished == 3
-    # Nearly every decode token of every request should be macro-stepped.
-    assert sim.fast_forwarded_tokens + sim.vec_fast_forwarded_tokens > 800
 
     legacy = _fig12_serving(list(requests), max_time=1e9, seed=0,
                             sim_cls=LegacySimulation)
@@ -97,16 +92,15 @@ def test_fast_forward_engages_on_sequential_stream():
 
 
 def test_churn_event_invalidates_fast_forward_window():
-    """A failure scheduled mid-decode cuts the window and still matches."""
+    """A node failure mid-decode disrupts the request; still matches."""
     requests = [Request("victim", 16, 400)]
 
     def build(sim_cls):
         sim = _fig12_serving(
             list(requests), max_time=1e9, seed=0, sim_cls=sim_cls
         )
-        # Fail a pipeline node mid-decode, restore it later: the window
-        # must stop at the env event, the attempt is disrupted, and the
-        # retried attempt finishes after recovery.
+        # Fail a pipeline node mid-decode, restore it later: the attempt
+        # is disrupted, and the retried attempt finishes after recovery.
         def fail(s):
             node_id = s.placement.used_nodes[0]
             s.fail_node(node_id)
@@ -117,9 +111,6 @@ def test_churn_event_invalidates_fast_forward_window():
 
     fast = build(Simulation)
     fast_metrics = fast.run()
-    # The window formed (tokens were fast-forwarded) and was invalidated
-    # (the request was disrupted mid-run and retried).
-    assert fast.fast_forwarded_tokens + fast.vec_fast_forwarded_tokens > 0
     assert fast_metrics.requests_retried == 1
     assert fast_metrics.requests_finished == 1
 
@@ -323,11 +314,12 @@ def test_simulation_exposes_engine_stats(small_cluster, tiny_model):
     )
     sim.run()
     stats = sim.engine_stats
+    assert set(stats) == {
+        "events_popped", "grouped_hops", "fast_forwarded_tokens",
+        "vec_fast_forwarded_tokens",
+    }
     assert stats["events_popped"] > 0
-    # Single request: one closed window, scalar and vectorized together.
-    fast_forwarded = (
-        stats["fast_forwarded_tokens"] + stats["vec_fast_forwarded_tokens"]
-    )
-    assert fast_forwarded > 0
+    assert stats["fast_forwarded_tokens"] == 0
+    assert stats["vec_fast_forwarded_tokens"] == 0
     assert sim.tokens_emitted == 40
     assert len(sim.token_timeline) == 40

@@ -95,6 +95,37 @@ class TestBasicRuns:
         with pytest.raises(SimulationError, match="duplicate request_id 'r'"):
             Simulation(cluster, LLAMA_30B, result.placement, scheduler, requests)
 
+    @pytest.mark.parametrize("warmup,max_time", [
+        (-5.0, 3600.0),
+        (float("nan"), 3600.0),
+        (float("inf"), 3600.0),
+        (0.0, float("nan")),
+        (10.0, 10.0),
+        (10.0, 5.0),
+    ])
+    def test_bad_measurement_window_rejected(
+        self, small_cluster, tiny_model, placement8, warmup, max_time
+    ):
+        # These used to run: a negative warmup stretched the throughput
+        # window before t=0, NaN warmup reported NaN, NaN max_time ran
+        # unbounded, and max_time <= warmup served nothing.
+        requests = [Request("r0", 32, 5)]
+        with pytest.raises(SimulationError, match="warmup"):
+            make_simulation(
+                small_cluster, tiny_model, placement8, requests,
+                warmup=warmup, max_time=max_time,
+            )
+
+    def test_unbounded_horizon_accepted(
+        self, small_cluster, tiny_model, placement8
+    ):
+        requests = [Request("r0", 32, 5)]
+        metrics = make_simulation(
+            small_cluster, tiny_model, placement8, requests,
+            max_time=float("inf"),
+        ).run()
+        assert metrics.requests_finished == 1
+
     def test_max_time_truncates(self, small_cluster, tiny_model, placement8):
         requests = [Request(f"r{i}", 512, 200) for i in range(50)]
         metrics = make_simulation(
