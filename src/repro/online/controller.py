@@ -52,7 +52,11 @@ from repro.online.events import (
     NodeRecovery,
     validate_schedule,
 )
-from repro.sim.metrics import DisruptionReport, disruption_report
+from repro.sim.metrics import (
+    DisruptionReport,
+    check_window_multiple,
+    disruption_report,
+)
 
 #: A failed replan is retried this many times, with an exponential
 #: backoff from this base delay in seconds (0.5 s, then 1 s).
@@ -429,7 +433,12 @@ class OnlineController:
         Pre-disruption goodput is measured before the first disruptive
         event; post-recovery goodput after the last applied replan (plus
         its delay) settled. Call after :meth:`Simulation.run` returns.
+
+        Raises ``ValueError`` when ``window`` is not a positive integer
+        multiple of the simulation's token-timeline resolution: its
+        bucketed timeline would then split buckets across windows.
         """
+        check_window_multiple(window, sim.timeline_resolution)
         end_time = min(sim.now, sim.max_time)
         timeline = sim.token_timeline
         if self.detection_mode and timeline:

@@ -11,9 +11,10 @@ interesting robustness case.
 All fault events are :class:`~repro.online.events.ClusterEvent` subclasses
 and apply through dedicated ``Simulation`` primitives
 (``set_compute_slowdown``, ``set_link_flaky``, ``make_zombie``,
-``fail_node(announce=False)``) that are zero-cost when unused: a run with
-no gray faults executes the identical hot path, bit for bit, as before
-this module existed (the differential suite asserts it).
+``fail_node(announce=False)``) that cost next to nothing when unused: a
+run with no gray faults produces the identical results, bit for bit, as
+before this module existed (the differential suite asserts it); a send
+only checks whether its own channel carries a fault.
 
 Randomness (the per-message drop/retransmit draws of a flaky link) comes
 from a per-link :class:`random.Random` seeded from the simulation seed

@@ -109,8 +109,6 @@ class HelixMilpPlanner(PlacementPlanner):
         lns_seed: Seed of the LNS window-selection RNG. The search never
             touches global random state, so a planner configuration plus
             this seed reproduces the exact round sequence.
-        bnb_options: Extra keyword arguments forwarded to
-            :class:`BranchAndBoundSolver` (feature switches, stall_time).
     """
 
     name = "helix"
@@ -132,7 +130,6 @@ class HelixMilpPlanner(PlacementPlanner):
         adaptive_budget: bool = True,
         lns_mode: str = "incremental",
         lns_seed: int = 0,
-        bnb_options: dict | None = None,
     ) -> None:
         super().__init__(cluster, model, profiler, partial_inference)
         if backend not in ("highs", "bnb"):
@@ -150,7 +147,6 @@ class HelixMilpPlanner(PlacementPlanner):
         self.adaptive_budget = adaptive_budget
         self.lns_mode = lns_mode
         self.lns_seed = lns_seed
-        self.bnb_options = dict(bnb_options or {})
         self.last_trajectory = None  # set by the bnb backend
         self.last_solver_stats = None  # set by the bnb backend
         #: Telemetry: MILP solve calls issued during the last plan().
@@ -871,18 +867,14 @@ class HelixMilpPlanner(PlacementPlanner):
         best_hint: tuple[float, ModelPlacement] | None,
     ) -> MilpSolution:
         if self.backend == "bnb":
-            options = {
-                "stall_time": max(1.0, self.time_limit * 0.25)
-                if self.adaptive_budget
-                else None,
-            }
-            options.update(self.bnb_options)
             solver = BranchAndBoundSolver(
                 formulation.problem,
                 time_limit=self.time_limit,
                 gap_tolerance=self.mip_rel_gap,
                 early_stop_bound=formulation.upper_bound,
-                **options,
+                stall_time=max(1.0, self.time_limit * 0.25)
+                if self.adaptive_budget
+                else None,
             )
             incumbent = None
             if best_hint is not None:
@@ -1093,7 +1085,6 @@ class HelixMilpPlanner(PlacementPlanner):
             adaptive_budget=self.adaptive_budget,
             lns_mode=self.lns_mode,
             lns_seed=self.lns_seed,
-            bnb_options=self.bnb_options,
         )
         base = inner.plan()
         flow = base.flow

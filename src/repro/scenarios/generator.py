@@ -438,7 +438,7 @@ def _draw_churn(
     )
 
 
-def _draw_gray_faults(
+def _draw_chaos_faults(
     rng: random.Random, cluster: Cluster, limits: ScenarioLimits
 ) -> list[ClusterEvent]:
     """A seeded gray-fault schedule: 1-3 faults over distinct victims.
@@ -767,7 +767,7 @@ def generate_scenario(
             model=model,
             requests=requests,
             workload=workload,
-            churn=_draw_gray_faults(rng, cluster, limits),
+            churn=_draw_chaos_faults(rng, cluster, limits),
             planner_method=rng.choice(_PLANNER_METHODS),
             scheduler_method=rng.choice(_SCHEDULER_METHODS),
             max_time=limits.max_time,

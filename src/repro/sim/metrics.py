@@ -415,6 +415,22 @@ class TokenTimeline:
 # ----------------------------------------------------------------------
 # Disruption metrics (online dynamics)
 # ----------------------------------------------------------------------
+def check_window_multiple(window: float, resolution: float) -> None:
+    """Raise ``ValueError`` unless ``window`` is a positive integer
+    multiple of a bucketed timeline's ``resolution`` (the only windows
+    whose goodput over the bucketed view equals the exact one)."""
+    if resolution <= 0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
+    multiple = window / resolution
+    if multiple < 1 or multiple != int(multiple):
+        raise ValueError(
+            f"window {window} is not a positive integer multiple of the "
+            f"timeline resolution {resolution}: bucketed token times "
+            "would split across goodput windows and the derived curve "
+            "would silently disagree with the exact one"
+        )
+
+
 def goodput_timeline(
     token_times: list[float],
     window: float,
@@ -443,16 +459,7 @@ def goodput_timeline(
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     if resolution is not None:
-        if resolution <= 0:
-            raise ValueError(f"resolution must be positive, got {resolution}")
-        multiple = window / resolution
-        if multiple < 1 or multiple != int(multiple):
-            raise ValueError(
-                f"window {window} is not a positive integer multiple of the "
-                f"timeline resolution {resolution}: bucketed token times "
-                "would split across goodput windows and the derived curve "
-                "would silently disagree with the exact one"
-            )
+        check_window_multiple(window, resolution)
     num_buckets = int((end_time - start) / window)
     if num_buckets <= 0:
         return []

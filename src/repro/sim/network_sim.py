@@ -6,12 +6,15 @@ latency later. Queueing delay (waiting for the link) is tracked separately
 so experiments can report per-link congestion, as the paper's §6.7 case
 study does for its "congestion" links.
 
-The simulator's hot loop inlines the transmit arithmetic against the
-channel's public fields (``next_free_time``, ``bandwidth``, ``latency``,
-and the stat accumulators) rather than calling :meth:`transmit` per
-message; both paths perform the identical float operations in the
-identical order. ``bandwidth``/``latency`` mirror ``link`` and are kept in
-sync through :meth:`set_link` (live link degradation/repair).
+The simulator calls :meth:`transmit` for prompts, decode re-entries and
+weight pulls. Two sites in :mod:`repro.sim.simulator` inline the same
+arithmetic against the channel's public fields (``next_free_time``,
+``bandwidth``, ``latency`` and the stat accumulators) instead: the
+forward of a batch carrying one work (in ``_on_batch_complete``) and the
+per-work forward of a larger batch (``_forward_batch``), the two busiest
+sends. All three perform the identical float operations in the identical
+order. ``bandwidth``/``latency`` mirror ``link`` and are kept in sync
+through :meth:`set_link` (live link degradation/repair).
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ class LinkChannel:
         fault: Optional gray-fault state (a
             :class:`~repro.online.faults.LinkFault`) the simulator
             attaches when the link turns lossy/flaky; ``None`` on healthy
-            links, and never consulted unless the simulation's gray-fault
-            mode is active — the hot path stays untouched.
+            links. Each send checks its own channel's fault, so a flaky
+            link changes nothing on the others.
     """
 
     link: Link
@@ -65,15 +68,17 @@ class LinkChannel:
         """Enqueue a message at time ``now``; returns its arrival time."""
         if num_bytes < 0:
             raise ValueError(f"negative message size {num_bytes}")
-        start = max(now, self.next_free_time)
+        free = self.next_free_time
+        start = free if free > now else now
         queueing = start - now
-        transmission = num_bytes / self.link.bandwidth
-        self.next_free_time = start + transmission
+        end = start + num_bytes / self.bandwidth
+        self.next_free_time = end
         self.bytes_sent += num_bytes
         self.messages_sent += 1
         self.total_queueing_delay += queueing
-        self.max_queueing_delay = max(self.max_queueing_delay, queueing)
-        return start + transmission + self.link.latency
+        if queueing > self.max_queueing_delay:
+            self.max_queueing_delay = queueing
+        return end + self.latency
 
     @property
     def mean_queueing_delay(self) -> float:

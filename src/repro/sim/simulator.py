@@ -17,7 +17,7 @@ are FIFO bandwidth/latency queues, and KV pools track true occupancy.
 
 Engine design (the hot-path overhaul; the pre-overhaul engine survives as
 :class:`repro.sim._legacy_reference.LegacySimulation` for differential
-testing and benchmarking):
+testing only, with no benchmark role):
 
 * **Hop tables.** At schedule time each request resolves its pipeline
   once into a list of :class:`_Hop` entries — executor, KV pool, outbound
@@ -33,11 +33,15 @@ testing and benchmarking):
   identical whether or not hops are grouped.
 * **Bare one-hop events.** A hop that travels alone — the prompt
   shipment, a batch forwarding exactly one work, a lone token's decode
-  re-entry, and every hop under ``coalescing=False`` or gray mode — is
-  pushed as the :class:`~repro.sim.node_exec.StageWork` itself
-  (``K_HOP`` at a stage, ``K_TOKEN_ONE`` at the coordinator) with the
-  ``seq`` it would own inside a group, so it costs one tuple and a small
-  handler.
+  re-entry, and every hop under ``coalescing=False`` — is pushed as the
+  :class:`~repro.sim.node_exec.StageWork` itself (``K_HOP`` at a stage,
+  ``K_TOKEN_ONE`` at the coordinator) with the ``seq`` it would own
+  inside a group, so it costs one tuple and a small handler. Every hop
+  sent on a flaky channel (one carrying a gray
+  :class:`~repro.online.faults.LinkFault`) travels bare too: retransmit
+  delays can reorder that channel's arrivals, and a group must arrive in
+  order. The rule is per channel; every healthy channel keeps its
+  groups.
 * **Hop groups (decode coalescing).** When a batch completes, two or more
   works forwarded over one FIFO channel arrive contiguously; they are
   carried in one *group event* instead of one heap event per hop. A group
@@ -100,6 +104,9 @@ K_TOKEN = 3      #: contiguous token deliveries to the coordinator
 K_ENV = 4        #: an environment callback (online dynamics)
 K_HOP = 5        #: one bare StageWork reaches its stage
 K_TOKEN_ONE = 6  #: one bare StageWork delivers a token to the coordinator
+
+#: Stands in for the heap top when the heap is empty: due never.
+_NO_EVENT = (math.inf, 0, None, None)
 
 
 class _Hop:
@@ -401,12 +408,6 @@ class Simulation:
         # work provably belongs to a live attempt and the per-work
         # staleness checks are skipped.
         self._disrupted = False
-        # True once any link turned flaky. Fault delays can reorder
-        # arrivals within what would have been one sorted hop group, so
-        # gray mode latches coalescing off (bare one-hop events preserve
-        # heap ordering); it unlatches once the last fault heals
-        # (clear_link_flaky), and the fault-free hot path stays untouched.
-        self._gray = False
         # Schedulers that keep the base class's no-op progress hook skip
         # the per-batch callback entirely.
         self._notify_progress = (
@@ -698,12 +699,13 @@ class Simulation:
 
     def _start_prompt(self, active: _ActiveRequest) -> None:
         """Ship the prompt to the first stage (one bare hop event)."""
-        num_bytes = active.request.input_len * self._token_bytes
-        arrival = active.entry_channel.transmit(self._now, num_bytes)
-        if self._gray:
-            fault = active.entry_channel.fault
-            if fault is not None:
-                arrival += fault.delay()
+        channel = active.entry_channel
+        arrival = channel.transmit(
+            self._now, active.request.input_len * self._token_bytes
+        )
+        fault = channel.fault
+        if fault is not None:
+            arrival += fault.delay()
         seq = self._seq
         self._seq = seq + 1
         heappush(self._events, (arrival, seq, K_HOP, active.prompt_works[0]))
@@ -723,13 +725,7 @@ class Simulation:
         disrupted = self._disrupted
         # The heap top only changes when this drain starts a batch, so it
         # is re-read only then instead of per work.
-        if events:
-            top = events[0]
-            top_t = top[0]
-            top_seq = top[1]
-        else:
-            top_t = math.inf
-            top_seq = 0
+        top_t, top_seq, _, _ = events[0] if events else _NO_EVENT
         while True:
             t = times[i]
             if t > top_t or (t == top_t and seqs[i] > top_seq):
@@ -775,9 +771,8 @@ class Simulation:
             i += 1
             self._now = t
             if self._on_hop(work):
-                top = events[0]  # the batch push guarantees non-empty
-                top_t = top[0]
-                top_seq = top[1]
+                # The batch push guarantees a non-empty heap.
+                top_t, top_seq, _, _ = events[0]
             if i == n:
                 group.index = n
                 self._now = times[n - 1]
@@ -929,10 +924,9 @@ class Simulation:
                 if queueing > channel.max_queueing_delay:
                     channel.max_queueing_delay = queueing
                 arrival = end + channel.latency
-                if self._gray:
-                    fault = channel.fault
-                    if fault is not None:
-                        arrival += fault.delay()
+                fault = channel.fault
+                if fault is not None:
+                    arrival += fault.delay()
                 elif self._coalesce:
                     self.grouped_hops += 1
                 seq = self._seq
@@ -947,33 +941,24 @@ class Simulation:
     def _forward_batch(self, batch: list[StageWork]) -> None:
         """Charge KV and forward every work of a multi-work batch.
 
-        Works sharing a channel coalesce into one hop group; a channel
-        that receives one work gets a bare event (see ``_scratch``).
+        Works sharing a healthy channel coalesce into one hop group; a
+        channel that receives one work gets a bare event (see
+        ``_scratch``). A flaky channel's hops always travel bare: its
+        retransmit delays can reorder arrivals, and a group must arrive in
+        order. The rule holds per channel, so a fault on one link leaves
+        every other channel's groups intact.
         """
         now = self._now
         disrupted = self._disrupted
-        gray = self._gray
-        coalesce = self._coalesce and not gray
+        coalesce = self._coalesce
         scratch = self._scratch
         events = self._events
         seq = self._seq
         token_bytes = self._token_bytes
         abpt = self._abpt
-        # Run caches: consecutive works almost always share a pool (same
-        # stage) and a channel (same next hop); their mutable fields live
-        # in locals for the duration of the run and are written back when
-        # the run ends. The arithmetic (values and order) is unchanged.
-        pool = None
-        p_used = p_cap = p_peak = p_over = 0
-        channel = None
-        ch_nf = ch_bytes = ch_qd = ch_maxq = ch_bw = ch_lat = 0.0
-        ch_msgs = 0
-        final = False
-        kind = K_HOP
-        # The current channel's scratch entry: None, a lone bare event,
-        # or a group (whose lists are then cached in g_*).
-        entry = None
-        g_times = g_seqs = g_works = None
+        # The channel whose scratch group was last appended to, and that
+        # group's lists: consecutive works usually share a next hop.
+        g_channel = g_times = g_seqs = g_works = None
         for work in batch:
             owner = work.owner
             if disrupted and not (
@@ -984,95 +969,60 @@ class Simulation:
             num_tokens = work.num_tokens
             # KV grows on this node: the whole prompt once, then one token
             # per decode iteration.
-            p = hop.pool
-            if p is not pool:
-                if pool is not None:
-                    pool.used_tokens = p_used
-                    pool.peak_tokens = p_peak
-                    pool.overflow_events = p_over
-                pool = p
-                p_used = p.used_tokens
-                p_cap = p.capacity_tokens
-                p_peak = p.peak_tokens
-                p_over = p.overflow_events
-            p_used += num_tokens
-            if p_used > p_cap:
-                p_over += 1
-            if p_used > p_peak:
-                p_peak = p_used
+            pool = hop.pool
+            used = pool.used_tokens + num_tokens
+            if used > pool.capacity_tokens:
+                pool.overflow_events += 1
+            pool.used_tokens = used
+            if used > pool.peak_tokens:
+                pool.peak_tokens = used
             owner.done += 1
-            # Forward on this hop's FIFO channel (inline transmit — the
-            # identical arithmetic LinkChannel.transmit performs).
-            ch = hop.channel
-            if ch is not channel:
-                if channel is not None:
-                    channel.next_free_time = ch_nf
-                    channel.bytes_sent = ch_bytes
-                    channel.messages_sent = ch_msgs
-                    channel.total_queueing_delay = ch_qd
-                    channel.max_queueing_delay = ch_maxq
-                channel = ch
-                ch_nf = ch.next_free_time
-                ch_bytes = ch.bytes_sent
-                ch_msgs = ch.messages_sent
-                ch_qd = ch.total_queueing_delay
-                ch_maxq = ch.max_queueing_delay
-                ch_bw = ch.bandwidth
-                ch_lat = ch.latency
-                final = hop.final
-                kind = K_TOKEN_ONE if final else K_HOP
-                g_times = None
-                if coalesce:
-                    entry = scratch.get(ch)
-                    if entry is not None and entry.__class__ is not tuple:
-                        g_times = entry.times
-                        g_seqs = entry.seqs
-                        g_works = entry.works
+            channel = hop.channel
+            final = hop.final
             num_bytes = token_bytes if final else num_tokens * abpt
-            start = ch_nf if ch_nf > now else now
+            nf = channel.next_free_time
+            start = nf if nf > now else now
             queueing = start - now
-            transmission = num_bytes / ch_bw
-            end = start + transmission
-            ch_nf = end
-            ch_bytes += num_bytes
-            ch_msgs += 1
-            ch_qd += queueing
-            if queueing > ch_maxq:
-                ch_maxq = queueing
-            arrival = end + ch_lat
-            if gray:
-                fault = ch.fault
-                if fault is not None:
-                    arrival += fault.delay()
-            if g_times is not None:
+            end = start + num_bytes / channel.bandwidth
+            channel.next_free_time = end
+            channel.bytes_sent += num_bytes
+            channel.messages_sent += 1
+            channel.total_queueing_delay += queueing
+            if queueing > channel.max_queueing_delay:
+                channel.max_queueing_delay = queueing
+            arrival = end + channel.latency
+            if channel is g_channel:
                 g_times.append(arrival)
                 g_seqs.append(seq)
                 g_works.append(work.next)
-            elif not coalesce:
-                heappush(events, (arrival, seq, kind, work.next))
-            elif entry is None:
-                entry = scratch[ch] = (arrival, seq, kind, work.next)
             else:
-                # A second hop joins the channel's lone one: now a group.
-                entry = scratch[ch] = _HopGroup(
-                    K_TOKEN if final else K_GROUP,
-                    [entry[0], arrival], [entry[1], seq], [entry[3], work.next],
-                )
-                g_times = entry.times
-                g_seqs = entry.seqs
-                g_works = entry.works
+                fault = channel.fault
+                if fault is not None:
+                    arrival += fault.delay()
+                if fault is not None or not coalesce:
+                    heappush(
+                        events,
+                        (arrival, seq, K_TOKEN_ONE if final else K_HOP,
+                         work.next),
+                    )
+                elif channel not in scratch:
+                    scratch[channel] = (
+                        arrival, seq, K_TOKEN_ONE if final else K_HOP,
+                        work.next,
+                    )
+                else:
+                    # A second hop joins the channel: from now on it
+                    # carries a group.
+                    group = self._scratch_group(channel, final)
+                    g_channel = channel
+                    g_times = group.times
+                    g_seqs = group.seqs
+                    g_works = group.works
+                    g_times.append(arrival)
+                    g_seqs.append(seq)
+                    g_works.append(work.next)
             seq += 1
         self._seq = seq
-        if pool is not None:
-            pool.used_tokens = p_used
-            pool.peak_tokens = p_peak
-            pool.overflow_events = p_over
-        if channel is not None:
-            channel.next_free_time = ch_nf
-            channel.bytes_sent = ch_bytes
-            channel.messages_sent = ch_msgs
-            channel.total_queueing_delay = ch_qd
-            channel.max_queueing_delay = ch_maxq
         self._flush_scratch()
 
     def _scratch_group(self, channel: LinkChannel, final: bool) -> _HopGroup:
@@ -1099,23 +1049,14 @@ class Simulation:
         events = self._events
         max_time = self.max_time
         scratch = self._scratch
-        coalesce = self._coalesce and not self._gray
-        # The last re-entry channel and its scratch entry (consecutive
-        # tokens usually re-enter over the same one).
-        r_channel = r_entry = None
+        coalesce = self._coalesce
         # Earliest re-entry arrival accumulated in scratch but not yet in
         # the heap; the drain must not run past it.
         pending_first = math.inf
         # The heap top only moves when a delivery pushes to the heap: a
-        # finish (pending admissions ship prompts) or, without coalescing,
-        # the re-entry itself.
-        if events:
-            top = events[0]
-            top_t = top[0]
-            top_seq = top[1]
-        else:
-            top_t = math.inf
-            top_seq = 0
+        # finish (pending admissions ship prompts) or a re-entry that
+        # travels bare (without coalescing, or on a flaky channel).
+        top_t, top_seq, _, _ = events[0] if events else _NO_EVENT
         while True:
             t = times[i]
             if t > top_t or (t == top_t and seqs[i] > top_seq):
@@ -1131,32 +1072,21 @@ class Simulation:
             work = works[i]
             i += 1
             reentry = self._deliver_token(work)
-            if reentry is not None and coalesce:
-                channel = work.owner.entry_channel
-                if channel is not r_channel:
-                    r_channel = channel
-                    r_entry = scratch.get(channel)
-                arrival = reentry[0]
-                if r_entry is None:
-                    r_entry = scratch[channel] = reentry
+            channel = work.owner.entry_channel
+            if reentry is not None and coalesce and channel.fault is None:
+                if channel in scratch:
+                    entry = self._scratch_group(channel, False)
+                    entry.times.append(reentry[0])
+                    entry.seqs.append(reentry[1])
+                    entry.works.append(reentry[3])
                 else:
-                    if r_entry.__class__ is tuple:
-                        r_entry = self._scratch_group(channel, False)
-                    r_entry.times.append(arrival)
-                    r_entry.seqs.append(reentry[1])
-                    r_entry.works.append(reentry[3])
-                if arrival < pending_first:
-                    pending_first = arrival
+                    scratch[channel] = reentry
+                if reentry[0] < pending_first:
+                    pending_first = reentry[0]
             else:
                 if reentry is not None:
                     heappush(events, reentry)
-                if events:
-                    top = events[0]
-                    top_t = top[0]
-                    top_seq = top[1]
-                else:
-                    top_t = math.inf
-                    top_seq = 0
+                top_t, top_seq, _, _ = events[0] if events else _NO_EVENT
             if i == n:
                 group.index = n
                 self._flush_scratch()
@@ -1171,7 +1101,7 @@ class Simulation:
         reentry = self._deliver_token(work)
         if reentry is not None:
             heappush(self._events, reentry)
-            if self._coalesce and not self._gray:
+            if self._coalesce and work.owner.entry_channel.fault is None:
                 self.grouped_hops += 1
 
     def _deliver_token(self, work: StageWork) -> tuple | None:
@@ -1213,36 +1143,17 @@ class Simulation:
         if tenancy is not None:
             tenancy.note_token(owner.request.tenant_id, t)
         self._last_token_time = t
-        timeline = self._timeline
-        counts = timeline._counts
-        bucket = int(t * timeline._inv)
-        if bucket < len(counts):  # TokenTimeline.add, inlined
-            counts[bucket] += 1
-            timeline.count += 1
-        else:
-            timeline.add(t)
+        self._timeline.add(t)
         if record.tokens_generated >= owner.output_len:
             self._finish(owner)
             return None
         # Decode re-entry: the coordinator ships one token id back to the
-        # first stage (inline transmit).
+        # first stage.
         channel = owner.entry_channel
-        token_bytes = self._token_bytes
-        nf = channel.next_free_time
-        start = nf if nf > t else t
-        queueing = start - t
-        end = start + token_bytes / channel.bandwidth
-        channel.next_free_time = end
-        channel.bytes_sent += token_bytes
-        channel.messages_sent += 1
-        channel.total_queueing_delay += queueing
-        if queueing > channel.max_queueing_delay:
-            channel.max_queueing_delay = queueing
-        arrival = end + channel.latency
-        if self._gray:
-            fault = channel.fault
-            if fault is not None:
-                arrival += fault.delay()
+        arrival = channel.transmit(t, self._token_bytes)
+        fault = channel.fault
+        if fault is not None:
+            arrival += fault.delay()
         seq = self._seq
         self._seq = seq + 1
         return (arrival, seq, K_HOP, owner.decode_works[0])
@@ -1594,9 +1505,11 @@ class Simulation:
         """A link turns lossy: each message may pay retransmit delays.
 
         Attaches a seeded :class:`~repro.online.faults.LinkFault` to the
-        channel(s) and latches the simulation into gray mode (per-hop
-        events; see ``_gray``). Data messages are delayed, never lost;
-        heartbeats crossing the link may be dropped outright.
+        channel(s). From now on every hop sent on a faulty channel travels
+        as a bare event (retransmit delays can reorder its arrivals, so
+        they cannot form a hop group); every other channel keeps its hop
+        groups. Data messages are delayed, never lost; heartbeats crossing
+        the link may be dropped outright.
         """
         from repro.online.faults import LinkFault
 
@@ -1615,19 +1528,18 @@ class Simulation:
                 retransmit_delay,
                 seed=f"repro-flaky:{self.seed}:{key[0]}:{key[1]}",
             )
-        self._gray = True
 
     def clear_link_flaky(
         self, src: str, dst: str, bidirectional: bool = True
     ) -> None:
         """A flaky link heals.
 
-        Once the *last* live fault object is gone, gray mode unlatches:
-        coalescing comes back on. That is safe because fault delays only
-        perturb *future* arrivals — everything already in the heap was
-        priced when its fault (if any) was live, and with no fault
-        remaining, new hop groups are sorted again. A differential test
-        asserts post-heal timelines are unchanged against a per-hop run.
+        The healed channel groups its hops again at once, whatever other
+        links are still flaky. That is safe because a fault delay only
+        perturbs arrivals sent while it is live: everything already in the
+        heap was priced then, and the channel's new hops arrive in FIFO
+        order again. A differential test asserts post-heal timelines are
+        unchanged against a per-hop run.
         """
         keys = [(src, dst)]
         if bidirectional:
@@ -1636,10 +1548,6 @@ class Simulation:
             channel = self.channels.get(key)
             if channel is not None:
                 channel.fault = None
-        if self._gray and all(
-            channel.fault is None for channel in self.channels.values()
-        ):
-            self._gray = False
 
     def restore_node(self, node_id: str) -> None:
         """A failed node rejoins (cold: empty KV, empty queue)."""
@@ -1771,17 +1679,15 @@ class Simulation:
         res.evict_for(node_id, needed, budget, self._now)
         layer_bytes = res.layer_bytes
         now = self._now
-        gray = self._gray
         sources: list[str] = []
         latest = now
         for layer in missing:
             src, channel = self._weight_source(node_id, layer)
             sources.append(src)
             arrival = channel.transmit(now, layer_bytes)
-            if gray:
-                fault = channel.fault
-                if fault is not None:
-                    arrival += fault.delay()
+            fault = channel.fault
+            if fault is not None:
+                arrival += fault.delay()
             if arrival > latest:
                 latest = arrival
         token = res.begin(
@@ -2097,6 +2003,11 @@ class Simulation:
         failure and the recovery after replanning.
         """
         return self._timeline.times()
+
+    @property
+    def timeline_resolution(self) -> float:
+        """Width in seconds of one token-timeline bucket."""
+        return self._timeline.resolution
 
     @property
     def token_buckets(self) -> list[int]:

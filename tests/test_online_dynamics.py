@@ -798,6 +798,30 @@ class TestDisruptionMetrics:
         assert report.requests_retried == 3
         assert "recovery 80%" in report.summary()
 
+    def test_report_rejects_window_off_the_timeline_grid(
+        self, small_cluster, tiny_model, placement8
+    ):
+        """``report`` reads the simulation's bucketed timeline, so a
+        window that splits its buckets is refused instead of quietly
+        mis-binning tokens; windows on the grid are accepted."""
+        controller = OnlineController(
+            tiny_model, events=[NodeFailure(1.0, "a100-0")], replan=False
+        )
+        requests = [
+            Request(f"r{i}", 32, 8, arrival_time=i * 0.05) for i in range(60)
+        ]
+        sim = make_simulation(
+            small_cluster, tiny_model, placement8, requests,
+            max_time=30.0, seed=0, controller=controller,
+        )
+        sim.run()
+        assert sim.timeline_resolution == 0.0625
+        for window in (0.3, 0.1, 0.03125):
+            with pytest.raises(ValueError, match="resolution"):
+                controller.report(sim, window=window)
+        for window in (0.25, 0.5, 1.0, 2.0, 3.0):
+            controller.report(sim, window=window)
+
     def test_disruption_report_without_pre_window(self):
         report = disruption_report(
             [0.5, 1.5],
