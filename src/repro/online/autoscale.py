@@ -24,6 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: A tick counts toward scaling down when the outstanding-request count
+#: (pending + in flight) is at or below this.
+IDLE_BACKLOG = 1
+
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
@@ -33,12 +37,8 @@ class AutoscalerConfig:
         interval: Seconds between backlog checks (sim time).
         backlog_high: Outstanding-request count (pending + in flight) at
             or above which a tick counts toward scaling up.
-        backlog_low: Outstanding-request count at or below which a tick
-            may count toward scaling down.
         high_ticks: Consecutive high-backlog ticks required to scale up.
         idle_ticks: Consecutive idle ticks required to scale down.
-        idle_in_flight: A tick is *idle* only when total in-flight work
-            (active + queued + backoff) is at or below this.
         cooldown: Minimum sim-seconds between two scaling actions.
         min_serving: Never drain below this many serving placement nodes.
         start_after: First tick time (lets the system warm up first).
@@ -46,10 +46,8 @@ class AutoscalerConfig:
 
     interval: float = 1.0
     backlog_high: int = 8
-    backlog_low: int = 0
     high_ticks: int = 3
     idle_ticks: int = 8
-    idle_in_flight: int = 1
     cooldown: float = 5.0
     min_serving: int = 2
     start_after: float = 0.0
@@ -107,7 +105,7 @@ class Autoscaler:
         if backlog >= self.config.backlog_high:
             self._high_streak += 1
             self._idle_streak = 0
-        elif backlog <= max(self.config.backlog_low, self.config.idle_in_flight):
+        elif backlog <= IDLE_BACKLOG:
             self._idle_streak += 1
             self._high_streak = 0
         else:

@@ -108,9 +108,6 @@ class OnlineController:
         replan_delay: Simulated seconds between an event and its repaired
             placement taking effect (0 = instantaneous). Deterministic, so
             seeded runs reproduce exactly.
-        partial_inference: Forwarded to the replanner, a
-            :class:`~repro.placement.helix_milp.HelixMilpPlanner`
-            configured for incremental re-solves.
     """
 
     def __init__(
@@ -122,7 +119,6 @@ class OnlineController:
         replan_lns_rounds: int = 2,
         replan_time_limit: float = 1.0,
         replan_delay: float = 0.0,
-        partial_inference: bool = True,
         detection_mode: bool = False,
         detector_config: DetectorConfig | None = None,
         autoscaler=None,
@@ -134,7 +130,6 @@ class OnlineController:
         self.replan_lns_rounds = replan_lns_rounds
         self.replan_time_limit = replan_time_limit
         self.replan_delay = replan_delay
-        self.partial_inference = partial_inference
         #: With detection on, node failures happen *silently*
         #: (``fail_node(announce=False)``) and the controller reacts only
         #: when its failure detector confirms the node — measuring true
@@ -274,8 +269,7 @@ class OnlineController:
         ``refresh_links`` cannot report what changed before it existed)."""
         if self._flow_graph is None:
             self._flow_graph = FlowGraph(
-                sim.cluster, self.model, placement, self.profiler,
-                self.partial_inference,
+                sim.cluster, self.model, placement, self.profiler
             )
             return self._flow_graph, True
         return self._flow_graph, False
@@ -409,7 +403,6 @@ class OnlineController:
             subcluster,
             self.model,
             self.profiler,
-            partial_inference=self.partial_inference,
             lns_time_limit=self.replan_time_limit,
             mip_rel_gap=0.05,
         )
@@ -422,12 +415,7 @@ class OnlineController:
         """The replans whose repaired placement actually took effect."""
         return [r for r in self.replans if r.status == "applied"]
 
-    def report(
-        self,
-        sim,
-        window: float = 2.0,
-        recovery_threshold: float = 0.7,
-    ) -> DisruptionReport:
+    def report(self, sim, window: float = 2.0) -> DisruptionReport:
         """Assemble the run's :class:`~repro.sim.metrics.DisruptionReport`.
 
         Pre-disruption goodput is measured before the first disruptive
@@ -474,7 +462,6 @@ class OnlineController:
             requests_migrated=sum(1 for r in records if r.migrations > 0),
             tokens_lost=sum(r.tokens_lost for r in records),
             replan_latencies=[r.wall_seconds for r in applied],
-            recovery_threshold=recovery_threshold,
             mttd_samples=[row[3] for row in self.detections],
             reaction_times=reaction_times,
             false_positives=(

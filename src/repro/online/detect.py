@@ -7,7 +7,7 @@ progress. :class:`FailureDetector` runs inside the simulation and sees
 exactly what a real coordinator would:
 
 * **Heartbeats through the simulated network.** Every monitored node
-  emits a heartbeat each ``heartbeat_interval``; its delivery time is
+  emits a heartbeat each :data:`HEARTBEAT_INTERVAL`; its delivery time is
   computed from the node's live channel to the coordinator (bandwidth +
   propagation latency, so a degraded link slows heartbeats down and
   raises suspicion exactly as it should). Heartbeats ride a control
@@ -19,13 +19,13 @@ exactly what a real coordinator would:
   observed inter-arrival times; suspicion level is the classic
   exponential phi — ``0.434 * elapsed / mean_interval`` — and crossing
   ``phi_threshold`` raises a *crash* suspicion. A late heartbeat clears
-  it (a flap), doubles that node's threshold (``flap_damping``), and
+  it (a flap), doubles that node's threshold (:data:`FLAP_DAMPING`), and
   counts toward false-positive accounting.
 * **Progress watchdog.** A zombie keeps heartbeating, so phi never
   fires; instead the watchdog suspects any node that is busy or has
   queued work but whose batch counter has not advanced for
   ``zombie_timeout`` seconds.
-* **Confirmation.** A suspicion sustained for ``confirm_after`` seconds
+* **Confirmation.** A suspicion sustained for :data:`CONFIRM_AFTER` seconds
   confirms: the ``on_confirm`` callback fires (the controller reacts by
   calling ``sim.confirm_node_failure`` and replanning). Confirming a
   healthy node is allowed — that is what a false positive *is* — and the
@@ -47,51 +47,42 @@ from repro.cluster.node import COORDINATOR
 #: log10(e) — converts the exponential survival exponent to phi digits.
 _LOG10_E = 0.4342944819032518
 
+#: Seconds between heartbeats of one node.
+HEARTBEAT_INTERVAL = 0.25
+#: Heartbeat payload bytes (its network time is ``bytes / bandwidth +
+#: latency`` on the node's coordinator link).
+HEARTBEAT_BYTES = 4096.0
+#: Seconds a suspicion must survive before the node is confirmed failed.
+CONFIRM_AFTER = 0.5
+#: Multiplier applied to a node's phi threshold every time a suspicion
+#: proves premature (the node heartbeats while suspected): a flapping
+#: node gets progressively harder to suspect.
+FLAP_DAMPING = 2.0
+#: Period of the detector's evaluation tick.
+CHECK_INTERVAL = 0.125
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
     """Tuning knobs of one :class:`FailureDetector`.
 
     Attributes:
-        heartbeat_interval: Seconds between heartbeats of one node.
-        heartbeat_bytes: Heartbeat payload size (its network time is
-            ``bytes / bandwidth + latency`` on the node's coordinator
-            link).
         phi_threshold: Suspicion level that raises a crash suspicion.
         min_samples: Heartbeat intervals observed before phi is
             meaningful (no suspicion until then).
-        confirm_after: Seconds a suspicion must survive before the node
-            is confirmed failed.
-        flap_damping: Multiplier applied to a node's phi threshold every
-            time a suspicion proves premature (the node heartbeats while
-            suspected) — a flapping node gets progressively harder to
-            suspect.
         zombie_timeout: Seconds of no batch progress (while busy or
             holding queued work) before a zombie suspicion.
-        check_interval: Period of the detector's evaluation tick.
     """
 
-    heartbeat_interval: float = 0.25
-    heartbeat_bytes: float = 4096.0
     phi_threshold: float = 8.0
     min_samples: int = 3
-    confirm_after: float = 0.5
-    flap_damping: float = 2.0
     zombie_timeout: float = 3.0
-    check_interval: float = 0.125
 
     def __post_init__(self) -> None:
-        for name in (
-            "heartbeat_interval", "confirm_after", "zombie_timeout",
-            "check_interval", "phi_threshold", "flap_damping",
-        ):
+        for name in ("zombie_timeout", "phi_threshold"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.heartbeat_bytes < 0:
-            raise ValueError(
-                f"heartbeat_bytes must be >= 0, got {self.heartbeat_bytes}"
-            )
         if self.min_samples < 1:
             raise ValueError(
                 f"min_samples must be >= 1, got {self.min_samples}"
@@ -151,16 +142,13 @@ class FailureDetector:
         """Begin monitoring every node the placement uses."""
         sim = self.sim
         now = sim.now
-        interval = self.config.heartbeat_interval
         for node_id in sorted(sim.executors):
             self._nodes[node_id] = _NodeState(now, self.config.phi_threshold)
             sim.schedule_event(
-                now + interval,
+                now + HEARTBEAT_INTERVAL,
                 lambda s, nid=node_id: self._emit_heartbeat(nid),
             )
-        sim.schedule_event(
-            now + self.config.check_interval, lambda s: self._check()
-        )
+        sim.schedule_event(now + CHECK_INTERVAL, lambda s: self._check())
 
     @property
     def suspected(self) -> dict[str, str]:
@@ -176,10 +164,10 @@ class FailureDetector:
         sim = self.sim
         now = sim.now
         sim.schedule_event(
-            now + self.config.heartbeat_interval,
+            now + HEARTBEAT_INTERVAL,
             lambda s, nid=node_id: self._emit_heartbeat(nid),
         )
-        if node_id in sim.down_nodes or node_id in sim.silent_down_nodes:
+        if sim.is_node_dead(node_id):
             return  # dead processes do not heartbeat (zombies do)
         self.heartbeats_sent += 1
         channel = sim.channels.get((node_id, COORDINATOR))
@@ -193,9 +181,7 @@ class FailureDetector:
                 self.heartbeats_dropped += 1
                 return
             delivery = (
-                now
-                + self.config.heartbeat_bytes / channel.bandwidth
-                + channel.latency
+                now + HEARTBEAT_BYTES / channel.bandwidth + channel.latency
             )
         sim.schedule_event(
             delivery, lambda s, nid=node_id: self._on_heartbeat(nid)
@@ -219,7 +205,7 @@ class FailureDetector:
         kind = state.suspect_kind
         state.suspect_time = None
         state.suspect_kind = ""
-        state.threshold *= self.config.flap_damping
+        state.threshold *= FLAP_DAMPING
         self.timeline.append((now, f"clear:{kind}", node_id))
         if node_id not in self.sim.fault_times:
             self.false_positives += 1
@@ -228,10 +214,7 @@ class FailureDetector:
     def _check(self) -> None:
         sim = self.sim
         now = sim.now
-        sim.schedule_event(
-            now + self.config.check_interval, lambda s: self._check()
-        )
-        config = self.config
+        sim.schedule_event(now + CHECK_INTERVAL, lambda s: self._check())
         down = sim.down_nodes
         for node_id, state in self._nodes.items():
             if node_id in self.confirmed or node_id in down:
@@ -254,7 +237,7 @@ class FailureDetector:
                         self._clear(node_id, state, now)
             if state.suspect_time is None:
                 self._maybe_suspect(node_id, state, executor, now)
-            elif now - state.suspect_time >= config.confirm_after:
+            elif now - state.suspect_time >= CONFIRM_AFTER:
                 self._confirm(node_id, state, now)
 
     def _maybe_suspect(self, node_id, state, executor, now: float) -> None:

@@ -26,7 +26,7 @@ from repro.cluster.profiler import Profiler
 from repro.models.specs import ModelSpec
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StageWork:
     """One request-iteration's work at one pipeline stage.
 
@@ -50,10 +50,10 @@ class StageWork:
             outbound channel resolved once at schedule time.
         next: The work this stage forwards to — the next stage's work of
             the same phase, or the work itself at the final stage (token
-            return). Set by the simulator via ``object.__setattr__``.
+            return). Set by the simulator once the pipeline's works exist.
 
     The simulator builds one prompt work and one decode work per
-    (attempt, stage) and re-enqueues the same frozen objects every decode
+    (attempt, stage) and re-enqueues the same objects every decode
     iteration, so steady-state decode allocates no work objects at all.
     """
 

@@ -15,9 +15,10 @@ scheduler, and a request trace, then plays the serving system forward:
 Nodes batch dynamically (everything queued joins the next batch), links
 are FIFO bandwidth/latency queues, and KV pools track true occupancy.
 
-Engine design (the hot-path overhaul; the pre-overhaul engine survives as
-:class:`repro.sim._legacy_reference.LegacySimulation` for differential
-testing only, with no benchmark role):
+Engine design (the hot-path overhaul). Its reference is per-hop stepping
+(``coalescing=False``), and both paths are pinned by committed golden
+digests of every observable (:mod:`repro.testkit.golden`), recorded from
+the pre-overhaul engine:
 
 * **Hop tables.** At schedule time each request resolves its pipeline
   once into a list of :class:`_Hop` entries — executor, KV pool, outbound
@@ -588,9 +589,6 @@ class Simulation:
         rather than churning within a class. Returns True when a slot was
         freed for the arrival.
         """
-        admission = self._tenancy.config.admission
-        if not admission.evict_lower_priority:
-            return False
         victim = self._pending.lowest_priority_queued()
         if victim is None:
             return False
@@ -680,8 +678,8 @@ class Simulation:
         # same owner/attempt identity).
         for index in range(depth):
             nxt = index + 1 if index + 1 < depth else index
-            object.__setattr__(prompt_works[index], "next", prompt_works[nxt])
-            object.__setattr__(decode_works[index], "next", decode_works[nxt])
+            prompt_works[index].next = prompt_works[nxt]
+            decode_works[index].next = decode_works[nxt]
         entry_key = (COORDINATOR, stages[0].node_id)
         entry = channels.get(entry_key)
         if entry is None:
@@ -1926,6 +1924,11 @@ class Simulation:
     def silent_down_nodes(self) -> set[str]:
         """Nodes physically dead but not yet confirmed by any detector."""
         return set(self._silent_down)
+
+    def is_node_dead(self, node_id: str) -> bool:
+        """Whether ``node_id`` is failed or silently crashed (a zombie is
+        not: it still heartbeats). Copies no set."""
+        return node_id in self._down_nodes or node_id in self._silent_down
 
     @property
     def draining_nodes(self) -> set[str]:

@@ -23,18 +23,17 @@ from repro.tenancy.registry import TenantRegistry
 class AdmissionConfig:
     """Overload admission policy.
 
+    When a higher-priority request arrives at a full queue, the
+    lowest-priority *queued* request is shed to make room instead of the
+    arrival. This is what "sheds lowest-priority traffic first" means
+    under a mixed backlog.
+
     Attributes:
         max_pending: Queue-depth cap; arrivals beyond it are candidates
             for shedding.
-        evict_lower_priority: When a higher-priority request arrives at
-            a full queue, shed the lowest-priority *queued* request to
-            make room instead of shedding the arrival. This is what
-            "sheds lowest-priority traffic first" means under a mixed
-            backlog.
     """
 
     max_pending: int
-    evict_lower_priority: bool = True
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:

@@ -6,6 +6,9 @@ This is the command every failing sweep test prints::
 
 Exit status 0 means every invariant and oracle held; 1 means violations
 (printed, one per line); 2 means a bad address.
+
+``python -m repro.testkit regen-golden`` instead rewrites the simulator's
+golden digests (:mod:`repro.testkit.golden`) from per-hop runs.
 """
 
 from __future__ import annotations
@@ -19,6 +22,12 @@ from repro.testkit.harness import verify_scenario
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["regen-golden"]:
+        from repro.testkit.golden import golden_cases, regen_golden
+
+        print(f"wrote {len(golden_cases())} cases to {regen_golden()}")
+        return 0
     parser = argparse.ArgumentParser(
         prog="python -m repro.testkit",
         description="Replay and verify one generated scenario.",

@@ -12,7 +12,9 @@ hand-written fixtures.
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -325,26 +327,48 @@ def check_milp_oracles(
 
 
 # ----------------------------------------------------------------------
-# Simulation engine: coalesced vs. per-hop vs. the frozen baseline
+# Simulation engine: coalesced vs. per-hop vs. the golden digests
 # ----------------------------------------------------------------------
 def _nan_equal(a: float, b: float) -> bool:
     """Exact float equality with NaN == NaN (unset timestamps)."""
     return a == b or (a != a and b != b)
 
 
-def _run_engine(family: str, seed: int, size: str, engine: str):
-    """Plan and serve one freshly-generated scenario on one engine.
+def _canonical(value):
+    """A JSON-ready form under which equal values serialize equally.
 
-    ``engine`` is ``"legacy"`` (the frozen pre-overhaul loop), ``"hop"``
-    (the current engine), or ``"perhop"`` (the current engine with
-    coalescing disabled — one heap event per hop, no hop groups). Every
-    run gets its own generation: serving and churn mutate the cluster,
-    and schedulers are stateful.
+    Numbers compare by value, as in :func:`_compare_observables` (``3 ==
+    3.0``, ``-0.0 == 0.0``, NaN equals NaN), so every number becomes a
+    float whose ``repr`` is exact; mappings are sorted by key and
+    dataclasses become mappings of their fields.
+    """
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, float, np.number)):
+        return float(value) + 0.0
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        items = [(_canonical(key), _canonical(v)) for key, v in value.items()]
+        return sorted(items, key=lambda item: json.dumps(item[0]))
+    return [_canonical(item) for item in value]
+
+
+def canonical_json(value) -> str:
+    """Exact, NaN-equal serialization: equal strings mean equal values."""
+    return json.dumps(_canonical(value))
+
+
+def _run_engine(family: str, seed: int, size: str, coalescing: bool):
+    """Plan and serve one freshly-generated scenario on one engine path.
+
+    ``coalescing=False`` is the per-hop reference (one heap event per
+    hop, no hop groups). Every run gets its own generation: serving and
+    churn mutate the cluster, and schedulers are stateful.
     """
     from repro.bench.runner import make_planner, make_scheduler
     from repro.core.errors import ReproError
     from repro.scenarios.generator import generate_scenario
-    from repro.sim._legacy_reference import LegacySimulation
     from repro.sim.simulator import Simulation
 
     scenario = generate_scenario(family, seed, size)
@@ -367,14 +391,7 @@ def _run_engine(family: str, seed: int, size: str, engine: str):
         scenario.scheduler_method, scenario.cluster, scenario.model,
         result, seed=scenario.seed,
     )
-    kwargs = {}
-    if engine == "legacy":
-        sim_cls = LegacySimulation
-    else:
-        sim_cls = Simulation
-        if engine == "perhop":
-            kwargs["coalescing"] = False
-    sim = sim_cls(
+    sim = Simulation(
         cluster=scenario.cluster,
         model=scenario.model,
         placement=result.placement,
@@ -382,7 +399,7 @@ def _run_engine(family: str, seed: int, size: str, engine: str):
         requests=scenario.requests,
         max_time=scenario.max_time,
         seed=scenario.seed,
-        **kwargs,
+        coalescing=coalescing,
     )
     for event in scenario.churn:
         if event.time <= scenario.max_time:
@@ -393,8 +410,6 @@ def _run_engine(family: str, seed: int, size: str, engine: str):
 
 def _engine_observables(sim, metrics) -> dict:
     """Every externally-visible quantity an engine run produces."""
-    from repro.sim.metrics import TokenTimeline
-
     records = {}
     for record in sim.records:
         records[record.request_id] = (
@@ -431,15 +446,7 @@ def _engine_observables(sim, metrics) -> dict:
         )
         for key, channel in sim.channels.items()
     }
-    # The legacy engine keeps exact token times; fold them into the new
-    # engine's bucket layout so the timelines compare like for like.
-    if hasattr(sim, "token_buckets"):
-        buckets = sim.token_buckets
-    else:
-        timeline = TokenTimeline()
-        for when in sim.token_timeline:
-            timeline.add(when)
-        buckets = timeline.bucket_counts()
+    buckets = sim.token_buckets
     while buckets and buckets[-1] == 0:
         buckets.pop()
     tenancy = None
@@ -459,6 +466,24 @@ def _engine_observables(sim, metrics) -> dict:
         "now": sim.now,
         "tenancy": tenancy,
     }
+
+
+def _metric_values(metrics) -> dict[str, float]:
+    """The serving-metric fields the engine comparisons read, as floats."""
+    values = {
+        name: float(getattr(metrics, name))
+        for name in (
+            "decode_throughput", "requests_finished", "requests_submitted",
+            "duration", "decode_tokens", "kv_overflow_events",
+            "avg_pipeline_depth", "requests_retried", "requests_migrated",
+            "tokens_lost",
+        )
+    }
+    for dist in ("prompt_latency", "decode_latency"):
+        stats = getattr(metrics, dist)
+        for q in ("count", "mean", "p5", "p25", "p50", "p75", "p95"):
+            values[f"{dist}.{q}"] = float(getattr(stats, q))
+    return values
 
 
 def _compare_observables(tag: str, ours: dict, reference: dict) -> list[Violation]:
@@ -493,47 +518,29 @@ def _compare_observables(tag: str, ours: dict, reference: dict) -> list[Violatio
         )
     if not _nan_equal(ours["now"], reference["now"]):
         flag("now", f"{ours['now']} != {reference['now']}")
-    m_a, m_b = ours["metrics"], reference["metrics"]
-    for field_name in (
-        "decode_throughput", "requests_finished", "requests_submitted",
-        "duration", "decode_tokens", "kv_overflow_events",
-        "avg_pipeline_depth", "requests_retried", "requests_migrated",
-        "tokens_lost",
-    ):
-        if not _nan_equal(
-            float(getattr(m_a, field_name)), float(getattr(m_b, field_name))
-        ):
-            flag("metrics", f"{field_name}: {getattr(m_a, field_name)} != "
-                            f"{getattr(m_b, field_name)}")
-    for dist in ("prompt_latency", "decode_latency"):
-        stats_a, stats_b = getattr(m_a, dist), getattr(m_b, dist)
-        for q in ("count", "mean", "p5", "p25", "p50", "p75", "p95"):
-            if not _nan_equal(
-                float(getattr(stats_a, q)), float(getattr(stats_b, q))
-            ):
-                flag("metrics", f"{dist}.{q}: {getattr(stats_a, q)} != "
-                                f"{getattr(stats_b, q)}")
+    values_a = _metric_values(ours["metrics"])
+    values_b = _metric_values(reference["metrics"])
+    for name, value in values_a.items():
+        if not _nan_equal(value, values_b[name]):
+            flag("metrics", f"{name}: {value} != {values_b[name]}")
     return violations
 
 
-def check_sim_engines(
-    family: str, seed: int, size: str = "smoke"
-) -> list[Violation]:
-    """The simulator-overhaul differential oracle for one address.
+def check_sim_engines(family: str, seed: int) -> list[Violation]:
+    """The simulator differential oracle for one golden-matrix address.
 
-    Replays the scenario through the frozen pre-overhaul engine, the
-    current engine, and the current engine with coalescing disabled, and
+    Replays the smoke-size scenario through the current engine with
+    coalescing on (hop groups) and off (the per-hop reference) and
     requires *exactly* equal observables — per-request token times,
     serving metrics, KV pools, executor utilization, and per-channel
-    network statistics. This is the guarantee behind the overhaul: hop
-    groups, bare one-hop events and lazy arrivals change wall-clock speed
-    and nothing else.
+    network statistics — between the two and against the committed
+    golden digests (:mod:`repro.testkit.golden`), which were recorded
+    from the frozen pre-overhaul engine. Hop groups, bare one-hop events
+    and lazy arrivals change wall-clock speed and nothing else.
     """
-    legacy = _engine_observables(*_run_engine(family, seed, size, "legacy"))
-    hop = _engine_observables(*_run_engine(family, seed, size, "hop"))
-    perhop = _engine_observables(*_run_engine(family, seed, size, "perhop"))
-    violations = _compare_observables("hop-vs-legacy", hop, legacy)
-    violations.extend(_compare_observables("perhop-vs-legacy", perhop, legacy))
+    from repro.testkit.golden import check_case
+
+    violations, _ = check_case(f"{family}-{seed}")
     return violations
 
 

@@ -31,7 +31,10 @@ from repro.sim.metrics import (
     aggregate_tenant_metrics,
 )
 from repro.sim.simulator import Simulation
-from repro.testkit.differential import check_reevaluate_vs_rebuild
+from repro.testkit.differential import (
+    canonical_json,
+    check_reevaluate_vs_rebuild,
+)
 from repro.testkit.invariants import (
     SchedulerAuditor,
     TenantKVSampler,
@@ -196,6 +199,22 @@ def _fingerprint(sim: Simulation, metrics: ServingMetrics) -> str:
         sim.token_timeline,
     )).encode()
     return hashlib.sha256(payload).hexdigest()
+
+
+def _controller_outcome(report: ScenarioReport) -> dict[str, str]:
+    """The replay-comparable controller telemetry, serialized exactly:
+    disruption (without its wall-clock replan latencies), elasticity and
+    tenancy."""
+    disruption = report.disruption
+    if disruption is not None:
+        disruption = replace(
+            disruption, replan_latency_mean=0.0, replan_latency_max=0.0
+        )
+    return {
+        "disruption": canonical_json(disruption),
+        "elasticity": canonical_json(report.elasticity),
+        "tenancy": canonical_json(report.tenancy),
+    }
 
 
 def run_scenario(
@@ -391,7 +410,8 @@ def verify_scenario(
         seed: Scenario seed.
         size: Sweep tier (``"smoke"`` or ``"full"``).
         determinism: Replay the address a second time (fresh generation)
-            and require a bit-identical outcome fingerprint.
+            and require a bit-identical outcome fingerprint and identical
+            controller telemetry (disruption, elasticity, tenancy).
         flow_differential: Cross-validate ``FlowGraph.reevaluate`` against
             fresh rebuilds on seeded random placements of this scenario.
         scheduler: Scheduling-policy override (``None`` = the scenario's
@@ -420,6 +440,14 @@ def verify_scenario(
                 f"different outcomes ({report.fingerprint[:12]} vs "
                 f"{replay.fingerprint[:12]})",
             ))
+        ours, theirs = _controller_outcome(report), _controller_outcome(replay)
+        for name in ours:
+            if ours[name] != theirs[name]:
+                report.violations.append(Violation(
+                    "per_seed_determinism",
+                    "two runs of the same (family, seed, size) produced "
+                    f"different {name} telemetry",
+                ))
     return report
 
 

@@ -9,7 +9,8 @@ the plain engine matrix cannot express (detection-mode chaos, elastic
 residency, tenancy).
 
 ``tests/test_sim_equivalence.py`` covers the classic 24-address
-legacy / coalesced / per-hop matrix via ``check_sim_engines``.
+coalesced / per-hop matrix via ``check_sim_engines``, pinned by the
+committed golden digests.
 """
 
 import pytest

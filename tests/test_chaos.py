@@ -581,6 +581,28 @@ class TestChaosScenarios:
         """Invariants (incl. request conservation) hold, runs reproduce."""
         assert_scenario_ok(verify_scenario("chaos", seed, "smoke"))
 
+    def test_replay_catches_nondeterministic_detector(self, monkeypatch):
+        """A detector output that differs between the run and its replay
+        trips ``per_seed_determinism`` even though every token matches."""
+        from itertools import count
+
+        from repro.online.detect import FailureDetector
+
+        runs = count()
+        start = FailureDetector.start
+
+        def skewed_start(detector):
+            start(detector)
+            detector.false_positives = next(runs)  # 0, then 1 on replay
+
+        monkeypatch.setattr(FailureDetector, "start", skewed_start)
+        report = verify_scenario("chaos", 0, "smoke", flow_differential=False)
+        assert [(v.invariant, v.detail) for v in report.violations] == [(
+            "per_seed_determinism",
+            "two runs of the same (family, seed, size) produced different "
+            "disruption telemetry",
+        )]
+
     def test_legacy_families_are_unaffected(self):
         from repro.scenarios.generator import (
             SCENARIO_FAMILIES, generate_scenario,

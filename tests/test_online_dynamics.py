@@ -1134,12 +1134,12 @@ class TestPhiAccrualPaths:
     def test_flap_clears_suspicion_damps_threshold_and_counts_fp(self):
         """A late heartbeat while suspected = a flap: clear + damp + FP."""
         from repro.online import DetectorConfig, FailureDetector
+        from repro.online.detect import FLAP_DAMPING
 
         class FakeSim:
             def __init__(self):
                 self.now = 0.0
                 self.down_nodes = set()
-                self.silent_down_nodes = set()
                 self.channels = {}
                 self.executors = {}
                 self.fault_times = {}
@@ -1169,6 +1169,6 @@ class TestPhiAccrualPaths:
         sim.now = 3.1
         detector._on_heartbeat("n0")
         assert detector.suspected == {}
-        assert state.threshold == config.phi_threshold * config.flap_damping
+        assert state.threshold == config.phi_threshold * FLAP_DAMPING
         assert detector.false_positives == 1
         assert any(row[1] == "clear:crash" for row in detector.timeline)

@@ -1,42 +1,54 @@
-"""The simulator overhaul must not change any observable metric.
+"""The simulator's fast paths must not change any observable metric.
 
-The overhauled engine (hop groups, bare one-hop events and lazy
-arrivals) is specified as *bit-identical* to the frozen pre-overhaul
-event loop. These tests enforce that specification:
+The engine (hop groups, bare one-hop events and lazy arrivals) is
+specified as *bit-identical* to per-hop stepping (``coalescing=False``,
+one heap event per hop) and to committed golden digests of every
+observable, recorded from the frozen pre-overhaul engine
+(``tests/golden/sim_observables.json``, :mod:`repro.testkit.golden`).
+These tests enforce that specification:
 
 * the differential oracle replays every tier-1 scenario address (all 4
-  families x 6 seeds, churny addresses included) through the legacy
-  engine, the current engine, and the current engine with coalescing
-  disabled, and requires exactly equal observables
-  (``tests/test_batch_engine.py`` extends the coalesced-vs-per-hop
+  families x 6 seeds, churny addresses included) coalesced and per-hop
+  and requires observables exactly equal to each other and to the
+  digests (``tests/test_batch_engine.py`` extends the coalesced-vs-per-hop
   comparison to the chaos / elastic / tenant families);
-* scripted fig12 scenarios serve a sequential stream of lone requests
-  and cut one mid-decode with a node failure;
-* a Poisson trace cut mid-way by the horizon shows arrivals enter the
-  event heap one at a time and leave all three engines equal;
+* scripted fig12 scenarios serve a sequential stream of lone requests,
+  cut one mid-decode with a node failure, flood the cluster, and cut
+  traces at a horizon, each checked against its digests;
+* the golden file holds exactly the cases these tests read, and a
+  one-ulp change to one token time moves exactly one digest;
 * the precomputed roofline constants are checked bit-for-bit against
   ``Profiler.batch_time``.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from repro.cluster import ComputeNode, Profiler, T4, small_cluster_fig12
+from repro.cluster import ComputeNode, Profiler, T4
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
-from repro.models.specs import LLAMA_30B
-from repro.scenarios.generator import SCENARIO_FAMILIES
 from repro.scheduling import HelixScheduler
 from repro.sim import NodeExecutor, Request, Simulation, StageWork
-from repro.sim._legacy_reference import LegacySimulation
-from repro.testkit.differential import check_sim_engines
-
-SEEDS = range(6)
-MATRIX = [
-    (family, seed) for family in SCENARIO_FAMILIES for seed in SEEDS
-]
+from repro.testkit.differential import _engine_observables, check_sim_engines
+from repro.testkit.golden import (
+    GOLDEN_PATH,
+    GROUPS,
+    MATRIX,
+    POISSON_HORIZON,
+    REGEN_COMMAND,
+    SCRIPTED_CASES,
+    _fig12_sim,
+    check_case,
+    check_golden,
+    load_golden,
+    observable_digests,
+    poisson_trace,
+    serve_case,
+    versions,
+)
 
 
 @pytest.mark.scenario
@@ -44,163 +56,113 @@ MATRIX = [
     "family,seed", MATRIX, ids=[f"{f}-{s}" for f, s in MATRIX]
 )
 def test_engines_agree_on_matrix_address(family, seed):
-    """Legacy vs. coalesced vs. per-hop: equal observables."""
-    violations = check_sim_engines(family, seed, "smoke")
+    """Coalesced vs. per-hop vs. the golden digests: equal observables."""
+    violations = check_sim_engines(family, seed)
     assert not violations, "\n".join(str(v) for v in violations)
 
 
 # ----------------------------------------------------------------------
-# Lone requests on the fig12 plan: a sequential stream, mid-decode churn
+# Scripted fig12 cases: lone requests, mid-decode churn, floods, horizons
 # ----------------------------------------------------------------------
-def _fig12_serving(requests, **sim_kwargs):
-    from repro.placement.petals import PetalsPlanner
-
-    cluster = small_cluster_fig12()
-    model = LLAMA_30B
-    profiler = Profiler()
-    result = PetalsPlanner(cluster, model, profiler).plan()
-    scheduler = HelixScheduler(
-        cluster, model, result.placement, profiler, flow=result.flow,
-        expected_output_len=float(requests[0].output_len),
-    )
-    sim_cls = sim_kwargs.pop("sim_cls", Simulation)
-    return sim_cls(
-        cluster, model, result.placement, scheduler, requests,
-        profiler=profiler, **sim_kwargs,
-    )
+def _check_scripted(case, prepare=None):
+    violations, runs = check_case(case, prepare)
+    assert not violations, "\n".join(str(v) for v in violations)
+    return runs["coalesced"]
 
 
 def test_sequential_stream_matches_legacy():
-    """Lone requests one after another: every token matches legacy."""
-    requests = [
-        Request(f"r{i}", 16, 300, arrival_time=i * 500.0) for i in range(3)
-    ]
-    sim = _fig12_serving(list(requests), max_time=1e9, seed=0)
-    metrics = sim.run()
+    """Lone requests one after another: every observable matches."""
+    _, metrics = _check_scripted("sequential_stream")
     assert metrics.requests_finished == 3
-
-    legacy = _fig12_serving(list(requests), max_time=1e9, seed=0,
-                            sim_cls=LegacySimulation)
-    legacy_metrics = legacy.run()
-    for request in requests:
-        assert (
-            sim.record_of(request.request_id).token_times
-            == legacy.record_of(request.request_id).token_times
-        )
-    assert metrics.decode_throughput == legacy_metrics.decode_throughput
 
 
 def test_mid_decode_failure_matches_legacy():
     """A node failure mid-decode disrupts the request; still matches."""
-    requests = [Request("victim", 16, 400)]
-
-    def build(sim_cls):
-        sim = _fig12_serving(
-            list(requests), max_time=1e9, seed=0, sim_cls=sim_cls
-        )
-        # Fail a pipeline node mid-decode, restore it later: the attempt
-        # is disrupted, and the retried attempt finishes after recovery.
-        def fail(s):
-            node_id = s.placement.used_nodes[0]
-            s.fail_node(node_id)
-            s.schedule_event(s.now + 5.0, lambda s2: s2.restore_node(node_id))
-
-        sim.schedule_event(8.0, fail)
-        return sim
-
-    fast = build(Simulation)
-    fast_metrics = fast.run()
-    assert fast_metrics.requests_retried == 1
-    assert fast_metrics.requests_finished == 1
-
-    legacy = build(LegacySimulation)
-    legacy_metrics = legacy.run()
-    assert (
-        fast.record_of("victim").token_times
-        == legacy.record_of("victim").token_times
-    )
-    assert fast_metrics.tokens_lost == legacy_metrics.tokens_lost
-    assert fast_metrics.decode_throughput == legacy_metrics.decode_throughput
+    _, metrics = _check_scripted("mid_decode_failure")
+    assert metrics.requests_retried == 1
+    assert metrics.requests_finished == 1
 
 
 def test_flooded_equivalence_with_batch_cohorts():
     """A saturated uniform flood (long same-channel decode cohorts in
     every batch) matches exactly, with pinned logical event counts."""
-    requests = [Request(f"r{i:04d}", 16, 24) for i in range(120)]
-    fast = _fig12_serving(list(requests), max_time=1e9, seed=0,
-                          max_batch_tokens=2048)
-    fast.run()
-    assert (fast.events_popped, fast.grouped_hops) == (4407, 22920)
-    legacy = _fig12_serving(list(requests), max_time=1e9, seed=0,
-                            max_batch_tokens=2048, sim_cls=LegacySimulation)
-    legacy.run()
-    for request in requests:
-        assert (
-            fast.record_of(request.request_id).token_times
-            == legacy.record_of(request.request_id).token_times
-        )
-    for key, channel in legacy.channels.items():
-        fast_channel = fast.channels[key]
-        assert fast_channel.bytes_sent == channel.bytes_sent
-        assert fast_channel.total_queueing_delay == channel.total_queueing_delay
+    sim, _ = _check_scripted("flooded_cohorts")
+    assert (sim.events_popped, sim.grouped_hops) == (4407, 22920)
 
 
 def test_arrivals_enter_the_heap_one_at_a_time():
     """The heap holds the next arrival, never the whole future trace.
 
     Env callbacks sample the event heap across a Poisson trace; a horizon
-    that cuts mid-trace must still leave every engine in exactly the same
-    state (the unreached arrivals simply never pop).
+    that cuts mid-trace must still leave both engine paths equal to the
+    digests recorded without the callbacks (the unreached arrivals simply
+    never pop).
     """
     from repro.sim.simulator import K_ARRIVAL
-    from repro.testkit.differential import (
-        _compare_observables,
-        _engine_observables,
-    )
-    from repro.trace.arrival import poisson_arrivals
 
-    base = [Request(f"p{i:03d}", 32 + i % 7, 12 + i % 5) for i in range(300)]
-    trace = poisson_arrivals(base, 3.0, seed=3)
-    horizon = 40.0
-    assert trace[-1].arrival_time > 2 * horizon  # the cut is mid-trace
-
+    trace = poisson_trace()
+    assert trace[-1].arrival_time > 2 * POISSON_HORIZON  # cut mid-trace
     samples = []
 
     def sample(sim):
         samples.append(sum(1 for item in sim._events if item[2] == K_ARRIVAL))
 
-    runs = {}
-    for label, kwargs in (
-        ("hop", {}),
-        ("perhop", {"coalescing": False}),
-        ("legacy", {"sim_cls": LegacySimulation}),
-    ):
-        sim = _fig12_serving(list(trace), max_time=horizon, seed=0, **kwargs)
-        if label != "legacy":
-            for k in range(1, 40):
-                sim.schedule_event(k * 1.0, sample)
-        runs[label] = _engine_observables(sim, sim.run())
+    def prepare(sim):
+        for k in range(1, 40):
+            sim.schedule_event(k * 1.0, sample)
+
+    _, metrics = _check_scripted("poisson_horizon", prepare)
     assert len(samples) == 2 * 39
     assert max(samples) == 1
-    for label in ("hop", "perhop"):
-        violations = _compare_observables(
-            f"{label}-vs-legacy", runs[label], runs["legacy"]
-        )
-        assert not violations, "\n".join(str(v) for v in violations)
-    assert 0 < runs["hop"]["metrics"].requests_submitted < len(trace)
+    assert 0 < metrics.requests_submitted < len(trace)
 
 
 def test_max_time_truncation_matches_legacy():
-    requests = [Request(f"r{i}", 64, 500) for i in range(30)]
-    fast = _fig12_serving(list(requests), max_time=6.0, seed=0)
-    fast_metrics = fast.run()
-    legacy = _fig12_serving(list(requests), max_time=6.0, seed=0,
-                            sim_cls=LegacySimulation)
-    legacy_metrics = legacy.run()
-    assert fast_metrics.requests_finished == legacy_metrics.requests_finished
-    assert fast_metrics.decode_tokens == legacy_metrics.decode_tokens
-    assert fast_metrics.duration == legacy_metrics.duration
-    assert fast.now == legacy.now
+    sim, metrics = _check_scripted("max_time_truncation")
+    assert sim.now <= 6.0
+    assert metrics.requests_finished < metrics.requests_submitted == 30
+
+
+# ----------------------------------------------------------------------
+# The golden file itself
+# ----------------------------------------------------------------------
+def test_golden_file_holds_exactly_the_cases_the_tests_read():
+    assert os.listdir(GOLDEN_PATH.parent) == [GOLDEN_PATH.name]
+    golden = load_golden()
+    assert set(golden["header"]) == {"python", "numpy", "command"}
+    assert golden["header"]["command"] == REGEN_COMMAND
+    read = {f"{f}-{s}" for f, s in MATRIX} | set(SCRIPTED_CASES)
+    assert len(read) == 29
+    assert set(golden["cases"]) == read
+    for digests in golden["cases"].values():
+        assert list(digests) == list(GROUPS)
+
+
+def test_one_ulp_token_change_moves_only_the_records_digest():
+    case = "sequential_stream"
+    observables = _engine_observables(*serve_case(case, coalescing=True))
+    golden = load_golden()
+    assert check_golden(case, observables, "hop") == []
+    before = observable_digests(observables)
+
+    rid, row = next(iter(observables["records"].items()))
+    times = list(row[1])
+    times[5] = math.nextafter(times[5], math.inf)
+    observables["records"][rid] = (row[0], tuple(times)) + row[2:]
+    after = observable_digests(observables)
+    assert [g for g in GROUPS if before[g] != after[g]] == ["records"]
+    violations = check_golden(case, observables, "hop")
+    assert [v.detail.split(":")[0] for v in violations] == [
+        f"[hop] case {case!r}, group 'records'"
+    ]
+    detail = violations[0].detail
+    header = golden["header"]
+    assert f"Python {header['python']} / numpy {header['numpy']}" in detail
+    running = versions()
+    assert f"running Python {running['python']} / numpy {running['numpy']}" in (
+        detail
+    )
+    assert REGEN_COMMAND in detail
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +188,7 @@ def test_take_batch_counters_stay_consistent(tiny_model):
 
     from repro.sim.simulator import K_BATCH
 
-    sim = _fig12_serving([Request("r", 16, 1)])
+    sim = _fig12_sim([Request("r", 16, 1)], coalescing=True)
     executor = NodeExecutor(
         ComputeNode("t4", T4), tiny_model, Profiler(), 4, max_batch_tokens=25
     )
