@@ -7,8 +7,10 @@ progress. :class:`FailureDetector` runs inside the simulation and sees
 exactly what a real coordinator would:
 
 * **Heartbeats through the simulated network.** Every monitored node
-  emits a heartbeat each :data:`HEARTBEAT_INTERVAL`; its delivery time is
-  computed from the node's live channel to the coordinator (bandwidth +
+  emits a heartbeat each :data:`HEARTBEAT_INTERVAL`, all at the same
+  instants: one self-rescheduling round event emits them in node-id
+  order, and each delivery is its own event. The delivery time comes
+  from the node's live channel to the coordinator (bandwidth +
   propagation latency, so a degraded link slows heartbeats down and
   raises suspicion exactly as it should). Heartbeats ride a control
   plane: they never occupy the data channel's FIFO slot (no mutation of
@@ -124,7 +126,7 @@ class FailureDetector:
         self.config = config or DetectorConfig()
         self.on_confirm = on_confirm
         # Monitored nodes; start() inserts them sorted by id, which is
-        # the order every check visits them in.
+        # the order every heartbeat round and check visits them in.
         self._nodes: dict[str, _NodeState] = {}
         self.confirmed: set[str] = set()
         #: Chronological ``(time, event, node_id)`` rows; ``event`` is one
@@ -144,10 +146,7 @@ class FailureDetector:
         now = sim.now
         for node_id in sorted(sim.executors):
             self._nodes[node_id] = _NodeState(now, self.config.phi_threshold)
-            sim.schedule_event(
-                now + HEARTBEAT_INTERVAL,
-                lambda s, nid=node_id: self._emit_heartbeat(nid),
-            )
+        sim.schedule_event(now + HEARTBEAT_INTERVAL, lambda s: self._round())
         sim.schedule_event(now + CHECK_INTERVAL, lambda s: self._check())
 
     @property
@@ -160,13 +159,16 @@ class FailureDetector:
         }
 
     # ------------------------------------------------------------------
+    def _round(self) -> None:
+        """Every monitored node emits its heartbeat, in ``_nodes`` order."""
+        sim = self.sim
+        sim.schedule_event(sim.now + HEARTBEAT_INTERVAL, lambda s: self._round())
+        for node_id in self._nodes:
+            self._emit_heartbeat(node_id)
+
     def _emit_heartbeat(self, node_id: str) -> None:
         sim = self.sim
         now = sim.now
-        sim.schedule_event(
-            now + HEARTBEAT_INTERVAL,
-            lambda s, nid=node_id: self._emit_heartbeat(nid),
-        )
         if sim.is_node_dead(node_id):
             return  # dead processes do not heartbeat (zombies do)
         self.heartbeats_sent += 1
@@ -183,9 +185,7 @@ class FailureDetector:
             delivery = (
                 now + HEARTBEAT_BYTES / channel.bandwidth + channel.latency
             )
-        sim.schedule_event(
-            delivery, lambda s, nid=node_id: self._on_heartbeat(nid)
-        )
+        sim.schedule_event(delivery, lambda s: self._on_heartbeat(node_id))
 
     def _on_heartbeat(self, node_id: str) -> None:
         if node_id in self.confirmed:

@@ -33,27 +33,30 @@ the pre-overhaul engine:
   per *logical* event, so event ordering — including exact-time ties — is
   identical whether or not hops are grouped.
 * **Bare one-hop events.** A hop that travels alone — the prompt
-  shipment, a batch forwarding exactly one work, a lone token's decode
-  re-entry, and every hop under ``coalescing=False`` — is pushed as the
-  :class:`~repro.sim.node_exec.StageWork` itself (``K_HOP`` at a stage,
-  ``K_TOKEN_ONE`` at the coordinator) with the ``seq`` it would own
-  inside a group, so it costs one tuple and a small handler. Every hop
-  sent on a flaky channel (one carrying a gray
-  :class:`~repro.online.faults.LinkFault`) travels bare too: retransmit
-  delays can reorder that channel's arrivals, and a group must arrive in
-  order. The rule is per channel; every healthy channel keeps its
-  groups.
+  shipment, a batch forwarding exactly one work, every decode re-entry,
+  and every hop under ``coalescing=False`` — is pushed as the
+  :class:`~repro.sim.node_exec.StageWork` itself (``K_HOP`` at a stage)
+  with the ``seq`` it would own inside a group, so it costs one tuple and
+  a small handler. Every token returning to the coordinator is one bare
+  ``K_TOKEN_ONE`` event too, as in §5's runtime: the coordinator handles
+  it and ships the decode re-entry itself. Every hop sent on a flaky
+  channel (one carrying a gray :class:`~repro.online.faults.LinkFault`)
+  travels bare: retransmit delays can reorder that channel's arrivals,
+  and a group must arrive in order. The rule is per channel; every
+  healthy channel keeps its groups.
 * **Hop groups (decode coalescing).** When a batch completes, two or more
-  works forwarded over one FIFO channel arrive contiguously; they are
-  carried in one *group event* instead of one heap event per hop. A group
-  drains work-by-work at each work's true arrival time but pauses —
-  re-pushing its remainder — the moment any other event (a new arrival, a
-  churn callback, another node's batch) is due first, so any contention
-  change invalidates the window and falls back to per-hop stepping. Group
-  and bare handlers replay the identical float operations in the
-  identical order as per-hop stepping, which makes the two modes
-  bit-identical (``coalescing=False`` forces one bare event per hop; the
-  differential suite asserts exact equality across the scenario matrix).
+  works it forwards to the next stage over one FIFO channel arrive
+  contiguously; they are carried in one *group event* instead of one
+  heap event per hop. A group drains work-by-work at each work's true
+  arrival time but pauses — re-pushing its remainder — the moment any
+  other event (a new arrival, a churn callback, another node's batch) is
+  due first, so any contention change invalidates the window and falls
+  back to per-hop stepping. At a busy stage the due stretch of a group is
+  enqueued in one slice. Group and bare handlers replay the identical
+  float operations in the identical order as per-hop stepping, which
+  makes the two modes bit-identical (``coalescing=False`` forces one bare
+  event per hop; the differential suite asserts exact equality across
+  the scenario matrix).
 * **Lazy arrivals.** :meth:`Simulation.run` reserves one ``seq`` per
   trace request up front but keeps only the next arrival in the heap
   (popping arrival *i* pushes arrival *i + 1*), so the heap holds the
@@ -101,7 +104,6 @@ from repro.sim.request import Request
 K_ARRIVAL = 0    #: a trace request reaches the coordinator
 K_GROUP = 1      #: contiguous stage arrivals on one channel (hop group)
 K_BATCH = 2      #: a node finishes executing one batch
-K_TOKEN = 3      #: contiguous token deliveries to the coordinator
 K_ENV = 4        #: an environment callback (online dynamics)
 K_HOP = 5        #: one bare StageWork reaches its stage
 K_TOKEN_ONE = 6  #: one bare StageWork delivers a token to the coordinator
@@ -131,16 +133,11 @@ class _HopGroup:
     exact-time ties order identically to per-hop stepping.
     """
 
-    __slots__ = ("kind", "times", "seqs", "works", "index")
+    __slots__ = ("times", "seqs", "works", "index")
 
     def __init__(
-        self,
-        kind: int,
-        times: list[float],
-        seqs: list[int],
-        works: list[StageWork],
+        self, times: list[float], seqs: list[int], works: list[StageWork]
     ) -> None:
-        self.kind = kind
         self.times = times
         self.seqs = seqs
         self.works = works
@@ -511,8 +508,6 @@ class Simulation:
                 self._on_group(item[3])
             elif kind == K_TOKEN_ONE:
                 self._on_token(item[3])
-            elif kind == K_TOKEN:
-                self._on_token_group(item[3])
             elif kind == K_ARRIVAL:
                 seq = item[1]
                 if seq < last:
@@ -939,12 +934,14 @@ class Simulation:
     def _forward_batch(self, batch: list[StageWork]) -> None:
         """Charge KV and forward every work of a multi-work batch.
 
-        Works sharing a healthy channel coalesce into one hop group; a
-        channel that receives one work gets a bare event (see
-        ``_scratch``). A flaky channel's hops always travel bare: its
-        retransmit delays can reorder arrivals, and a group must arrive in
-        order. The rule holds per channel, so a fault on one link leaves
-        every other channel's groups intact.
+        Works bound for the next stage that share a healthy channel
+        coalesce into one hop group; a channel that receives one work gets
+        a bare event (see ``_scratch``). A flaky channel's hops always
+        travel bare: its retransmit delays can reorder arrivals, and a
+        group must arrive in order. The rule holds per channel, so a fault
+        on one link leaves every other channel's groups intact. A token
+        bound for the coordinator always travels as its own bare
+        ``K_TOKEN_ONE`` event.
         """
         now = self._now
         disrupted = self._disrupted
@@ -997,21 +994,18 @@ class Simulation:
                 fault = channel.fault
                 if fault is not None:
                     arrival += fault.delay()
-                if fault is not None or not coalesce:
+                if final or fault is not None or not coalesce:
                     heappush(
                         events,
                         (arrival, seq, K_TOKEN_ONE if final else K_HOP,
                          work.next),
                     )
                 elif channel not in scratch:
-                    scratch[channel] = (
-                        arrival, seq, K_TOKEN_ONE if final else K_HOP,
-                        work.next,
-                    )
+                    scratch[channel] = (arrival, seq, K_HOP, work.next)
                 else:
                     # A second hop joins the channel: from now on it
                     # carries a group.
-                    group = self._scratch_group(channel, final)
+                    group = self._scratch_group(channel)
                     g_channel = channel
                     g_times = group.times
                     g_seqs = group.seqs
@@ -1023,13 +1017,13 @@ class Simulation:
         self._seq = seq
         self._flush_scratch()
 
-    def _scratch_group(self, channel: LinkChannel, final: bool) -> _HopGroup:
+    def _scratch_group(self, channel: LinkChannel) -> _HopGroup:
         """The channel's scratch group, created (or promoted from a lone
-        bare event) on demand; ``final`` picks the token-group kind."""
+        bare event) on demand."""
         entry = self._scratch.get(channel)
         if entry is not None and entry.__class__ is not tuple:
             return entry
-        group = _HopGroup(K_TOKEN if final else K_GROUP, [], [], [])
+        group = _HopGroup([], [], [])
         if entry is not None:
             group.times.append(entry[0])
             group.seqs.append(entry[1])
@@ -1037,85 +1031,19 @@ class Simulation:
         self._scratch[channel] = group
         return group
 
-    def _on_token_group(self, group: _HopGroup) -> None:
-        """Drain contiguous token deliveries at the coordinator."""
-        times = group.times
-        seqs = group.seqs
-        works = group.works
-        i = group.index
-        n = len(times)
-        events = self._events
-        max_time = self.max_time
-        scratch = self._scratch
-        coalesce = self._coalesce
-        # Earliest re-entry arrival accumulated in scratch but not yet in
-        # the heap; the drain must not run past it.
-        pending_first = math.inf
-        # The heap top only moves when a delivery pushes to the heap: a
-        # finish (pending admissions ship prompts) or a re-entry that
-        # travels bare (without coalescing, or on a flaky channel).
-        top_t, top_seq, _, _ = events[0] if events else _NO_EVENT
-        while True:
-            t = times[i]
-            if t > top_t or (t == top_t and seqs[i] > top_seq):
-                break
-            if t > pending_first:
-                break
-            if t > max_time:
-                group.index = i
-                self._flush_scratch()
-                self._halt = True
-                return
-            self._now = t
-            work = works[i]
-            i += 1
-            reentry = self._deliver_token(work)
-            channel = work.owner.entry_channel
-            if reentry is not None and coalesce and channel.fault is None:
-                if channel in scratch:
-                    entry = self._scratch_group(channel, False)
-                    entry.times.append(reentry[0])
-                    entry.seqs.append(reentry[1])
-                    entry.works.append(reentry[3])
-                else:
-                    scratch[channel] = reentry
-                if reentry[0] < pending_first:
-                    pending_first = reentry[0]
-            else:
-                if reentry is not None:
-                    heappush(events, reentry)
-                top_t, top_seq, _, _ = events[0] if events else _NO_EVENT
-            if i == n:
-                group.index = n
-                self._flush_scratch()
-                return
-        # Paused: something else is due first.
-        group.index = i
-        heappush(events, (times[i], seqs[i], K_TOKEN, group))
-        self._flush_scratch()
-
     def _on_token(self, work: StageWork) -> None:
-        """A bare ``K_TOKEN_ONE`` event: one token reaches the coordinator."""
-        reentry = self._deliver_token(work)
-        if reentry is not None:
-            heappush(self._events, reentry)
-            if self._coalesce and work.owner.entry_channel.fault is None:
-                self.grouped_hops += 1
-
-    def _deliver_token(self, work: StageWork) -> tuple | None:
-        """Emit one token at ``self._now``; both token handlers use this.
+        """A ``K_TOKEN_ONE`` event: one token reaches the coordinator.
 
         Settles the hedge race on a first token, records the token
         (request, tenancy, global timeline), and then finishes the
-        request or transmits the decode re-entry. Returns the re-entry's
-        bare ``K_HOP`` heap event for the caller to schedule, or ``None``
-        (a stale work or a finish).
+        request or ships the decode re-entry to the first stage as a bare
+        ``K_HOP`` event.
         """
         owner = work.owner
         if self._disrupted and not (
             owner.live and owner.attempt == work.attempt
         ):
-            return None
+            return
         t = self._now
         record = owner.record
         token_times = record.token_times
@@ -1144,7 +1072,7 @@ class Simulation:
         self._timeline.add(t)
         if record.tokens_generated >= owner.output_len:
             self._finish(owner)
-            return None
+            return
         # Decode re-entry: the coordinator ships one token id back to the
         # first stage.
         channel = owner.entry_channel
@@ -1152,9 +1080,11 @@ class Simulation:
         fault = channel.fault
         if fault is not None:
             arrival += fault.delay()
+        elif self._coalesce:
+            self.grouped_hops += 1
         seq = self._seq
         self._seq = seq + 1
-        return (arrival, seq, K_HOP, owner.decode_works[0])
+        heappush(self._events, (arrival, seq, K_HOP, owner.decode_works[0]))
 
     def _flush_scratch(self) -> None:
         """Push every scratch entry: lone hops bare, the rest as groups."""
@@ -1168,7 +1098,7 @@ class Simulation:
                 heappush(events, entry)
                 hops += 1
             else:
-                heappush(events, (entry.times[0], entry.seqs[0], entry.kind, entry))
+                heappush(events, (entry.times[0], entry.seqs[0], K_GROUP, entry))
                 hops += len(entry.times)
         self.grouped_hops += hops
         scratch.clear()
@@ -2025,9 +1955,11 @@ class Simulation:
     @property
     def engine_stats(self) -> dict[str, int]:
         """Hot-loop telemetry: events popped and grouped hops.
-        ``grouped_hops`` counts the hops a batch or token drain forwarded
-        while coalescing — in a group or, when alone on its channel, as a
-        bare event; it stays 0 per-hop."""
+        ``grouped_hops`` counts the hops forwarded on a healthy channel
+        while coalescing: a multi-work batch's stage-bound hops (in a group
+        or, when alone on their channel, as a bare event), a single-work
+        batch's forward, and every decode re-entry. A multi-work batch's
+        tokens to the coordinator are not counted; it stays 0 per-hop."""
         return {
             "events_popped": self.events_popped,
             "grouped_hops": self.grouped_hops,
