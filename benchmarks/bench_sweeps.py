@@ -5,7 +5,6 @@ headlines; this module runs the wider grids nightly:
 
 * the classic families x seeds 0-24 at full size, fully verified
   (invariants, flow differential, determinism) plus the MILP oracles;
-* every family x seeds 0-9, coalesced vs. per-hop observable equality;
 * the classic families x seeds 0-4 under each scheduling policy, on the
   address's own plan (planned once per address, not once per policy).
 
@@ -18,10 +17,9 @@ import functools
 
 import pytest
 
-from repro.scenarios import ALL_FAMILIES, SCENARIO_FAMILIES, generate_scenario
+from repro.scenarios import SCENARIO_FAMILIES, generate_scenario
 from repro.testkit import (
     assert_scenario_ok,
-    check_fast_paths,
     check_milp_oracles,
     placement_intervals,
     plan_scenario,
@@ -45,20 +43,6 @@ def test_scenario_sweep(family, seed):
     report = verify_scenario(family, seed, SIZE)
     report.violations.extend(check_milp_oracles(family, seed, SIZE))
     assert report.ok, report.failure_message() + " --milp-oracles"
-
-
-@_grid(ALL_FAMILIES, range(10))
-def test_fast_path_sweep(family, seed):
-    violations = check_fast_paths(family, seed, SIZE)
-    assert not violations, "\n".join(
-        [f"{family} seed={seed} size={SIZE}"]
-        + [f"  {v}" for v in violations]
-        + [
-            "  reproduce: PYTHONPATH=src python -c \"from repro.testkit "
-            "import check_fast_paths; [print(v) for v in "
-            f"check_fast_paths('{family}', {seed}, '{SIZE}')]\""
-        ]
-    )
 
 
 @functools.cache

@@ -76,8 +76,7 @@ def main() -> None:
     print(f"\nsimulated {simulation.now:,.0f}s of serving in {wall:.1f}s wall")
     print(f"  {generated / wall:,.0f} simulated tokens per wall-second")
     print(f"  {stats['events_popped']:,} events popped "
-          f"({stats['events_popped'] / max(1, generated):.2f} per token), "
-          f"{stats['grouped_hops']:,} hops coalesced")
+          f"({stats['events_popped'] / max(1, generated):.2f} per token)")
     print(f"\nserving: {metrics.summary()}")
     print("top congested links:")
     for row in congestion_report(simulation, top=3):

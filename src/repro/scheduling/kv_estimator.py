@@ -9,8 +9,11 @@ Charges are released when the request finishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
+
+from repro.core.errors import SchedulingError
 
 
 @dataclass(slots=True)
@@ -26,7 +29,8 @@ class KVCacheEstimator:
         capacities: Node id -> KV token capacity (for the layers the node
             holds under the current placement).
         expected_output_len: The average output length used to estimate a
-            request's final footprint (the paper uses the trace average).
+            request's final footprint (the paper uses the trace average);
+            finite and >= 0.
         high_water_mark: Fraction of capacity above which a node stops
             receiving new requests.
     """
@@ -39,6 +43,13 @@ class KVCacheEstimator:
     ) -> None:
         if not 0.0 < high_water_mark <= 1.0:
             raise ValueError(f"high_water_mark must be in (0, 1], got {high_water_mark}")
+        # A NaN estimate would mask every node forever (every comparison
+        # with it is False), so a simulation would stall silently.
+        if not (math.isfinite(expected_output_len) and expected_output_len >= 0):
+            raise SchedulingError(
+                f"expected_output_len must be finite and >= 0, got "
+                f"{expected_output_len}"
+            )
         self._nodes = {
             nid: _NodeKVState(capacity_tokens=max(0, int(cap)))
             for nid, cap in capacities.items()

@@ -167,17 +167,6 @@ class NodeExecutor:
             self.overhead = overhead * factor
 
     # ------------------------------------------------------------------
-    def enqueue_run(self, span: list[StageWork], tokens: int, tl: int) -> None:
-        """Enqueue a pre-summed run of works in one call.
-
-        A hop-group drain hands over the contiguous slice of its works
-        that reach this (busy) executor before the next event, together
-        with the slice's summed tokens and token-layers.
-        """
-        self.queue.extend(span)
-        self.queue_tokens += tokens
-        self.queue_tl += tl
-
     def quiesce(self, busy: bool = False) -> None:
         """Stop the node: drop its queued work and strand its batch.
 

@@ -15,9 +15,8 @@ scheduler, and a request trace, then plays the serving system forward:
 Nodes batch dynamically (everything queued joins the next batch), links
 are FIFO bandwidth/latency queues, and KV pools track true occupancy.
 
-Engine design (the hot-path overhaul). Its reference is per-hop stepping
-(``coalescing=False``), and both paths are pinned by committed golden
-digests of every observable (:mod:`repro.testkit.golden`), recorded from
+Engine design (the hot-path overhaul). Every observable is pinned by
+committed golden digests (:mod:`repro.testkit.golden`), recorded from
 the pre-overhaul engine:
 
 * **Hop tables.** At schedule time each request resolves its pipeline
@@ -29,34 +28,15 @@ the pre-overhaul engine:
   and re-enqueued every iteration: steady-state decode allocates no work
   objects.
 * **Int-coded events.** Heap entries are ``(when, seq, kind, payload)``
-  with integer kinds; ``seq`` is a global monotone counter allocated one
-  per *logical* event, so event ordering — including exact-time ties — is
-  identical whether or not hops are grouped.
-* **Bare one-hop events.** A hop that travels alone — the prompt
-  shipment, a batch forwarding exactly one work, every decode re-entry,
-  and every hop under ``coalescing=False`` — is pushed as the
-  :class:`~repro.sim.node_exec.StageWork` itself (``K_HOP`` at a stage)
-  with the ``seq`` it would own inside a group, so it costs one tuple and
-  a small handler. Every token returning to the coordinator is one bare
-  ``K_TOKEN_ONE`` event too, as in §5's runtime: the coordinator handles
-  it and ships the decode re-entry itself. Every hop sent on a flaky
-  channel (one carrying a gray :class:`~repro.online.faults.LinkFault`)
-  travels bare: retransmit delays can reorder that channel's arrivals,
-  and a group must arrive in order. The rule is per channel; every
-  healthy channel keeps its groups.
-* **Hop groups (decode coalescing).** When a batch completes, two or more
-  works it forwards to the next stage over one FIFO channel arrive
-  contiguously; they are carried in one *group event* instead of one
-  heap event per hop. A group drains work-by-work at each work's true
-  arrival time but pauses — re-pushing its remainder — the moment any
-  other event (a new arrival, a churn callback, another node's batch) is
-  due first, so any contention change invalidates the window and falls
-  back to per-hop stepping. At a busy stage the due stretch of a group is
-  enqueued in one slice. Group and bare handlers replay the identical
-  float operations in the identical order as per-hop stepping, which
-  makes the two modes bit-identical (``coalescing=False`` forces one bare
-  event per hop; the differential suite asserts exact equality across
-  the scenario matrix).
+  with integer kinds; ``seq`` is a global monotone counter, so exact-time
+  ties break in the order the events were created.
+* **One event per hop.** Every hop is pushed as the
+  :class:`~repro.sim.node_exec.StageWork` itself: ``K_HOP`` when it
+  reaches a stage, ``K_TOKEN_ONE`` when it returns a token to the
+  coordinator, which handles it and ships the decode re-entry itself, as
+  in §5's runtime. A hop sent on a flaky channel (one carrying a gray
+  :class:`~repro.online.faults.LinkFault`) pays its retransmit delay in
+  its arrival time.
 * **Lazy arrivals.** :meth:`Simulation.run` reserves one ``seq`` per
   trace request up front but keeps only the next arrival in the heap
   (popping arrival *i* pushes arrival *i + 1*), so the heap holds the
@@ -76,7 +56,6 @@ dropped cleanly when the request re-enters the pending queue.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -102,14 +81,10 @@ from repro.sim.request import Request
 
 # Integer event kinds (heap entries are ``(when, seq, kind, payload)``).
 K_ARRIVAL = 0    #: a trace request reaches the coordinator
-K_GROUP = 1      #: contiguous stage arrivals on one channel (hop group)
 K_BATCH = 2      #: a node finishes executing one batch
 K_ENV = 4        #: an environment callback (online dynamics)
-K_HOP = 5        #: one bare StageWork reaches its stage
-K_TOKEN_ONE = 6  #: one bare StageWork delivers a token to the coordinator
-
-#: Stands in for the heap top when the heap is empty: due never.
-_NO_EVENT = (math.inf, 0, None, None)
+K_HOP = 5        #: one StageWork reaches its stage
+K_TOKEN_ONE = 6  #: one StageWork delivers a token to the coordinator
 
 
 class _Hop:
@@ -123,25 +98,6 @@ class _Hop:
         self.node_id = node_id
         self.channel = channel
         self.final = final
-
-
-class _HopGroup:
-    """A run of contiguous arrivals on one FIFO channel (one heap event).
-
-    ``times``/``seqs``/``works`` are parallel arrays; ``index`` is the
-    drain cursor. ``seqs`` carries the per-work event sequence numbers, so
-    exact-time ties order identically to per-hop stepping.
-    """
-
-    __slots__ = ("times", "seqs", "works", "index")
-
-    def __init__(
-        self, times: list[float], seqs: list[int], works: list[StageWork]
-    ) -> None:
-        self.times = times
-        self.seqs = seqs
-        self.works = works
-        self.index = 0
 
 
 class _ActiveRequest:
@@ -241,11 +197,6 @@ class Simulation:
         controller: Optional online controller (see
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.
-        coalescing: Enable hop-group events (hops sharing a channel ride
-            one heap event). ``False`` forces one bare heap event per
-            hop — the bit-identical per-token reference the differential
-            suite compares against. Results are identical either way;
-            only the wall-clock speed differs.
         residency: Optional :class:`~repro.sim.residency.ResidencyConfig`.
             When set, nodes track which model layers actually live in
             their VRAM: a node that (re)joins the placement *warms up*
@@ -277,7 +228,6 @@ class Simulation:
         warmup: float = 0.0,
         seed: int | None = None,
         controller=None,
-        coalescing: bool = True,
         policy=None,
         debug_validate: bool = False,
         residency=None,
@@ -332,7 +282,6 @@ class Simulation:
         self._events: list[tuple] = []
         self._seq = 0  # global event sequence number (tie-break order)
         self._now = 0.0
-        self._halt = False
         self._active: dict[str, _ActiveRequest] = {}
         self._pending: deque[Request] = deque()
         self._records: dict[str, RequestRecord] = {}
@@ -395,13 +344,8 @@ class Simulation:
         self.drain_log: list[DrainRecord] = []
 
         # Hot-loop constants and state.
-        self._coalesce = coalescing
         self._token_bytes = model.token_bytes
         self._abpt = model.activation_bytes_per_token
-        # Hops coalescing per channel until the handler flushes them: a
-        # lone hop waits as its ready-made bare heap event (a tuple) and
-        # becomes a _HopGroup only when a second hop joins it.
-        self._scratch: dict[LinkChannel, tuple | _HopGroup] = {}
         # True once any attempt was disrupted; until then every in-flight
         # work provably belongs to a live attempt and the per-work
         # staleness checks are skipped.
@@ -414,7 +358,6 @@ class Simulation:
         )
         # Engine telemetry (for benchmarks and tests).
         self.events_popped = 0
-        self.grouped_hops = 0
 
     def _bind_node(self, node_id: str) -> None:
         """Create (or re-create) the executor and KV pool for a used node."""
@@ -500,12 +443,10 @@ class Simulation:
             pops += 1
             self._now = when
             kind = item[2]
-            if kind == K_BATCH:
-                self._on_batch_complete(*item[3])
-            elif kind == K_HOP:
+            if kind == K_HOP:
                 self._on_hop(item[3])
-            elif kind == K_GROUP:
-                self._on_group(item[3])
+            elif kind == K_BATCH:
+                self._on_batch_complete(*item[3])
             elif kind == K_TOKEN_ONE:
                 self._on_token(item[3])
             elif kind == K_ARRIVAL:
@@ -519,8 +460,6 @@ class Simulation:
                 self._on_arrival(item[3])
             else:
                 item[3](self)
-            if self._halt:
-                break
         self.events_popped += pops
 
         end_time = min(self._now, self.max_time)
@@ -691,7 +630,7 @@ class Simulation:
             self._pending.popleft()
 
     def _start_prompt(self, active: _ActiveRequest) -> None:
-        """Ship the prompt to the first stage (one bare hop event)."""
+        """Ship the prompt to the first stage (one ``K_HOP`` event)."""
         channel = active.entry_channel
         arrival = channel.transmit(
             self._now, active.request.input_len * self._token_bytes
@@ -704,90 +643,22 @@ class Simulation:
         heappush(self._events, (arrival, seq, K_HOP, active.prompt_works[0]))
 
     # ------------------------------------------------------------------
-    # Hot loop: group drains, batches, tokens
+    # Hot loop: hops, batches, tokens
     # ------------------------------------------------------------------
-    def _on_group(self, group: _HopGroup) -> None:
-        """Drain contiguous stage arrivals, pausing behind earlier events."""
-        times = group.times
-        seqs = group.seqs
-        works = group.works
-        i = group.index
-        n = len(times)
-        events = self._events
-        max_time = self.max_time
-        disrupted = self._disrupted
-        # The heap top only changes when this drain starts a batch, so it
-        # is re-read only then instead of per work.
-        top_t, top_seq, _, _ = events[0] if events else _NO_EVENT
-        while True:
-            t = times[i]
-            if t > top_t or (t == top_t and seqs[i] > top_seq):
-                # A drain can only pause after processing at least one
-                # entry: the run loop popped this group as the heap
-                # minimum, so its first entry is never behind the top.
-                group.index = i
-                self._now = times[i - 1]
-                heappush(events, (t, seqs[i], K_GROUP, group))
-                return
-            if t > max_time:
-                group.index = i
-                self._now = times[i - 1]
-                self._halt = True
-                return
-            work = works[i]
-            if not disrupted:
-                executor = work.hop.executor
-                if executor.busy:
-                    # Arrivals at a busy executor are pure enqueues: take
-                    # the whole stretch due before the next heap event (or
-                    # the horizon) in one slice. All works of a group
-                    # target the same executor (one channel, one
-                    # destination), and nothing can flip it idle before
-                    # the next event pops.
-                    bound = top_t if top_t < max_time else max_time
-                    j = bisect_right(times, bound, i, n)
-                    while j > i and times[j - 1] == top_t and seqs[j - 1] > top_seq:
-                        j -= 1
-                    span = works[i:j]
-                    tokens = 0
-                    tl = 0
-                    for peer in span:
-                        tokens += peer.num_tokens
-                        tl += peer.tl
-                    executor.enqueue_run(span, tokens, tl)
-                    i = j
-                    if i == n:
-                        group.index = n
-                        self._now = times[n - 1]
-                        return
-                    continue  # the loop head re-checks pause/halt for i
-            i += 1
-            self._now = t
-            if self._on_hop(work):
-                # The batch push guarantees a non-empty heap.
-                top_t, top_seq, _, _ = events[0]
-            if i == n:
-                group.index = n
-                self._now = times[n - 1]
-                return
-
-    def _on_hop(self, work: StageWork) -> bool:
-        """One stage arrival at ``self._now``: a bare ``K_HOP`` event, or
-        one entry of a group drain. Returns True when it started a batch
-        (the heap top may have moved)."""
+    def _on_hop(self, work: StageWork) -> None:
+        """A ``K_HOP`` event: one work reaches its stage at ``self._now``."""
         if self._disrupted:
             owner = work.owner
             if not (owner.live and owner.attempt == work.attempt):
-                return False
+                return
         executor = work.hop.executor
         if executor.busy or executor.queue:
             executor.queue.append(work)
             executor.queue_tokens += work.num_tokens
             executor.queue_tl += work.tl
-            if executor.busy:
-                return False
-            self._start_batch(executor)
-            return True
+            if not executor.busy:
+                self._start_batch(executor)
+            return
         # Idle node, empty queue: the arrival is the batch.
         executor.busy = True
         tl = work.tl
@@ -803,7 +674,6 @@ class Simulation:
                 (executor, executor.epoch, [work], elapsed, tl, work.num_tokens),
             ),
         )
-        return True
 
     def _start_batch(self, executor: NodeExecutor) -> None:
         cap = executor.max_batch_tokens
@@ -881,79 +751,23 @@ class Simulation:
         stats.tokens += tokens
         if self._notify_progress:
             self.scheduler.notify_node_progress(executor.node_id, tokens, elapsed)
-        if len(batch) > 1:
-            self._forward_batch(batch)
-        else:
-            # Most batches carry one work (82% on the geo-online
-            # benchmark): it travels on as a bare event. Same arithmetic,
-            # in the same order, as one iteration of _forward_batch.
-            work = batch[0]
-            owner = work.owner
-            if not self._disrupted or (
-                owner.live and owner.attempt == work.attempt
-            ):
-                hop = work.hop
-                num_tokens = work.num_tokens
-                pool = hop.pool
-                used = pool.used_tokens + num_tokens
-                if used > pool.capacity_tokens:
-                    pool.overflow_events += 1
-                pool.used_tokens = used
-                if used > pool.peak_tokens:
-                    pool.peak_tokens = used
-                owner.done += 1
-                now = self._now
-                channel = hop.channel
-                final = hop.final
-                num_bytes = self._token_bytes if final else num_tokens * self._abpt
-                nf = channel.next_free_time
-                start = nf if nf > now else now
-                queueing = start - now
-                end = start + num_bytes / channel.bandwidth
-                channel.next_free_time = end
-                channel.bytes_sent += num_bytes
-                channel.messages_sent += 1
-                channel.total_queueing_delay += queueing
-                if queueing > channel.max_queueing_delay:
-                    channel.max_queueing_delay = queueing
-                arrival = end + channel.latency
-                fault = channel.fault
-                if fault is not None:
-                    arrival += fault.delay()
-                elif self._coalesce:
-                    self.grouped_hops += 1
-                seq = self._seq
-                self._seq = seq + 1
-                heappush(
-                    self._events,
-                    (arrival, seq, K_TOKEN_ONE if final else K_HOP, work.next),
-                )
+        self._forward_batch(batch)
         if executor.queue:
             self._start_batch(executor)
 
     def _forward_batch(self, batch: list[StageWork]) -> None:
-        """Charge KV and forward every work of a multi-work batch.
+        """Charge KV and send every work of a completed batch on.
 
-        Works bound for the next stage that share a healthy channel
-        coalesce into one hop group; a channel that receives one work gets
-        a bare event (see ``_scratch``). A flaky channel's hops always
-        travel bare: its retransmit delays can reorder arrivals, and a
-        group must arrive in order. The rule holds per channel, so a fault
-        on one link leaves every other channel's groups intact. A token
-        bound for the coordinator always travels as its own bare
-        ``K_TOKEN_ONE`` event.
+        Each work travels as its own event: ``K_HOP`` to the next stage,
+        or ``K_TOKEN_ONE`` when the final stage returns its token to the
+        coordinator. A flaky channel adds its retransmit delay.
         """
         now = self._now
         disrupted = self._disrupted
-        coalesce = self._coalesce
-        scratch = self._scratch
         events = self._events
         seq = self._seq
         token_bytes = self._token_bytes
         abpt = self._abpt
-        # The channel whose scratch group was last appended to, and that
-        # group's lists: consecutive works usually share a next hop.
-        g_channel = g_times = g_seqs = g_works = None
         for work in batch:
             owner = work.owner
             if disrupted and not (
@@ -986,57 +800,22 @@ class Simulation:
             if queueing > channel.max_queueing_delay:
                 channel.max_queueing_delay = queueing
             arrival = end + channel.latency
-            if channel is g_channel:
-                g_times.append(arrival)
-                g_seqs.append(seq)
-                g_works.append(work.next)
-            else:
-                fault = channel.fault
-                if fault is not None:
-                    arrival += fault.delay()
-                if final or fault is not None or not coalesce:
-                    heappush(
-                        events,
-                        (arrival, seq, K_TOKEN_ONE if final else K_HOP,
-                         work.next),
-                    )
-                elif channel not in scratch:
-                    scratch[channel] = (arrival, seq, K_HOP, work.next)
-                else:
-                    # A second hop joins the channel: from now on it
-                    # carries a group.
-                    group = self._scratch_group(channel)
-                    g_channel = channel
-                    g_times = group.times
-                    g_seqs = group.seqs
-                    g_works = group.works
-                    g_times.append(arrival)
-                    g_seqs.append(seq)
-                    g_works.append(work.next)
+            fault = channel.fault
+            if fault is not None:
+                arrival += fault.delay()
+            heappush(
+                events,
+                (arrival, seq, K_TOKEN_ONE if final else K_HOP, work.next),
+            )
             seq += 1
         self._seq = seq
-        self._flush_scratch()
-
-    def _scratch_group(self, channel: LinkChannel) -> _HopGroup:
-        """The channel's scratch group, created (or promoted from a lone
-        bare event) on demand."""
-        entry = self._scratch.get(channel)
-        if entry is not None and entry.__class__ is not tuple:
-            return entry
-        group = _HopGroup([], [], [])
-        if entry is not None:
-            group.times.append(entry[0])
-            group.seqs.append(entry[1])
-            group.works.append(entry[3])
-        self._scratch[channel] = group
-        return group
 
     def _on_token(self, work: StageWork) -> None:
         """A ``K_TOKEN_ONE`` event: one token reaches the coordinator.
 
         Settles the hedge race on a first token, records the token
         (request, tenancy, global timeline), and then finishes the
-        request or ships the decode re-entry to the first stage as a bare
+        request or ships the decode re-entry to the first stage as a
         ``K_HOP`` event.
         """
         owner = work.owner
@@ -1080,28 +859,9 @@ class Simulation:
         fault = channel.fault
         if fault is not None:
             arrival += fault.delay()
-        elif self._coalesce:
-            self.grouped_hops += 1
         seq = self._seq
         self._seq = seq + 1
         heappush(self._events, (arrival, seq, K_HOP, owner.decode_works[0]))
-
-    def _flush_scratch(self) -> None:
-        """Push every scratch entry: lone hops bare, the rest as groups."""
-        scratch = self._scratch
-        if not scratch:
-            return
-        events = self._events
-        hops = 0
-        for entry in scratch.values():
-            if entry.__class__ is tuple:
-                heappush(events, entry)
-                hops += 1
-            else:
-                heappush(events, (entry.times[0], entry.seqs[0], K_GROUP, entry))
-                hops += len(entry.times)
-        self.grouped_hops += hops
-        scratch.clear()
 
     def _finish(self, active: _ActiveRequest) -> None:
         record = active.record
@@ -1433,11 +1193,9 @@ class Simulation:
         """A link turns lossy: each message may pay retransmit delays.
 
         Attaches a seeded :class:`~repro.online.faults.LinkFault` to the
-        channel(s). From now on every hop sent on a faulty channel travels
-        as a bare event (retransmit delays can reorder its arrivals, so
-        they cannot form a hop group); every other channel keeps its hop
-        groups. Data messages are delayed, never lost; heartbeats crossing
-        the link may be dropped outright.
+        channel(s): from now on every hop sent on them pays its retransmit
+        delays in its arrival time. Data messages are delayed, never lost;
+        heartbeats crossing the link may be dropped outright.
         """
         from repro.online.faults import LinkFault
 
@@ -1462,12 +1220,9 @@ class Simulation:
     ) -> None:
         """A flaky link heals.
 
-        The healed channel groups its hops again at once, whatever other
-        links are still flaky. That is safe because a fault delay only
-        perturbs arrivals sent while it is live: everything already in the
-        heap was priced then, and the channel's new hops arrive in FIFO
-        order again. A differential test asserts post-heal timelines are
-        unchanged against a per-hop run.
+        A fault delay only perturbs arrivals sent while it is live:
+        everything already in the heap was priced then, and the channel's
+        new hops arrive without retransmit delays.
         """
         keys = [(src, dst)]
         if bidirectional:
@@ -1954,17 +1709,16 @@ class Simulation:
 
     @property
     def engine_stats(self) -> dict[str, int]:
-        """Hot-loop telemetry: events popped and grouped hops.
-        ``grouped_hops`` counts the hops forwarded on a healthy channel
-        while coalescing: a multi-work batch's stage-bound hops (in a group
-        or, when alone on their channel, as a bare event), a single-work
-        batch's forward, and every decode re-entry. A multi-work batch's
-        tokens to the coordinator are not counted; it stays 0 per-hop."""
+        """Hot-loop telemetry: the events the run loop popped.
+
+        Every hop and every token is its own event, so ``grouped_hops``,
+        ``fast_forwarded_tokens`` and ``vec_fast_forwarded_tokens`` are
+        constant 0: the benchmark ledger (``bench/ledger.py``) still reads
+        them, and they go when its ``sim.grouped_hops_per_event`` and
+        ``sim.ff_token_share`` entries do."""
         return {
             "events_popped": self.events_popped,
-            "grouped_hops": self.grouped_hops,
-            # Every token goes through the event loop; the benchmark
-            # ledger still reads these two keys.
+            "grouped_hops": 0,
             "fast_forwarded_tokens": 0,
             "vec_fast_forwarded_tokens": 0,
         }

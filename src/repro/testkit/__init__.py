@@ -8,7 +8,6 @@ it (``PYTHONPATH=src python -m repro.testkit <family> <seed>``).
 
 from repro.testkit.differential import (
     check_backend_agreement,
-    check_fast_paths,
     check_incremental_compile,
     check_lns_modes_agree,
     check_milp_oracles,
@@ -44,7 +43,6 @@ __all__ = [
     "check_backend_agreement",
     "check_chaos",
     "check_elastic",
-    "check_fast_paths",
     "check_flow_solution",
     "check_incremental_compile",
     "check_lns_modes_agree",

@@ -8,7 +8,7 @@ Exit status 0 means every invariant and oracle held; 1 means violations
 (printed, one per line); 2 means a bad address.
 
 ``python -m repro.testkit regen-golden`` instead rewrites the simulator's
-golden digests (:mod:`repro.testkit.golden`) from per-hop runs.
+golden digests (:mod:`repro.testkit.golden`) from runs of every case.
 """
 
 from __future__ import annotations

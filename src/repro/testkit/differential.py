@@ -327,19 +327,14 @@ def check_milp_oracles(
 
 
 # ----------------------------------------------------------------------
-# Simulation engine: coalesced vs. per-hop vs. the golden digests
+# Simulation engine: observables and the golden digests
 # ----------------------------------------------------------------------
-def _nan_equal(a: float, b: float) -> bool:
-    """Exact float equality with NaN == NaN (unset timestamps)."""
-    return a == b or (a != a and b != b)
-
-
 def _canonical(value):
     """A JSON-ready form under which equal values serialize equally.
 
-    Numbers compare by value, as in :func:`_compare_observables` (``3 ==
-    3.0``, ``-0.0 == 0.0``, NaN equals NaN), so every number becomes a
-    float whose ``repr`` is exact; mappings are sorted by key and
+    Numbers compare by value (``3 == 3.0``, ``-0.0 == 0.0``, NaN equals
+    NaN, as for unset timestamps), so every number becomes a float whose
+    ``repr`` is exact; mappings are sorted by key and
     dataclasses become mappings of their fields.
     """
     if value is None or isinstance(value, str):
@@ -359,12 +354,11 @@ def canonical_json(value) -> str:
     return json.dumps(_canonical(value))
 
 
-def _run_engine(family: str, seed: int, size: str, coalescing: bool):
-    """Plan and serve one freshly-generated scenario on one engine path.
+def _run_engine(family: str, seed: int, size: str):
+    """Plan and serve one freshly-generated scenario.
 
-    ``coalescing=False`` is the per-hop reference (one heap event per
-    hop, no hop groups). Every run gets its own generation: serving and
-    churn mutate the cluster, and schedulers are stateful.
+    Every run gets its own generation: serving and churn mutate the
+    cluster, and schedulers are stateful.
     """
     from repro.bench.runner import make_planner, make_scheduler
     from repro.core.errors import ReproError
@@ -399,7 +393,6 @@ def _run_engine(family: str, seed: int, size: str, coalescing: bool):
         requests=scenario.requests,
         max_time=scenario.max_time,
         seed=scenario.seed,
-        coalescing=coalescing,
     )
     for event in scenario.churn:
         if event.time <= scenario.max_time:
@@ -469,7 +462,7 @@ def _engine_observables(sim, metrics) -> dict:
 
 
 def _metric_values(metrics) -> dict[str, float]:
-    """The serving-metric fields the engine comparisons read, as floats."""
+    """The serving-metric fields the golden digests read, as floats."""
     values = {
         name: float(getattr(metrics, name))
         for name in (
@@ -486,96 +479,17 @@ def _metric_values(metrics) -> dict[str, float]:
     return values
 
 
-def _compare_observables(tag: str, ours: dict, reference: dict) -> list[Violation]:
-    """Exact comparison of two engines' observables (NaN-tolerant)."""
-    violations: list[Violation] = []
-
-    def flag(what: str, detail: str) -> None:
-        violations.append(Violation(
-            "sim_engine_equivalence", f"[{tag}] {what}: {detail}"
-        ))
-
-    for name in ("records", "pools", "executors", "channels"):
-        a, b = ours[name], reference[name]
-        if set(a) != set(b):
-            flag(name, f"key sets differ: {set(a) ^ set(b)}")
-            continue
-        for key in a:
-            row_a, row_b = a[key], b[key]
-            same = len(row_a) == len(row_b) and all(
-                x == y or (isinstance(x, float) and isinstance(y, float)
-                           and _nan_equal(x, y))
-                for x, y in zip(row_a, row_b)
-            )
-            if not same:
-                flag(name, f"{key!r}: {row_a} != {row_b}")
-    if ours["buckets"] != reference["buckets"]:
-        flag("token_timeline", "bucket counts differ")
-    if ours.get("tenancy") != reference.get("tenancy"):
-        flag(
-            "tenancy",
-            f"{ours.get('tenancy')} != {reference.get('tenancy')}",
-        )
-    if not _nan_equal(ours["now"], reference["now"]):
-        flag("now", f"{ours['now']} != {reference['now']}")
-    values_a = _metric_values(ours["metrics"])
-    values_b = _metric_values(reference["metrics"])
-    for name, value in values_a.items():
-        if not _nan_equal(value, values_b[name]):
-            flag("metrics", f"{name}: {value} != {values_b[name]}")
-    return violations
-
-
 def check_sim_engines(family: str, seed: int) -> list[Violation]:
     """The simulator differential oracle for one golden-matrix address.
 
-    Replays the smoke-size scenario through the current engine with
-    coalescing on (hop groups) and off (the per-hop reference) and
-    requires *exactly* equal observables — per-request token times,
-    serving metrics, KV pools, executor utilization, and per-channel
-    network statistics — between the two and against the committed
-    golden digests (:mod:`repro.testkit.golden`), which were recorded
-    from the frozen pre-overhaul engine. Hop groups, bare one-hop events
-    and lazy arrivals change wall-clock speed and nothing else.
+    Replays the smoke-size scenario and requires *exactly* the committed
+    golden digests (:mod:`repro.testkit.golden`) of every observable —
+    per-request token times, serving metrics, KV pools, executor
+    utilization, and per-channel network statistics — which were recorded
+    from the frozen pre-overhaul engine. Hop tables, int-coded events and
+    lazy arrivals change wall-clock speed and nothing else.
     """
     from repro.testkit.golden import check_case
 
     violations, _ = check_case(f"{family}-{seed}")
-    return violations
-
-
-def check_fast_paths(
-    family: str, seed: int, size: str = "smoke"
-) -> list[Violation]:
-    """Fast-path differential for full-config scenario addresses.
-
-    The plain engine matrix (:func:`check_sim_engines`) serves requests
-    and raw churn only; this oracle replays one address through the
-    *complete* harness configuration — detection-mode chaos controllers,
-    elastic residency and autoscaling, tenancy with fair queueing and
-    admission — with coalescing on (hop groups) and off (the per-hop
-    reference), and requires exactly equal observables (per-tenant token
-    accounting included). Works for every family in
-    :data:`repro.scenarios.generator.ALL_FAMILIES`; the chaos / elastic /
-    tenant families are the ones only this oracle covers.
-    """
-    # Imported lazily: the harness imports this module at load time.
-    from repro.scenarios.generator import generate_scenario
-    from repro.testkit.harness import run_scenario
-
-    runs = {}
-    violations: list[Violation] = []
-    for label, coalescing in (("coalesced", True), ("perhop", False)):
-        report = run_scenario(
-            generate_scenario(family, seed, size), coalescing=coalescing
-        )
-        for violation in report.violations:
-            violations.append(Violation(
-                violation.invariant,
-                f"[{label}] {violation.detail}",
-            ))
-        runs[label] = _engine_observables(report.sim, report.metrics)
-    violations.extend(_compare_observables(
-        "coalesced-vs-perhop", runs["coalesced"], runs["perhop"]
-    ))
     return violations

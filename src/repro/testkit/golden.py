@@ -1,12 +1,10 @@
 """Committed golden digests of the simulator's observables.
 
-The per-hop engine (``coalescing=False``) is the live reference for the
-coalesced one, and these digests pin both to the values the frozen
-pre-overhaul engine produced, so neither path can drift on its own. A
-case's digests are one sha256 per observable group — exactly what
-:func:`~repro.testkit.differential._compare_observables` compares:
-per-request records, KV pools, executors, channels, token-timeline
-buckets, the serving-metric fields, the final clock and tenancy.
+These digests pin the simulator to the values the frozen pre-overhaul
+engine produced, so it cannot drift unnoticed. A case's digests are one
+sha256 per observable group: per-request records, KV pools, executors,
+channels, token-timeline buckets, the serving-metric fields, the final
+clock and tenancy.
 
 The cases are the 24 smoke addresses of the engine matrix (named
 ``<family>-<seed>``) and five scripted fig12 scenarios. The digests live
@@ -15,7 +13,7 @@ and numpy versions they were recorded with. Only::
 
     PYTHONPATH=src python -m repro.testkit regen-golden
 
-rewrites that file, from per-hop runs of every case.
+rewrites that file, from runs of every case.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.scenarios.generator import SCENARIO_FAMILIES
 from repro.sim.request import Request
 from repro.sim.simulator import Simulation
 from repro.testkit.differential import (
-    _compare_observables,
     _engine_observables,
     _metric_values,
     _run_engine,
@@ -61,7 +58,7 @@ MATRIX = [(family, seed) for family in SCENARIO_FAMILIES for seed in range(6)]
 # ----------------------------------------------------------------------
 # Scripted cases: fig12 lone requests, churn, floods and horizons
 # ----------------------------------------------------------------------
-def _fig12_sim(requests: list[Request], coalescing: bool, **kwargs):
+def _fig12_sim(requests: list[Request], **kwargs):
     from repro.placement.petals import PetalsPlanner
     from repro.scheduling import HelixScheduler
 
@@ -74,24 +71,22 @@ def _fig12_sim(requests: list[Request], coalescing: bool, **kwargs):
     )
     return Simulation(
         cluster, LLAMA_30B, result.placement, scheduler, requests,
-        profiler=profiler, coalescing=coalescing, **kwargs,
+        profiler=profiler, **kwargs,
     )
 
 
-def _sequential_stream(coalescing: bool):
+def _sequential_stream():
     """Lone requests, one after another."""
     requests = [
         Request(f"r{i}", 16, 300, arrival_time=i * 500.0) for i in range(3)
     ]
-    return _fig12_sim(requests, coalescing, max_time=1e9, seed=0)
+    return _fig12_sim(requests, max_time=1e9, seed=0)
 
 
-def _mid_decode_failure(coalescing: bool):
+def _mid_decode_failure():
     """A pipeline node fails mid-decode and is restored 5 s later: the
     attempt is disrupted and the retry finishes after recovery."""
-    sim = _fig12_sim(
-        [Request("victim", 16, 400)], coalescing, max_time=1e9, seed=0
-    )
+    sim = _fig12_sim([Request("victim", 16, 400)], max_time=1e9, seed=0)
 
     def fail(s):
         node_id = s.placement.used_nodes[0]
@@ -102,12 +97,10 @@ def _mid_decode_failure(coalescing: bool):
     return sim
 
 
-def _flooded_cohorts(coalescing: bool):
+def _flooded_cohorts():
     """A saturated uniform flood: long same-channel decode cohorts."""
     requests = [Request(f"r{i:04d}", 16, 24) for i in range(120)]
-    return _fig12_sim(
-        requests, coalescing, max_time=1e9, seed=0, max_batch_tokens=2048
-    )
+    return _fig12_sim(requests, max_time=1e9, seed=0, max_batch_tokens=2048)
 
 
 #: The Poisson case's horizon, which cuts its trace mid-way.
@@ -122,20 +115,18 @@ def poisson_trace() -> list[Request]:
     return poisson_arrivals(base, 3.0, seed=3)
 
 
-def _poisson_horizon(coalescing: bool):
-    return _fig12_sim(
-        poisson_trace(), coalescing, max_time=POISSON_HORIZON, seed=0
-    )
+def _poisson_horizon():
+    return _fig12_sim(poisson_trace(), max_time=POISSON_HORIZON, seed=0)
 
 
-def _max_time_truncation(coalescing: bool):
+def _max_time_truncation():
     """Thirty long requests cut at a 6 s horizon."""
     requests = [Request(f"r{i}", 64, 500) for i in range(30)]
-    return _fig12_sim(requests, coalescing, max_time=6.0, seed=0)
+    return _fig12_sim(requests, max_time=6.0, seed=0)
 
 
 #: Scripted case name -> builder of an un-run simulation.
-SCRIPTED_CASES: dict[str, Callable[[bool], Simulation]] = {
+SCRIPTED_CASES: dict[str, Callable[[], Simulation]] = {
     "sequential_stream": _sequential_stream,
     "mid_decode_failure": _mid_decode_failure,
     "flooded_cohorts": _flooded_cohorts,
@@ -150,9 +141,7 @@ def golden_cases() -> list[str]:
 
 
 def serve_case(
-    case: str,
-    coalescing: bool,
-    prepare: Callable[[Simulation], None] | None = None,
+    case: str, prepare: Callable[[Simulation], None] | None = None
 ):
     """Serve one golden case; returns ``(sim, metrics)``.
 
@@ -160,12 +149,12 @@ def serve_case(
     (e.g. to schedule sampling callbacks that must not perturb it).
     """
     if case in SCRIPTED_CASES:
-        sim = SCRIPTED_CASES[case](coalescing)
+        sim = SCRIPTED_CASES[case]()
         if prepare is not None:
             prepare(sim)
         return sim, sim.run()
     family, seed = case.rsplit("-", 1)
-    return _run_engine(family, int(seed), "smoke", coalescing)
+    return _run_engine(family, int(seed), "smoke")
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +167,14 @@ def observable_digests(observables: dict) -> dict[str, str]:
         name: hashlib.sha256(canonical_json(groups[name]).encode()).hexdigest()
         for name in GROUPS
     }
+
+
+def run_digest(sim, metrics) -> str:
+    """One sha256 hex digest over every observable group of one run, for
+    runs pinned in a test rather than in the golden file."""
+    digests = observable_digests(_engine_observables(sim, metrics))
+    joined = "".join(digests[name] for name in GROUPS)
+    return hashlib.sha256(joined.encode()).hexdigest()
 
 
 def versions() -> dict[str, str]:
@@ -223,31 +220,18 @@ def check_golden(case: str, observables: dict, tag: str) -> list[Violation]:
 def check_case(
     case: str, prepare: Callable[[Simulation], None] | None = None
 ):
-    """Serve ``case`` coalesced and per-hop; both must agree exactly with
-    each other and with the golden digests.
+    """Serve ``case`` once; its observables must match the golden digests.
 
-    Returns ``(violations, runs)`` with ``runs`` mapping ``"coalesced"``
-    and ``"perhop"`` to ``(sim, metrics)``.
+    Returns ``(violations, (sim, metrics))``.
     """
-    runs = {
-        label: serve_case(case, coalescing, prepare)
-        for label, coalescing in (("coalesced", True), ("perhop", False))
-    }
-    observed = {label: _engine_observables(*run) for label, run in runs.items()}
-    violations = _compare_observables(
-        "coalesced-vs-perhop", observed["coalesced"], observed["perhop"]
-    )
-    for label, observables in observed.items():
-        violations.extend(check_golden(case, observables, label))
-    return violations, runs
+    run = serve_case(case, prepare)
+    return check_golden(case, _engine_observables(*run), "sim"), run
 
 
 def regen_golden() -> Path:
-    """Rewrite the golden file from per-hop runs of every case."""
+    """Rewrite the golden file from runs of every case."""
     cases = {
-        case: observable_digests(
-            _engine_observables(*serve_case(case, coalescing=False))
-        )
+        case: observable_digests(_engine_observables(*serve_case(case)))
         for case in golden_cases()
     }
     with open(GOLDEN_PATH, "w") as handle:

@@ -219,7 +219,6 @@ def _controller_outcome(report: ScenarioReport) -> dict[str, str]:
 
 def run_scenario(
     scenario: Scenario,
-    coalescing: bool = True,
     plan: tuple[str, dict[str, tuple[int, int]]] | None = None,
 ) -> ScenarioReport:
     """Play one scenario end-to-end, collecting invariant violations.
@@ -229,8 +228,6 @@ def run_scenario(
 
     Args:
         scenario: The generated scenario to serve.
-        coalescing: Forwarded to :class:`Simulation`; ``False`` runs the
-            per-hop reference path. Every invariant must hold either way.
         plan: Cached ``(method, intervals)`` from an earlier
             :func:`plan_scenario` of the same address, to skip the
             placement search (a policy sweep evaluates one plan under
@@ -307,7 +304,6 @@ def run_scenario(
         debug_validate=scenario.detection,
         residency=scenario.residency,
         tenancy=scenario.tenancy,
-        coalescing=coalescing,
     )
     report.sim = sim
     auditor = SchedulerAuditor(scheduler, residency=sim.residency)

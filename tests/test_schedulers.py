@@ -1,5 +1,7 @@
 """Tests for the Helix scheduler, baselines, and KV estimation."""
 
+import math
+
 import pytest
 
 from repro.core.errors import SchedulingError
@@ -88,6 +90,19 @@ class TestKVEstimator:
     def test_invalid_high_water_mark(self):
         with pytest.raises(ValueError):
             KVCacheEstimator({}, high_water_mark=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_expected_output_len_rejected(
+        self, bad, small_cluster, tiny_model, placement8, flow8
+    ):
+        # NaN used to mask every node, so every schedule() returned None.
+        with pytest.raises(SchedulingError, match="expected_output_len"):
+            KVCacheEstimator({"n": 1000}, expected_output_len=bad)
+        with pytest.raises(SchedulingError, match="expected_output_len"):
+            HelixScheduler(
+                small_cluster, tiny_model, placement8, flow=flow8,
+                expected_output_len=bad,
+            )
 
     def test_release_clamps_at_zero(self):
         est = KVCacheEstimator({"n": 100}, expected_output_len=0)

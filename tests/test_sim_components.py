@@ -87,9 +87,9 @@ class TestNodeExecutor:
     def _start_batch(sim, executor, works):
         """Queue ``works`` and let the engine cut one batch; returns the
         payload of the ``K_BATCH`` event it pushed (the batch is [2])."""
-        executor.enqueue_run(
-            works, sum(w.num_tokens for w in works), sum(w.tl for w in works)
-        )
+        executor.queue.extend(works)
+        executor.queue_tokens += sum(w.num_tokens for w in works)
+        executor.queue_tl += sum(w.tl for w in works)
         sim._start_batch(executor)
         _, _, kind, payload = heappop(sim._events)
         assert kind == K_BATCH and payload[0] is executor

@@ -1,17 +1,14 @@
-"""The simulator's fast paths must not change any observable metric.
+"""The simulator's hot-path design must not change any observable metric.
 
-The engine (hop groups, bare one-hop events and lazy arrivals) is
-specified as *bit-identical* to per-hop stepping (``coalescing=False``,
-one heap event per hop) and to committed golden digests of every
-observable, recorded from the frozen pre-overhaul engine
-(``tests/golden/sim_observables.json``, :mod:`repro.testkit.golden`).
-These tests enforce that specification:
+The engine (hop tables, one event per hop, lazy arrivals) is specified as
+*bit-identical* to committed golden digests of every observable, recorded
+from the frozen pre-overhaul engine (``tests/golden/sim_observables.json``,
+:mod:`repro.testkit.golden`). These tests enforce that specification:
 
 * the differential oracle replays every tier-1 scenario address (all 4
-  families x 6 seeds, churny addresses included) coalesced and per-hop
-  and requires observables exactly equal to each other and to the
-  digests (``tests/test_batch_engine.py`` extends the coalesced-vs-per-hop
-  comparison to the chaos / elastic / tenant families);
+  families x 6 seeds, churny addresses included) and requires
+  observables exactly equal to the digests (``tests/test_batch_engine.py``
+  pins the chaos / elastic / tenant families and scripted edge cases);
 * scripted fig12 scenarios serve a sequential stream of lone requests,
   cut one mid-decode with a node failure, flood the cluster, and cut
   traces at a horizon, each checked against its digests;
@@ -56,7 +53,7 @@ from repro.testkit.golden import (
     "family,seed", MATRIX, ids=[f"{f}-{s}" for f, s in MATRIX]
 )
 def test_engines_agree_on_matrix_address(family, seed):
-    """Coalesced vs. per-hop vs. the golden digests: equal observables."""
+    """Every observable equals the golden digests."""
     violations = check_sim_engines(family, seed)
     assert not violations, "\n".join(str(v) for v in violations)
 
@@ -65,9 +62,9 @@ def test_engines_agree_on_matrix_address(family, seed):
 # Scripted fig12 cases: lone requests, mid-decode churn, floods, horizons
 # ----------------------------------------------------------------------
 def _check_scripted(case, prepare=None):
-    violations, runs = check_case(case, prepare)
+    violations, run = check_case(case, prepare)
     assert not violations, "\n".join(str(v) for v in violations)
-    return runs["coalesced"]
+    return run
 
 
 def test_sequential_stream_matches_legacy():
@@ -85,19 +82,18 @@ def test_mid_decode_failure_matches_legacy():
 
 def test_flooded_equivalence_with_batch_cohorts():
     """A saturated uniform flood (long same-channel decode cohorts in
-    every batch) matches exactly, with pinned logical event counts: the
-    cohorts ride hop groups between stages, and every token reaches the
-    coordinator as its own event."""
+    every batch) matches exactly, with a pinned event count: every hop
+    and every token is its own event."""
     sim, _ = _check_scripted("flooded_cohorts")
-    assert (sim.events_popped, sim.grouped_hops) == (9454, 20289)
+    assert sim.engine_stats["events_popped"] == 25086
 
 
 def test_arrivals_enter_the_heap_one_at_a_time():
     """The heap holds the next arrival, never the whole future trace.
 
     Env callbacks sample the event heap across a Poisson trace; a horizon
-    that cuts mid-trace must still leave both engine paths equal to the
-    digests recorded without the callbacks (the unreached arrivals simply
+    that cuts mid-trace must still leave the run equal to the digests
+    recorded without the callbacks (the unreached arrivals simply
     never pop).
     """
     from repro.sim.simulator import K_ARRIVAL
@@ -114,7 +110,7 @@ def test_arrivals_enter_the_heap_one_at_a_time():
             sim.schedule_event(k * 1.0, sample)
 
     _, metrics = _check_scripted("poisson_horizon", prepare)
-    assert len(samples) == 2 * 39
+    assert len(samples) == 39
     assert max(samples) == 1
     assert 0 < metrics.requests_submitted < len(trace)
 
@@ -142,7 +138,7 @@ def test_golden_file_holds_exactly_the_cases_the_tests_read():
 
 def test_one_ulp_token_change_moves_only_the_records_digest():
     case = "sequential_stream"
-    observables = _engine_observables(*serve_case(case, coalescing=True))
+    observables = _engine_observables(*serve_case(case))
     golden = load_golden()
     assert check_golden(case, observables, "hop") == []
     before = observable_digests(observables)
@@ -190,12 +186,15 @@ def test_take_batch_counters_stay_consistent(tiny_model):
 
     from repro.sim.simulator import K_BATCH
 
-    sim = _fig12_sim([Request("r", 16, 1)], coalescing=True)
+    sim = _fig12_sim([Request("r", 16, 1)])
     executor = NodeExecutor(
         ComputeNode("t4", T4), tiny_model, Profiler(), 4, max_batch_tokens=25
     )
-    works = [StageWork(f"r{i}", 0, 10, 4, True, tl=40) for i in range(6)]
-    executor.enqueue_run(works, 60, 240)
+    executor.queue = [
+        StageWork(f"r{i}", 0, 10, 4, True, tl=40) for i in range(6)
+    ]
+    executor.queue_tokens = 60
+    executor.queue_tl = 240
     batches = []
     while executor.queue:
         sim._start_batch(executor)
@@ -265,6 +264,7 @@ def test_simulation_exposes_engine_stats(small_cluster, tiny_model):
         "vec_fast_forwarded_tokens",
     }
     assert stats["events_popped"] > 0
+    assert stats["grouped_hops"] == 0
     assert stats["fast_forwarded_tokens"] == 0
     assert stats["vec_fast_forwarded_tokens"] == 0
     assert sim.tokens_emitted == 40
