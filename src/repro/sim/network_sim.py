@@ -6,15 +6,20 @@ latency later. Queueing delay (waiting for the link) is tracked separately
 so experiments can report per-link congestion, as the paper's §6.7 case
 study does for its "congestion" links.
 
-The simulator calls :meth:`transmit` for prompts, decode re-entries and
-weight pulls. Two sites in :mod:`repro.sim.simulator` inline the same
-arithmetic against the channel's public fields (``next_free_time``,
-``bandwidth``, ``latency`` and the stat accumulators) instead: the
-forward of a batch carrying one work (in ``_on_batch_complete``) and the
-per-work forward of a larger batch (``_forward_batch``), the two busiest
-sends. All three perform the identical float operations in the identical
-order. ``bandwidth``/``latency`` mirror ``link`` and are kept in sync
-through :meth:`set_link` (live link degradation/repair).
+A flaky link carries a gray :class:`~repro.online.faults.LinkFault` in
+``fault``; :meth:`transmit` adds its retransmit delay to the arrival, so
+a message on a healthy link never pays one.
+
+:meth:`transmit` is the rule every send follows: prompts, decode
+re-entries and weight pulls call it. One site inlines the same float
+operations, in the same order, against the channel's public fields
+(``next_free_time``, ``bandwidth``, ``latency``, ``fault`` and the stat
+accumulators): the per-work forward of a completed batch
+(``Simulation._forward_batch``), the busiest send of the event loop.
+Calling :meth:`transmit` there cost 3.7% of fig12-offline's simulated
+tokens per second (median 60.7k -> 58.5k over 6 alternating pairs on a
+2-core Xeon). ``bandwidth``/``latency`` mirror ``link`` and are kept in
+sync through :meth:`set_link` (live link degradation/repair).
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ class LinkChannel:
         fault: Optional gray-fault state (a
             :class:`~repro.online.faults.LinkFault`) the simulator
             attaches when the link turns lossy/flaky; ``None`` on healthy
-            links. Each send checks its own channel's fault, so a flaky
-            link changes nothing on the others.
+            links. :meth:`transmit` adds its delay, so a flaky link
+            changes nothing on the others.
     """
 
     link: Link
@@ -65,7 +70,8 @@ class LinkChannel:
         self.latency = link.latency
 
     def transmit(self, now: float, num_bytes: float) -> float:
-        """Enqueue a message at time ``now``; returns its arrival time."""
+        """Enqueue a message at time ``now``; returns its arrival time,
+        including a flaky link's retransmit delay."""
         if num_bytes < 0:
             raise ValueError(f"negative message size {num_bytes}")
         free = self.next_free_time
@@ -78,7 +84,11 @@ class LinkChannel:
         self.total_queueing_delay += queueing
         if queueing > self.max_queueing_delay:
             self.max_queueing_delay = queueing
-        return end + self.latency
+        arrival = end + self.latency
+        fault = self.fault
+        if fault is not None:
+            arrival += fault.delay()
+        return arrival
 
     @property
     def mean_queueing_delay(self) -> float:

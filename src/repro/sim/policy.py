@@ -24,10 +24,9 @@ gray failures (a zombie node accepts a prompt and simply never answers).
   ``max_pending`` requests, new arrivals are *shed* immediately instead
   of queueing without bound, so overload degrades gracefully.
 
-The default-constructed policy is exactly the legacy semantics (no
-deadline, no timeout, unbounded immediate retries, no hedging, no
-shedding): the differential suite asserts that a run under
-``RequestPolicy()`` is bit-identical to a run with no policy at all.
+The default-constructed policy is the legacy semantics (no deadline, no
+timeout, unbounded immediate retries, no hedging, no shedding), and it is
+what a simulation built with ``policy=None`` runs under.
 """
 
 from __future__ import annotations
@@ -101,11 +100,6 @@ class RequestPolicy:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.max_pending}"
             )
-
-    @property
-    def is_legacy(self) -> bool:
-        """Whether this policy is observationally the legacy semantics."""
-        return self == RequestPolicy()
 
     def retry_delay(self, request_id: str, attempt: int) -> float:
         """Deterministic backoff before re-dispatch number ``attempt``.

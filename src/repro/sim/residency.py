@@ -14,18 +14,25 @@ inference traffic uses. This module is the bookkeeping half of that story:
   cancels the landing), VRAM-budget evictions, and an append-only
   ``warmup_log`` / ``eviction_log`` for tests and benchmarks.
 
-The simulator drives the ledger (see ``Simulation._warm_node``): transfers
-are issued through real :class:`~repro.sim.network_sim.LinkChannel` queues
-so weight pulls contend with inference activations — rejoining a node
-visibly dips serving goodput, which is exactly the effect the benchmarks
-measure. With ``residency=None`` (the default) none of this exists and the
-engine is bit-identical to the residency-less simulator.
+The simulator calls the manager at three node-lifecycle sites, passing
+itself as ``sim``: :meth:`ResidencyManager.node_lost`,
+:meth:`~ResidencyManager.node_restored` and
+:meth:`~ResidencyManager.placement_applied` (a silent crash only
+:meth:`~ResidencyManager.flush`-es the node's VRAM). Warm-up pulls are
+issued through the simulation's real
+:class:`~repro.sim.network_sim.LinkChannel` queues, so weight pulls
+contend with inference activations — rejoining a node visibly dips
+serving goodput, which is exactly the effect the benchmarks measure.
+With ``residency=None`` (the default) none of this exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping
+
+from repro.cluster.node import COORDINATOR
+from repro.core.errors import SimulationError
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class ResidencyManager:
 
     Built by :class:`~repro.sim.simulator.Simulation` when a
     :class:`ResidencyConfig` is passed; never constructed on the default
-    path. All mutation goes through the simulator's warming hooks.
+    path. The node-lifecycle hooks take the simulation as ``sim``.
     """
 
     def __init__(self, config: ResidencyConfig, model, placement) -> None:
@@ -224,3 +231,107 @@ class ResidencyManager:
         if self.config.layer_bytes is not None:
             return self.config.layer_bytes
         return self.model.layer_bytes
+
+    # ------------------------------------------------------------------
+    # Node-lifecycle hooks (called by the simulation)
+    # ------------------------------------------------------------------
+    def node_lost(self, sim, node_id: str) -> None:
+        """A node was taken down: its VRAM is gone and the scheduler's
+        warming mask is lifted (the failure mask replaces it)."""
+        self.flush(node_id)
+        sim.scheduler.mark_node_warm(node_id)
+
+    def node_restored(self, sim, node_id: str) -> None:
+        """A failed node rejoined. Recovery is not free: it must pull its
+        assigned layers before it can serve (no-op if they are still
+        resident — a drained warm spare rejoins instantly)."""
+        if sim.placement.holds_layers(node_id):
+            self.warm(sim, node_id)
+
+    def placement_applied(self, sim) -> None:
+        """Reconcile residency with a just-applied placement.
+
+        Warming pulls for nodes that lost their assignment are abandoned;
+        every in-service node the new placement uses warms toward its
+        assigned interval — instantly schedulable when already resident.
+        """
+        placement = sim.placement
+        for node_id in sorted(self._warming):
+            if not placement.holds_layers(node_id):
+                self.cancel(node_id)
+                sim.scheduler.mark_node_warm(node_id)
+        for node_id in placement.used_nodes:
+            if sim.is_node_in_service(node_id):
+                self.warm(sim, node_id)
+
+    def warm(self, sim, node_id: str) -> None:
+        """Pull the node's missing assigned layers through the network.
+
+        Each missing layer is one weight transfer on a real link channel
+        — from a peer that holds the layer resident when one is reachable,
+        else from the coordinator (the weight store) — so warm-up traffic
+        queues behind (and delays) inference activations on shared links.
+        The node is masked ``warming`` until the last transfer lands.
+        Already-resident layers cost nothing; surplus layers are evicted
+        when the VRAM layer budget would overflow.
+        """
+        stage = sim.placement.interval(node_id)
+        needed = set(range(stage.start, stage.end))
+        missing = sorted(needed - self.layers_of(node_id))
+        if not missing:
+            if self.is_warming(node_id):
+                self.cancel(node_id)
+            sim.scheduler.mark_node_warm(node_id)
+            return
+        if self.is_warming(node_id) and self.pending_layers(node_id) == tuple(
+            missing
+        ):
+            return  # the in-flight pull already covers exactly this need
+        now = sim.now
+        budget = sim.profiler.max_layers(sim.cluster.node(node_id), sim.model)
+        self.evict_for(node_id, needed, budget, now)
+        layer_bytes = self.layer_bytes
+        sources: list[str] = []
+        latest = now
+        for layer in missing:
+            src, channel = self._weight_source(sim, node_id, layer)
+            sources.append(src)
+            arrival = channel.transmit(now, layer_bytes)
+            if arrival > latest:
+                latest = arrival
+        token = self.begin(
+            node_id, tuple(missing), now,
+            layer_bytes * len(missing), tuple(sorted(set(sources))),
+        )
+        sim.scheduler.mark_node_warming(node_id)
+        sim.schedule_event(
+            latest,
+            lambda s, nid=node_id, tok=token: self._land(s, nid, tok),
+        )
+
+    def _weight_source(self, sim, node_id: str, layer: int):
+        """Pick where one layer is pulled from: an in-service resident
+        peer, else the coordinator (which stands in for the persistent
+        weight store)."""
+        for src in sorted(self.resident):
+            if src == node_id or not sim.is_node_in_service(src):
+                continue
+            if layer in self.resident[src]:
+                channel = sim.channels.get((src, node_id))
+                if channel is not None:
+                    return src, channel
+        channel = sim.channels.get((COORDINATOR, node_id))
+        if channel is None:
+            raise SimulationError(
+                f"no channel to pull weights into {node_id!r}: no resident "
+                "peer link and no coordinator link"
+            )
+        return COORDINATOR, channel
+
+    def _land(self, sim, node_id: str, token: int) -> None:
+        """The last weight transfer landed: the node becomes schedulable."""
+        if not self.still_valid(node_id, token) or sim.is_node_dead(node_id):
+            return  # superseded by a newer pull, a crash, or a replan
+        self.complete(node_id, sim.now)
+        sim.scheduler.mark_node_warm(node_id)
+        sim._retry_pending()

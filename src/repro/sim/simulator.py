@@ -45,6 +45,16 @@ the pre-overhaul engine:
   fixed-width buckets (:class:`~repro.sim.metrics.TokenTimeline`) online
   instead of appending one float per token forever.
 
+Lifecycle sites. Each request attempt has one dispatch site
+(``_dispatch``), one release site (``_release``) and one hedge-settle
+site (``_settle_hedge``). The optional subsystems are objects called
+from named sites, not branches in the loop: the always-present
+:class:`~repro.sim.policy.RequestPolicy`, the
+:class:`~repro.tenancy.manager.TenantManager` (arrival, dispatch,
+release, one ``note_token`` per token, end of run) and the
+:class:`~repro.sim.residency.ResidencyManager` (node lost, node
+restored, placement applied).
+
 The loop also supports *online dynamics* (the ``repro.online`` package):
 environment events scheduled with :meth:`Simulation.schedule_event` can
 fail and restore nodes, degrade links, and hot-swap a replanned placement
@@ -77,7 +87,10 @@ from repro.sim.metrics import (
 )
 from repro.sim.network_sim import LinkChannel
 from repro.sim.node_exec import NodeExecutor, StageWork
+from repro.sim.policy import RequestPolicy
 from repro.sim.request import Request
+from repro.sim.residency import ResidencyManager
+from repro.tenancy.manager import FairPendingQueue, TenantManager
 
 # Integer event kinds (heap entries are ``(when, seq, kind, payload)``).
 K_ARRIVAL = 0    #: a trace request reaches the coordinator
@@ -197,6 +210,12 @@ class Simulation:
         controller: Optional online controller (see
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.
+        policy: The per-request lifecycle
+            :class:`~repro.sim.policy.RequestPolicy` (deadlines, timeouts,
+            bounded retries, hedging, shedding). ``None`` is
+            ``RequestPolicy()``: no deadline, unbounded immediate retries.
+        debug_validate: Run ``cluster.validate()`` after every event
+            applied through :meth:`apply_event`.
         residency: Optional :class:`~repro.sim.residency.ResidencyConfig`.
             When set, nodes track which model layers actually live in
             their VRAM: a node that (re)joins the placement *warms up*
@@ -260,14 +279,9 @@ class Simulation:
         self.max_batch_tokens = max_batch_tokens
         self.seed = seed
         self.controller = controller
-        #: Optional per-request lifecycle policy (deadlines, timeouts,
-        #: bounded retries, hedging, shedding). ``None`` — and any
-        #: default-constructed policy — is the legacy semantics.
-        self._policy = policy
-        #: Run ``cluster.validate()`` after every event applied through
-        #: :meth:`apply_event` (chaos/test harnesses turn this on).
+        self._policy = policy = policy or RequestPolicy()
         self.debug_validate = debug_validate
-        if policy is not None and policy.max_pending is not None:
+        if policy.max_pending is not None:
             scheduler.admission_limit = policy.max_pending
 
         self.requests = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
@@ -314,27 +328,19 @@ class Simulation:
             self._down_nodes.add(node_id)
             self.scheduler.mark_node_down(node_id)
 
-        # Layer residency (None on the default path: zero extra work, the
-        # engine is bit-identical to the residency-less simulator).
-        if residency is not None:
-            from repro.sim.residency import ResidencyManager
-
-            self._residency = ResidencyManager(residency, model, placement)
-        else:
-            self._residency = None
-        # Multi-tenancy (None on the default path: the plain deque pending
-        # queue and zero per-token work keep the engine bit-identical to
-        # the single-tenant simulator).
+        # Layer residency and multi-tenancy are None on the default path:
+        # no warm-up pulls, the plain deque pending queue and no per-token
+        # tenant accounting.
+        self._residency = residency and ResidencyManager(
+            residency, model, placement
+        )
+        self._tenancy = None
         if tenancy is not None:
-            from repro.tenancy.manager import FairPendingQueue, TenantManager
-
             self._tenancy = TenantManager(tenancy)
             self._pending = FairPendingQueue(self._tenancy, lambda: self._now)
             admission = tenancy.admission
             if admission is not None:
                 scheduler.admission_limit = admission.max_pending
-        else:
-            self._tenancy = None
         # Graceful drain: nodes finishing their in-flight work before
         # leaving service (independent of residency; always available).
         self._draining: set[str] = set()
@@ -491,28 +497,29 @@ class Simulation:
         if tenancy is not None:
             record.priority = tenancy.priority_of(request.tenant_id)
         self._records[request.request_id] = record
-        policy = self._policy
-        if policy is not None and policy.deadline is not None:
+        deadline = self._policy.deadline
+        if deadline is not None:
             rid = request.request_id
             self.schedule_event(
-                request.arrival_time + policy.deadline,
+                request.arrival_time + deadline,
                 lambda s, rid=rid: s._deadline_check(rid),
             )
-        if not self._try_schedule(request):
-            has_admission = (
-                tenancy is not None and tenancy.config.admission is not None
-            )
-            if (has_admission or policy is not None) and not self.scheduler.admit(
-                request.request_id,
-                request.input_len,
-                len(self._pending),
-                priority=record.priority,
-            ):
-                if not (has_admission and self._admit_by_eviction(record)):
-                    record.shed = True
-                    self._requests_shed += 1
-                    return
-            self._pending.append(request)
+        if self._try_schedule(request):
+            return
+        if not self.scheduler.admit(
+            request.request_id,
+            request.input_len,
+            len(self._pending),
+            priority=record.priority,
+        ) and not (
+            tenancy is not None
+            and tenancy.config.admission is not None
+            and self._admit_by_eviction(record)
+        ):
+            record.shed = True
+            self._requests_shed += 1
+            return
+        self._pending.append(request)
 
     def _admit_by_eviction(self, record: RequestRecord) -> bool:
         """Make room for a higher-priority arrival at a full queue.
@@ -545,25 +552,34 @@ class Simulation:
             request=request, pipeline=pipeline, record=record, attempt=attempt
         )
         self._build_hops(active)
-        self._active[request.request_id] = active
+        self._dispatch(active)
+        policy = self._policy
+        if policy.ttft_timeout is not None:
+            self.schedule_event(
+                self._now + policy.ttft_timeout,
+                lambda s, a=active: s._ttft_check(a),
+            )
+        if policy.hedge_after is not None:
+            self.schedule_event(
+                self._now + policy.hedge_after,
+                lambda s, a=active: s._try_hedge(a),
+            )
+        return True
+
+    def _dispatch(self, active: _ActiveRequest) -> None:
+        """Register an attempt and ship its prompt to the first stage (one
+        ``K_HOP`` event): the one dispatch site of primaries and shadows."""
+        self._active[active.sched_id] = active
         if self._tenancy is not None:
             self._tenancy.note_dispatch(
-                active.sched_id, request.tenant_id, self._now
+                active.sched_id, active.request.tenant_id, self._now
             )
-        self._start_prompt(active)
-        policy = self._policy
-        if policy is not None:
-            if policy.ttft_timeout is not None:
-                self.schedule_event(
-                    self._now + policy.ttft_timeout,
-                    lambda s, a=active: s._ttft_check(a),
-                )
-            if policy.hedge_after is not None:
-                self.schedule_event(
-                    self._now + policy.hedge_after,
-                    lambda s, a=active: s._try_hedge(a),
-                )
-        return True
+        arrival = active.entry_channel.transmit(
+            self._now, active.request.input_len * self._token_bytes
+        )
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._events, (arrival, seq, K_HOP, active.prompt_works[0]))
 
     def _build_hops(self, active: _ActiveRequest) -> None:
         """Resolve the pipeline into hop-table entries and reusable works.
@@ -628,19 +644,6 @@ class Simulation:
             if not self._try_schedule(request):
                 return
             self._pending.popleft()
-
-    def _start_prompt(self, active: _ActiveRequest) -> None:
-        """Ship the prompt to the first stage (one ``K_HOP`` event)."""
-        channel = active.entry_channel
-        arrival = channel.transmit(
-            self._now, active.request.input_len * self._token_bytes
-        )
-        fault = channel.fault
-        if fault is not None:
-            arrival += fault.delay()
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._events, (arrival, seq, K_HOP, active.prompt_works[0]))
 
     # ------------------------------------------------------------------
     # Hot loop: hops, batches, tokens
@@ -826,27 +829,17 @@ class Simulation:
         t = self._now
         record = owner.record
         token_times = record.token_times
-        tenancy = self._tenancy
-        if not token_times:
-            peer = owner.hedge
-            if peer is not None:
-                # First token decides the hedge race: this attempt wins,
-                # the peer is cancelled (and the winner, if it was the
-                # shadow, is promoted to primary).
-                owner.hedge = None
-                peer.hedge = None
-                owner.is_hedge = False
-                if peer.sched_id in self._active:
-                    self._cancel_attempt(peer)
+        first = not token_times
+        if first:
+            self._settle_hedge(owner)  # the first token wins a hedge race
             record.first_token_time = t
-            if tenancy is not None:
-                tenancy.note_first_token(
-                    owner.request.tenant_id, t - record.arrival_time
-                )
         token_times.append(t)
         record.tokens_generated += 1
-        if tenancy is not None:
-            tenancy.note_token(owner.request.tenant_id, t)
+        if self._tenancy is not None:
+            self._tenancy.note_token(
+                owner.request.tenant_id, t,
+                t - record.arrival_time if first else None,
+            )
         self._last_token_time = t
         self._timeline.add(t)
         if record.tokens_generated >= owner.output_len:
@@ -854,42 +847,28 @@ class Simulation:
             return
         # Decode re-entry: the coordinator ships one token id back to the
         # first stage.
-        channel = owner.entry_channel
-        arrival = channel.transmit(t, self._token_bytes)
-        fault = channel.fault
-        if fault is not None:
-            arrival += fault.delay()
+        arrival = owner.entry_channel.transmit(t, self._token_bytes)
         seq = self._seq
         self._seq = seq + 1
         heappush(self._events, (arrival, seq, K_HOP, owner.decode_works[0]))
 
     def _finish(self, active: _ActiveRequest) -> None:
-        record = active.record
-        record.finish_time = self._now
+        active.record.finish_time = self._now
         # Recorded on finish, not on schedule: disrupted attempts' pipelines
         # must not contaminate the finished-request depth average.
         self._pipeline_depths.append(active.pipeline.depth)
-        for index, hop in enumerate(active.hops):
-            hop.pool.free(active.kv_allocated(index))
-        active.live = False
-        del self._active[active.sched_id]
-        if self._tenancy is not None:
-            self._tenancy.note_release(active.sched_id, self._now)
-        self.scheduler.notify_finished(active.sched_id)
-        if self._draining:
-            self._check_drains()
+        self._release(active, finished=True)
         self._retry_pending()
 
-    # ------------------------------------------------------------------
-    # Online dynamics: failures, repairs, and live replanning
-    # ------------------------------------------------------------------
-    def _cancel_attempt(self, active: _ActiveRequest) -> None:
-        """Kill one attempt without touching its (possibly shared) record.
+    def _release(self, active: _ActiveRequest, finished: bool) -> None:
+        """Retire one attempt: the one release site.
 
-        Used for hedge losers and abandoned requests: surviving KV charges
-        are released, the liveness flip drops every in-flight event, and
-        the scheduler forgets the attempt. Unlike :meth:`_requeue` the
-        request does not re-enter the pending queue.
+        Frees the attempt's KV charges (a dead node's pool was flushed
+        wholesale and takes no charges since), flips its liveness so
+        every event it still has in flight drops, and tells tenancy and
+        the scheduler. An attempt that did not finish — a hedge loser, an
+        abandoned or requeued request — leaves its (possibly shared)
+        record alone.
         """
         down = self._down_nodes
         silent = self._silent_down
@@ -898,14 +877,33 @@ class Simulation:
             if node_id not in down and node_id not in silent:
                 hop.pool.free(active.kv_allocated(index))
         active.live = False
-        self._disrupted = True
         del self._active[active.sched_id]
         if self._tenancy is not None:
             self._tenancy.note_release(active.sched_id, self._now)
-        self.scheduler.notify_failed(active.sched_id)
+        if finished:
+            self.scheduler.notify_finished(active.sched_id)
+        else:
+            self._disrupted = True
+            self.scheduler.notify_failed(active.sched_id)
         if self._draining:
             self._check_drains()
 
+    def _settle_hedge(self, keep: _ActiveRequest) -> None:
+        """End ``keep``'s hedge race, if it is in one: the pair is
+        unlinked, the other attempt is released, and ``keep`` is (or
+        becomes) the primary."""
+        peer = keep.hedge
+        if peer is None:
+            return
+        keep.hedge = None
+        peer.hedge = None
+        keep.is_hedge = False
+        if peer.sched_id in self._active:
+            self._release(peer, finished=False)
+
+    # ------------------------------------------------------------------
+    # Online dynamics: failures, repairs, and live replanning
+    # ------------------------------------------------------------------
     def _ttft_check(self, active: _ActiveRequest) -> None:
         """Re-dispatch an attempt that produced no token within the TTFT bound."""
         if not active.live or active.is_hedge:
@@ -920,17 +918,15 @@ class Simulation:
         record = self._records.get(request_id)
         if record is None or record.finished or record.shed or record.lost:
             return
-        active = self._active.get(request_id)
+        # A shadow that won its race keeps its ``#hedge`` id.
+        active = self._active.get(request_id) or self._active.get(
+            request_id + "#hedge"
+        )
         if active is not None:
-            peer = active.hedge
-            if peer is not None:
-                active.hedge = None
-                peer.hedge = None
-                if peer.sched_id in self._active:
-                    self._cancel_attempt(peer)
+            self._settle_hedge(active)
             record.tokens_lost += record.tokens_generated
             record.tokens_generated = 0
-            self._cancel_attempt(active)
+            self._release(active, finished=False)
         else:
             # Waiting in the pending queue (or sitting out a backoff — the
             # re-arm callback checks the lost flag and drops it).
@@ -968,12 +964,7 @@ class Simulation:
             return
         hedge.hedge = active
         active.hedge = hedge
-        self._active[hedge_id] = hedge
-        if self._tenancy is not None:
-            self._tenancy.note_dispatch(
-                hedge_id, active.request.tenant_id, self._now
-            )
-        self._start_prompt(hedge)
+        self._dispatch(hedge)
 
     def _requeue(self, active: _ActiveRequest, migrated: bool) -> None:
         """Abort an attempt and send the request back to the pending queue.
@@ -985,19 +976,13 @@ class Simulation:
         policy the re-dispatch may instead wait out a backoff, or — past
         the retry budget — abandon the request (*lost*).
         """
-        peer = active.hedge
-        if peer is not None:
-            active.hedge = None
-            peer.hedge = None
         if active.is_hedge:
             # A shadow attempt dies quietly; the primary (also requeued by
             # the same sweep if it routed through the same node) owns the
             # record and the re-dispatch.
-            if active.sched_id in self._active:
-                self._cancel_attempt(active)
+            self._settle_hedge(active.hedge)
             return
-        if peer is not None and peer.sched_id in self._active:
-            self._cancel_attempt(peer)
+        self._settle_hedge(active)
         record = active.record
         record.tokens_lost += record.tokens_generated
         if migrated:
@@ -1008,11 +993,8 @@ class Simulation:
         record.token_times = []
         record.first_token_time = math.nan
         record.schedule_time = math.nan
-        self._cancel_attempt(active)
+        self._release(active, finished=False)
         policy = self._policy
-        if policy is None:
-            self._pending.append(active.request)
-            return
         attempts = record.retries + record.migrations
         if policy.max_retries is not None and attempts > policy.max_retries:
             record.lost = True
@@ -1116,8 +1098,7 @@ class Simulation:
         self._zombie_nodes.discard(node_id)
         self._abort_drain(node_id)
         if self._residency is not None:
-            self._residency.flush(node_id)
-            self.scheduler.mark_node_warm(node_id)
+            self._residency.node_lost(self, node_id)
         self.cluster.set_node_available(node_id, False)
         self._down_nodes.add(node_id)
         self._disrupted = True
@@ -1254,11 +1235,8 @@ class Simulation:
         pool = self.kv_pools.get(node_id)
         if pool is not None:
             pool.used_tokens = 0
-        if self._residency is not None and self.placement.holds_layers(node_id):
-            # Recovery is not free: the node must pull its assigned layers
-            # before it can serve (no-op if they are still resident — a
-            # drained warm spare rejoins instantly).
-            self._warm_node(node_id)
+        if self._residency is not None:
+            self._residency.node_restored(self, node_id)
         self._retry_pending()
 
     # ------------------------------------------------------------------
@@ -1330,118 +1308,6 @@ class Simulation:
         self._draining.discard(node_id)
         self._drain_started.pop(node_id, None)
         self._drain_waiters.pop(node_id, None)
-
-    # ------------------------------------------------------------------
-    # Layer residency: warm-up pulls and eviction
-    # ------------------------------------------------------------------
-    def _warm_node(self, node_id: str) -> None:
-        """Pull the node's missing assigned layers through the network.
-
-        Each missing layer is one weight transfer on a real link channel
-        — from a peer that holds the layer resident when one is reachable,
-        else from the coordinator (the weight store) — so warm-up traffic
-        queues behind (and delays) inference activations on shared links.
-        The node is masked ``warming`` until the last transfer lands.
-        Already-resident layers cost nothing; surplus layers are evicted
-        when the VRAM layer budget would overflow.
-        """
-        res = self._residency
-        stage = self.placement.interval(node_id)
-        needed = set(range(stage.start, stage.end))
-        missing = sorted(needed - res.layers_of(node_id))
-        if not missing:
-            if res.is_warming(node_id):
-                res.cancel(node_id)
-            self.scheduler.mark_node_warm(node_id)
-            return
-        if res.is_warming(node_id) and res.pending_layers(node_id) == tuple(
-            missing
-        ):
-            return  # the in-flight pull already covers exactly this need
-        budget = self.profiler.max_layers(self.cluster.node(node_id), self.model)
-        res.evict_for(node_id, needed, budget, self._now)
-        layer_bytes = res.layer_bytes
-        now = self._now
-        sources: list[str] = []
-        latest = now
-        for layer in missing:
-            src, channel = self._weight_source(node_id, layer)
-            sources.append(src)
-            arrival = channel.transmit(now, layer_bytes)
-            fault = channel.fault
-            if fault is not None:
-                arrival += fault.delay()
-            if arrival > latest:
-                latest = arrival
-        token = res.begin(
-            node_id, tuple(missing), now,
-            layer_bytes * len(missing), tuple(sorted(set(sources))),
-        )
-        self.scheduler.mark_node_warming(node_id)
-        self.schedule_event(
-            latest,
-            lambda s, nid=node_id, tok=token: s._finish_warmup(nid, tok),
-        )
-
-    def _weight_source(self, node_id: str, layer: int):
-        """Pick where one layer is pulled from: a resident peer, else the
-        coordinator (which stands in for the persistent weight store)."""
-        res = self._residency
-        for src in sorted(res.resident):
-            if src == node_id:
-                continue
-            if (
-                src in self._down_nodes
-                or src in self._silent_down
-                or src in self._zombie_nodes
-                or src in self._draining
-            ):
-                continue
-            if layer in res.resident[src]:
-                channel = self.channels.get((src, node_id))
-                if channel is not None:
-                    return src, channel
-        channel = self.channels.get((COORDINATOR, node_id))
-        if channel is None:
-            raise SimulationError(
-                f"no channel to pull weights into {node_id!r}: no resident "
-                "peer link and no coordinator link"
-            )
-        return COORDINATOR, channel
-
-    def _finish_warmup(self, node_id: str, token: int) -> None:
-        """The last weight transfer landed: the node becomes schedulable."""
-        res = self._residency
-        if res is None or not res.still_valid(node_id, token):
-            return  # superseded by a newer pull, a crash, or a replan
-        if node_id in self._down_nodes or node_id in self._silent_down:
-            return
-        res.complete(node_id, self._now)
-        self.scheduler.mark_node_warm(node_id)
-        self._retry_pending()
-
-    def _sync_residency(self) -> None:
-        """Reconcile residency with a just-applied placement.
-
-        Warming pulls for nodes that lost their assignment are abandoned;
-        every (reachable) node the new placement uses warms toward its
-        assigned interval — instantly schedulable when already resident.
-        """
-        res = self._residency
-        placement = self.placement
-        for node_id in sorted(res.warming_nodes):
-            if not placement.holds_layers(node_id):
-                res.cancel(node_id)
-                self.scheduler.mark_node_warm(node_id)
-        for node_id in placement.used_nodes:
-            if (
-                node_id in self._down_nodes
-                or node_id in self._silent_down
-                or node_id in self._zombie_nodes
-                or node_id in self._draining
-            ):
-                continue
-            self._warm_node(node_id)
 
     def degrade_link(
         self, src: str, dst: str, factor: float, bidirectional: bool = True
@@ -1588,7 +1454,7 @@ class Simulation:
 
         self.scheduler.apply_placement(placement, flow=flow)
         if self._residency is not None:
-            self._sync_residency()
+            self._residency.placement_applied(self)
         self._retry_pending()
         return migrated
 
@@ -1614,6 +1480,16 @@ class Simulation:
         """Whether ``node_id`` is failed or silently crashed (a zombie is
         not: it still heartbeats). Copies no set."""
         return node_id in self._down_nodes or node_id in self._silent_down
+
+    def is_node_in_service(self, node_id: str) -> bool:
+        """Whether ``node_id`` is neither dead, a zombie nor draining.
+        Copies no set."""
+        return not (
+            node_id in self._down_nodes
+            or node_id in self._silent_down
+            or node_id in self._zombie_nodes
+            or node_id in self._draining
+        )
 
     @property
     def draining_nodes(self) -> set[str]:

@@ -67,9 +67,10 @@ class TenantManager:
     """Mutable per-run tenancy state, fed by simulator hooks.
 
     The simulator calls ``note_*`` at the few points where tenancy is
-    observable — enqueue/serve on the pending queue, dispatch/release of
-    pipeline occupancy, token delivery — and asks :meth:`select_tenant`
-    when the pending queue must choose whose request runs next.
+    observable — enqueue/serve on the pending queue, an attempt's one
+    dispatch and one release site, one :meth:`note_token` per token — and
+    asks :meth:`select_tenant` when the pending queue must choose whose
+    request runs next.
     """
 
     def __init__(self, config: TenancyConfig):
@@ -138,13 +139,16 @@ class TenantManager:
             self.tracker.note_span(tenant_id, start, now)
 
     # -- token delivery (W-mode service) --------------------------------
-    def note_token(self, tenant_id: str, when: float) -> None:
+    def note_token(
+        self, tenant_id: str, when: float, ttft: float | None = None
+    ) -> None:
+        """A token of ``tenant_id`` reached the coordinator at ``when``;
+        a request's first token also carries its ``ttft``."""
         self.tokens_by_tenant[tenant_id] += 1
         if self.fairness.mode == "W":
             self.tracker.note(tenant_id, when, 1.0)
-
-    def note_first_token(self, tenant_id: str, ttft: float) -> None:
-        self._ttft[tenant_id].append(ttft)
+        if ttft is not None:
+            self._ttft[tenant_id].append(ttft)
 
     # -- selection ------------------------------------------------------
     def slo_pressure(self, tenant_id: str) -> float:

@@ -371,7 +371,7 @@ PINNED_EVENT_COUNTS = {
 
 @pytest.mark.parametrize(
     "family,seed", list(PINNED_EVENT_COUNTS),
-    ids=[f"{f}-{s}-perhop" for f, s in PINNED_EVENT_COUNTS],
+    ids=[f"{f}-{s}" for f, s in PINNED_EVENT_COUNTS],
 )
 def test_event_counts_are_pinned(family, seed):
     from repro.online.faults import FlakyLink

@@ -57,6 +57,60 @@ def assert_conserved(sim, metrics):
     assert not violations, "\n".join(str(v) for v in violations)
 
 
+def _two_tenants_time_mode():
+    from repro.tenancy import (
+        FairnessConfig, TenancyConfig, TenantRegistry, TenantSpec,
+    )
+
+    return TenancyConfig(
+        TenantRegistry([TenantSpec("a"), TenantSpec("b")]),
+        fairness=FairnessConfig(mode="T", window=0.5),
+    )
+
+
+def _heal(sim):
+    sim.set_compute_slowdown("a100-0", 1.0)
+    sim.set_compute_slowdown("t4-1", 1.0)
+
+
+#: ``r0``'s hedge races: ``outcome -> (slowdowns, policy, environment
+#: events, tenancy, notify_failed ids in order, run_digest[:16])``.
+#: With tenancy on, a second tenant's ``r1`` arrives after the race.
+HEDGE_RACES = {
+    "primary-wins": (
+        {"a100-0": 12.0}, RequestPolicy(hedge_after=0.05), (), None,
+        ["r0#hedge"], "3e21c7ac4ad2f8f9",
+    ),
+    "shadow-wins": (
+        {"a100-0": 50.0}, RequestPolicy(hedge_after=0.05), (), None,
+        ["r0"], "5fd05a62a15a3015",
+    ),
+    "deadline-mid-race": (
+        {"a100-0": 50.0, "t4-1": 50.0},
+        RequestPolicy(hedge_after=0.05, deadline=0.1), ((0.2, _heal),),
+        _two_tenants_time_mode(), ["r0#hedge", "r0"], "12b842503df8805a",
+    ),
+    "deadline-after-shadow-wins": (
+        {"a100-0": 50.0}, RequestPolicy(hedge_after=0.05, deadline=0.1), (),
+        None, ["r0", "r0#hedge"], "4df3f3e06f1128af",
+    ),
+    "primary-node-fails": (
+        {"a100-0": 50.0}, RequestPolicy(hedge_after=0.05),
+        ((0.055, lambda s: s.fail_node("a100-0")),), None,
+        ["r0#hedge", "r0"], "cd671f2a04d7327b",
+    ),
+    "shadow-node-fails": (
+        {"a100-0": 50.0}, RequestPolicy(hedge_after=0.05),
+        ((0.055, lambda s: s.fail_node("t4-0")),), None,
+        ["r0#hedge"], "bb4dd4f47fb28478",
+    ),
+}
+
+#: T-mode pipeline-hold seconds per tenant in the deadline race: ``a``
+#: holds the primary for 0.1 s and the shadow for 0.05 s.
+HEDGE_DEADLINE_SERVICE = {"a": 0.15, "b": 0.092388726454}
+
+
 # ----------------------------------------------------------------------
 # Failure detection
 # ----------------------------------------------------------------------
@@ -228,8 +282,12 @@ class TestDetection:
 # ----------------------------------------------------------------------
 class TestRequestPolicy:
     def test_default_policy_is_legacy(self):
-        assert RequestPolicy().is_legacy
-        assert not RequestPolicy(max_retries=3).is_legacy
+        policy = RequestPolicy()
+        assert (
+            policy.deadline, policy.ttft_timeout, policy.max_retries,
+            policy.hedge_after, policy.max_pending,
+        ) == (None,) * 5
+        assert [policy.retry_delay("r0", n) for n in (1, 2, 3)] == [0.0] * 3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
@@ -383,6 +441,56 @@ class TestRequestPolicy:
         assert sim.in_flight_requests == 0
         assert sim.scheduler.active_requests == 0
         assert_conserved(sim, metrics)
+
+    @pytest.mark.parametrize("outcome", list(HEDGE_RACES))
+    def test_hedge_race_outcomes_are_pinned(
+        self, outcome, small_cluster, tiny_model, placement8
+    ):
+        """Each way a hedge race ends is pinned by ``run_digest``.
+
+        ``r0``'s primary runs a100-0 -> l4-0 and its shadow, dispatched
+        0.05 s after it, t4-1 -> t4-0. The race ends when one attempt
+        delivers a first token, when the deadline abandons both, or when
+        a node under one of them fails. A deadline after the shadow won
+        must abandon the promoted shadow, which keeps its ``#hedge`` id.
+        """
+        from repro.testkit.golden import run_digest
+
+        slow, policy, events, tenancy, cancelled, digest = HEDGE_RACES[outcome]
+        tenant = "t" if tenancy is None else "a"
+        requests = [Request("r0", 64, 8, arrival_time=0.0, tenant_id=tenant)]
+        if tenancy is not None:
+            requests.append(
+                Request("r1", 64, 8, arrival_time=0.3, tenant_id="b")
+            )
+        sim = make_simulation(
+            small_cluster, tiny_model, placement8, requests,
+            max_time=30.0, seed=0, policy=policy, tenancy=tenancy,
+        )
+        for node_id, factor in slow.items():
+            sim.set_compute_slowdown(node_id, factor)
+        for when, event in events:
+            sim.schedule_event(when, event)
+        failed = []
+        inner = sim.scheduler.notify_failed
+
+        def spy(request_id):
+            failed.append(request_id)
+            inner(request_id)
+
+        sim.scheduler.notify_failed = spy
+        metrics = sim.run()
+        assert failed == cancelled
+        assert sim.in_flight_requests == 0
+        assert sim.scheduler.active_requests == 0
+        assert_conserved(sim, metrics)
+        assert run_digest(sim, metrics)[:16] == digest
+        if tenancy is not None:
+            assert (metrics.requests_lost, metrics.requests_finished) == (1, 1)
+            service = sim.tenancy.tracker.service_in_backlog(sim.now)
+            assert {k: round(v, 12) for k, v in service.items()} == (
+                HEDGE_DEADLINE_SERVICE
+            )
 
 
 # ----------------------------------------------------------------------

@@ -85,3 +85,41 @@ class TestPublicAPI:
             repro.FlowGraph, repro.InterleavedWeightedRoundRobin,
         ):
             assert cls.__doc__ and len(cls.__doc__.strip()) > 20
+
+
+class TestKnobs:
+    """The simulator's options, pinned by name.
+
+    A change that adds, renames or removes an option of
+    :class:`~repro.sim.simulator.Simulation` or of one of its subsystem
+    configs has to edit a pin here, so the new knob is visible in review.
+    """
+
+    def test_simulation_parameters(self):
+        import inspect
+
+        assert list(inspect.signature(repro.Simulation.__init__).parameters) == [
+            "self", "cluster", "model", "placement", "scheduler", "requests",
+            "profiler", "max_batch_tokens", "max_time", "warmup", "seed",
+            "controller", "policy", "debug_validate", "residency", "tenancy",
+        ]
+
+    @pytest.mark.parametrize(
+        "config,fields",
+        [
+            ("RequestPolicy", [
+                "deadline", "ttft_timeout", "max_retries", "retry_backoff",
+                "backoff_factor", "jitter", "hedge_after", "max_pending",
+            ]),
+            ("ResidencyConfig", ["warm", "layer_bytes", "warm_bonus"]),
+            ("TenancyConfig", ["registry", "fairness", "admission"]),
+        ],
+    )
+    def test_subsystem_config_fields(self, config, fields):
+        import dataclasses
+
+        import repro.sim
+        import repro.tenancy
+
+        cls = getattr(repro.sim, config, None) or getattr(repro.tenancy, config)
+        assert [field.name for field in dataclasses.fields(cls)] == fields

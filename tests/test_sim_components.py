@@ -50,6 +50,18 @@ class TestLinkChannel:
         assert channel.bytes_sent == 300
         assert channel.messages_sent == 2
 
+    def test_fault_adds_its_delay(self):
+        from repro.online.faults import LinkFault
+
+        channel = LinkChannel(Link("a", "b", bandwidth=1000.0, latency=0.1))
+        channel.fault = LinkFault(0.5, 0.25, seed="flaky")
+        twin = LinkFault(0.5, 0.25, seed="flaky")
+        arrivals = [channel.transmit(0.0, 500) for _ in range(8)]
+        expected = [0.5 * (i + 1) + 0.1 + twin.delay() for i in range(8)]
+        assert arrivals == expected
+        assert channel.fault.messages == 8
+        assert channel.fault.drops == twin.drops > 0
+
     def test_negative_size_rejected(self):
         channel = LinkChannel(Link("a", "b", bandwidth=1e6))
         with pytest.raises(ValueError):
@@ -167,28 +179,71 @@ class TestNodeExecutor:
             NodeExecutor(ComputeNode("t4", T4), tiny_model, Profiler(), 0)
 
 
+def _run_one_pool(cluster, model, requests, expected_output_len):
+    """Run ``requests`` through one node holding every layer of ``model``.
+
+    The pool is scaled to 1,214 tokens so a few requests can fill it.
+    Returns the simulation and its metrics.
+    """
+    from repro.flow.graph import FlowGraph
+    from repro.scheduling import HelixScheduler
+
+    profiler = Profiler(kv_capacity_scale=0.001)
+    placement = ModelPlacement.from_intervals(8, {"a100-0": (0, 8)})
+    flow = FlowGraph(cluster, model, placement).solve()
+    scheduler = HelixScheduler(
+        cluster, model, placement, profiler, flow=flow,
+        expected_output_len=expected_output_len,
+    )
+    sim = Simulation(
+        cluster, model, placement, scheduler, requests,
+        profiler=profiler, max_time=1e9, seed=0,
+    )
+    return sim, sim.run()
+
+
 class TestKVCachePool:
-    def test_allocate_and_free(self):
-        pool = KVCachePool("n", capacity_tokens=100)
-        assert pool.allocate(60)
-        assert pool.used_tokens == 60
-        pool.free(30)
-        assert pool.used_tokens == 30
+    def test_allocate_and_free(self, small_cluster, tiny_model):
+        """The engine charges the prompt once, then one token per decode.
 
-    def test_overflow_counted_not_fatal(self):
-        pool = KVCachePool("n", capacity_tokens=100)
-        assert pool.allocate(90)
-        assert not pool.allocate(20)
-        assert pool.overflow_events == 1
-        assert pool.used_tokens == 110
-        assert pool.utilization > 1.0
+        A lone request of 32 prompt and 8 output tokens peaks at 39
+        charged tokens: the last output token is emitted, not fed back.
+        Finishing the request frees every charge.
+        """
+        sim, metrics = _run_one_pool(
+            small_cluster, tiny_model, [Request("r0", 32, 8)], 8.0
+        )
+        pool = sim.kv_pools["a100-0"]
+        assert pool.peak_tokens == 39
+        assert pool.overflow_events == 0
+        assert pool.used_tokens == 0
+        assert metrics.requests_finished == 1
 
-    def test_peak_tracking(self):
-        pool = KVCachePool("n", capacity_tokens=100)
-        pool.allocate(80)
-        pool.free(50)
-        pool.allocate(10)
-        assert pool.peak_tokens == 80
+    def test_overflow_counted_not_fatal(self, small_cluster, tiny_model):
+        """The engine's KV charge overflows a pool without failing a request.
+
+        The scheduler budgets 4 output tokens per request while each
+        decodes 64, so its KV estimate admits all 16 requests at once and
+        the pool's 1,214 tokens overflow as decode grows. Every request
+        still finishes and frees its charge.
+        """
+        requests = [Request(f"r{i}", 32, 64) for i in range(16)]
+        sim, metrics = _run_one_pool(small_cluster, tiny_model, requests, 4.0)
+        pool = sim.kv_pools["a100-0"]
+        assert pool.capacity_tokens == 1214
+        assert pool.overflow_events == 306
+        assert pool.used_tokens == 0
+        assert metrics.kv_overflow_events == 306
+        assert metrics.requests_finished == 16
+
+    def test_peak_tracking(self, small_cluster, tiny_model):
+        """``peak_tokens`` keeps the high-water mark after the pool drains."""
+        requests = [Request(f"r{i}", 32, 64) for i in range(16)]
+        sim, _ = _run_one_pool(small_cluster, tiny_model, requests, 4.0)
+        pool = sim.kv_pools["a100-0"]
+        assert pool.peak_tokens == 1505
+        assert pool.peak_tokens > pool.capacity_tokens
+        assert pool.used_tokens == 0
 
     def test_free_clamps(self):
         pool = KVCachePool("n", capacity_tokens=100)
@@ -197,8 +252,6 @@ class TestKVCachePool:
 
     def test_negative_amounts_rejected(self):
         pool = KVCachePool("n", capacity_tokens=10)
-        with pytest.raises(ValueError):
-            pool.allocate(-1)
         with pytest.raises(ValueError):
             pool.free(-1)
 
