@@ -163,10 +163,6 @@ class FlowNetwork:
     def num_edges(self) -> int:
         return len(self._arc_to) // 2
 
-    def node_names(self) -> list[str]:
-        """All vertex names in insertion order."""
-        return list(self._names)
-
     def edge_endpoints(self, edge_id: int) -> tuple[str, str, float]:
         """``(src, dst, capacity)`` of a caller-added edge (current values)."""
         arc = 2 * edge_id

@@ -346,10 +346,6 @@ class MilpProblem:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    @property
-    def num_integer_variables(self) -> int:
-        return sum(1 for v in self.variables if v.is_integer)
-
     def invalidate(self) -> None:
         """Drop every compile cache (problem structure and constraint rows)."""
         self._structure = None

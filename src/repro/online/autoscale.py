@@ -132,15 +132,16 @@ class Autoscaler:
             sim.schedule_event(next_tick, self._tick)
 
     def _serving_count(self, sim) -> int:
-        """Placement nodes actually able to serve right now."""
-        out = sim.down_nodes | sim.draining_nodes | sim.silent_down_nodes
+        """Placement nodes actually able to serve right now (a zombie
+        counts: nothing has noticed it yet)."""
         return sum(
-            1 for nid in sim.placement.used_nodes if nid not in out
+            1 for nid in sim.placement.used_nodes
+            if sim.node_state(nid) in ("serving", "zombie")
         )
 
     def _scale_up(self, sim) -> None:
         spare = self.pool.pop(0)
-        if spare not in sim.down_nodes:
+        if sim.node_state(spare) != "down":
             # The pool entry went stale (e.g. a scripted event already
             # restored it); treat the loan as done and move on.
             self.loaned.append(spare)

@@ -169,7 +169,7 @@ class FailureDetector:
     def _emit_heartbeat(self, node_id: str) -> None:
         sim = self.sim
         now = sim.now
-        if sim.is_node_dead(node_id):
+        if sim.node_state(node_id) in ("silent", "down"):
             return  # dead processes do not heartbeat (zombies do)
         self.heartbeats_sent += 1
         channel = sim.channels.get((node_id, COORDINATOR))
@@ -215,9 +215,8 @@ class FailureDetector:
         sim = self.sim
         now = sim.now
         sim.schedule_event(now + CHECK_INTERVAL, lambda s: self._check())
-        down = sim.down_nodes
         for node_id, state in self._nodes.items():
-            if node_id in self.confirmed or node_id in down:
+            if node_id in self.confirmed or sim.node_state(node_id) == "down":
                 continue
             executor = sim.executors.get(node_id)
             if executor is not None:

@@ -50,10 +50,6 @@ class TopologyGraph:
                     succ.append(link.dst)
             self._successors[vertex] = succ
 
-    def successors(self, vertex: str) -> list[str]:
-        """Valid next hops from ``vertex`` (may include the coordinator)."""
-        return list(self._successors.get(vertex, []))
-
     def node_successors(self, vertex: str) -> list[str]:
         """Valid next compute nodes (excluding the sink edge)."""
         return [v for v in self._successors.get(vertex, []) if v != COORDINATOR]
@@ -119,11 +115,9 @@ class Scheduler(abc.ABC):
             high_water_mark=kv_high_water_mark,
         )
         self.outstanding: dict[str, int] = {nid: 0 for nid in placement.used_nodes}
-        #: Nodes currently down; masked from every pipeline walk.
-        self.down_nodes: set[str] = set()
         #: Nodes still pulling their assigned layers (layer residency):
-        #: placed but not yet servable, masked like down nodes until the
-        #: simulator calls :meth:`mark_node_warm`.
+        #: placed but not yet servable, masked like unavailable nodes until
+        #: the simulator calls :meth:`mark_node_warm`.
         self.warming_nodes: set[str] = set()
         #: Pending-queue depth above which :meth:`admit` sheds arrivals
         #: (``None`` = admit everything, the legacy semantics). Set by the
@@ -157,7 +151,10 @@ class Scheduler(abc.ABC):
         return pipeline
 
     def _build_pipeline(self, input_len: int) -> RequestPipeline | None:
+        """Walk the topology graph; nodes the cluster reports unavailable
+        (failed, confirmed dead, draining or drained) are masked."""
         num_layers = self.placement.num_layers
+        available = self.cluster.node_available
         stages: list[PipelineStage] = []
         current = COORDINATOR
         position = 0
@@ -167,7 +164,7 @@ class Scheduler(abc.ABC):
                 nid
                 for nid in self.topology.node_successors(current)
                 if nid not in visited
-                and nid not in self.down_nodes
+                and available(nid)
                 and nid not in self.warming_nodes
                 and self._admits(nid, input_len)
             ]
@@ -246,14 +243,6 @@ class Scheduler(abc.ABC):
     # ------------------------------------------------------------------
     # Online dynamics (driven by the controller/simulator)
     # ------------------------------------------------------------------
-    def mark_node_down(self, node_id: str) -> None:
-        """Mask a failed node out of every future pipeline walk."""
-        self.down_nodes.add(node_id)
-
-    def mark_node_up(self, node_id: str) -> None:
-        """Lift a node's failure mask."""
-        self.down_nodes.discard(node_id)
-
     def mark_node_warming(self, node_id: str) -> None:
         """Mask a node whose assigned layers are not yet resident."""
         self.warming_nodes.add(node_id)

@@ -75,6 +75,17 @@ class WarmupRecord:
 
 
 @dataclass(frozen=True)
+class _Warmup:
+    """One in-progress warm-up pull."""
+
+    token: int  # generation: a newer pull or a flush supersedes it
+    layers: tuple[int, ...]
+    started: float
+    bytes_pulled: float
+    sources: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class EvictionRecord:
     """Layers dropped from a node's VRAM to make room for new ones."""
 
@@ -101,12 +112,8 @@ class ResidencyManager:
             self.resident[node_id] = set(range(stage.start, stage.end))
         for node_id, (start, end) in config.warm.items():
             self.resident.setdefault(node_id, set()).update(range(start, end))
-        #: node_id -> generation token of its in-progress warm-up.
-        self._warming: dict[str, int] = {}
-        self._pending: dict[str, tuple[int, ...]] = {}
-        self._started: dict[str, float] = {}
-        self._bytes: dict[str, float] = {}
-        self._sources: dict[str, tuple[str, ...]] = {}
+        #: node_id -> its in-progress warm-up.
+        self._warming: dict[str, _Warmup] = {}
         self._token = 0
         #: Every completed warm-up, in completion order.
         self.warmup_log: list[WarmupRecord] = []
@@ -138,7 +145,8 @@ class ResidencyManager:
 
     def pending_layers(self, node_id: str) -> tuple[int, ...]:
         """Layers the node's in-progress warm-up is pulling."""
-        return self._pending.get(node_id, ())
+        warmup = self._warming.get(node_id)
+        return () if warmup is None else warmup.layers
 
     def snapshot(self) -> dict[str, frozenset[int]]:
         """Immutable resident-set view for residency-aware replanning."""
@@ -155,10 +163,6 @@ class ResidencyManager:
     def cancel(self, node_id: str) -> None:
         """Abandon an in-progress warm-up (the landing becomes a no-op)."""
         self._warming.pop(node_id, None)
-        self._pending.pop(node_id, None)
-        self._started.pop(node_id, None)
-        self._bytes.pop(node_id, None)
-        self._sources.pop(node_id, None)
 
     def begin(
         self,
@@ -175,30 +179,25 @@ class ResidencyManager:
         quietly drops.
         """
         self._token += 1
-        self._warming[node_id] = self._token
-        self._pending[node_id] = tuple(layers)
-        self._started[node_id] = now
-        self._bytes[node_id] = total_bytes
-        self._sources[node_id] = tuple(sources)
+        self._warming[node_id] = _Warmup(
+            self._token, tuple(layers), now, total_bytes, tuple(sources)
+        )
         return self._token
 
     def still_valid(self, node_id: str, token: int) -> bool:
         """Whether a warm-up landing still corresponds to the live pull."""
-        return self._warming.get(node_id) == token
+        warmup = self._warming.get(node_id)
+        return warmup is not None and warmup.token == token
 
     def complete(self, node_id: str, now: float) -> WarmupRecord:
-        """The pull landed: layers become resident, the node warm."""
-        layers = self._pending.pop(node_id, ())
-        self.resident.setdefault(node_id, set()).update(layers)
+        """The node's in-progress pull landed: its layers become
+        resident, the node warm."""
+        warmup = self._warming.pop(node_id)
+        self.resident.setdefault(node_id, set()).update(warmup.layers)
         record = WarmupRecord(
-            node_id=node_id,
-            started=self._started.pop(node_id, now),
-            completed=now,
-            layers=layers,
-            bytes_pulled=self._bytes.pop(node_id, 0.0),
-            sources=self._sources.pop(node_id, ()),
+            node_id, warmup.started, now, warmup.layers, warmup.bytes_pulled,
+            warmup.sources,
         )
-        self._warming.pop(node_id, None)
         self.warmup_log.append(record)
         return record
 
@@ -261,7 +260,7 @@ class ResidencyManager:
                 self.cancel(node_id)
                 sim.scheduler.mark_node_warm(node_id)
         for node_id in placement.used_nodes:
-            if sim.is_node_in_service(node_id):
+            if sim.node_state(node_id) == "serving":
                 self.warm(sim, node_id)
 
     def warm(self, sim, node_id: str) -> None:
@@ -314,7 +313,7 @@ class ResidencyManager:
         peer, else the coordinator (which stands in for the persistent
         weight store)."""
         for src in sorted(self.resident):
-            if src == node_id or not sim.is_node_in_service(src):
+            if src == node_id or sim.node_state(src) != "serving":
                 continue
             if layer in self.resident[src]:
                 channel = sim.channels.get((src, node_id))
@@ -330,7 +329,8 @@ class ResidencyManager:
 
     def _land(self, sim, node_id: str, token: int) -> None:
         """The last weight transfer landed: the node becomes schedulable."""
-        if not self.still_valid(node_id, token) or sim.is_node_dead(node_id):
+        dead = sim.node_state(node_id) in ("silent", "down")
+        if dead or not self.still_valid(node_id, token):
             return  # superseded by a newer pull, a crash, or a replan
         self.complete(node_id, sim.now)
         sim.scheduler.mark_node_warm(node_id)

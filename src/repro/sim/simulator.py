@@ -47,9 +47,12 @@ the pre-overhaul engine:
 
 Lifecycle sites. Each request attempt has one dispatch site
 (``_dispatch``), one release site (``_release``) and one hedge-settle
-site (``_settle_hedge``). The optional subsystems are objects called
-from named sites, not branches in the loop: the always-present
-:class:`~repro.sim.policy.RequestPolicy`, the
+site (``_settle_hedge``). Each node has one lifecycle state (serving,
+draining, zombie, silent or down) and one transition site
+(``_transition``), the only writer of that state and of the cluster
+availability the scheduler masks by. The optional subsystems are
+objects called from named sites, not branches in the loop: the
+always-present :class:`~repro.sim.policy.RequestPolicy`, the
 :class:`~repro.tenancy.manager.TenantManager` (arrival, dispatch,
 release, one ``note_token`` per token, end of run) and the
 :class:`~repro.sim.residency.ResidencyManager` (node lost, node
@@ -167,6 +170,48 @@ class _ActiveRequest:
         return prompt + q + (1 if stage_index < r else 0)
 
 
+@dataclass(slots=True)
+class _NodeLife:
+    """The lifecycle record of one node that is not serving (a node with
+    no record is). ``state`` is ``draining`` (masked from new pipelines,
+    finishing its in-flight work), ``zombie`` (accepts work and
+    heartbeats, never finishes a batch), ``silent`` (crashed, but the
+    control plane does not know yet) or ``down`` (failed, confirmed dead
+    or drained)."""
+
+    state: str
+    #: Ground-truth onset of a gray fault, kept through its confirmation
+    #: (MTTD and false-positive accounting).
+    fault_time: float | None = None
+    drain_started: float = 0.0  # while draining
+    drain_waiter: Callable | None = None
+    #: Token counter at confirmation: a confirmed-dead node must never
+    #: emit another token (the chaos invariants assert it).
+    dead_mark: int | None = None
+
+
+#: The node lifecycle: ``event -> (states it applies in, next state)``. In
+#: any other state the event is a no-op, except the pairs in
+#: :data:`_ESCALATE`.
+_LIFECYCLE = {
+    "fail": (("serving", "draining", "zombie", "silent"), "down"),
+    "confirm": (("serving", "draining", "zombie", "silent"), "down"),
+    "silent": (("serving", "zombie"), "silent"),
+    "zombie": (("serving",), "zombie"),
+    "drain": (("serving",), "draining"),
+    "drained": (("draining",), "down"),
+    "restore": (("down",), "serving"),
+}
+#: ``(state, event)`` pairs that escalate to a confirmed failure: a gray
+#: node cannot drain and heals only through a confirmation (a restore
+#: then follows it), and a fault on a draining node supersedes the drain.
+_ESCALATE = frozenset({
+    ("zombie", "drain"), ("silent", "drain"),
+    ("zombie", "restore"), ("silent", "restore"),
+    ("draining", "silent"), ("draining", "zombie"),
+})
+
+
 @dataclass(frozen=True)
 class DrainRecord:
     """One completed graceful drain: the node left with zero lost work.
@@ -269,6 +314,11 @@ class Simulation:
                     f"duplicate request_id {request.request_id!r} in trace"
                 )
             seen.add(request.request_id)
+        if scheduler.cluster is not cluster:
+            raise SimulationError(
+                "the scheduler was built on a different Cluster object; it "
+                "masks the nodes its own cluster reports unavailable"
+            )
         self.cluster = cluster
         self.model = model
         self.placement = placement
@@ -302,21 +352,13 @@ class Simulation:
         self._pipeline_depths: list[int] = []
         self._last_token_time = 0.0
         self._timeline = TokenTimeline()
-        self._down_nodes: set[str] = set()
-        # Gray-failure state. Silently-down nodes have physically died but
-        # nothing in the control plane knows yet (the scheduler keeps
-        # routing to them); zombies accept work and never finish it. Both
-        # leave this limbo only through confirm_node_failure (a detector
-        # confirmed them) or restore_node (the environment healed them).
-        self._silent_down: set[str] = set()
-        self._zombie_nodes: set[str] = set()
-        #: Ground-truth fault onset times (for MTTD and false-positive
-        #: accounting); entries removed on restore.
-        self._fault_times: dict[str, float] = {}
-        #: Token-counter snapshot per confirmed-dead node: after
-        #: confirmation the node must never emit another token (the chaos
-        #: invariants assert the counter stays at the snapshot).
-        self._confirmed_dead_marks: dict[str, float] = {}
+        #: The lifecycle record of every node that is not serving, seeded
+        #: from the cluster's availability; from here on only
+        #: ``_transition`` writes it (and the availability).
+        self._lives: dict[str, _NodeLife] = {
+            node_id: _NodeLife("down") for node_id in cluster.down_node_ids
+        }
+        self._drains = 0  # nodes draining, so "any drain?" is O(1)
         self._dead_node_breaches: list[str] = []
         self._requests_shed = 0
         self._requests_lost = 0
@@ -324,9 +366,6 @@ class Simulation:
         #: pending queue) — needed for request conservation.
         self._backoff_waiting = 0
         self._base_bandwidth: dict[tuple[str, str], float] = {}
-        for node_id in cluster.down_node_ids:
-            self._down_nodes.add(node_id)
-            self.scheduler.mark_node_down(node_id)
 
         # Layer residency and multi-tenancy are None on the default path:
         # no warm-up pulls, the plain deque pending queue and no per-token
@@ -341,11 +380,6 @@ class Simulation:
             admission = tenancy.admission
             if admission is not None:
                 scheduler.admission_limit = admission.max_pending
-        # Graceful drain: nodes finishing their in-flight work before
-        # leaving service (independent of residency; always available).
-        self._draining: set[str] = set()
-        self._drain_started: dict[str, float] = {}
-        self._drain_waiters: dict[str, Callable] = {}
         #: Every completed drain, in completion order.
         self.drain_log: list[DrainRecord] = []
 
@@ -870,11 +904,10 @@ class Simulation:
         abandoned or requeued request — leaves its (possibly shared)
         record alone.
         """
-        down = self._down_nodes
-        silent = self._silent_down
+        lives = self._lives
         for index, hop in enumerate(active.hops):
-            node_id = hop.node_id
-            if node_id not in down and node_id not in silent:
+            life = lives.get(hop.node_id)
+            if life is None or life.state not in ("silent", "down"):
                 hop.pool.free(active.kv_allocated(index))
         active.live = False
         del self._active[active.sched_id]
@@ -885,7 +918,7 @@ class Simulation:
         else:
             self._disrupted = True
             self.scheduler.notify_failed(active.sched_id)
-        if self._draining:
+        if self._drains:
             self._check_drains()
 
     def _settle_hedge(self, keep: _ActiveRequest) -> None:
@@ -1035,30 +1068,7 @@ class Simulation:
 
         Returns the ids of the requeued requests (empty when silent).
         """
-        self.cluster.node(node_id)  # referential check
-        if node_id in self._down_nodes:
-            return []
-        if announce:
-            self._fault_times.pop(node_id, None)
-            return self._take_down(node_id)
-        if node_id in self._silent_down:
-            return []
-        self._zombie_nodes.discard(node_id)
-        self._silent_down.add(node_id)
-        self._fault_times.setdefault(node_id, self._now)
-        if self._residency is not None:
-            # The crash wipes VRAM; the control plane learns when the
-            # failure is confirmed, but the physics happens now.
-            self._residency.flush(node_id)
-        executor = self.executors.get(node_id)
-        if executor is not None:
-            # A permanently-busy executor is a blackhole: arrivals
-            # enqueue forever and no batch of the new epoch ever runs.
-            executor.quiesce(busy=True)
-        pool = self.kv_pools.get(node_id)
-        if pool is not None:
-            pool.used_tokens = 0  # KV state is gone
-        return []
+        return self._transition(node_id, "fail" if announce else "silent")
 
     def confirm_node_failure(self, node_id: str) -> float:
         """A detector confirms a silently-failed/zombie (or healthy) node dead.
@@ -1074,52 +1084,11 @@ class Simulation:
         node takes it down all the same, which is exactly the cost a
         trigger-happy detector pays.
         """
-        self.cluster.node(node_id)
-        if node_id in self._down_nodes:
+        if self.node_state(node_id) == "down":
             return math.nan
-        fault_time = self._fault_times.get(node_id)
-        executor = self.executors.get(node_id)
-        if executor is not None:
-            self._confirmed_dead_marks[node_id] = executor.stats.tokens
-        self._take_down(node_id)
-        if fault_time is None:
-            return math.nan
-        return self._now - fault_time
-
-    def _take_down(self, node_id: str) -> list[str]:
-        """The control-plane half of a crash, shared by an announced
-        :meth:`fail_node` and :meth:`confirm_node_failure`.
-
-        The node is masked and marked down, its resident layers and KV
-        state are gone, its executor quiesces, and every attempt routed
-        through it is requeued. Returns the requeued request ids.
-        """
-        self._silent_down.discard(node_id)
-        self._zombie_nodes.discard(node_id)
-        self._abort_drain(node_id)
-        if self._residency is not None:
-            self._residency.node_lost(self, node_id)
-        self.cluster.set_node_available(node_id, False)
-        self._down_nodes.add(node_id)
-        self._disrupted = True
-        self.scheduler.mark_node_down(node_id)
-        executor = self.executors.get(node_id)
-        if executor is not None:
-            executor.quiesce()
-        pool = self.kv_pools.get(node_id)
-        if pool is not None:
-            pool.used_tokens = 0  # KV state is gone
-        requeued = [
-            rid
-            for rid, active in self._active.items()
-            if node_id in active.pipeline.node_ids
-        ]
-        for rid in requeued:
-            active = self._active.get(rid)
-            if active is not None:  # hedge peers vanish with their primary
-                self._requeue(active, migrated=False)
-        self._retry_pending()
-        return requeued
+        self._transition(node_id, "confirm")
+        fault_time = self._lives[node_id].fault_time
+        return math.nan if fault_time is None else self._now - fault_time
 
     def make_zombie(self, node_id: str) -> None:
         """A node wedges: it accepts work (and heartbeats) but never finishes.
@@ -1130,19 +1099,7 @@ class Simulation:
         detectors never notice; a progress watchdog or the stalled
         requests' TTFT timeouts do.
         """
-        self.cluster.node(node_id)
-        if (
-            node_id in self._down_nodes
-            or node_id in self._silent_down
-            or node_id in self._zombie_nodes
-        ):
-            return
-        self._zombie_nodes.add(node_id)
-        self._fault_times.setdefault(node_id, self._now)
-        executor = self.executors.get(node_id)
-        if executor is not None:
-            executor.epoch += 1  # the running batch never completes
-            executor.busy = True  # accepts arrivals, never starts a batch
+        self._transition(node_id, "zombie")
 
     def set_compute_slowdown(self, node_id: str, factor: float) -> None:
         """A node silently computes ``factor`` times slower (1.0 = healthy).
@@ -1215,29 +1172,7 @@ class Simulation:
 
     def restore_node(self, node_id: str) -> None:
         """A failed node rejoins (cold: empty KV, empty queue)."""
-        self.cluster.node(node_id)
-        if node_id in self._silent_down or node_id in self._zombie_nodes:
-            # The environment healed an undetected fault. Surface it as a
-            # confirmation first — stalled requests requeue, state resets —
-            # then fall through to the normal rejoin.
-            self.confirm_node_failure(node_id)
-        if node_id not in self._down_nodes:
-            return
-        self._fault_times.pop(node_id, None)
-        mark = self._confirmed_dead_marks.pop(node_id, None)
-        if mark is not None:
-            executor = self.executors.get(node_id)
-            if executor is not None and executor.stats.tokens != mark:
-                self._dead_node_breaches.append(node_id)
-        self.cluster.set_node_available(node_id, True)
-        self._down_nodes.discard(node_id)
-        self.scheduler.mark_node_up(node_id)
-        pool = self.kv_pools.get(node_id)
-        if pool is not None:
-            pool.used_tokens = 0
-        if self._residency is not None:
-            self._residency.node_restored(self, node_id)
-        self._retry_pending()
+        self._transition(node_id, "restore")
 
     # ------------------------------------------------------------------
     # Graceful drain
@@ -1251,7 +1186,7 @@ class Simulation:
         immediately (and replans exclude it — its cluster availability
         flips), but every attempt already routed through it runs to
         completion. When the last one finishes, the node leaves service
-        for real: it joins the down set, its executor quiesces, its KV
+        for real: it goes down, its executor quiesces, its KV
         accounting is released (a clean drain releases zero — everything
         was freed by the finishing requests), a :class:`DrainRecord` lands
         in :attr:`drain_log`, and ``on_complete(sim)`` fires. Resident
@@ -1261,53 +1196,129 @@ class Simulation:
         Draining a silently-dead or zombie node cannot be graceful — it is
         surfaced as a failure confirmation instead.
         """
-        self.cluster.node(node_id)
-        if node_id in self._down_nodes or node_id in self._draining:
-            return
-        if node_id in self._silent_down or node_id in self._zombie_nodes:
-            self.confirm_node_failure(node_id)
-            return
-        self._draining.add(node_id)
-        self._drain_started[node_id] = self._now
-        if on_complete is not None:
-            self._drain_waiters[node_id] = on_complete
-        self.scheduler.mark_node_down(node_id)
-        self.cluster.set_node_available(node_id, False)
-        self._check_drains()
+        self._transition(node_id, "drain", on_complete)
 
     def _check_drains(self) -> None:
         """Finalize every draining node with no remaining in-flight work."""
-        for node_id in sorted(self._draining):
+        for node_id in sorted(self.draining_nodes):
             for active in self._active.values():
                 if node_id in active.pipeline.node_ids:
                     break
             else:
-                self._finalize_drain(node_id)
+                self._transition(node_id, "drained")
 
-    def _finalize_drain(self, node_id: str) -> None:
-        started = self._drain_started.pop(node_id, self._now)
-        waiter = self._drain_waiters.pop(node_id, None)
-        self._draining.discard(node_id)
-        self._down_nodes.add(node_id)
-        executor = self.executors.get(node_id)
-        if executor is not None:
-            executor.quiesce()
-        kv_leaked = 0
-        pool = self.kv_pools.get(node_id)
-        if pool is not None:
-            kv_leaked = pool.used_tokens
-            pool.used_tokens = 0
-        self.drain_log.append(
-            DrainRecord(node_id, started, self._now, kv_leaked)
+    # ------------------------------------------------------------------
+    # Node lifecycle: the one transition site
+    # ------------------------------------------------------------------
+    def _transition(
+        self, node_id: str, event: str, on_complete: Callable | None = None
+    ) -> list[str]:
+        """Apply one lifecycle event to ``node_id``: the only writer of
+        node state and, once the run is built, of the cluster's
+        availability (a draining or down node is unavailable, which is
+        what masks it in the scheduler).
+
+        ``event`` is ``fail`` (an announced crash), ``silent`` (a crash
+        nobody announced), ``zombie``, ``confirm`` (a detector confirmed
+        the node dead), ``restore``, ``drain`` or ``drained`` (the last
+        attempt through a draining node finished); :data:`_LIFECYCLE`
+        and :data:`_ESCALATE` give the next state. Returns the ids of the
+        requests requeued off the node.
+        """
+        self.cluster.node(node_id)  # referential check
+        lives = self._lives
+        life = lives.get(node_id)
+        state = "serving" if life is None else life.state
+        if (state, event) in _ESCALATE:
+            if state == "draining":
+                life.fault_time = self._now
+            requeued = self._transition(node_id, "confirm")
+            if event == "restore":
+                self._transition(node_id, "restore")
+            return requeued
+        sources, target = _LIFECYCLE[event]
+        if state not in sources:
+            return []
+        if target == "serving":
+            del lives[node_id]
+        elif life is None:
+            life = lives[node_id] = _NodeLife(target)
+        else:
+            life.state = target
+        self._drains += (target == "draining") - (state == "draining")
+        self.cluster.set_node_available(
+            node_id, target != "draining" and target != "down"
         )
-        if waiter is not None:
-            waiter(self)
 
-    def _abort_drain(self, node_id: str) -> None:
-        """A crash supersedes an in-progress drain (no DrainRecord)."""
-        self._draining.discard(node_id)
-        self._drain_started.pop(node_id, None)
-        self._drain_waiters.pop(node_id, None)
+        now = self._now
+        executor = self.executors.get(node_id)
+        pool = self.kv_pools.get(node_id)
+        if event == "zombie":
+            life.fault_time = now  # only a serving node wedges
+            if executor is not None:
+                executor.epoch += 1  # the running batch never completes
+                executor.busy = True  # accepts arrivals, never starts a batch
+            return []
+        if event == "drain":
+            life.drain_started = now
+            life.drain_waiter = on_complete
+            self._check_drains()
+            return []
+        kv_left = 0
+        if pool is not None:  # the KV state is gone; a rejoin starts empty
+            kv_left = pool.used_tokens
+            pool.used_tokens = 0
+        if event == "restore":
+            mark = life.dead_mark  # set only where an executor exists
+            if mark is not None and executor.stats.tokens != mark:
+                self._dead_node_breaches.append(node_id)
+            if self._residency is not None:
+                self._residency.node_restored(self, node_id)
+            self._retry_pending()
+            return []
+
+        # The node stops: queued work is dropped and the in-flight batch
+        # goes stale. A silently-crashed executor stays busy, a blackhole:
+        # arrivals enqueue forever and no batch of the new epoch ever runs.
+        if executor is not None:
+            if event == "confirm":
+                life.dead_mark = executor.stats.tokens
+            executor.quiesce(busy=event == "silent")
+        if event == "silent":
+            if life.fault_time is None:  # a zombie keeps its onset
+                life.fault_time = now
+            if self._residency is not None:
+                # The crash wipes VRAM; the control plane learns when the
+                # failure is confirmed, but the physics happens now.
+                self._residency.flush(node_id)
+            return []
+        if event == "drained":
+            self.drain_log.append(
+                DrainRecord(node_id, life.drain_started, now, kv_left)
+            )
+            if life.drain_waiter is not None:
+                life.drain_waiter(self)
+            return []
+
+        # An announced or confirmed failure: the control plane learns (a
+        # crash supersedes a drain, with no DrainRecord), resident layers
+        # are gone, and every attempt routed through the node requeues.
+        if event == "fail":
+            life.fault_time = None
+        if self._residency is not None:
+            self._residency.node_lost(self, node_id)
+        self._disrupted = True
+        requeued = [
+            rid
+            for rid, active in self._active.items()
+            if node_id in active.pipeline.node_ids
+        ]
+        for rid in requeued:
+            active = self._active.get(rid)
+            if active is not None:  # hedge peers vanish with their primary
+                self._requeue(active, migrated=False)
+        self._retry_pending()
+        return requeued
 
     def degrade_link(
         self, src: str, dst: str, factor: float, bidirectional: bool = True
@@ -1371,15 +1382,15 @@ class Simulation:
         are exempt from every check: the whole point of a graceful drain
         is that in-flight pipelines through the node run to completion.
         """
-        draining = self._draining
         for stage in pipeline.stages:
-            if stage.node_id in draining:
+            state = self.node_state(stage.node_id)
+            if state == "draining":
                 continue
-            if stage.node_id in self._down_nodes:
-                return False
-            if stage.node_id in rebound:
-                return False
-            if not placement.holds_layers(stage.node_id):
+            if (
+                state == "down"
+                or stage.node_id in rebound
+                or not placement.holds_layers(stage.node_id)
+            ):
                 return False
         return True
 
@@ -1439,9 +1450,9 @@ class Simulation:
         for node_id in old_placement.used_nodes:
             if placement.holds_layers(node_id):
                 continue
-            if node_id in self._draining:
+            if self.node_state(node_id) == "draining":
                 # A draining node quiesces when its last in-flight attempt
-                # finishes (_finalize_drain), not here — a hard quiesce now
+                # finishes (``drained``), not here — a hard quiesce now
                 # would drop the very batches the drain promised to finish.
                 continue
             executor = self.executors.get(node_id)
@@ -1466,35 +1477,24 @@ class Simulation:
         """Current simulation time."""
         return self._now
 
+    def node_state(self, node_id: str) -> str:
+        """The node's lifecycle state: ``serving``, ``draining``,
+        ``zombie``, ``silent`` or ``down`` (see :class:`_NodeLife`).
+        Copies nothing."""
+        life = self._lives.get(node_id)
+        return "serving" if life is None else life.state
+
     @property
     def down_nodes(self) -> set[str]:
-        """Nodes currently failed."""
-        return set(self._down_nodes)
-
-    @property
-    def silent_down_nodes(self) -> set[str]:
-        """Nodes physically dead but not yet confirmed by any detector."""
-        return set(self._silent_down)
-
-    def is_node_dead(self, node_id: str) -> bool:
-        """Whether ``node_id`` is failed or silently crashed (a zombie is
-        not: it still heartbeats). Copies no set."""
-        return node_id in self._down_nodes or node_id in self._silent_down
-
-    def is_node_in_service(self, node_id: str) -> bool:
-        """Whether ``node_id`` is neither dead, a zombie nor draining.
-        Copies no set."""
-        return not (
-            node_id in self._down_nodes
-            or node_id in self._silent_down
-            or node_id in self._zombie_nodes
-            or node_id in self._draining
-        )
+        """Nodes currently failed, confirmed dead or drained."""
+        return {n for n, life in self._lives.items() if life.state == "down"}
 
     @property
     def draining_nodes(self) -> set[str]:
         """Nodes finishing in-flight work before leaving service."""
-        return set(self._draining)
+        return {
+            n for n, life in self._lives.items() if life.state == "draining"
+        }
 
     @property
     def residency(self):
@@ -1509,14 +1509,12 @@ class Simulation:
         return self._residency.warming_nodes
 
     @property
-    def zombie_nodes(self) -> set[str]:
-        """Nodes accepting work (and heartbeating) without making progress."""
-        return set(self._zombie_nodes)
-
-    @property
     def fault_times(self) -> dict[str, float]:
         """Ground-truth onset time of every un-restored gray fault."""
-        return dict(self._fault_times)
+        return {
+            n: life.fault_time for n, life in self._lives.items()
+            if life.fault_time is not None
+        }
 
     @property
     def requests_shed(self) -> int:
@@ -1539,9 +1537,10 @@ class Simulation:
     def dead_node_token_violations(self) -> list[str]:
         """Confirmed-dead nodes whose token counter moved afterwards."""
         bad = list(self._dead_node_breaches)
-        for node_id, mark in self._confirmed_dead_marks.items():
-            executor = self.executors.get(node_id)
-            if executor is not None and executor.stats.tokens != mark:
+        executors = self.executors
+        for node_id, life in self._lives.items():
+            mark = life.dead_mark
+            if mark is not None and executors[node_id].stats.tokens != mark:
                 bad.append(node_id)
         return bad
 

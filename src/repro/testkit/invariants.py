@@ -440,11 +440,11 @@ class SchedulerAuditor:
     """Wraps a scheduler's ``schedule`` to audit every pipeline it emits.
 
     Records a violation whenever a freshly-built pipeline routes through a
-    node the scheduler itself considers down, or through a node outside
-    the current placement. With a residency ledger attached, additionally
-    asserts the tentpole invariant: a node never receives a stage whose
-    layers are not resident in its VRAM at schedule time. Install before
-    the run; read ``violations`` after.
+    node the scheduler's cluster reports unavailable, or through a node
+    outside the current placement. With a residency ledger attached,
+    additionally asserts the tentpole invariant: a node never receives a
+    stage whose layers are not resident in its VRAM at schedule time.
+    Install before the run; read ``violations`` after.
     """
 
     def __init__(self, scheduler: Scheduler, residency=None) -> None:
@@ -461,7 +461,7 @@ class SchedulerAuditor:
             return None
         self.pipelines_audited += 1
         for stage in pipeline.stages:
-            if stage.node_id in self.scheduler.down_nodes:
+            if not self.scheduler.cluster.node_available(stage.node_id):
                 self.violations.append(Violation(
                     "route_through_down_node",
                     f"request {request_id} scheduled through down node "

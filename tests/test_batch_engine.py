@@ -120,12 +120,12 @@ _CUT_POINTS = {
 }
 
 
-def _tenancy_for(path):
-    """``path`` is the lone-request tests' tagging axis: ``"scalar"`` runs
-    carry a one-tenant config (per-token tenant accounting and the fair
-    pending queue), ``"vectorized"`` runs are untagged. The ids keep the
-    tests' established names."""
-    if path == "vectorized":
+def _tenancy_for(tagged):
+    """The lone-request tests' tagging axis: ``tagged`` runs carry a
+    one-tenant config (per-token tenant accounting and the fair pending
+    queue), the others are untagged. The window-cut test's ids keep their
+    established names (``"scalar"`` is tagged, ``"vectorized"`` not)."""
+    if not tagged:
         return None
     from repro.tenancy import TenancyConfig, TenantRegistry, TenantSpec
 
@@ -151,7 +151,7 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
     token goes to the callback, which was scheduled first — and leaves
     every observable equal to the uncut run's.
     """
-    tenancy = _tenancy_for(path)
+    tenancy = _tenancy_for(path == "scalar")
     requests = [Request("solo", 64, 300, 10.0, tenant_id="t")]
     full = _serve(requests, tenancy=tenancy)
     _pinned(SOLO_DIGESTS, path, *full)
@@ -179,14 +179,14 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
 
 #: The hedged lone request, per ``(slow, path)``.
 BUSY_CHANNEL_DIGESTS = {
-    ("entry", "scalar"): "ae264ca08d37d002",
-    ("entry", "vectorized"): "c34d1724a46ba095",
-    ("inter-stage", "scalar"): "dd0d8c1d1380ccfc",
-    ("inter-stage", "vectorized"): "08546cf6340db064",
+    ("entry", "tenancy"): "ae264ca08d37d002",
+    ("entry", "untagged"): "c34d1724a46ba095",
+    ("inter-stage", "tenancy"): "dd0d8c1d1380ccfc",
+    ("inter-stage", "untagged"): "08546cf6340db064",
 }
 
 
-@pytest.mark.parametrize("path", ["vectorized", "scalar"])
+@pytest.mark.parametrize("path", ["untagged", "tenancy"])
 @pytest.mark.parametrize("slow", ["entry", "inter-stage"])
 def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     """A cancelled hedge leaves a channel busy under a lone request.
@@ -229,7 +229,7 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     sim = Simulation(
         cluster, model, placement, scheduler,
         [Request("solo", 512, 200, 10.0, tenant_id="t")],
-        max_time=1e9, seed=0, tenancy=_tenancy_for(path),
+        max_time=1e9, seed=0, tenancy=_tenancy_for(path == "tenancy"),
         policy=RequestPolicy(hedge_after=0.05),
     )
     metrics = sim.run()

@@ -150,8 +150,8 @@ class TestPendingQueueUnderMasking:
         )
         # Both holders of layers [0, 4) down: the coordinator selector has
         # no live successor and scheduling must return None, not crash.
-        scheduler.mark_node_down("a100-0")
-        scheduler.mark_node_down("t4-1")
+        small_cluster.set_node_available("a100-0", False)
+        small_cluster.set_node_available("t4-1", False)
         assert scheduler.schedule("probe", 16) is None
 
         requests = [Request(f"r{i}", 16, 3, arrival_time=0.0) for i in range(5)]
@@ -159,9 +159,6 @@ class TestPendingQueueUnderMasking:
             small_cluster, tiny_model, placement8, scheduler, requests,
             max_time=60.0,
         )
-        sim._down_nodes.update({"a100-0", "t4-1"})
-        sim.cluster.set_node_available("a100-0", False)
-        sim.cluster.set_node_available("t4-1", False)
         sim.schedule_event(1.0, lambda s: s.restore_node("a100-0"))
         metrics = sim.run()
         assert metrics.requests_finished == 5
@@ -1158,11 +1155,13 @@ class TestPhiAccrualPaths:
         class FakeSim:
             def __init__(self):
                 self.now = 0.0
-                self.down_nodes = set()
                 self.channels = {}
                 self.executors = {}
                 self.fault_times = {}
                 self.scheduled = []
+
+            def node_state(self, node_id):
+                return "serving"
 
             def schedule_event(self, when, fn):
                 self.scheduled.append((when, fn))
