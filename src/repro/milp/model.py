@@ -5,12 +5,12 @@ continuous/integer/binary variables, linear expressions with operator
 overloading, ``<=``/``>=``/``==`` constraints, and one linear objective.
 Problems compile to the sparse arrays scipy's HiGHS interface consumes.
 
-Compilation is incremental: each constraint caches its sparse row once,
-and the problem caches the assembled constraint matrix. Appending or
+Each constraint caches its sparse row once; every
+:meth:`MilpProblem.compile` stacks the cached rows into a fresh matrix
+and re-gathers the objective and variable bounds. Appending or
 truncating constraints (the planner's LNS loop does both every round)
-only compiles the delta; variable bounds are re-gathered on every
-:meth:`MilpProblem.compile` call so bound tightening never needs a
-structural recompile.
+therefore only builds the new rows, and bound tightening never rebuilds
+a row.
 """
 
 from __future__ import annotations
@@ -256,9 +256,7 @@ class Constraint:
 class CompiledArrays:
     """Sparse form: minimize ``c @ x`` s.t. ``cl <= A @ x <= cu``, bounds.
 
-    ``c``, ``a_matrix``, and the constraint bound arrays may be shared with
-    the problem's compile cache — treat them as read-only. ``lower``/
-    ``upper``/``integrality`` are fresh per compile and safe to mutate.
+    Every array is built fresh by each compile and is safe to mutate.
     """
 
     c: np.ndarray
@@ -272,22 +270,6 @@ class CompiledArrays:
     objective_constant: float
 
 
-@dataclass
-class _CompiledStructure:
-    """Cached constraint matrix + objective, keyed by constraint identity."""
-
-    ids: tuple[int, ...]  # id() of each constraint, in row order
-    num_vars: int
-    objective_id: int
-    objective_terms: int
-    maximize: bool
-    c: np.ndarray
-    a_matrix: sparse.csr_matrix
-    constraint_lower: np.ndarray
-    constraint_upper: np.ndarray
-    objective_constant: float
-
-
 class MilpProblem:
     """A MILP: variables, constraints, and a single linear objective."""
 
@@ -298,7 +280,6 @@ class MilpProblem:
         self.objective: LinExpr = LinExpr()
         self.maximize: bool = True
         self._names: set[str] = set()
-        self._structure: _CompiledStructure | None = None
 
     # ------------------------------------------------------------------
     def add_var(
@@ -347,17 +328,15 @@ class MilpProblem:
         return len(self.constraints)
 
     def invalidate(self) -> None:
-        """Drop every compile cache (problem structure and constraint rows)."""
-        self._structure = None
+        """Drop every constraint's cached row, so the next compile rebuilds
+        each row from its expression."""
         for constraint in self.constraints:
             constraint._row = None
 
-    def _assemble_rows(
-        self, constraints: list[Constraint]
-    ) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """Stack cached constraint rows into a CSR block."""
-        m = len(constraints)
-        rows = [c.row() for c in constraints]
+    def _assemble_rows(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+        """Stack the constraints' cached rows into a CSR matrix."""
+        m = len(self.constraints)
+        rows = [c.row() for c in self.constraints]
         lengths = np.fromiter((len(r[0]) for r in rows), dtype=np.int64, count=m)
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
@@ -374,100 +353,43 @@ class MilpProblem:
         upper = np.fromiter((r[3] for r in rows), dtype=np.float64, count=m)
         return a_matrix, lower, upper
 
-    def _compile_structure(self) -> _CompiledStructure:
-        """Constraint matrix + objective, reusing the cache when possible.
-
-        The cache keys on constraint object identity, so the planner's LNS
-        loop — which appends a handful of rows, solves, and truncates them
-        again — only ever compiles the delta.
-        """
-        ids = tuple(map(id, self.constraints))
-        cached = self._structure
-        reusable = (
-            cached is not None
-            and cached.num_vars == self.num_variables
-            and cached.objective_id == id(self.objective)
-            and cached.objective_terms == len(self.objective.terms)
-            and cached.maximize == self.maximize
-        )
-        if reusable and cached.ids == ids:
-            return cached
-
-        a_matrix = constraint_lower = constraint_upper = None
-        if reusable:
-            old = len(cached.ids)
-            if len(ids) > old and ids[:old] == cached.ids:
-                block, lo, hi = self._assemble_rows(self.constraints[old:])
-                a_matrix = sparse.vstack(
-                    [cached.a_matrix, block], format="csr"
-                )
-                constraint_lower = np.concatenate([cached.constraint_lower, lo])
-                constraint_upper = np.concatenate([cached.constraint_upper, hi])
-            elif len(ids) < old and cached.ids[: len(ids)] == ids:
-                a_matrix = cached.a_matrix[: len(ids)]
-                constraint_lower = cached.constraint_lower[: len(ids)]
-                constraint_upper = cached.constraint_upper[: len(ids)]
-        if a_matrix is None:
-            a_matrix, constraint_lower, constraint_upper = self._assemble_rows(
-                self.constraints
-            )
-
-        if reusable:
-            c = cached.c
-            objective_constant = cached.objective_constant
-        else:
-            c = np.zeros(self.num_variables)
-            _, obj_indices, obj_coefs = self.objective.term_arrays()
-            np.add.at(c, obj_indices, obj_coefs)
-            if self.maximize:
-                c = -c
-            objective_constant = self.objective.constant
-
-        self._structure = _CompiledStructure(
-            ids=ids,
-            num_vars=self.num_variables,
-            objective_id=id(self.objective),
-            objective_terms=len(self.objective.terms),
-            maximize=self.maximize,
-            c=c,
-            a_matrix=a_matrix,
-            constraint_lower=constraint_lower,
-            constraint_upper=constraint_upper,
-            objective_constant=objective_constant,
-        )
-        return self._structure
-
     def compile(self) -> CompiledArrays:
         """Compile to the sparse arrays scipy's HiGHS interface consumes.
 
-        The constraint matrix and objective come from an incremental cache;
-        variable bounds and integrality are gathered fresh on every call so
-        bound mutations (LNS fixing, branch-and-bound) are always honored.
+        The constraint matrix is stacked from the constraints' cached rows;
+        the objective, variable bounds and integrality are gathered fresh,
+        so bound mutations (LNS fixing, branch-and-bound) are always
+        honored.
         """
-        structure = self._compile_structure()
+        a_matrix, constraint_lower, constraint_upper = self._assemble_rows()
         n = self.num_variables
+        c = np.zeros(n)
+        _, obj_indices, obj_coefs = self.objective.term_arrays()
+        np.add.at(c, obj_indices, obj_coefs)
+        if self.maximize:
+            c = -c
         lower = np.fromiter((v.lower for v in self.variables), np.float64, count=n)
         upper = np.fromiter((v.upper for v in self.variables), np.float64, count=n)
         integrality = np.fromiter(
             (1 if v.is_integer else 0 for v in self.variables), np.int64, count=n
         )
         return CompiledArrays(
-            c=structure.c,
-            a_matrix=structure.a_matrix,
-            constraint_lower=structure.constraint_lower,
-            constraint_upper=structure.constraint_upper,
+            c=c,
+            a_matrix=a_matrix,
+            constraint_lower=constraint_lower,
+            constraint_upper=constraint_upper,
             lower=lower,
             upper=upper,
             integrality=integrality,
             maximize=self.maximize,
-            objective_constant=structure.objective_constant,
+            objective_constant=self.objective.constant,
         )
 
     def check_feasible(self, values: Mapping[str, float], tol: float = 1e-5) -> list[str]:
         """Names/indices of constraints an assignment violates.
 
-        Vectorized: one sparse mat-vec over the compiled structure instead
-        of a Python loop per constraint. Assignments that do not cover
+        Vectorized: one sparse mat-vec over the stacked constraint rows
+        instead of a Python loop per constraint. Assignments that do not cover
         every variable fall back to the per-constraint reference path.
         """
         if not self.constraints:
@@ -484,12 +406,9 @@ class MilpProblem:
                 for i, constraint in enumerate(self.constraints)
                 if constraint.violated_by(values, tol)
             ]
-        structure = self._compile_structure()
-        activity = structure.a_matrix @ x
-        bad = np.nonzero(
-            (activity > structure.constraint_upper + tol)
-            | (activity < structure.constraint_lower - tol)
-        )[0]
+        a_matrix, lower, upper = self._assemble_rows()
+        activity = a_matrix @ x
+        bad = np.nonzero((activity > upper + tol) | (activity < lower - tol))[0]
         return [
             self.constraints[i].name or f"constraint[{i}]" for i in bad
         ]

@@ -4,12 +4,13 @@ The paper plans a placement once and serves a static cluster; this package
 closes the loop for clusters that lose nodes, degrade links, and gain
 capacity mid-flight. :mod:`repro.online.events` is the churn vocabulary
 (scripted schedules and seeded random generators);
-:mod:`repro.online.controller` reacts to each event with the repo's two
-incremental machines — a PR-1 :meth:`FlowGraph.reevaluate()
+:mod:`repro.online.controller` reacts to each event in two tiers — an
+incremental :meth:`FlowGraph.reevaluate()
 <repro.flow.graph.FlowGraph.reevaluate>` flow rewrite for an immediate
-degraded-mode hot-swap, then a PR-2 warm-started incremental LNS
-:meth:`replan() <repro.placement.helix_milp.HelixMilpPlanner.replan>` whose
-repaired placement is swapped into the scheduler's IWRR selectors.
+degraded-mode hot-swap, then a warm-started LNS :meth:`replan()
+<repro.placement.helix_milp.HelixMilpPlanner.replan>` on a freshly built
+planner, whose repaired placement is swapped into the scheduler's IWRR
+selectors.
 
 Quickstart::
 

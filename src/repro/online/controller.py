@@ -2,13 +2,12 @@
 
 :class:`OnlineController` turns the static plan-once pipeline into a closed
 loop. It registers a churn schedule with the simulator's event loop and,
-after each event, reacts in two tiers that mirror the repo's two
-incremental machines:
+after each event, reacts in two tiers:
 
 1. **Fast path — flow rewrite.** The reference placement restricted to
    surviving nodes is pushed through a persistent
    :meth:`FlowGraph.reevaluate() <repro.flow.graph.FlowGraph.reevaluate>`
-   (the PR-1 incremental evaluator: only capacities of changed edges are
+   (the incremental evaluator: only capacities of changed edges are
    rewritten). If the degraded placement still carries flow, the solution
    is hot-swapped into the scheduler's IWRR selectors whenever a repaired
    placement is not about to land in the same instant — replanning
@@ -16,12 +15,12 @@ incremental machines:
    on the surviving replicas.
 2. **Slow path — warm-started replanning.**
    :meth:`HelixMilpPlanner.replan()
-   <repro.placement.helix_milp.HelixMilpPlanner.replan>` runs the PR-2
-   incremental LNS loop around the degraded placement on the subcluster of
-   available nodes, producing a *repaired* placement that re-spreads the
-   lost layers. Its flow solution is hot-swapped the same way; requests
-   whose pipelines the swap invalidates are migrated through the pending
-   queue.
+   <repro.placement.helix_milp.HelixMilpPlanner.replan>`, on a planner
+   built for the reaction over the subcluster of available nodes, runs the
+   bounds-tightening LNS loop around the degraded placement, producing a
+   *repaired* placement that re-spreads the lost layers. Its flow
+   solution is hot-swapped the same way; requests whose pipelines the
+   swap invalidates are migrated through the pending queue.
 
 Replanning happens outside simulated time by default (its wall-clock cost
 is recorded as telemetry); set ``replan_delay`` to also charge a
@@ -44,14 +43,11 @@ from repro.models.specs import ModelSpec
 from repro.online.detect import DetectorConfig, FailureDetector
 from repro.online.events import (
     ClusterEvent,
-    LinkDegradation,
-    LinkRecovery,
-    NetworkPartition,
     NodeFailure,
     NodeJoin,
-    NodeRecovery,
     validate_schedule,
 )
+from repro.placement.helix_milp import HelixMilpPlanner
 from repro.sim.metrics import (
     DisruptionReport,
     check_window_multiple,
@@ -153,10 +149,6 @@ class OnlineController:
         #: One :class:`ReplanRecord` per reaction.
         self.replans: list[ReplanRecord] = []
         self._flow_graph: FlowGraph | None = None
-        # Planners cached by available-node membership, so a recovery that
-        # restores a previously-seen membership replans on the already
-        # compiled formulation (the PR-2 incremental path end to end).
-        self._planners: dict[frozenset, object] = {}
         # The last *planned* placement (initial plan or applied replan).
         # Tier 1 degrades this, never the already-degraded live placement,
         # so a recovery can restore a node's assignment even with
@@ -205,23 +197,6 @@ class OnlineController:
             # Structural change: the incremental evaluator's edge registry
             # no longer covers the cluster; rebuild lazily.
             self._flow_graph = None
-        if isinstance(
-            event,
-            (
-                NodeJoin,
-                NodeRecovery,
-                LinkDegradation,
-                LinkRecovery,
-                NetworkPartition,
-            ),
-        ):
-            # Cached planners snapshot link objects/capacities; any event
-            # that changes links (join, degradation, partition, repair —
-            # PartitionHeal subclasses NetworkPartition) or the available
-            # subcluster itself (join, recovery) invalidates them: a
-            # recovery restores a node whose links a cached planner built
-            # while it was down.
-            self._planners.clear()
         if event.triggers_replan:
             self.react(sim)
 
@@ -322,15 +297,15 @@ class OnlineController:
         start = time.perf_counter()
         result = None
         try:
-            membership = frozenset(sim.cluster.available_node_ids)
-            planner = self._planners.get(membership)
-            if planner is None:
-                planner = self._make_planner(sim.cluster.subcluster())
-                self._planners[membership] = planner
-            residency = getattr(sim, "residency", None)
-            if residency is not None and hasattr(
-                planner, "set_residency_hint"
-            ):
+            planner = HelixMilpPlanner(
+                sim.cluster.subcluster(),
+                self.model,
+                self.profiler,
+                lns_time_limit=self.replan_time_limit,
+                mip_rel_gap=0.05,
+            )
+            residency = sim.residency
+            if residency is not None:
                 # Residency-aware replanning: candidates whose layers are
                 # already in VRAM score a warm-start bonus, so the repair
                 # prefers a pre-warmed spare over a cold one — lower MTTR.
@@ -395,17 +370,6 @@ class OnlineController:
             self._reference_placement = placement
         self.replans.append(record)
         return record
-
-    def _make_planner(self, subcluster):
-        from repro.placement.helix_milp import HelixMilpPlanner
-
-        return HelixMilpPlanner(
-            subcluster,
-            self.model,
-            self.profiler,
-            lns_time_limit=self.replan_time_limit,
-            mip_rel_gap=0.05,
-        )
 
     # ------------------------------------------------------------------
     # Reporting

@@ -100,12 +100,11 @@ class HelixMilpPlanner(PlacementPlanner):
             to improve on the best incumbent seen (including the hint).
             Disable to reproduce the single full-budget solve.
         lns_mode: ``"incremental"`` (default) freezes nodes outside each
-            LNS window by tightening variable *bounds* on the cached
-            compiled formulation — no rebuild, no recompile, and HiGHS
-            presolve eliminates the frozen variables. ``"rebuild"``
-            reproduces the pre-optimization behaviour (equality
-            constraints appended per round, full recompile) as the
-            differential reference.
+            LNS window by tightening variable *bounds* on the formulation
+            — only the cutoff row is new, and HiGHS presolve eliminates
+            the frozen variables. ``"rebuild"`` reproduces the
+            pre-optimization behaviour (equality constraints appended per
+            round, every row rebuilt) as the differential reference.
         lns_seed: Seed of the LNS window-selection RNG. The search never
             touches global random state, so a planner configuration plus
             this seed reproduces the exact round sequence.
@@ -151,11 +150,6 @@ class HelixMilpPlanner(PlacementPlanner):
         self.last_solver_stats = None  # set by the bnb backend
         #: Telemetry: MILP solve calls issued during the last plan().
         self.milp_solve_count = 0
-        # Formulation reused across replan() calls, built by the first one
-        # that runs an LNS round (the rounds only tighten bounds and
-        # append/truncate constraints, so the compiled structure cache
-        # stays valid between calls).
-        self._replan_formulation: MilpFormulation | None = None
         # Layer-residency hint (set by the online controller before a
         # replan): node_id -> resident layer set, plus the relative bonus
         # a fully-resident placement earns in candidate scoring.
@@ -529,14 +523,14 @@ class HelixMilpPlanner(PlacementPlanner):
         best: ModelPlacement,
         best_value: float,
     ):
-        """One LNS re-solve that only tightens bounds on the cached arrays.
+        """One LNS re-solve that only tightens variable bounds.
 
         Frozen nodes get their ``s``/``b`` variables pinned via variable
         bounds (restored afterwards); the improvement cutoff rides on a
-        single appended constraint, which the model layer's incremental
-        structure cache turns into a one-row delta instead of a recompile.
-        HiGHS presolve then eliminates every pinned variable, so each round
-        solves a genuinely small problem — mirroring at the MILP layer what
+        single appended constraint, the only row the compile has to build
+        — every other row is cached on its constraint. HiGHS presolve then
+        eliminates every pinned variable, so each round solves a genuinely
+        small problem — mirroring at the MILP layer what
         :meth:`~repro.flow.graph.FlowGraph.reevaluate` does for flows.
         """
         problem = formulation.problem
@@ -580,8 +574,8 @@ class HelixMilpPlanner(PlacementPlanner):
 
         Kept as the reference that
         :func:`~repro.testkit.differential.check_lns_modes_agree` compares
-        the incremental round against; the compile cache is explicitly
-        invalidated so every round compiles the formulation from scratch.
+        the incremental round against; every cached row is dropped first,
+        so each round rebuilds every row from its expression.
         """
         problem = formulation.problem
         base_len = len(problem.constraints)
@@ -611,15 +605,15 @@ class HelixMilpPlanner(PlacementPlanner):
             )
         finally:
             del problem.constraints[base_len:]
-            problem.invalidate()
 
     def _lns_improve(
         self,
         formulation: MilpFormulation,
         cluster: Cluster,
         placement: ModelPlacement,
+        rounds: int,
     ) -> ModelPlacement:
-        """Large-neighborhood search around an incumbent placement.
+        """``rounds`` of large-neighborhood search around an incumbent.
 
         Each round freezes every node's layer assignment except a rotating
         window of nodes and re-solves the (now small) MILP with an
@@ -627,8 +621,8 @@ class HelixMilpPlanner(PlacementPlanner):
         improvement. This recovers, with HiGHS, the incremental
         incumbent-improvement behaviour the paper gets from a warm-started
         Gurobi on large clusters. In the default ``incremental`` mode each
-        round is a bounds-tightening re-solve on the cached compiled
-        formulation; see :meth:`_lns_round_incremental`.
+        round is a bounds-tightening re-solve of the same formulation; see
+        :meth:`_lns_round_incremental`.
         """
         import random as _random
 
@@ -650,7 +644,7 @@ class HelixMilpPlanner(PlacementPlanner):
             key=lambda nid: -self.per_layer_rate(nid)
             if nid in self.cluster.node_ids else 0.0,
         )
-        for round_index in range(self.lns_rounds):
+        for round_index in range(rounds):
             free = self._lns_free_window(
                 round_index, window, node_ids, by_rate, rng
             )
@@ -736,7 +730,9 @@ class HelixMilpPlanner(PlacementPlanner):
                 placement = best_hint[1]
 
         if self.lns_rounds > 0:
-            improved = self._lns_improve(formulation, work_cluster, placement)
+            improved = self._lns_improve(
+                formulation, work_cluster, placement, self.lns_rounds
+            )
             # Adopt the LNS result only if it also wins on the full cluster.
             if self._placement_value(improved) >= self._placement_value(placement):
                 placement = improved
@@ -761,11 +757,11 @@ class HelixMilpPlanner(PlacementPlanner):
 
         The online controller's entry point after cluster churn: instead of
         a root MILP solve, start from ``base`` (typically the pre-failure
-        placement restricted to surviving nodes) and run only the PR-2
-        incremental LNS loop — bounds-tightened re-solves on the cached
-        compiled formulation — around it. When ``base`` is missing or can no
-        longer serve (a failed node held irreplaceable layers), the best
-        heuristic hint seeds the search instead.
+        placement restricted to surviving nodes) and run only the
+        bounds-tightening LNS loop around it, on a formulation built for
+        this call. When ``base`` is missing or can no longer serve (a
+        failed node held irreplaceable layers), the best heuristic hint
+        seeds the search instead.
 
         Args:
             base: Incumbent placement to improve; node ids outside this
@@ -832,19 +828,12 @@ class HelixMilpPlanner(PlacementPlanner):
         if rounds == 0:
             placement = incumbent[1]
         else:
-            if self._replan_formulation is None:
-                self._replan_formulation = self.build_formulation(work_cluster)
-            formulation = self._replan_formulation
+            formulation = self.build_formulation(work_cluster)
             num_variables = formulation.problem.num_variables
             num_constraints = formulation.problem.num_constraints
-            saved_rounds = self.lns_rounds
-            self.lns_rounds = rounds
-            try:
-                placement = self._lns_improve(
-                    formulation, work_cluster, incumbent[1]
-                )
-            finally:
-                self.lns_rounds = saved_rounds
+            placement = self._lns_improve(
+                formulation, work_cluster, incumbent[1], rounds
+            )
             if self._placement_value(placement) < self._placement_value(
                 incumbent[1]
             ):

@@ -263,10 +263,11 @@ def check_lns_modes_agree(
 
 
 # ----------------------------------------------------------------------
-# MILP layer: incremental compile vs. cold compile
+# MILP layer: compile after row edits vs. cold compile
 # ----------------------------------------------------------------------
 def check_incremental_compile(scenario: Scenario) -> list[Violation]:
-    """Append/truncate compiles must equal an invalidated cold compile."""
+    """Compiles after appending and truncating rows must equal a compile
+    with every cached row dropped."""
     cluster, model = _milp_material(scenario)
     planner = HelixMilpPlanner(cluster, model)
     formulation = planner.build_formulation()
@@ -295,13 +296,25 @@ def check_incremental_compile(scenario: Scenario) -> list[Violation]:
                     "and cold compile",
                 ))
 
-    problem.compile()  # prime the cache
+    problem.compile()  # cache every row
     some_var = problem.variables[0]
     base_len = len(problem.constraints)
     problem.add_constraint(some_var <= some_var.upper, name="testkit_append")
     compare("append")
     del problem.constraints[base_len:]
     compare("truncate")
+    # Truncate, then append a different row, as each LNS round does with
+    # its cutoff: the freed row's id() may be recycled for the new one,
+    # which must still compile as itself.
+    for k in range(8):
+        problem.add_constraint(problem.objective >= k, name="testkit_cutoff")
+        problem.compile()
+        del problem.constraints[base_len:]
+        problem.add_constraint(
+            problem.objective >= k + 0.5, name="testkit_cutoff"
+        )
+        compare(f"truncate then append, round {k}")
+        del problem.constraints[base_len:]
     return violations
 
 

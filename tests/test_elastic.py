@@ -468,11 +468,11 @@ class TestDeterministicReplan:
 
         monkeypatch.setattr(HelixMilpPlanner, "build_formulation", counted)
         planner = HelixMilpPlanner(cluster, model, lns_time_limit=2.0)
-        first = planner.replan(base, lns_rounds=1)
-        second = planner.replan(base, lns_rounds=1)
-        assert len(built) == 1
-        problem = built[0].problem
-        for result in (first, second):
+        for replans in (1, 2):
+            result = planner.replan(base, lns_rounds=1)
+            # Each LNS replan builds exactly one formulation of its own.
+            assert len(built) == replans
+            problem = built[-1].problem
             assert result.num_variables == problem.num_variables > 0
             assert result.num_constraints == problem.num_constraints > 0
 

@@ -152,7 +152,9 @@ class TestLNS:
             tiny_model.num_layers,
             {"a100-0": (0, 8), "l4-0": (0, 2), "t4-0": (0, 2), "t4-1": (0, 2)},
         )
-        improved = planner._lns_improve(formulation, small_cluster, poor)
+        improved = planner._lns_improve(
+            formulation, small_cluster, poor, planner.lns_rounds
+        )
         assert planner._placement_value(improved, small_cluster) >= (
             planner._placement_value(poor, small_cluster)
         )

@@ -387,8 +387,7 @@ class TestCompileCache:
     def test_cached_compile_matches_fresh(self):
         p, xs = self.build()
         first = p.compile()
-        second = p.compile()
-        assert second.a_matrix is first.a_matrix  # structure reused
+        self.assert_same_arrays(first, p.compile())
         p.invalidate()
         self.assert_same_arrays(first, p.compile())
 
@@ -407,6 +406,17 @@ class TestCompileCache:
         p.invalidate()
         self.assert_same_arrays(truncated, p.compile())
         self.assert_same_arrays(truncated, base)
+
+    def test_truncate_then_append_compiles_the_new_row(self):
+        # Each round's cutoff row is freed by the truncate, so CPython may
+        # hand the next round's row the same id(); the compile must still
+        # read the new right-hand side.
+        p, xs = self.build()
+        n = len(p.constraints)
+        for k in range(50):
+            p.add_constraint(p.objective >= k, name="cutoff")
+            assert p.compile().constraint_lower[-1] == k
+            del p.constraints[n:]
 
     def test_bound_mutation_is_seen_without_recompile(self):
         p, xs = self.build()

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from repro.cluster import A100_40G, Cluster, L4, T4
 from repro.core.errors import SimulationError
 from repro.core.placement_types import ModelPlacement
+from repro.core.units import GBIT
 from repro.flow.graph import FlowGraph
 from repro.online import (
     ChurnConfig,
@@ -428,13 +430,70 @@ class TestOnlineController:
         # Only the failures are disruptions; recoveries replan but do not
         # move the disruption clock.
         assert controller.disruption_times == [0.3, 1.2]
-        # Every recovery invalidates the planner cache (the restored
-        # node's links were absent from the cached formulations), so only
-        # the membership seen since the last recovery is still cached.
-        assert len(controller._planners) == 1
         report = controller.report(sim, window=0.25)
         assert report.replan_count >= 1
         assert report.requests_retried == metrics.requests_retried
+
+    def test_autoscaler_path_reactions_are_pinned(self, tiny_model):
+        """Restore two spares, then drain one, reacting as the autoscaler
+        does (a direct ``react`` after each membership change).
+
+        The third reaction returns to the first one's membership. Every
+        record and applied placement is pinned exactly.
+        """
+        cluster = Cluster(name="spares")
+        nodes = [("t4-0", T4), ("l4-0", L4), ("l4-1", L4),
+                 ("s1", A100_40G), ("s2", L4)]
+        for nid, gpu in nodes:
+            cluster.add_node(nid, gpu, region="r0")
+        cluster.connect_full_mesh(
+            [nid for nid, _ in nodes], 10 * GBIT, 0.001,
+            include_coordinator=True,
+        )
+        cluster.set_node_available("s1", False)
+        cluster.set_node_available("s2", False)
+        cluster.validate()
+        placement = ModelPlacement.from_intervals(
+            8, {"t4-0": (0, 4), "l4-0": (0, 4), "l4-1": (4, 8)}
+        )
+        requests = [
+            Request(f"r{i}", 32, 8, arrival_time=i * 0.01) for i in range(300)
+        ]
+        controller = OnlineController(
+            tiny_model, replan_lns_rounds=0, replan_time_limit=0.5,
+        )
+        applied = []
+
+        def reacting(change):
+            def step(s):
+                change(s)
+                controller.react(s)
+                applied.append({
+                    nid: (stage.start, stage.end)
+                    for nid, stage in s.placement.assignments.items()
+                })
+            return step
+
+        sim = make_simulation(
+            cluster, tiny_model, placement, requests,
+            max_time=30.0, seed=0, controller=controller,
+        )
+        sim.schedule_event(0.5, reacting(lambda s: s.restore_node("s1")))
+        sim.schedule_event(1.0, reacting(lambda s: s.restore_node("s2")))
+        sim.schedule_event(1.5, reacting(lambda s: s.drain_node("s2")))
+        metrics = sim.run()
+
+        assert [
+            (r.sim_time, r.status, r.throughput, r.migrated)
+            for r in controller.replans
+        ] == [
+            (0.5, "applied", 52197.49334445712, 14),
+            (1.0, "applied", 64751.671667634175, 0),
+            (1.5, "applied", 52197.49334445712, 0),
+        ]
+        without_s2 = {nid: (0, 8) for nid in ("t4-0", "l4-0", "l4-1", "s1")}
+        assert applied == [without_s2, {**without_s2, "s2": (0, 8)}, without_s2]
+        assert metrics.requests_finished == 300
 
     def test_unique_layer_holder_failure_needs_replan(
         self, small_cluster, tiny_model

@@ -88,11 +88,13 @@ class TestPublicAPI:
 
 
 class TestKnobs:
-    """The simulator's options, pinned by name.
+    """The simulator's, planner's and controller's options, pinned by name.
 
     A change that adds, renames or removes an option of
-    :class:`~repro.sim.simulator.Simulation` or of one of its subsystem
-    configs has to edit a pin here, so the new knob is visible in review.
+    :class:`~repro.sim.simulator.Simulation`, of one of its subsystem
+    configs, of :class:`~repro.placement.helix_milp.HelixMilpPlanner` or
+    of :class:`~repro.online.controller.OnlineController` has to edit a
+    pin here, so the new knob is visible in review.
     """
 
     def test_simulation_parameters(self):
@@ -102,6 +104,25 @@ class TestKnobs:
             "self", "cluster", "model", "placement", "scheduler", "requests",
             "profiler", "max_batch_tokens", "max_time", "warmup", "seed",
             "controller", "policy", "debug_validate", "residency", "tenancy",
+        ]
+
+    def test_planner_and_controller_parameters(self):
+        import inspect
+
+        assert list(
+            inspect.signature(repro.HelixMilpPlanner.__init__).parameters
+        ) == [
+            "self", "cluster", "model", "profiler", "partial_inference",
+            "prune_degree", "time_limit", "hints", "backend", "mip_rel_gap",
+            "lns_rounds", "lns_window", "lns_time_limit", "adaptive_budget",
+            "lns_mode", "lns_seed",
+        ]
+        assert list(
+            inspect.signature(repro.OnlineController.__init__).parameters
+        ) == [
+            "self", "model", "events", "profiler", "replan",
+            "replan_lns_rounds", "replan_time_limit", "replan_delay",
+            "detection_mode", "detector_config", "autoscaler",
         ]
 
     @pytest.mark.parametrize(
