@@ -1162,6 +1162,7 @@ class Simulation:
         everything already in the heap was priced then, and the channel's
         new hops arrive without retransmit delays.
         """
+        self.cluster.link(src, dst)  # referential check
         keys = [(src, dst)]
         if bidirectional:
             keys.append((dst, src))
@@ -1356,6 +1357,7 @@ class Simulation:
         self, src: str, dst: str, bidirectional: bool = True
     ) -> None:
         """Restore a degraded link to its original bandwidth."""
+        self.cluster.link(src, dst)  # referential check
         keys = [(src, dst)]
         if bidirectional:
             keys.append((dst, src))

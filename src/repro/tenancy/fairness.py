@@ -115,6 +115,35 @@ def jain_index(values: Iterable[float], any_demand: bool = False) -> float:
     return (total * total) / (len(xs) * squares)
 
 
+def fairness_deficits(
+    shares: Mapping[str, float],
+    observed: Mapping[str, float],
+    backlogged: Iterable[str] = (),
+) -> dict[str, float]:
+    """Fairness deficit per *active* tenant, given its observed service.
+
+    A tenant is active if it consumed service (``observed > 0``) or is
+    currently backlogged (has queued work). Entitled shares are
+    renormalized over active tenants, so a zero-demand tenant
+    contributes no fairness debt and takes no entitlement away from the
+    tenants actually competing. Inactive tenants get deficit 0. Sums run
+    in sorted tenant order, so the result does not depend on set
+    iteration order (``PYTHONHASHSEED``).
+    """
+    active = sorted(
+        {tid for tid, amount in observed.items() if amount > 0}
+        | {tid for tid in backlogged if tid in shares}
+    )
+    out = {tid: 0.0 for tid in shares}
+    entitled_total = sum(shares[tid] for tid in active)
+    observed_total = sum(observed[tid] for tid in active)
+    for tid in active:
+        entitled = shares[tid] / entitled_total
+        got = observed[tid] / observed_total if observed_total > 0 else 0.0
+        out[tid] = entitled - got
+    return out
+
+
 class WindowedFairnessTracker:
     """Accumulates per-tenant service into fixed-width windows.
 
@@ -173,31 +202,11 @@ class WindowedFairnessTracker:
     def deficits(
         self, now: float, backlogged: Iterable[str] = ()
     ) -> dict[str, float]:
-        """Fairness deficit per *active* tenant at time ``now``.
-
-        A tenant is active if it consumed service inside the backlog or
-        is currently backlogged (has queued work). Entitled shares are
-        renormalized over active tenants, so a zero-demand tenant
-        contributes no fairness debt and takes no entitlement away from
-        the tenants actually competing. Inactive tenants get deficit 0.
-        """
-        observed = self.service_in_backlog(now)
-        active = {
-            tid
-            for tid, amount in observed.items()
-            if amount > 0
-        }
-        active.update(tid for tid in backlogged if tid in self._shares)
-        out = {tid: 0.0 for tid in self._shares}
-        if not active:
-            return out
-        entitled_total = sum(self._shares[tid] for tid in active)
-        observed_total = sum(observed[tid] for tid in active)
-        for tid in active:
-            entitled = self._shares[tid] / entitled_total
-            got = observed[tid] / observed_total if observed_total > 0 else 0.0
-            out[tid] = entitled - got
-        return out
+        """Fairness deficit per tenant at time ``now``
+        (:func:`fairness_deficits` over the backlog's service)."""
+        return fairness_deficits(
+            self._shares, self.service_in_backlog(now), backlogged
+        )
 
     def fairness_index(
         self, now: float, backlogged: Iterable[str] = ()

@@ -15,7 +15,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from repro.tenancy.fairness import FairnessConfig, WindowedFairnessTracker
+from repro.tenancy.fairness import (
+    FairnessConfig,
+    WindowedFairnessTracker,
+    fairness_deficits,
+)
 from repro.tenancy.registry import TenantRegistry
 
 
@@ -174,24 +178,8 @@ class TenantManager:
             horizon_start = now - self.fairness.horizon
             for tenant_id, start in self._spans.values():
                 observed[tenant_id] += now - max(start, horizon_start)
-            return self._deficits_from(observed, backlogged)
+            return fairness_deficits(self._shares, observed, backlogged)
         return self.tracker.deficits(now, backlogged)
-
-    def _deficits_from(
-        self, observed: dict[str, float], backlogged: Iterable[str]
-    ) -> dict[str, float]:
-        active = {tid for tid, amount in observed.items() if amount > 0}
-        active.update(tid for tid in backlogged if tid in self._shares)
-        out = {tid: 0.0 for tid in self._shares}
-        if not active:
-            return out
-        entitled_total = sum(self._shares[tid] for tid in active)
-        observed_total = sum(observed[tid] for tid in active)
-        for tid in active:
-            entitled = self._shares[tid] / entitled_total
-            got = observed[tid] / observed_total if observed_total > 0 else 0.0
-            out[tid] = entitled - got
-        return out
 
     def select_tenant(self, backlogged: Iterable[str], now: float) -> str:
         """Which backlogged tenant should be served next.

@@ -1,13 +1,15 @@
 """Differential oracles: fast paths must agree with their reference paths.
 
-PRs 1-3 added incremental machinery whose only specification is "same
-answer as the slow path": :meth:`FlowGraph.reevaluate` vs. a fresh graph
-rebuild, incremental :meth:`MilpProblem.compile` vs. a cold compile, the
+The incremental machinery's only specification is "same answer as the
+slow path": :meth:`FlowGraph.reevaluate` vs. a fresh graph rebuild, a
+compile after row edits vs. a cold :meth:`MilpProblem.compile`, the
 bounds-tightening LNS vs. ``lns_mode="rebuild"``, and the ``bnb`` vs.
 ``highs`` MILP backends. Each checker here runs both paths on material
 derived from one generated scenario and returns :class:`Violation` lists,
 so a sweep cross-validates the whole stack instead of spot-checking
-hand-written fixtures.
+hand-written fixtures. :func:`canonical_json` is the exact serialization
+the golden digests (:mod:`repro.testkit.golden`) and replay fingerprints
+compare.
 """
 
 from __future__ import annotations
@@ -340,7 +342,7 @@ def check_milp_oracles(
 
 
 # ----------------------------------------------------------------------
-# Simulation engine: observables and the golden digests
+# Exact serialization: golden digests and replay fingerprints
 # ----------------------------------------------------------------------
 def _canonical(value):
     """A JSON-ready form under which equal values serialize equally.
@@ -365,144 +367,3 @@ def _canonical(value):
 def canonical_json(value) -> str:
     """Exact, NaN-equal serialization: equal strings mean equal values."""
     return json.dumps(_canonical(value))
-
-
-def _run_engine(family: str, seed: int, size: str):
-    """Plan and serve one freshly-generated scenario.
-
-    Every run gets its own generation: serving and churn mutate the
-    cluster, and schedulers are stateful.
-    """
-    from repro.bench.runner import make_planner, make_scheduler
-    from repro.core.errors import ReproError
-    from repro.scenarios.generator import generate_scenario
-    from repro.sim.simulator import Simulation
-
-    scenario = generate_scenario(family, seed, size)
-    tried = [scenario.planner_method] + [
-        method for method in ("swarm", "petals", "sp+")
-        if method != scenario.planner_method
-    ]
-    planner = result = None
-    for method in tried:
-        try:
-            planner = make_planner(method, scenario.cluster, scenario.model)
-            result = planner.plan()
-        except ReproError:
-            continue
-        if result.max_throughput > 0:
-            break
-    else:  # pragma: no cover - harness guarantees a planner serves
-        raise ReproError(f"no planner serves {scenario.describe()}")
-    scheduler = make_scheduler(
-        scenario.scheduler_method, scenario.cluster, scenario.model,
-        result, seed=scenario.seed,
-    )
-    sim = Simulation(
-        cluster=scenario.cluster,
-        model=scenario.model,
-        placement=result.placement,
-        scheduler=scheduler,
-        requests=scenario.requests,
-        max_time=scenario.max_time,
-        seed=scenario.seed,
-    )
-    for event in scenario.churn:
-        if event.time <= scenario.max_time:
-            sim.schedule_event(event.time, event.apply)
-    metrics = sim.run()
-    return sim, metrics
-
-
-def _engine_observables(sim, metrics) -> dict:
-    """Every externally-visible quantity an engine run produces."""
-    records = {}
-    for record in sim.records:
-        records[record.request_id] = (
-            record.tokens_generated,
-            tuple(record.token_times),
-            record.arrival_time,
-            record.schedule_time,
-            record.first_token_time,
-            record.finish_time,
-            record.retries,
-            record.migrations,
-            record.tokens_lost,
-        )
-    pools = {
-        node_id: (pool.used_tokens, pool.peak_tokens, pool.overflow_events)
-        for node_id, pool in sim.kv_pools.items()
-    }
-    executors = {
-        node_id: (
-            executor.stats.batches,
-            executor.stats.busy_time,
-            executor.stats.token_layers,
-            executor.stats.tokens,
-        )
-        for node_id, executor in sim.executors.items()
-    }
-    channels = {
-        key: (
-            channel.messages_sent,
-            channel.bytes_sent,
-            channel.next_free_time,
-            channel.total_queueing_delay,
-            channel.max_queueing_delay,
-        )
-        for key, channel in sim.channels.items()
-    }
-    buckets = sim.token_buckets
-    while buckets and buckets[-1] == 0:
-        buckets.pop()
-    tenancy = None
-    manager = getattr(sim, "tenancy", None)
-    if manager is not None:
-        tenancy = {
-            "tokens_by_tenant": dict(manager.tokens_by_tenant),
-            "starvation_events": len(manager.starvation_events),
-        }
-    return {
-        "records": records,
-        "pools": pools,
-        "executors": executors,
-        "channels": channels,
-        "buckets": buckets,
-        "metrics": metrics,
-        "now": sim.now,
-        "tenancy": tenancy,
-    }
-
-
-def _metric_values(metrics) -> dict[str, float]:
-    """The serving-metric fields the golden digests read, as floats."""
-    values = {
-        name: float(getattr(metrics, name))
-        for name in (
-            "decode_throughput", "requests_finished", "requests_submitted",
-            "duration", "decode_tokens", "kv_overflow_events",
-            "avg_pipeline_depth", "requests_retried", "requests_migrated",
-            "tokens_lost",
-        )
-    }
-    for dist in ("prompt_latency", "decode_latency"):
-        stats = getattr(metrics, dist)
-        for q in ("count", "mean", "p5", "p25", "p50", "p75", "p95"):
-            values[f"{dist}.{q}"] = float(getattr(stats, q))
-    return values
-
-
-def check_sim_engines(family: str, seed: int) -> list[Violation]:
-    """The simulator differential oracle for one golden-matrix address.
-
-    Replays the smoke-size scenario and requires *exactly* the committed
-    golden digests (:mod:`repro.testkit.golden`) of every observable —
-    per-request token times, serving metrics, KV pools, executor
-    utilization, and per-channel network statistics — which were recorded
-    from the frozen pre-overhaul engine. Hop tables, int-coded events and
-    lazy arrivals change wall-clock speed and nothing else.
-    """
-    from repro.testkit.golden import check_case
-
-    violations, _ = check_case(f"{family}-{seed}")
-    return violations

@@ -7,7 +7,11 @@ channels, token-timeline buckets, the serving-metric fields, the final
 clock and tenancy.
 
 The cases are the 24 smoke addresses of the engine matrix (named
-``<family>-<seed>``) and five scripted fig12 scenarios. The digests live
+``<family>-<seed>``) and five scripted fig12 scenarios. A matrix case is
+served by :func:`~repro.testkit.harness.run_scenario`, so its digests pin
+the very run the smoke sweep, ``python -m repro.testkit`` and the
+benchmark's scenario sweep make: a change anywhere on that path moves a
+digest. A scripted case builds its own fig12 simulation. The digests live
 in ``tests/golden/sim_observables.json``, whose header records the Python
 and numpy versions they were recorded with. Only::
 
@@ -27,16 +31,13 @@ from typing import Callable
 import numpy as np
 
 from repro.cluster import Profiler, small_cluster_fig12
+from repro.core.errors import ReproError
 from repro.models.specs import LLAMA_30B
-from repro.scenarios.generator import SCENARIO_FAMILIES
+from repro.scenarios.generator import SCENARIO_FAMILIES, generate_scenario
 from repro.sim.request import Request
 from repro.sim.simulator import Simulation
-from repro.testkit.differential import (
-    _engine_observables,
-    _metric_values,
-    _run_engine,
-    canonical_json,
-)
+from repro.testkit.differential import canonical_json
+from repro.testkit.harness import run_scenario
 from repro.testkit.invariants import Violation
 
 GOLDEN_PATH = (
@@ -145,21 +146,108 @@ def serve_case(
 ):
     """Serve one golden case; returns ``(sim, metrics)``.
 
+    A matrix case is :func:`~repro.testkit.harness.run_scenario` of its
+    freshly generated smoke scenario, the run every sweep makes.
     ``prepare`` runs on a scripted case's simulation before it starts
-    (e.g. to schedule sampling callbacks that must not perturb it).
+    (e.g. to schedule sampling callbacks that must not perturb it); a
+    matrix case's simulation starts inside ``run_scenario``, so it takes
+    none.
     """
     if case in SCRIPTED_CASES:
         sim = SCRIPTED_CASES[case]()
         if prepare is not None:
             prepare(sim)
         return sim, sim.run()
+    if prepare is not None:
+        raise ValueError(f"matrix case {case!r} takes no prepare callback")
     family, seed = case.rsplit("-", 1)
-    return _run_engine(family, int(seed), "smoke")
+    report = run_scenario(generate_scenario(family, int(seed), "smoke"))
+    if report.sim is None:
+        raise ReproError(report.failure_message())
+    return report.sim, report.metrics
 
 
 # ----------------------------------------------------------------------
 # Digests and the golden file
 # ----------------------------------------------------------------------
+def _engine_observables(sim, metrics) -> dict:
+    """Every externally-visible quantity an engine run produces."""
+    records = {}
+    for record in sim.records:
+        records[record.request_id] = (
+            record.tokens_generated,
+            tuple(record.token_times),
+            record.arrival_time,
+            record.schedule_time,
+            record.first_token_time,
+            record.finish_time,
+            record.retries,
+            record.migrations,
+            record.tokens_lost,
+        )
+    pools = {
+        node_id: (pool.used_tokens, pool.peak_tokens, pool.overflow_events)
+        for node_id, pool in sim.kv_pools.items()
+    }
+    executors = {
+        node_id: (
+            executor.stats.batches,
+            executor.stats.busy_time,
+            executor.stats.token_layers,
+            executor.stats.tokens,
+        )
+        for node_id, executor in sim.executors.items()
+    }
+    channels = {
+        key: (
+            channel.messages_sent,
+            channel.bytes_sent,
+            channel.next_free_time,
+            channel.total_queueing_delay,
+            channel.max_queueing_delay,
+        )
+        for key, channel in sim.channels.items()
+    }
+    buckets = sim.token_buckets
+    while buckets and buckets[-1] == 0:
+        buckets.pop()
+    tenancy = None
+    manager = sim.tenancy
+    if manager is not None:
+        tenancy = {
+            "tokens_by_tenant": dict(manager.tokens_by_tenant),
+            "starvation_events": len(manager.starvation_events),
+        }
+    return {
+        "records": records,
+        "pools": pools,
+        "executors": executors,
+        "channels": channels,
+        "buckets": buckets,
+        "metrics": metrics,
+        "now": sim.now,
+        "tenancy": tenancy,
+    }
+
+
+def _metric_values(metrics) -> dict[str, float]:
+    """The serving-metric fields the golden digests read, as floats."""
+    values = {
+        name: float(getattr(metrics, name))
+        for name in (
+            "decode_throughput", "requests_finished", "requests_submitted",
+            "duration", "decode_tokens", "kv_overflow_events",
+            "avg_pipeline_depth", "requests_retried", "requests_migrated",
+            "tokens_lost",
+        )
+    }
+    for dist in ("prompt_latency", "decode_latency"):
+        stats = getattr(metrics, dist)
+        for q in ("count", "mean", "p5", "p25", "p50", "p75", "p95"):
+            values[f"{dist}.{q}"] = float(getattr(stats, q))
+    return values
+
+
 def observable_digests(observables: dict) -> dict[str, str]:
     """One sha256 hex digest per observable group."""
     groups = dict(observables, metrics=_metric_values(observables["metrics"]))

@@ -84,10 +84,9 @@ class ScenarioReport:
     tenancy: dict | None = None
     violations: list[Violation] = field(default_factory=list)
     fingerprint: str = ""
-    #: The simulation object itself (post-run). Kept so differential
-    #: oracles can compare full engine observables across configurations
-    #: the plain engine matrix cannot express (detection-mode chaos,
-    #: elastic residency, tenancy).
+    #: The simulation object itself (post-run), whose full observables
+    #: the golden digests and ``run_digest`` pins read. ``None`` when
+    #: planning failed.
     sim: Simulation | None = field(default=None, repr=False)
 
     @property

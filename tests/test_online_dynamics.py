@@ -221,9 +221,8 @@ class TestLinkEvents:
             executor.slowdown,
         ) == constants
 
-    def test_degrade_asymmetric_link_skips_missing_reverse(
-        self, tiny_model
-    ):
+    @staticmethod
+    def _toy_simulation(tiny_model):
         from repro.cluster import presets
 
         cluster = presets.toy_cluster_fig2()  # all links unidirectional
@@ -231,7 +230,12 @@ class TestLinkEvents:
             8, {"a100": (0, 4), "t4-1": (4, 8), "t4-2": (4, 8)}
         )
         requests = [Request("r0", 16, 2)]
-        sim = make_simulation(cluster, tiny_model, placement, requests)
+        return cluster, make_simulation(cluster, tiny_model, placement, requests)
+
+    def test_degrade_asymmetric_link_skips_missing_reverse(
+        self, tiny_model
+    ):
+        cluster, sim = self._toy_simulation(tiny_model)
         original = cluster.link("a100", "t4-1").bandwidth
         sim.degrade_link("a100", "t4-1", 0.5)  # no reverse link: no crash
         assert cluster.link("a100", "t4-1").bandwidth == pytest.approx(
@@ -240,6 +244,32 @@ class TestLinkEvents:
         assert not cluster.has_link("t4-1", "a100")
         sim.restore_link("a100", "t4-1")
         assert cluster.link("a100", "t4-1").bandwidth == pytest.approx(original)
+
+    def test_restore_link_rejects_a_missing_direction(self, tiny_model):
+        """Like ``degrade_link``, ``restore_link`` raises on a direction
+        the cluster lacks, and leaves the existing reverse degraded."""
+        from repro.core.errors import ClusterError
+
+        cluster, sim = self._toy_simulation(tiny_model)
+        original = cluster.link("a100", "t4-1").bandwidth
+        sim.degrade_link("a100", "t4-1", 0.5)
+        with pytest.raises(ClusterError, match="no link 't4-1'->'a100'"):
+            sim.restore_link("t4-1", "a100")
+        assert cluster.link("a100", "t4-1").bandwidth == pytest.approx(
+            original * 0.5
+        )
+
+    def test_clear_link_flaky_rejects_a_missing_direction(self, tiny_model):
+        """Like ``set_link_flaky``, ``clear_link_flaky`` raises on a
+        direction the cluster lacks, and leaves the existing reverse
+        flaky."""
+        from repro.core.errors import ClusterError
+
+        _, sim = self._toy_simulation(tiny_model)
+        sim.set_link_flaky("a100", "t4-1", 0.5, 0.05)
+        with pytest.raises(ClusterError, match="no link 't4-1'->'a100'"):
+            sim.clear_link_flaky("t4-1", "a100")
+        assert sim.channels[("a100", "t4-1")].fault is not None
 
     def test_flow_graph_refresh_links_tracks_degradation(
         self, small_cluster, tiny_model, placement8

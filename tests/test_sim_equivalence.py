@@ -5,10 +5,11 @@ The engine (hop tables, one event per hop, lazy arrivals) is specified as
 from the frozen pre-overhaul engine (``tests/golden/sim_observables.json``,
 :mod:`repro.testkit.golden`). These tests enforce that specification:
 
-* the differential oracle replays every tier-1 scenario address (all 4
-  families x 6 seeds, churny addresses included) and requires
-  observables exactly equal to the digests (``tests/test_batch_engine.py``
-  pins the chaos / elastic / tenant families and scripted edge cases);
+* every tier-1 scenario address (all 4 families x 6 seeds, churny
+  addresses included) is served by ``testkit.run_scenario``, the run the
+  sweeps make, and its observables must equal the digests exactly
+  (``tests/test_batch_engine.py`` pins the chaos / elastic / tenant
+  families and scripted edge cases);
 * scripted fig12 scenarios serve a sequential stream of lone requests,
   cut one mid-decode with a node failure, flood the cluster, and cut
   traces at a horizon, each checked against its digests;
@@ -17,7 +18,6 @@ from the frozen pre-overhaul engine (``tests/golden/sim_observables.json``,
 * the precomputed roofline constants are checked bit-for-bit against
   ``Profiler.batch_time``.
 """
-
 import math
 import os
 
@@ -29,7 +29,6 @@ from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.scheduling import HelixScheduler
 from repro.sim import NodeExecutor, Request, Simulation, StageWork
-from repro.testkit.differential import _engine_observables, check_sim_engines
 from repro.testkit.golden import (
     GOLDEN_PATH,
     GROUPS,
@@ -37,6 +36,7 @@ from repro.testkit.golden import (
     POISSON_HORIZON,
     REGEN_COMMAND,
     SCRIPTED_CASES,
+    _engine_observables,
     _fig12_sim,
     check_case,
     check_golden,
@@ -53,8 +53,9 @@ from repro.testkit.golden import (
     "family,seed", MATRIX, ids=[f"{f}-{s}" for f, s in MATRIX]
 )
 def test_engines_agree_on_matrix_address(family, seed):
-    """Every observable equals the golden digests."""
-    violations = check_sim_engines(family, seed)
+    """Every observable of the address's sweep run equals the golden
+    digests."""
+    violations, _ = check_case(f"{family}-{seed}")
     assert not violations, "\n".join(str(v) for v in violations)
 
 
@@ -67,13 +68,13 @@ def _check_scripted(case, prepare=None):
     return run
 
 
-def test_sequential_stream_matches_legacy():
+def test_sequential_stream_matches_golden():
     """Lone requests one after another: every observable matches."""
     _, metrics = _check_scripted("sequential_stream")
     assert metrics.requests_finished == 3
 
 
-def test_mid_decode_failure_matches_legacy():
+def test_mid_decode_failure_matches_golden():
     """A node failure mid-decode disrupts the request; still matches."""
     _, metrics = _check_scripted("mid_decode_failure")
     assert metrics.requests_retried == 1
@@ -115,10 +116,20 @@ def test_arrivals_enter_the_heap_one_at_a_time():
     assert 0 < metrics.requests_submitted < len(trace)
 
 
-def test_max_time_truncation_matches_legacy():
+def test_max_time_truncation_matches_golden():
     sim, metrics = _check_scripted("max_time_truncation")
     assert sim.now <= 6.0
     assert metrics.requests_finished < metrics.requests_submitted == 30
+
+
+def test_matrix_case_refuses_prepare():
+    """A matrix case's simulation starts inside ``run_scenario``, so
+    nothing can run on it first: a ``prepare`` callback is refused, not
+    dropped."""
+    calls = []
+    with pytest.raises(ValueError, match="full_mesh-0"):
+        serve_case("full_mesh-0", calls.append)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -186,6 +186,40 @@ class TestFairness:
         assert deficits["busy"] == pytest.approx(0.0)
         assert manager.starvation_events == []
 
+    def test_deficits_do_not_depend_on_hash_seed(self):
+        """Shares 1:2:7 and service 0.3 / 0.6 / 0.1 in one window: the
+        deficit map is the same float for float under every
+        ``PYTHONHASHSEED`` (sums run in tenant order, not set order)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.tenancy import fairness
+
+        # The module is imported on its own: the package pulls in scipy,
+        # which would dominate ten interpreter starts.
+        script = (
+            "from fairness import FairnessConfig, WindowedFairnessTracker\n"
+            "tracker = WindowedFairnessTracker(\n"
+            "    FairnessConfig(mode='W', window=1.0, backlog_windows=1),\n"
+            "    {'t-a': 1.0, 't-b': 2.0, 't-c': 7.0},\n"
+            ")\n"
+            "for tid, amount in (('t-a', 0.3), ('t-b', 0.6), ('t-c', 0.1)):\n"
+            "    tracker.note(tid, 0.5, amount)\n"
+            "print(sorted(tracker.deficits(0.5).items()))\n"
+        )
+        here = str(Path(fairness.__file__).resolve().parent)
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=here),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in range(10)
+        }
+        assert len(outputs) == 1, outputs
+
 
 # ----------------------------------------------------------------------
 # Engine gating: off by default, single tenant bit-identical
