@@ -10,39 +10,27 @@ congestion case study).
 
 import pytest
 
-from benchmarks.conftest import BENCH_PROFILER, SIM_MAX_TIME, SIM_WARMUP
-from repro.bench.runner import make_scheduler, run_offline
+from benchmarks.conftest import serve
 from repro.bench.tables import format_table
-from repro.models.specs import LLAMA_70B
 
 SCHEDULERS = ("helix", "swarm", "random", "shortest-queue")
-
-
-def serve(planner_cache, trace, cluster_name, scheduler):
-    cluster = planner_cache.cluster(cluster_name)
-    planner_result = planner_cache.plan(cluster_name, "llama-70b", "helix")
-    return run_offline(
-        cluster, LLAMA_70B, planner_result, scheduler, trace,
-        max_time=SIM_MAX_TIME, warmup=SIM_WARMUP, profiler=BENCH_PROFILER, placement_method="helix",
-    )
 
 
 @pytest.mark.parametrize("cluster_name", ["single-24", "geo-24"])
 def test_fig10_scheduling_deepdive(
     benchmark, planner_cache, bench_trace, report, cluster_name
 ):
-    results = {
-        scheduler: serve(planner_cache, bench_trace, cluster_name, scheduler)
-        for scheduler in SCHEDULERS
-    }
-    benchmark.pedantic(
-        lambda: serve(planner_cache, bench_trace, cluster_name, "helix"),
-        rounds=1, iterations=1,
-    )
+    def run(scheduler):
+        return serve(
+            planner_cache, cluster_name, "llama-70b", "helix", bench_trace,
+            scheduler=scheduler,
+        )
+
+    results = {scheduler: run(scheduler) for scheduler in SCHEDULERS}
+    benchmark.pedantic(lambda: run("helix"), rounds=1, iterations=1)
 
     rows = []
-    for scheduler, result in results.items():
-        m = result.metrics
+    for scheduler, m in results.items():
         rows.append(
             [scheduler, round(m.decode_throughput, 1),
              round(m.prompt_latency.p50, 2), m.requests_finished]
@@ -51,15 +39,15 @@ def test_fig10_scheduling_deepdive(
         ["scheduler", "decode_tok_s", "prompt_p50_s", "finished"], rows
     )
 
-    helix = results["helix"].metrics.decode_throughput
+    helix = results["helix"].decode_throughput
     for baseline in ("swarm", "random"):
-        other = results[baseline].metrics.decode_throughput
+        other = results[baseline].decode_throughput
         assert helix >= other * 0.98, (
             f"Helix scheduling should at least match {baseline} "
             f"({helix:.1f} vs {other:.1f})"
         )
     ratios = ", ".join(
-        f"helix/{b} {helix / results[b].metrics.decode_throughput:.2f}x"
+        f"helix/{b} {helix / results[b].decode_throughput:.2f}x"
         for b in ("swarm", "random", "shortest-queue")
     )
     text += f"\n{ratios} (paper: 1.30x/1.29x single, 1.22x/1.15x/1.19x geo)"

@@ -13,26 +13,10 @@ orderings (who wins), not the absolute numbers.
 
 import pytest
 
-from benchmarks.conftest import BENCH_PROFILER, SIM_MAX_TIME, SIM_WARMUP
-from repro.bench.runner import run_offline, run_online
+from benchmarks.conftest import serve
 from repro.bench.tables import format_table
-from repro.models.specs import LLAMA_30B, LLAMA_70B
 
-MODELS = {"llama-30b": LLAMA_30B, "llama-70b": LLAMA_70B}
 METHODS = ("helix", "swarm", "sp")
-
-
-def serve(planner_cache, trace, model_name, method, setting):
-    cluster = planner_cache.cluster("single-24")
-    planner_result = planner_cache.plan("single-24", model_name, method)
-    scheduler = "helix" if method == "helix" else (
-        "swarm" if method == "swarm" else "fixed"
-    )
-    runner = run_offline if setting == "offline" else run_online
-    return runner(
-        cluster, MODELS[model_name], planner_result, scheduler, trace,
-        max_time=SIM_MAX_TIME, warmup=SIM_WARMUP, profiler=BENCH_PROFILER, placement_method=method,
-    )
 
 
 @pytest.mark.parametrize("model_name", ["llama-30b", "llama-70b"])
@@ -41,17 +25,17 @@ def test_fig6_single_cluster(benchmark, planner_cache, bench_trace, report, mode
     for setting in ("offline", "online"):
         for method in METHODS:
             results[(setting, method)] = serve(
-                planner_cache, bench_trace, model_name, method, setting
+                planner_cache, "single-24", model_name, method, bench_trace,
+                online=setting == "online",
             )
 
     def rerun_one():
-        return serve(planner_cache, bench_trace, model_name, "helix", "offline")
+        return serve(planner_cache, "single-24", model_name, "helix", bench_trace)
 
     benchmark.pedantic(rerun_one, rounds=1, iterations=1)
 
     rows = []
-    for (setting, method), result in results.items():
-        m = result.metrics
+    for (setting, method), m in results.items():
         rows.append(
             [setting, method, round(m.decode_throughput, 1),
              round(m.prompt_latency.p50, 2), round(m.decode_latency.p50, 3),
@@ -63,12 +47,12 @@ def test_fig6_single_cluster(benchmark, planner_cache, bench_trace, report, mode
         rows,
     )
 
-    helix_off = results[("offline", "helix")].metrics.decode_throughput
-    swarm_off = results[("offline", "swarm")].metrics.decode_throughput
-    sp_off = results[("offline", "sp")].metrics.decode_throughput
+    helix_off = results[("offline", "helix")].decode_throughput
+    swarm_off = results[("offline", "swarm")].decode_throughput
+    sp_off = results[("offline", "sp")].decode_throughput
     # Planner-level claim: Helix's placement max-flow dominates Swarm's.
-    helix_flow = results[("offline", "helix")].planner.max_throughput
-    swarm_flow = results[("offline", "swarm")].planner.max_throughput
+    helix_flow = planner_cache.plan("single-24", model_name, "helix").max_throughput
+    swarm_flow = planner_cache.plan("single-24", model_name, "swarm").max_throughput
     assert helix_flow >= swarm_flow - 1e-6
     if model_name == "llama-70b":
         # Paper's 70B story: Swarm's even partition and SP's KV sacrifice

@@ -9,24 +9,10 @@ cluster one to dodge the slow links.
 
 import pytest
 
-from benchmarks.conftest import BENCH_PROFILER, SIM_MAX_TIME, SIM_WARMUP
-from repro.bench.runner import run_offline, run_online
+from benchmarks.conftest import serve
 from repro.bench.tables import format_table
-from repro.models.specs import LLAMA_30B, LLAMA_70B
 
-MODELS = {"llama-30b": LLAMA_30B, "llama-70b": LLAMA_70B}
 METHODS = ("helix", "swarm", "sp")
-
-
-def serve(planner_cache, trace, model_name, method, setting):
-    cluster = planner_cache.cluster("geo-24")
-    planner_result = planner_cache.plan("geo-24", model_name, method)
-    scheduler = {"helix": "helix", "swarm": "swarm", "sp": "fixed"}[method]
-    runner = run_offline if setting == "offline" else run_online
-    return runner(
-        cluster, MODELS[model_name], planner_result, scheduler, trace,
-        max_time=SIM_MAX_TIME, warmup=SIM_WARMUP, profiler=BENCH_PROFILER, placement_method=method,
-    )
 
 
 @pytest.mark.parametrize("model_name", ["llama-30b", "llama-70b"])
@@ -35,17 +21,17 @@ def test_fig7_geo_distributed(benchmark, planner_cache, bench_trace, report, mod
     for setting in ("offline", "online"):
         for method in METHODS:
             results[(setting, method)] = serve(
-                planner_cache, bench_trace, model_name, method, setting
+                planner_cache, "geo-24", model_name, method, bench_trace,
+                online=setting == "online",
             )
 
     benchmark.pedantic(
-        lambda: serve(planner_cache, bench_trace, model_name, "helix", "offline"),
+        lambda: serve(planner_cache, "geo-24", model_name, "helix", bench_trace),
         rounds=1, iterations=1,
     )
 
     rows = []
-    for (setting, method), result in results.items():
-        m = result.metrics
+    for (setting, method), m in results.items():
         rows.append(
             [setting, method, round(m.decode_throughput, 1),
              round(m.prompt_latency.p50, 2), round(m.decode_latency.p50, 3),
@@ -57,16 +43,16 @@ def test_fig7_geo_distributed(benchmark, planner_cache, bench_trace, report, mod
         rows,
     )
 
-    helix = results[("offline", "helix")].metrics.decode_throughput
-    swarm = results[("offline", "swarm")].metrics.decode_throughput
+    helix = results[("offline", "helix")].decode_throughput
+    swarm = results[("offline", "swarm")].decode_throughput
     assert helix > swarm, "Helix must out-serve Swarm in geo-distributed"
     text += f"\noffline helix/swarm = {helix / swarm:.2f}x (paper ~1.9-2.4x)"
 
     if model_name == "llama-70b":
         # Paper: Helix reduces pipeline depth vs Swarm's even partition
         # (28% shallower) to avoid slow cross-region hops.
-        helix_depth = results[("offline", "helix")].metrics.avg_pipeline_depth
-        swarm_depth = results[("offline", "swarm")].metrics.avg_pipeline_depth
+        helix_depth = results[("offline", "helix")].avg_pipeline_depth
+        swarm_depth = results[("offline", "swarm")].avg_pipeline_depth
         assert helix_depth < swarm_depth
         text += (
             f"\nhelix depth {helix_depth:.1f} vs swarm depth {swarm_depth:.1f}"

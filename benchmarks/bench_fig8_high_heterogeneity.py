@@ -6,23 +6,10 @@ pipeline) recovers part of it (still 2.2-2.5x behind); Swarm is 1.4-1.5x
 behind. LLaMA-70B only.
 """
 
-from benchmarks.conftest import BENCH_PROFILER, SIM_MAX_TIME, SIM_WARMUP
-from repro.bench.runner import run_offline, run_online
+from benchmarks.conftest import serve
 from repro.bench.tables import format_table
-from repro.models.specs import LLAMA_70B
 
 METHODS = ("helix", "swarm", "sp", "sp+")
-SCHEDULER_OF = {"helix": "helix", "swarm": "swarm", "sp": "fixed", "sp+": "fixed"}
-
-
-def serve(planner_cache, trace, method, setting):
-    cluster = planner_cache.cluster("hetero-42")
-    planner_result = planner_cache.plan("hetero-42", "llama-70b", method)
-    runner = run_offline if setting == "offline" else run_online
-    return runner(
-        cluster, LLAMA_70B, planner_result, SCHEDULER_OF[method], trace,
-        max_time=SIM_MAX_TIME, warmup=SIM_WARMUP, profiler=BENCH_PROFILER, placement_method=method,
-    )
 
 
 def test_fig8_high_heterogeneity(benchmark, planner_cache, bench_trace, report):
@@ -30,18 +17,22 @@ def test_fig8_high_heterogeneity(benchmark, planner_cache, bench_trace, report):
     for setting in ("offline", "online"):
         for method in METHODS:
             results[(setting, method)] = serve(
-                planner_cache, bench_trace, method, setting
+                planner_cache, "hetero-42", "llama-70b", method, bench_trace,
+                online=setting == "online",
             )
 
     benchmark.pedantic(
-        lambda: serve(planner_cache, bench_trace, "helix", "offline"),
+        lambda: serve(planner_cache, "hetero-42", "llama-70b", "helix", bench_trace),
         rounds=1, iterations=1,
     )
 
+    def used_nodes(method):
+        plan = planner_cache.plan("hetero-42", "llama-70b", method)
+        return len(plan.placement.used_nodes)
+
     rows = []
-    for (setting, method), result in results.items():
-        m = result.metrics
-        used = len(result.planner.placement.used_nodes)
+    for (setting, method), m in results.items():
+        used = used_nodes(method)
         rows.append(
             [setting, method, round(m.decode_throughput, 1),
              round(m.prompt_latency.p50, 2), round(m.decode_latency.p50, 3),
@@ -53,15 +44,13 @@ def test_fig8_high_heterogeneity(benchmark, planner_cache, bench_trace, report):
         rows,
     )
 
-    off = {m: results[("offline", m)].metrics.decode_throughput for m in METHODS}
+    off = {m: results[("offline", m)].decode_throughput for m in METHODS}
     # Paper ordering: Helix > SP+ > SP, Helix > Swarm, SP+ > SP.
     assert off["helix"] > off["sp"], "Helix must beat SP"
     assert off["helix"] > off["swarm"], "Helix must beat Swarm"
     assert off["sp+"] >= off["sp"], "the mixed pipeline must not hurt SP"
     # SP strands the single-type stragglers; Helix uses every node.
-    sp_used = len(results[("offline", "sp")].planner.placement.used_nodes)
-    helix_used = len(results[("offline", "helix")].planner.placement.used_nodes)
-    assert helix_used > sp_used
+    assert used_nodes("helix") > used_nodes("sp")
     text += (
         f"\noffline helix/swarm {off['helix']/off['swarm']:.2f}x (paper 1.37x), "
         f"helix/sp {off['helix']/off['sp']:.2f}x (paper 2.91x), "

@@ -9,64 +9,55 @@ placement leaves almost no node under-utilized (Fig. 9b).
 
 import pytest
 
-from benchmarks.conftest import BENCH_PROFILER, SIM_MAX_TIME, SIM_WARMUP
-from repro.bench.runner import run_offline
+from benchmarks.conftest import serve
 from repro.bench.tables import format_table
-from repro.models.specs import LLAMA_70B
 
 PLACEMENTS = ("helix", "petals", "swarm")
 
 
-def serve(planner_cache, trace, cluster_name, method):
-    cluster = planner_cache.cluster(cluster_name)
-    planner_result = planner_cache.plan(cluster_name, "llama-70b", method)
-    return run_offline(
-        cluster, LLAMA_70B, planner_result, "helix", trace,
-        max_time=SIM_MAX_TIME, warmup=SIM_WARMUP, profiler=BENCH_PROFILER, placement_method=method,
-    )
-
-
 @pytest.mark.parametrize("cluster_name", ["single-24", "geo-24"])
 def test_fig9_placement_deepdive(benchmark, planner_cache, bench_trace, report, cluster_name):
-    results = {
-        method: serve(planner_cache, bench_trace, cluster_name, method)
+    def run(method):
+        return serve(
+            planner_cache, cluster_name, "llama-70b", method, bench_trace,
+            scheduler="helix",
+        )
+
+    results = {method: run(method) for method in PLACEMENTS}
+    benchmark.pedantic(lambda: run("helix"), rounds=1, iterations=1)
+    plans = {
+        method: planner_cache.plan(cluster_name, "llama-70b", method)
         for method in PLACEMENTS
     }
-    benchmark.pedantic(
-        lambda: serve(planner_cache, bench_trace, cluster_name, "helix"),
-        rounds=1, iterations=1,
-    )
 
     rows = []
-    for method, result in results.items():
-        m = result.metrics
+    for method, m in results.items():
         rows.append(
             [method, round(m.decode_throughput, 1),
-             round(result.planner.max_throughput, 1),
+             round(plans[method].max_throughput, 1),
              round(m.avg_pipeline_depth, 1)]
         )
     text = format_table(
         ["placement", "decode_tok_s", "maxflow_tok_s", "avg_depth"], rows
     )
 
-    helix = results["helix"].metrics.decode_throughput
-    swarm = results["swarm"].metrics.decode_throughput
-    petals = results["petals"].metrics.decode_throughput
+    helix = results["helix"].decode_throughput
+    swarm = results["swarm"].decode_throughput
+    petals = results["petals"].decode_throughput
     assert helix > swarm, "Helix placement must beat Swarm's"
     assert helix >= petals * 0.95, "Helix placement must match or beat Petals'"
     # The placement-level max-flow ordering must match too.
     assert (
-        results["helix"].planner.max_throughput
-        >= results["petals"].planner.max_throughput - 1e-6
+        plans["helix"].max_throughput >= plans["petals"].max_throughput - 1e-6
     )
     text += (
         f"\nhelix/petals {helix / petals:.2f}x (paper 1.23x single, 1.49x geo); "
         f"helix/swarm {helix / swarm:.2f}x (paper 2.10x single, 2.38x geo)"
     )
     # Fig. 9b companion: per-node layer counts of the Helix placement.
+    placement = plans["helix"].placement
     layers = {
-        nid: results["helix"].planner.placement.interval(nid).num_layers
-        for nid in results["helix"].planner.placement.used_nodes
+        nid: placement.interval(nid).num_layers for nid in placement.used_nodes
     }
     text += "\nhelix layers/node: " + " ".join(
         f"{nid}:{count}" for nid, count in sorted(layers.items())

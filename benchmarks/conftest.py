@@ -8,6 +8,11 @@ the paper makes. Planner results are cached per (cluster, model, method)
 for the whole benchmark session, mirroring the paper's "model placement
 runs once per cluster" design.
 
+Every serving cell goes through :func:`serve`: one
+:class:`~repro.bench.runner.RunSpec` with the shared ``BENCH_PROFILER`` (the
+one the plans were made with) and a KV reserve of the scaled trace's mean
+output per request.
+
 Results are printed AND appended to ``benchmarks/results/<figure>.txt`` so
 ``pytest benchmarks/ --benchmark-only`` leaves reviewable artifacts.
 """
@@ -18,7 +23,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.runner import make_planner
+from repro.bench.runner import RunSpec, make_planner, make_simulation
 from repro.cluster import (
     Profiler,
     geo_distributed_24,
@@ -27,7 +32,14 @@ from repro.cluster import (
     small_cluster_fig12,
 )
 from repro.models.specs import LLAMA_30B, LLAMA_70B
-from repro.trace import AzureTraceConfig, synthesize_azure_trace
+from repro.trace import (
+    AzureTraceConfig,
+    diurnal_arrivals,
+    offline_arrivals,
+    rate_for_utilization,
+    synthesize_azure_trace,
+)
+from repro.trace.azure import AZURE_MEAN_OUTPUT
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -50,6 +62,19 @@ SIM_WARMUP = 30.0
 #: per-node request concurrency — what KV pressure actually limits — matches
 #: the full-scale system (see module docstring).
 BENCH_PROFILER = Profiler(kv_capacity_scale=TRACE_SCALE)
+
+#: The KV output reserve per request: the scaled trace's mean output length
+#: (``bench/workloads`` reserves the same).
+EXPECTED_OUTPUT_LEN = AZURE_MEAN_OUTPUT * TRACE_SCALE
+
+#: Online serving offers 75% of the placement's max flow (§6.2).
+ONLINE_UTILIZATION = 0.75
+
+#: The scheduler each placement method serves with end to end.
+SCHEDULER_OF = {
+    "helix": "helix", "swarm": "swarm", "petals": "helix",
+    "sp": "fixed", "sp+": "fixed",
+}
 
 #: Helix planner budgets by cluster size (seconds).
 HELIX_BUDGETS = {
@@ -86,6 +111,38 @@ class PlannerCache:
             planner = make_planner(method, cluster, model, BENCH_PROFILER, **kwargs)
             self._results[key] = planner.plan()
         return self._results[key]
+
+
+def serve(
+    planner_cache, cluster_name, model_name, method, trace, *,
+    online=False, scheduler=None, max_time=SIM_MAX_TIME,
+):
+    """Serve ``trace`` on the cached plan of one figure cell; returns the
+    run's metrics.
+
+    Offline, every request arrives at t=0; online, arrivals are diurnal
+    (seed 1) at ``ONLINE_UTILIZATION`` of the plan's max flow (§6.2).
+    ``scheduler`` defaults to the placement method's own.
+    """
+    planner_result = planner_cache.plan(cluster_name, model_name, method)
+    if online:
+        rate = rate_for_utilization(
+            planner_result.max_throughput, trace, ONLINE_UTILIZATION
+        )
+        requests = diurnal_arrivals(trace, mean_rate=rate, seed=1)
+    else:
+        requests = offline_arrivals(trace)
+    return make_simulation(RunSpec(
+        cluster=planner_cache.cluster(cluster_name),
+        model=MODELS[model_name],
+        planner_result=planner_result,
+        scheduler_method=scheduler or SCHEDULER_OF[method],
+        requests=requests,
+        profiler=BENCH_PROFILER,
+        expected_output_len=EXPECTED_OUTPUT_LEN,
+        max_time=max_time,
+        warmup=SIM_WARMUP,
+    )).run()
 
 
 @pytest.fixture(scope="session")

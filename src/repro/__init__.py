@@ -9,20 +9,21 @@ pipeline following the flow solution.
 Quickstart::
 
     from repro import (
-        single_cluster_24, LLAMA_70B, HelixMilpPlanner, HelixScheduler,
-        Simulation, synthesize_azure_trace, AzureTraceConfig,
+        single_cluster_24, LLAMA_70B, HelixMilpPlanner, Profiler, RunSpec,
+        make_simulation, synthesize_azure_trace, AzureTraceConfig,
     )
+    from repro.trace.azure import AZURE_MEAN_OUTPUT
 
     cluster = single_cluster_24()
-    planner = HelixMilpPlanner(cluster, LLAMA_70B, time_limit=30)
-    result = planner.plan()
-    scheduler = HelixScheduler(
-        cluster, LLAMA_70B, result.placement, flow=result.flow
-    )
+    profiler = Profiler()  # one performance model for planner and simulator
+    result = HelixMilpPlanner(cluster, LLAMA_70B, profiler, time_limit=30).plan()
     trace = synthesize_azure_trace(AzureTraceConfig(num_requests=200, scale=0.25))
-    metrics = Simulation(
-        cluster, LLAMA_70B, result.placement, scheduler, trace
-    ).run()
+    metrics = make_simulation(RunSpec(
+        cluster=cluster, model=LLAMA_70B, planner_result=result,
+        scheduler_method="helix", requests=trace, profiler=profiler,
+        # The KV reserve per request: the scaled trace's mean output.
+        expected_output_len=AZURE_MEAN_OUTPUT * 0.25,
+    )).run()
     print(metrics.summary())
 """
 
@@ -119,7 +120,7 @@ from repro.trace import (
     diurnal_arrivals,
     rate_for_utilization,
 )
-from repro.bench import run_offline, run_online, make_planner, make_scheduler
+from repro.bench import RunSpec, make_planner, make_scheduler, make_simulation
 from repro.scenarios import (
     SCENARIO_FAMILIES,
     Scenario,

@@ -1,18 +1,16 @@
 """Experiment harness: one call per paper table/figure cell.
 
-:mod:`repro.bench.runner` glues planner -> scheduler -> simulator into the
-paper's two serving settings (offline and online). :mod:`repro.bench.tables`
-regenerates the static tables. ``benchmarks/`` (pytest-benchmark) calls
-into this package, one module per table/figure.
+:mod:`repro.bench.runner` glues planner -> scheduler -> simulator: one
+:class:`RunSpec` per serving run, wired by :func:`make_simulation`.
+:mod:`repro.bench.tables` regenerates the static tables. ``benchmarks/``
+(pytest-benchmark) calls into this package, one module per table/figure.
 """
 
 from repro.bench.runner import (
-    ExperimentResult,
+    RunSpec,
     make_planner,
     make_scheduler,
-    run_serving,
-    run_offline,
-    run_online,
+    make_simulation,
 )
 from repro.bench.tables import (
     table1_min_gpus,
@@ -28,12 +26,10 @@ from repro.bench.casestudy import (
 )
 
 __all__ = [
-    "ExperimentResult",
+    "RunSpec",
     "make_planner",
     "make_scheduler",
-    "run_serving",
-    "run_offline",
-    "run_online",
+    "make_simulation",
     "table1_min_gpus",
     "table3_gpu_catalog",
     "format_table",

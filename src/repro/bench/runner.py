@@ -2,12 +2,19 @@
 
 Factories resolve the paper's method names ("helix", "swarm", "sp",
 "sp+", "petals" for placement; "helix", "swarm", "random",
-"shortest-queue", "fixed" for scheduling) and ``run_offline`` /
-``run_online`` reproduce the two serving settings of §6.2:
+"shortest-queue", "fixed" for scheduling). A :class:`RunSpec` states one
+serving run in full — the plan, the scheduler, the requests, the one
+profiler both sides share and the KV reserve the scheduler charges per
+request — and :func:`make_simulation` wires it into an un-run
+:class:`~repro.sim.simulator.Simulation`, so callers can attach their
+hooks before ``.run()``.
 
-* offline — all requests available immediately, throughput-oriented;
-* online — diurnal Poisson arrivals averaging 75% of the placement's
-  peak throughput, latency-oriented.
+The paper's two serving settings (§6.2) are request stampings:
+
+* offline — ``offline_arrivals(requests)``: everything at time zero;
+* online — ``diurnal_arrivals(requests, mean_rate=rate, seed=1)`` with
+  ``rate = rate_for_utilization(plan.max_throughput, requests, 0.75)``:
+  diurnal Poisson arrivals averaging 75% of the placement's max flow.
 """
 
 from __future__ import annotations
@@ -31,28 +38,53 @@ from repro.scheduling.baselines import (
     SwarmScheduler,
 )
 from repro.scheduling.helix import HelixScheduler
-from repro.sim.metrics import ServingMetrics
 from repro.sim.request import Request
 from repro.sim.simulator import Simulation
-from repro.trace.arrival import (
-    diurnal_arrivals,
-    offline_arrivals,
-    rate_for_utilization,
-)
 
 PLACEMENT_METHODS = ("helix", "swarm", "petals", "sp", "sp+")
 SCHEDULER_METHODS = ("helix", "swarm", "random", "shortest-queue", "fixed")
 
 
-@dataclass
-class ExperimentResult:
-    """One (placement, scheduler, setting) serving run."""
+@dataclass(frozen=True, kw_only=True)
+class RunSpec:
+    """One serving run, stated in full.
 
-    placement_method: str
+    ``profiler`` and ``expected_output_len`` have no default: the profiler
+    is the one performance model the scheduler and the simulator share
+    (plan with the same one), and ``expected_output_len`` is the output
+    reserve the scheduler's KV estimator charges every request, which
+    should match the trace's mean output length.
+
+    Attributes:
+        cluster: The serving cluster.
+        model: The served model.
+        planner_result: The placement and its max-flow solution.
+        scheduler_method: A name from :data:`SCHEDULER_METHODS`.
+        requests: The arrival-stamped trace.
+        profiler: The performance model of scheduler and simulator.
+        expected_output_len: The KV output reserve per request, in tokens.
+        seed: Seeds the randomized schedulers and the run's link faults.
+        max_time, warmup, max_batch_tokens, controller, policy,
+        debug_validate, residency, tenancy: The
+            :class:`~repro.sim.simulator.Simulation` options.
+    """
+
+    cluster: Cluster
+    model: ModelSpec
+    planner_result: PlannerResult
     scheduler_method: str
-    setting: str
-    metrics: ServingMetrics
-    planner: PlannerResult
+    requests: list[Request]
+    profiler: Profiler
+    expected_output_len: float
+    seed: int = 0
+    max_time: float = 3600.0
+    warmup: float = 0.0
+    max_batch_tokens: int | None = 16384
+    controller: object = None
+    policy: object = None
+    debug_validate: bool = False
+    residency: object = None
+    tenancy: object = None
 
 
 def make_planner(
@@ -117,90 +149,31 @@ def make_scheduler(
     )
 
 
-def run_serving(
-    cluster: Cluster,
-    model: ModelSpec,
-    planner_result: PlannerResult,
-    scheduler_method: str,
-    requests: list[Request],
-    setting: str,
-    profiler: Profiler | None = None,
-    max_time: float = 900.0,
-    warmup: float = 30.0,
-    max_batch_tokens: int | None = 16384,
-    seed: int = 0,
-    placement_method: str = "?",
-) -> ExperimentResult:
-    """Run one serving simulation and collect metrics."""
+def make_simulation(spec: RunSpec) -> Simulation:
+    """Build the scheduler and the un-run simulation a spec states."""
     scheduler = make_scheduler(
-        scheduler_method, cluster, model, planner_result, profiler, seed=seed
+        spec.scheduler_method,
+        spec.cluster,
+        spec.model,
+        spec.planner_result,
+        spec.profiler,
+        seed=spec.seed,
+        expected_output_len=spec.expected_output_len,
     )
-    simulation = Simulation(
-        cluster=cluster,
-        model=model,
-        placement=planner_result.placement,
+    return Simulation(
+        cluster=spec.cluster,
+        model=spec.model,
+        placement=spec.planner_result.placement,
         scheduler=scheduler,
-        requests=requests,
-        profiler=profiler,
-        max_batch_tokens=max_batch_tokens,
-        max_time=max_time,
-        warmup=warmup,
-    )
-    metrics = simulation.run()
-    return ExperimentResult(
-        placement_method=placement_method,
-        scheduler_method=scheduler_method,
-        setting=setting,
-        metrics=metrics,
-        planner=planner_result,
-    )
-
-
-def run_offline(
-    cluster: Cluster,
-    model: ModelSpec,
-    planner_result: PlannerResult,
-    scheduler_method: str,
-    requests: list[Request],
-    **kwargs,
-) -> ExperimentResult:
-    """Offline serving: the full trace is available at time zero (§6.2)."""
-    return run_serving(
-        cluster,
-        model,
-        planner_result,
-        scheduler_method,
-        offline_arrivals(requests),
-        setting="offline",
-        **kwargs,
-    )
-
-
-def run_online(
-    cluster: Cluster,
-    model: ModelSpec,
-    planner_result: PlannerResult,
-    scheduler_method: str,
-    requests: list[Request],
-    utilization: float = 0.75,
-    **kwargs,
-) -> ExperimentResult:
-    """Online serving: diurnal arrivals (seed 1) at 75% of peak throughput (§6.2).
-
-    The peak used for rate scaling is the placement's max flow, matching
-    the paper's per-method normalization ("75% of the cluster's peak
-    throughput").
-    """
-    rate = rate_for_utilization(
-        planner_result.max_throughput, requests, utilization
-    )
-    stamped = diurnal_arrivals(requests, mean_rate=rate, seed=1)
-    return run_serving(
-        cluster,
-        model,
-        planner_result,
-        scheduler_method,
-        stamped,
-        setting="online",
-        **kwargs,
+        requests=spec.requests,
+        profiler=spec.profiler,
+        max_batch_tokens=spec.max_batch_tokens,
+        max_time=spec.max_time,
+        warmup=spec.warmup,
+        seed=spec.seed,
+        controller=spec.controller,
+        policy=spec.policy,
+        debug_validate=spec.debug_validate,
+        residency=spec.residency,
+        tenancy=spec.tenancy,
     )

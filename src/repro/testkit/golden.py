@@ -11,9 +11,11 @@ The cases are the 24 smoke addresses of the engine matrix (named
 served by :func:`~repro.testkit.harness.run_scenario`, so its digests pin
 the very run the smoke sweep, ``python -m repro.testkit`` and the
 benchmark's scenario sweep make: a change anywhere on that path moves a
-digest. A scripted case builds its own fig12 simulation. The digests live
-in ``tests/golden/sim_observables.json``, whose header records the Python
-and numpy versions they were recorded with. Only::
+digest. A scripted case is a :class:`~repro.bench.runner.RunSpec` on the
+fig12 cluster, wired by :func:`~repro.bench.runner.make_simulation` like
+every figure script's run. The digests live in
+``tests/golden/sim_observables.json``, whose header records the Python and
+numpy versions they were recorded with. Only::
 
     PYTHONPATH=src python -m repro.testkit regen-golden
 
@@ -30,9 +32,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro.bench.runner import RunSpec, make_simulation
 from repro.cluster import Profiler, small_cluster_fig12
 from repro.core.errors import ReproError
 from repro.models.specs import LLAMA_30B
+from repro.placement.petals import PetalsPlanner
 from repro.scenarios.generator import SCENARIO_FAMILIES, generate_scenario
 from repro.sim.request import Request
 from repro.sim.simulator import Simulation
@@ -59,20 +63,20 @@ MATRIX = [(family, seed) for family in SCENARIO_FAMILIES for seed in range(6)]
 # ----------------------------------------------------------------------
 # Scripted cases: fig12 lone requests, churn, floods and horizons
 # ----------------------------------------------------------------------
-def _fig12_sim(requests: list[Request], **kwargs):
-    from repro.placement.petals import PetalsPlanner
-    from repro.scheduling import HelixScheduler
-
+def _fig12_spec(requests: list[Request], **options) -> RunSpec:
+    """A scripted case's run: the fig12 cluster's Petals plan under Helix's
+    scheduler, reserving the first request's output length."""
     cluster = small_cluster_fig12()
     profiler = Profiler()
-    result = PetalsPlanner(cluster, LLAMA_30B, profiler).plan()
-    scheduler = HelixScheduler(
-        cluster, LLAMA_30B, result.placement, profiler, flow=result.flow,
+    return RunSpec(
+        cluster=cluster,
+        model=LLAMA_30B,
+        planner_result=PetalsPlanner(cluster, LLAMA_30B, profiler).plan(),
+        scheduler_method="helix",
+        requests=requests,
+        profiler=profiler,
         expected_output_len=float(requests[0].output_len),
-    )
-    return Simulation(
-        cluster, LLAMA_30B, result.placement, scheduler, requests,
-        profiler=profiler, **kwargs,
+        **options,
     )
 
 
@@ -81,13 +85,15 @@ def _sequential_stream():
     requests = [
         Request(f"r{i}", 16, 300, arrival_time=i * 500.0) for i in range(3)
     ]
-    return _fig12_sim(requests, max_time=1e9, seed=0)
+    return make_simulation(_fig12_spec(requests, max_time=1e9))
 
 
 def _mid_decode_failure():
     """A pipeline node fails mid-decode and is restored 5 s later: the
     attempt is disrupted and the retry finishes after recovery."""
-    sim = _fig12_sim([Request("victim", 16, 400)], max_time=1e9, seed=0)
+    sim = make_simulation(
+        _fig12_spec([Request("victim", 16, 400)], max_time=1e9)
+    )
 
     def fail(s):
         node_id = s.placement.used_nodes[0]
@@ -101,7 +107,9 @@ def _mid_decode_failure():
 def _flooded_cohorts():
     """A saturated uniform flood: long same-channel decode cohorts."""
     requests = [Request(f"r{i:04d}", 16, 24) for i in range(120)]
-    return _fig12_sim(requests, max_time=1e9, seed=0, max_batch_tokens=2048)
+    return make_simulation(
+        _fig12_spec(requests, max_time=1e9, max_batch_tokens=2048)
+    )
 
 
 #: The Poisson case's horizon, which cuts its trace mid-way.
@@ -117,13 +125,15 @@ def poisson_trace() -> list[Request]:
 
 
 def _poisson_horizon():
-    return _fig12_sim(poisson_trace(), max_time=POISSON_HORIZON, seed=0)
+    return make_simulation(
+        _fig12_spec(poisson_trace(), max_time=POISSON_HORIZON)
+    )
 
 
 def _max_time_truncation():
     """Thirty long requests cut at a 6 s horizon."""
     requests = [Request(f"r{i}", 64, 500) for i in range(30)]
-    return _fig12_sim(requests, max_time=6.0, seed=0)
+    return make_simulation(_fig12_spec(requests, max_time=6.0))
 
 
 #: Scripted case name -> builder of an un-run simulation.

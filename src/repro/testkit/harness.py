@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from repro.bench.runner import make_planner, make_scheduler
+from repro.bench.runner import RunSpec, make_planner, make_simulation
+from repro.cluster.profiler import Profiler
 from repro.core.errors import ReproError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
@@ -45,6 +46,7 @@ from repro.testkit.invariants import (
     check_simulation,
     check_tenancy,
 )
+from repro.trace.azure import AZURE_MEAN_OUTPUT
 
 #: Planner fallback order when a scenario's suggested method cannot serve
 #: its draw (heuristics are topology-blind and may legitimately fail).
@@ -253,13 +255,6 @@ def run_scenario(
         )
     )
 
-    scheduler = make_scheduler(
-        scenario.scheduler_method,
-        scenario.cluster,
-        scenario.model,
-        planner_result,
-        seed=scenario.seed,
-    )
     elastic = (
         scenario.residency is not None or scenario.autoscaler is not None
     )
@@ -290,22 +285,27 @@ def run_scenario(
             replan_lns_rounds=0,
             autoscaler=autoscaler,
         )
-    sim = Simulation(
+    sim = make_simulation(RunSpec(
         cluster=scenario.cluster,
         model=scenario.model,
-        placement=planner_result.placement,
-        scheduler=scheduler,
+        planner_result=planner_result,
+        scheduler_method=scenario.scheduler_method,
         requests=scenario.requests,
-        max_time=scenario.max_time,
+        profiler=Profiler(),
+        # The unscaled Azure mean output, whatever the scenario's lengths
+        # (smoke scenarios average 4-26 output tokens): the golden digests
+        # pin every matrix run at this reserve.
+        expected_output_len=float(AZURE_MEAN_OUTPUT),
         seed=scenario.seed,
+        max_time=scenario.max_time,
         controller=controller,
         policy=scenario.policy,
         debug_validate=scenario.detection,
         residency=scenario.residency,
         tenancy=scenario.tenancy,
-    )
+    ))
     report.sim = sim
-    auditor = SchedulerAuditor(scheduler, residency=sim.residency)
+    auditor = SchedulerAuditor(sim.scheduler, residency=sim.residency)
     kv_sampler = None
     if scenario.tenancy is not None:
         kv_sampler = TenantKVSampler()

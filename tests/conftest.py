@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.runner import RunSpec
 from repro.cluster import Cluster, Profiler, A100_40G, L4, T4
 from repro.core.units import GBIT, MBIT
 from repro.models.specs import ModelSpec
@@ -26,6 +27,25 @@ def tiny_model() -> ModelSpec:
 @pytest.fixture()
 def profiler() -> Profiler:
     return Profiler()
+
+
+@pytest.fixture()
+def small_spec(small_cluster, tiny_model):
+    """Build a :class:`RunSpec` on ``small_cluster`` / ``tiny_model``.
+
+    The default profiler and a 232-token reserve (the scheduler's own
+    default) unless ``options`` override them.
+    """
+    def build(planner_result, scheduler_method, requests, **options):
+        options.setdefault("profiler", Profiler())
+        options.setdefault("expected_output_len", 232.0)
+        return RunSpec(
+            cluster=small_cluster, model=tiny_model,
+            planner_result=planner_result, scheduler_method=scheduler_method,
+            requests=requests, **options,
+        )
+
+    return build
 
 
 @pytest.fixture()

@@ -123,8 +123,7 @@ _CUT_POINTS = {
 def _tenancy_for(tagged):
     """The lone-request tests' tagging axis: ``tagged`` runs carry a
     one-tenant config (per-token tenant accounting and the fair pending
-    queue), the others are untagged. The window-cut test's ids keep their
-    established names (``"scalar"`` is tagged, ``"vectorized"`` not)."""
+    queue), the others are untagged."""
     if not tagged:
         return None
     from repro.tenancy import TenancyConfig, TenantRegistry, TenantSpec
@@ -134,12 +133,12 @@ def _tenancy_for(tagged):
 
 #: The uncut lone request of the window-cut tests, per ``path``.
 SOLO_DIGESTS = {
-    "scalar": "497c2015bfa8c0ae",
-    "vectorized": "0ff21a3867ff3985",
+    "tenancy": "497c2015bfa8c0ae",
+    "untagged": "0ff21a3867ff3985",
 }
 
 
-@pytest.mark.parametrize("path", ["vectorized", "scalar"])
+@pytest.mark.parametrize("path", ["untagged", "tenancy"])
 @pytest.mark.parametrize("cut", ["event", "max_time"])
 @pytest.mark.parametrize("point", list(_CUT_POINTS))
 def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
@@ -151,7 +150,7 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
     token goes to the callback, which was scheduled first — and leaves
     every observable equal to the uncut run's.
     """
-    tenancy = _tenancy_for(path == "scalar")
+    tenancy = _tenancy_for(path == "tenancy")
     requests = [Request("solo", 64, 300, 10.0, tenant_id="t")]
     full = _serve(requests, tenancy=tenancy)
     _pinned(SOLO_DIGESTS, path, *full)

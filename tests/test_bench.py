@@ -1,4 +1,4 @@
-"""Tests for the bench harness: factories, settings, and static tables."""
+"""Tests for the bench harness: factories, serving runs, and static tables."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from repro.bench import (
     format_table,
     make_planner,
     make_scheduler,
-    run_offline,
-    run_online,
+    make_simulation,
     table1_min_gpus,
     table3_gpu_catalog,
 )
@@ -22,6 +21,7 @@ from repro.scheduling import (
     SwarmScheduler,
 )
 from repro.sim.request import Request
+from repro.trace import diurnal_arrivals, offline_arrivals, rate_for_utilization
 
 
 class TestStaticTables:
@@ -92,39 +92,42 @@ class TestServingRuns:
     def _trace(self, n=30):
         return [Request(f"r{i}", 32, 4) for i in range(n)]
 
-    def test_offline_run(self, small_cluster, tiny_model):
-        planner_result = make_planner("petals", small_cluster, tiny_model).plan()
-        result = run_offline(
-            small_cluster, tiny_model, planner_result, "helix", self._trace(),
-            max_time=500.0, warmup=0.0, placement_method="petals",
+    @staticmethod
+    def _online(planner_result, trace, utilization):
+        rate = rate_for_utilization(
+            planner_result.max_throughput, trace, utilization
         )
-        assert result.setting == "offline"
-        assert result.metrics.requests_finished == 30
-        assert result.metrics.decode_throughput > 0
+        return diurnal_arrivals(trace, mean_rate=rate, seed=1)
 
-    def test_online_run_paces_arrivals(self, small_cluster, tiny_model):
+    def test_offline_run(self, small_cluster, tiny_model, small_spec):
         planner_result = make_planner("petals", small_cluster, tiny_model).plan()
-        result = run_online(
-            small_cluster, tiny_model, planner_result, "helix", self._trace(60),
-            max_time=2000.0, warmup=0.0, utilization=0.5,
-        )
-        assert result.setting == "online"
-        assert result.metrics.requests_finished == 60
+        metrics = make_simulation(small_spec(
+            planner_result, "helix", offline_arrivals(self._trace()),
+            max_time=500.0,
+        )).run()
+        assert metrics.requests_finished == 30
+        assert metrics.decode_throughput > 0
+
+    def test_online_run_paces_arrivals(self, small_cluster, tiny_model, small_spec):
+        planner_result = make_planner("petals", small_cluster, tiny_model).plan()
+        requests = self._online(planner_result, self._trace(60), 0.5)
+        metrics = make_simulation(small_spec(
+            planner_result, "helix", requests, max_time=2000.0,
+        )).run()
+        assert metrics.requests_finished == 60
         # Online prompt latency should be far below a flooded offline run.
-        assert result.metrics.prompt_latency.p50 < 5.0
+        assert metrics.prompt_latency.p50 < 5.0
 
-    def test_offline_vs_online_latency_ordering(self, small_cluster, tiny_model):
+    def test_offline_vs_online_latency_ordering(
+        self, small_cluster, tiny_model, small_spec
+    ):
         planner_result = make_planner("petals", small_cluster, tiny_model).plan()
         trace = self._trace(80)
-        offline = run_offline(
-            small_cluster, tiny_model, planner_result, "helix", trace,
-            max_time=2000.0, warmup=0.0,
-        )
-        online = run_online(
-            small_cluster, tiny_model, planner_result, "helix", trace,
-            max_time=4000.0, warmup=0.0, utilization=0.4,
-        )
-        assert (
-            online.metrics.prompt_latency.mean
-            <= offline.metrics.prompt_latency.mean
-        )
+        offline = make_simulation(small_spec(
+            planner_result, "helix", offline_arrivals(trace), max_time=2000.0,
+        )).run()
+        online = make_simulation(small_spec(
+            planner_result, "helix", self._online(planner_result, trace, 0.4),
+            max_time=4000.0,
+        )).run()
+        assert online.prompt_latency.mean <= offline.prompt_latency.mean

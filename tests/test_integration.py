@@ -8,12 +8,12 @@ from repro import (
     Profiler,
     synthesize_azure_trace,
 )
-from repro.bench.runner import make_planner, make_scheduler, run_offline, run_online
+from repro.bench.runner import make_planner, make_scheduler, make_simulation
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
-from repro.scheduling import HelixScheduler
+from repro.scheduling import HelixScheduler, RandomScheduler
 from repro.sim import Request, Simulation
-from repro.trace import offline_arrivals
+from repro.trace import diurnal_arrivals, offline_arrivals, rate_for_utilization
 
 
 class TestFullPipeline:
@@ -39,29 +39,32 @@ class TestFullPipeline:
     @pytest.mark.parametrize("placement_method", ["swarm", "petals", "sp"])
     @pytest.mark.parametrize("scheduler_method", ["helix", "random"])
     def test_method_matrix(
-        self, small_cluster, tiny_model, placement_method, scheduler_method
+        self, small_cluster, tiny_model, small_spec, placement_method,
+        scheduler_method,
     ):
         planner_result = make_planner(
             placement_method, small_cluster, tiny_model
         ).plan()
         trace = [Request(f"r{i}", 24, 4) for i in range(20)]
-        result = run_offline(
-            small_cluster, tiny_model, planner_result, scheduler_method, trace,
-            max_time=600.0, warmup=0.0, placement_method=placement_method,
-        )
-        assert result.metrics.requests_finished == 20
-        assert result.placement_method == placement_method
-        assert result.scheduler_method == scheduler_method
+        sim = make_simulation(small_spec(
+            planner_result, scheduler_method, offline_arrivals(trace),
+            max_time=600.0,
+        ))
+        assert sim.run().requests_finished == 20
+        scheduler_class = {
+            "helix": HelixScheduler, "random": RandomScheduler,
+        }[scheduler_method]
+        assert type(sim.scheduler) is scheduler_class
 
-    def test_planned_throughput_bounds_simulated(self, small_cluster, tiny_model):
+    def test_planned_throughput_bounds_simulated(
+        self, small_cluster, tiny_model, small_spec
+    ):
         """Simulated total token rate never exceeds the max-flow bound."""
         planner_result = make_planner("petals", small_cluster, tiny_model).plan()
         trace = [Request(f"r{i}", 50, 20) for i in range(150)]
-        result = run_offline(
-            small_cluster, tiny_model, planner_result, "helix", trace,
-            max_time=3000.0, warmup=0.0,
-        )
-        metrics = result.metrics
+        metrics = make_simulation(small_spec(
+            planner_result, "helix", offline_arrivals(trace), max_time=3000.0,
+        )).run()
         total_tokens = sum(r.total_tokens for r in trace)
         # All requests finished: average total-token rate over the run.
         assert metrics.requests_finished == 150
@@ -76,21 +79,23 @@ class TestFullPipeline:
         small = scaled.kv_capacity(node, tiny_model, 4)
         assert small == int(full * 0.01)
 
-    def test_online_less_bursty_than_offline(self, small_cluster, tiny_model):
+    def test_online_less_bursty_than_offline(
+        self, small_cluster, tiny_model, small_spec
+    ):
         planner_result = make_planner("petals", small_cluster, tiny_model).plan()
         trace = synthesize_azure_trace(
             AzureTraceConfig(num_requests=60, seed=3, scale=0.1)
         )
-        offline = run_offline(
-            small_cluster, tiny_model, planner_result, "helix", trace,
-            max_time=4000.0, warmup=0.0,
-        )
-        online = run_online(
-            small_cluster, tiny_model, planner_result, "helix", trace,
-            max_time=8000.0, warmup=0.0, utilization=0.5,
-        )
-        assert online.metrics.prompt_latency.p95 <= max(
-            offline.metrics.prompt_latency.p95, 1e-6
+        offline = make_simulation(small_spec(
+            planner_result, "helix", offline_arrivals(trace), max_time=4000.0,
+        )).run()
+        rate = rate_for_utilization(planner_result.max_throughput, trace, 0.5)
+        online = make_simulation(small_spec(
+            planner_result, "helix",
+            diurnal_arrivals(trace, mean_rate=rate, seed=1), max_time=8000.0,
+        )).run()
+        assert online.prompt_latency.p95 <= max(
+            offline.prompt_latency.p95, 1e-6
         )
 
     def test_simulation_conserves_tokens(self, small_cluster, tiny_model):

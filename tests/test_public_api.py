@@ -36,8 +36,8 @@ class TestPublicAPI:
             # sim + trace + bench
             "Simulation", "Request", "ServingMetrics", "AzureTraceConfig",
             "synthesize_azure_trace", "offline_arrivals", "poisson_arrivals",
-            "diurnal_arrivals", "rate_for_utilization", "run_offline",
-            "run_online", "make_planner", "make_scheduler",
+            "diurnal_arrivals", "rate_for_utilization", "RunSpec",
+            "make_simulation", "make_planner", "make_scheduler",
             # online dynamics
             "OnlineController", "NodeFailure", "NodeRecovery", "NodeJoin",
             "LinkDegradation", "LinkRecovery", "NetworkPartition",

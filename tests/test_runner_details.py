@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.bench.runner import make_planner, run_offline, run_serving
+from repro.bench.runner import RunSpec, make_planner, make_simulation
+from repro.cluster import Profiler
 from repro.core.errors import SimulationError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.scheduling import HelixScheduler, RandomScheduler
 from repro.sim import Request, Simulation
+from repro.trace import offline_arrivals
 
 
 @pytest.fixture()
@@ -17,25 +19,40 @@ def petals_result(small_cluster, tiny_model):
 
 class TestRunnerDetails:
     def test_experiment_result_carries_planner(
-        self, small_cluster, tiny_model, petals_result
+        self, small_spec, petals_result
     ):
         trace = [Request(f"r{i}", 16, 3) for i in range(10)]
-        result = run_offline(
-            small_cluster, tiny_model, petals_result, "helix", trace,
-            max_time=300.0, warmup=0.0, placement_method="petals",
-        )
-        assert result.planner is petals_result
-        assert result.metrics.avg_pipeline_depth >= 1.0
+        sim = make_simulation(small_spec(
+            petals_result, "helix", offline_arrivals(trace), max_time=300.0,
+        ))
+        assert sim.placement is petals_result.placement
+        assert sim.scheduler.flow is petals_result.flow
+        assert sim.run().avg_pipeline_depth >= 1.0
 
-    def test_run_serving_custom_setting_label(
-        self, small_cluster, tiny_model, petals_result
+    def test_make_simulation_shares_one_profiler_and_the_reserve(
+        self, small_spec, petals_result
     ):
-        trace = [Request("r0", 16, 3)]
-        result = run_serving(
-            small_cluster, tiny_model, petals_result, "random", trace,
-            setting="custom", max_time=300.0, warmup=0.0, seed=9,
+        spec = small_spec(
+            petals_result, "helix", [Request("r0", 16, 3)],
+            profiler=Profiler(kv_capacity_scale=0.5), expected_output_len=17.0,
         )
-        assert result.setting == "custom"
+        sim = make_simulation(spec)
+        assert sim.scheduler.profiler is sim.profiler is spec.profiler
+        assert sim.scheduler.kv.estimate_for(16) == 16 + 17.0
+
+    @pytest.mark.parametrize("missing", ["profiler", "expected_output_len"])
+    def test_run_spec_states_profiler_and_reserve(
+        self, small_cluster, tiny_model, petals_result, missing
+    ):
+        fields = dict(
+            cluster=small_cluster, model=tiny_model,
+            planner_result=petals_result, scheduler_method="helix",
+            requests=[Request("r0", 16, 3)], profiler=Profiler(),
+            expected_output_len=3.0,
+        )
+        del fields[missing]
+        with pytest.raises(TypeError, match=missing):
+            RunSpec(**fields)
 
     def test_seed_changes_random_scheduler_routing(
         self, small_cluster, tiny_model, petals_result

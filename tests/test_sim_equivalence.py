@@ -24,6 +24,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.bench.runner import make_simulation
 from repro.cluster import ComputeNode, Profiler, T4
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
@@ -37,7 +38,7 @@ from repro.testkit.golden import (
     REGEN_COMMAND,
     SCRIPTED_CASES,
     _engine_observables,
-    _fig12_sim,
+    _fig12_spec,
     check_case,
     check_golden,
     load_golden,
@@ -197,7 +198,7 @@ def test_take_batch_counters_stay_consistent(tiny_model):
 
     from repro.sim.simulator import K_BATCH
 
-    sim = _fig12_sim([Request("r", 16, 1)])
+    sim = make_simulation(_fig12_spec([Request("r", 16, 1)]))
     executor = NodeExecutor(
         ComputeNode("t4", T4), tiny_model, Profiler(), 4, max_batch_tokens=25
     )
