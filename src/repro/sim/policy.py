@@ -1,4 +1,4 @@
-"""Per-request lifecycle policy: deadlines, timeouts, retries, hedging.
+"""Per-request lifecycle policy: deadlines, timeouts, retries, shedding.
 
 The baseline simulator retries a disrupted request forever and never gives
 up on a stalled one — fine when every failure is announced, fatal under
@@ -16,16 +16,12 @@ gray failures (a zombie node accepts a prompt and simply never answers).
   *deterministic* jitter (derived from a CRC of the request id and
   attempt number, never from global randomness, so seeded runs reproduce
   exactly); after ``max_retries`` re-dispatches the request is lost.
-* **hedging** — optionally, an attempt that has not produced its first
-  token after ``hedge_after`` seconds launches one shadow attempt on a
-  second pipeline; the first attempt to deliver a token wins and the
-  loser is cancelled.
 * **admission control** — when the pending queue already holds
   ``max_pending`` requests, new arrivals are *shed* immediately instead
   of queueing without bound, so overload degrades gracefully.
 
 The default-constructed policy is the legacy semantics (no deadline, no
-timeout, unbounded immediate retries, no hedging, no shedding), and it is
+timeout, unbounded immediate retries, no shedding), and it is
 what a simulation built with ``policy=None`` runs under.
 """
 
@@ -60,8 +56,6 @@ class RequestPolicy:
             jitter (0 = none). The jitter fraction is
             ``crc32(request_id:attempt) / 2**32`` — stable across runs
             and platforms.
-        hedge_after: Seconds without a first token before a shadow
-            attempt is dispatched (``None`` = no hedging).
         max_pending: Pending-queue depth above which new arrivals are
             shed (``None`` = never shed).
     """
@@ -72,12 +66,11 @@ class RequestPolicy:
     retry_backoff: float = 0.0
     backoff_factor: float = 2.0
     jitter: float = 0.0
-    hedge_after: float | None = None
     max_pending: int | None = None
 
     def __post_init__(self) -> None:
         # Written as ``not (lo < value < inf)`` so NaN fails every check.
-        for name in ("deadline", "ttft_timeout", "hedge_after"):
+        for name in ("deadline", "ttft_timeout"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(

@@ -46,8 +46,8 @@ the pre-overhaul engine:
   instead of appending one float per token forever.
 
 Lifecycle sites. Each request attempt has one dispatch site
-(``_dispatch``), one release site (``_release``) and one hedge-settle
-site (``_settle_hedge``). Each node has one lifecycle state (serving,
+(``_dispatch``) and one release site (``_release``), and is registered
+under its request id. Each node has one lifecycle state (serving,
 draining, zombie, silent or down) and one transition site
 (``_transition``), the only writer of that state and of the cluster
 availability the scheduler masks by. The optional subsystems are
@@ -122,7 +122,7 @@ class _ActiveRequest:
     __slots__ = (
         "request", "request_id", "pipeline", "record", "attempt", "live",
         "hops", "entry_channel", "prompt_works", "decode_works", "done",
-        "output_len", "sched_id", "hedge", "is_hedge",
+        "output_len",
     )
 
     def __init__(self, request, pipeline, record, attempt):
@@ -133,12 +133,6 @@ class _ActiveRequest:
         self.attempt = attempt
         self.live = True
         self.output_len = request.output_len
-        # The id this attempt is registered under (scheduler + active
-        # table). Hedged shadow attempts use ``<request_id>#hedge`` so
-        # both members of the race can hold pipelines simultaneously.
-        self.sched_id = request.request_id
-        self.hedge = None
-        self.is_hedge = False
         # Total stage completions of this attempt. A request's iterations
         # are strictly sequential (at most one in-flight work ever), so
         # completions happen in pipeline order: the first ``depth`` are the
@@ -257,7 +251,7 @@ class Simulation:
             called once before the event loop to inject environment events.
         policy: The per-request lifecycle
             :class:`~repro.sim.policy.RequestPolicy` (deadlines, timeouts,
-            bounded retries, hedging, shedding). ``None`` is
+            bounded retries, shedding). ``None`` is
             ``RequestPolicy()``: no deadline, unbounded immediate retries.
         debug_validate: Run ``cluster.validate()`` after every event
             applied through :meth:`apply_event`.
@@ -593,20 +587,15 @@ class Simulation:
                 self._now + policy.ttft_timeout,
                 lambda s, a=active: s._ttft_check(a),
             )
-        if policy.hedge_after is not None:
-            self.schedule_event(
-                self._now + policy.hedge_after,
-                lambda s, a=active: s._try_hedge(a),
-            )
         return True
 
     def _dispatch(self, active: _ActiveRequest) -> None:
         """Register an attempt and ship its prompt to the first stage (one
-        ``K_HOP`` event): the one dispatch site of primaries and shadows."""
-        self._active[active.sched_id] = active
+        ``K_HOP`` event): the one dispatch site."""
+        self._active[active.request_id] = active
         if self._tenancy is not None:
             self._tenancy.note_dispatch(
-                active.sched_id, active.request.tenant_id, self._now
+                active.request_id, active.request.tenant_id, self._now
             )
         arrival = active.entry_channel.transmit(
             self._now, active.request.input_len * self._token_bytes
@@ -850,10 +839,9 @@ class Simulation:
     def _on_token(self, work: StageWork) -> None:
         """A ``K_TOKEN_ONE`` event: one token reaches the coordinator.
 
-        Settles the hedge race on a first token, records the token
-        (request, tenancy, global timeline), and then finishes the
-        request or ships the decode re-entry to the first stage as a
-        ``K_HOP`` event.
+        Records the token (request, tenancy, global timeline), and then
+        finishes the request or ships the decode re-entry to the first
+        stage as a ``K_HOP`` event.
         """
         owner = work.owner
         if self._disrupted and not (
@@ -865,7 +853,6 @@ class Simulation:
         token_times = record.token_times
         first = not token_times
         if first:
-            self._settle_hedge(owner)  # the first token wins a hedge race
             record.first_token_time = t
         token_times.append(t)
         record.tokens_generated += 1
@@ -900,9 +887,8 @@ class Simulation:
         Frees the attempt's KV charges (a dead node's pool was flushed
         wholesale and takes no charges since), flips its liveness so
         every event it still has in flight drops, and tells tenancy and
-        the scheduler. An attempt that did not finish — a hedge loser, an
-        abandoned or requeued request — leaves its (possibly shared)
-        record alone.
+        the scheduler. An attempt that did not finish — an abandoned or
+        requeued request — leaves its record alone.
         """
         lives = self._lives
         for index, hop in enumerate(active.hops):
@@ -910,38 +896,24 @@ class Simulation:
             if life is None or life.state not in ("silent", "down"):
                 hop.pool.free(active.kv_allocated(index))
         active.live = False
-        del self._active[active.sched_id]
+        rid = active.request_id
+        del self._active[rid]
         if self._tenancy is not None:
-            self._tenancy.note_release(active.sched_id, self._now)
+            self._tenancy.note_release(rid, self._now)
         if finished:
-            self.scheduler.notify_finished(active.sched_id)
+            self.scheduler.notify_finished(rid)
         else:
             self._disrupted = True
-            self.scheduler.notify_failed(active.sched_id)
+            self.scheduler.notify_failed(rid)
         if self._drains:
             self._check_drains()
-
-    def _settle_hedge(self, keep: _ActiveRequest) -> None:
-        """End ``keep``'s hedge race, if it is in one: the pair is
-        unlinked, the other attempt is released, and ``keep`` is (or
-        becomes) the primary."""
-        peer = keep.hedge
-        if peer is None:
-            return
-        keep.hedge = None
-        peer.hedge = None
-        keep.is_hedge = False
-        if peer.sched_id in self._active:
-            self._release(peer, finished=False)
 
     # ------------------------------------------------------------------
     # Online dynamics: failures, repairs, and live replanning
     # ------------------------------------------------------------------
     def _ttft_check(self, active: _ActiveRequest) -> None:
         """Re-dispatch an attempt that produced no token within the TTFT bound."""
-        if not active.live or active.is_hedge:
-            return
-        if active.record.token_times:
+        if not active.live or active.record.token_times:
             return
         self._requeue(active, migrated=False)
         self._retry_pending()
@@ -951,12 +923,8 @@ class Simulation:
         record = self._records.get(request_id)
         if record is None or record.finished or record.shed or record.lost:
             return
-        # A shadow that won its race keeps its ``#hedge`` id.
-        active = self._active.get(request_id) or self._active.get(
-            request_id + "#hedge"
-        )
+        active = self._active.get(request_id)
         if active is not None:
-            self._settle_hedge(active)
             record.tokens_lost += record.tokens_generated
             record.tokens_generated = 0
             self._release(active, finished=False)
@@ -971,34 +939,6 @@ class Simulation:
         self._requests_lost += 1
         self._retry_pending()
 
-    def _try_hedge(self, active: _ActiveRequest) -> None:
-        """Dispatch a shadow attempt for a first-token-less primary."""
-        if not active.live or active.is_hedge or active.hedge is not None:
-            return
-        record = active.record
-        if record.token_times or record.finished:
-            return
-        hedge_id = active.sched_id + "#hedge"
-        if hedge_id in self._active:
-            return
-        pipeline = self.scheduler.schedule(hedge_id, active.request.input_len)
-        if pipeline is None:
-            return
-        hedge = _ActiveRequest(
-            request=active.request, pipeline=pipeline, record=record,
-            attempt=active.attempt,
-        )
-        hedge.sched_id = hedge_id
-        hedge.is_hedge = True
-        try:
-            self._build_hops(hedge)
-        except SimulationError:
-            self.scheduler.notify_failed(hedge_id)
-            return
-        hedge.hedge = active
-        active.hedge = hedge
-        self._dispatch(hedge)
-
     def _requeue(self, active: _ActiveRequest, migrated: bool) -> None:
         """Abort an attempt and send the request back to the pending queue.
 
@@ -1009,13 +949,6 @@ class Simulation:
         policy the re-dispatch may instead wait out a backoff, or — past
         the retry budget — abandon the request (*lost*).
         """
-        if active.is_hedge:
-            # A shadow attempt dies quietly; the primary (also requeued by
-            # the same sweep if it routed through the same node) owns the
-            # record and the re-dispatch.
-            self._settle_hedge(active.hedge)
-            return
-        self._settle_hedge(active)
         record = active.record
         record.tokens_lost += record.tokens_generated
         if migrated:
@@ -1310,16 +1243,13 @@ class Simulation:
             self._residency.node_lost(self, node_id)
         self._disrupted = True
         requeued = [
-            rid
-            for rid, active in self._active.items()
+            active for active in self._active.values()
             if node_id in active.pipeline.node_ids
         ]
-        for rid in requeued:
-            active = self._active.get(rid)
-            if active is not None:  # hedge peers vanish with their primary
-                self._requeue(active, migrated=False)
+        for active in requeued:
+            self._requeue(active, migrated=False)
         self._retry_pending()
-        return requeued
+        return [active.request_id for active in requeued]
 
     def degrade_link(
         self, src: str, dst: str, factor: float, bidirectional: bool = True
@@ -1435,8 +1365,6 @@ class Simulation:
 
         migrated = []
         for rid, active in list(self._active.items()):
-            if rid not in self._active:
-                continue  # a hedge peer cancelled earlier in this sweep
             if not self._attempt_survives(active.pipeline, placement, rebound):
                 migrated.append(rid)
                 self._requeue(active, migrated=True)
@@ -1530,11 +1458,9 @@ class Simulation:
 
     @property
     def in_flight_requests(self) -> int:
-        """Requests neither finished, shed, nor lost: active attempts
-        (hedge shadows excluded — they share a primary), the pending
-        queue, and requests waiting out a retry backoff."""
-        active = sum(1 for a in self._active.values() if not a.is_hedge)
-        return active + len(self._pending) + self._backoff_waiting
+        """Requests neither finished, shed, nor lost: active attempts,
+        the pending queue, and requests waiting out a retry backoff."""
+        return len(self._active) + len(self._pending) + self._backoff_waiting
 
     def dead_node_token_violations(self) -> list[str]:
         """Confirmed-dead nodes whose token counter moved afterwards."""

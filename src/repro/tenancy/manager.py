@@ -84,8 +84,8 @@ class TenantManager:
         self._shares = self.registry.shares()
         self._priorities = self.registry.priorities()
         self.tracker = WindowedFairnessTracker(self.fairness, self._shares)
-        # Open pipeline-occupancy spans: sched_id -> (tenant_id, start).
-        self._spans: dict[int, tuple[str, float]] = {}
+        # Open pipeline-occupancy spans: request_id -> (tenant_id, start).
+        self._spans: dict[str, tuple[str, float]] = {}
         # Recent TTFT samples per tenant, for SLO pressure in selection.
         self._ttft: dict[str, deque[float]] = {
             tid: deque(maxlen=32) for tid in self.registry.ids
@@ -133,11 +133,11 @@ class TenantManager:
                 self._starve_mark[tenant_id] = now
 
     # -- pipeline occupancy (T-mode service) ----------------------------
-    def note_dispatch(self, sched_id: int, tenant_id: str, now: float) -> None:
-        self._spans[sched_id] = (tenant_id, now)
+    def note_dispatch(self, request_id: str, tenant_id: str, now: float) -> None:
+        self._spans[request_id] = (tenant_id, now)
 
-    def note_release(self, sched_id: int, now: float) -> None:
-        span = self._spans.pop(sched_id, None)
+    def note_release(self, request_id: str, now: float) -> None:
+        span = self._spans.pop(request_id, None)
         if span is not None and self.fairness.mode == "T":
             tenant_id, start = span
             self.tracker.note_span(tenant_id, start, now)
@@ -230,8 +230,8 @@ class TenantManager:
         reported.
         """
         if self.fairness.mode == "T":
-            for sched_id in list(self._spans):
-                self.note_release(sched_id, now)
+            for request_id in list(self._spans):
+                self.note_release(request_id, now)
         self._check_starvation(now)
 
 

@@ -176,65 +176,72 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
         assert run_digest(*probed) == run_digest(*full)
 
 
-#: The hedged lone request, per ``(slow, path)``.
+#: The busy-channel run, per ``(slow, path)``.
 BUSY_CHANNEL_DIGESTS = {
-    ("entry", "tenancy"): "ae264ca08d37d002",
-    ("entry", "untagged"): "c34d1724a46ba095",
-    ("inter-stage", "tenancy"): "dd0d8c1d1380ccfc",
-    ("inter-stage", "untagged"): "08546cf6340db064",
+    ("entry", "tenancy"): "4213f5f1be305eae",
+    ("entry", "untagged"): "bf51ab5da4b4e44b",
+    ("inter-stage", "tenancy"): "d0e792b44c11905f",
+    ("inter-stage", "untagged"): "77985ffc4175773a",
 }
 
 
 @pytest.mark.parametrize("path", ["untagged", "tenancy"])
 @pytest.mark.parametrize("slow", ["entry", "inter-stage"])
 def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
-    """A cancelled hedge leaves a channel busy under a lone request.
+    """An abandoned attempt leaves a channel busy under a lone request.
 
-    One request on a two-stage pipeline with one slow link is hedged; the
-    shadow's prompt queues behind the primary's on the slow link and is
-    still transmitting when the primary's first token cancels it. The
-    surviving request is then alone, but its next round queues on that
-    link; every observable is pinned.
+    On a two-stage pipeline with one slow link, ``r0``'s 2048-token
+    prompt takes P0 on that link and its deadline D abandons it
+    mid-transmission. ``r1`` (16-token prompt, 20 tokens) arrives alone
+    just after; its prompt queues behind ``r0``'s on the link and its run
+    takes P1 + decode there. With P1 + decode < P0 and
+    (P0 + P1 + decode) / 2 < D < P0, ``r1`` still meets its own
+    deadline. Every observable is pinned.
     """
     from repro.cluster.node import COORDINATOR
     from repro.sim import RequestPolicy
 
     model = ModelSpec(
-        name="batch-hedge-8L", num_layers=8, hidden_size=1024, num_heads=8,
+        name="batch-busy-8L", num_layers=8, hidden_size=1024, num_heads=8,
         num_kv_heads=8, intermediate_size=2816,
         nominal_params=8 * (4 * 1024**2 + 3 * 1024 * 2816),
     )
-    cluster = Cluster(name="fast-path-hedge-test")
+    cluster = Cluster(name="busy-channel-test")
     cluster.add_node("a100-0", A100_40G, region="r0")
     cluster.add_node("a100-1", A100_40G, region="r0")
     cluster.connect_full_mesh(
         ["a100-0", "a100-1"], 10 * GBIT, 0.001, include_coordinator=True
     )
-    # The prompt ids (entry) or prompt activations (inter-stage) take
-    # ~0.16-0.8 s on the slow link; a decode round's message takes ms.
-    link = {
-        "entry": (COORDINATOR, "a100-0", 0.0001 * GBIT),
-        "inter-stage": ("a100-0", "a100-1", 0.01 * GBIT),
+    # The slow link carries prompt ids (entry, P0 = 0.66 s) or prompt
+    # activations (inter-stage, P0 = 3.4 s); a decode round's message
+    # takes ms.
+    src, dst, bandwidth, deadline = {
+        "entry": (COORDINATOR, "a100-0", 0.0001 * GBIT, 0.5),
+        "inter-stage": ("a100-0", "a100-1", 0.01 * GBIT, 2.5),
     }[slow]
-    cluster.connect(*link, 0.001)
+    cluster.connect(src, dst, bandwidth, 0.001)
     cluster.validate()
     placement = ModelPlacement.from_intervals(
         8, {"a100-0": (0, 4), "a100-1": (4, 8)}
     )
     flow = FlowGraph(cluster, model, placement).solve()
     scheduler = HelixScheduler(
-        cluster, model, placement, flow=flow, expected_output_len=200.0
+        cluster, model, placement, flow=flow, expected_output_len=20.0
     )
+    requests = [
+        Request("r0", 2048, 20, 10.0, tenant_id="t"),
+        Request("r1", 16, 20, 10.0 + deadline + 0.001, tenant_id="t"),
+    ]
     sim = Simulation(
-        cluster, model, placement, scheduler,
-        [Request("solo", 512, 200, 10.0, tenant_id="t")],
+        cluster, model, placement, scheduler, requests,
         max_time=1e9, seed=0, tenancy=_tenancy_for(path == "tenancy"),
-        policy=RequestPolicy(hedge_after=0.05),
+        policy=RequestPolicy(deadline=deadline),
     )
     metrics = sim.run()
     _pinned(BUSY_CHANNEL_DIGESTS, (slow, path), sim, metrics)
-    assert sim.record_of("solo").tokens_generated == 200
-    assert sim.channels[link[:2]].total_queueing_delay > 0
+    assert sim.record_of("r0").lost
+    assert sim.record_of("r1").tokens_generated == 20
+    assert sim.channels[src, dst].total_queueing_delay > 0
 
 
 #: Digests of the single-run scripted scenarios below.
@@ -364,7 +371,7 @@ def test_engine_stats_exposes_batch_telemetry():
 PINNED_EVENT_COUNTS = {
     ("full_mesh", 0): 2391,
     # Two flaky-link windows with traffic arriving inside them.
-    (CHAOS_FAMILY, 20): 2192,
+    (CHAOS_FAMILY, 20): 2162,
 }
 
 

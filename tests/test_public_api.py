@@ -130,7 +130,7 @@ class TestKnobs:
         [
             ("RequestPolicy", [
                 "deadline", "ttft_timeout", "max_retries", "retry_backoff",
-                "backoff_factor", "jitter", "hedge_after", "max_pending",
+                "backoff_factor", "jitter", "max_pending",
             ]),
             ("ResidencyConfig", ["warm", "layer_bytes", "warm_bonus"]),
             ("TenancyConfig", ["registry", "fairness", "admission"]),
