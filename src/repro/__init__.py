@@ -87,7 +87,6 @@ from repro.sim import (
     goodput_timeline,
 )
 from repro.tenancy import (
-    AdmissionConfig,
     BATCH,
     FairnessConfig,
     INTERACTIVE,

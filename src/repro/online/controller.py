@@ -431,6 +431,5 @@ class OnlineController:
             false_positives=(
                 self.detector.false_positives if self.detector else 0
             ),
-            requests_shed=sim.requests_shed,
             requests_lost=sim.requests_lost,
         )

@@ -53,7 +53,7 @@ from repro.sim.policy import RequestPolicy
 from repro.sim.request import Request
 from repro.sim.residency import ResidencyConfig
 from repro.tenancy.fairness import FairnessConfig
-from repro.tenancy.manager import AdmissionConfig, TenancyConfig
+from repro.tenancy.manager import TenancyConfig
 from repro.tenancy.registry import (
     BATCH,
     INTERACTIVE,
@@ -81,10 +81,10 @@ CHAOS_FAMILY = "chaos"
 ELASTIC_FAMILY = "elastic"
 
 #: The tenant family: a drawn base topology serving 2-4 tenants with
-#: skewed demand mixes, SLO classes, priorities, and windowed fairness
-#: (sometimes with admission control). No churn and no lifecycle policy,
-#: so per-tenant KV accounting is exact and the fairness invariants have
-#: no confounders. Kept out of ``SCENARIO_FAMILIES`` like chaos/elastic.
+#: skewed demand mixes, SLO classes, priorities, and windowed fairness.
+#: No churn and no lifecycle policy, so per-tenant KV accounting is exact
+#: and the fairness invariants have no confounders. Kept out of
+#: ``SCENARIO_FAMILIES`` like chaos/elastic.
 TENANT_FAMILY = "tenant"
 
 #: Every generatable family — chaos, elastic, and tenant included.
@@ -177,8 +177,7 @@ class Scenario:
         spares: Node ids that start out of service as the autoscaler's
             spare pool.
         tenancy: Multi-tenant config (``None`` = single-tenant legacy
-            engine — tenant scenarios carry a registry, fairness, and
-            sometimes admission control).
+            engine — tenant scenarios carry a registry and fairness).
     """
 
     family: str
@@ -220,8 +219,7 @@ class Scenario:
             fairness = self.tenancy.fairness
             extras += (
                 f", {len(self.tenancy.registry)} tenants "
-                f"({fairness.mode}-fairness"
-                f"{', admission' if self.tenancy.admission else ''})"
+                f"({fairness.mode}-fairness)"
             )
         return (
             f"scenario {self.family}/{self.seed} ({self.size}): "
@@ -625,7 +623,7 @@ def _draw_tenancy(rng: random.Random) -> TenancyConfig:
     Shares follow a geometric skew (each next tenant entitled to roughly
     half the previous one, jittered), so most draws have one dominant
     tenant and a tail — the regime where fairness accounting actually has
-    work to do. Half the draws add admission control.
+    work to do.
     """
     count = rng.randint(2, 4)
     tenants = []
@@ -645,16 +643,10 @@ def _draw_tenancy(rng: random.Random) -> TenancyConfig:
         slo_weight=rng.uniform(0.2, 0.8),
         selector="deficit",
     )
-    admission = (
-        AdmissionConfig(max_pending=rng.randint(15, 40))
-        if rng.random() < 0.5
-        else None
-    )
-    return TenancyConfig(
-        registry=TenantRegistry(tenants),
-        fairness=fairness,
-        admission=admission,
-    )
+    # The deleted admission cap's draws, so later draws do not shift.
+    if rng.random() < 0.5:
+        rng.randint(15, 40)
+    return TenancyConfig(registry=TenantRegistry(tenants), fairness=fairness)
 
 
 def _tenant_requests(
@@ -707,6 +699,9 @@ def _draw_policy(rng: random.Random, limits: ScenarioLimits) -> RequestPolicy:
     # The deleted hedge delay's draws, so later draws do not shift.
     if rng.random() < 0.3:
         rng.uniform(horizon * 0.04, horizon * 0.1)
+    # The deleted queue cap's draws, so later draws do not shift.
+    if rng.random() < 0.5:
+        rng.randint(20, 60)
     return RequestPolicy(
         deadline=deadline,
         ttft_timeout=ttft_timeout,
@@ -714,7 +709,6 @@ def _draw_policy(rng: random.Random, limits: ScenarioLimits) -> RequestPolicy:
         retry_backoff=retry_backoff,
         backoff_factor=2.0,
         jitter=jitter,
-        max_pending=rng.randint(20, 60) if rng.random() < 0.5 else None,
     )
 
 

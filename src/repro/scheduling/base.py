@@ -119,10 +119,6 @@ class Scheduler(abc.ABC):
         #: placed but not yet servable, masked like unavailable nodes until
         #: the simulator calls :meth:`mark_node_warm`.
         self.warming_nodes: set[str] = set()
-        #: Pending-queue depth above which :meth:`admit` sheds arrivals
-        #: (``None`` = admit everything, the legacy semantics). Set by the
-        #: simulator from the run's :class:`~repro.sim.policy.RequestPolicy`.
-        self.admission_limit: int | None = None
         self._active: dict[str, RequestPipeline] = {}
         self._active_input_len: dict[str, int] = {}
 
@@ -186,24 +182,6 @@ class Scheduler(abc.ABC):
         if not self.kv_masking:
             return True
         return self.kv.admits(node_id, input_len)
-
-    def admit(
-        self, request_id: str, input_len: int, queued: int, priority: int = 0
-    ) -> bool:
-        """Whether a freshly-arrived, unschedulable request may queue.
-
-        Called by the simulator when :meth:`schedule` returned ``None`` at
-        arrival time; returning ``False`` sheds the request (it counts as
-        *shed* under its ``priority`` class, never enters the pending
-        queue, and is never retried). The base policy is a pure
-        queue-depth bound; ``priority`` is the request's admission class
-        (higher = more important) so subclasses — and the simulator's
-        tenancy layer, which may evict a lower-priority queued request
-        instead of shedding the arrival — can shed lowest-priority
-        traffic first. The base policy ignores it.
-        """
-        limit = self.admission_limit
-        return limit is None or queued < limit
 
     @abc.abstractmethod
     def _choose_next(

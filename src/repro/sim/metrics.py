@@ -38,14 +38,10 @@ class RequestRecord:
     retries: int = 0
     migrations: int = 0
     tokens_lost: int = 0
-    #: Rejected by admission control before ever holding a pipeline.
-    shed: bool = False
     #: Abandoned after exhausting its retry budget or missing its deadline.
     lost: bool = False
     #: Owning tenant ("" in the single-tenant legacy configuration).
     tenant_id: str = ""
-    #: Admission priority class the request was admitted (or shed) under.
-    priority: int = 0
 
     @property
     def finished(self) -> bool:
@@ -150,14 +146,9 @@ class ServingMetrics:
             replanning invalidated their pipeline.
         tokens_lost: Output tokens emitted by attempts that were later
             disrupted (wasted work).
-        requests_shed: Requests rejected by admission control (overload
-            shedding) before ever holding a pipeline.
+        requests_shed: Always 0; ``bench/workloads.py`` reads it.
         requests_lost: Requests abandoned after exhausting their retry
             budget or missing their deadline.
-        requests_shed_by_priority: ``(priority, count)`` rows splitting
-            ``requests_shed`` per admission priority class, sorted by
-            priority (attributable shed-rate accounting; empty when
-            nothing was shed).
     """
 
     decode_throughput: float
@@ -174,7 +165,6 @@ class ServingMetrics:
     tokens_lost: int = 0
     requests_shed: int = 0
     requests_lost: int = 0
-    requests_shed_by_priority: tuple[tuple[int, int], ...] = ()
 
     def summary(self) -> str:
         """One-line report string."""
@@ -211,12 +201,6 @@ def aggregate_metrics(
                 decode_tokens += 1
     finished = [r for r in records if r.finished and r.finish_time >= warmup]
     duration = end_time - warmup
-    shed_by_priority: dict[int, int] = {}
-    for record in records:
-        if record.shed:
-            shed_by_priority[record.priority] = (
-                shed_by_priority.get(record.priority, 0) + 1
-            )
     return ServingMetrics(
         decode_throughput=decode_tokens / duration,
         prompt_latency=LatencyStats.from_samples(
@@ -236,9 +220,7 @@ def aggregate_metrics(
         requests_retried=sum(1 for r in records if r.retries > 0),
         requests_migrated=sum(1 for r in records if r.migrations > 0),
         tokens_lost=sum(r.tokens_lost for r in records),
-        requests_shed=sum(1 for r in records if r.shed),
         requests_lost=sum(1 for r in records if r.lost),
-        requests_shed_by_priority=tuple(sorted(shed_by_priority.items())),
     )
 
 
@@ -249,17 +231,14 @@ def aggregate_metrics(
 class TenantMetrics:
     """One tenant's slice of a serving run.
 
-    SLO attainment is the fraction of the tenant's *admitted* requests
-    (submitted and not rejected by admission control) whose latency met
-    the target: ``ttft_attainment`` against the time-to-first-token
+    SLO attainment is the fraction of the tenant's submitted requests
+    whose latency met the target: ``ttft_attainment`` against the time-to-first-token
     target (prompt latency), ``tbt_attainment`` against the
     time-between-tokens target (mean decode interval; a finished
     single-token request has no intervals and counts as attained).
     Requests that were lost (deadline/retry-budget abandonment) or never
     finished inside the horizon count *against* attainment — an operator
-    cannot claim an SLO was met for a request that never completed. Shed
-    requests are excluded from the latency denominators (they never held
-    a pipeline; ``requests_shed`` accounts for them separately). The
+    cannot claim an SLO was met for a request that never completed. The
     tenant's SLO is *met* when both attainments reach the class
     percentile.
     """
@@ -267,7 +246,6 @@ class TenantMetrics:
     tenant_id: str
     requests_submitted: int
     requests_finished: int
-    requests_shed: int
     requests_lost: int
     decode_tokens: int
     goodput: float
@@ -284,8 +262,7 @@ class TenantMetrics:
             f"tbt {self.tbt_attainment * 100:.0f}% "
             f"(target p{self.slo_percentile * 100:.0f}: "
             f"{'met' if self.slo_met else 'MISSED'}) | "
-            f"{self.requests_finished}/{self.requests_submitted} finished, "
-            f"{self.requests_shed} shed"
+            f"{self.requests_finished}/{self.requests_submitted} finished"
         )
 
 
@@ -325,11 +302,10 @@ def aggregate_tenant_metrics(
                 if warmup <= token_time <= end_time:
                     decode_tokens += 1
         finished = [r for r in rows if r.finished]
-        # Attainment denominators cover every admitted request, so a lost
+        # Attainment denominators cover every submitted request, so a lost
         # or never-finished request counts as a miss instead of silently
         # dropping out of the SLO (the NaN latencies that
         # LatencyStats.from_samples excludes are exactly these rows).
-        admitted = [r for r in rows if not r.shed]
         ttft_ok = sum(
             1 for r in finished if r.prompt_latency <= ttft_target
         )
@@ -338,13 +314,12 @@ def aggregate_tenant_metrics(
             for r in finished
             if math.isnan(r.decode_latency) or r.decode_latency <= tbt_target
         )
-        ttft_attainment = ttft_ok / len(admitted) if admitted else 1.0
-        tbt_attainment = tbt_ok / len(admitted) if admitted else 1.0
+        ttft_attainment = ttft_ok / len(rows) if rows else 1.0
+        tbt_attainment = tbt_ok / len(rows) if rows else 1.0
         out[tenant_id] = TenantMetrics(
             tenant_id=tenant_id,
             requests_submitted=len(rows),
             requests_finished=len(finished),
-            requests_shed=sum(1 for r in rows if r.shed),
             requests_lost=sum(1 for r in rows if r.lost),
             decode_tokens=decode_tokens,
             goodput=decode_tokens / duration,
@@ -514,7 +489,6 @@ class DisruptionReport:
             ``mttd_max <= mttr`` whenever both are finite (NaN if goodput
             never recovered).
         false_positives: Healthy nodes the detector wrongly confirmed dead.
-        requests_shed: Requests rejected by admission control.
         requests_lost: Requests abandoned (retry budget / deadline).
     """
 
@@ -535,7 +509,6 @@ class DisruptionReport:
     mttd_max: float = math.nan
     mttr: float = math.nan
     false_positives: int = 0
-    requests_shed: int = 0
     requests_lost: int = 0
 
     def summary(self) -> str:
@@ -567,7 +540,6 @@ def disruption_report(
     mttd_samples: list[float] | None = None,
     reaction_times: list[float] | None = None,
     false_positives: int = 0,
-    requests_shed: int = 0,
     requests_lost: int = 0,
 ) -> DisruptionReport:
     """Assemble a :class:`DisruptionReport` from a run's raw timeline.
@@ -589,8 +561,7 @@ def disruption_report(
             search so goodput measured before the control plane reacted
             does not count as "repaired".
         false_positives: Healthy nodes wrongly confirmed dead.
-        requests_shed / requests_lost: Lifecycle counters from
-            :class:`ServingMetrics`.
+        requests_lost: Lifecycle counter from :class:`ServingMetrics`.
     """
     timeline = goodput_timeline(token_times, window, end_time)
 
@@ -660,6 +631,5 @@ def disruption_report(
         mttd_max=max(mttds) if mttds else math.nan,
         mttr=mttr,
         false_positives=false_positives,
-        requests_shed=requests_shed,
         requests_lost=requests_lost,
     )

@@ -1,4 +1,4 @@
-"""Per-request lifecycle policy: deadlines, timeouts, retries, shedding.
+"""Per-request lifecycle policy: deadlines, timeouts, bounded retries.
 
 The baseline simulator retries a disrupted request forever and never gives
 up on a stalled one — fine when every failure is announced, fatal under
@@ -16,12 +16,9 @@ gray failures (a zombie node accepts a prompt and simply never answers).
   *deterministic* jitter (derived from a CRC of the request id and
   attempt number, never from global randomness, so seeded runs reproduce
   exactly); after ``max_retries`` re-dispatches the request is lost.
-* **admission control** — when the pending queue already holds
-  ``max_pending`` requests, new arrivals are *shed* immediately instead
-  of queueing without bound, so overload degrades gracefully.
 
 The default-constructed policy is the legacy semantics (no deadline, no
-timeout, unbounded immediate retries, no shedding), and it is
+timeout, unbounded immediate retries), and it is
 what a simulation built with ``policy=None`` runs under.
 """
 
@@ -56,8 +53,6 @@ class RequestPolicy:
             jitter (0 = none). The jitter fraction is
             ``crc32(request_id:attempt) / 2**32`` — stable across runs
             and platforms.
-        max_pending: Pending-queue depth above which new arrivals are
-            shed (``None`` = never shed).
     """
 
     deadline: float | None = None
@@ -66,7 +61,6 @@ class RequestPolicy:
     retry_backoff: float = 0.0
     backoff_factor: float = 2.0
     jitter: float = 0.0
-    max_pending: int | None = None
 
     def __post_init__(self) -> None:
         # Written as ``not (lo < value < inf)`` so NaN fails every check.
@@ -89,10 +83,6 @@ class RequestPolicy:
             )
         if not 0 <= self.jitter < math.inf:
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
-        if self.max_pending is not None and self.max_pending < 1:
-            raise ValueError(
-                f"max_pending must be >= 1, got {self.max_pending}"
-            )
 
     def retry_delay(self, request_id: str, attempt: int) -> float:
         """Deterministic backoff before re-dispatch number ``attempt``.

@@ -251,7 +251,7 @@ class Simulation:
             called once before the event loop to inject environment events.
         policy: The per-request lifecycle
             :class:`~repro.sim.policy.RequestPolicy` (deadlines, timeouts,
-            bounded retries, shedding). ``None`` is
+            bounded retries). ``None`` is
             ``RequestPolicy()``: no deadline, unbounded immediate retries.
         debug_validate: Run ``cluster.validate()`` after every event
             applied through :meth:`apply_event`.
@@ -266,11 +266,8 @@ class Simulation:
         tenancy: Optional :class:`~repro.tenancy.manager.TenancyConfig`.
             When set, requests are tagged and accounted per tenant, the
             pending queue becomes per-tenant lanes drained by the
-            windowed-fairness selector, and admission control sheds
-            lowest-priority traffic first (optionally evicting a
-            lower-priority queued request to admit a higher-priority
-            arrival). ``None`` (the default) keeps the single-tenant
-            legacy semantics bit-identically.
+            windowed-fairness selector. ``None`` (the default) keeps the
+            single-tenant legacy semantics bit-identically.
     """
 
     def __init__(
@@ -323,10 +320,8 @@ class Simulation:
         self.max_batch_tokens = max_batch_tokens
         self.seed = seed
         self.controller = controller
-        self._policy = policy = policy or RequestPolicy()
+        self._policy = policy or RequestPolicy()
         self.debug_validate = debug_validate
-        if policy.max_pending is not None:
-            scheduler.admission_limit = policy.max_pending
 
         self.requests = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
         self.executors: dict[str, NodeExecutor] = {}
@@ -354,7 +349,6 @@ class Simulation:
         }
         self._drains = 0  # nodes draining, so "any drain?" is O(1)
         self._dead_node_breaches: list[str] = []
-        self._requests_shed = 0
         self._requests_lost = 0
         #: Requests sitting out a retry backoff (neither active nor in the
         #: pending queue) — needed for request conservation.
@@ -371,9 +365,6 @@ class Simulation:
         if tenancy is not None:
             self._tenancy = TenantManager(tenancy)
             self._pending = FairPendingQueue(self._tenancy, lambda: self._now)
-            admission = tenancy.admission
-            if admission is not None:
-                scheduler.admission_limit = admission.max_pending
         #: Every completed drain, in completion order.
         self.drain_log: list[DrainRecord] = []
 
@@ -521,9 +512,6 @@ class Simulation:
             arrival_time=request.arrival_time,
             tenant_id=request.tenant_id,
         )
-        tenancy = self._tenancy
-        if tenancy is not None:
-            record.priority = tenancy.priority_of(request.tenant_id)
         self._records[request.request_id] = record
         deadline = self._policy.deadline
         if deadline is not None:
@@ -532,42 +520,8 @@ class Simulation:
                 request.arrival_time + deadline,
                 lambda s, rid=rid: s._deadline_check(rid),
             )
-        if self._try_schedule(request):
-            return
-        if not self.scheduler.admit(
-            request.request_id,
-            request.input_len,
-            len(self._pending),
-            priority=record.priority,
-        ) and not (
-            tenancy is not None
-            and tenancy.config.admission is not None
-            and self._admit_by_eviction(record)
-        ):
-            record.shed = True
-            self._requests_shed += 1
-            return
-        self._pending.append(request)
-
-    def _admit_by_eviction(self, record: RequestRecord) -> bool:
-        """Make room for a higher-priority arrival at a full queue.
-
-        Sheds the newest queued request of the lowest-priority backlogged
-        tenant — but only when it is *strictly* lower priority than the
-        arrival, so overload still sheds lowest-priority traffic first
-        rather than churning within a class. Returns True when a slot was
-        freed for the arrival.
-        """
-        victim = self._pending.lowest_priority_queued()
-        if victim is None:
-            return False
-        victim_record = self._records[victim.request_id]
-        if victim_record.priority >= record.priority:
-            return False
-        self._pending.remove(victim)
-        victim_record.shed = True
-        self._requests_shed += 1
-        return True
+        if not self._try_schedule(request):
+            self._pending.append(request)
 
     def _try_schedule(self, request: Request) -> bool:
         pipeline = self.scheduler.schedule(request.request_id, request.input_len)
@@ -921,7 +875,7 @@ class Simulation:
     def _deadline_check(self, request_id: str) -> None:
         """Abandon a request that missed its end-to-end deadline."""
         record = self._records.get(request_id)
-        if record is None or record.finished or record.shed or record.lost:
+        if record is None or record.finished or record.lost:
             return
         active = self._active.get(request_id)
         if active is not None:
@@ -974,7 +928,7 @@ class Simulation:
 
         def rearm(sim, request=active.request, record=record):
             sim._backoff_waiting -= 1
-            if record.lost or record.shed or record.finished:
+            if record.lost or record.finished:
                 return
             sim._pending.append(request)
             sim._retry_pending()
@@ -1447,18 +1401,13 @@ class Simulation:
         }
 
     @property
-    def requests_shed(self) -> int:
-        """Arrivals rejected by admission control."""
-        return self._requests_shed
-
-    @property
     def requests_lost(self) -> int:
         """Requests abandoned (deadline missed or retry budget exhausted)."""
         return self._requests_lost
 
     @property
     def in_flight_requests(self) -> int:
-        """Requests neither finished, shed, nor lost: active attempts,
+        """Requests neither finished nor lost: active attempts,
         the pending queue, and requests waiting out a retry backoff."""
         return len(self._active) + len(self._pending) + self._backoff_waiting
 

@@ -1,5 +1,5 @@
-"""Multi-tenant serving: tenant registry, SLO classes, windowed fairness,
-and admission control.
+"""Multi-tenant serving: tenant registry, SLO classes and windowed
+fairness.
 
 Everything here is default-off: a :class:`~repro.sim.simulator.Simulation`
 without ``tenancy=`` behaves bit-identically to the single-tenant engine.
@@ -11,7 +11,6 @@ from repro.tenancy.fairness import (
     jain_index,
 )
 from repro.tenancy.manager import (
-    AdmissionConfig,
     FairPendingQueue,
     StarvationEvent,
     TenancyConfig,
@@ -28,7 +27,6 @@ from repro.tenancy.registry import (
 )
 
 __all__ = [
-    "AdmissionConfig",
     "BATCH",
     "FairPendingQueue",
     "FairnessConfig",

@@ -1,4 +1,4 @@
-"""Runtime tenancy state: fairness tracking, selection, admission.
+"""Runtime tenancy state: fairness tracking and selection.
 
 :class:`TenantManager` is the single mutable object the simulator talks
 to. It owns the :class:`~repro.tenancy.fairness.WindowedFairnessTracker`,
@@ -24,27 +24,6 @@ from repro.tenancy.registry import TenantRegistry
 
 
 @dataclass(frozen=True)
-class AdmissionConfig:
-    """Overload admission policy.
-
-    When a higher-priority request arrives at a full queue, the
-    lowest-priority *queued* request is shed to make room instead of the
-    arrival. This is what "sheds lowest-priority traffic first" means
-    under a mixed backlog.
-
-    Attributes:
-        max_pending: Queue-depth cap; arrivals beyond it are candidates
-            for shedding.
-    """
-
-    max_pending: int
-
-    def __post_init__(self) -> None:
-        if self.max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
-
-
-@dataclass(frozen=True)
 class TenancyConfig:
     """Everything the simulator needs to run multi-tenant.
 
@@ -55,7 +34,6 @@ class TenancyConfig:
 
     registry: TenantRegistry
     fairness: FairnessConfig = field(default_factory=FairnessConfig)
-    admission: AdmissionConfig | None = None
 
 
 @dataclass(frozen=True)
@@ -97,10 +75,6 @@ class TenantManager:
             tid: 0 for tid in self.registry.ids
         }
 
-    # -- identity -------------------------------------------------------
-    def priority_of(self, tenant_id: str) -> int:
-        return self._priorities[tenant_id]
-
     # -- queue hooks ----------------------------------------------------
     def note_enqueue(self, tenant_id: str, now: float) -> None:
         """A request joined the pending queue for ``tenant_id``."""
@@ -116,8 +90,8 @@ class TenantManager:
         self._check_starvation(now)
 
     def note_drop(self, tenant_id: str, now: float, still_backlogged: bool) -> None:
-        """A pending request left the queue without being served (shed,
-        deadline-expired). Not progress — the mark is only cleared when
+        """A pending request left the queue without being served (its
+        deadline expired). Not progress — the mark is only cleared when
         the tenant has nothing left waiting."""
         if not still_backlogged:
             self._starve_mark.pop(tenant_id, None)
@@ -187,7 +161,7 @@ class TenantManager:
         ``deficit`` scores each candidate as
         ``fairness_deficit + slo_weight * slo_pressure`` and serves the
         highest score (ties: higher priority, then tenant id).
-        ``priority`` serves the highest admission priority outright —
+        ``priority`` serves the highest tenant priority outright —
         the deliberately unfair control that starves low-priority
         tenants under sustained high-priority load.
         """
@@ -316,17 +290,3 @@ class FairPendingQueue:
         self._size -= 1
         self._head_tenant = None
         self._manager.note_drop(request.tenant_id, self._clock(), bool(lane))
-
-    # -- admission helpers ---------------------------------------------
-    def lowest_priority_queued(self):
-        """The shed victim: last-queued request of the lowest-priority
-        backlogged tenant (shed newest first within the victim tenant so
-        older work keeps its place)."""
-        backlogged = self._backlogged()
-        if not backlogged:
-            return None
-        victim_tenant = min(
-            backlogged,
-            key=lambda tid: (self._manager.priority_of(tid), tid),
-        )
-        return self._lanes[victim_tenant][-1]

@@ -3,8 +3,9 @@
 A *tenant* is one customer of the serving deployment: a stream of
 requests tagged with its ``tenant_id``, an :class:`SLOClass` describing
 the latency it pays for (TTFT/TBT percentile targets), a ``priority``
-used by admission control (lowest priority is shed first under
-overload), a ``rate_share`` entitling it to a fraction of cluster
+read by the tenant selector (the ``priority`` selector serves the
+highest rank outright; the ``deficit`` selector breaks ties by it), a
+``rate_share`` entitling it to a fraction of cluster
 service under the windowed fairness policy, and an optional per-layer
 VRAM adapter footprint the planner must provision on top of the shared
 base model (LoRA-style: the trunk's layers are counted once, each
@@ -67,9 +68,9 @@ class TenantSpec:
         tenant_id: Unique identifier; requests carry it in
             :attr:`~repro.sim.request.Request.tenant_id`.
         slo: The latency class this tenant pays for.
-        priority: Admission-control rank. Under overload the *lowest*
-            priority traffic is shed first; higher-priority arrivals may
-            evict a lower-priority queued request.
+        priority: Selection rank (higher = more important): the
+            ``priority`` selector serves the highest rank outright, and
+            the ``deficit`` selector breaks score ties by it.
         rate_share: Relative service entitlement under windowed fairness
             (normalized across the registry; any positive scale works).
         adapter_bytes_per_layer: Per-layer VRAM this tenant adds on top
@@ -154,7 +155,7 @@ class TenantRegistry:
         }
 
     def priorities(self) -> dict[str, int]:
-        """Tenant id -> admission priority."""
+        """Tenant id -> selection priority."""
         return {spec.tenant_id: spec.priority for spec in self}
 
     def adapter_overhead_bytes(self) -> float:

@@ -70,7 +70,7 @@ class ScenarioReport:
             actions).
         tenancy: Multi-tenant telemetry — only for tenancy-enabled runs
             (per-tenant :class:`~repro.sim.metrics.TenantMetrics`, the
-            end-of-run Jain fairness index, starvation/shed counts, and
+            end-of-run Jain fairness index, starvation count, and
             how many live KV-accounting samples the run survived).
         violations: Every invariant/oracle breach found (empty = pass).
         fingerprint: Digest of the run's observable outcome, stable
@@ -375,7 +375,6 @@ def run_scenario(
             "per_tenant": per_tenant,
             "fairness_index": manager.fairness_index(end_time),
             "starvation_events": len(manager.starvation_events),
-            "shed_by_priority": dict(metrics.requests_shed_by_priority),
             "kv_samples": kv_sampler.samples if kv_sampler else 0,
         }
         if kv_sampler is not None:

@@ -241,37 +241,29 @@ def check_simulation(
 def check_chaos(sim: Simulation, metrics: ServingMetrics) -> list[Violation]:
     """Invariants specific to gray-failure / lifecycle-policy runs.
 
-    * every request ends in at most one terminal state (finished, shed,
-      or lost — never two);
-    * request conservation: ``submitted == finished + shed + lost +
-      in-flight`` (active attempts, pending queue, retry backoffs);
+    * every request ends in at most one terminal state (finished or
+      lost — never both);
+    * request conservation: ``submitted == finished + lost + in-flight``
+      (active attempts, pending queue, retry backoffs);
     * a node confirmed dead by the detector never emits another token.
     """
     violations: list[Violation] = []
 
     for record in sim.records:
-        terminal = int(record.finished) + int(record.shed) + int(record.lost)
-        if terminal > 1:
+        if record.finished and record.lost:
             violations.append(Violation(
                 "terminal_state_exclusive",
-                f"request {record.request_id} ended in multiple terminal "
-                f"states (finished={record.finished}, shed={record.shed}, "
-                f"lost={record.lost})",
+                f"request {record.request_id} ended both finished and lost",
             ))
 
     in_flight = sim.in_flight_requests
-    accounted = (
-        metrics.requests_finished
-        + metrics.requests_shed
-        + metrics.requests_lost
-        + in_flight
-    )
+    accounted = metrics.requests_finished + metrics.requests_lost + in_flight
     if accounted != metrics.requests_submitted:
         violations.append(Violation(
             "request_conservation",
             f"submitted {metrics.requests_submitted} != finished "
-            f"{metrics.requests_finished} + shed {metrics.requests_shed} "
-            f"+ lost {metrics.requests_lost} + in-flight {in_flight}",
+            f"{metrics.requests_finished} + lost {metrics.requests_lost} "
+            f"+ in-flight {in_flight}",
         ))
 
     for node_id in sim.dead_node_token_violations():
@@ -343,8 +335,6 @@ def check_tenancy(sim: Simulation, metrics: ServingMetrics) -> list[Violation]:
     * no cross-tenant starvation: the manager's watchdog fired no
       :class:`~repro.tenancy.manager.StarvationEvent` (a backlogged
       tenant always got served within one fairness horizon);
-    * shed accounting splits exactly: the per-priority shed counts sum
-      to the global ``requests_shed``;
     * token accounting: the manager's per-tenant token counters sum to
       every token the system emitted (disrupted attempts included).
     """
@@ -372,14 +362,6 @@ def check_tenancy(sim: Simulation, metrics: ServingMetrics) -> list[Violation]:
             f"{event.backlogged_since:.2f}s and still unserved at "
             f"{event.detected_at:.2f}s (horizon "
             f"{manager.config.fairness.horizon:.2f}s)",
-        ))
-
-    shed_split = sum(count for _, count in metrics.requests_shed_by_priority)
-    if shed_split != metrics.requests_shed:
-        violations.append(Violation(
-            "shed_by_priority_sums",
-            f"per-priority shed counts sum to {shed_split} but "
-            f"requests_shed is {metrics.requests_shed}",
         ))
 
     noted = sum(manager.tokens_by_tenant.values())

@@ -518,5 +518,4 @@ def test_elastic_sweep_headline_is_pinned():
     assert round(sum(ratios) / len(ratios), 4) == 0.0332
     assert sum(m.requests_submitted for m in metrics) == 2975
     assert sum(m.requests_finished for m in metrics) == 2975
-    assert sum(m.requests_shed for m in metrics) == 0
     assert sum(m.requests_lost for m in metrics) == 0

@@ -130,10 +130,10 @@ class TestKnobs:
         [
             ("RequestPolicy", [
                 "deadline", "ttft_timeout", "max_retries", "retry_backoff",
-                "backoff_factor", "jitter", "max_pending",
+                "backoff_factor", "jitter",
             ]),
             ("ResidencyConfig", ["warm", "layer_bytes", "warm_bonus"]),
-            ("TenancyConfig", ["registry", "fairness", "admission"]),
+            ("TenancyConfig", ["registry", "fairness"]),
         ],
     )
     def test_subsystem_config_fields(self, config, fields):

@@ -53,7 +53,7 @@ from repro.testkit.golden import (
 @pytest.mark.parametrize(
     "family,seed", MATRIX, ids=[f"{f}-{s}" for f, s in MATRIX]
 )
-def test_engines_agree_on_matrix_address(family, seed):
+def test_matrix_address_matches_golden(family, seed):
     """Every observable of the address's sweep run equals the golden
     digests."""
     violations, _ = check_case(f"{family}-{seed}")
