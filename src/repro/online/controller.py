@@ -431,5 +431,4 @@ class OnlineController:
             false_positives=(
                 self.detector.false_positives if self.detector else 0
             ),
-            requests_lost=sim.requests_lost,
         )

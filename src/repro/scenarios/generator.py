@@ -688,12 +688,12 @@ def _tenant_requests(
 def _draw_policy(rng: random.Random, limits: ScenarioLimits) -> RequestPolicy:
     """A request-lifecycle policy sized to the scenario horizon."""
     horizon = limits.max_time
-    deadline = (
+    # The deleted deadline's draws, so later draws do not shift.
+    if rng.random() < 0.3:
         rng.uniform(horizon * 0.3, horizon * 0.6)
-        if rng.random() < 0.3 else None
-    )
     ttft_timeout = rng.uniform(horizon * 0.05, horizon * 0.15)
-    max_retries = rng.randint(3, 6)
+    # The deleted retry budget's draw, so later draws do not shift.
+    rng.randint(3, 6)
     retry_backoff = rng.uniform(0.1, 0.3)
     jitter = rng.uniform(0.0, 0.5)
     # The deleted hedge delay's draws, so later draws do not shift.
@@ -703,9 +703,7 @@ def _draw_policy(rng: random.Random, limits: ScenarioLimits) -> RequestPolicy:
     if rng.random() < 0.5:
         rng.randint(20, 60)
     return RequestPolicy(
-        deadline=deadline,
         ttft_timeout=ttft_timeout,
-        max_retries=max_retries,
         retry_backoff=retry_backoff,
         backoff_factor=2.0,
         jitter=jitter,

@@ -38,8 +38,6 @@ class RequestRecord:
     retries: int = 0
     migrations: int = 0
     tokens_lost: int = 0
-    #: Abandoned after exhausting its retry budget or missing its deadline.
-    lost: bool = False
     #: Owning tenant ("" in the single-tenant legacy configuration).
     tenant_id: str = ""
 
@@ -68,8 +66,8 @@ class LatencyStats:
     """Summary of a latency sample (the paper's box-plot quantities).
 
     ``count`` covers only the finite samples the percentiles are computed
-    from; ``nan_count`` records how many samples were NaN (lost or
-    unfinished requests) — they are excluded from the distribution but
+    from; ``nan_count`` records how many samples were NaN (unfinished
+    requests) — they are excluded from the distribution but
     *not* silently forgotten, so a consumer dividing by request counts can
     see the disagreement instead of inheriting it.
     """
@@ -147,8 +145,7 @@ class ServingMetrics:
         tokens_lost: Output tokens emitted by attempts that were later
             disrupted (wasted work).
         requests_shed: Always 0; ``bench/workloads.py`` reads it.
-        requests_lost: Requests abandoned after exhausting their retry
-            budget or missing their deadline.
+        requests_lost: Always 0; ``bench/workloads.py`` reads it.
     """
 
     decode_throughput: float
@@ -220,7 +217,6 @@ def aggregate_metrics(
         requests_retried=sum(1 for r in records if r.retries > 0),
         requests_migrated=sum(1 for r in records if r.migrations > 0),
         tokens_lost=sum(r.tokens_lost for r in records),
-        requests_lost=sum(1 for r in records if r.lost),
     )
 
 
@@ -236,8 +232,8 @@ class TenantMetrics:
     target (prompt latency), ``tbt_attainment`` against the
     time-between-tokens target (mean decode interval; a finished
     single-token request has no intervals and counts as attained).
-    Requests that were lost (deadline/retry-budget abandonment) or never
-    finished inside the horizon count *against* attainment — an operator
+    Requests that never finished inside the horizon count *against*
+    attainment — an operator
     cannot claim an SLO was met for a request that never completed. The
     tenant's SLO is *met* when both attainments reach the class
     percentile.
@@ -246,7 +242,6 @@ class TenantMetrics:
     tenant_id: str
     requests_submitted: int
     requests_finished: int
-    requests_lost: int
     decode_tokens: int
     goodput: float
     ttft_attainment: float
@@ -302,8 +297,8 @@ def aggregate_tenant_metrics(
                 if warmup <= token_time <= end_time:
                     decode_tokens += 1
         finished = [r for r in rows if r.finished]
-        # Attainment denominators cover every submitted request, so a lost
-        # or never-finished request counts as a miss instead of silently
+        # Attainment denominators cover every submitted request, so a
+        # never-finished request counts as a miss instead of silently
         # dropping out of the SLO (the NaN latencies that
         # LatencyStats.from_samples excludes are exactly these rows).
         ttft_ok = sum(
@@ -320,7 +315,6 @@ def aggregate_tenant_metrics(
             tenant_id=tenant_id,
             requests_submitted=len(rows),
             requests_finished=len(finished),
-            requests_lost=sum(1 for r in rows if r.lost),
             decode_tokens=decode_tokens,
             goodput=decode_tokens / duration,
             ttft_attainment=ttft_attainment,
@@ -489,7 +483,6 @@ class DisruptionReport:
             ``mttd_max <= mttr`` whenever both are finite (NaN if goodput
             never recovered).
         false_positives: Healthy nodes the detector wrongly confirmed dead.
-        requests_lost: Requests abandoned (retry budget / deadline).
     """
 
     window: float
@@ -509,7 +502,6 @@ class DisruptionReport:
     mttd_max: float = math.nan
     mttr: float = math.nan
     false_positives: int = 0
-    requests_lost: int = 0
 
     def summary(self) -> str:
         """One-line report string."""
@@ -540,7 +532,6 @@ def disruption_report(
     mttd_samples: list[float] | None = None,
     reaction_times: list[float] | None = None,
     false_positives: int = 0,
-    requests_lost: int = 0,
 ) -> DisruptionReport:
     """Assemble a :class:`DisruptionReport` from a run's raw timeline.
 
@@ -561,7 +552,6 @@ def disruption_report(
             search so goodput measured before the control plane reacted
             does not count as "repaired".
         false_positives: Healthy nodes wrongly confirmed dead.
-        requests_lost: Lifecycle counter from :class:`ServingMetrics`.
     """
     timeline = goodput_timeline(token_times, window, end_time)
 
@@ -631,5 +621,4 @@ def disruption_report(
         mttd_max=max(mttds) if mttds else math.nan,
         mttr=mttr,
         false_positives=false_positives,
-        requests_lost=requests_lost,
     )

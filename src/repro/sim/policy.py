@@ -1,25 +1,24 @@
-"""Per-request lifecycle policy: deadlines, timeouts, bounded retries.
+"""Per-request lifecycle policy: TTFT timeouts and retry backoff.
 
-The baseline simulator retries a disrupted request forever and never gives
-up on a stalled one — fine when every failure is announced, fatal under
-gray failures (a zombie node accepts a prompt and simply never answers).
-:class:`RequestPolicy` bounds every request's lifecycle:
+The baseline simulator retries a disrupted request at once and never gives
+up on a stalled attempt — fine when every failure is announced, fatal
+under gray failures (a zombie node accepts a prompt and simply never
+answers). :class:`RequestPolicy` bounds every attempt and paces the
+retries; a request is never abandoned, it always returns to the pending
+queue:
 
-* **deadline** — a hard end-to-end budget from arrival; a request that
-  neither finished nor died by then is abandoned (*lost*), its resources
-  freed.
 * **TTFT timeout** — a per-attempt bound on time-to-first-token; an
   attempt that produced nothing by then is presumed stuck (stalled on a
   silent-dead or zombie node) and re-dispatched.
-* **bounded retries with backoff** — each re-dispatch waits
+* **retry backoff** — each re-dispatch waits
   ``retry_backoff * backoff_factor**(attempt-1)`` seconds plus a
   *deterministic* jitter (derived from a CRC of the request id and
   attempt number, never from global randomness, so seeded runs reproduce
-  exactly); after ``max_retries`` re-dispatches the request is lost.
+  exactly).
 
-The default-constructed policy is the legacy semantics (no deadline, no
-timeout, unbounded immediate retries), and it is
-what a simulation built with ``policy=None`` runs under.
+The default-constructed policy is the legacy semantics (no timeout,
+immediate retries), and it is what a simulation built with
+``policy=None`` runs under.
 """
 
 from __future__ import annotations
@@ -37,14 +36,9 @@ class RequestPolicy:
     """Lifecycle knobs of every request in one simulation.
 
     Attributes:
-        deadline: End-to-end seconds from arrival before the request is
-            abandoned (``None`` = no deadline).
         ttft_timeout: Seconds from an attempt's scheduling to its first
             token before the attempt is presumed stuck and re-dispatched
             (``None`` = wait forever).
-        max_retries: Re-dispatches (failure retries + migrations) a
-            request may consume before it is abandoned (``None`` =
-            unbounded, the legacy semantics).
         retry_backoff: Base delay in seconds before a re-dispatch re-enters
             the pending queue (0 = immediate, the legacy semantics).
         backoff_factor: Exponential growth factor across consecutive
@@ -55,23 +49,18 @@ class RequestPolicy:
             and platforms.
     """
 
-    deadline: float | None = None
     ttft_timeout: float | None = None
-    max_retries: int | None = None
     retry_backoff: float = 0.0
     backoff_factor: float = 2.0
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
         # Written as ``not (lo < value < inf)`` so NaN fails every check.
-        for name in ("deadline", "ttft_timeout"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}"
-                )
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        timeout = self.ttft_timeout
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ValueError(
+                f"ttft_timeout must be finite and positive, got {timeout}"
+            )
         if not 0 <= self.retry_backoff < math.inf:
             raise ValueError(
                 f"retry_backoff must be finite and >= 0, got {self.retry_backoff}"

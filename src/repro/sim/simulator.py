@@ -250,9 +250,12 @@ class Simulation:
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.
         policy: The per-request lifecycle
-            :class:`~repro.sim.policy.RequestPolicy` (deadlines, timeouts,
-            bounded retries). ``None`` is
-            ``RequestPolicy()``: no deadline, unbounded immediate retries.
+            :class:`~repro.sim.policy.RequestPolicy` (TTFT timeout, retry
+            backoff). ``None`` is ``RequestPolicy()``: no timeout,
+            immediate retries. A disrupted request always returns to the
+            pending queue, so a TTFT timeout needs a finite ``max_time``:
+            a request routed to a node that never answers (a zombie)
+            would otherwise be retried forever.
         debug_validate: Run ``cluster.validate()`` after every event
             applied through :meth:`apply_event`.
         residency: Optional :class:`~repro.sim.residency.ResidencyConfig`.
@@ -297,6 +300,12 @@ class Simulation:
         if not max_time > warmup:  # also rejects NaN; inf is unbounded
             raise SimulationError(
                 f"max_time must exceed warmup ({warmup}), got {max_time}"
+            )
+        timeout = policy.ttft_timeout if policy is not None else None
+        if timeout is not None and max_time == math.inf:
+            raise SimulationError(
+                "a TTFT timeout needs a finite max_time: a request routed "
+                "to a node that never answers would be retried forever"
             )
         seen: set[str] = set()
         for request in requests:
@@ -349,7 +358,6 @@ class Simulation:
         }
         self._drains = 0  # nodes draining, so "any drain?" is O(1)
         self._dead_node_breaches: list[str] = []
-        self._requests_lost = 0
         #: Requests sitting out a retry backoff (neither active nor in the
         #: pending queue) — needed for request conservation.
         self._backoff_waiting = 0
@@ -513,13 +521,6 @@ class Simulation:
             tenant_id=request.tenant_id,
         )
         self._records[request.request_id] = record
-        deadline = self._policy.deadline
-        if deadline is not None:
-            rid = request.request_id
-            self.schedule_event(
-                request.arrival_time + deadline,
-                lambda s, rid=rid: s._deadline_check(rid),
-            )
         if not self._try_schedule(request):
             self._pending.append(request)
 
@@ -841,8 +842,8 @@ class Simulation:
         Frees the attempt's KV charges (a dead node's pool was flushed
         wholesale and takes no charges since), flips its liveness so
         every event it still has in flight drops, and tells tenancy and
-        the scheduler. An attempt that did not finish — an abandoned or
-        requeued request — leaves its record alone.
+        the scheduler. An attempt that did not finish — a requeued
+        request — leaves its record alone.
         """
         lives = self._lives
         for index, hop in enumerate(active.hops):
@@ -872,27 +873,6 @@ class Simulation:
         self._requeue(active, migrated=False)
         self._retry_pending()
 
-    def _deadline_check(self, request_id: str) -> None:
-        """Abandon a request that missed its end-to-end deadline."""
-        record = self._records.get(request_id)
-        if record is None or record.finished or record.lost:
-            return
-        active = self._active.get(request_id)
-        if active is not None:
-            record.tokens_lost += record.tokens_generated
-            record.tokens_generated = 0
-            self._release(active, finished=False)
-        else:
-            # Waiting in the pending queue (or sitting out a backoff — the
-            # re-arm callback checks the lost flag and drops it).
-            for request in self._pending:
-                if request.request_id == request_id:
-                    self._pending.remove(request)
-                    break
-        record.lost = True
-        self._requests_lost += 1
-        self._retry_pending()
-
     def _requeue(self, active: _ActiveRequest, migrated: bool) -> None:
         """Abort an attempt and send the request back to the pending queue.
 
@@ -900,8 +880,7 @@ class Simulation:
         surviving nodes are released (the failed node's pool was flushed
         wholesale), and the liveness/attempt bump makes every event the old
         attempt still has in flight fall on the floor. Under a lifecycle
-        policy the re-dispatch may instead wait out a backoff, or — past
-        the retry budget — abandon the request (*lost*).
+        policy the re-dispatch may instead wait out a backoff.
         """
         record = active.record
         record.tokens_lost += record.tokens_generated
@@ -914,22 +893,16 @@ class Simulation:
         record.first_token_time = math.nan
         record.schedule_time = math.nan
         self._release(active, finished=False)
-        policy = self._policy
-        attempts = record.retries + record.migrations
-        if policy.max_retries is not None and attempts > policy.max_retries:
-            record.lost = True
-            self._requests_lost += 1
-            return
-        delay = policy.retry_delay(active.request_id, attempts)
+        delay = self._policy.retry_delay(
+            active.request_id, record.retries + record.migrations
+        )
         if delay <= 0:
             self._pending.append(active.request)
             return
         self._backoff_waiting += 1
 
-        def rearm(sim, request=active.request, record=record):
+        def rearm(sim, request=active.request):
             sim._backoff_waiting -= 1
-            if record.lost or record.finished:
-                return
             sim._pending.append(request)
             sim._retry_pending()
 
@@ -1401,14 +1374,9 @@ class Simulation:
         }
 
     @property
-    def requests_lost(self) -> int:
-        """Requests abandoned (deadline missed or retry budget exhausted)."""
-        return self._requests_lost
-
-    @property
     def in_flight_requests(self) -> int:
-        """Requests neither finished nor lost: active attempts,
-        the pending queue, and requests waiting out a retry backoff."""
+        """Requests not finished: active attempts, the pending queue,
+        and requests waiting out a retry backoff."""
         return len(self._active) + len(self._pending) + self._backoff_waiting
 
     def dead_node_token_violations(self) -> list[str]:

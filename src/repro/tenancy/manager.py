@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.tenancy.fairness import (
     FairnessConfig,
@@ -86,14 +86,6 @@ class TenantManager:
         if still_backlogged:
             self._starve_mark[tenant_id] = now
         else:
-            self._starve_mark.pop(tenant_id, None)
-        self._check_starvation(now)
-
-    def note_drop(self, tenant_id: str, now: float, still_backlogged: bool) -> None:
-        """A pending request left the queue without being served (its
-        deadline expired). Not progress — the mark is only cleared when
-        the tenant has nothing left waiting."""
-        if not still_backlogged:
             self._starve_mark.pop(tenant_id, None)
         self._check_starvation(now)
 
@@ -213,13 +205,12 @@ class FairPendingQueue:
     """Deque-compatible pending queue with per-tenant FIFO lanes.
 
     Drop-in replacement for the simulator's ``deque[Request]``: supports
-    ``append``, ``popleft``, ``remove``, ``len``, truthiness, iteration,
-    and ``[0]`` (the element ``popleft`` would return). Head selection
-    delegates to :meth:`TenantManager.select_tenant` and is cached so
-    the simulator's peek-then-pop pattern (``_retry_pending``) serves
-    the tenant it peeked. With one tenant every operation reduces to a
-    plain FIFO, keeping the single-tenant schedule identical to the
-    legacy queue.
+    ``append``, ``popleft``, ``len``, truthiness and ``[0]`` (the element
+    ``popleft`` would return). Head selection delegates to
+    :meth:`TenantManager.select_tenant` and is cached so the simulator's
+    peek-then-pop pattern (``_retry_pending``) serves the tenant it
+    peeked. With one tenant every operation reduces to a plain FIFO,
+    keeping the single-tenant schedule identical to the legacy queue.
     """
 
     def __init__(self, manager: TenantManager, clock: Callable[[], float]):
@@ -235,14 +226,6 @@ class FairPendingQueue:
 
     def __bool__(self) -> bool:
         return self._size > 0
-
-    def __iter__(self) -> Iterator:
-        # Snapshot so callers may mutate (remove) while iterating, as the
-        # deadline sweep does. Sorted-tenant order, FIFO within a lane.
-        items = []
-        for tenant_id in sorted(self._lanes):
-            items.extend(self._lanes[tenant_id])
-        return iter(items)
 
     def _backlogged(self) -> list[str]:
         return [tid for tid, lane in self._lanes.items() if lane]
@@ -281,12 +264,3 @@ class FairPendingQueue:
         self._head_tenant = None
         self._manager.note_serve(tenant_id, self._clock(), bool(lane))
         return request
-
-    def remove(self, request) -> None:
-        lane = self._lanes.get(request.tenant_id)
-        if lane is None:
-            raise ValueError("request not in pending queue")
-        lane.remove(request)  # raises ValueError if absent, like deque
-        self._size -= 1
-        self._head_tenant = None
-        self._manager.note_drop(request.tenant_id, self._clock(), bool(lane))

@@ -69,8 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"finished {m.requests_finished}/{m.requests_submitted} requests, "
             f"decode throughput {m.decode_throughput:.2f} tok/s, "
-            f"{m.requests_retried} retried, {m.requests_migrated} migrated, "
-            f"{m.requests_lost} lost"
+            f"{m.requests_retried} retried, {m.requests_migrated} migrated"
         )
     if report.ok:
         print("OK: every invariant and oracle held")

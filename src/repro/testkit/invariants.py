@@ -241,29 +241,18 @@ def check_simulation(
 def check_chaos(sim: Simulation, metrics: ServingMetrics) -> list[Violation]:
     """Invariants specific to gray-failure / lifecycle-policy runs.
 
-    * every request ends in at most one terminal state (finished or
-      lost — never both);
-    * request conservation: ``submitted == finished + lost + in-flight``
+    * request conservation: ``submitted == finished + in-flight``
       (active attempts, pending queue, retry backoffs);
     * a node confirmed dead by the detector never emits another token.
     """
     violations: list[Violation] = []
 
-    for record in sim.records:
-        if record.finished and record.lost:
-            violations.append(Violation(
-                "terminal_state_exclusive",
-                f"request {record.request_id} ended both finished and lost",
-            ))
-
     in_flight = sim.in_flight_requests
-    accounted = metrics.requests_finished + metrics.requests_lost + in_flight
-    if accounted != metrics.requests_submitted:
+    if metrics.requests_finished + in_flight != metrics.requests_submitted:
         violations.append(Violation(
             "request_conservation",
             f"submitted {metrics.requests_submitted} != finished "
-            f"{metrics.requests_finished} + lost {metrics.requests_lost} "
-            f"+ in-flight {in_flight}",
+            f"{metrics.requests_finished} + in-flight {in_flight}",
         ))
 
     for node_id in sim.dead_node_token_violations():

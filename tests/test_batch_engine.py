@@ -178,25 +178,25 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
 
 #: The busy-channel run, per ``(slow, path)``.
 BUSY_CHANNEL_DIGESTS = {
-    ("entry", "tenancy"): "4213f5f1be305eae",
-    ("entry", "untagged"): "bf51ab5da4b4e44b",
-    ("inter-stage", "tenancy"): "d0e792b44c11905f",
-    ("inter-stage", "untagged"): "77985ffc4175773a",
+    ("entry", "tenancy"): "31b8b3064bf4a3fe",
+    ("entry", "untagged"): "87acc27c46fca209",
+    ("inter-stage", "tenancy"): "d39cffb7bb75ab49",
+    ("inter-stage", "untagged"): "a6bd4e273797e924",
 }
 
 
 @pytest.mark.parametrize("path", ["untagged", "tenancy"])
 @pytest.mark.parametrize("slow", ["entry", "inter-stage"])
 def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
-    """An abandoned attempt leaves a channel busy under a lone request.
+    """A requeued attempt leaves a channel busy under a lone request.
 
     On a two-stage pipeline with one slow link, ``r0``'s 2048-token
-    prompt takes P0 on that link and its deadline D abandons it
-    mid-transmission. ``r1`` (16-token prompt, 20 tokens) arrives alone
-    just after; its prompt queues behind ``r0``'s on the link and its run
-    takes P1 + decode there. With P1 + decode < P0 and
-    (P0 + P1 + decode) / 2 < D < P0, ``r1`` still meets its own
-    deadline. Every observable is pinned.
+    prompt takes P0 on that link and its TTFT timeout D requeues it
+    mid-transmission, into a backoff that outlasts the horizon. ``r1``
+    (16-token prompt, 20 tokens) arrives alone just after; its prompt
+    queues behind ``r0``'s on the link and its run takes P1 + decode
+    there. With P1 + decode < P0 and (P0 + P1 + decode) / 2 < D < P0,
+    ``r1`` still beats its own TTFT timeout. Every observable is pinned.
     """
     from repro.cluster.node import COORDINATOR
     from repro.sim import RequestPolicy
@@ -215,7 +215,7 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     # The slow link carries prompt ids (entry, P0 = 0.66 s) or prompt
     # activations (inter-stage, P0 = 3.4 s); a decode round's message
     # takes ms.
-    src, dst, bandwidth, deadline = {
+    src, dst, bandwidth, timeout = {
         "entry": (COORDINATOR, "a100-0", 0.0001 * GBIT, 0.5),
         "inter-stage": ("a100-0", "a100-1", 0.01 * GBIT, 2.5),
     }[slow]
@@ -230,16 +230,16 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     )
     requests = [
         Request("r0", 2048, 20, 10.0, tenant_id="t"),
-        Request("r1", 16, 20, 10.0 + deadline + 0.001, tenant_id="t"),
+        Request("r1", 16, 20, 10.0 + timeout + 0.001, tenant_id="t"),
     ]
     sim = Simulation(
         cluster, model, placement, scheduler, requests,
-        max_time=1e9, seed=0, tenancy=_tenancy_for(path == "tenancy"),
-        policy=RequestPolicy(deadline=deadline),
+        max_time=100.0, seed=0, tenancy=_tenancy_for(path == "tenancy"),
+        policy=RequestPolicy(ttft_timeout=timeout, retry_backoff=1000.0),
     )
     metrics = sim.run()
     _pinned(BUSY_CHANNEL_DIGESTS, (slow, path), sim, metrics)
-    assert sim.record_of("r0").lost
+    assert sim.record_of("r0").retries == 1
     assert sim.record_of("r1").tokens_generated == 20
     assert sim.channels[src, dst].total_queueing_delay > 0
 

@@ -4,7 +4,7 @@ The acceptance criteria of the robustness PR, as tier-1 smoke tests:
 
 * killing the most-loaded node in detection mode confirms within a
   bounded MTTD with zero false positives on a fault-free control trace;
-* request conservation (injected == finished + lost + in-flight)
+* request conservation (injected == finished + in-flight)
   holds on chaos scenario addresses;
 * goodput recovers to >= 75% of its pre-fault level after detection;
 * a default-constructed :class:`RequestPolicy` is bit-identical to the
@@ -16,6 +16,7 @@ import math
 
 import pytest
 
+from repro.core.errors import SimulationError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.online import (
@@ -77,15 +78,25 @@ def _heal(sim):
 
 
 #: ``run_digest(...)[:16]`` of the chaos addresses whose policy draw
-#: carried a hedge delay before hedging was deleted, per ``(size, seed)``.
+#: carried a hedge delay or a deadline before those were deleted, per
+#: ``(size, seed)``.
 POLICY_DRAW_DIGESTS = {
+    ("smoke", 0): "24bb289d3a7697d7",
     ("smoke", 5): "f6f91517668bb290",
+    ("smoke", 7): "07c03ac41f4a0570",
+    ("smoke", 8): "84dccad649bc28ce",
+    ("smoke", 10): "ee92cedab316451b",
+    ("smoke", 13): "4e81a06645966c9f",
+    ("smoke", 14): "785b6d4437f4f4fb",
     ("smoke", 20): "5fad3e9a4b948135",
     ("full", 1): "f4fe413598959a46",
+    ("full", 4): "77973a8510565748",
     ("full", 6): "7ca65c1452bdd915",
     ("full", 9): "64afc7bbc326530d",
     ("full", 10): "1d6968f5cab3aa75",
     ("full", 12): "3695c597030bfaa7",
+    ("full", 15): "1fa943c114f5a0c8",
+    ("full", 16): "a02472870fa19a07",
 }
 
 
@@ -261,20 +272,16 @@ class TestDetection:
 class TestRequestPolicy:
     def test_default_policy_is_legacy(self):
         policy = RequestPolicy()
-        assert (
-            policy.deadline, policy.ttft_timeout, policy.max_retries,
-        ) == (None,) * 3
+        assert policy.ttft_timeout is None
         assert [policy.retry_delay("r0", n) for n in (1, 2, 3)] == [0.0] * 3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field",
-        ["deadline", "ttft_timeout", "retry_backoff", "backoff_factor",
-         "jitter"],
+        ["ttft_timeout", "retry_backoff", "backoff_factor", "jitter"],
     )
     def test_non_finite_knobs_are_rejected(self, field, value):
-        # A NaN deadline once lost every request, and a NaN TTFT timeout
-        # never returned from run().
+        # A NaN TTFT timeout once never returned from run().
         with pytest.raises(ValueError, match=field):
             RequestPolicy(**{field: value})
 
@@ -304,29 +311,11 @@ class TestRequestPolicy:
         assert policied_metrics.requests_finished == legacy_metrics.requests_finished
         assert policied_metrics.decode_throughput == legacy_metrics.decode_throughput
 
-    def test_deadline_abandons_stuck_requests(
-        self, small_cluster, tiny_model, placement8
-    ):
-        """Requests pending past their deadline are lost, not stuck."""
-        requests = steady_trace(10, 0.01, output_len=4)
-        sim = make_simulation(
-            small_cluster, tiny_model, placement8,
-            [Request(r.request_id, r.input_len, r.output_len,
-                     arrival_time=r.arrival_time + 0.05) for r in requests],
-            max_time=10.0, seed=0, policy=RequestPolicy(deadline=0.5),
-        )
-        sim.schedule_event(0.0, lambda s: s.fail_node("a100-0"))
-        sim.schedule_event(0.0, lambda s: s.fail_node("t4-1"))
-        metrics = sim.run()
-        assert metrics.requests_lost == 10
-        assert metrics.requests_finished == 0
-        assert sim.in_flight_requests == 0
-        assert_conserved(sim, metrics)
-
-    def test_ttft_timeout_exhausts_retry_budget_on_zombie(
+    def test_ttft_timeout_retries_until_the_horizon_on_zombie(
         self, small_cluster, tiny_model
     ):
-        """With a single (zombie) serving node, the retry budget runs out."""
+        """With a single (zombie) serving node, TTFT retries never end;
+        the horizon stops the run with every request still in flight."""
         placement = ModelPlacement.from_intervals(8, {"a100-0": (0, 8)})
         requests = [
             Request(f"r{i}", 32, 4, arrival_time=0.05 + i * 0.01)
@@ -335,16 +324,27 @@ class TestRequestPolicy:
         sim = make_simulation(
             small_cluster, tiny_model, placement, requests,
             max_time=30.0, seed=0,
-            policy=RequestPolicy(
-                ttft_timeout=0.2, max_retries=1, retry_backoff=0.01,
-            ),
+            policy=RequestPolicy(ttft_timeout=0.2, retry_backoff=0.01),
         )
         sim.schedule_event(0.0, lambda s: s.make_zombie("a100-0"))
         metrics = sim.run()
-        assert metrics.requests_lost == 5
         assert metrics.requests_finished == 0
-        assert sim.in_flight_requests == 0
+        assert sim.in_flight_requests == 5
+        assert max(r.retries for r in sim.records) == 12
+        assert sim.events_popped == 181
+        assert run_digest(sim, metrics)[:16] == "120e2031da04ddc9"
         assert_conserved(sim, metrics)
+
+    def test_ttft_timeout_needs_a_finite_horizon(
+        self, small_cluster, tiny_model, placement8
+    ):
+        """Without a horizon, a request routed to a node that never answers
+        (a zombie) would be retried forever."""
+        with pytest.raises(SimulationError, match="finite max_time"):
+            make_simulation(
+                small_cluster, tiny_model, placement8, steady_trace(1, 0.1),
+                max_time=math.inf, policy=RequestPolicy(ttft_timeout=0.2),
+            )
 
     def test_ttft_timeout_rescues_requests_from_zombie(
         self, small_cluster, tiny_model, placement8
@@ -354,29 +354,27 @@ class TestRequestPolicy:
         sim = make_simulation(
             small_cluster, tiny_model, placement8, requests,
             max_time=60.0, seed=0,
-            policy=RequestPolicy(
-                ttft_timeout=0.3, max_retries=8, retry_backoff=0.02,
-            ),
+            policy=RequestPolicy(ttft_timeout=0.3, retry_backoff=0.02),
         )
         sim.schedule_event(0.2, lambda s: s.make_zombie("a100-0"))
         metrics = sim.run()
-        # Every request ends terminal; the healthy replica serves retries.
-        assert metrics.requests_finished + metrics.requests_lost == 20
-        assert metrics.requests_finished > 0
+        # Every request finishes; the healthy replica serves retries.
+        assert metrics.requests_finished == 20
         assert metrics.requests_retried > 0
         assert sim.in_flight_requests == 0
         assert_conserved(sim, metrics)
 
-    def test_deadline_abandons_a_dispatched_attempt_under_fairness(
+    def test_ttft_requeue_releases_a_dispatched_attempt_under_fairness(
         self, small_cluster, tiny_model, placement8
     ):
-        """A deadline abandons ``r0`` while its attempt is dispatched.
+        """A TTFT timeout requeues ``r0`` while its attempt is dispatched.
 
         Both stage-0 replicas straggle, so tenant ``a``'s ``r0`` holds
-        a pipeline with no first token when its 0.1 s deadline fires; the
-        nodes heal at 0.2 s and tenant ``b``'s ``r1`` (arriving at 0.3 s)
-        finishes. Under T-mode fairness the abandoned attempt's 0.1 s
-        pipeline hold is ``a``'s service.
+        a pipeline with no first token when its 0.1 s TTFT timeout
+        fires, and its retry backoff outlasts the horizon; the nodes heal
+        at 0.2 s and tenant ``b``'s ``r1`` (arriving at 0.3 s) finishes.
+        Under T-mode fairness the released attempt's 0.1 s pipeline hold
+        is ``a``'s service.
         """
         requests = [
             Request("r0", 64, 8, arrival_time=0.0, tenant_id="a"),
@@ -384,7 +382,8 @@ class TestRequestPolicy:
         ]
         sim = make_simulation(
             small_cluster, tiny_model, placement8, requests,
-            max_time=30.0, seed=0, policy=RequestPolicy(deadline=0.1),
+            max_time=30.0, seed=0,
+            policy=RequestPolicy(ttft_timeout=0.1, retry_backoff=60.0),
             tenancy=_two_tenants_time_mode(),
         )
         sim.set_compute_slowdown("a100-0", 50.0)
@@ -400,16 +399,16 @@ class TestRequestPolicy:
         sim.scheduler.notify_failed = spy
         metrics = sim.run()
         assert failed == ["r0"]
-        assert sim.record_of("r0").schedule_time == 0.0
-        assert (metrics.requests_lost, metrics.requests_finished) == (1, 1)
-        assert sim.in_flight_requests == 0
+        assert sim.record_of("r0").retries == 1
+        assert metrics.requests_finished == 1
+        assert sim.in_flight_requests == 1
         assert sim.scheduler.active_requests == 0
         assert_conserved(sim, metrics)
         service = sim.tenancy.tracker.service_in_backlog(sim.now)
         assert {k: round(v, 12) for k, v in service.items()} == {
             "a": 0.1, "b": 0.095466146968,
         }
-        assert run_digest(sim, metrics)[:16] == "cb694ddb8df43442"
+        assert run_digest(sim, metrics)[:16] == "5fc0e93f2f2df11b"
 
 
 # ----------------------------------------------------------------------
@@ -622,16 +621,40 @@ class TestChaosScenarios:
             "disruption telemetry",
         )]
 
-    @pytest.mark.parametrize("seed", [5, 20])
+    @pytest.mark.parametrize("seed", [0, 5, 7, 8, 10, 13, 14, 20])
     def test_policy_draw_addresses_are_pinned(self, seed):
-        """Smoke addresses whose policy draw carried a hedge delay keep
-        their runs (the full-size ones are pinned with the headline)."""
+        """Smoke addresses whose policy draw carried a hedge delay or a
+        deadline keep their runs (the full-size ones are pinned with the
+        headline)."""
         from repro.scenarios.generator import generate_scenario
 
         report = run_scenario(generate_scenario("chaos", seed, "smoke"))
         assert_scenario_ok(report)
         digest = run_digest(report.sim, report.metrics)[:16]
         assert digest == POLICY_DRAW_DIGESTS["smoke", seed]
+
+    def test_ttft_timeout_moves_its_one_address(self):
+        """Chaos smoke 0 is the one chaos address where a TTFT timeout
+        requeues an attempt (``azure-17``'s). Without the timeout a
+        fault requeues it later instead, so the run moves; every request
+        finishes either way."""
+        from dataclasses import replace
+
+        from repro.scenarios.generator import generate_scenario
+
+        digests = {}
+        for timeout in (True, False):
+            scenario = generate_scenario("chaos", 0, "smoke")
+            if not timeout:
+                scenario.policy = replace(scenario.policy, ttft_timeout=None)
+            report = run_scenario(scenario)
+            assert_scenario_ok(report)
+            assert report.metrics.requests_finished == 18
+            assert [r.request_id for r in report.sim.records if r.retries] == [
+                "azure-17"
+            ]
+            digests[timeout] = run_digest(report.sim, report.metrics)[:16]
+        assert digests == {True: "24bb289d3a7697d7", False: "ea14f3b73b179632"}
 
     def test_legacy_families_are_unaffected(self):
         from repro.scenarios.generator import (
@@ -687,7 +710,6 @@ def test_chaos_sweep_headline_is_pinned():
     assert sum(d.false_positives for d in disruptions) == 0
     assert sum(m.requests_submitted for m in metrics) == 1873
     assert sum(m.requests_finished for m in metrics) == 1873
-    assert sum(m.requests_lost for m in metrics) == 0
     for (size, seed), digest in POLICY_DRAW_DIGESTS.items():
         if size == "full":
             report = reports[seed]

@@ -15,7 +15,7 @@ from repro.core.errors import SimulationError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.scheduling import HelixScheduler
-from repro.sim import Request, RequestPolicy, Simulation
+from repro.sim import Request, Simulation
 
 NODE = "a100-0"  # the only holder of layers [0, 4)
 
@@ -108,11 +108,11 @@ def test_a_fault_on_a_draining_node_supersedes_the_drain(
 
     The node holds one state — down — rather than draining and gray at
     the same time, its in-flight attempt requeues, and the drain never
-    completes: even once a deadline abandons the request, no
-    :class:`~repro.sim.DrainRecord` is written and the waiter never runs.
+    completes: even once the node is restored and the request finishes
+    there, no :class:`~repro.sim.DrainRecord` is written and the waiter
+    never runs.
     """
-    policy = RequestPolicy(deadline=1.0) if released else None
-    sim = _simulation(small_cluster, tiny_model, policy=policy)
+    sim = _simulation(small_cluster, tiny_model)
     seen, waited = [], []
 
     def drive(sim):
@@ -121,11 +121,13 @@ def test_a_fault_on_a_draining_node_supersedes_the_drain(
         seen.append((sim.down_nodes, sim.draining_nodes, _observe(sim)))
 
     sim.schedule_event(0.05, drive)
-    metrics = sim.run()
+    if released:
+        sim.schedule_event(1.0, lambda s: s.restore_node(NODE))
+    sim.run()
     assert seen == [({NODE}, set(), ("down", False, True))]
     assert sim.record_of("r0").retries == 1
+    assert sim.record_of("r0").finished == released
     assert sim.drain_log == [] and waited == []
-    assert metrics.requests_lost == (1 if released else 0)
 
 
 def test_scheduler_on_another_cluster_is_rejected(small_cluster, tiny_model):

@@ -129,8 +129,7 @@ class TestKnobs:
         "config,fields",
         [
             ("RequestPolicy", [
-                "deadline", "ttft_timeout", "max_retries", "retry_backoff",
-                "backoff_factor", "jitter",
+                "ttft_timeout", "retry_backoff", "backoff_factor", "jitter",
             ]),
             ("ResidencyConfig", ["warm", "layer_bytes", "warm_bonus"]),
             ("TenancyConfig", ["registry", "fairness"]),

@@ -476,7 +476,6 @@ def test_tenant_sweep_headline_is_pinned():
     assert sum(t["starvation_events"] for t in tenancy) == 0
     assert sum(m.requests_submitted for m in metrics) == 2121
     assert sum(m.requests_finished for m in metrics) == 2121
-    assert sum(m.requests_lost for m in metrics) == 0
     for (size, seed), digest in TENANT_CAP_DIGESTS.items():
         if size == "full":
             report = reports[seed]
