@@ -2,10 +2,10 @@
 
 A latency-sensitive "chat" tenant (high priority, tight TTFT target) and
 a throughput-oriented "batch" tenant (BATCH SLO class, low priority)
-share LLaMA-30B on the Fig. 12 cluster. The planner first arbitrates
-cluster throughput across the two tenants (shared base weights counted
-once, per-tenant LoRA adapters on top), then the run demonstrates the
-serving-side machinery:
+share LLaMA-30B on the Fig. 12 cluster. The planner places the shared
+base weights once and leaves VRAM for each tenant's LoRA adapters on
+top (a smaller profiler ``weight_fraction``), then the run demonstrates
+the serving-side machinery:
 
 1. batch submits steady offline work for the whole run;
 2. chat idles along until a *flash crowd* hits at t=12s — arrivals jump
@@ -20,15 +20,17 @@ cluster decodes at ~0.6-0.9s per token through its cross-region
 pipelines, so the stock INTERACTIVE class (0.25s TBT) is not achievable
 on it at any load — the SLO a tenant can buy depends on the deployment.
 
-The output shows the planner's per-tenant throughput split, a
-fairness-index timeline (Jain index over the windowed-fairness backlog,
-1.0 = perfectly proportional service), each tenant's SLO attainment,
-and the starvation count under the deficit selector.
+The output shows the planned max flow, a fairness-index timeline (Jain
+index over the windowed-fairness backlog, 1.0 = perfectly proportional
+service), each tenant's SLO attainment, and the starvation count under
+the deficit selector.
 
 Runs end to end in well under a minute:
 
     python examples/multi_tenant_slo.py
 """
+
+from dataclasses import replace
 
 from repro import (
     BATCH,
@@ -53,6 +55,8 @@ CROWD_END = 20.0
 LAST_ARRIVAL = 40.0
 HORIZON = 60.0
 MIB = 2**20
+#: Per-layer VRAM each tenant's fine-tuned adapter adds to the shared base.
+ADAPTER_BYTES_PER_LAYER = 50 * MIB
 
 #: What "interactive" can mean on this hardware (see module docstring).
 CHAT_SLO = SLOClass("chat-rt", ttft_target=6.0, tbt_target=1.2, percentile=0.9)
@@ -87,32 +91,21 @@ def main() -> None:
     print(f"cluster: {cluster.describe()}")
 
     registry = TenantRegistry([
-        TenantSpec("chat", slo=CHAT_SLO, priority=2, rate_share=1.0,
-                   adapter_bytes_per_layer=50 * MIB),
-        TenantSpec("batch", slo=BATCH, priority=0, rate_share=1.0,
-                   adapter_bytes_per_layer=50 * MIB),
+        TenantSpec("chat", slo=CHAT_SLO, priority=2, rate_share=1.0),
+        TenantSpec("batch", slo=BATCH, priority=0, rate_share=1.0),
     ])
 
-    # 1. Plan once, then arbitrate the planned throughput across tenants.
-    planner = HelixMilpPlanner(
-        cluster, model, profiler, time_limit=8.0, mip_rel_gap=0.05
-    )
-    arbitration = planner.plan_tenants(registry, guarantee=0.5, burst=1.5)
-    print(
-        f"planned max flow: {arbitration.total_throughput:.0f} tokens/s "
-        f"(adapters reserve "
-        f"{arbitration.adapter_overhead_bytes / MIB:.0f} MiB/layer on top "
-        f"of the shared base)"
-    )
-    for tenant_id, throughput in sorted(
-        arbitration.per_tenant_throughput.items()
-    ):
-        share = arbitration.shares[tenant_id]
-        print(
-            f"  {tenant_id:5s} entitled {share * 100:.0f}% -> "
-            f"{throughput:.0f} tok/s in the arbitrated split"
-        )
-    result = arbitration.result
+    # 1. Plan once. Every layer costs its base bytes plus all tenants'
+    #    adapters, which is the same as shrinking the weight budget.
+    layer_bytes = model.layer_bytes
+    adapters = len(registry) * ADAPTER_BYTES_PER_LAYER
+    scale = layer_bytes / (layer_bytes + adapters)
+    result = HelixMilpPlanner(
+        cluster, model,
+        replace(profiler, weight_fraction=profiler.weight_fraction * scale),
+        time_limit=8.0, mip_rel_gap=0.05,
+    ).plan()
+    print(f"planned max flow: {result.max_throughput:.0f} tokens/s")
 
     # 2. Serve the flash-crowd trace with windowed fairness on.
     requests = sorted(

@@ -63,7 +63,6 @@ from repro.flow import FlowNetwork, FlowGraph, FlowSolution
 from repro.placement import (
     PlannerResult,
     HelixMilpPlanner,
-    TenantArbitration,
     SwarmPlanner,
     PetalsPlanner,
     SeparatePipelinesPlanner,

@@ -11,8 +11,7 @@ after each event, reacts in two tiers:
    rewritten). If the degraded placement still carries flow, the solution
    is hot-swapped into the scheduler's IWRR selectors whenever a repaired
    placement is not about to land in the same instant — replanning
-   disabled, delayed (``replan_delay``), or failed — so serving continues
-   on the surviving replicas.
+   disabled or failed — so serving continues on the surviving replicas.
 2. **Slow path — warm-started replanning.**
    :meth:`HelixMilpPlanner.replan()
    <repro.placement.helix_milp.HelixMilpPlanner.replan>`, on a planner
@@ -22,10 +21,9 @@ after each event, reacts in two tiers:
    solution is hot-swapped the same way; requests whose pipelines the
    swap invalidates are migrated through the pending queue.
 
-Replanning happens outside simulated time by default (its wall-clock cost
-is recorded as telemetry); set ``replan_delay`` to also charge a
-deterministic amount of simulated seconds, keeping seeded runs exactly
-reproducible while modeling a control-plane reaction time.
+Replanning happens outside simulated time: its wall-clock cost is
+recorded as telemetry, and the repaired placement applies in the instant
+of the event that triggered it, so seeded runs reproduce exactly.
 """
 
 from __future__ import annotations
@@ -60,12 +58,9 @@ _REPLAN_RETRIES = 2
 _REPLAN_RETRY_BACKOFF = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplanRecord:
     """Telemetry of one replanning reaction.
-
-    Mutable because a delayed replan (``replan_delay > 0``) fills in
-    ``migrated`` only when the deferred swap actually applies.
 
     Attributes:
         sim_time: Simulation time of the triggering event.
@@ -73,9 +68,7 @@ class ReplanRecord:
         throughput: Max-flow throughput of the repaired placement
             (NaN when the replan failed).
         migrated: Requests migrated when the repaired placement applied.
-        status: ``"applied"``, ``"scheduled"`` (a delayed swap that has
-            not taken effect yet — it stays that way if the simulation
-            horizon cuts it off), ``"degraded-only"`` (fast path worked
+        status: ``"applied"``, ``"degraded-only"`` (fast path worked
             but the replan found nothing servable), or ``"failed"``
             (neither tier produced a servable configuration; requests
             queue until the next recovery event).
@@ -101,9 +94,6 @@ class OnlineController:
             "no replanning" ablation.
         replan_lns_rounds: LNS rounds per replanning.
         replan_time_limit: Per-round LNS solver budget in seconds.
-        replan_delay: Simulated seconds between an event and its repaired
-            placement taking effect (0 = instantaneous). Deterministic, so
-            seeded runs reproduce exactly.
     """
 
     def __init__(
@@ -114,7 +104,6 @@ class OnlineController:
         replan: bool = True,
         replan_lns_rounds: int = 2,
         replan_time_limit: float = 1.0,
-        replan_delay: float = 0.0,
         detection_mode: bool = False,
         detector_config: DetectorConfig | None = None,
         autoscaler=None,
@@ -125,7 +114,6 @@ class OnlineController:
         self.replan = replan
         self.replan_lns_rounds = replan_lns_rounds
         self.replan_time_limit = replan_time_limit
-        self.replan_delay = replan_delay
         #: With detection on, node failures happen *silently*
         #: (``fail_node(announce=False)``) and the controller reacts only
         #: when its failure detector confirms the node — measuring true
@@ -273,14 +261,10 @@ class OnlineController:
         # Skip the tier-1 hot-swap when nothing changed (e.g. a recovery of
         # a node the current placement does not use) — rebuilding selectors
         # mid-serving discards IWRR interleaving state for no gain — and
-        # when an *instantaneous* tier-2 replan will supersede it within
-        # this same call anyway (replan on, no delay). With a delay, the
-        # degraded swap bridges the gap until the repaired placement lands.
-        if degraded_useful and (not self.replan or self.replan_delay > 0):
-            sim.apply_placement(degraded, degraded_flow)
-            degraded_useful = False  # applied; not available as a fallback
-
+        # when the tier-2 replan will supersede it within this same call.
         if not self.replan:
+            if degraded_useful:
+                sim.apply_placement(degraded, degraded_flow)
             record = ReplanRecord(
                 sim_time=sim.now,
                 wall_seconds=0.0,
@@ -353,21 +337,10 @@ class OnlineController:
             sim_time=sim.now,
             wall_seconds=wall,
             throughput=flow.max_flow,
-            migrated=0,
-            status="scheduled",
+            migrated=len(sim.apply_placement(placement, flow)),
+            status="applied",
         )
-        if self.replan_delay > 0:
-
-            def apply_deferred(s, record=record):
-                record.migrated = len(s.apply_placement(placement, flow))
-                record.status = "applied"
-                self._reference_placement = placement
-
-            sim.schedule_event(sim.now + self.replan_delay, apply_deferred)
-        else:
-            record.migrated = len(sim.apply_placement(placement, flow))
-            record.status = "applied"
-            self._reference_placement = placement
+        self._reference_placement = placement
         self.replans.append(record)
         return record
 
@@ -383,8 +356,7 @@ class OnlineController:
         """Assemble the run's :class:`~repro.sim.metrics.DisruptionReport`.
 
         Pre-disruption goodput is measured before the first disruptive
-        event; post-recovery goodput after the last applied replan (plus
-        its delay) settled. Call after :meth:`Simulation.run` returns.
+        event; post-recovery goodput after the last applied replan. Call after :meth:`Simulation.run` returns.
 
         Raises ``ValueError`` when ``window`` is not a positive integer
         multiple of the simulation's token-timeline resolution: its
@@ -402,19 +374,13 @@ class OnlineController:
             self.disruption_times[0] if self.disruption_times else end_time
         )
         applied = self.applied_replans
-        recovered_from = (
-            applied[-1].sim_time + self.replan_delay
-            if applied
-            else first_disruption
-        )
+        recovered_from = applied[-1].sim_time if applied else first_disruption
         # Control-plane reaction instants: detector confirmations and the
         # moments applied replans took effect. MTTR cannot precede the
         # last of these — goodput measured before the control plane even
         # reacted is survival, not recovery.
         reaction_times = [row[0] for row in self.detections]
-        reaction_times.extend(
-            r.sim_time + self.replan_delay for r in applied
-        )
+        reaction_times.extend(r.sim_time for r in applied)
         records = sim.records
         return disruption_report(
             sim.token_timeline,

@@ -20,11 +20,7 @@ The baselines the evaluation compares against are implemented alongside:
 from repro.core.placement_types import ModelPlacement, StageAssignment
 from repro.placement.base import PlannerResult, PlacementPlanner
 from repro.placement.pruning import prune_cluster
-from repro.placement.helix_milp import (
-    HelixMilpPlanner,
-    MilpFormulation,
-    TenantArbitration,
-)
+from repro.placement.helix_milp import HelixMilpPlanner, MilpFormulation
 from repro.placement.swarm import SwarmPlanner
 from repro.placement.petals import PetalsPlanner
 from repro.placement.separate import SeparatePipelinesPlanner
@@ -37,7 +33,6 @@ __all__ = [
     "prune_cluster",
     "HelixMilpPlanner",
     "MilpFormulation",
-    "TenantArbitration",
     "SwarmPlanner",
     "PetalsPlanner",
     "SeparatePipelinesPlanner",

@@ -24,7 +24,7 @@ strengthening cut and as an early-stop criterion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import COORDINATOR
@@ -990,231 +990,3 @@ class HelixMilpPlanner(PlacementPlanner):
                 )
             intervals[nid] = (start, start + count)
         return ModelPlacement.from_intervals(self.model.num_layers, intervals)
-
-    # ------------------------------------------------------------------
-    # Multi-tenant arbitration
-    # ------------------------------------------------------------------
-    def plan_tenants(
-        self,
-        registry,
-        guarantee: float = 0.5,
-        burst: float = 1.5,
-    ) -> "TenantArbitration":
-        """Arbitrate one shared placement across a tenant registry.
-
-        Tenants share the base model's layers (counted **once**) and only
-        add their per-layer adapter deltas on top, so the VRAM the planner
-        may spend on weights shrinks by ``layer_bytes / (layer_bytes +
-        Σ adapter_bytes_per_layer)``. That scale folds exactly into the
-        profiler's ``weight_fraction``: ``max_layers_on_vram`` computes
-        ``int(vram * fraction // layer_bytes)``, so scaling the fraction is
-        identical to charging every layer its base bytes plus the summed
-        adapters — without duplicating the trunk per tenant, which is what
-        a naive one-copy-per-tenant split would do.
-
-        The placement itself is solved by a regular single-model plan on
-        the scaled profiler; the *arbitration* then splits the solved flow
-        into per-tenant commodities with a pure LP over the placement's
-        flow graph — the exact node/connection capacities the planner
-        result reports (NOT the MILP formulation re-pinned: under pruning
-        the result's flow is evaluated on the full link set while the
-        formulation only ever saw the pruned one, so re-pinning it can
-        strand the flow):
-
-        * linking — the tenant flows on each connection sum to the total
-          flow on it (capacities still govern the total);
-        * total and per-tenant conservation at every compute node;
-        * per-tenant burst cap — a tenant may use at most ``burst`` times
-          its entitled share of any node's compute;
-        * guarantee — every tenant's end-to-end rate is at least
-          ``guarantee`` times its entitled share of the total.
-
-        The proportional split of the max-flow solution satisfies every
-        constraint, so the arbitration always reproduces the placement's
-        full throughput.
-
-        Args:
-            registry: A :class:`~repro.tenancy.registry.TenantRegistry`.
-            guarantee: Fraction of its proportional share each tenant is
-                guaranteed end to end (0 = work-conserving free-for-all,
-                1 = exact proportional split).
-            burst: How far above its proportional share a tenant may ride
-                on any single node (>= 1).
-
-        Returns:
-            A :class:`TenantArbitration` with the planner result and the
-            per-tenant guaranteed rates.
-        """
-        if not 0.0 <= guarantee <= 1.0:
-            raise ValueError(f"guarantee must be in [0, 1], got {guarantee}")
-        if burst < 1.0:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        if len(registry) == 0:
-            raise ValueError("tenant registry is empty")
-
-        overhead = registry.adapter_overhead_bytes()
-        layer_bytes = self.model.layer_bytes
-        scale = layer_bytes / (layer_bytes + overhead)
-        inner = HelixMilpPlanner(
-            self.cluster,
-            self.model,
-            profiler=replace(
-                self.profiler,
-                weight_fraction=self.profiler.weight_fraction * scale,
-            ),
-            partial_inference=self.partial_inference,
-            prune_degree=self.prune_degree,
-            time_limit=self.time_limit,
-            hints=self.hints,
-            backend=self.backend,
-            mip_rel_gap=self.mip_rel_gap,
-            lns_rounds=self.lns_rounds,
-            lns_window=self.lns_window,
-            lns_time_limit=self.lns_time_limit,
-            adaptive_budget=self.adaptive_budget,
-            lns_mode=self.lns_mode,
-            lns_seed=self.lns_seed,
-        )
-        base = inner.plan()
-        flow = base.flow
-
-        problem = MilpProblem(name="tenant-arbitration")
-        tenant_ids = registry.ids
-        shares = registry.shares()
-        total_flows: dict[tuple[str, str], Variable] = {}
-        tenant_flows: dict[str, dict[tuple[str, str], Variable]] = {
-            tid: {} for tid in tenant_ids
-        }
-        for key, capacity in flow.connection_capacities.items():
-            src, dst = key
-            total_flows[key] = problem.add_var(
-                f"f[{src}->{dst}]", 0.0, capacity
-            )
-            for tid in tenant_ids:
-                tenant_flows[tid][key] = problem.add_var(
-                    f"ft[{tid}][{src}->{dst}]", 0.0, capacity
-                )
-            problem.add_constraint(
-                lin_sum(tenant_flows[tid][key] for tid in tenant_ids)
-                == total_flows[key],
-                name=f"tenant_link[{src}->{dst}]",
-            )
-        for nid, capacity in flow.node_capacities.items():
-            total_in = lin_sum(
-                v for (_, dst), v in total_flows.items() if dst == nid
-            )
-            total_out = lin_sum(
-                v for (src, _), v in total_flows.items() if src == nid
-            )
-            problem.add_constraint(
-                total_in == total_out, name=f"conserve[{nid}]"
-            )
-            problem.add_constraint(
-                total_in <= capacity, name=f"node_cap[{nid}]"
-            )
-            for tid in tenant_ids:
-                inflow = lin_sum(
-                    v
-                    for (_, dst), v in tenant_flows[tid].items()
-                    if dst == nid
-                )
-                outflow = lin_sum(
-                    v
-                    for (src, _), v in tenant_flows[tid].items()
-                    if src == nid
-                )
-                problem.add_constraint(
-                    inflow == outflow, name=f"tenant_conserve[{tid}][{nid}]"
-                )
-                problem.add_constraint(
-                    inflow <= burst * shares[tid] * capacity,
-                    name=f"tenant_burst[{tid}][{nid}]",
-                )
-        source_flow = lin_sum(
-            v for (src, _), v in total_flows.items() if src == COORDINATOR
-        )
-        sink_flow = lin_sum(
-            v for (_, dst), v in total_flows.items() if dst == COORDINATOR
-        )
-        problem.add_constraint(source_flow == sink_flow, name="balance")
-        source_vars: dict[str, list[Variable]] = {}
-        for tid in tenant_ids:
-            outs = [
-                v
-                for (src, _), v in tenant_flows[tid].items()
-                if src == COORDINATOR
-            ]
-            sinks = [
-                v
-                for (_, dst), v in tenant_flows[tid].items()
-                if dst == COORDINATOR
-            ]
-            source_vars[tid] = outs
-            problem.add_constraint(
-                lin_sum(outs) == lin_sum(sinks),
-                name=f"tenant_balance[{tid}]",
-            )
-            problem.add_constraint(
-                lin_sum(outs) >= guarantee * shares[tid] * source_flow,
-                name=f"tenant_guarantee[{tid}]",
-            )
-        problem.set_objective(source_flow, maximize=True)
-
-        solution = solve_with_highs(
-            problem,
-            time_limit=self.time_limit,
-            mip_rel_gap=self.mip_rel_gap,
-        )
-        if not solution.status.has_solution:
-            raise SolverError(
-                "tenant arbitration solve failed "
-                f"({solution.status.value}); the proportional split is "
-                "always feasible, so this indicates an inconsistent pin"
-            )
-        per_tenant = {
-            tid: sum(solution.values[v.name] for v in source_vars[tid])
-            for tid in tenant_ids
-        }
-        return TenantArbitration(
-            result=base,
-            per_tenant_throughput=per_tenant,
-            shares=dict(shares),
-            adapter_overhead_bytes=overhead,
-            max_layers_scale=scale,
-            guarantee=guarantee,
-            burst=burst,
-        )
-
-
-@dataclass(frozen=True)
-class TenantArbitration:
-    """Outcome of :meth:`HelixMilpPlanner.plan_tenants`.
-
-    Attributes:
-        result: The underlying single-placement plan (placement + flow),
-            solved with the shared-base-plus-adapters VRAM budget.
-        per_tenant_throughput: Tenant id -> guaranteed end-to-end token
-            rate from the arbitration solve (sums to the placement's
-            total max flow).
-        shares: Normalized rate shares the arbitration enforced.
-        adapter_overhead_bytes: Summed per-layer adapter VRAM across
-            tenants (what riding on the shared base cost beyond it).
-        max_layers_scale: Factor applied to the profiler's
-            ``weight_fraction`` (base counted once; < 1 when any tenant
-            carries adapters).
-        guarantee: The per-tenant rate-guarantee fraction enforced.
-        burst: The per-node burst cap enforced.
-    """
-
-    result: PlannerResult
-    per_tenant_throughput: dict[str, float]
-    shares: dict[str, float]
-    adapter_overhead_bytes: float
-    max_layers_scale: float
-    guarantee: float
-    burst: float
-
-    @property
-    def total_throughput(self) -> float:
-        """Summed guaranteed tenant rates."""
-        return sum(self.per_tenant_throughput.values())

@@ -242,10 +242,13 @@ class Simulation:
             processed. Must exceed ``warmup``; ``math.inf`` is unbounded.
         warmup: Seconds excluded from the measurement window (finite,
             >= 0).
-        seed: Top-level seed recorded for the run. The simulation itself is
-            deterministic; thread the *same* seed into the trace and churn
-            generators (``random_churn(..., seed=...)``) so one value
-            reproduces an entire dynamic run exactly.
+        seed: Top-level seed of the run. It keys the random stream of
+            every flaky link (:meth:`set_link_flaky` seeds each
+            :class:`~repro.online.faults.LinkFault` with
+            ``repro-flaky:{seed}:{src}:{dst}``); the simulator draws no
+            other randomness of its own. Thread the *same* seed into the
+            trace and churn generators (``random_churn(..., seed=...)``) so
+            one value reproduces an entire dynamic run exactly.
         controller: Optional online controller (see
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.

@@ -4,12 +4,9 @@ A *tenant* is one customer of the serving deployment: a stream of
 requests tagged with its ``tenant_id``, an :class:`SLOClass` describing
 the latency it pays for (TTFT/TBT percentile targets), a ``priority``
 read by the tenant selector (the ``priority`` selector serves the
-highest rank outright; the ``deficit`` selector breaks ties by it), a
-``rate_share`` entitling it to a fraction of cluster
-service under the windowed fairness policy, and an optional per-layer
-VRAM adapter footprint the planner must provision on top of the shared
-base model (LoRA-style: the trunk's layers are counted once, each
-tenant only adds its deltas).
+highest rank outright; the ``deficit`` selector breaks ties by it),
+and a ``rate_share`` entitling it to a fraction of cluster service
+under the windowed fairness policy.
 """
 
 from __future__ import annotations
@@ -73,17 +70,12 @@ class TenantSpec:
             the ``deficit`` selector breaks score ties by it.
         rate_share: Relative service entitlement under windowed fairness
             (normalized across the registry; any positive scale works).
-        adapter_bytes_per_layer: Per-layer VRAM this tenant adds on top
-            of the shared base model (fine-tuned adapter deltas). The
-            planner provisions the base layers once plus the sum of all
-            tenants' adapters — not one full copy per tenant.
     """
 
     tenant_id: str
     slo: SLOClass = STANDARD
     priority: int = 0
     rate_share: float = 1.0
-    adapter_bytes_per_layer: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.tenant_id:
@@ -92,21 +84,13 @@ class TenantSpec:
             raise ValueError(
                 f"rate_share must be finite and positive, got {self.rate_share}"
             )
-        if not (
-            math.isfinite(self.adapter_bytes_per_layer)
-            and self.adapter_bytes_per_layer >= 0
-        ):
-            raise ValueError(
-                "adapter_bytes_per_layer must be finite and >= 0, got "
-                f"{self.adapter_bytes_per_layer}"
-            )
 
 
 class TenantRegistry:
     """The deployment's tenant table: id -> :class:`TenantSpec`.
 
     Iteration order is sorted by ``tenant_id`` so every consumer
-    (fairness selector, planner, metrics) sees tenants in one
+    (fairness selector, metrics) sees tenants in one
     deterministic order regardless of construction order.
     """
 
@@ -157,13 +141,3 @@ class TenantRegistry:
     def priorities(self) -> dict[str, int]:
         """Tenant id -> selection priority."""
         return {spec.tenant_id: spec.priority for spec in self}
-
-    def adapter_overhead_bytes(self) -> float:
-        """Summed per-layer adapter VRAM across every tenant.
-
-        This is what riding on one shared base costs per layer *beyond*
-        the base weights — the planner adds it to the base's
-        ``layer_bytes`` once, instead of provisioning a full model copy
-        per tenant.
-        """
-        return sum(spec.adapter_bytes_per_layer for spec in self)

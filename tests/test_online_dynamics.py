@@ -639,58 +639,6 @@ class TestOnlineController:
         # The coordinator->a100-0 weight collapsed to the link capacity.
         assert after.get("a100-0", 0.0) < before["a100-0"] * 0.5
 
-    def test_replan_delay_defers_the_swap_and_records_migration(
-        self, small_cluster, tiny_model
-    ):
-        placement = ModelPlacement.from_intervals(
-            8, {"a100-0": (0, 4), "l4-0": (4, 8), "t4-0": (4, 8)}
-        )
-        flow = FlowGraph(small_cluster, tiny_model, placement).solve()
-        scheduler = HelixScheduler(
-            small_cluster, tiny_model, placement, flow=flow
-        )
-        requests = [
-            Request(f"r{i}", 32, 6, arrival_time=i * 0.005) for i in range(80)
-        ]
-        controller = OnlineController(
-            tiny_model, events=[NodeFailure(0.2, "a100-0")],
-            replan_lns_rounds=1, replan_time_limit=0.5, replan_delay=0.25,
-        )
-        sim = Simulation(
-            small_cluster, tiny_model, placement, scheduler, requests,
-            max_time=10.0, seed=0, controller=controller,
-        )
-        metrics = sim.run()
-        assert metrics.requests_finished == 80
-        record = controller.replans[-1]
-        assert record.status == "applied"
-        # The deferred swap back-fills the migration count when it applies.
-        assert record.migrated >= 0
-        assert "a100-0" not in sim.placement.used_nodes
-
-    def test_deferred_swap_cut_by_horizon_stays_scheduled(
-        self, small_cluster, tiny_model
-    ):
-        placement = ModelPlacement.from_intervals(
-            8, {"a100-0": (0, 4), "t4-1": (0, 4), "l4-0": (4, 8), "t4-0": (4, 8)}
-        )
-        flow = FlowGraph(small_cluster, tiny_model, placement).solve()
-        scheduler = HelixScheduler(
-            small_cluster, tiny_model, placement, flow=flow
-        )
-        requests = [Request(f"r{i}", 32, 50) for i in range(20)]
-        controller = OnlineController(
-            tiny_model, events=[NodeFailure(0.4, "t4-1")],
-            replan_lns_rounds=1, replan_time_limit=0.5, replan_delay=10.0,
-        )
-        sim = Simulation(
-            small_cluster, tiny_model, placement, scheduler, requests,
-            max_time=0.5, seed=0, controller=controller,  # swap never lands
-        )
-        sim.run()
-        assert [r.status for r in controller.replans] == ["scheduled"]
-        assert controller.applied_replans == []
-
     def test_node_join_expands_the_cluster(self, small_cluster, tiny_model):
         from repro.cluster import L4
 

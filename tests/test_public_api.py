@@ -121,8 +121,8 @@ class TestKnobs:
             inspect.signature(repro.OnlineController.__init__).parameters
         ) == [
             "self", "model", "events", "profiler", "replan",
-            "replan_lns_rounds", "replan_time_limit", "replan_delay",
-            "detection_mode", "detector_config", "autoscaler",
+            "replan_lns_rounds", "replan_time_limit", "detection_mode",
+            "detector_config", "autoscaler",
         ]
 
     @pytest.mark.parametrize(
@@ -133,6 +133,7 @@ class TestKnobs:
             ]),
             ("ResidencyConfig", ["warm", "layer_bytes", "warm_bonus"]),
             ("TenancyConfig", ["registry", "fairness"]),
+            ("TenantSpec", ["tenant_id", "slo", "priority", "rate_share"]),
         ],
     )
     def test_subsystem_config_fields(self, config, fields):

@@ -1,4 +1,4 @@
-"""Multi-tenancy suite: registry, fairness, arbitration.
+"""Multi-tenancy suite: registry, fairness, SLO attainment.
 
 The acceptance criteria of the tenancy PR, as tier-1 smoke tests:
 
@@ -12,8 +12,6 @@ The acceptance criteria of the tenancy PR, as tier-1 smoke tests:
   watchdog fires), while the deficit selector serves both;
 * the ``tenant`` scenario family passes every invariant (determinism,
   differential oracles, live per-tenant KV accounting) on several seeds;
-* :meth:`HelixMilpPlanner.plan_tenants` splits cluster throughput across
-  tenants with shared base weights counted once;
 * the tenant sweep headline (seeds 0-24 at full size) is pinned exactly.
 """
 
@@ -21,10 +19,7 @@ import math
 
 import pytest
 
-from repro.cluster import small_cluster_fig12
 from repro.flow.graph import FlowGraph
-from repro.models.specs import LLAMA_30B
-from repro.placement import HelixMilpPlanner
 from repro.scheduling import HelixScheduler
 from repro.sim import Request, Simulation, aggregate_tenant_metrics
 from repro.sim.metrics import RequestRecord
@@ -101,7 +96,7 @@ class TestRegistry:
         assert shares["zeta"] == pytest.approx(0.75)
         assert sum(shares.values()) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("field", ["rate_share", "adapter_bytes_per_layer"])
+    @pytest.mark.parametrize("field", ["rate_share"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_tenant_knobs_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
@@ -363,47 +358,6 @@ class TestTenantMetrics:
         assert per_tenant["ghost"].slo_met
         # Decode tokens exclude each request's first token (3 of 4, x2).
         assert per_tenant["a"].decode_tokens == 6
-
-
-# ----------------------------------------------------------------------
-# MILP arbitration
-# ----------------------------------------------------------------------
-class TestArbitration:
-    def test_plan_tenants_splits_cluster_throughput(self):
-        cluster = small_cluster_fig12()
-        planner = HelixMilpPlanner(
-            cluster, LLAMA_30B, time_limit=20, prune_degree=6
-        )
-        registry = TenantRegistry([
-            TenantSpec("chat", rate_share=2.0,
-                       adapter_bytes_per_layer=50 * 2**20),
-            TenantSpec("batch", rate_share=1.0,
-                       adapter_bytes_per_layer=50 * 2**20),
-        ])
-        arb = planner.plan_tenants(registry, guarantee=0.5, burst=1.5)
-        assert arb.result.max_throughput > 0
-        # The per-tenant split is a decomposition of the shared flow.
-        assert arb.total_throughput == pytest.approx(
-            arb.result.flow.max_flow, rel=1e-4
-        )
-        # Every tenant gets at least its guaranteed slice.
-        for tid, share in arb.shares.items():
-            assert arb.per_tenant_throughput[tid] >= (
-                0.5 * share * arb.result.flow.max_flow - 1e-6
-            )
-        # Adapters eat VRAM: the scaled layer budget is strictly tighter.
-        assert arb.max_layers_scale < 1.0
-        assert arb.adapter_overhead_bytes == 2 * 50 * 2**20
-
-    def test_plan_tenants_rejects_bad_knobs(self):
-        planner = HelixMilpPlanner(
-            small_cluster_fig12(), LLAMA_30B, time_limit=5
-        )
-        registry = TenantRegistry([TenantSpec("a")])
-        with pytest.raises(ValueError):
-            planner.plan_tenants(registry, guarantee=1.5)
-        with pytest.raises(ValueError):
-            planner.plan_tenants(registry, burst=0.0)
 
 
 #: ``run_digest(...)[:16]`` of the tenant addresses that drew the smallest
