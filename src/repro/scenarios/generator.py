@@ -81,10 +81,9 @@ CHAOS_FAMILY = "chaos"
 ELASTIC_FAMILY = "elastic"
 
 #: The tenant family: a drawn base topology serving 2-4 tenants with
-#: skewed demand mixes, SLO classes, priorities, and windowed fairness.
-#: No churn and no lifecycle policy, so per-tenant KV accounting is exact
-#: and the fairness invariants have no confounders. Kept out of
-#: ``SCENARIO_FAMILIES`` like chaos/elastic.
+#: skewed demand mixes, SLO classes, and windowed fairness accounting.
+#: No churn and no lifecycle policy, so per-tenant KV accounting is
+#: exact. Kept out of ``SCENARIO_FAMILIES`` like chaos/elastic.
 TENANT_FAMILY = "tenant"
 
 #: Every generatable family — chaos, elastic, and tenant included.
@@ -628,11 +627,13 @@ def _draw_tenancy(rng: random.Random) -> TenancyConfig:
     count = rng.randint(2, 4)
     tenants = []
     for index in range(count):
+        slo = rng.choice(_TENANT_SLO_POOL)
+        # The deleted priority's draw, so later draws do not shift.
+        rng.randint(0, 2)
         tenants.append(
             TenantSpec(
                 tenant_id=f"tenant-{index}",
-                slo=rng.choice(_TENANT_SLO_POOL),
-                priority=rng.randint(0, 2),
+                slo=slo,
                 rate_share=rng.uniform(1.0, 2.0) * 0.5 ** index,
             )
         )
@@ -640,9 +641,9 @@ def _draw_tenancy(rng: random.Random) -> TenancyConfig:
         mode=rng.choice(("W", "T")),
         window=rng.uniform(1.5, 3.0),
         backlog_windows=rng.randint(3, 5),
-        slo_weight=rng.uniform(0.2, 0.8),
-        selector="deficit",
     )
+    # The deleted SLO weight's draw, so later draws do not shift.
+    rng.uniform(0.2, 0.8)
     # The deleted admission cap's draws, so later draws do not shift.
     if rng.random() < 0.5:
         rng.randint(15, 40)
@@ -703,10 +704,7 @@ def _draw_policy(rng: random.Random, limits: ScenarioLimits) -> RequestPolicy:
     if rng.random() < 0.5:
         rng.randint(20, 60)
     return RequestPolicy(
-        ttft_timeout=ttft_timeout,
-        retry_backoff=retry_backoff,
-        backoff_factor=2.0,
-        jitter=jitter,
+        ttft_timeout=ttft_timeout, retry_backoff=retry_backoff, jitter=jitter
     )
 
 

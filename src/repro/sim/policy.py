@@ -11,7 +11,7 @@ queue:
   attempt that produced nothing by then is presumed stuck (stalled on a
   silent-dead or zombie node) and re-dispatched.
 * **retry backoff** — each re-dispatch waits
-  ``retry_backoff * backoff_factor**(attempt-1)`` seconds plus a
+  ``retry_backoff * BACKOFF_FACTOR**(attempt-1)`` seconds plus a
   *deterministic* jitter (derived from a CRC of the request id and
   attempt number, never from global randomness, so seeded runs reproduce
   exactly).
@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 #: Scale turning a 32-bit CRC into a [0, 1) fraction.
 _CRC_SCALE = 1.0 / 2.0**32
+#: Exponential growth of the backoff across consecutive re-dispatches of
+#: one request.
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,6 @@ class RequestPolicy:
             (``None`` = wait forever).
         retry_backoff: Base delay in seconds before a re-dispatch re-enters
             the pending queue (0 = immediate, the legacy semantics).
-        backoff_factor: Exponential growth factor across consecutive
-            re-dispatches of one request.
         jitter: Fraction of the computed backoff added as deterministic
             jitter (0 = none). The jitter fraction is
             ``crc32(request_id:attempt) / 2**32`` — stable across runs
@@ -51,7 +52,6 @@ class RequestPolicy:
 
     ttft_timeout: float | None = None
     retry_backoff: float = 0.0
-    backoff_factor: float = 2.0
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
@@ -65,11 +65,6 @@ class RequestPolicy:
             raise ValueError(
                 f"retry_backoff must be finite and >= 0, got {self.retry_backoff}"
             )
-        if not 0 < self.backoff_factor < math.inf:
-            raise ValueError(
-                "backoff_factor must be finite and positive, "
-                f"got {self.backoff_factor}"
-            )
         if not 0 <= self.jitter < math.inf:
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
@@ -82,7 +77,7 @@ class RequestPolicy:
         """
         if self.retry_backoff <= 0:
             return 0.0
-        base = self.retry_backoff * self.backoff_factor ** max(0, attempt - 1)
+        base = self.retry_backoff * BACKOFF_FACTOR ** max(0, attempt - 1)
         if self.jitter <= 0:
             return base
         digest = zlib.crc32(f"{request_id}:{attempt}".encode())

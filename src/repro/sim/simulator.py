@@ -53,8 +53,8 @@ draining, zombie, silent or down) and one transition site
 availability the scheduler masks by. The optional subsystems are
 objects called from named sites, not branches in the loop: the
 always-present :class:`~repro.sim.policy.RequestPolicy`, the
-:class:`~repro.tenancy.manager.TenantManager` (arrival, dispatch,
-release, one ``note_token`` per token, end of run) and the
+:class:`~repro.tenancy.manager.TenantManager` (dispatch, release,
+one ``note_token`` per token, end of run) and the
 :class:`~repro.sim.residency.ResidencyManager` (node lost, node
 restored, placement applied).
 
@@ -93,7 +93,7 @@ from repro.sim.node_exec import NodeExecutor, StageWork
 from repro.sim.policy import RequestPolicy
 from repro.sim.request import Request
 from repro.sim.residency import ResidencyManager
-from repro.tenancy.manager import FairPendingQueue, TenantManager
+from repro.tenancy.manager import TenantManager
 
 # Integer event kinds (heap entries are ``(when, seq, kind, payload)``).
 K_ARRIVAL = 0    #: a trace request reaches the coordinator
@@ -270,10 +270,10 @@ class Simulation:
             ``None`` (the default) keeps the legacy instant-recovery
             semantics bit-identically.
         tenancy: Optional :class:`~repro.tenancy.manager.TenancyConfig`.
-            When set, requests are tagged and accounted per tenant, the
-            pending queue becomes per-tenant lanes drained by the
-            windowed-fairness selector. ``None`` (the default) keeps the
-            single-tenant legacy semantics bit-identically.
+            When set, every token and pipeline hold is accounted per
+            tenant; the pending queue stays the same FIFO, so the schedule
+            is the one the run has without tenancy. ``None`` (the default)
+            skips the accounting.
     """
 
     def __init__(
@@ -367,15 +367,11 @@ class Simulation:
         self._base_bandwidth: dict[tuple[str, str], float] = {}
 
         # Layer residency and multi-tenancy are None on the default path:
-        # no warm-up pulls, the plain deque pending queue and no per-token
-        # tenant accounting.
+        # no warm-up pulls and no per-token tenant accounting.
         self._residency = residency and ResidencyManager(
             residency, model, placement
         )
-        self._tenancy = None
-        if tenancy is not None:
-            self._tenancy = TenantManager(tenancy)
-            self._pending = FairPendingQueue(self._tenancy, lambda: self._now)
+        self._tenancy = tenancy and TenantManager(tenancy)
         #: Every completed drain, in completion order.
         self.drain_log: list[DrainRecord] = []
 
@@ -809,16 +805,12 @@ class Simulation:
         t = self._now
         record = owner.record
         token_times = record.token_times
-        first = not token_times
-        if first:
+        if not token_times:
             record.first_token_time = t
         token_times.append(t)
         record.tokens_generated += 1
         if self._tenancy is not None:
-            self._tenancy.note_token(
-                owner.request.tenant_id, t,
-                t - record.arrival_time if first else None,
-            )
+            self._tenancy.note_token(owner.request.tenant_id, t)
         self._last_token_time = t
         self._timeline.add(t)
         if record.tokens_generated >= owner.output_len:
@@ -1396,6 +1388,11 @@ class Simulation:
     def pending_requests(self) -> int:
         """Requests waiting in the pending queue."""
         return len(self._pending)
+
+    @property
+    def pending_tenants(self) -> set[str]:
+        """Tenant ids with a request waiting in the pending queue."""
+        return {request.tenant_id for request in self._pending}
 
     @property
     def token_timeline(self) -> list[float]:

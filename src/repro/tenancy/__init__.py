@@ -1,8 +1,10 @@
 """Multi-tenant serving: tenant registry, SLO classes and windowed
-fairness.
+fairness accounting.
 
-Everything here is default-off: a :class:`~repro.sim.simulator.Simulation`
-without ``tenancy=`` behaves bit-identically to the single-tenant engine.
+Tenancy observes and never schedules: requests keep the simulator's
+FIFO order with or without it. A
+:class:`~repro.sim.simulator.Simulation` without ``tenancy=`` behaves
+bit-identically to the single-tenant engine.
 """
 
 from repro.tenancy.fairness import (
@@ -10,12 +12,7 @@ from repro.tenancy.fairness import (
     WindowedFairnessTracker,
     jain_index,
 )
-from repro.tenancy.manager import (
-    FairPendingQueue,
-    StarvationEvent,
-    TenancyConfig,
-    TenantManager,
-)
+from repro.tenancy.manager import TenancyConfig, TenantManager
 from repro.tenancy.registry import (
     BATCH,
     INTERACTIVE,
@@ -28,13 +25,11 @@ from repro.tenancy.registry import (
 
 __all__ = [
     "BATCH",
-    "FairPendingQueue",
     "FairnessConfig",
     "INTERACTIVE",
     "SLOClass",
     "SLO_CLASSES",
     "STANDARD",
-    "StarvationEvent",
     "TenancyConfig",
     "TenantManager",
     "TenantRegistry",

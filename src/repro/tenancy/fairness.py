@@ -11,24 +11,16 @@ plus the ``N - 1`` before it). Two service currencies are supported:
   in-flight request holds its pipeline from dispatch to release; the
   held span is spread across the windows it overlaps.
 
-For each *active* tenant (one that consumed service inside the backlog
-or is currently backlogged) the tracker computes
-
-    deficit_t = entitled_t - observed_t / total_observed
-
-where ``entitled_t`` is the tenant's normalized rate share
-(renormalized over active tenants only, so an idle tenant neither earns
-debt nor dilutes the entitlement of the busy ones). A positive deficit
-means the tenant got less than its entitlement over the backlog and the
-deficit-aware selector should prefer it.
-
 The fairness *index* reported in metrics is Jain's index over the
-ratio observed/entitled per active tenant:
+ratio observed/entitled per active tenant (one that consumed service
+or is currently backlogged), where ``entitled`` is the tenant's
+normalized rate share:
 
     J(x) = (sum x_i)^2 / (n * sum x_i^2)
 
 1.0 means perfectly proportional service; 1/n means one tenant got
-everything.
+everything. The accounting is observational: nothing here decides which
+request runs next.
 """
 
 from __future__ import annotations
@@ -47,23 +39,12 @@ class FairnessConfig:
             ``"T"`` (time-based: pipeline-hold seconds).
         window: Width of one accounting window, seconds.
         backlog_windows: Number of windows (including the current one)
-            the deficit is computed over. ``window * backlog_windows``
-            is the fairness horizon: the no-starvation invariant demands
-            every backlogged tenant be served at least once per horizon.
-        slo_weight: How strongly SLO pressure (distance between the
-            target percentile and recent TTFT attainment) is added to
-            the fairness deficit when scoring tenants.
-        selector: ``"deficit"`` — the fair, deficit-aware selector — or
-            ``"priority"`` — strict highest-priority-first, the
-            deliberately unfair control used to prove the starvation
-            invariant has teeth.
+            the fairness index is computed over.
     """
 
     mode: str = "W"
     window: float = 2.0
     backlog_windows: int = 4
-    slo_weight: float = 0.5
-    selector: str = "deficit"
 
     def __post_init__(self) -> None:
         if self.mode not in ("W", "T"):
@@ -76,19 +57,6 @@ class FairnessConfig:
             raise ValueError(
                 f"backlog_windows must be >= 1, got {self.backlog_windows}"
             )
-        if not (math.isfinite(self.slo_weight) and self.slo_weight >= 0):
-            raise ValueError(
-                f"slo_weight must be finite and >= 0, got {self.slo_weight}"
-            )
-        if self.selector not in ("deficit", "priority"):
-            raise ValueError(
-                f"selector must be 'deficit' or 'priority', got {self.selector!r}"
-            )
-
-    @property
-    def horizon(self) -> float:
-        """The fairness horizon in seconds (window * backlog_windows)."""
-        return self.window * self.backlog_windows
 
 
 def jain_index(values: Iterable[float], any_demand: bool = False) -> float:
@@ -113,35 +81,6 @@ def jain_index(values: Iterable[float], any_demand: bool = False) -> float:
     if squares <= 0:
         return 1.0 / len(xs) if any_demand else 1.0
     return (total * total) / (len(xs) * squares)
-
-
-def fairness_deficits(
-    shares: Mapping[str, float],
-    observed: Mapping[str, float],
-    backlogged: Iterable[str] = (),
-) -> dict[str, float]:
-    """Fairness deficit per *active* tenant, given its observed service.
-
-    A tenant is active if it consumed service (``observed > 0``) or is
-    currently backlogged (has queued work). Entitled shares are
-    renormalized over active tenants, so a zero-demand tenant
-    contributes no fairness debt and takes no entitlement away from the
-    tenants actually competing. Inactive tenants get deficit 0. Sums run
-    in sorted tenant order, so the result does not depend on set
-    iteration order (``PYTHONHASHSEED``).
-    """
-    active = sorted(
-        {tid for tid, amount in observed.items() if amount > 0}
-        | {tid for tid in backlogged if tid in shares}
-    )
-    out = {tid: 0.0 for tid in shares}
-    entitled_total = sum(shares[tid] for tid in active)
-    observed_total = sum(observed[tid] for tid in active)
-    for tid in active:
-        entitled = shares[tid] / entitled_total
-        got = observed[tid] / observed_total if observed_total > 0 else 0.0
-        out[tid] = entitled - got
-    return out
 
 
 class WindowedFairnessTracker:
@@ -198,15 +137,6 @@ class WindowedFairnessTracker:
         for tid, history in self._service.items():
             out[tid] = sum(history[first : current + 1])
         return out
-
-    def deficits(
-        self, now: float, backlogged: Iterable[str] = ()
-    ) -> dict[str, float]:
-        """Fairness deficit per tenant at time ``now``
-        (:func:`fairness_deficits` over the backlog's service)."""
-        return fairness_deficits(
-            self._shares, self.service_in_backlog(now), backlogged
-        )
 
     def fairness_index(
         self, now: float, backlogged: Iterable[str] = ()

@@ -2,11 +2,9 @@
 
 A *tenant* is one customer of the serving deployment: a stream of
 requests tagged with its ``tenant_id``, an :class:`SLOClass` describing
-the latency it pays for (TTFT/TBT percentile targets), a ``priority``
-read by the tenant selector (the ``priority`` selector serves the
-highest rank outright; the ``deficit`` selector breaks ties by it),
-and a ``rate_share`` entitling it to a fraction of cluster service
-under the windowed fairness policy.
+the latency it pays for (TTFT/TBT percentile targets), and a
+``rate_share`` entitling it to a fraction of cluster service, against
+which windowed fairness accounting measures what it got.
 """
 
 from __future__ import annotations
@@ -65,16 +63,12 @@ class TenantSpec:
         tenant_id: Unique identifier; requests carry it in
             :attr:`~repro.sim.request.Request.tenant_id`.
         slo: The latency class this tenant pays for.
-        priority: Selection rank (higher = more important): the
-            ``priority`` selector serves the highest rank outright, and
-            the ``deficit`` selector breaks score ties by it.
         rate_share: Relative service entitlement under windowed fairness
             (normalized across the registry; any positive scale works).
     """
 
     tenant_id: str
     slo: SLOClass = STANDARD
-    priority: int = 0
     rate_share: float = 1.0
 
     def __post_init__(self) -> None:
@@ -90,7 +84,7 @@ class TenantRegistry:
     """The deployment's tenant table: id -> :class:`TenantSpec`.
 
     Iteration order is sorted by ``tenant_id`` so every consumer
-    (fairness selector, metrics) sees tenants in one
+    (fairness accounting, metrics) sees tenants in one
     deterministic order regardless of construction order.
     """
 
@@ -137,7 +131,3 @@ class TenantRegistry:
         return {
             spec.tenant_id: spec.rate_share / total for spec in self
         }
-
-    def priorities(self) -> dict[str, int]:
-        """Tenant id -> selection priority."""
-        return {spec.tenant_id: spec.priority for spec in self}

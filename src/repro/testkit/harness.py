@@ -70,8 +70,8 @@ class ScenarioReport:
             actions).
         tenancy: Multi-tenant telemetry — only for tenancy-enabled runs
             (per-tenant :class:`~repro.sim.metrics.TenantMetrics`, the
-            end-of-run Jain fairness index, starvation count, and
-            how many live KV-accounting samples the run survived).
+            end-of-run Jain fairness index, and how many live
+            KV-accounting samples the run survived).
         violations: Every invariant/oracle breach found (empty = pass).
         fingerprint: Digest of the run's observable outcome, stable
             across identical replays.
@@ -373,8 +373,9 @@ def run_scenario(
         )
         report.tenancy = {
             "per_tenant": per_tenant,
-            "fairness_index": manager.fairness_index(end_time),
-            "starvation_events": len(manager.starvation_events),
+            "fairness_index": manager.tracker.fairness_index(
+                end_time, backlogged=sim.pending_tenants
+            ),
             "kv_samples": kv_sampler.samples if kv_sampler else 0,
         }
         if kv_sampler is not None:

@@ -122,8 +122,8 @@ _CUT_POINTS = {
 
 def _tenancy_for(tagged):
     """The lone-request tests' tagging axis: ``tagged`` runs carry a
-    one-tenant config (per-token tenant accounting and the fair pending
-    queue), the others are untagged."""
+    one-tenant config (per-token tenant accounting), the others are
+    untagged."""
     if not tagged:
         return None
     from repro.tenancy import TenancyConfig, TenantRegistry, TenantSpec

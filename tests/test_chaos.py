@@ -278,7 +278,7 @@ class TestRequestPolicy:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field",
-        ["ttft_timeout", "retry_backoff", "backoff_factor", "jitter"],
+        ["ttft_timeout", "retry_backoff", "jitter"],
     )
     def test_non_finite_knobs_are_rejected(self, field, value):
         # A NaN TTFT timeout once never returned from run().
@@ -286,7 +286,7 @@ class TestRequestPolicy:
             RequestPolicy(**{field: value})
 
     def test_retry_delay_is_deterministic_and_backs_off(self):
-        policy = RequestPolicy(retry_backoff=0.2, backoff_factor=2.0, jitter=0.5)
+        policy = RequestPolicy(retry_backoff=0.2, jitter=0.5)
         d1 = policy.retry_delay("r0", 1)
         d2 = policy.retry_delay("r0", 2)
         assert d1 == policy.retry_delay("r0", 1)  # pure function

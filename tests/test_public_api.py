@@ -128,12 +128,11 @@ class TestKnobs:
     @pytest.mark.parametrize(
         "config,fields",
         [
-            ("RequestPolicy", [
-                "ttft_timeout", "retry_backoff", "backoff_factor", "jitter",
-            ]),
+            ("RequestPolicy", ["ttft_timeout", "retry_backoff", "jitter"]),
             ("ResidencyConfig", ["warm", "layer_bytes", "warm_bonus"]),
             ("TenancyConfig", ["registry", "fairness"]),
-            ("TenantSpec", ["tenant_id", "slo", "priority", "rate_share"]),
+            ("TenantSpec", ["tenant_id", "slo", "rate_share"]),
+            ("FairnessConfig", ["mode", "window", "backlog_windows"]),
         ],
     )
     def test_subsystem_config_fields(self, config, fields):
