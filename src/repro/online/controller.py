@@ -19,7 +19,14 @@ after each event, reacts in two tiers:
    bounds-tightening LNS loop around the degraded placement, producing a
    *repaired* placement that re-spreads the lost layers. Its flow
    solution is hot-swapped the same way; requests whose pipelines the
-   swap invalidates are migrated through the pending queue.
+   swap invalidates are migrated through the pending queue. The planner
+   scores candidates by max flow alone; it does not see which layers are
+   resident in VRAM.
+
+A failed replan is not retried: the surviving cluster only changes
+through something that calls :meth:`OnlineController.react` anyway (a
+churn event, a detector confirmation, an autoscaler loan or drain), so
+the controller serves on the tier-1 fallback until then.
 
 Replanning happens outside simulated time: its wall-clock cost is
 recorded as telemetry, and the repaired placement applies in the instant
@@ -51,11 +58,6 @@ from repro.sim.metrics import (
     check_window_multiple,
     disruption_report,
 )
-
-#: A failed replan is retried this many times, with an exponential
-#: backoff from this base delay in seconds (0.5 s, then 1 s).
-_REPLAN_RETRIES = 2
-_REPLAN_RETRY_BACKOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,6 @@ class OnlineController:
         #: One ``(sim_time, node_id, kind, mttd)`` row per confirmed
         #: detection; ``mttd`` is NaN for a false positive.
         self.detections: list[tuple[float, str, str, float]] = []
-        self._replan_attempt = 0
 
         #: ``(sim_time, description)`` log of applied events.
         self.event_log: list[tuple[float, str]] = []
@@ -262,52 +263,31 @@ class OnlineController:
         # a node the current placement does not use) — rebuilding selectors
         # mid-serving discards IWRR interleaving state for no gain — and
         # when the tier-2 replan will supersede it within this same call.
-        if not self.replan:
-            if degraded_useful:
-                sim.apply_placement(degraded, degraded_flow)
-            record = ReplanRecord(
-                sim_time=sim.now,
-                wall_seconds=0.0,
-                throughput=(
-                    degraded_flow.max_flow if degraded_flow else math.nan
-                ),
-                migrated=0,
-                status="degraded-only" if degraded_flow else "failed",
-            )
-            self.replans.append(record)
-            return record
-
-        # Tier 2: warm-started incremental LNS replanning on the subcluster.
-        start = time.perf_counter()
         result = None
-        try:
-            planner = HelixMilpPlanner(
-                sim.cluster.subcluster(),
-                self.model,
-                self.profiler,
-                lns_time_limit=self.replan_time_limit,
-                mip_rel_gap=0.05,
-            )
-            residency = sim.residency
-            if residency is not None:
-                # Residency-aware replanning: candidates whose layers are
-                # already in VRAM score a warm-start bonus, so the repair
-                # prefers a pre-warmed spare over a cold one — lower MTTR.
-                planner.set_residency_hint(
-                    residency.snapshot(),
-                    warm_bonus=residency.config.warm_bonus,
+        wall = 0.0
+        if self.replan:
+            # Tier 2: warm-started incremental LNS replanning on the
+            # subcluster.
+            start = time.perf_counter()
+            try:
+                planner = HelixMilpPlanner(
+                    sim.cluster.subcluster(),
+                    self.model,
+                    self.profiler,
+                    lns_time_limit=self.replan_time_limit,
+                    mip_rel_gap=0.05,
                 )
-            result = planner.replan(
-                base=degraded, lns_rounds=self.replan_lns_rounds
-            )
-        except (ClusterError, PlacementError, SolverError):
-            result = None
-        wall = time.perf_counter() - start
+                result = planner.replan(
+                    base=degraded, lns_rounds=self.replan_lns_rounds
+                )
+            except (ClusterError, PlacementError, SolverError):
+                result = None
+            wall = time.perf_counter() - start
 
         if result is None:
             if degraded_useful:
-                # The skipped tier-1 swap becomes the fallback: serve on
-                # the surviving replicas since no repair materialized.
+                # No repair materialized (replanning off or failed): serve
+                # on the surviving replicas.
                 sim.apply_placement(degraded, degraded_flow)
             record = ReplanRecord(
                 sim_time=sim.now,
@@ -319,18 +299,7 @@ class OnlineController:
                 status="degraded-only" if degraded_flow else "failed",
             )
             self.replans.append(record)
-            # A failed replan (solver error or no servable repair) retries
-            # with exponential backoff instead of giving up until the next
-            # event: transient solver failures should not strand the run
-            # on a degraded placement forever.
-            if self._replan_attempt < _REPLAN_RETRIES:
-                delay = _REPLAN_RETRY_BACKOFF * 2.0 ** self._replan_attempt
-                self._replan_attempt += 1
-                sim.schedule_event(
-                    sim.now + delay, lambda s: self.react(s)
-                )
             return record
-        self._replan_attempt = 0
 
         placement, flow = result.placement, result.flow
         record = ReplanRecord(

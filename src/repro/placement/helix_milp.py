@@ -150,29 +150,6 @@ class HelixMilpPlanner(PlacementPlanner):
         self.last_solver_stats = None  # set by the bnb backend
         #: Telemetry: MILP solve calls issued during the last plan().
         self.milp_solve_count = 0
-        # Layer-residency hint (set by the online controller before a
-        # replan): node_id -> resident layer set, plus the relative bonus
-        # a fully-resident placement earns in candidate scoring.
-        self._residency_hint: dict[str, frozenset[int]] | None = None
-        self._residency_bonus: float = 0.0
-
-    def set_residency_hint(
-        self,
-        resident: dict[str, frozenset[int]] | None,
-        warm_bonus: float = 0.15,
-    ) -> None:
-        """Bias candidate scoring toward layers already in VRAM.
-
-        With a hint installed, :meth:`_placement_value` multiplies a
-        placement's max-flow by ``1 + warm_bonus * resident_fraction``,
-        where the fraction counts assigned layers already resident on
-        their assigned node. A warm spare (layers staged, zero transfer
-        needed) therefore beats an equal-throughput cold candidate and
-        the repaired placement starts serving sooner — the
-        residency-aware half of MTTR. Pass ``None`` to clear.
-        """
-        self._residency_hint = resident
-        self._residency_bonus = warm_bonus
 
     # ------------------------------------------------------------------
     # Formulation (Tables 5 and 6)
@@ -431,39 +408,6 @@ class HelixMilpPlanner(PlacementPlanner):
                     values[cond2_name] = 1.0 if e_i < e_j else 0.0
         return values
 
-    def _placement_value(
-        self, placement: ModelPlacement, cluster: Cluster | None = None
-    ) -> float:
-        """Max-flow value of a placement, 0 when it cannot serve at all.
-
-        Routed through the per-cluster incremental evaluator
-        (:meth:`PlacementPlanner.evaluate_placement`), so the thousands of
-        calls issued by hint ranking, LNS windows, and incumbent checks
-        rewrite a few edge capacities instead of rebuilding the graph.
-
-        With a residency hint installed (:meth:`set_residency_hint`) the
-        raw max-flow is scaled by the warm-start bonus, so two servable
-        candidates tie-break toward the one whose layers need no weight
-        transfer.
-        """
-        value = self.placement_throughput(placement, cluster)
-        hint = self._residency_hint
-        if hint is None or value <= 0:
-            return value
-        total = 0
-        resident = 0
-        for nid, stage in placement.assignments.items():
-            total += stage.num_layers
-            have = hint.get(nid)
-            if have:
-                resident += sum(
-                    1 for layer in range(stage.start, stage.end)
-                    if layer in have
-                )
-        if total == 0:
-            return value
-        return value * (1.0 + self._residency_bonus * resident / total)
-
     def _extended_placement(
         self, formulation: MilpFormulation, placement: ModelPlacement,
         cluster: Cluster,
@@ -628,7 +572,7 @@ class HelixMilpPlanner(PlacementPlanner):
 
         node_ids = list(formulation.s_vars)
         best = self._extended_placement(formulation, placement, cluster)
-        best_value = self._placement_value(best, cluster)
+        best_value = self.placement_throughput(best, cluster)
         window = self._lns_window_size(len(node_ids))
         if window == 0 or not node_ids:
             return best
@@ -652,7 +596,7 @@ class HelixMilpPlanner(PlacementPlanner):
             if not solution.status.has_solution:
                 continue
             candidate = self.orchestrate(formulation, solution.values)
-            value = self._placement_value(candidate, cluster)
+            value = self.placement_throughput(candidate, cluster)
             if value > best_value + 1e-9:
                 best = self._extended_placement(formulation, candidate, cluster)
                 best_value = value
@@ -703,7 +647,7 @@ class HelixMilpPlanner(PlacementPlanner):
         # actually use); the pruned copy only shrinks the MILP.
         best_hint: tuple[float, ModelPlacement] | None = None
         for hint in hint_placements:
-            value = self._placement_value(hint, self.cluster)
+            value = self.placement_throughput(hint, self.cluster)
             if value <= 0:
                 continue
             if best_hint is None or value > best_hint[0]:
@@ -713,7 +657,7 @@ class HelixMilpPlanner(PlacementPlanner):
         placement = None
         if solution.status.has_solution:
             candidate = self.orchestrate(formulation, solution.values)
-            if self._placement_value(candidate) > 0:
+            if self.placement_throughput(candidate) > 0:
                 placement = candidate
         if placement is None:
             if best_hint is None:
@@ -726,7 +670,7 @@ class HelixMilpPlanner(PlacementPlanner):
             placement = best_hint[1]
         if best_hint is not None:
             # Never start from something worse than the best hint.
-            if self._placement_value(placement) < best_hint[0] - 1e-6:
+            if self.placement_throughput(placement) < best_hint[0] - 1e-6:
                 placement = best_hint[1]
 
         if self.lns_rounds > 0:
@@ -734,7 +678,9 @@ class HelixMilpPlanner(PlacementPlanner):
                 formulation, work_cluster, placement, self.lns_rounds
             )
             # Adopt the LNS result only if it also wins on the full cluster.
-            if self._placement_value(improved) >= self._placement_value(placement):
+            if self.placement_throughput(improved) >= (
+                self.placement_throughput(placement)
+            ):
                 placement = improved
 
         flow = self.solve_flow(placement)
@@ -807,7 +753,7 @@ class HelixMilpPlanner(PlacementPlanner):
         )
         incumbent: tuple[float, ModelPlacement] | None = None
         for candidate in candidates:
-            value = self._placement_value(candidate, work_cluster)
+            value = self.placement_throughput(candidate, work_cluster)
             if value > 0:
                 incumbent = (value, candidate)
         if incumbent is None or rounds == 0:
@@ -816,7 +762,7 @@ class HelixMilpPlanner(PlacementPlanner):
             # spare gets adopted — the base predates it); with LNS they
             # only reseed a base that cannot serve anymore.
             for hint in self.heuristic_hints(work_cluster):
-                value = self._placement_value(hint, work_cluster)
+                value = self.placement_throughput(hint, work_cluster)
                 if value > 0 and (incumbent is None or value > incumbent[0]):
                     incumbent = (value, hint)
         if incumbent is None:
@@ -834,8 +780,8 @@ class HelixMilpPlanner(PlacementPlanner):
             placement = self._lns_improve(
                 formulation, work_cluster, incumbent[1], rounds
             )
-            if self._placement_value(placement) < self._placement_value(
-                incumbent[1]
+            if self.placement_throughput(placement) < (
+                self.placement_throughput(incumbent[1])
             ):
                 placement = incumbent[1]
 
@@ -909,7 +855,7 @@ class HelixMilpPlanner(PlacementPlanner):
           compute-sum early-stop bound). The doubling keeps total
           re-exploration bounded by ~2x the final slice.
 
-        Incumbents are compared by full-cluster :meth:`_placement_value`,
+        Incumbents are compared by full-cluster :meth:`placement_throughput`,
         the metric :meth:`plan` adopts by: a pruned formulation's objective
         under-counts the hint's value on the full cluster.
         """
@@ -964,7 +910,7 @@ class HelixMilpPlanner(PlacementPlanner):
         """Full-cluster value of a solution's placement (-inf without one)."""
         if not solution.status.has_solution:
             return float("-inf")
-        return self._placement_value(
+        return self.placement_throughput(
             self.orchestrate(formulation, solution.values)
         )
 

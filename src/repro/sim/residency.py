@@ -23,6 +23,8 @@ issued through the simulation's real
 :class:`~repro.sim.network_sim.LinkChannel` queues, so weight pulls
 contend with inference activations — rejoining a node visibly dips
 serving goodput, which is exactly the effect the benchmarks measure.
+The planner never reads the ledger: a replan picks its placement by max
+flow alone, and residency decides only how long the chosen nodes warm.
 With ``residency=None`` (the default) none of this exists.
 """
 
@@ -47,14 +49,10 @@ class ResidencyConfig:
         layer_bytes: Bytes transferred per pulled layer. ``None`` uses the
             served model's ``layer_bytes`` (FP16 weights); tests may
             shrink it to keep warm-up windows tiny.
-        warm_bonus: Relative scoring bonus a fully-resident placement gets
-            during residency-aware replanning (see
-            ``HelixMilpPlanner.set_residency_hint``).
     """
 
     warm: Mapping[str, tuple[int, int]] = field(default_factory=dict)
     layer_bytes: float | None = None
-    warm_bonus: float = 0.15
 
 
 @dataclass(frozen=True)
@@ -147,10 +145,6 @@ class ResidencyManager:
         """Layers the node's in-progress warm-up is pulling."""
         warmup = self._warming.get(node_id)
         return () if warmup is None else warmup.layers
-
-    def snapshot(self) -> dict[str, frozenset[int]]:
-        """Immutable resident-set view for residency-aware replanning."""
-        return {nid: frozenset(layers) for nid, layers in self.resident.items()}
 
     # ------------------------------------------------------------------
     # Mutation (driven by the simulator)

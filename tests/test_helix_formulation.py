@@ -101,7 +101,10 @@ class TestMilpOptimality:
                         placement = ModelPlacement.from_intervals(
                             L, {"l4": (s1, s1 + n1), "t4": (s2, s2 + n2)}
                         )
-                        best = max(best, planner._placement_value(placement, tiny2))
+                        best = max(
+                            best,
+                            planner.placement_throughput(placement, tiny2),
+                        )
         assert result.max_throughput == pytest.approx(best, rel=1e-3)
 
 
@@ -122,8 +125,8 @@ class TestCanonicalization:
             nid: (st.start, st.end) for nid, st in placement.assignments.items()
         }
         canonical = planner._canonicalize(intervals, small_cluster)
-        original_value = planner._placement_value(placement, small_cluster)
-        canonical_value = planner._placement_value(
+        original_value = planner.placement_throughput(placement, small_cluster)
+        canonical_value = planner.placement_throughput(
             ModelPlacement.from_intervals(tiny_model.num_layers, canonical),
             small_cluster,
         )
@@ -155,6 +158,6 @@ class TestLNS:
         improved = planner._lns_improve(
             formulation, small_cluster, poor, planner.lns_rounds
         )
-        assert planner._placement_value(improved, small_cluster) >= (
-            planner._placement_value(poor, small_cluster)
+        assert planner.placement_throughput(improved, small_cluster) >= (
+            planner.placement_throughput(poor, small_cluster)
         )

@@ -271,14 +271,13 @@ class TestRootProbe:
         )
         work = prune_cluster(cluster, 6)
         formulation = planner.build_formulation(work)
-        hints = sorted(
-            planner.heuristic_hints(work), key=planner._placement_value
-        )
+        value = planner.placement_throughput
+        hints = sorted(planner.heuristic_hints(work), key=value)
         weak, best = hints[0], hints[-1]
         values = planner.assignment_from_placement(formulation, best, work)
         objective = formulation.problem.objective.evaluate(values)
-        assert objective < planner._placement_value(weak)
-        assert planner._placement_value(weak) < planner._placement_value(best)
+        assert objective < value(weak)
+        assert value(weak) < value(best)
 
         calls = []
 
@@ -296,9 +295,7 @@ class TestRootProbe:
         assert planner.milp_solve_count == len(calls) == 3
         assert calls[0]["node_limit"] == 1 and calls[0]["presolve"] is False
         assert all("node_limit" not in kwargs for kwargs in calls[1:])
-        assert result.max_throughput == pytest.approx(
-            planner._placement_value(best)
-        )
+        assert result.max_throughput == pytest.approx(value(best))
 
 
 class TestFeatureAblations:

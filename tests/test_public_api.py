@@ -129,7 +129,7 @@ class TestKnobs:
         "config,fields",
         [
             ("RequestPolicy", ["ttft_timeout", "retry_backoff", "jitter"]),
-            ("ResidencyConfig", ["warm", "layer_bytes", "warm_bonus"]),
+            ("ResidencyConfig", ["warm", "layer_bytes"]),
             ("TenancyConfig", ["registry", "fairness"]),
             ("TenantSpec", ["tenant_id", "slo", "rate_share"]),
             ("FairnessConfig", ["mode", "window", "backlog_windows"]),
