@@ -22,7 +22,7 @@ selection sequence is identical to the original formulation.
 
 from __future__ import annotations
 
-from typing import Container, Hashable, Iterable
+from collections.abc import Container, Hashable, Iterable
 
 
 class InterleavedWeightedRoundRobin:

@@ -6,8 +6,8 @@ simulation — real engines offload to host memory at a throughput cost — but
 every overflow is counted so experiments can report whether the scheduler's
 high-water masking actually prevented oversubscription.
 
-The charge rule lives in the simulator's batch forward
-(``Simulation._forward_batch``): each completed stage work adds its
+The charge rule lives in the simulator's batch forward (the ``K_BATCH``
+branch of ``Simulation.run``): each completed stage work adds its
 tokens to ``used_tokens``, counts an overflow when that exceeds the
 capacity, and raises ``peak_tokens``. This module holds the pool state
 and the release.

@@ -15,7 +15,8 @@ re-entries and weight pulls call it. One site inlines the same float
 operations, in the same order, against the channel's public fields
 (``next_free_time``, ``bandwidth``, ``latency``, ``fault`` and the stat
 accumulators): the per-work forward of a completed batch
-(``Simulation._forward_batch``), the busiest send of the event loop.
+(the ``K_BATCH`` branch of ``Simulation.run``), the busiest send of the
+event loop.
 Calling :meth:`transmit` there cost 3.7% of fig12-offline's simulated
 tokens per second (median 60.7k -> 58.5k over 6 alternating pairs on a
 2-core Xeon). ``bandwidth``/``latency`` mirror ``link`` and are kept in

@@ -37,6 +37,11 @@ the pre-overhaul engine:
   in §5's runtime. A hop sent on a flaky channel (one carrying a gray
   :class:`~repro.online.faults.LinkFault`) pays its retransmit delay in
   its arrival time.
+* **One flat loop.** :meth:`Simulation.run` handles ``K_HOP``,
+  ``K_BATCH`` and ``K_TOKEN_ONE`` inline, with the run constants in
+  locals, instead of calling a handler method per event: the loop's
+  cost is that per-event Python call far more than the event count.
+  Batch cutting and pricing stay in ``_start_batch``.
 * **Lazy arrivals.** :meth:`Simulation.run` reserves one ``seq`` per
   trace request up front but keeps only the next arrival in the heap
   (popping arrival *i* pushes arrival *i + 1*), so the heap holds the
@@ -351,7 +356,6 @@ class Simulation:
         self._pending: deque[Request] = deque()
         self._records: dict[str, RequestRecord] = {}
         self._pipeline_depths: list[int] = []
-        self._last_token_time = 0.0
         self._timeline = TokenTimeline()
         #: The lifecycle record of every node that is not serving, seeded
         #: from the cluster's availability; from here on only
@@ -465,33 +469,150 @@ class Simulation:
         self._seq = last + 1
         heappush(events, (requests[0].arrival_time, base, K_ARRIVAL, requests[0]))
 
+        # Run constants. ``self._disrupted`` is not one: env events and
+        # releases flip it mid-run, so it is read once per event.
         max_time = self.max_time
+        token_bytes = self._token_bytes
+        abpt = self._abpt
+        timeline = self._timeline
+        tenancy = self._tenancy
+        notify_progress = self._notify_progress
+        start_batch = self._start_batch
         pops = 0
         while events:
-            item = heappop(events)
-            when = item[0]
+            when, seq, kind, payload = heappop(events)
             if when > max_time:
                 break
             pops += 1
             self._now = when
-            kind = item[2]
             if kind == K_HOP:
-                self._on_hop(item[3])
+                # One work reaches its stage.
+                if self._disrupted:
+                    owner = payload.owner
+                    if not (owner.live and owner.attempt == payload.attempt):
+                        continue
+                executor = payload.hop.executor
+                if executor.busy or executor.queue:
+                    executor.queue.append(payload)
+                    executor.queue_tokens += payload.num_tokens
+                    executor.queue_tl += payload.tl
+                    if not executor.busy:
+                        start_batch(executor)
+                    continue
+                # Idle node, empty queue: the arrival is the batch.
+                executor.busy = True
+                tl = payload.tl
+                elapsed = (
+                    tl / executor.compute_rate
+                    + executor.weights_time
+                    + executor.overhead
+                )
+                seq = self._seq
+                self._seq = seq + 1
+                heappush(events, (
+                    when + elapsed, seq, K_BATCH,
+                    (executor, executor.epoch, [payload], elapsed, tl,
+                     payload.num_tokens),
+                ))
             elif kind == K_BATCH:
-                self._on_batch_complete(*item[3])
+                # A node finishes a batch: charge KV and send every work
+                # on as its own event, ``K_HOP`` to the next stage or
+                # ``K_TOKEN_ONE`` back to the coordinator.
+                executor, epoch, batch, elapsed, tl, tokens = payload
+                if epoch != executor.epoch:
+                    continue  # the node failed or was re-bound mid-batch
+                executor.busy = False
+                stats = executor.stats
+                stats.batches += 1
+                stats.busy_time += elapsed
+                stats.token_layers += tl
+                stats.tokens += tokens
+                if notify_progress:
+                    self.scheduler.notify_node_progress(
+                        executor.node_id, tokens, elapsed
+                    )
+                disrupted = self._disrupted
+                seq = self._seq
+                for work in batch:
+                    owner = work.owner
+                    if disrupted and not (
+                        owner.live and owner.attempt == work.attempt
+                    ):
+                        continue  # finished under max_time truncation, or disrupted
+                    hop = work.hop
+                    num_tokens = work.num_tokens
+                    # KV grows on this node: the whole prompt once, then
+                    # one token per decode iteration.
+                    pool = hop.pool
+                    used = pool.used_tokens + num_tokens
+                    if used > pool.capacity_tokens:
+                        pool.overflow_events += 1
+                    pool.used_tokens = used
+                    if used > pool.peak_tokens:
+                        pool.peak_tokens = used
+                    owner.done += 1
+                    # ``LinkChannel.transmit``, inlined; a flaky channel
+                    # adds its retransmit delay.
+                    channel = hop.channel
+                    final = hop.final
+                    num_bytes = token_bytes if final else num_tokens * abpt
+                    nf = channel.next_free_time
+                    start = nf if nf > when else when
+                    queueing = start - when
+                    end = start + num_bytes / channel.bandwidth
+                    channel.next_free_time = end
+                    channel.bytes_sent += num_bytes
+                    channel.messages_sent += 1
+                    channel.total_queueing_delay += queueing
+                    if queueing > channel.max_queueing_delay:
+                        channel.max_queueing_delay = queueing
+                    arrival = end + channel.latency
+                    fault = channel.fault
+                    if fault is not None:
+                        arrival += fault.delay()
+                    heappush(events, (
+                        arrival, seq, K_TOKEN_ONE if final else K_HOP,
+                        work.next,
+                    ))
+                    seq += 1
+                self._seq = seq
+                if executor.queue:
+                    start_batch(executor)
             elif kind == K_TOKEN_ONE:
-                self._on_token(item[3])
+                # One token reaches the coordinator: record it, then finish
+                # the request or ship the decode re-entry (one token id) to
+                # the first stage.
+                owner = payload.owner
+                if self._disrupted and not (
+                    owner.live and owner.attempt == payload.attempt
+                ):
+                    continue
+                record = owner.record
+                token_times = record.token_times
+                if not token_times:
+                    record.first_token_time = when
+                token_times.append(when)
+                record.tokens_generated += 1
+                if tenancy is not None:
+                    tenancy.note_token(owner.request.tenant_id, when)
+                timeline.add(when)
+                if record.tokens_generated >= owner.output_len:
+                    self._finish(owner)
+                    continue
+                arrival = owner.entry_channel.transmit(when, token_bytes)
+                seq = self._seq
+                self._seq = seq + 1
+                heappush(events, (arrival, seq, K_HOP, owner.decode_works[0]))
             elif kind == K_ARRIVAL:
-                seq = item[1]
                 if seq < last:
                     request = requests[seq - base + 1]
                     heappush(
                         events,
                         (request.arrival_time, seq + 1, K_ARRIVAL, request),
                     )
-                self._on_arrival(item[3])
+                self._on_arrival(payload)
             else:
-                item[3](self)
+                payload(self)
         self.events_popped += pops
 
         end_time = min(self._now, self.max_time)
@@ -623,38 +744,8 @@ class Simulation:
             self._pending.popleft()
 
     # ------------------------------------------------------------------
-    # Hot loop: hops, batches, tokens
+    # Batch formation (the hops, batches and tokens are handled in ``run``)
     # ------------------------------------------------------------------
-    def _on_hop(self, work: StageWork) -> None:
-        """A ``K_HOP`` event: one work reaches its stage at ``self._now``."""
-        if self._disrupted:
-            owner = work.owner
-            if not (owner.live and owner.attempt == work.attempt):
-                return
-        executor = work.hop.executor
-        if executor.busy or executor.queue:
-            executor.queue.append(work)
-            executor.queue_tokens += work.num_tokens
-            executor.queue_tl += work.tl
-            if not executor.busy:
-                self._start_batch(executor)
-            return
-        # Idle node, empty queue: the arrival is the batch.
-        executor.busy = True
-        tl = work.tl
-        elapsed = tl / executor.compute_rate + executor.weights_time + executor.overhead
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(
-            self._events,
-            (
-                self._now + elapsed,
-                seq,
-                K_BATCH,
-                (executor, executor.epoch, [work], elapsed, tl, work.num_tokens),
-            ),
-        )
-
     def _start_batch(self, executor: NodeExecutor) -> None:
         cap = executor.max_batch_tokens
         if cap is None or executor.queue_tokens <= cap:
@@ -711,117 +802,6 @@ class Simulation:
                 (executor, executor.epoch, batch, elapsed, tl, tokens),
             ),
         )
-
-    def _on_batch_complete(
-        self,
-        executor: NodeExecutor,
-        epoch: int,
-        batch: list[StageWork],
-        elapsed: float,
-        tl: int,
-        tokens: int,
-    ) -> None:
-        if epoch != executor.epoch:
-            return  # the node failed or was re-bound mid-batch
-        executor.busy = False
-        stats = executor.stats
-        stats.batches += 1
-        stats.busy_time += elapsed
-        stats.token_layers += tl
-        stats.tokens += tokens
-        if self._notify_progress:
-            self.scheduler.notify_node_progress(executor.node_id, tokens, elapsed)
-        self._forward_batch(batch)
-        if executor.queue:
-            self._start_batch(executor)
-
-    def _forward_batch(self, batch: list[StageWork]) -> None:
-        """Charge KV and send every work of a completed batch on.
-
-        Each work travels as its own event: ``K_HOP`` to the next stage,
-        or ``K_TOKEN_ONE`` when the final stage returns its token to the
-        coordinator. A flaky channel adds its retransmit delay.
-        """
-        now = self._now
-        disrupted = self._disrupted
-        events = self._events
-        seq = self._seq
-        token_bytes = self._token_bytes
-        abpt = self._abpt
-        for work in batch:
-            owner = work.owner
-            if disrupted and not (
-                owner.live and owner.attempt == work.attempt
-            ):
-                continue  # finished under max_time truncation, or disrupted
-            hop = work.hop
-            num_tokens = work.num_tokens
-            # KV grows on this node: the whole prompt once, then one token
-            # per decode iteration.
-            pool = hop.pool
-            used = pool.used_tokens + num_tokens
-            if used > pool.capacity_tokens:
-                pool.overflow_events += 1
-            pool.used_tokens = used
-            if used > pool.peak_tokens:
-                pool.peak_tokens = used
-            owner.done += 1
-            channel = hop.channel
-            final = hop.final
-            num_bytes = token_bytes if final else num_tokens * abpt
-            nf = channel.next_free_time
-            start = nf if nf > now else now
-            queueing = start - now
-            end = start + num_bytes / channel.bandwidth
-            channel.next_free_time = end
-            channel.bytes_sent += num_bytes
-            channel.messages_sent += 1
-            channel.total_queueing_delay += queueing
-            if queueing > channel.max_queueing_delay:
-                channel.max_queueing_delay = queueing
-            arrival = end + channel.latency
-            fault = channel.fault
-            if fault is not None:
-                arrival += fault.delay()
-            heappush(
-                events,
-                (arrival, seq, K_TOKEN_ONE if final else K_HOP, work.next),
-            )
-            seq += 1
-        self._seq = seq
-
-    def _on_token(self, work: StageWork) -> None:
-        """A ``K_TOKEN_ONE`` event: one token reaches the coordinator.
-
-        Records the token (request, tenancy, global timeline), and then
-        finishes the request or ships the decode re-entry to the first
-        stage as a ``K_HOP`` event.
-        """
-        owner = work.owner
-        if self._disrupted and not (
-            owner.live and owner.attempt == work.attempt
-        ):
-            return
-        t = self._now
-        record = owner.record
-        token_times = record.token_times
-        if not token_times:
-            record.first_token_time = t
-        token_times.append(t)
-        record.tokens_generated += 1
-        if self._tenancy is not None:
-            self._tenancy.note_token(owner.request.tenant_id, t)
-        self._last_token_time = t
-        self._timeline.add(t)
-        if record.tokens_generated >= owner.output_len:
-            self._finish(owner)
-            return
-        # Decode re-entry: the coordinator ships one token id back to the
-        # first stage.
-        arrival = owner.entry_channel.transmit(t, self._token_bytes)
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._events, (arrival, seq, K_HOP, owner.decode_works[0]))
 
     def _finish(self, active: _ActiveRequest) -> None:
         active.record.finish_time = self._now

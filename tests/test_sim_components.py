@@ -1,7 +1,7 @@
 """Tests for simulator components: links, executors, KV pools, metrics."""
 
 import math
-from heapq import heappop
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,15 +97,15 @@ class TestNodeExecutor:
 
     @staticmethod
     def _start_batch(sim, executor, works):
-        """Queue ``works`` and let the engine cut one batch; returns the
-        payload of the ``K_BATCH`` event it pushed (the batch is [2])."""
+        """Queue ``works`` and let the engine cut one batch; pops and
+        returns the ``K_BATCH`` event it pushed (the batch is [3][2])."""
         executor.queue.extend(works)
         executor.queue_tokens += sum(w.num_tokens for w in works)
         executor.queue_tl += sum(w.tl for w in works)
         sim._start_batch(executor)
-        _, _, kind, payload = heappop(sim._events)
-        assert kind == K_BATCH and payload[0] is executor
-        return payload
+        event = heappop(sim._events)
+        assert event[2] == K_BATCH and event[3][0] is executor
+        return event
 
     @staticmethod
     def _prompts(count, tokens):
@@ -117,21 +117,21 @@ class TestNodeExecutor:
     def test_take_batch_drains_queue(self, small_cluster, tiny_model):
         sim = _one_node_simulation(small_cluster, tiny_model)
         ex = self._executor(tiny_model)
-        batch = self._start_batch(sim, ex, self._prompts(3, 10))[2]
+        batch = self._start_batch(sim, ex, self._prompts(3, 10))[3][2]
         assert len(batch) == 3
         assert not ex.queue and ex.busy
 
     def test_batch_cap_respected(self, small_cluster, tiny_model):
         sim = _one_node_simulation(small_cluster, tiny_model)
         ex = self._executor(tiny_model, cap=25)
-        batch = self._start_batch(sim, ex, self._prompts(3, 10))[2]
+        batch = self._start_batch(sim, ex, self._prompts(3, 10))[3][2]
         assert len(batch) == 2  # 10 + 10 fits, third would exceed 25
         assert len(ex.queue) == 1
 
     def test_single_oversize_item_still_runs(self, small_cluster, tiny_model):
         sim = _one_node_simulation(small_cluster, tiny_model)
         ex = self._executor(tiny_model, cap=5)
-        batch = self._start_batch(sim, ex, self._prompts(1, 100))[2]
+        batch = self._start_batch(sim, ex, self._prompts(1, 100))[3][2]
         assert len(batch) == 1
 
     def test_batch_time_increases_with_work(self, tiny_model, profiler):
@@ -164,12 +164,13 @@ class TestNodeExecutor:
     ):
         sim = _one_node_simulation(small_cluster, tiny_model)
         ex = self._executor(tiny_model, cap=25)
-        payload = self._start_batch(sim, ex, self._prompts(3, 10))
+        event = self._start_batch(sim, ex, self._prompts(3, 10))
         ex.quiesce(busy=True)
         assert (ex.queue, ex.queue_tokens, ex.queue_tl) == ([], 0, 0)
         assert ex.busy
-        # The stranded batch completes as a no-op.
-        sim._on_batch_complete(*payload)
+        # The stranded batch completes as a no-op when the loop pops it.
+        heappush(sim._events, event)
+        sim.run()
         assert ex.stats.batches == 0 and ex.busy
         ex.quiesce()
         assert not ex.busy
