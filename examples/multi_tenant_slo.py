@@ -44,8 +44,8 @@ from repro import (
     TenancyConfig,
     TenantRegistry,
     TenantSpec,
-    aggregate_tenant_metrics,
     small_cluster_fig12,
+    tenant_report,
 )
 
 TRACE_SCALE = 0.25
@@ -106,7 +106,8 @@ def main() -> None:
     ).plan()
     print(f"planned max flow: {result.max_throughput:.0f} tokens/s")
 
-    # 2. Serve the flash-crowd trace with per-tenant accounting on.
+    # 2. Serve the flash-crowd trace; every request is tagged with its
+    #    tenant.
     requests = sorted(
         chat_trace() + batch_trace(),
         key=lambda r: (r.arrival_time, r.request_id),
@@ -120,36 +121,30 @@ def main() -> None:
         cluster, model, result.placement, profiler, flow=result.flow,
         expected_output_len=24.0,
     )
-    tenancy = TenancyConfig(
-        registry,
-        fairness=FairnessConfig(mode="W", window=2.0, backlog_windows=6),
-    )
     sim = Simulation(
         cluster, model, result.placement, scheduler, requests,
-        profiler=profiler, max_batch_tokens=2048, max_time=HORIZON,
-        seed=0, tenancy=tenancy,
+        profiler=profiler, max_batch_tokens=2048, max_time=HORIZON, seed=0,
     )
     metrics = sim.run()
-    manager = sim.tenancy
-    end_time = max(min(sim.now, sim.max_time), sim.warmup + 1e-9)
+    report = tenant_report(
+        sim.records,
+        TenancyConfig(
+            registry,
+            fairness=FairnessConfig(mode="W", window=2.0, backlog_windows=6),
+        ),
+        end_time=max(min(sim.now, sim.max_time), sim.warmup + 1e-9),
+        warmup=sim.warmup,
+    )
 
     # 3. Fairness-index timeline: watch the crowd arrive.
     print("\nfairness index (Jain over the windowed backlog, 1.0 = fair):")
-    for when, index in manager.tracker.fairness_timeline(end_time):
+    for when, index in report["fairness_timeline"]:
         bar = "#" * int(40 * index)
         marker = " <- flash crowd" if CROWD_START <= when < CROWD_END + 2 else ""
         print(f"  {when:5.0f}s {index:5.2f} {bar}{marker}")
 
     # 4. Per-tenant SLO attainment.
-    per_tenant = aggregate_tenant_metrics(
-        sim.records, warmup=sim.warmup, end_time=end_time,
-        slo_targets={
-            spec.tenant_id: (
-                spec.slo.ttft_target, spec.slo.tbt_target, spec.slo.percentile
-            )
-            for spec in registry
-        },
-    )
+    per_tenant = report["per_tenant"]
     print("\nper-tenant SLO attainment:")
     for tenant_id in sorted(per_tenant):
         print(f"  {per_tenant[tenant_id].summary()}")

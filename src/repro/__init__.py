@@ -92,10 +92,10 @@ from repro.tenancy import (
     SLOClass,
     STANDARD,
     TenancyConfig,
-    TenantManager,
     TenantRegistry,
     TenantSpec,
     jain_index,
+    tenant_report,
 )
 from repro.online import (
     NodeFailure,

@@ -65,7 +65,7 @@ class RunSpec:
         expected_output_len: The KV output reserve per request, in tokens.
         seed: Seeds the randomized schedulers and the run's link faults.
         max_time, warmup, max_batch_tokens, controller, policy,
-        debug_validate, residency, tenancy: The
+        debug_validate, residency: The
             :class:`~repro.sim.simulator.Simulation` options.
     """
 
@@ -84,7 +84,6 @@ class RunSpec:
     policy: object = None
     debug_validate: bool = False
     residency: object = None
-    tenancy: object = None
 
 
 def make_planner(
@@ -175,5 +174,4 @@ def make_simulation(spec: RunSpec) -> Simulation:
         policy=spec.policy,
         debug_validate=spec.debug_validate,
         residency=spec.residency,
-        tenancy=spec.tenancy,
     )

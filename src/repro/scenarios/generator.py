@@ -53,7 +53,7 @@ from repro.sim.policy import RequestPolicy
 from repro.sim.request import Request
 from repro.sim.residency import ResidencyConfig
 from repro.tenancy.fairness import FairnessConfig
-from repro.tenancy.manager import TenancyConfig
+from repro.tenancy.report import TenancyConfig
 from repro.tenancy.registry import (
     BATCH,
     INTERACTIVE,

@@ -23,7 +23,9 @@ class RequestRecord:
     replanning migrated it off a repartitioned node — and restart from the
     pending queue. ``retries``/``migrations`` count those restarts and
     ``tokens_lost`` the output tokens the failed attempts had already
-    emitted; the latency/token fields always describe the final attempt.
+    emitted; the latency/token fields always describe the final attempt,
+    and ``requeued_attempts`` keeps each earlier one's ``(dispatch time,
+    release time, token times)``.
     """
 
     request_id: str
@@ -40,6 +42,9 @@ class RequestRecord:
     tokens_lost: int = 0
     #: Owning tenant ("" in the single-tenant legacy configuration).
     tenant_id: str = ""
+    requeued_attempts: list[tuple[float, float, list[float]]] = field(
+        default_factory=list
+    )
 
     @property
     def finished(self) -> bool:

@@ -16,11 +16,11 @@ operations, in the same order, against the channel's public fields
 (``next_free_time``, ``bandwidth``, ``latency``, ``fault`` and the stat
 accumulators): the per-work forward of a completed batch
 (the ``K_BATCH`` branch of ``Simulation.run``), the busiest send of the
-event loop.
-Calling :meth:`transmit` there cost 3.7% of fig12-offline's simulated
-tokens per second (median 60.7k -> 58.5k over 6 alternating pairs on a
-2-core Xeon). ``bandwidth``/``latency`` mirror ``link`` and are kept in
-sync through :meth:`set_link` (live link degradation/repair).
+event loop, inlined to save a method call per work. Whether that
+saving shows end to end is not settled: the measurements disagree, and
+ROADMAP.md ("Small leftovers") leaves the question to a CPU-time ruler.
+``bandwidth``/``latency`` mirror ``link`` and are kept in sync through
+:meth:`set_link` (live link degradation/repair).
 """
 
 from __future__ import annotations

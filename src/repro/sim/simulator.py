@@ -57,11 +57,12 @@ draining, zombie, silent or down) and one transition site
 (``_transition``), the only writer of that state and of the cluster
 availability the scheduler masks by. The optional subsystems are
 objects called from named sites, not branches in the loop: the
-always-present :class:`~repro.sim.policy.RequestPolicy`, the
-:class:`~repro.tenancy.manager.TenantManager` (dispatch, release,
-one ``note_token`` per token, end of run) and the
+always-present :class:`~repro.sim.policy.RequestPolicy` and the
 :class:`~repro.sim.residency.ResidencyManager` (node lost, node
-restored, placement applied).
+restored, placement applied). Tenancy is not one of them: a request's
+``tenant_id`` only tags its record, and
+:func:`~repro.tenancy.report.tenant_report` computes per-tenant results
+from the records after the run.
 
 The loop also supports *online dynamics* (the ``repro.online`` package):
 environment events scheduled with :meth:`Simulation.schedule_event` can
@@ -98,7 +99,6 @@ from repro.sim.node_exec import NodeExecutor, StageWork
 from repro.sim.policy import RequestPolicy
 from repro.sim.request import Request
 from repro.sim.residency import ResidencyManager
-from repro.tenancy.manager import TenantManager
 
 # Integer event kinds (heap entries are ``(when, seq, kind, payload)``).
 K_ARRIVAL = 0    #: a trace request reaches the coordinator
@@ -274,11 +274,6 @@ class Simulation:
             activations), and it only becomes schedulable when they land.
             ``None`` (the default) keeps the legacy instant-recovery
             semantics bit-identically.
-        tenancy: Optional :class:`~repro.tenancy.manager.TenancyConfig`.
-            When set, every token and pipeline hold is accounted per
-            tenant; the pending queue stays the same FIFO, so the schedule
-            is the one the run has without tenancy. ``None`` (the default)
-            skips the accounting.
     """
 
     def __init__(
@@ -297,7 +292,6 @@ class Simulation:
         policy=None,
         debug_validate: bool = False,
         residency=None,
-        tenancy=None,
     ) -> None:
         if not requests:
             raise SimulationError("request trace is empty")
@@ -370,12 +364,10 @@ class Simulation:
         self._backoff_waiting = 0
         self._base_bandwidth: dict[tuple[str, str], float] = {}
 
-        # Layer residency and multi-tenancy are None on the default path:
-        # no warm-up pulls and no per-token tenant accounting.
+        # Layer residency is None on the default path: no warm-up pulls.
         self._residency = residency and ResidencyManager(
             residency, model, placement
         )
-        self._tenancy = tenancy and TenantManager(tenancy)
         #: Every completed drain, in completion order.
         self.drain_log: list[DrainRecord] = []
 
@@ -475,7 +467,6 @@ class Simulation:
         token_bytes = self._token_bytes
         abpt = self._abpt
         timeline = self._timeline
-        tenancy = self._tenancy
         notify_progress = self._notify_progress
         start_batch = self._start_batch
         pops = 0
@@ -593,8 +584,6 @@ class Simulation:
                     record.first_token_time = when
                 token_times.append(when)
                 record.tokens_generated += 1
-                if tenancy is not None:
-                    tenancy.note_token(owner.request.tenant_id, when)
                 timeline.add(when)
                 if record.tokens_generated >= owner.output_len:
                     self._finish(owner)
@@ -617,8 +606,6 @@ class Simulation:
 
         end_time = min(self._now, self.max_time)
         end_time = max(end_time, self.warmup + 1e-9)
-        if self._tenancy is not None:
-            self._tenancy.finalize(end_time)
         return aggregate_metrics(
             records=list(self._records.values()),
             warmup=self.warmup,
@@ -668,10 +655,6 @@ class Simulation:
         """Register an attempt and ship its prompt to the first stage (one
         ``K_HOP`` event): the one dispatch site."""
         self._active[active.request_id] = active
-        if self._tenancy is not None:
-            self._tenancy.note_dispatch(
-                active.request_id, active.request.tenant_id, self._now
-            )
         arrival = active.entry_channel.transmit(
             self._now, active.request.input_len * self._token_bytes
         )
@@ -816,8 +799,8 @@ class Simulation:
 
         Frees the attempt's KV charges (a dead node's pool was flushed
         wholesale and takes no charges since), flips its liveness so
-        every event it still has in flight drops, and tells tenancy and
-        the scheduler. An attempt that did not finish — a requeued
+        every event it still has in flight drops, and tells the
+        scheduler. An attempt that did not finish — a requeued
         request — leaves its record alone.
         """
         lives = self._lives
@@ -828,8 +811,6 @@ class Simulation:
         active.live = False
         rid = active.request_id
         del self._active[rid]
-        if self._tenancy is not None:
-            self._tenancy.note_release(rid, self._now)
         if finished:
             self.scheduler.notify_finished(rid)
         else:
@@ -851,11 +832,12 @@ class Simulation:
     def _requeue(self, active: _ActiveRequest, migrated: bool) -> None:
         """Abort an attempt and send the request back to the pending queue.
 
-        The attempt's tokens become wasted work, its KV charges on
-        surviving nodes are released (the failed node's pool was flushed
-        wholesale), and the liveness/attempt bump makes every event the old
-        attempt still has in flight fall on the floor. Under a lifecycle
-        policy the re-dispatch may instead wait out a backoff.
+        The attempt's tokens become wasted work, kept with its dispatch
+        and release times in ``record.requeued_attempts``; its KV charges
+        on surviving nodes are released (the failed node's pool was
+        flushed wholesale), and the liveness/attempt bump makes every
+        event the old attempt still has in flight fall on the floor. Under
+        a lifecycle policy the re-dispatch may instead wait out a backoff.
         """
         record = active.record
         record.tokens_lost += record.tokens_generated
@@ -863,6 +845,9 @@ class Simulation:
             record.migrations += 1
         else:
             record.retries += 1
+        record.requeued_attempts.append(
+            (record.schedule_time, self._now, record.token_times)
+        )
         record.tokens_generated = 0
         record.token_times = []
         record.first_token_time = math.nan
@@ -1427,12 +1412,6 @@ class Simulation:
     def records(self) -> list[RequestRecord]:
         """Records of every request that has arrived so far."""
         return list(self._records.values())
-
-    @property
-    def tenancy(self):
-        """The run's :class:`~repro.tenancy.manager.TenantManager`
-        (``None`` in the single-tenant default configuration)."""
-        return self._tenancy
 
     def kv_usage_by_tenant(self) -> dict[str, dict[str, int]]:
         """KV tokens currently allocated, as ``node_id -> tenant -> tokens``.

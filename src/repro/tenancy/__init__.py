@@ -1,10 +1,10 @@
 """Multi-tenant serving: tenant registry, SLO classes and windowed
-fairness accounting.
+fairness, reported after a run from its request records.
 
-Tenancy observes and never schedules: requests keep the simulator's
-FIFO order with or without it. A
-:class:`~repro.sim.simulator.Simulation` without ``tenancy=`` behaves
-bit-identically to the single-tenant engine.
+The simulator has no tenant: a request's ``tenant_id`` is a tag its
+record carries, and :func:`~repro.tenancy.report.tenant_report` turns
+a finished run's records into per-tenant SLO attainment, token counts
+and fairness. Nothing here imports the simulator.
 """
 
 from repro.tenancy.fairness import (
@@ -12,7 +12,6 @@ from repro.tenancy.fairness import (
     WindowedFairnessTracker,
     jain_index,
 )
-from repro.tenancy.manager import TenancyConfig, TenantManager
 from repro.tenancy.registry import (
     BATCH,
     INTERACTIVE,
@@ -22,6 +21,7 @@ from repro.tenancy.registry import (
     TenantRegistry,
     TenantSpec,
 )
+from repro.tenancy.report import TenancyConfig, tenant_report, tenant_tokens
 
 __all__ = [
     "BATCH",
@@ -31,9 +31,10 @@ __all__ = [
     "SLO_CLASSES",
     "STANDARD",
     "TenancyConfig",
-    "TenantManager",
     "TenantRegistry",
     "TenantSpec",
     "WindowedFairnessTracker",
     "jain_index",
+    "tenant_report",
+    "tenant_tokens",
 ]

@@ -101,10 +101,6 @@ class WindowedFairnessTracker:
         self._shares = {tid: share / total for tid, share in sorted(shares.items())}
         self._service: dict[str, list[float]] = {tid: [] for tid in self._shares}
 
-    @property
-    def tenant_ids(self) -> tuple[str, ...]:
-        return tuple(self._shares)
-
     def _window_index(self, when: float) -> int:
         return max(0, int(when // self.config.window))
 
@@ -128,6 +124,10 @@ class WindowedFairnessTracker:
             self.note(tenant_id, cursor, min(end, boundary) - cursor)
             cursor = boundary
             index += 1
+
+    def service(self) -> dict[str, list[float]]:
+        """Per-tenant service in every window from the first (a copy)."""
+        return {tid: list(history) for tid, history in self._service.items()}
 
     def service_in_backlog(self, now: float) -> dict[str, float]:
         """Per-tenant service summed over the last ``backlog_windows``."""

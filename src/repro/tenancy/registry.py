@@ -116,15 +116,6 @@ class TenantRegistry:
         """Tenant ids in the registry's deterministic (sorted) order."""
         return tuple(self._specs)
 
-    def get(self, tenant_id: str) -> TenantSpec:
-        """The spec for ``tenant_id`` (KeyError with context if unknown)."""
-        try:
-            return self._specs[tenant_id]
-        except KeyError:
-            raise KeyError(
-                f"unknown tenant {tenant_id!r}; registered: {self.ids}"
-            ) from None
-
     def shares(self) -> dict[str, float]:
         """Normalized rate shares (sum to 1.0)."""
         total = sum(spec.rate_share for spec in self)

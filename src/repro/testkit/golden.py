@@ -4,7 +4,8 @@ These digests pin the simulator to the values the frozen pre-overhaul
 engine produced, so it cannot drift unnoticed. A case's digests are one
 sha256 per observable group: per-request records, KV pools, executors,
 channels, token-timeline buckets, the serving-metric fields, the final
-clock and tenancy.
+clock and tenancy (the tokens of every tenant the records are tagged
+with; ``None`` for an untagged run).
 
 The cases are the 24 smoke addresses of the engine matrix (named
 ``<family>-<seed>``) and five scripted fig12 scenarios. A matrix case is
@@ -40,6 +41,7 @@ from repro.placement.petals import PetalsPlanner
 from repro.scenarios.generator import SCENARIO_FAMILIES, generate_scenario
 from repro.sim.request import Request
 from repro.sim.simulator import Simulation
+from repro.tenancy.report import tenant_tokens
 from repro.testkit.differential import canonical_json
 from repro.testkit.harness import run_scenario
 from repro.testkit.invariants import Violation
@@ -222,14 +224,11 @@ def _engine_observables(sim, metrics) -> dict:
     while buckets and buckets[-1] == 0:
         buckets.pop()
     tenancy = None
-    manager = sim.tenancy
-    if manager is not None:
+    tokens = tenant_tokens(sim.records)
+    if tokens:
         # ``starvation_events`` is the deleted starvation watchdog's count,
         # always 0; it stays so the pinned digests of tenancy runs hold.
-        tenancy = {
-            "tokens_by_tenant": dict(manager.tokens_by_tenant),
-            "starvation_events": 0,
-        }
+        tenancy = {"tokens_by_tenant": tokens, "starvation_events": 0}
     return {
         "records": records,
         "pools": pools,

@@ -26,12 +26,9 @@ from repro.online.autoscale import Autoscaler
 from repro.online.controller import OnlineController
 from repro.placement.base import PlannerResult
 from repro.scenarios.generator import Scenario, generate_scenario
-from repro.sim.metrics import (
-    DisruptionReport,
-    ServingMetrics,
-    aggregate_tenant_metrics,
-)
+from repro.sim.metrics import DisruptionReport, ServingMetrics
 from repro.sim.simulator import Simulation
+from repro.tenancy.report import tenant_report
 from repro.testkit.differential import (
     canonical_json,
     check_reevaluate_vs_rebuild,
@@ -302,7 +299,6 @@ def run_scenario(
         policy=scenario.policy,
         debug_validate=scenario.detection,
         residency=scenario.residency,
-        tenancy=scenario.tenancy,
     ))
     report.sim = sim
     auditor = SchedulerAuditor(sim.scheduler, residency=sim.residency)
@@ -351,35 +347,25 @@ def run_scenario(
     if elastic:
         report.violations.extend(check_elastic(sim, metrics))
     elif scenario.tenancy is not None:
-        report.violations.extend(check_tenancy(sim, metrics))
+        report.violations.extend(
+            check_tenancy(sim, metrics, scenario.tenancy.registry)
+        )
     elif scenario.detection or scenario.policy is not None:
         report.violations.extend(check_chaos(sim, metrics))
     if scenario.tenancy is not None:
-        manager = sim.tenancy
-        registry = scenario.tenancy.registry
-        end_time = max(min(sim.now, sim.max_time), sim.warmup + 1e-9)
-        per_tenant = aggregate_tenant_metrics(
+        tenants = tenant_report(
             sim.records,
+            scenario.tenancy,
+            end_time=max(min(sim.now, sim.max_time), sim.warmup + 1e-9),
+            backlogged=sim.pending_tenants,
             warmup=sim.warmup,
-            end_time=end_time,
-            slo_targets={
-                spec.tenant_id: (
-                    spec.slo.ttft_target,
-                    spec.slo.tbt_target,
-                    spec.slo.percentile,
-                )
-                for spec in registry
-            },
         )
         report.tenancy = {
-            "per_tenant": per_tenant,
-            "fairness_index": manager.tracker.fairness_index(
-                end_time, backlogged=sim.pending_tenants
-            ),
-            "kv_samples": kv_sampler.samples if kv_sampler else 0,
+            "per_tenant": tenants["per_tenant"],
+            "fairness_index": tenants["fairness_index"],
+            "kv_samples": kv_sampler.samples,
         }
-        if kv_sampler is not None:
-            report.violations.extend(kv_sampler.violations)
+        report.violations.extend(kv_sampler.violations)
     report.violations.extend(auditor.violations)
     if auditor.pipelines_audited == 0:
         report.violations.append(Violation(

@@ -29,6 +29,7 @@ from repro.placement.base import PlannerResult
 from repro.scheduling.base import Scheduler
 from repro.sim.metrics import ServingMetrics
 from repro.sim.simulator import Simulation
+from repro.tenancy.registry import TenantRegistry
 
 #: Relative slack for floating-point flow comparisons.
 _REL_TOL = 1e-6
@@ -315,39 +316,24 @@ def check_elastic(sim: Simulation, metrics: ServingMetrics) -> list[Violation]:
 # ----------------------------------------------------------------------
 # Multi-tenancy invariants
 # ----------------------------------------------------------------------
-def check_tenancy(sim: Simulation, metrics: ServingMetrics) -> list[Violation]:
-    """Invariants specific to multi-tenant (tenancy-enabled) runs.
+def check_tenancy(
+    sim: Simulation, metrics: ServingMetrics, registry: TenantRegistry
+) -> list[Violation]:
+    """Invariants specific to multi-tenant runs.
 
     * everything :func:`check_chaos` guarantees (request conservation,
       exclusive terminal states);
-    * every request carries a tenant id the registry knows;
-    * token accounting: the manager's per-tenant token counters sum to
-      every token the system emitted (disrupted attempts included).
+    * every request carries a tenant id ``registry`` knows.
     """
     violations = check_chaos(sim, metrics)
-    manager = sim.tenancy
-    if manager is None:
-        return violations + [Violation(
-            "tenancy_enabled",
-            "check_tenancy called on a run without a tenancy config",
-        )]
-
-    known = set(manager.config.registry.ids)
     for record in sim.records:
-        if record.tenant_id not in known:
+        if record.tenant_id not in registry:
             violations.append(Violation(
                 "tenant_registered",
                 f"request {record.request_id} carries tenant "
-                f"{record.tenant_id!r} unknown to the registry {sorted(known)}",
+                f"{record.tenant_id!r} unknown to the registry "
+                f"{list(registry.ids)}",
             ))
-
-    noted = sum(manager.tokens_by_tenant.values())
-    if noted != sim.tokens_emitted:
-        violations.append(Violation(
-            "tenant_token_accounting",
-            f"per-tenant token counters sum to {noted} but the system "
-            f"emitted {sim.tokens_emitted} tokens",
-        ))
     return violations
 
 

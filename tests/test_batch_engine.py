@@ -89,7 +89,7 @@ def _single_stage_material():
     return cluster, model, placement, flow
 
 
-def _serve(requests, tenancy=None, events=(), max_time=1e9):
+def _serve(requests, events=(), max_time=1e9):
     cluster, model, placement, flow = _single_stage_material()
     profiler = Profiler()
     scheduler = HelixScheduler(
@@ -98,7 +98,7 @@ def _serve(requests, tenancy=None, events=(), max_time=1e9):
     )
     sim = Simulation(
         cluster, model, placement, scheduler, list(requests),
-        profiler=profiler, max_time=max_time, seed=0, tenancy=tenancy,
+        profiler=profiler, max_time=max_time, seed=0,
     )
     for when, action in events:
         sim.schedule_event(when, action)
@@ -120,15 +120,11 @@ _CUT_POINTS = {
 }
 
 
-def _tenancy_for(tagged):
-    """The lone-request tests' tagging axis: ``tagged`` runs carry a
-    one-tenant config (per-token tenant accounting), the others are
-    untagged."""
-    if not tagged:
-        return None
-    from repro.tenancy import TenancyConfig, TenantRegistry, TenantSpec
-
-    return TenancyConfig(TenantRegistry([TenantSpec("t")]))
+def _tenant_for(path):
+    """The lone-request tests' tagging axis: the ``tenancy`` path's
+    requests carry tenant ``t`` (whose tokens the tenancy observable
+    group counts), the ``untagged`` path's carry none."""
+    return "t" if path == "tenancy" else ""
 
 
 #: The uncut lone request of the window-cut tests, per ``path``.
@@ -150,15 +146,14 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
     token goes to the callback, which was scheduled first — and leaves
     every observable equal to the uncut run's.
     """
-    tenancy = _tenancy_for(path == "tenancy")
-    requests = [Request("solo", 64, 300, 10.0, tenant_id="t")]
-    full = _serve(requests, tenancy=tenancy)
+    requests = [Request("solo", 64, 300, 10.0, tenant_id=_tenant_for(path))]
+    full = _serve(requests)
     _pinned(SOLO_DIGESTS, path, *full)
     times = full[0].record_of("solo").token_times
     when, busy = _CUT_POINTS[point](times[150], times[151])
     assert times[150] < when <= times[151]
     if cut == "max_time":
-        sim, _ = _serve(requests, tenancy=tenancy, max_time=when)
+        sim, _ = _serve(requests, max_time=when)
         kept = 152 if when == times[151] else 151
         assert sim.record_of("solo").token_times == times[:kept]
         assert sim.now <= when
@@ -171,7 +166,7 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
                 sim.record_of("solo").tokens_generated,
             ))
 
-        probed = _serve(requests, tenancy=tenancy, events=[(when, probe)])
+        probed = _serve(requests, events=[(when, probe)])
         assert seen == [(busy, 151)]
         assert run_digest(*probed) == run_digest(*full)
 
@@ -228,13 +223,14 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     scheduler = HelixScheduler(
         cluster, model, placement, flow=flow, expected_output_len=20.0
     )
+    tenant_id = _tenant_for(path)
     requests = [
-        Request("r0", 2048, 20, 10.0, tenant_id="t"),
-        Request("r1", 16, 20, 10.0 + timeout + 0.001, tenant_id="t"),
+        Request("r0", 2048, 20, 10.0, tenant_id=tenant_id),
+        Request("r1", 16, 20, 10.0 + timeout + 0.001, tenant_id=tenant_id),
     ]
     sim = Simulation(
         cluster, model, placement, scheduler, requests,
-        max_time=100.0, seed=0, tenancy=_tenancy_for(path == "tenancy"),
+        max_time=100.0, seed=0,
         policy=RequestPolicy(ttft_timeout=timeout, retry_backoff=1000.0),
     )
     metrics = sim.run()
@@ -327,6 +323,7 @@ def test_overlapping_requests_match_per_hop():
 def test_tenancy_tagged_trace_matches_per_hop():
     from repro.tenancy import (
         FairnessConfig, TenancyConfig, TenantRegistry, TenantSpec,
+        tenant_report,
     )
 
     tenancy = TenancyConfig(
@@ -344,9 +341,10 @@ def test_tenancy_tagged_trace_matches_per_hop():
         )
         for i in range(30)
     ]
-    sim, metrics = _serve(requests, tenancy=tenancy)
+    sim, metrics = _serve(requests)
     _pinned(SCRIPTED_DIGESTS, "tenancy_tagged", sim, metrics)
-    assert sim.tenancy.tokens_by_tenant == {"alpha": 20 * 60, "beta": 10 * 60}
+    report = tenant_report(sim.records, tenancy, end_time=sim.now)
+    assert report["tokens_by_tenant"] == {"alpha": 20 * 60, "beta": 10 * 60}
 
 
 # ----------------------------------------------------------------------

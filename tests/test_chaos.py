@@ -61,14 +61,21 @@ def assert_conserved(sim, metrics):
     assert not violations, "\n".join(str(v) for v in violations)
 
 
-def _two_tenants_time_mode():
+def _two_tenants_report(sim, mode):
+    """Tenants ``a`` and ``b``'s report over ``sim``'s run, with
+    ``mode`` fairness in 0.5 s windows."""
     from repro.tenancy import (
         FairnessConfig, TenancyConfig, TenantRegistry, TenantSpec,
+        tenant_report,
     )
 
-    return TenancyConfig(
+    tenancy = TenancyConfig(
         TenantRegistry([TenantSpec("a"), TenantSpec("b")]),
-        fairness=FairnessConfig(mode="T", window=0.5),
+        fairness=FairnessConfig(mode=mode, window=0.5),
+    )
+    return tenant_report(
+        sim.records, tenancy, end_time=sim.now,
+        backlogged=sim.pending_tenants,
     )
 
 
@@ -384,7 +391,6 @@ class TestRequestPolicy:
             small_cluster, tiny_model, placement8, requests,
             max_time=30.0, seed=0,
             policy=RequestPolicy(ttft_timeout=0.1, retry_backoff=60.0),
-            tenancy=_two_tenants_time_mode(),
         )
         sim.set_compute_slowdown("a100-0", 50.0)
         sim.set_compute_slowdown("t4-1", 50.0)
@@ -404,11 +410,42 @@ class TestRequestPolicy:
         assert sim.in_flight_requests == 1
         assert sim.scheduler.active_requests == 0
         assert_conserved(sim, metrics)
-        service = sim.tenancy.tracker.service_in_backlog(sim.now)
-        assert {k: round(v, 12) for k, v in service.items()} == {
+        service = _two_tenants_report(sim, "T")["service"]
+        assert {k: round(sum(v), 12) for k, v in service.items()} == {
             "a": 0.1, "b": 0.095466146968,
         }
         assert run_digest(sim, metrics)[:16] == "5fc0e93f2f2df11b"
+
+    def test_node_failure_keeps_a_requeued_attempts_tokens_as_service(
+        self, small_cluster, tiny_model, placement8
+    ):
+        """A failure requeues ``r0`` mid-decode; its lost tokens count.
+
+        Tenant ``a``'s ``r0`` decodes through ``a100-0``, which fails at
+        0.2 s after 17 of its 40 tokens; the retry finishes on ``t4-1``
+        while tenant ``b``'s ``r1`` runs. Under W-mode fairness the 17
+        lost tokens are ``a``'s service in the windows they were emitted
+        in.
+        """
+        requests = [
+            Request("r0", 64, 40, arrival_time=0.0, tenant_id="a"),
+            Request("r1", 64, 40, arrival_time=0.3, tenant_id="b"),
+        ]
+        sim = make_simulation(
+            small_cluster, tiny_model, placement8, requests,
+            max_time=30.0, seed=0,
+        )
+        sim.schedule_event(0.2, lambda s: s.fail_node("a100-0"))
+        metrics = sim.run()
+        record = sim.record_of("r0")
+        assert (record.retries, record.tokens_lost) == (1, 17)
+        assert metrics.requests_finished == 2
+        assert_conserved(sim, metrics)
+        report = _two_tenants_report(sim, "W")
+        assert report["tokens_by_tenant"] == {"a": 57, "b": 40}
+        assert report["service"] == {"a": [42.0, 15.0], "b": [16.0, 24.0]}
+        assert report["fairness_index"] == 0.9702000412456177
+        assert run_digest(sim, metrics)[:16] == "306b3cc6c3c4fd04"
 
 
 # ----------------------------------------------------------------------

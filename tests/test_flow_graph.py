@@ -1,11 +1,13 @@
 """Tests for the cluster graph abstraction (paper §4.3)."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster import (
     COORDINATOR,
+    Cluster,
     Profiler,
     geo_distributed_24,
     small_cluster_fig12,
@@ -15,6 +17,9 @@ from repro.core.errors import ClusterError, PlacementError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph, connection_is_valid, placement_max_flow
 from repro.models.specs import LLAMA_30B
+from repro.scenarios.generator import generate_scenario
+from repro.testkit.golden import MATRIX
+from repro.testkit.harness import plan_scenario
 
 
 @pytest.fixture()
@@ -335,3 +340,46 @@ class TestFlatBuild:
             else:
                 evaluator.reevaluate(placement)
                 assert set(evaluator.valid_connections()) == expected
+
+
+# ----------------------------------------------------------------------
+# Metamorphic relation: the flow layer is linear in its capacities
+# ----------------------------------------------------------------------
+def _doubled(cluster):
+    """``cluster`` with every GPU's FLOPs and memory bandwidth and every
+    link's bandwidth doubled."""
+    out = Cluster(name=cluster.name)
+    for node in cluster.nodes.values():
+        gpu = replace(
+            node.gpu,
+            fp16_flops=2 * node.gpu.fp16_flops,
+            mem_bandwidth=2 * node.gpu.mem_bandwidth,
+        )
+        out.add_node(node.node_id, gpu, node.num_gpus, node.region)
+    for (src, dst), link in cluster.links.items():
+        out.connect(src, dst, 2 * link.bandwidth, link.latency,
+                    bidirectional=False)
+    return out
+
+
+@pytest.mark.parametrize(
+    "family,seed", MATRIX, ids=[f"{family}-{seed}" for family, seed in MATRIX]
+)
+def test_doubling_every_capacity_doubles_the_max_flow(family, seed):
+    """Twice the FLOPs and memory bandwidth with half the batch overhead
+    halve every batch time, so every ``T_j`` doubles, as does every link
+    capacity at twice the bandwidth; the max flow of the placement the
+    golden case serves must then double exactly."""
+    scenario = generate_scenario(family, seed, "smoke")
+    _, result = plan_scenario(scenario)
+    cluster = scenario.cluster
+    if cluster.down_node_ids:
+        cluster = cluster.subcluster()
+    profiler = Profiler()
+    base = FlowGraph(cluster, scenario.model, result.placement, profiler)
+    doubled = FlowGraph(
+        _doubled(cluster), scenario.model, result.placement,
+        replace(profiler, batch_overhead=profiler.batch_overhead / 2),
+    )
+    assert base.solve().max_flow == result.max_throughput
+    assert doubled.solve().max_flow == 2 * result.max_throughput

@@ -103,7 +103,7 @@ class TestKnobs:
         assert list(inspect.signature(repro.Simulation.__init__).parameters) == [
             "self", "cluster", "model", "placement", "scheduler", "requests",
             "profiler", "max_batch_tokens", "max_time", "warmup", "seed",
-            "controller", "policy", "debug_validate", "residency", "tenancy",
+            "controller", "policy", "debug_validate", "residency",
         ]
 
     def test_planner_and_controller_parameters(self):

@@ -2,20 +2,21 @@
 
 The acceptance criteria of the tenancy PR, as tier-1 smoke tests:
 
-* tenancy off (the default) leaves the engine untouched — and a
-  *single-tenant* tenancy config is bit-identical to no config at all
-  (same token timeline on the same trace);
+* the simulator has no tenant: tagging a trace's requests with tenant
+  ids leaves the run untouched (same token timeline on the same trace),
+  and :func:`~repro.tenancy.report.tenant_report` computes per-tenant
+  results from the records afterwards;
 * a registered tenant that sends no traffic does not depress the
   fairness index;
-* tenancy is accounting only: under a two-tenant flood that keeps the
-  pending queue backlogged, every request record is the one the same
-  run has without tenancy;
+* under a two-tenant flood that keeps the pending queue backlogged,
+  every request record is the one the same run has untagged;
 * the ``tenant`` scenario family passes every invariant (determinism,
   differential oracles, live per-tenant KV accounting) on several seeds;
 * the tenant sweep headline (seeds 0-24 at full size) is pinned exactly.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -30,10 +31,11 @@ from repro.tenancy import (
     FairnessConfig,
     SLOClass,
     TenancyConfig,
-    TenantManager,
     TenantRegistry,
     TenantSpec,
     jain_index,
+    tenant_report,
+    tenant_tokens,
 )
 from repro.tenancy.fairness import WindowedFairnessTracker
 from repro.testkit import (
@@ -164,18 +166,27 @@ class TestFairness:
     def test_zero_demand_tenant_has_zero_debt(self):
         """A registered-but-idle tenant must not depress the index."""
         config = FairnessConfig(mode="W", window=1.0, backlog_windows=4)
-        manager = TenantManager(TenancyConfig(
-            registry=TenantRegistry([
-                TenantSpec("busy"), TenantSpec("idle"),
-            ]),
-            fairness=config,
-        ))
-        for i in range(20):
-            manager.note_token("busy", 0.1 * i)
+        record = RequestRecord(
+            request_id="busy:0", input_len=16, output_len=20,
+            arrival_time=0.0, tenant_id="busy",
+        )
+        record.token_times = [0.1 * i for i in range(20)]
+        record.tokens_generated = 20
+        report = tenant_report(
+            [record],
+            TenancyConfig(
+                registry=TenantRegistry([
+                    TenantSpec("busy"), TenantSpec("idle"),
+                ]),
+                fairness=config,
+            ),
+            end_time=2.0,
+            backlogged=("busy",),
+        )
         # Only tenants with service or queued demand participate: with
         # one active tenant the index is perfect.
-        assert manager.tracker.fairness_index(2.0, backlogged=("busy",)) == 1.0
-        assert manager.tokens_by_tenant == {"busy": 20, "idle": 0}
+        assert report["fairness_index"] == 1.0
+        assert report["tokens_by_tenant"] == {"busy": 20, "idle": 0}
 
     def test_fairness_index_does_not_depend_on_hash_seed(self):
         """Shares 1:2:7 and service 0.3 / 0.6 / 0.1 in one window: the
@@ -212,8 +223,38 @@ class TestFairness:
         assert len(outputs) == 1, outputs
 
 
+def test_tenancy_never_imports_the_simulator():
+    """The package reports over records and never reaches into the
+    engine. Its sources are parsed, not imported, so an import inside a
+    function counts too."""
+    import ast
+    from pathlib import Path
+
+    package = Path(__file__).resolve().parents[1] / "src" / "repro" / "tenancy"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    offenders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(
+                name == "repro.sim.simulator"
+                or name.startswith("repro.sim.simulator.")
+                for name in names
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
 # ----------------------------------------------------------------------
-# Engine gating: off by default, single tenant bit-identical
+# Engine gating: untagged by default, one tenant bit-identical
 # ----------------------------------------------------------------------
 class TestGating:
     def test_tenancy_off_by_default(self, small_cluster, tiny_model, placement8):
@@ -221,51 +262,62 @@ class TestGating:
             small_cluster, tiny_model, placement8, trace(5, 0.1),
             max_time=30.0, seed=0,
         )
-        assert sim.tenancy is None
         sim.run()
         assert sim.kv_usage_by_tenant() == {}
+        assert tenant_tokens(sim.records) == {}
 
     def test_single_tenant_is_bit_identical(
         self, small_cluster, tiny_model, placement8
     ):
-        """The degenerate one-tenant config must not perturb the engine:
-        same requests, same seed => the exact same token timeline."""
+        """Tagging every request with one tenant must not perturb the
+        engine: same requests, same seed => the exact same token
+        timeline."""
         requests = trace(40, 0.1, tenant_id="solo")
         off = make_simulation(
-            small_cluster, tiny_model, placement8, list(requests),
+            small_cluster, tiny_model, placement8,
+            [replace(r, tenant_id="") for r in requests],
             max_time=60.0, seed=0,
         )
         metrics_off = off.run()
         on = make_simulation(
             small_cluster, tiny_model, placement8, list(requests),
             max_time=60.0, seed=0,
-            tenancy=TenancyConfig(TenantRegistry([TenantSpec("solo")])),
         )
         metrics_on = on.run()
         assert on.token_timeline == off.token_timeline
         assert metrics_on.requests_finished == metrics_off.requests_finished
         assert metrics_on.decode_throughput == metrics_off.decode_throughput
-        assert on.tenancy.tokens_by_tenant["solo"] == on.tokens_emitted
-        violations = check_tenancy(on, metrics_on)
+        tenancy = TenancyConfig(TenantRegistry([TenantSpec("solo")]))
+        report = tenant_report(on.records, tenancy, end_time=on.now)
+        assert report["tokens_by_tenant"]["solo"] == on.tokens_emitted
+        violations = check_tenancy(on, metrics_on, tenancy.registry)
         assert not violations, "\n".join(str(v) for v in violations)
 
 
 # ----------------------------------------------------------------------
-# Accounting only: tenancy never reorders the pending queue
+# Tags never reorder the pending queue
 # ----------------------------------------------------------------------
-def _contended_run(small_cluster, tiny_model, placement8, tenancy):
+#: The contended run's tenants.
+CONTENDED = TenancyConfig(
+    TenantRegistry([TenantSpec("vip"), TenantSpec("lowly")]),
+    fairness=FairnessConfig(mode="W", window=1.0, backlog_windows=3),
+)
+
+
+def _contended_run(small_cluster, tiny_model, placement8, tagged):
     """A sustained ``vip`` flood plus a trickle of ``lowly`` work.
 
     The scheduler's expected-output KV charge is inflated so only a few
     requests fit concurrently; arrivals outpace admission and the pending
-    queue stays deeply backlogged with both tenants.
+    queue stays deeply backlogged with both tenants. Untagged, the same
+    requests carry no tenant id.
     """
-    registry = TenantRegistry([TenantSpec("vip"), TenantSpec("lowly")])
-    fairness = FairnessConfig(mode="W", window=1.0, backlog_windows=3)
     requests = merged(
         trace(200, 0.02, tenant_id="vip", input_len=64, output_len=48),
         trace(8, 0.02, tenant_id="lowly", input_len=64, output_len=48),
     )
+    if not tagged:
+        requests = [replace(r, tenant_id="") for r in requests]
     flow = FlowGraph(small_cluster, tiny_model, placement8).solve()
     scheduler = HelixScheduler(
         small_cluster, tiny_model, placement8, flow=flow,
@@ -274,7 +326,6 @@ def _contended_run(small_cluster, tiny_model, placement8, tenancy):
     sim = Simulation(
         small_cluster, tiny_model, placement8, scheduler, requests,
         max_time=120.0, seed=0,
-        tenancy=TenancyConfig(registry, fairness=fairness) if tenancy else None,
     )
     metrics = sim.run()
     return sim, metrics
@@ -284,8 +335,7 @@ def test_tenancy_does_not_reorder_requests(
     small_cluster, tiny_model, placement8
 ):
     """With both tenants backlogged, every record (serving order,
-    first-token and token times) is the one the run has without
-    tenancy."""
+    first-token and token times) is the one the run has untagged."""
     on, metrics = _contended_run(small_cluster, tiny_model, placement8, True)
     off, _ = _contended_run(small_cluster, tiny_model, placement8, False)
 
@@ -296,11 +346,12 @@ def test_tenancy_does_not_reorder_requests(
         ]
 
     assert served(on) == served(off)
-    assert on.records == off.records
+    assert [replace(r, tenant_id="") for r in on.records] == off.records
     assert on.token_timeline == off.token_timeline
     assert metrics.requests_finished == 208
-    assert on.tenancy.tokens_by_tenant == {"lowly": 384, "vip": 9600}
-    violations = check_tenancy(on, metrics)
+    report = tenant_report(on.records, CONTENDED, end_time=on.now)
+    assert report["tokens_by_tenant"] == {"lowly": 384, "vip": 9600}
+    violations = check_tenancy(on, metrics, CONTENDED.registry)
     assert not violations, "\n".join(str(v) for v in violations)
 
 
