@@ -100,14 +100,10 @@ from repro.tenancy import (
 from repro.online import (
     NodeFailure,
     NodeRecovery,
-    NodeJoin,
     LinkDegradation,
     LinkRecovery,
-    NetworkPartition,
-    PartitionHeal,
     ChurnConfig,
     random_churn,
-    scripted_schedule,
     OnlineController,
 )
 from repro.trace import (

@@ -113,7 +113,7 @@ class Cluster:
         """Replace the ``src -> dst`` link with one at ``bandwidth``.
 
         Links are frozen (subclusters share them), so changing a
-        live link's bandwidth — degradation, partition, repair — swaps in a
+        live link's bandwidth — degradation or repair — swaps in a
         fresh :class:`Link` with the same latency. Returns the new link.
         """
         old = self.link(src, dst)

@@ -359,8 +359,7 @@ class FlowGraph:
         swapping the cluster's :class:`~repro.cluster.network.Link` objects;
         this re-derives the affected token capacities and rewrites the
         corresponding edge capacities (for currently-valid connections)
-        without touching graph structure. Newly *added* links (node joins)
-        are structural and need a fresh :class:`FlowGraph`.
+        without touching graph structure.
 
         Args:
             keys: The ``(src, dst)`` connections to refresh; ``None``

@@ -1,9 +1,9 @@
 """Online dynamics: cluster churn, fault injection, and live replanning.
 
 The paper plans a placement once and serves a static cluster; this package
-closes the loop for clusters that lose nodes, degrade links, and gain
-capacity mid-flight. :mod:`repro.online.events` is the churn vocabulary
-(scripted schedules and seeded random generators);
+closes the loop for clusters that lose nodes, degrade links, and bring
+spare nodes back mid-flight. :mod:`repro.online.events` is the churn
+vocabulary (scripted schedules and seeded random generators);
 :mod:`repro.online.controller` reacts to each event in two tiers — an
 incremental :meth:`FlowGraph.reevaluate()
 <repro.flow.graph.FlowGraph.reevaluate>` flow rewrite for an immediate
@@ -28,14 +28,10 @@ from repro.online.events import (
     NodeDrain,
     NodeFailure,
     NodeRecovery,
-    NodeJoin,
     LinkDegradation,
     LinkRecovery,
-    NetworkPartition,
-    PartitionHeal,
     ChurnConfig,
     random_churn,
-    scripted_schedule,
     validate_schedule,
 )
 from repro.online.faults import (
@@ -55,14 +51,10 @@ __all__ = [
     "NodeDrain",
     "NodeFailure",
     "NodeRecovery",
-    "NodeJoin",
     "LinkDegradation",
     "LinkRecovery",
-    "NetworkPartition",
-    "PartitionHeal",
     "ChurnConfig",
     "random_churn",
-    "scripted_schedule",
     "validate_schedule",
     "FlakyLink",
     "FlakyLinkEnd",

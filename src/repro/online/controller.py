@@ -49,7 +49,6 @@ from repro.online.detect import DetectorConfig, FailureDetector
 from repro.online.events import (
     ClusterEvent,
     NodeFailure,
-    NodeJoin,
     validate_schedule,
 )
 from repro.placement.helix_milp import HelixMilpPlanner
@@ -133,7 +132,7 @@ class OnlineController:
 
         #: ``(sim_time, description)`` log of applied events.
         self.event_log: list[tuple[float, str]] = []
-        #: Times of disruptive events (failures, degradations, partitions).
+        #: Times of disruptive events (failures, drains, degradations).
         self.disruption_times: list[float] = []
         #: One :class:`ReplanRecord` per reaction.
         self.replans: list[ReplanRecord] = []
@@ -182,10 +181,6 @@ class OnlineController:
         self.event_log.append((sim.now, description))
         if event.is_disruptive:
             self.disruption_times.append(sim.now)
-        if isinstance(event, NodeJoin):
-            # Structural change: the incremental evaluator's edge registry
-            # no longer covers the cluster; rebuild lazily.
-            self._flow_graph = None
         if event.triggers_replan:
             self.react(sim)
 

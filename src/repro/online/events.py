@@ -1,11 +1,12 @@
 """Timed cluster events: the vocabulary of online churn.
 
 An event is a frozen description of one environment change at one
-simulation time — a node crashing or rejoining, a new node being
-provisioned, a link degrading or being repaired, a partition between two
-node groups. Events know how to *apply* themselves to a running
-:class:`~repro.sim.simulator.Simulation` (via its online primitives) and
-whether the change warrants a replanning.
+simulation time — a node crashing, draining or recovering, a link
+degrading or being repaired. Events know how to *apply* themselves to a
+running :class:`~repro.sim.simulator.Simulation` (via its online
+primitives) and whether the change warrants a replanning. No event adds
+a node or a link: once a simulation exists, its topology is fixed, and
+spare capacity enters as a node that starts down and recovers.
 
 Schedules come in two flavors:
 
@@ -19,14 +20,12 @@ Schedules come in two flavors:
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cluster.gpus import GPUSpec
-from repro.cluster.node import COORDINATOR
 from repro.core.errors import ClusterError
-from repro.core.units import GBIT
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,8 @@ class ClusterEvent:
 
     #: Whether the controller should replan after applying this event.
     triggers_replan = True
-    #: Whether the event takes capacity away (failures, degradations,
-    #: partitions). Recovery-type events replan too but do not count as
+    #: Whether the event takes capacity away (failures, drains,
+    #: degradations). Recovery-type events replan too but do not count as
     #: disruptions in the :class:`~repro.sim.metrics.DisruptionReport`.
     is_disruptive = True
 
@@ -93,63 +92,15 @@ class NodeDrain(ClusterEvent):
 
 
 @dataclass(frozen=True)
-class NodeJoin(ClusterEvent):
-    """A brand-new node is provisioned into the cluster.
-
-    The node is added to the topology with symmetric links to ``peers``
-    (default: every existing node) and to the coordinator; it carries no
-    layers until the next replanning assigns it some. Joins change graph
-    *structure*, so the controller rebuilds its incremental flow evaluator.
-
-    Attributes:
-        node_id: Id of the new node.
-        gpu: GPU model installed.
-        num_gpus: GPUs in the node.
-        region: Region label.
-        bandwidth: Bandwidth of the new links, bytes/second.
-        latency: One-way latency of the new links, seconds.
-        peers: Node ids to connect to; ``None`` means all current nodes.
-    """
-
-    node_id: str = ""
-    gpu: GPUSpec | None = None
-    num_gpus: int = 1
-    region: str = "default"
-    bandwidth: float = 10 * GBIT
-    latency: float = 0.001
-    peers: tuple[str, ...] | None = None
-
-    is_disruptive = False
-
-    def apply(self, sim) -> str:
-        if self.gpu is None:
-            raise ValueError(f"NodeJoin({self.node_id!r}) needs a gpu spec")
-        cluster = sim.cluster
-        peers = (
-            list(self.peers) if self.peers is not None else cluster.node_ids
-        )
-        cluster.add_node(
-            self.node_id, self.gpu, num_gpus=self.num_gpus, region=self.region
-        )
-        for peer in peers:
-            cluster.connect(self.node_id, peer, self.bandwidth, self.latency)
-        cluster.connect(
-            COORDINATOR, self.node_id, self.bandwidth, self.latency
-        )
-        return f"node {self.node_id} joined ({len(peers)} links)"
-
-
-@dataclass(frozen=True)
 class LinkDegradation(ClusterEvent):
     """A link's bandwidth drops to ``factor`` of its original value."""
 
     src: str = ""
     dst: str = ""
     factor: float = 0.1
-    bidirectional: bool = True
 
     def apply(self, sim) -> str:
-        sim.degrade_link(self.src, self.dst, self.factor, self.bidirectional)
+        sim.degrade_link(self.src, self.dst, self.factor)
         return (
             f"link {self.src}<->{self.dst} degraded to "
             f"{self.factor * 100:.0f}% bandwidth"
@@ -162,65 +113,11 @@ class LinkRecovery(ClusterEvent):
 
     src: str = ""
     dst: str = ""
-    bidirectional: bool = True
     is_disruptive = False
 
     def apply(self, sim) -> str:
-        sim.restore_link(self.src, self.dst, self.bidirectional)
+        sim.restore_link(self.src, self.dst)
         return f"link {self.src}<->{self.dst} restored"
-
-
-@dataclass(frozen=True)
-class NetworkPartition(ClusterEvent):
-    """Connectivity between two node groups collapses.
-
-    Modeled as severe degradation (``factor`` of original bandwidth) of
-    every link crossing the cut, in both directions — traffic *can* still
-    crawl through, as over a flapping WAN, but replanning will route
-    around it. Heal with a matching :class:`PartitionHeal`.
-    """
-
-    group_a: tuple[str, ...] = ()
-    group_b: tuple[str, ...] = ()
-    factor: float = 0.02
-
-    def _cut_links(self, sim):
-        links = sim.cluster.links
-        for a in self.group_a:
-            for b in self.group_b:
-                if (a, b) in links:
-                    yield a, b
-                if (b, a) in links:
-                    yield b, a
-
-    def apply(self, sim) -> str:
-        count = 0
-        for a, b in self._cut_links(sim):
-            sim.degrade_link(a, b, self.factor, bidirectional=False)
-            count += 1
-        return (
-            f"partition {self.group_a}|{self.group_b}: {count} links at "
-            f"{self.factor * 100:.0f}% bandwidth"
-        )
-
-
-@dataclass(frozen=True)
-class PartitionHeal(NetworkPartition):
-    """Heal a partition created by a matching :class:`NetworkPartition`."""
-
-    is_disruptive = False
-
-    def apply(self, sim) -> str:
-        count = 0
-        for a, b in self._cut_links(sim):
-            sim.restore_link(a, b, bidirectional=False)
-            count += 1
-        return f"partition {self.group_a}|{self.group_b} healed ({count} links)"
-
-
-def scripted_schedule(*events: ClusterEvent) -> list[ClusterEvent]:
-    """Sort a hand-written scenario into firing order."""
-    return sorted(events, key=lambda e: e.time)
 
 
 @dataclass(frozen=True)
@@ -320,42 +217,43 @@ def validate_schedule(events: Sequence[ClusterEvent], cluster) -> None:
     """Reject a malformed event schedule before the run starts.
 
     A bad schedule — a typo'd node id, a recovery for a node that never
-    fails, partitions that overlap — otherwise surfaces mid-run as a
-    confusing simulation error (or worse, silently does nothing). This
-    checks the whole schedule up front against the starting cluster and
-    raises :class:`~repro.core.errors.ClusterError` naming the offending
-    event:
+    fails, a parameter the simulator would refuse — otherwise surfaces
+    mid-run as a confusing simulation error (or worse, silently does
+    nothing). This checks the whole schedule up front against the
+    starting cluster and raises :class:`~repro.core.errors.ClusterError`
+    naming the offending event and its time:
 
     * no event may carry a negative (or NaN) time;
-    * every node event must name a known node (a ``NodeJoin`` makes its
-      node known from that point on, and must not collide with one);
+    * every node event must name a known node;
     * every link event must name an existing link;
     * a ``NodeRecovery`` must be preceded by something that takes its
       node out of service (``NodeFailure``, a gray node fault, or the
       node starting out down);
-    * two ``NetworkPartition``\\ s may not overlap in time on any shared
-      node (heal the first before cutting the second).
+    * a ``LinkDegradation`` factor and a ``StragglerStart`` slowdown must
+      be finite and positive; a ``FlakyLink`` drop probability must lie
+      in [0, 1) and its retransmit delay must not be negative.
     """
     from repro.online.faults import FlakyLink, FlakyLinkEnd, GRAY_NODE_FAULTS
     from repro.online.faults import StragglerEnd, StragglerStart
 
-    known_nodes = set(cluster.node_ids)
     failed: set[str] = set(cluster.down_node_ids)
-    partitions: list[tuple[NetworkPartition, frozenset[str]]] = []
+
+    def reject(event: ClusterEvent, problem: str) -> None:
+        raise ClusterError(
+            f"{type(event).__name__} at t={event.time:g} {problem}"
+        )
 
     def check_node(event: ClusterEvent, node_id: str) -> None:
-        if node_id not in known_nodes:
-            raise ClusterError(
-                f"{type(event).__name__} at t={event.time:g} names unknown "
-                f"node {node_id!r}"
-            )
+        if node_id not in cluster:
+            reject(event, f"names unknown node {node_id!r}")
 
     def check_link(event: ClusterEvent, src: str, dst: str) -> None:
         if not cluster.has_link(src, dst):
-            raise ClusterError(
-                f"{type(event).__name__} at t={event.time:g} names unknown "
-                f"link {src!r}->{dst!r}"
-            )
+            reject(event, f"names unknown link {src!r}->{dst!r}")
+
+    def check_positive(event: ClusterEvent, name: str, value: float) -> None:
+        if not (math.isfinite(value) and value > 0):
+            reject(event, f"has {name} {value}; it must be finite and > 0")
 
     for event in sorted(events, key=lambda e: e.time):
         if not event.time >= 0:  # also rejects NaN
@@ -372,46 +270,36 @@ def validate_schedule(events: Sequence[ClusterEvent], cluster) -> None:
         elif isinstance(event, NodeRecovery):
             check_node(event, event.node_id)
             if event.node_id not in failed:
-                raise ClusterError(
-                    f"NodeRecovery at t={event.time:g} for node "
-                    f"{event.node_id!r}, which never failed before it"
+                reject(
+                    event,
+                    f"for node {event.node_id!r}, which never failed "
+                    f"before it",
                 )
             failed.discard(event.node_id)
-        elif isinstance(event, NodeJoin):
-            if event.node_id in known_nodes:
-                raise ClusterError(
-                    f"NodeJoin at t={event.time:g} collides with existing "
-                    f"node {event.node_id!r}"
-                )
-            known_nodes.add(event.node_id)
-        elif isinstance(event, (StragglerStart, StragglerEnd)):
+        elif isinstance(event, StragglerStart):
+            check_node(event, event.node_id)
+            check_positive(event, "slowdown", event.slowdown)
+        elif isinstance(event, StragglerEnd):
             check_node(event, event.node_id)
         elif isinstance(event, GRAY_NODE_FAULTS):
             check_node(event, event.node_id)
             failed.add(event.node_id)
-        elif isinstance(event, (LinkDegradation, LinkRecovery)):
+        elif isinstance(event, LinkDegradation):
             check_link(event, event.src, event.dst)
-        elif isinstance(event, (FlakyLink, FlakyLinkEnd)):
+            check_positive(event, "factor", event.factor)
+        elif isinstance(event, FlakyLink):
             check_link(event, event.src, event.dst)
-        elif isinstance(event, PartitionHeal):
-            groups = (tuple(event.group_a), tuple(event.group_b))
-            for index, (partition, _) in enumerate(partitions):
-                if (
-                    tuple(partition.group_a),
-                    tuple(partition.group_b),
-                ) == groups:
-                    del partitions[index]
-                    break
-        elif isinstance(event, NetworkPartition):
-            for node_id in (*event.group_a, *event.group_b):
-                check_node(event, node_id)
-            members = frozenset(event.group_a) | frozenset(event.group_b)
-            for partition, other in partitions:
-                shared = members & other
-                if shared:
-                    raise ClusterError(
-                        f"NetworkPartition at t={event.time:g} overlaps an "
-                        f"unhealed partition from t={partition.time:g} on "
-                        f"node(s) {sorted(shared)}"
-                    )
-            partitions.append((event, members))
+            if not 0.0 <= event.drop_probability < 1.0:
+                reject(
+                    event,
+                    f"has drop probability {event.drop_probability}; "
+                    f"it must be in [0, 1)",
+                )
+            if not event.retransmit_delay >= 0:  # also rejects NaN
+                reject(
+                    event,
+                    f"has retransmit delay {event.retransmit_delay}; "
+                    f"it must be >= 0",
+                )
+        elif isinstance(event, (LinkRecovery, FlakyLinkEnd)):
+            check_link(event, event.src, event.dst)

@@ -120,14 +120,12 @@ class FlakyLink(ClusterEvent):
     dst: str = ""
     drop_probability: float = 0.1
     retransmit_delay: float = 0.1
-    bidirectional: bool = True
 
     triggers_replan = False
 
     def apply(self, sim) -> str:
         sim.set_link_flaky(
-            self.src, self.dst, self.drop_probability,
-            self.retransmit_delay, self.bidirectional,
+            self.src, self.dst, self.drop_probability, self.retransmit_delay
         )
         return (
             f"link {self.src}<->{self.dst} flaky "
@@ -142,13 +140,12 @@ class FlakyLinkEnd(ClusterEvent):
 
     src: str = ""
     dst: str = ""
-    bidirectional: bool = True
 
     triggers_replan = False
     is_disruptive = False
 
     def apply(self, sim) -> str:
-        sim.clear_link_flaky(self.src, self.dst, self.bidirectional)
+        sim.clear_link_flaky(self.src, self.dst)
         return f"link {self.src}<->{self.dst} no longer flaky"
 
 

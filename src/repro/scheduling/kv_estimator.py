@@ -124,8 +124,9 @@ class KVCacheEstimator:
         """Re-bind a node's capacity, preserving its outstanding estimate.
 
         Used when a live replanning changes how many layers a node holds
-        (its KV partition resizes) or adds a node mid-serving; charges from
-        in-flight requests must survive the swap.
+        (its KV partition resizes) or brings a spare node into the
+        placement mid-serving; charges from in-flight requests must
+        survive the swap.
         """
         state = self._nodes.get(node_id)
         if state is None:

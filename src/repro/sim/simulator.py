@@ -946,7 +946,6 @@ class Simulation:
         dst: str,
         drop_probability: float,
         retransmit_delay: float,
-        bidirectional: bool = True,
     ) -> None:
         """A link turns lossy: each message may pay retransmit delays.
 
@@ -959,7 +958,7 @@ class Simulation:
 
         self.cluster.link(src, dst)  # referential check
         keys = [(src, dst)]
-        if bidirectional and self.cluster.has_link(dst, src):
+        if self.cluster.has_link(dst, src):
             keys.append((dst, src))
         for key in keys:
             channel = self.channels.get(key)
@@ -973,9 +972,7 @@ class Simulation:
                 seed=f"repro-flaky:{self.seed}:{key[0]}:{key[1]}",
             )
 
-    def clear_link_flaky(
-        self, src: str, dst: str, bidirectional: bool = True
-    ) -> None:
+    def clear_link_flaky(self, src: str, dst: str) -> None:
         """A flaky link heals.
 
         A fault delay only perturbs arrivals sent while it is live:
@@ -983,10 +980,7 @@ class Simulation:
         new hops arrive without retransmit delays.
         """
         self.cluster.link(src, dst)  # referential check
-        keys = [(src, dst)]
-        if bidirectional:
-            keys.append((dst, src))
-        for key in keys:
+        for key in ((src, dst), (dst, src)):
             channel = self.channels.get(key)
             if channel is not None:
                 channel.fault = None
@@ -1138,9 +1132,7 @@ class Simulation:
         self._retry_pending()
         return [active.request_id for active in requeued]
 
-    def degrade_link(
-        self, src: str, dst: str, factor: float, bidirectional: bool = True
-    ) -> None:
+    def degrade_link(self, src: str, dst: str, factor: float) -> None:
         """Scale a link's bandwidth to ``factor`` of its original value.
 
         Affects every future transmission (in-flight messages keep their
@@ -1148,9 +1140,8 @@ class Simulation:
         and, through :meth:`~repro.flow.graph.FlowGraph.refresh_links`, the
         flow capacities the next replanning sees. ``factor`` is relative to
         the link's *original* bandwidth, so repeated degradations do not
-        compound; :meth:`restore_link` resets it. With ``bidirectional``
-        the reverse direction is degraded too when it exists (links may be
-        asymmetric).
+        compound; :meth:`restore_link` resets it. The reverse direction
+        is degraded too when it exists (links may be asymmetric).
         """
         if not (math.isfinite(factor) and factor > 0):
             raise SimulationError(
@@ -1159,7 +1150,7 @@ class Simulation:
             )
         self.cluster.link(src, dst)  # referential check before mutating
         keys = [(src, dst)]
-        if bidirectional and self.cluster.has_link(dst, src):
+        if self.cluster.has_link(dst, src):
             keys.append((dst, src))
         for key in keys:
             base = self._base_bandwidth.setdefault(
@@ -1170,15 +1161,11 @@ class Simulation:
             if channel is not None:
                 channel.set_link(link)
 
-    def restore_link(
-        self, src: str, dst: str, bidirectional: bool = True
-    ) -> None:
-        """Restore a degraded link to its original bandwidth."""
+    def restore_link(self, src: str, dst: str) -> None:
+        """Restore a degraded link, both directions, to its original
+        bandwidth."""
         self.cluster.link(src, dst)  # referential check
-        keys = [(src, dst)]
-        if bidirectional:
-            keys.append((dst, src))
-        for key in keys:
+        for key in ((src, dst), (dst, src)):
             base = self._base_bandwidth.pop(key, None)
             if base is None:
                 continue
@@ -1275,10 +1262,6 @@ class Simulation:
             executor = self.executors.get(node_id)
             if executor is not None:
                 executor.quiesce()
-        # A joined node brings new links; give them channels.
-        for key, link in self.cluster.links.items():
-            if key not in self.channels:
-                self.channels[key] = LinkChannel(link)
 
         self.scheduler.apply_placement(placement, flow=flow)
         if self._residency is not None:

@@ -6,22 +6,22 @@ import math
 import pytest
 
 from repro.cluster import A100_40G, Cluster, L4, T4
-from repro.core.errors import SimulationError
+from repro.core.errors import ClusterError, SimulationError
 from repro.core.placement_types import ModelPlacement
 from repro.core.units import GBIT
 from repro.flow.graph import FlowGraph
 from repro.online import (
     ChurnConfig,
+    FlakyLink,
     LinkDegradation,
     LinkRecovery,
-    NetworkPartition,
     NodeFailure,
-    NodeJoin,
     NodeRecovery,
     OnlineController,
-    PartitionHeal,
+    StragglerStart,
+    ZombieNode,
     random_churn,
-    scripted_schedule,
+    validate_schedule,
 )
 from repro.placement.helix_milp import HelixMilpPlanner
 from repro.scheduling import HelixScheduler
@@ -248,8 +248,6 @@ class TestLinkEvents:
     def test_restore_link_rejects_a_missing_direction(self, tiny_model):
         """Like ``degrade_link``, ``restore_link`` raises on a direction
         the cluster lacks, and leaves the existing reverse degraded."""
-        from repro.core.errors import ClusterError
-
         cluster, sim = self._toy_simulation(tiny_model)
         original = cluster.link("a100", "t4-1").bandwidth
         sim.degrade_link("a100", "t4-1", 0.5)
@@ -263,8 +261,6 @@ class TestLinkEvents:
         """Like ``set_link_flaky``, ``clear_link_flaky`` raises on a
         direction the cluster lacks, and leaves the existing reverse
         flaky."""
-        from repro.core.errors import ClusterError
-
         _, sim = self._toy_simulation(tiny_model)
         sim.set_link_flaky("a100", "t4-1", 0.5, 0.05)
         with pytest.raises(ClusterError, match="no link 't4-1'->'a100'"):
@@ -284,32 +280,6 @@ class TestLinkEvents:
         assert after < before
         # A no-op refresh reports nothing and keeps the cached solution.
         assert graph.refresh_links() == []
-
-    def test_partition_and_heal_events(self, small_cluster, tiny_model, placement8):
-        requests = [Request("r0", 16, 2)]
-        sim = make_simulation(small_cluster, tiny_model, placement8, requests)
-        original = small_cluster.link("a100-0", "l4-0").bandwidth
-        partition = NetworkPartition(
-            0.0, group_a=("a100-0",), group_b=("l4-0", "t4-0"), factor=0.02
-        )
-        heal = PartitionHeal(
-            0.0, group_a=("a100-0",), group_b=("l4-0", "t4-0")
-        )
-        partition.apply(sim)
-        # Both directions of the cut crawl.
-        assert small_cluster.link("a100-0", "l4-0").bandwidth == pytest.approx(
-            original * 0.02
-        )
-        assert small_cluster.link("l4-0", "a100-0").bandwidth == pytest.approx(
-            original * 0.02
-        )
-        heal.apply(sim)
-        assert small_cluster.link("a100-0", "l4-0").bandwidth == pytest.approx(
-            original
-        )
-        assert small_cluster.link("l4-0", "a100-0").bandwidth == pytest.approx(
-            original
-        )
 
 
 class TestPlacementHotSwap:
@@ -437,12 +407,12 @@ class TestOnlineController:
         requests = [
             Request(f"r{i}", 32, 8, arrival_time=i * 0.002) for i in range(400)
         ]
-        events = scripted_schedule(
+        events = [
             NodeFailure(0.3, "a100-0"),
             NodeRecovery(0.8, "a100-0"),
             NodeFailure(1.2, "a100-0"),
             NodeRecovery(1.6, "a100-0"),
-        )
+        ]
         controller = OnlineController(
             tiny_model, events=events, replan_lns_rounds=1,
             replan_time_limit=0.5,
@@ -639,11 +609,14 @@ class TestOnlineController:
         # The coordinator->a100-0 weight collapsed to the link capacity.
         assert after.get("a100-0", 0.0) < before["a100-0"] * 0.5
 
-    def test_node_join_expands_the_cluster(self, small_cluster, tiny_model):
-        from repro.cluster import L4
-
+    def test_recovered_spare_joins_the_placement(
+        self, small_cluster, tiny_model
+    ):
+        """A node that starts down and recovers mid-run is put to work by
+        the replan its recovery triggers."""
+        small_cluster.set_node_available("l4-0", False)
         placement = ModelPlacement.from_intervals(
-            8, {"a100-0": (0, 4), "t4-1": (0, 4), "l4-0": (4, 8), "t4-0": (4, 8)}
+            8, {"a100-0": (0, 4), "t4-1": (0, 4), "t4-0": (4, 8)}
         )
         flow = FlowGraph(small_cluster, tiny_model, placement).solve()
         scheduler = HelixScheduler(
@@ -652,10 +625,9 @@ class TestOnlineController:
         requests = [
             Request(f"r{i}", 32, 6, arrival_time=i * 0.002) for i in range(200)
         ]
-        join = NodeJoin(0.2, node_id="l4-new", gpu=L4, region="r0")
         controller = OnlineController(
-            tiny_model, events=[join], replan_lns_rounds=1,
-            replan_time_limit=0.5,
+            tiny_model, events=[NodeRecovery(0.2, "l4-0")],
+            replan_lns_rounds=1, replan_time_limit=0.5,
         )
         sim = Simulation(
             small_cluster, tiny_model, placement, scheduler, requests,
@@ -663,10 +635,8 @@ class TestOnlineController:
         )
         metrics = sim.run()
         assert metrics.requests_finished == 200
-        assert "l4-new" in small_cluster.node_ids
-        assert controller.replans[-1].status == "applied"
-        # The joined node was put to work by the replan.
-        assert "l4-new" in sim.placement.used_nodes
+        assert [r.status for r in controller.replans] == ["applied"]
+        assert "l4-0" in sim.placement.used_nodes
 
     def test_seeded_runs_are_reproducible(self, small_cluster, tiny_model):
         placement = ModelPlacement.from_intervals(
@@ -957,8 +927,6 @@ class TestScheduleValidation:
     """validate_schedule rejects malformed schedules before the run."""
 
     def test_valid_schedule_passes(self, small_cluster):
-        from repro.online import validate_schedule
-
         validate_schedule(
             [
                 NodeFailure(1.0, "a100-0"),
@@ -970,16 +938,10 @@ class TestScheduleValidation:
         )
 
     def test_negative_time_rejected(self, small_cluster):
-        from repro.core.errors import ClusterError
-        from repro.online import validate_schedule
-
         with pytest.raises(ClusterError, match="negative time"):
             validate_schedule([NodeFailure(-1.0, "a100-0")], small_cluster)
 
     def test_nan_time_rejected(self, small_cluster):
-        from repro.core.errors import ClusterError
-        from repro.online import validate_schedule
-
         with pytest.raises(ClusterError):
             validate_schedule([NodeFailure(math.nan, "a100-0")], small_cluster)
 
@@ -994,75 +956,47 @@ class TestScheduleValidation:
             sim.schedule_event(when, lambda s: None)
 
     def test_unknown_node_rejected(self, small_cluster):
-        from repro.core.errors import ClusterError
-        from repro.online import validate_schedule
-
         with pytest.raises(ClusterError, match="unknown node"):
             validate_schedule([NodeFailure(1.0, "nope-0")], small_cluster)
 
     def test_unknown_link_rejected(self, small_cluster):
-        from repro.core.errors import ClusterError
-        from repro.online import validate_schedule
-
         with pytest.raises(ClusterError, match="unknown link"):
             validate_schedule(
                 [LinkDegradation(1.0, "a100-0", "nope-0")], small_cluster
             )
 
     def test_recovery_without_failure_rejected(self, small_cluster):
-        from repro.core.errors import ClusterError
-        from repro.online import validate_schedule
-
         with pytest.raises(ClusterError, match="never failed"):
             validate_schedule([NodeRecovery(1.0, "a100-0")], small_cluster)
 
-    def test_zombie_counts_as_failure_for_recovery(self, small_cluster):
-        from repro.online import ZombieNode, validate_schedule
+    @pytest.mark.parametrize(
+        "event",
+        [
+            LinkDegradation(1.0, "a100-0", "l4-0", factor=0.0),
+            LinkDegradation(1.0, "a100-0", "l4-0", factor=math.nan),
+            StragglerStart(1.0, "t4-0", slowdown=-2.0),
+            StragglerStart(1.0, "t4-0", slowdown=math.inf),
+            FlakyLink(1.0, "a100-0", "l4-0", drop_probability=1.0),
+            FlakyLink(1.0, "a100-0", "l4-0", retransmit_delay=-0.1),
+        ],
+        ids=["zero-factor", "nan-factor", "negative-slowdown",
+             "inf-slowdown", "certain-drop", "negative-retransmit"],
+    )
+    def test_bad_event_parameters_rejected(self, small_cluster, event):
+        """Each of these would otherwise fail only when it fires."""
+        with pytest.raises(
+            ClusterError, match=rf"^{type(event).__name__} at t=1 "
+        ):
+            validate_schedule([event], small_cluster)
 
+    def test_zombie_counts_as_failure_for_recovery(self, small_cluster):
         validate_schedule(
             [ZombieNode(1.0, "t4-0"), NodeRecovery(5.0, "t4-0")],
             small_cluster,
         )
 
-    def test_overlapping_partitions_rejected(self, small_cluster):
-        from repro.core.errors import ClusterError
-        from repro.online import validate_schedule
-
-        with pytest.raises(ClusterError, match="overlaps"):
-            validate_schedule(
-                [
-                    NetworkPartition(1.0, ("a100-0",), ("t4-0",)),
-                    NetworkPartition(2.0, ("a100-0",), ("t4-1",)),
-                ],
-                small_cluster,
-            )
-
-    def test_healed_partition_allows_reuse(self, small_cluster):
-        from repro.online import validate_schedule
-
-        validate_schedule(
-            [
-                NetworkPartition(1.0, ("a100-0",), ("t4-0",)),
-                PartitionHeal(2.0, ("a100-0",), ("t4-0",)),
-                NetworkPartition(3.0, ("a100-0",), ("t4-1",)),
-            ],
-            small_cluster,
-        )
-
-    def test_node_join_collision_rejected(self, small_cluster):
-        from repro.cluster import T4
-        from repro.core.errors import ClusterError
-        from repro.online import validate_schedule
-
-        with pytest.raises(ClusterError, match="collides"):
-            validate_schedule(
-                [NodeJoin(1.0, "a100-0", gpu=T4)], small_cluster
-            )
-
     def test_controller_start_validates(self, small_cluster, tiny_model,
                                         placement8):
-        from repro.core.errors import ClusterError
-
         requests = [Request("r0", 16, 2)]
         flow = FlowGraph(small_cluster, tiny_model, placement8).solve()
         scheduler = HelixScheduler(
@@ -1227,3 +1161,26 @@ class TestPhiAccrualPaths:
         assert state.threshold == config.phi_threshold * FLAP_DAMPING
         assert detector.false_positives == 1
         assert any(row[1] == "clear:crash" for row in detector.timeline)
+
+
+def test_topology_is_fixed_once_a_simulation_exists():
+    """No simulator or online-control code adds a node or a link, so a
+    run's channels and flow-graph edges are all built up front. Sources
+    are parsed, not imported, so a call inside any function counts."""
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    sources = sorted((src / "sim").glob("*.py")) + sorted(
+        (src / "online").glob("*.py")
+    )
+    assert sources
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("add_node", "connect")
+    ]
+    assert not offenders, offenders

@@ -39,10 +39,9 @@ class TestPublicAPI:
             "diurnal_arrivals", "rate_for_utilization", "RunSpec",
             "make_simulation", "make_planner", "make_scheduler",
             # online dynamics
-            "OnlineController", "NodeFailure", "NodeRecovery", "NodeJoin",
-            "LinkDegradation", "LinkRecovery", "NetworkPartition",
-            "PartitionHeal", "ChurnConfig", "random_churn",
-            "scripted_schedule", "DisruptionReport", "goodput_timeline",
+            "OnlineController", "NodeFailure", "NodeRecovery",
+            "LinkDegradation", "LinkRecovery", "ChurnConfig", "random_churn",
+            "DisruptionReport", "goodput_timeline",
             # scenarios + testkit
             "SCENARIO_FAMILIES", "Scenario", "generate_scenario",
             "scenario_matrix", "ScenarioReport", "Violation",

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.node import COORDINATOR
 from repro.online.events import ChurnConfig, random_churn
 from repro.scenarios import (
+    ALL_FAMILIES,
     SCENARIO_FAMILIES,
     WORKLOAD_KINDS,
     generate_scenario,
@@ -149,6 +150,27 @@ class TestFamilies:
         matrix = scenario_matrix(seeds=range(3))
         assert len(matrix) == 3 * len(SCENARIO_FAMILIES)
         assert len(set(matrix)) == len(matrix)
+
+
+def test_generators_draw_every_exported_event_kind():
+    """Every concrete event kind ``repro.online`` exports is built by some
+    generated scenario; a kind no generator draws is not kept."""
+    import repro.online as online
+    from repro.online import ClusterEvent
+
+    exported = {
+        obj for obj in map(online.__dict__.get, online.__all__)
+        if isinstance(obj, type) and issubclass(obj, ClusterEvent)
+        and obj is not ClusterEvent
+    }
+    drawn = {
+        type(event)
+        for family in ALL_FAMILIES
+        for size in ("smoke", "full")
+        for seed in range(25)
+        for event in generate_scenario(family, seed, size).churn
+    }
+    assert sorted(kind.__name__ for kind in exported - drawn) == []
 
 
 class TestWorkloads:
