@@ -1,7 +1,8 @@
 """Best-first branch-and-bound over HiGHS LP relaxations.
 
-scipy's ``milp`` wrapper exposes neither MIP warm starts nor incumbent
-callbacks, but two of the paper's experiments need exactly those:
+The ``highs`` backend (:mod:`repro.milp.scipy_backend`) passes HiGHS
+neither MIP warm starts nor incumbent callbacks, but two of the paper's
+experiments need exactly those:
 
 * §4.5 seeds the solver with heuristic placements ("initial values"
   ablation, Fig. 11b) — here the heuristic solution becomes the initial
@@ -34,6 +35,10 @@ machinery layered on top of the textbook skeleton:
 
 Every feature has an independent switch so ablations can measure its
 node/LP-count contribution (``tests/test_milp_backends.py`` pins one).
+
+The LP relaxations go through ``scipy.optimize.linprog``. scipy.optimize
+and scipy.sparse are imported when a solver is built, not with this
+module, so importing :mod:`repro` does not load them.
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.milp.model import MilpProblem
 from repro.milp.solution import MilpSolution, SolveStatus
@@ -164,7 +167,15 @@ class BranchAndBoundSolver:
         self.dive_lp_budget = dive_lp_budget
         self.trajectory: list[TrajectoryPoint] = []
         self.stats = SolveStats()
-        self._compiled = problem.compile()
+        from scipy import sparse
+        from scipy.optimize import linprog
+
+        self._linprog = linprog
+        compiled = self._compiled = problem.compile()
+        self._a_matrix = sparse.csr_matrix(
+            (compiled.data, compiled.indices, compiled.indptr),
+            shape=(len(compiled.constraint_lower), len(compiled.c)),
+        )
         # Max-sense objective constant: ``compiled.c`` drops the affine
         # constant, but incumbents evaluated through the expression
         # (warm starts) include it — every internal value must agree.
@@ -177,7 +188,7 @@ class BranchAndBoundSolver:
         self._is_integer = self._compiled.integrality.astype(bool)
         self._a_ub, self._b_ub, self._a_eq, self._b_eq = self._split_constraints()
         # Column view of the constraint matrix for propagation (var -> rows).
-        a_csc = self._compiled.a_matrix.tocsc()
+        a_csc = self._a_matrix.tocsc()
         self._col_indptr = a_csc.indptr
         self._col_rows = a_csc.indices
         n = len(self._compiled.c)
@@ -196,8 +207,10 @@ class BranchAndBoundSolver:
         Boolean-mask sparse slicing: three row selections on the CSR matrix
         instead of an O(rows) loop of single-row slices.
         """
+        from scipy import sparse
+
         compiled = self._compiled
-        a = compiled.a_matrix
+        a = self._a_matrix
         lower, upper = compiled.constraint_lower, compiled.constraint_upper
         eq_mask = lower == upper
         le_mask = ~eq_mask & np.isfinite(upper)
@@ -451,7 +464,7 @@ class BranchAndBoundSolver:
         rounded = np.rint(candidate[self._integer_indices])
         candidate[self._integer_indices] = rounded
         np.clip(candidate, self._root_lower, self._root_upper, out=candidate)
-        activity = compiled.a_matrix @ candidate
+        activity = self._a_matrix @ candidate
         tol = 1e-6
         feasible = bool(
             np.all(activity <= compiled.constraint_upper + tol)
@@ -582,7 +595,7 @@ class BranchAndBoundSolver:
         when a row's activity bounds prove the child infeasible.
         """
         compiled = self._compiled
-        a = compiled.a_matrix
+        a = self._a_matrix
         indptr, indices, data = a.indptr, a.indices, a.data
         cl, cu = compiled.constraint_lower, compiled.constraint_upper
         queue = deque([seed_index])
@@ -785,7 +798,7 @@ class BranchAndBoundSolver:
         objective's affine constant is the max-sense bound.
         """
         self.stats.lp_solves += 1
-        result = linprog(
+        result = self._linprog(
             c=self._compiled.c,
             A_ub=self._a_ub,
             b_ub=self._b_ub,

@@ -3,10 +3,11 @@
 Supports exactly what the Helix placement formulation needs: bounded
 continuous/integer/binary variables, linear expressions with operator
 overloading, ``<=``/``>=``/``==`` constraints, and one linear objective.
-Problems compile to the sparse arrays scipy's HiGHS interface consumes.
+Problems compile to the numpy arrays HiGHS consumes, with the constraint
+matrix in compressed sparse row (CSR) form.
 
 Each constraint caches its sparse row once; every
-:meth:`MilpProblem.compile` stacks the cached rows into a fresh matrix
+:meth:`MilpProblem.compile` stacks the cached rows into fresh CSR arrays
 and re-gathers the objective and variable bounds. Appending or
 truncating constraints (the planner's LNS loop does both every round)
 therefore only builds the new rows, and bound tightening never rebuilds
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 import numpy as np
-from scipy import sparse
 
 Number = Union[int, float]
 
@@ -256,11 +256,15 @@ class Constraint:
 class CompiledArrays:
     """Sparse form: minimize ``c @ x`` s.t. ``cl <= A @ x <= cu``, bounds.
 
-    Every array is built fresh by each compile and is safe to mutate.
+    ``A`` is stored as CSR arrays: row ``i`` holds ``data[k]`` in column
+    ``indices[k]`` for ``k`` in ``indptr[i]:indptr[i + 1]``. Every array is
+    built fresh by each compile and is safe to mutate.
     """
 
     c: np.ndarray
-    a_matrix: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     constraint_lower: np.ndarray
     constraint_upper: np.ndarray
     lower: np.ndarray
@@ -333,8 +337,9 @@ class MilpProblem:
         for constraint in self.constraints:
             constraint._row = None
 
-    def _assemble_rows(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """Stack the constraints' cached rows into a CSR matrix."""
+    def _assemble_rows(self) -> tuple[np.ndarray, ...]:
+        """Stack the constraints' cached rows into CSR arrays
+        ``(indptr, indices, data, lower, upper)``."""
         m = len(self.constraints)
         rows = [c.row() for c in self.constraints]
         lengths = np.fromiter((len(r[0]) for r in rows), dtype=np.int64, count=m)
@@ -346,22 +351,21 @@ class MilpProblem:
         else:
             indices = np.empty(0, dtype=np.int64)
             data = np.empty(0, dtype=np.float64)
-        a_matrix = sparse.csr_matrix(
-            (data, indices, indptr), shape=(m, self.num_variables)
-        )
         lower = np.fromiter((r[2] for r in rows), dtype=np.float64, count=m)
         upper = np.fromiter((r[3] for r in rows), dtype=np.float64, count=m)
-        return a_matrix, lower, upper
+        return indptr, indices, data, lower, upper
 
     def compile(self) -> CompiledArrays:
-        """Compile to the sparse arrays scipy's HiGHS interface consumes.
+        """Compile to the arrays HiGHS consumes.
 
         The constraint matrix is stacked from the constraints' cached rows;
         the objective, variable bounds and integrality are gathered fresh,
         so bound mutations (LNS fixing, branch-and-bound) are always
         honored.
         """
-        a_matrix, constraint_lower, constraint_upper = self._assemble_rows()
+        indptr, indices, data, constraint_lower, constraint_upper = (
+            self._assemble_rows()
+        )
         n = self.num_variables
         c = np.zeros(n)
         _, obj_indices, obj_coefs = self.objective.term_arrays()
@@ -375,7 +379,9 @@ class MilpProblem:
         )
         return CompiledArrays(
             c=c,
-            a_matrix=a_matrix,
+            indptr=indptr,
+            indices=indices,
+            data=data,
             constraint_lower=constraint_lower,
             constraint_upper=constraint_upper,
             lower=lower,
@@ -388,7 +394,7 @@ class MilpProblem:
     def check_feasible(self, values: Mapping[str, float], tol: float = 1e-5) -> list[str]:
         """Names/indices of constraints an assignment violates.
 
-        Vectorized: one sparse mat-vec over the stacked constraint rows
+        Vectorized: one CSR mat-vec over the stacked constraint rows
         instead of a Python loop per constraint. Assignments that do not cover
         every variable fall back to the per-constraint reference path.
         """
@@ -406,8 +412,9 @@ class MilpProblem:
                 for i, constraint in enumerate(self.constraints)
                 if constraint.violated_by(values, tol)
             ]
-        a_matrix, lower, upper = self._assemble_rows()
-        activity = a_matrix @ x
+        indptr, indices, data, lower, upper = self._assemble_rows()
+        rows = np.repeat(np.arange(len(lower)), np.diff(indptr))
+        activity = np.bincount(rows, data * x[indices], minlength=len(lower))
         bad = np.nonzero((activity > upper + tol) | (activity < lower - tol))[0]
         return [
             self.constraints[i].name or f"constraint[{i}]" for i in bad

@@ -88,17 +88,18 @@ class HelixMilpPlanner(PlacementPlanner):
         hints: Heuristic placements used to warm-start the solver. The
             string ``"auto"`` (default) derives them from the Swarm, Petals,
             and separate-pipelines planners; ``None`` disables hinting.
-        backend: ``"highs"`` (scipy/HiGHS, default) or ``"bnb"`` (our
+        backend: ``"highs"`` (HiGHS, default) or ``"bnb"`` (our
             branch-and-bound, which records an incumbent trajectory).
         mip_rel_gap: Relative optimality gap at which the solver may stop.
         adaptive_budget: Before spending the HiGHS time budget, solve the
             root node alone (one node, no presolve) and stop there when it
             is solved outright or its incumbent does not beat the best
-            heuristic hint — scipy's ``milp`` takes no MIP start, so that
-            hint is what a warm-started solver would keep. Otherwise spend
-            the budget in growing slices and stop as soon as a slice fails
-            to improve on the best incumbent seen (including the hint).
-            Disable to reproduce the single full-budget solve.
+            heuristic hint — the planner does not pass HiGHS the hint as a
+            MIP start yet (the bindings' ``setSolution`` can take one), so
+            that hint is what a warm-started solver would keep. Otherwise
+            spend the budget in growing slices and stop as soon as a slice
+            fails to improve on the best incumbent seen (including the
+            hint). Disable to reproduce the single full-budget solve.
         lns_mode: ``"incremental"`` (default) freezes nodes outside each
             LNS window by tightening variable *bounds* on the formulation
             — only the cutoff row is new, and HiGHS presolve eliminates
@@ -838,9 +839,10 @@ class HelixMilpPlanner(PlacementPlanner):
     ) -> MilpSolution:
         """Root-probe the MILP, then spend the budget in growing slices.
 
-        scipy's ``milp`` takes no MIP start and has no incumbent callback,
-        so HiGHS cannot be told about the heuristic hint the paper (§4.6)
-        starts Gurobi from. Instead, one **root-node probe** (a single
+        :func:`solve_with_highs` does not pass HiGHS the heuristic hint the
+        paper (§4.6) starts Gurobi from: the bindings can take one as a MIP
+        start (``setSolution``), but the planner does not pass it yet.
+        Instead, one **root-node probe** (a single
         node without presolve, hence deterministic and cheap) decides
         whether the budget is worth spending:
 

@@ -281,8 +281,9 @@ def check_incremental_compile(scenario: Scenario) -> list[Violation]:
         warm = problem.compile()
         problem.invalidate()
         cold = problem.compile()
-        if not np.array_equal(
-            warm.a_matrix.toarray(), cold.a_matrix.toarray()
+        if not all(
+            np.array_equal(getattr(warm, name), getattr(cold, name))
+            for name in ("indptr", "indices", "data")
         ):
             violations.append(Violation(
                 "incremental_compile",

@@ -4,7 +4,7 @@ Each oracle cross-validates one of the incremental machines added in PRs
 1-2 against its slow reference on scenario-generated material:
 
 * ``FlowGraph.reevaluate`` vs. building a fresh graph per placement;
-* the ``bnb`` branch-and-bound vs. the scipy/HiGHS backend;
+* the ``bnb`` branch-and-bound vs. the HiGHS backend;
 * incremental-LNS re-solves vs. ``lns_mode="rebuild"``;
 * incremental ``MilpProblem.compile`` vs. an invalidated cold compile.
 """

@@ -98,7 +98,9 @@ class TestCompile:
         p.add_constraint(x - y == 1)
         p.set_objective(x + 2 * y)
         arrays = p.compile()
-        assert arrays.a_matrix.shape == (2, 2)
+        assert list(arrays.indptr) == [0, 2, 4]
+        assert list(arrays.indices) == [0, 1, 0, 1]
+        assert list(arrays.data) == [1, 1, 1, -1]
         assert list(arrays.integrality) == [1, 0]
         # Maximization compiles to negated costs.
         assert arrays.c[0] == -1 and arrays.c[1] == -2

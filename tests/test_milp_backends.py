@@ -7,11 +7,14 @@ reduced-cost fixing, delta-encoded bounds) is exercised both on and off.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from repro.cluster import (
     Cluster,
@@ -185,27 +188,58 @@ class TestNodeLimitedSolve:
         )
         assert solution.status is SolveStatus.NO_SOLUTION
 
-    @pytest.mark.parametrize("node_limit", [None, 5])
-    def test_status_4_raises_unless_node_limited(self, monkeypatch, node_limit):
-        # The mapping is keyed on node_limit having been set, never on the
-        # message text: any other status-4 stop is still an error.
-        p = MilpProblem()
-        x = p.add_var("x", 0, 3, integer=True)
-        p.set_objective(x)
-        monkeypatch.setattr(
-            scipy_backend, "milp",
-            lambda **_: OptimizeResult(
-                status=4, message="Solution limit reached",
-                x=np.array([1.0]), fun=-1.0,
-            ),
-        )
+    @pytest.mark.parametrize("node_limit", [None, 0, 5])
+    def test_solution_limit_raises_unless_node_limited(
+        self, monkeypatch, node_limit
+    ):
+        # HiGHS reports reaching mip_max_nodes as kSolutionLimit. Stopping
+        # at the first improving solution is also kSolutionLimit: the
+        # mapping is keyed on node_limit having been set, so without it
+        # such a stop is an error, and with it the result is FEASIBLE or
+        # NO_SOLUTION by whether HiGHS holds an incumbent.
+        _, formulation = helix_problem(0)
+        core = scipy_backend._core
+        make_options = core.HighsOptions
+
+        def stop_at_first_solution():
+            options = make_options()
+            options.mip_max_improving_sols = 1
+            return options
+
+        monkeypatch.setattr(core, "HighsOptions", stop_at_first_solution)
         if node_limit is None:
-            with pytest.raises(SolverError, match="unexpected status 4"):
-                solve_with_highs(p)
+            with pytest.raises(SolverError, match="kSolutionLimit"):
+                solve_with_highs(formulation.problem)
+            return
+        solution = solve_with_highs(formulation.problem, node_limit=node_limit)
+        if node_limit == 0:
+            assert solution.status is SolveStatus.NO_SOLUTION
         else:
-            solution = solve_with_highs(p, node_limit=node_limit)
             assert solution.status is SolveStatus.FEASIBLE
-            assert solution.objective == pytest.approx(1.0)
+            assert formulation.problem.check_feasible(solution.values) == []
+
+    @pytest.mark.parametrize("maximize", [True, False], ids=["max", "min"])
+    @pytest.mark.parametrize(
+        "dual", [7.0, -math.inf, math.inf, math.nan],
+        ids=["finite", "-inf", "+inf", "nan"],
+    )
+    def test_unknown_bound_is_the_trivial_bound_of_the_sense(
+        self, maximize, dual
+    ):
+        # HiGHS minimizes, so a maximization's dual bound comes back
+        # negated; without a finite one the bound is +inf when maximizing
+        # and -inf when minimizing.
+        bound = scipy_backend._extract_bound(
+            dual, maximize, constant=1.0, objective=3.0, optimal=False
+        )
+        if math.isfinite(dual):
+            assert bound == (-6.0 if maximize else 8.0)
+        else:
+            assert bound == (math.inf if maximize else -math.inf)
+            optimal = scipy_backend._extract_bound(
+                dual, maximize, constant=1.0, objective=3.0, optimal=True
+            )
+            assert optimal == 3.0
 
 
 def _differential_cases():
@@ -298,6 +332,161 @@ class TestRootProbe:
         assert result.max_throughput == pytest.approx(value(best))
 
 
+def _scipy_milp(problem, options):
+    """The reference solve: ``scipy.optimize.milp`` on the compiled
+    arrays."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_matrix
+
+    compiled = problem.compile()
+    shape = (len(compiled.constraint_lower), len(compiled.c))
+    matrix = csr_matrix(
+        (compiled.data, compiled.indices, compiled.indptr), shape=shape
+    )
+    return milp(
+        c=compiled.c,
+        constraints=LinearConstraint(
+            matrix, compiled.constraint_lower, compiled.constraint_upper
+        ),
+        integrality=compiled.integrality,
+        bounds=Bounds(compiled.lower, compiled.upper),
+        options=options,
+    )
+
+
+def _bench_probe_cases():
+    """The root probes of the fig12 and geo-24 (prune 6) MILP workloads."""
+    def fig12():
+        planner = HelixMilpPlanner(
+            small_cluster_fig12(), LLAMA_30B, Profiler(),
+            time_limit=10, mip_rel_gap=0.05,
+        )
+        return planner.build_formulation()
+
+    def geo():
+        cluster = geo_distributed_24()
+        planner = HelixMilpPlanner(
+            cluster, LLAMA_30B, Profiler(), prune_degree=6,
+            time_limit=20, mip_rel_gap=0.03,
+        )
+        return planner.build_formulation(prune_cluster(cluster, 6))
+
+    return [
+        pytest.param(fig12, 10.0, 0.05, id="fig12"),
+        pytest.param(geo, 20.0, 0.03, id="geo24-prune6"),
+    ]
+
+
+class TestScipyMilpDifferential:
+    """The direct HiGHS calls solve exactly what ``scipy.optimize.milp``
+    solves, on the deterministic solves: node-limited root probes and
+    solves run to optimality."""
+
+    @staticmethod
+    def assert_identical(problem, solution, reference, status):
+        sign = -1.0 if problem.maximize else 1.0
+        constant = problem.objective.constant
+        assert solution.status is status
+        assert solution.objective == sign * reference.fun + constant
+        assert solution.bound == sign * reference.mip_dual_bound + constant
+        assert solution.node_count == reference.mip_node_count
+        x = np.array([solution.values[v.name] for v in problem.variables])
+        np.testing.assert_array_equal(x, reference.x)
+
+    def check_probe(self, problem, time_limit, gap):
+        solution = solve_with_highs(
+            problem, time_limit=time_limit, mip_rel_gap=gap,
+            node_limit=1, presolve=False,
+        )
+        reference = _scipy_milp(problem, {
+            "time_limit": time_limit, "mip_rel_gap": gap,
+            "node_limit": 1, "presolve": False,
+        })
+        expected = (
+            SolveStatus.OPTIMAL if reference.status == 0
+            else SolveStatus.FEASIBLE
+        )
+        self.assert_identical(problem, solution, reference, expected)
+
+    @pytest.mark.parametrize("make_cluster", _differential_cases())
+    def test_probe_and_optimal_solves_match(self, make_cluster):
+        planner = HelixMilpPlanner(make_cluster(), TINY_MODEL, Profiler())
+        problem = planner.build_formulation().problem
+        self.check_probe(problem, 10.0, 1e-4)
+        solution = solve_with_highs(problem)
+        reference = _scipy_milp(problem, None)
+        assert reference.status == 0
+        self.assert_identical(problem, solution, reference, SolveStatus.OPTIMAL)
+
+    @pytest.mark.parametrize("build, time_limit, gap", _bench_probe_cases())
+    def test_bench_root_probes_match(self, build, time_limit, gap):
+        self.check_probe(build().problem, time_limit, gap)
+
+
+def _python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` and the repository
+    root importable; return its stdout."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestImportFootprint:
+    def test_missing_bindings_name_the_path_and_scipy_version(
+        self, monkeypatch, tmp_path
+    ):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, scipy_backend._CORE_NAME)
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        expected = str(tmp_path / "optimize" / "_highspy" / "_core")
+        with pytest.raises(SolverError) as error:
+            scipy_backend._load_highs_core()
+        assert expected in str(error.value)
+        assert scipy.__version__ in str(error.value)
+
+    def test_repro_and_bench_do_not_load_scipy_optimize_or_sparse(self):
+        out = _python(
+            "import sys, repro, bench.workloads\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse')"
+            " if m in sys.modules))\n"
+        )
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("scipy_first", [False, True])
+    def test_bindings_are_shared_with_scipy_optimize(self, scipy_first):
+        # However the two are ordered, there is one bindings module, and
+        # scipy.optimize (the bnb backend's LP solver) works beside it.
+        order = ("scipy.optimize", "repro") if scipy_first else (
+            "repro", "scipy.optimize"
+        )
+        out = _python(
+            "".join(f"import {name}\n" for name in order)
+            + "import sys\n"
+            "from repro.cluster import Profiler, toy_cluster_fig1\n"
+            "from repro.milp import scipy_backend\n"
+            "from repro.models.specs import ModelSpec\n"
+            "from repro.placement.helix_milp import HelixMilpPlanner\n"
+            "from scipy.optimize._highspy import _highs_wrapper\n"
+            "core = sys.modules['scipy.optimize._highspy._core']\n"
+            "assert scipy_backend._core is core is _highs_wrapper._h\n"
+            "model = ModelSpec(name='tiny-8L', num_layers=8, hidden_size=1024,"
+            " num_heads=8, num_kv_heads=8, intermediate_size=2816,"
+            " nominal_params=8 * (4 * 1024**2 + 3 * 1024 * 2816))\n"
+            "result = HelixMilpPlanner(toy_cluster_fig1(), model, Profiler(),"
+            " backend='bnb', time_limit=10).plan()\n"
+            "assert result.max_throughput > 0\n"
+            "print(scipy.optimize.milp(c=[-1.0], bounds=(0, 2),"
+            " integrality=[1]).x[0])\n"
+        )
+        assert out.strip() == "2.0"
+
+
 class TestFeatureAblations:
     @pytest.mark.parametrize("make_cluster,min_node_factor", [
         # The random clusters' trees are too small to separate the two
@@ -374,7 +563,9 @@ class TestCompileCache:
 
     @staticmethod
     def assert_same_arrays(a, b):
-        assert (a.a_matrix != b.a_matrix).nnz == 0
+        np.testing.assert_array_equal(a.indptr, b.indptr)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.data, b.data)
         np.testing.assert_array_equal(a.constraint_lower, b.constraint_lower)
         np.testing.assert_array_equal(a.constraint_upper, b.constraint_upper)
         np.testing.assert_array_equal(a.c, b.c)
@@ -394,12 +585,12 @@ class TestCompileCache:
         n = len(p.constraints)
         p.add_constraint(xs[2] == 3, name="fix")
         appended = p.compile()
-        assert appended.a_matrix.shape[0] == n + 1
+        assert len(appended.indptr) == n + 2
         p.invalidate()
         self.assert_same_arrays(appended, p.compile())
         del p.constraints[n:]
         truncated = p.compile()
-        assert truncated.a_matrix.shape[0] == n
+        assert len(truncated.indptr) == n + 1
         p.invalidate()
         self.assert_same_arrays(truncated, p.compile())
         self.assert_same_arrays(truncated, base)
