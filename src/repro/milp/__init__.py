@@ -1,18 +1,13 @@
 """Mixed-integer linear programming layer.
 
-The paper solves its placement MILP with Gurobi; offline we rely on two
-interchangeable solvers behind one modeling API:
+The paper solves its placement MILP with Gurobi; offline we use HiGHS,
+called through the bindings scipy ships
+(:mod:`repro.milp.scipy_backend`). Besides the solve itself, it gives
+the two Gurobi features the paper's §4.5/§6.9 experiments rely on: a MIP
+start (heuristic initial values) and the incumbent/bound trajectory of
+every solve.
 
-* :mod:`repro.milp.scipy_backend` — HiGHS, called through the bindings
-  scipy ships (the workhorse);
-* :mod:`repro.milp.branch_and_bound` — our own best-first branch-and-bound
-  over HiGHS LP relaxations, which exposes warm starts (heuristic
-  incumbents) and an incumbent/bound trajectory, the two Gurobi features
-  the paper's §4.5/§6.9 experiments rely on that the HiGHS backend does
-  not use.
-
-Importing this package loads neither scipy.optimize nor scipy.sparse;
-only building a branch-and-bound solver does.
+Importing this package loads neither scipy.optimize nor scipy.sparse.
 
 The modeling layer (:mod:`repro.milp.model`) is deliberately tiny: linear
 expressions over named variables, ``<=``/``>=``/``==`` constraints, and a
@@ -27,12 +22,8 @@ from repro.milp.model import (
     Sense,
     lin_sum,
 )
-from repro.milp.solution import MilpSolution, SolveStatus
+from repro.milp.solution import MilpSolution, SolveStatus, TrajectoryPoint
 from repro.milp.scipy_backend import solve_with_highs
-from repro.milp.branch_and_bound import (
-    BranchAndBoundSolver,
-    TrajectoryPoint,
-)
 
 __all__ = [
     "Variable",
@@ -43,7 +34,6 @@ __all__ = [
     "lin_sum",
     "MilpSolution",
     "SolveStatus",
-    "solve_with_highs",
-    "BranchAndBoundSolver",
     "TrajectoryPoint",
+    "solve_with_highs",
 ]

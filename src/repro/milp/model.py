@@ -360,8 +360,7 @@ class MilpProblem:
 
         The constraint matrix is stacked from the constraints' cached rows;
         the objective, variable bounds and integrality are gathered fresh,
-        so bound mutations (LNS fixing, branch-and-bound) are always
-        honored.
+        so bound mutations (LNS fixing) are always honored.
         """
         indptr, indices, data, constraint_lower, constraint_upper = (
             self._assemble_rows()

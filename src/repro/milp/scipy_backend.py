@@ -10,7 +10,10 @@ it a second time.
 
 The model and options are exactly those ``scipy.optimize.milp`` passes:
 ``tests/test_milp_backends.py`` checks that both give bit-identical
-solves.
+solves. Two features ``scipy.optimize.milp`` does not expose are used as
+well: every solve registers HiGHS's improving-solution callback, which
+records the incumbent/bound trajectory of the paper's Fig. 12, and a
+caller may pass a MIP start, the heuristic initial values of §4.5.
 """
 
 from __future__ import annotations
@@ -21,33 +24,46 @@ import math
 import os
 import sys
 import time
+from collections.abc import Mapping
 
 import numpy as np
 import scipy
 
 from repro.core.errors import SolverError
 from repro.milp.model import MilpProblem
-from repro.milp.solution import MilpSolution, SolveStatus
+from repro.milp.solution import MilpSolution, SolveStatus, TrajectoryPoint
 
 _CORE_NAME = "scipy.optimize._highspy._core"
+#: Methods of the bindings' ``_Highs`` beyond what ``scipy.optimize.milp``
+#: calls: the trajectory callback and the MIP start.
+_REQUIRED_METHODS = ("setCallback", "startCallback", "setSolution")
 
 
 def _load_highs_core():
     """The HiGHS bindings module, loaded from its file unless already loaded."""
     core = sys.modules.get(_CORE_NAME)
-    if core is not None:
-        return core
-    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
-    spec = importlib.machinery.PathFinder.find_spec(_CORE_NAME, [directory])
-    if spec is None:
-        raise SolverError(
-            f"HiGHS bindings not found: expected {directory}/_core"
-            f"{importlib.machinery.EXTENSION_SUFFIXES[0]} in scipy "
-            f"{scipy.__version__} (scipy>=1.15 ships them)"
+    if core is None:
+        directory = os.path.join(
+            os.path.dirname(scipy.__file__), "optimize", "_highspy"
         )
-    core = importlib.util.module_from_spec(spec)
-    sys.modules[_CORE_NAME] = core
-    spec.loader.exec_module(core)
+        spec = importlib.machinery.PathFinder.find_spec(_CORE_NAME, [directory])
+        if spec is None:
+            raise SolverError(
+                f"HiGHS bindings not found: expected {directory}/_core"
+                f"{importlib.machinery.EXTENSION_SUFFIXES[0]} in scipy "
+                f"{scipy.__version__} (scipy>=1.15 ships them)"
+            )
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_CORE_NAME] = core
+        spec.loader.exec_module(core)
+    missing = [
+        name for name in _REQUIRED_METHODS if not hasattr(core._Highs, name)
+    ]
+    if missing:
+        raise SolverError(
+            f"HiGHS bindings in scipy {scipy.__version__} lack "
+            f"{', '.join(missing)} (scipy>=1.15 ships them)"
+        )
     return core
 
 
@@ -68,6 +84,7 @@ def solve_with_highs(
     mip_rel_gap: float | None = None,
     node_limit: int | None = None,
     presolve: bool | None = None,
+    start: Mapping[str, float] | None = None,
 ) -> MilpSolution:
     """Solve a problem with HiGHS.
 
@@ -82,13 +99,17 @@ def solve_with_highs(
             speed. A solve stopped by it is ``FEASIBLE`` when HiGHS found an
             incumbent and ``NO_SOLUTION`` otherwise.
         presolve: Optional switch for HiGHS presolve (on by default).
+        start: Optional MIP start, variable name -> value, handed to HiGHS
+            before the solve. HiGHS keeps it as the first incumbent when
+            it is feasible and discards it otherwise.
 
     Returns:
         A :class:`MilpSolution`; ``status`` reflects optimality or an early
-        stop with/without an incumbent.
+        stop with/without an incumbent, and ``trajectory`` lists every
+        improving solution HiGHS reported.
     """
     compiled = problem.compile()
-    start = time.perf_counter()
+    started = time.perf_counter()
     lp = _core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(compiled.c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(compiled.constraint_lower)
@@ -121,8 +142,33 @@ def solve_with_highs(
         raise SolverError("HiGHS rejected the solver options")
     if highs.passModel(lp) == _core.HighsStatus.kError:
         raise SolverError(f"HiGHS rejected the model of {problem.name!r}")
+    sign = -1.0 if compiled.maximize else 1.0
+    constant = compiled.objective_constant
+    trajectory: list[TrajectoryPoint] = []
+
+    def improving_solution(_kind, _message, out, _data_in, _user_data):
+        incumbent = sign * out.objective_function_value + constant
+        trajectory.append(TrajectoryPoint(
+            elapsed=out.running_time,
+            incumbent=incumbent,
+            bound=_extract_bound(
+                out.mip_dual_bound, compiled.maximize, constant,
+                incumbent, optimal=False,
+            ),
+            node_count=int(out.mip_node_count),
+        ))
+
+    highs.setCallback(improving_solution, None)
+    highs.startCallback(_core.cb.HighsCallbackType.kCallbackMipImprovingSolution)
+    if start is not None:
+        given = [var for var in problem.variables if var.name in start]
+        highs.setSolution(
+            len(given),
+            np.array([var.index for var in given], dtype=np.int32),
+            np.array([start[var.name] for var in given], dtype=np.float64),
+        )
     highs.run()
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - started
 
     model_status = highs.getModelStatus()
     info = highs.getInfo()
@@ -135,15 +181,16 @@ def solve_with_highs(
         has_incumbent = False
     status = _solve_status(model_status, has_incumbent, node_limit is not None)
     if not status.has_solution:
-        return MilpSolution(status=status, solve_time=elapsed)
+        return MilpSolution(
+            status=status, solve_time=elapsed, trajectory=trajectory
+        )
 
     x = np.array(highs.getSolution().col_value)
     values = {var.name: float(x[var.index]) for var in problem.variables}
-    sign = -1.0 if compiled.maximize else 1.0
-    objective = sign * info.objective_function_value + compiled.objective_constant
+    objective = sign * info.objective_function_value + constant
     dual = info.mip_dual_bound if is_mip else math.nan
     bound = _extract_bound(
-        dual, compiled.maximize, compiled.objective_constant,
+        dual, compiled.maximize, constant,
         objective, status is SolveStatus.OPTIMAL,
     )
     return MilpSolution(
@@ -153,6 +200,7 @@ def solve_with_highs(
         bound=bound,
         solve_time=elapsed,
         node_count=int(info.mip_node_count) if is_mip else 0,
+        trajectory=trajectory,
     )
 
 

@@ -6,6 +6,23 @@ import enum
 from dataclasses import dataclass, field
 
 
+@dataclass(frozen=True)
+class TrajectoryPoint:
+    """One improving solution reported during a solve.
+
+    Attributes:
+        elapsed: Seconds since the solve started.
+        incumbent: Objective of the new incumbent, in the problem's sense.
+        bound: Best proven bound on the optimum at that moment.
+        node_count: Branch-and-bound nodes explored by then.
+    """
+
+    elapsed: float
+    incumbent: float
+    bound: float
+    node_count: int
+
+
 class SolveStatus(enum.Enum):
     """Outcome of a solve call."""
 
@@ -33,6 +50,7 @@ class MilpSolution:
             maximizing). ``inf``/-``inf`` when unknown.
         solve_time: Wall-clock seconds spent solving.
         node_count: Branch-and-bound nodes explored, when known.
+        trajectory: Every improving solution, in the order found.
     """
 
     status: SolveStatus
@@ -41,6 +59,7 @@ class MilpSolution:
     bound: float = float("inf")
     solve_time: float = 0.0
     node_count: int = 0
+    trajectory: list[TrajectoryPoint] = field(default_factory=list)
 
     @property
     def gap(self) -> float:

@@ -14,11 +14,12 @@ The formulation follows Tables 5 and 6 of the paper exactly:
 * objective: maximize total flow out of the source.
 
 The §4.5 optimizations are all implemented: cluster pruning
-(:func:`~repro.placement.pruning.prune_cluster`), heuristic warm starts
-(best-of Swarm/Petals/SP: the bar HiGHS's root-node probe must beat
-before any time budget is spent, and the initial incumbent for our
-branch-and-bound), and the compute-sum upper bound both as a
-strengthening cut and as an early-stop criterion.
+(:func:`~repro.placement.pruning.prune_cluster`), heuristic initial
+values (best-of Swarm/Petals/SP: the bar HiGHS's root-node probe must
+beat before any time budget is spent; :meth:`assignment_from_placement`
+turns one into a MIP start for :func:`solve_with_highs`), and the
+compute-sum upper bound both as a strengthening cut and as an early-stop
+criterion.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.cluster.profiler import Profiler
 from repro.core.errors import PlacementError, SolverError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import connection_is_valid
-from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.model import MilpProblem, Variable, lin_sum
 from repro.milp.scipy_backend import solve_with_highs
 from repro.milp.solution import MilpSolution, SolveStatus
@@ -44,6 +44,48 @@ from repro.placement.pruning import prune_cluster
 _CONCLUSIVE = (
     SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED
 )
+
+
+def _interchangeable_groups(cluster: Cluster, node_ids) -> list[list[str]]:
+    """Partition ``node_ids`` into classes of interchangeable nodes.
+
+    Two nodes are interchangeable when they carry the same hardware in the
+    same region and swapping them maps every link of ``cluster`` onto a
+    link with the same bandwidth and latency, so every placement and its
+    swapped twin have the same max flow. Same hardware alone is not
+    enough: on a star, a hub and a spoke of one GPU model differ, and
+    ordering their first layers cuts the MILP's optimum off. Swaps
+    compose, so each class is collected against its first member. Classes
+    come in order of first appearance, each sorted by node id.
+    """
+    links = cluster.links
+
+    def params(src: str, dst: str):
+        link = links.get((src, dst))
+        return None if link is None else (link.bandwidth, link.latency)
+
+    others = [*cluster.node_ids, COORDINATOR]
+
+    def swappable(u: str, v: str) -> bool:
+        return params(u, v) == params(v, u) and all(
+            params(u, w) == params(v, w) and params(w, u) == params(w, v)
+            for w in others
+            if w != u and w != v
+        )
+
+    classes: dict[tuple[str, str], list[list[str]]] = {}
+    for nid in node_ids:
+        node = cluster.node(nid)
+        hardware = classes.setdefault((node.gpu_label, node.region), [])
+        for members in hardware:
+            if swappable(members[0], nid):
+                members.append(nid)
+                break
+        else:
+            hardware.append([nid])
+    return [
+        sorted(members) for hardware in classes.values() for members in hardware
+    ]
 
 
 @dataclass
@@ -85,18 +127,17 @@ class HelixMilpPlanner(PlacementPlanner):
         prune_degree: If set, plan on a pruned copy of the cluster keeping
             at most this many outgoing links per node (§4.5).
         time_limit: Solver wall-clock budget in seconds.
-        hints: Heuristic placements used to warm-start the solver. The
-            string ``"auto"`` (default) derives them from the Swarm, Petals,
-            and separate-pipelines planners; ``None`` disables hinting.
-        backend: ``"highs"`` (HiGHS, default) or ``"bnb"`` (our
-            branch-and-bound, which records an incumbent trajectory).
+        hints: Heuristic placements: the incumbent the MILP has to beat,
+            and the fallback when it finds nothing better. The string
+            ``"auto"`` (default) derives them from the Swarm, Petals, and
+            separate-pipelines planners; ``None`` disables hinting.
         mip_rel_gap: Relative optimality gap at which the solver may stop.
         adaptive_budget: Before spending the HiGHS time budget, solve the
             root node alone (one node, no presolve) and stop there when it
             is solved outright or its incumbent does not beat the best
-            heuristic hint — the planner does not pass HiGHS the hint as a
-            MIP start yet (the bindings' ``setSolution`` can take one), so
-            that hint is what a warm-started solver would keep. Otherwise
+            heuristic hint, which is what a MIP-started solver would keep.
+            The hint is not passed as a MIP start: that holds the hint and
+            makes the probe slower, not better. Otherwise
             spend the budget in growing slices and stop as soon as a slice
             fails to improve on the best incumbent seen (including the
             hint). Disable to reproduce the single full-budget solve.
@@ -122,7 +163,6 @@ class HelixMilpPlanner(PlacementPlanner):
         prune_degree: int | None = None,
         time_limit: float = 120.0,
         hints: str | list[ModelPlacement] | None = "auto",
-        backend: str = "highs",
         mip_rel_gap: float = 1e-4,
         lns_rounds: int = 0,
         lns_window: int = 8,
@@ -132,14 +172,11 @@ class HelixMilpPlanner(PlacementPlanner):
         lns_seed: int = 0,
     ) -> None:
         super().__init__(cluster, model, profiler, partial_inference)
-        if backend not in ("highs", "bnb"):
-            raise ValueError(f"unknown backend {backend!r}")
         if lns_mode not in ("incremental", "rebuild"):
             raise ValueError(f"unknown lns_mode {lns_mode!r}")
         self.prune_degree = prune_degree
         self.time_limit = time_limit
         self.hints = hints
-        self.backend = backend
         self.mip_rel_gap = mip_rel_gap
         self.lns_rounds = lns_rounds
         self.lns_window = lns_window
@@ -147,8 +184,6 @@ class HelixMilpPlanner(PlacementPlanner):
         self.adaptive_budget = adaptive_budget
         self.lns_mode = lns_mode
         self.lns_seed = lns_seed
-        self.last_trajectory = None  # set by the bnb backend
-        self.last_solver_stats = None  # set by the bnb backend
         #: Telemetry: MILP solve calls issued during the last plan().
         self.milp_solve_count = 0
 
@@ -267,17 +302,12 @@ class HelixMilpPlanner(PlacementPlanner):
                     name=f"valid_eq2[{src}->{dst}]",
                 )
 
-        # Symmetry breaking: nodes with identical hardware in the same
-        # region are interchangeable, so force their first layers into
-        # non-decreasing order by node id. This is throughput-preserving
-        # (any optimum can be permuted to satisfy it) and removes the
-        # factorial permutation symmetry that otherwise drowns the solver.
-        groups: dict[tuple[str, str], list[str]] = {}
-        for nid in placeable:
-            node = cluster.node(nid)
-            groups.setdefault((node.gpu_label, node.region), []).append(nid)
-        for members in groups.values():
-            members.sort()
+        # Symmetry breaking: force the first layers of interchangeable
+        # nodes into non-decreasing order by node id. This is throughput-
+        # preserving (any placement can be permuted to satisfy it, at the
+        # same value on the planner's cluster) and removes the factorial
+        # permutation symmetry that otherwise drowns the solver.
+        for members in _interchangeable_groups(self.cluster, placeable):
             for left, right in zip(members, members[1:]):
                 problem.add_constraint(
                     s_vars[left] <= s_vars[right],
@@ -382,8 +412,9 @@ class HelixMilpPlanner(PlacementPlanner):
         }
         for nid in formulation.s_vars:
             intervals.setdefault(nid, (0, 1))
-        intervals = self._canonicalize(intervals, cluster)
-        full = ModelPlacement.from_intervals(num_layers, intervals)
+        full = ModelPlacement.from_intervals(
+            num_layers, self._canonicalize(intervals)
+        )
 
         solution = self.evaluate_placement(full, cluster)
 
@@ -410,8 +441,7 @@ class HelixMilpPlanner(PlacementPlanner):
         return values
 
     def _extended_placement(
-        self, formulation: MilpFormulation, placement: ModelPlacement,
-        cluster: Cluster,
+        self, formulation: MilpFormulation, placement: ModelPlacement
     ) -> ModelPlacement:
         """Extend a placement to all MILP nodes and canonicalize it."""
         intervals = {
@@ -421,8 +451,9 @@ class HelixMilpPlanner(PlacementPlanner):
         }
         for nid in formulation.s_vars:
             intervals.setdefault(nid, (0, 1))
-        intervals = self._canonicalize(intervals, cluster)
-        return ModelPlacement.from_intervals(self.model.num_layers, intervals)
+        return ModelPlacement.from_intervals(
+            self.model.num_layers, self._canonicalize(intervals)
+        )
 
     def _lns_window_size(self, num_nodes: int) -> int:
         """Effective LNS window: never free most of the cluster at once.
@@ -466,7 +497,7 @@ class HelixMilpPlanner(PlacementPlanner):
         formulation: MilpFormulation,
         free: set[str],
         best: ModelPlacement,
-        best_value: float,
+        cutoff: float,
     ):
         """One LNS re-solve that only tightens variable bounds.
 
@@ -493,7 +524,7 @@ class HelixMilpPlanner(PlacementPlanner):
                 )
         base_len = len(problem.constraints)
         problem.add_constraint(
-            problem.objective >= best_value + max(1e-6, 1e-6 * best_value),
+            problem.objective >= cutoff + max(1e-6, 1e-6 * cutoff),
             name="lns_cutoff",
         )
         try:
@@ -513,7 +544,7 @@ class HelixMilpPlanner(PlacementPlanner):
         formulation: MilpFormulation,
         free: set[str],
         best: ModelPlacement,
-        best_value: float,
+        cutoff: float,
     ):
         """Pre-optimization LNS round: fix-by-constraint, full recompile.
 
@@ -537,7 +568,7 @@ class HelixMilpPlanner(PlacementPlanner):
                     name=f"lns_fix_b[{nid}][{j}]",
                 )
         problem.add_constraint(
-            problem.objective >= best_value + max(1e-6, 1e-6 * best_value),
+            problem.objective >= cutoff + max(1e-6, 1e-6 * cutoff),
             name="lns_cutoff",
         )
         problem.invalidate()
@@ -563,7 +594,11 @@ class HelixMilpPlanner(PlacementPlanner):
         Each round freezes every node's layer assignment except a rotating
         window of nodes and re-solves the (now small) MILP with an
         objective cutoff at the incumbent's value, adopting any strict
-        improvement. This recovers, with HiGHS, the incremental
+        improvement. The cutoff is the incumbent's max flow on ``cluster``,
+        the formulation's own (possibly pruned) cluster; a candidate is
+        adopted only when it beats the incumbent on the planner's full
+        cluster, the value :meth:`plan` and :meth:`replan` adopt by. This
+        recovers, with HiGHS, the incremental
         incumbent-improvement behaviour the paper gets from a warm-started
         Gurobi on large clusters. In the default ``incremental`` mode each
         round is a bounds-tightening re-solve of the same formulation; see
@@ -572,8 +607,9 @@ class HelixMilpPlanner(PlacementPlanner):
         import random as _random
 
         node_ids = list(formulation.s_vars)
-        best = self._extended_placement(formulation, placement, cluster)
-        best_value = self.placement_throughput(best, cluster)
+        best = self._extended_placement(formulation, placement)
+        best_value = self.placement_throughput(best)
+        cutoff = self.placement_throughput(best, cluster)
         window = self._lns_window_size(len(node_ids))
         if window == 0 or not node_ids:
             return best
@@ -593,33 +629,28 @@ class HelixMilpPlanner(PlacementPlanner):
             free = self._lns_free_window(
                 round_index, window, node_ids, by_rate, rng
             )
-            solution = solve_round(formulation, free, best, best_value)
+            solution = solve_round(formulation, free, best, cutoff)
             if not solution.status.has_solution:
                 continue
             candidate = self.orchestrate(formulation, solution.values)
-            value = self.placement_throughput(candidate, cluster)
+            value = self.placement_throughput(candidate)
             if value > best_value + 1e-9:
-                best = self._extended_placement(formulation, candidate, cluster)
+                best = self._extended_placement(formulation, candidate)
                 best_value = value
+                cutoff = self.placement_throughput(best, cluster)
         return best
 
-    @staticmethod
     def _canonicalize(
-        intervals: dict[str, tuple[int, int]], cluster: Cluster
+        self, intervals: dict[str, tuple[int, int]]
     ) -> dict[str, tuple[int, int]]:
-        """Permute intervals within identical-node groups into sorted order.
+        """Permute intervals within interchangeable groups into sorted order.
 
-        Identical nodes are interchangeable, so re-pairing sorted node ids
-        with sorted intervals preserves the placement's throughput while
-        satisfying the MILP's symmetry-breaking constraints.
+        Re-pairing an interchangeable group's sorted node ids with its
+        sorted intervals preserves the placement's value on the planner's
+        cluster while satisfying the MILP's symmetry-breaking constraints.
         """
-        groups: dict[tuple[str, str], list[str]] = {}
-        for nid in intervals:
-            node = cluster.node(nid)
-            groups.setdefault((node.gpu_label, node.region), []).append(nid)
         canonical = dict(intervals)
-        for members in groups.values():
-            members.sort()
+        for members in _interchangeable_groups(self.cluster, intervals):
             ordered = sorted(intervals[nid] for nid in members)
             for nid, interval in zip(members, ordered):
                 canonical[nid] = interval
@@ -654,7 +685,7 @@ class HelixMilpPlanner(PlacementPlanner):
             if best_hint is None or value > best_hint[0]:
                 best_hint = (value, hint)
 
-        solution = self._solve(formulation, work_cluster, best_hint)
+        solution = self._solve(formulation, best_hint)
         placement = None
         if solution.status.has_solution:
             candidate = self.orchestrate(formulation, solution.values)
@@ -799,30 +830,8 @@ class HelixMilpPlanner(PlacementPlanner):
     def _solve(
         self,
         formulation: MilpFormulation,
-        work_cluster: Cluster,
         best_hint: tuple[float, ModelPlacement] | None,
     ) -> MilpSolution:
-        if self.backend == "bnb":
-            solver = BranchAndBoundSolver(
-                formulation.problem,
-                time_limit=self.time_limit,
-                gap_tolerance=self.mip_rel_gap,
-                early_stop_bound=formulation.upper_bound,
-                stall_time=max(1.0, self.time_limit * 0.25)
-                if self.adaptive_budget
-                else None,
-            )
-            incumbent = None
-            if best_hint is not None:
-                incumbent = self.assignment_from_placement(
-                    formulation, best_hint[1], work_cluster
-                )
-            self.milp_solve_count += 1
-            solution = solver.solve(initial_incumbent=incumbent)
-            self.last_trajectory = list(solver.trajectory)
-            self.last_solver_stats = solver.stats
-            return solution
-
         if self.adaptive_budget:
             return self._solve_highs_adaptive(formulation, best_hint)
         self.milp_solve_count += 1
@@ -839,10 +848,10 @@ class HelixMilpPlanner(PlacementPlanner):
     ) -> MilpSolution:
         """Root-probe the MILP, then spend the budget in growing slices.
 
-        :func:`solve_with_highs` does not pass HiGHS the heuristic hint the
-        paper (§4.6) starts Gurobi from: the bindings can take one as a MIP
-        start (``setSolution``), but the planner does not pass it yet.
-        Instead, one **root-node probe** (a single
+        The planner does not pass HiGHS the heuristic hint the paper
+        (§4.6) starts Gurobi from as a MIP start: HiGHS then holds the hint
+        and the root probe costs more. Instead, one **root-node probe** (a
+        single
         node without presolve, hence deterministic and cheap) decides
         whether the budget is worth spending:
 

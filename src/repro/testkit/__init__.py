@@ -7,7 +7,7 @@ it (``PYTHONPATH=src python -m repro.testkit <family> <seed>``).
 """
 
 from repro.testkit.differential import (
-    check_backend_agreement,
+    check_formulation_optimum,
     check_incremental_compile,
     check_lns_modes_agree,
     check_milp_oracles,
@@ -40,10 +40,10 @@ __all__ = [
     "TenantKVSampler",
     "Violation",
     "assert_scenario_ok",
-    "check_backend_agreement",
     "check_chaos",
     "check_elastic",
     "check_flow_solution",
+    "check_formulation_optimum",
     "check_incremental_compile",
     "check_lns_modes_agree",
     "check_milp_oracles",

@@ -2,9 +2,10 @@
 
 The incremental machinery's only specification is "same answer as the
 slow path": :meth:`FlowGraph.reevaluate` vs. a fresh graph rebuild, a
-compile after row edits vs. a cold :meth:`MilpProblem.compile`, the
-bounds-tightening LNS vs. ``lns_mode="rebuild"``, and the ``bnb`` vs.
-``highs`` MILP backends. Each checker here runs both paths on material
+compile after row edits vs. a cold :meth:`MilpProblem.compile`, and the
+bounds-tightening LNS vs. ``lns_mode="rebuild"``. The MILP formulation
+itself is checked against an oracle outside it: its optimum must be the
+best enumerated placement's max flow. Each checker here runs on material
 derived from one generated scenario and returns :class:`Violation` lists,
 so a sweep cross-validates the whole stack instead of spot-checking
 hand-written fixtures. :func:`canonical_json` is the exact serialization
@@ -14,18 +15,22 @@ compare.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
+from repro.cluster.node import COORDINATOR
+from repro.cluster.profiler import Profiler
 from repro.core.errors import PlacementError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
-from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.scipy_backend import solve_with_highs
 from repro.placement.helix_milp import HelixMilpPlanner
+from repro.milp.solution import SolveStatus
+from repro.models.specs import ModelSpec
 from repro.scenarios.generator import Scenario, _small_model
 from repro.testkit.invariants import Violation
 
@@ -100,8 +105,6 @@ def random_placements(
 
 
 def _bounds_helper(scenario: Scenario) -> dict[str, int]:
-    from repro.cluster.profiler import Profiler
-
     profiler = Profiler()
     return {
         nid: min(
@@ -190,40 +193,137 @@ def check_reevaluate_vs_rebuild(
 
 
 # ----------------------------------------------------------------------
-# MILP layer: backend agreement
+# MILP layer: the formulation's optimum is the best placement's max flow
 # ----------------------------------------------------------------------
-def check_backend_agreement(
-    scenario: Scenario,
-    time_limit: float = 20.0,
-) -> list[Violation]:
-    """The ``bnb`` and ``highs`` backends must find equal optima.
+#: Most layers the formulation oracle's model has: three nodes then have
+#: at most a few thousand placements to enumerate.
+_ORACLE_LAYERS = 6
 
-    Solves the Helix formulation of a bounded slice of the scenario's
-    cluster to (near-)optimality with both backends and compares
-    objectives.
+
+def _oracle_model(num_layers: int) -> ModelSpec:
+    """The wide scenario shape at twice its hidden, head and FFN sizes.
+
+    A layer is about four times as large, so a pool GPU holds 1-4 of them
+    and a placement of a few nodes has to pipeline.
     """
-    cluster, model = _milp_material(scenario)
-    planner = HelixMilpPlanner(cluster, model)
-    formulation = planner.build_formulation()
-    highs = solve_with_highs(formulation.problem, time_limit=time_limit)
-    bnb = BranchAndBoundSolver(
-        formulation.problem, time_limit=2 * time_limit, gap_tolerance=1e-6
-    ).solve()
+    return ModelSpec(
+        name=f"oracle-wide-{num_layers}L",
+        num_layers=num_layers,
+        hidden_size=2 * 6656,
+        num_heads=104,
+        num_kv_heads=104,
+        intermediate_size=2 * 17920,
+    )
+
+
+def _oracle_material(scenario: Scenario):
+    """Three linked nodes of the scenario and a model they must pipeline.
+
+    The nodes are the one with the most links to other nodes (a star's
+    hub), the first node linking into it and the first other node it
+    links to, so a chain through all three exists on every topology. The
+    model has as many layers as the three can hold together, at most
+    :data:`_ORACLE_LAYERS`: no node holds them all, and some placement
+    serves.
+    """
+    cluster = scenario.cluster
+    links = [key for key in cluster.links if COORDINATOR not in key]
+    hub = max(
+        cluster.node_ids, key=lambda nid: sum(src == nid for src, _ in links)
+    )
+    before = next((src for src, dst in links if dst == hub), None)
+    after = next(
+        (dst for src, dst in links if src == hub and dst != before), None
+    )
+    keep = [nid for nid in (before, hub, after) if nid is not None]
+    cluster = cluster.subcluster(keep, name=f"{cluster.name}-oracle")
+    profiler = Profiler()
+    widest = _oracle_model(_ORACLE_LAYERS)
+    capacity = sum(
+        profiler.max_layers(cluster.node(nid), widest)
+        for nid in cluster.node_ids
+    )
+    return cluster, _oracle_model(min(_ORACLE_LAYERS, capacity))
+
+
+def check_formulation_optimum(scenario: Scenario) -> list[Violation]:
+    """The MILP's optimum must be the best placement's max flow.
+
+    Enumerates every placement in the MILP's space on a three-node slice
+    of the scenario (each node holds one interval ``[s, s + j)`` with
+    ``1 <= j <= k_i`` and ``s + j <= L``), scores each with the planner's
+    max flow, and requires HiGHS, solved to ``mip_rel_gap=0``, to reach
+    the best score. The best placement's MILP assignment must also be
+    feasible, with an objective equal to its max flow. Both hold with and
+    without partial inference. The scores come from
+    :class:`~repro.flow.graph.FlowGraph`, not from the formulation, so a
+    wrong capacity row, validity condition or symmetry cut fails here.
+    """
+    cluster, model = _oracle_material(scenario)
+    num_layers = model.num_layers
     violations: list[Violation] = []
-    if not highs.status.has_solution or not bnb.status.has_solution:
-        violations.append(Violation(
-            "backend_agreement",
-            f"missing solution: highs={highs.status.value} "
-            f"bnb={bnb.status.value}",
-        ))
-        return violations
-    scale = max(1.0, abs(highs.objective))
-    if abs(highs.objective - bnb.objective) > 1e-5 * scale:
-        violations.append(Violation(
-            "backend_agreement",
-            f"objectives disagree: highs={highs.objective} "
-            f"bnb={bnb.objective}",
-        ))
+    for partial in (True, False):
+        tag = f"partial_inference={partial}"
+        planner = HelixMilpPlanner(
+            cluster, model, partial_inference=partial, hints=None
+        )
+        spans = []
+        for nid in cluster.node_ids:
+            most = min(
+                planner.profiler.max_layers(cluster.node(nid), model),
+                num_layers,
+            )
+            spans.append([
+                (start, start + count)
+                for count in range(1, most + 1)
+                for start in range(num_layers - count + 1)
+            ])
+        best, argmax = 0.0, None
+        for combo in itertools.product(*spans):
+            placement = ModelPlacement.from_intervals(
+                num_layers, dict(zip(cluster.node_ids, combo))
+            )
+            value = planner.placement_throughput(placement)
+            if value > best:
+                best, argmax = value, placement
+        if argmax is None:
+            violations.append(Violation(
+                "formulation_optimum",
+                f"{tag}: no placement of {model.name} on "
+                f"{cluster.node_ids} serves",
+            ))
+            continue
+        scale = max(1.0, best)
+        formulation = planner.build_formulation()
+        solution = solve_with_highs(formulation.problem, mip_rel_gap=0.0)
+        if solution.status is not SolveStatus.OPTIMAL:
+            violations.append(Violation(
+                "formulation_optimum",
+                f"{tag}: HiGHS returned {solution.status.value}",
+            ))
+        elif abs(solution.objective - best) > 1e-6 * scale:
+            violations.append(Violation(
+                "formulation_optimum",
+                f"{tag}: MILP optimum {solution.objective} != best "
+                f"placement's max flow {best} ({argmax.assignments})",
+            ))
+        values = planner.assignment_from_placement(
+            formulation, argmax, cluster
+        )
+        violated = formulation.problem.check_feasible(values)
+        objective = formulation.problem.objective.evaluate(values)
+        if violated:
+            violations.append(Violation(
+                "formulation_optimum",
+                f"{tag}: the best placement's assignment violates "
+                f"{violated}",
+            ))
+        elif abs(objective - best) > 1e-6 * scale:
+            violations.append(Violation(
+                "formulation_optimum",
+                f"{tag}: the best placement's assignment has objective "
+                f"{objective}, not its max flow {best}",
+            ))
     return violations
 
 
@@ -334,7 +434,7 @@ def check_milp_oracles(
 
     violations: list[Violation] = []
     for check in (
-        check_backend_agreement,
+        check_formulation_optimum,
         check_lns_modes_agree,
         check_incremental_compile,
     ):

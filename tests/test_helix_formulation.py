@@ -8,6 +8,8 @@ from repro.core.units import GBIT
 from repro.milp.scipy_backend import solve_with_highs
 from repro.models.specs import ModelSpec
 from repro.placement import HelixMilpPlanner, PetalsPlanner
+from repro.placement.pruning import prune_cluster
+from repro.scenarios import generate_scenario
 
 
 @pytest.fixture()
@@ -112,7 +114,7 @@ class TestCanonicalization:
     def test_sorts_within_identical_groups(self, small_cluster, tiny_model):
         planner = HelixMilpPlanner(small_cluster, tiny_model, hints=None)
         intervals = {"t4-0": (4, 8), "t4-1": (0, 4), "a100-0": (0, 8)}
-        canonical = planner._canonicalize(intervals, small_cluster)
+        canonical = planner._canonicalize(intervals)
         # t4-0 (lexicographically first) takes the earlier interval.
         assert canonical["t4-0"] == (0, 4)
         assert canonical["t4-1"] == (4, 8)
@@ -124,13 +126,38 @@ class TestCanonicalization:
         intervals = {
             nid: (st.start, st.end) for nid, st in placement.assignments.items()
         }
-        canonical = planner._canonicalize(intervals, small_cluster)
+        canonical = planner._canonicalize(intervals)
         original_value = planner.placement_throughput(placement, small_cluster)
         canonical_value = planner.placement_throughput(
             ModelPlacement.from_intervals(tiny_model.num_layers, canonical),
             small_cluster,
         )
         assert canonical_value == pytest.approx(original_value, rel=1e-6)
+
+    def test_only_nodes_with_the_same_links_are_reordered(self, tiny_model):
+        # Three T4s in one region, chained t4-0 <-> t4-2 <-> t4-1: the two
+        # ends swap onto each other, the middle one swaps with neither, so
+        # a pipeline through the middle keeps its value.
+        cluster = Cluster(name="chain")
+        for nid in ("t4-0", "t4-1", "t4-2"):
+            cluster.add_node(nid, T4)
+            cluster.connect("coordinator", nid, 10 * GBIT, 0.001)
+            cluster.connect(nid, "coordinator", 10 * GBIT, 0.001)
+        for end in ("t4-0", "t4-1"):
+            cluster.connect(end, "t4-2", 10 * GBIT, 0.001)
+            cluster.connect("t4-2", end, 10 * GBIT, 0.001)
+        cluster.validate()
+        planner = HelixMilpPlanner(cluster, tiny_model, hints=None)
+        intervals = {"t4-0": (5, 8), "t4-1": (0, 2), "t4-2": (2, 5)}
+        canonical = planner._canonicalize(intervals)
+        assert canonical == {"t4-0": (0, 2), "t4-1": (5, 8), "t4-2": (2, 5)}
+        value = planner.placement_throughput(
+            ModelPlacement.from_intervals(tiny_model.num_layers, intervals)
+        )
+        assert value > 0
+        assert planner.placement_throughput(
+            ModelPlacement.from_intervals(tiny_model.num_layers, canonical)
+        ) == pytest.approx(value, rel=1e-9)
 
 
 class TestLNS:
@@ -161,3 +188,18 @@ class TestLNS:
         assert planner.placement_throughput(improved, small_cluster) >= (
             planner.placement_throughput(poor, small_cluster)
         )
+
+    def test_lns_on_a_pruned_cluster_never_loses_full_cluster_value(self):
+        # The pruned formulation undervalues the best hint (2377.8 against
+        # 3806.4 tok/s on the full cluster), and a placement worth 2642.5
+        # on both clusters beats it only on the pruned one.
+        scenario = generate_scenario("full_mesh", 2)
+        planner = HelixMilpPlanner(
+            scenario.cluster, scenario.model, prune_degree=1, lns_rounds=3
+        )
+        work = prune_cluster(scenario.cluster, 1)
+        formulation = planner.build_formulation(work)
+        for hint in planner.heuristic_hints(work):
+            start = planner.placement_throughput(hint)
+            improved = planner._lns_improve(formulation, work, hint, 3)
+            assert planner.placement_throughput(improved) >= start - 1e-9

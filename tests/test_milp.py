@@ -1,12 +1,11 @@
-"""Tests for the MILP modeling layer and both solver backends."""
+"""Tests for the MILP modeling layer and the HiGHS solver."""
 
-import math
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.milp import (
-    BranchAndBoundSolver,
     MilpProblem,
     Sense,
     SolveStatus,
@@ -147,42 +146,27 @@ class TestSolvers:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(brute_force_knapsack(capacity))
 
-    @pytest.mark.parametrize("capacity", [0, 1, 3, 5, 7, 10])
-    def test_bnb_matches_brute_force(self, capacity):
-        solver = BranchAndBoundSolver(knapsack_problem(capacity), time_limit=20)
-        solution = solver.solve()
+    def test_highs_records_trajectory(self):
+        solution = solve_with_highs(knapsack_problem(5))
         assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(brute_force_knapsack(capacity))
-
-    def test_bnb_records_trajectory(self):
-        solver = BranchAndBoundSolver(knapsack_problem(5), time_limit=20)
-        solver.solve()
-        assert len(solver.trajectory) >= 2
-        incumbents = [
-            t.incumbent for t in solver.trajectory if not math.isnan(t.incumbent)
-        ]
+        incumbents = [point.incumbent for point in solution.trajectory]
         assert incumbents == sorted(incumbents)  # incumbents only improve
+        assert incumbents[-1] == solution.objective
 
-    def test_bnb_warm_start_accepted(self):
-        solver = BranchAndBoundSolver(knapsack_problem(5), time_limit=20)
+    def test_highs_start_accepted(self):
+        # A feasible optimal start holds even when no node is explored.
         warm = {"x0": 1.0, "x1": 0.0, "x2": 0.0, "x3": 1.0}
-        solution = solver.solve(initial_incumbent=warm)
+        solution = solve_with_highs(knapsack_problem(5), node_limit=0, start=warm)
+        assert solution.status is SolveStatus.FEASIBLE
         assert solution.objective == pytest.approx(brute_force_knapsack(5))
 
-    def test_bnb_rejects_infeasible_warm_start(self):
-        solver = BranchAndBoundSolver(knapsack_problem(3), time_limit=20)
+    def test_highs_discards_infeasible_start(self):
         bad = {"x0": 1.0, "x1": 1.0, "x2": 1.0, "x3": 1.0}
-        with pytest.raises(ValueError, match="violates"):
-            solver.solve(initial_incumbent=bad)
-
-    def test_bnb_early_stop_bound(self):
-        # Stop as soon as the incumbent reaches a known bound.
-        problem = knapsack_problem(10)
-        solver = BranchAndBoundSolver(
-            problem, time_limit=20, early_stop_bound=brute_force_knapsack(10)
-        )
-        solution = solver.solve()
-        assert solution.objective == pytest.approx(brute_force_knapsack(10))
+        solution = solve_with_highs(knapsack_problem(5), node_limit=0, start=bad)
+        assert solution.status is SolveStatus.NO_SOLUTION
+        assert solution.trajectory == []
+        solution = solve_with_highs(knapsack_problem(5), start=bad)
+        assert solution.objective == pytest.approx(brute_force_knapsack(5))
 
     def test_highs_minimization(self):
         p = MilpProblem()
@@ -191,20 +175,12 @@ class TestSolvers:
         p.set_objective(x, maximize=False)
         assert solve_with_highs(p).objective == pytest.approx(4.0)
 
-    def test_bnb_minimization(self):
-        p = MilpProblem()
-        x = p.add_var("x", 0, 10, integer=True)
-        p.add_constraint(x >= 3.5)
-        p.set_objective(x, maximize=False)
-        assert BranchAndBoundSolver(p).solve().objective == pytest.approx(4.0)
-
     def test_infeasible_problem(self):
         p = MilpProblem()
         x = p.add_var("x", 0, 1)
         p.add_constraint(x >= 2)
         p.set_objective(x)
         assert solve_with_highs(p).status is SolveStatus.INFEASIBLE
-        assert BranchAndBoundSolver(p).solve().status is SolveStatus.INFEASIBLE
 
     def test_mixed_integer_continuous(self):
         p = MilpProblem()
@@ -213,9 +189,9 @@ class TestSolvers:
         p.add_constraint(f <= 30 * d)
         p.add_constraint(f <= 25)
         p.set_objective(f)
-        for solution in (solve_with_highs(p), BranchAndBoundSolver(p).solve()):
-            assert solution.objective == pytest.approx(25.0)
-            assert round(solution.values["d"]) == 1
+        solution = solve_with_highs(p)
+        assert solution.objective == pytest.approx(25.0)
+        assert round(solution.values["d"]) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -224,14 +200,18 @@ class TestSolvers:
         capacity=st.integers(0, 30),
     )
     def test_backends_agree_on_random_knapsacks(self, values, weights, capacity):
+        # HiGHS against brute-force enumeration of every item subset.
         n = min(len(values), len(weights))
         p = MilpProblem()
         xs = [p.add_binary(f"x{i}") for i in range(n)]
         p.add_constraint(lin_sum(w * x for w, x in zip(weights, xs)) <= capacity)
         p.set_objective(lin_sum(v * x for v, x in zip(values, xs)))
-        highs = solve_with_highs(p)
-        bnb = BranchAndBoundSolver(p, time_limit=10).solve()
-        assert highs.objective == pytest.approx(bnb.objective, abs=1e-6)
+        best = max(
+            sum(v for v, take in zip(values, mask) if take)
+            for mask in itertools.product((0, 1), repeat=n)
+            if sum(w for w, take in zip(weights, mask) if take) <= capacity
+        )
+        assert solve_with_highs(p).objective == pytest.approx(best, abs=1e-6)
 
     def test_solution_gap_property(self):
         solution = solve_with_highs(knapsack_problem(5))

@@ -1,11 +1,12 @@
-"""Cross-backend and feature-ablation tests for the MILP stack.
+"""Tests for the HiGHS solver surface the planner uses.
 
-Randomized small Helix formulations are solved with both backends and the
-objectives cross-checked; warm starts are checked to never hurt; the new
-branch-and-bound machinery (pseudocost branching, diving, propagation,
-reduced-cost fixing, delta-encoded bounds) is exercised both on and off.
+MIP starts and the improving-solution trajectory on small Helix
+formulations, node-limited solves, the root probe, a differential against
+``scipy.optimize.milp``, the compile cache, and the import footprint of
+the bindings.
 """
 
+import ast
 import math
 import os
 import random
@@ -30,7 +31,6 @@ from repro.cluster import (
 from repro.core.errors import SolverError
 from repro.core.units import GBIT
 from repro.milp import (
-    BranchAndBoundSolver,
     MilpProblem,
     MilpSolution,
     SolveStatus,
@@ -43,8 +43,8 @@ from repro.placement import helix_milp
 from repro.placement.helix_milp import HelixMilpPlanner
 from repro.placement.pruning import prune_cluster
 
-#: A small model whose formulations our pure-Python branch-and-bound can
-#: solve to proven optimality in test time.
+#: A small model whose formulations HiGHS solves to proven optimality in
+#: well under a second.
 TINY_MODEL = ModelSpec(
     name="tiny-8L",
     num_layers=8,
@@ -54,22 +54,6 @@ TINY_MODEL = ModelSpec(
     intermediate_size=2816,
     nominal_params=8 * (4 * 1024**2 + 3 * 1024 * 2816),
 )
-
-
-def round_robin_cluster(num_nodes: int) -> Cluster:
-    """A heterogeneous full-mesh cluster (A100/L4/T4 round-robin)."""
-    cluster = Cluster(name=f"round-robin-{num_nodes}")
-    gpus = (A100_40G, L4, T4)
-    node_ids = []
-    for i in range(num_nodes):
-        node_id = f"n{i:03d}"
-        cluster.add_node(node_id, gpus[i % len(gpus)], region="r0")
-        node_ids.append(node_id)
-    cluster.connect_full_mesh(
-        node_ids, 10 * GBIT, 0.001, include_coordinator=True
-    )
-    cluster.validate()
-    return cluster
 
 
 def random_helix_cluster(seed: int) -> Cluster:
@@ -97,49 +81,65 @@ def helix_problem(seed: int):
     return planner, planner.build_formulation()
 
 
-class TestBackendAgreement:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_backends_agree_on_random_helix_formulations(self, seed):
-        planner, formulation = helix_problem(seed)
-        highs = solve_with_highs(formulation.problem, time_limit=30)
-        bnb = BranchAndBoundSolver(
-            formulation.problem, time_limit=60, gap_tolerance=1e-6
-        ).solve()
-        assert highs.status.has_solution and bnb.status.has_solution
-        scale = max(1.0, abs(highs.objective))
-        assert abs(highs.objective - bnb.objective) <= 1e-5 * scale
+def hint_start(seed: int):
+    """A Helix formulation and the MIP start of its first heuristic hint."""
+    planner, formulation = helix_problem(seed)
+    hints = planner.heuristic_hints(planner.cluster)
+    assert hints, "expected at least one heuristic hint"
+    start = planner.assignment_from_placement(
+        formulation, hints[0], planner.cluster
+    )
+    assert formulation.problem.check_feasible(start) == []
+    return formulation, start
 
+
+class TestMipStart:
     @pytest.mark.parametrize("seed", [0, 2])
     def test_warm_start_never_worse_than_cold(self, seed):
-        planner, formulation = helix_problem(seed)
-        cold = BranchAndBoundSolver(formulation.problem, time_limit=60).solve()
-        hints = planner.heuristic_hints(planner.cluster)
-        assert hints, "expected at least one heuristic hint"
-        warm_assignment = planner.assignment_from_placement(
-            formulation, hints[0], planner.cluster
-        )
-        warm = BranchAndBoundSolver(
-            formulation.problem, time_limit=60
-        ).solve(initial_incumbent=warm_assignment)
+        formulation, start = hint_start(seed)
+        cold = solve_with_highs(formulation.problem, time_limit=30)
+        warm = solve_with_highs(formulation.problem, time_limit=30, start=start)
         assert warm.status.has_solution
         scale = max(1.0, abs(cold.objective))
         assert warm.objective >= cold.objective - 1e-6 * scale
 
-    def test_warm_start_respected_under_tiny_node_limit(self):
-        # Even when the tree is cut off immediately, the warm incumbent
-        # must survive as the returned solution.
-        planner, formulation = helix_problem(1)
-        hints = planner.heuristic_hints(planner.cluster)
-        warm_assignment = planner.assignment_from_placement(
-            formulation, hints[0], planner.cluster
+    def test_feasible_start_survives_node_limit_zero(self):
+        # Even when the tree is cut off before the root, the start must
+        # come back as the incumbent.
+        formulation, start = hint_start(1)
+        value = formulation.problem.objective.evaluate(start)
+        solution = solve_with_highs(
+            formulation.problem, node_limit=0, presolve=False, start=start
         )
-        warm_value = formulation.problem.objective.evaluate(warm_assignment)
-        solver = BranchAndBoundSolver(
-            formulation.problem, time_limit=60, node_limit=0, diving=False
+        assert solution.status is SolveStatus.FEASIBLE
+        assert solution.objective >= value - 1e-9
+        assert solution.trajectory[0].incumbent == pytest.approx(value)
+
+    def test_infeasible_start_never_comes_back(self):
+        formulation, start = hint_start(1)
+        flow = next(iter(formulation.f_vars.values()))
+        broken = dict(start)
+        broken[flow.name] = flow.upper + 1.0  # above the link's capacity
+        assert formulation.problem.check_feasible(broken) != []
+        solution = solve_with_highs(
+            formulation.problem, node_limit=0, presolve=False, start=broken
         )
-        solution = solver.solve(initial_incumbent=warm_assignment)
-        assert solution.status.has_solution
-        assert solution.objective >= warm_value - 1e-9
+        assert solution.status is SolveStatus.NO_SOLUTION
+        assert solution.trajectory == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_trajectory_is_monotone_and_ends_at_the_optimum(self, seed):
+        _, formulation = helix_problem(seed)
+        solution = solve_with_highs(formulation.problem)
+        assert solution.status is SolveStatus.OPTIMAL
+        incumbents = [point.incumbent for point in solution.trajectory]
+        assert incumbents == sorted(incumbents)
+        assert incumbents[-1] == solution.objective
+        bounds = [
+            point.bound for point in solution.trajectory
+            if math.isfinite(point.bound)
+        ]
+        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
 
 class TestPlannerEdgeCases:
@@ -380,7 +380,8 @@ def _bench_probe_cases():
 class TestScipyMilpDifferential:
     """The direct HiGHS calls solve exactly what ``scipy.optimize.milp``
     solves, on the deterministic solves: node-limited root probes and
-    solves run to optimality."""
+    solves run to optimality. Every direct solve registers the
+    improving-solution callback, which must leave the solve unchanged."""
 
     @staticmethod
     def assert_identical(problem, solution, reference, status):
@@ -392,6 +393,7 @@ class TestScipyMilpDifferential:
         assert solution.node_count == reference.mip_node_count
         x = np.array([solution.values[v.name] for v in problem.variables])
         np.testing.assert_array_equal(x, reference.x)
+        assert solution.trajectory[-1].incumbent == solution.objective
 
     def check_probe(self, problem, time_limit, gap):
         solution = solve_with_highs(
@@ -450,6 +452,48 @@ class TestImportFootprint:
         assert expected in str(error.value)
         assert scipy.__version__ in str(error.value)
 
+    @pytest.mark.parametrize("method", ["setCallback", "startCallback", "setSolution"])
+    def test_bindings_without_a_required_method_name_the_scipy_version(
+        self, monkeypatch, method
+    ):
+        import scipy
+
+        class Highs:
+            pass
+
+        for name in ("setCallback", "startCallback", "setSolution"):
+            if name != method:
+                setattr(Highs, name, None)
+        core = type(sys)("fake_core")
+        core._Highs = Highs
+        monkeypatch.setitem(sys.modules, scipy_backend._CORE_NAME, core)
+        with pytest.raises(SolverError) as error:
+            scipy_backend._load_highs_core()
+        assert method in str(error.value)
+        assert scipy.__version__ in str(error.value)
+
+    def test_no_source_module_imports_scipy_optimize_sparse_or_linprog(self):
+        # The bindings are loaded from their file; nothing under src/ may
+        # import the scipy.optimize or scipy.sparse packages, or linprog.
+        src = Path(__file__).resolve().parents[1] / "src"
+        banned = ("scipy.optimize", "scipy.sparse")
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    module = node.module or ""
+                    names = [module] + [
+                        f"{module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                for name in names:
+                    if name.startswith(banned) or name.split(".")[-1] == "linprog":
+                        offenders.append(f"{path.relative_to(src)}: {name}")
+        assert offenders == []
+
     def test_repro_and_bench_do_not_load_scipy_optimize_or_sparse(self):
         out = _python(
             "import sys, repro, bench.workloads\n"
@@ -461,7 +505,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("scipy_first", [False, True])
     def test_bindings_are_shared_with_scipy_optimize(self, scipy_first):
         # However the two are ordered, there is one bindings module, and
-        # scipy.optimize (the bnb backend's LP solver) works beside it.
+        # scipy.optimize.milp works beside the planner.
         order = ("scipy.optimize", "repro") if scipy_first else (
             "repro", "scipy.optimize"
         )
@@ -479,77 +523,12 @@ class TestImportFootprint:
             " num_heads=8, num_kv_heads=8, intermediate_size=2816,"
             " nominal_params=8 * (4 * 1024**2 + 3 * 1024 * 2816))\n"
             "result = HelixMilpPlanner(toy_cluster_fig1(), model, Profiler(),"
-            " backend='bnb', time_limit=10).plan()\n"
+            " time_limit=10).plan()\n"
             "assert result.max_throughput > 0\n"
             "print(scipy.optimize.milp(c=[-1.0], bounds=(0, 2),"
             " integrality=[1]).x[0])\n"
         )
         assert out.strip() == "2.0"
-
-
-class TestFeatureAblations:
-    @pytest.mark.parametrize("make_cluster,min_node_factor", [
-        # The random clusters' trees are too small to separate the two
-        # searches (19 vs 21 nodes, 8 vs 8): no node-count claim there.
-        pytest.param(lambda: random_helix_cluster(0), 0, id="0"),
-        pytest.param(lambda: random_helix_cluster(1), 0, id="1"),
-        # Pseudocost + diving + propagation + reduced-cost fixing: 27 nodes
-        # against the plain search's 81. Node counts are machine-independent.
-        pytest.param(lambda: round_robin_cluster(4), 2, id="round-robin-4"),
-    ])
-    def test_features_do_not_change_the_optimum(
-        self, make_cluster, min_node_factor
-    ):
-        problem = HelixMilpPlanner(
-            make_cluster(), TINY_MODEL, Profiler()
-        ).build_formulation().problem
-        plain = BranchAndBoundSolver(
-            problem, time_limit=60,
-            pseudocost=False, diving=False, propagation=False,
-            reduced_cost_fixing=False,
-        ).solve()
-        smart = BranchAndBoundSolver(problem, time_limit=60).solve()
-        scale = max(1.0, abs(plain.objective))
-        assert abs(plain.objective - smart.objective) <= 1e-5 * scale
-        assert plain.node_count >= min_node_factor * smart.node_count
-
-    def test_diving_finds_incumbent_before_branching(self):
-        _, formulation = helix_problem(0)
-        solver = BranchAndBoundSolver(formulation.problem, time_limit=60)
-        solution = solver.solve()
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solver.stats.dive_incumbents >= 1
-        assert solver.stats.time_to_first_incumbent <= solution.solve_time
-
-    def test_stall_time_stops_the_solve(self):
-        _, formulation = helix_problem(3)
-        solver = BranchAndBoundSolver(
-            formulation.problem, time_limit=60, stall_time=0.0
-        )
-        solution = solver.solve()
-        # With a zero stall budget the solve ends at the first incumbent.
-        assert solution.status.has_solution
-        assert solution.solve_time < 60
-
-    def test_propagation_prunes_infeasible_children(self):
-        # x + y == 5 with x branched above 5 forces y negative: the child
-        # must be pruned by propagation without an LP solve.
-        p = MilpProblem()
-        x = p.add_var("x", 0, 10, integer=True)
-        y = p.add_var("y", 0, 10, integer=True)
-        p.add_constraint(x + y == 5)
-        p.add_constraint(2 * x + y >= 5.5)
-        p.set_objective(x + 2 * y)
-        solution = BranchAndBoundSolver(p, time_limit=10).solve()
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(9.0)  # x=1, y=4
-
-    def test_solver_counts_lp_solves(self):
-        _, formulation = helix_problem(2)
-        solver = BranchAndBoundSolver(formulation.problem, time_limit=60)
-        solution = solver.solve()
-        assert solver.stats.lp_solves >= solution.node_count
-        assert solver.stats.lp_solves >= 1
 
 
 class TestCompileCache:
@@ -642,49 +621,3 @@ class TestCompileCache:
             if c.violated_by(values, 1e-5)
         ]
         assert p.check_feasible(values) == reference
-
-
-class TestSplitConstraints:
-    def test_masked_split_matches_expected_blocks(self):
-        p = MilpProblem()
-        x = p.add_var("x", 0, 10)
-        y = p.add_var("y", 0, 10)
-        p.add_constraint(x + y <= 8)
-        p.add_constraint(x - y >= 1)
-        p.add_constraint(x + 2 * y == 6)
-        p.set_objective(x + y)
-        solver = BranchAndBoundSolver(p)
-        assert solver._a_eq.shape == (1, 2)
-        assert solver._a_ub.shape == (2, 2)
-        assert solver._b_eq.tolist() == [6.0]
-        assert sorted(solver._b_ub.tolist()) == [-1.0, 8.0]
-        solution = solver.solve()
-        assert solution.status is SolveStatus.OPTIMAL
-
-    def test_no_constraints(self):
-        p = MilpProblem()
-        p.add_var("x", 0, 3, integer=True)
-        p.set_objective(p.variables[0])
-        solver = BranchAndBoundSolver(p)
-        assert solver._a_ub is None and solver._a_eq is None
-        assert solver.solve().objective == pytest.approx(3.0)
-
-
-class TestDeltaBounds:
-    def test_deep_tree_solves_without_full_bound_copies(self):
-        # A problem forcing real branching depth; correctness of the
-        # delta-chain materialization shows up as the right optimum.
-        rng = random.Random(7)
-        p = MilpProblem()
-        xs = [p.add_var(f"x{i}", 0, 3, integer=True) for i in range(8)]
-        weights = [rng.randint(2, 9) for _ in xs]
-        values = [rng.randint(1, 12) for _ in xs]
-        p.add_constraint(lin_sum(w * x for w, x in zip(weights, xs)) <= 31)
-        p.set_objective(lin_sum(v * x for v, x in zip(values, xs)))
-        bnb = BranchAndBoundSolver(p, time_limit=30).solve()
-        highs = solve_with_highs(p)
-        assert bnb.objective == pytest.approx(highs.objective)
-        # Integer feasibility of the returned values.
-        for name, value in bnb.values.items():
-            assert value == pytest.approx(round(value))
-        assert not math.isnan(bnb.objective)

@@ -202,18 +202,6 @@ class TestHelixPlannerSmall:
         }
         result.placement.validate(max_layers_per_node=bounds)
 
-    def test_bnb_backend_with_warm_start(self, small_cluster, tiny_model):
-        planner = HelixMilpPlanner(
-            small_cluster,
-            tiny_model,
-            backend="bnb",
-            time_limit=15,
-            mip_rel_gap=0.05,
-        )
-        result = planner.plan()
-        assert result.max_throughput > 0
-        assert planner.last_trajectory  # trajectory recorded
-
     def test_assignment_from_placement_is_feasible(self, small_cluster, tiny_model):
         planner = HelixMilpPlanner(small_cluster, tiny_model, hints=None)
         formulation = planner.build_formulation()
@@ -234,10 +222,6 @@ class TestHelixPlannerSmall:
             partial_inference=False,
         ).plan()
         assert with_partial.max_throughput >= without.max_throughput - 1e-6
-
-    def test_unknown_backend_rejected(self, small_cluster, tiny_model):
-        with pytest.raises(ValueError, match="backend"):
-            HelixMilpPlanner(small_cluster, tiny_model, backend="gurobi")
 
 
 class TestPlacementEvaluator:

@@ -112,7 +112,7 @@ class TestKnobs:
             inspect.signature(repro.HelixMilpPlanner.__init__).parameters
         ) == [
             "self", "cluster", "model", "profiler", "partial_inference",
-            "prune_degree", "time_limit", "hints", "backend", "mip_rel_gap",
+            "prune_degree", "time_limit", "hints", "mip_rel_gap",
             "lns_rounds", "lns_window", "lns_time_limit", "adaptive_budget",
             "lns_mode", "lns_seed",
         ]
