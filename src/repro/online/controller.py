@@ -49,6 +49,7 @@ from repro.online.detect import DetectorConfig, FailureDetector
 from repro.online.events import (
     ClusterEvent,
     NodeFailure,
+    NodeRecovery,
     validate_schedule,
 )
 from repro.placement.helix_milp import HelixMilpPlanner
@@ -179,6 +180,8 @@ class OnlineController:
             return
         description = sim.apply_event(event)
         self.event_log.append((sim.now, description))
+        if self.detector is not None and type(event) is NodeRecovery:
+            self.detector.node_restored(event.node_id)
         if event.is_disruptive:
             self.disruption_times.append(sim.now)
         if event.triggers_replan:

@@ -149,6 +149,15 @@ class FailureDetector:
         sim.schedule_event(now + HEARTBEAT_INTERVAL, lambda s: self._round())
         sim.schedule_event(now + CHECK_INTERVAL, lambda s: self._check())
 
+    def node_restored(self, node_id: str) -> None:
+        """A confirmed node rejoined: forget the verdict and monitor it
+        again from a fresh state, so a second failure is detected too."""
+        if node_id in self.confirmed:
+            self.confirmed.discard(node_id)
+            self._nodes[node_id] = _NodeState(
+                self.sim.now, self.config.phi_threshold
+            )
+
     @property
     def suspected(self) -> dict[str, str]:
         """Currently-suspected nodes and the suspicion kind."""

@@ -22,6 +22,7 @@ from repro.flow.graph import FlowGraph
 from repro.online import (
     FlakyLink,
     NodeFailure,
+    NodeRecovery,
     OnlineController,
     StragglerEnd,
     StragglerStart,
@@ -179,6 +180,43 @@ class TestDetection:
         assert sim.down_nodes >= {"a100-0", "l4-0"}
         # The surviving replica pair ({t4-1} x {t4-0}) carries the trace.
         assert metrics.requests_finished == 60
+        assert sim.dead_node_token_violations() == []
+        assert_conserved(sim, metrics)
+
+    def test_a_restored_node_is_detected_again(
+        self, small_cluster, tiny_model, placement8
+    ):
+        """Silent crash, confirmation, recovery, silent crash again.
+
+        The recovery clears the first verdict, so the detector monitors
+        the node afresh and confirms its second failure too; the replica
+        then serves every request the second crash stalled.
+        """
+        requests = steady_trace(80, 0.25)
+        controller = OnlineController(
+            tiny_model,
+            events=[
+                NodeFailure(2.0, "a100-0"),
+                NodeRecovery(10.0, "a100-0"),
+                NodeFailure(14.0, "a100-0"),
+            ],
+            replan=False,
+            detection_mode=True,
+        )
+        sim = make_simulation(
+            small_cluster, tiny_model, placement8, requests,
+            max_time=60.0, seed=0, controller=controller, debug_validate=True,
+        )
+        metrics = sim.run()
+        (first, node_a, _, mttd_a), (second, node_b, _, mttd_b) = (
+            controller.detections
+        )
+        assert node_a == node_b == "a100-0"
+        assert 2.0 < first < 10.0 and 14.0 < second
+        assert 0.0 < mttd_a < 6.0 and 0.0 < mttd_b < 6.0
+        assert controller.detector.false_positives == 0
+        assert "a100-0" in sim.down_nodes
+        assert metrics.requests_finished == 80
         assert sim.dead_node_token_violations() == []
         assert_conserved(sim, metrics)
 
