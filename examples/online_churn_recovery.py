@@ -74,7 +74,6 @@ def main() -> None:
         events=[NodeFailure(FAIL_AT, victim)],
         profiler=profiler,
         replan_lns_rounds=2,
-        replan_time_limit=1.0,
     )
     trace = offline_arrivals(
         synthesize_azure_trace(

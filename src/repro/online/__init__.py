@@ -43,7 +43,7 @@ from repro.online.faults import (
     ZombieNode,
 )
 from repro.online.autoscale import Autoscaler, AutoscalerConfig
-from repro.online.detect import DetectorConfig, FailureDetector
+from repro.online.detect import FailureDetector
 from repro.online.controller import OnlineController, ReplanRecord
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "StragglerEnd",
     "StragglerStart",
     "ZombieNode",
-    "DetectorConfig",
     "FailureDetector",
     "Autoscaler",
     "AutoscalerConfig",

@@ -12,7 +12,8 @@ controller's existing machinery:
   assigned layers through the real network — a *warm* spare (layers
   pre-staged) starts serving immediately, a cold one pays the transfer.
 * **Scale down**: sustained idleness gracefully drains the most recently
-  loaned node (:meth:`Simulation.drain_node` — zero lost tokens) and
+  loaned node (:meth:`Simulation.drain_node` — zero lost tokens), never
+  leaving fewer than :data:`MIN_SERVING` serving placement nodes, and
   returns it to the pool. Its resident layers are retained, so the next
   scale-up of that node is warm.
 
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 #: A tick counts toward scaling down when the outstanding-request count
 #: (pending + in flight) is at or below this.
 IDLE_BACKLOG = 1
+#: Scale-down never drains below this many serving placement nodes.
+MIN_SERVING = 2
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,6 @@ class AutoscalerConfig:
         high_ticks: Consecutive high-backlog ticks required to scale up.
         idle_ticks: Consecutive idle ticks required to scale down.
         cooldown: Minimum sim-seconds between two scaling actions.
-        min_serving: Never drain below this many serving placement nodes.
         start_after: First tick time (lets the system warm up first).
     """
 
@@ -49,7 +51,6 @@ class AutoscalerConfig:
     high_ticks: int = 3
     idle_ticks: int = 8
     cooldown: float = 5.0
-    min_serving: int = 2
     start_after: float = 0.0
 
 
@@ -123,7 +124,7 @@ class Autoscaler:
             cooled
             and self._idle_streak >= self.config.idle_ticks
             and self.loaned
-            and self._serving_count(sim) > self.config.min_serving
+            and self._serving_count(sim) > MIN_SERVING
         ):
             self._scale_down(sim)
 

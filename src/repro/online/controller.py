@@ -45,19 +45,23 @@ from repro.core.errors import ClusterError, PlacementError, SolverError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.models.specs import ModelSpec
-from repro.online.detect import DetectorConfig, FailureDetector
+from repro.online.detect import FailureDetector
 from repro.online.events import (
     ClusterEvent,
     NodeFailure,
     NodeRecovery,
     validate_schedule,
 )
+from repro.online.faults import ZombieNode
 from repro.placement.helix_milp import HelixMilpPlanner
 from repro.sim.metrics import (
     DisruptionReport,
     check_window_multiple,
     disruption_report,
 )
+
+#: Per-round LNS solver budget of a replan, in seconds.
+REPLAN_TIME_LIMIT = 1.0
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,11 @@ class OnlineController:
         replan: Master switch for the slow path. With it off the
             controller only masks/unmasks nodes and rewrites flows — the
             "no replanning" ablation.
-        replan_lns_rounds: LNS rounds per replanning.
-        replan_time_limit: Per-round LNS solver budget in seconds.
+        replan_lns_rounds: LNS rounds per replanning (each with a
+            :data:`REPLAN_TIME_LIMIT` budget).
+        detection_mode: Fail nodes silently and react only to the
+            failure detector's confirmations.
+        autoscaler: Optional :class:`~repro.online.autoscale.Autoscaler`.
     """
 
     def __init__(
@@ -105,9 +112,7 @@ class OnlineController:
         profiler: Profiler | None = None,
         replan: bool = True,
         replan_lns_rounds: int = 2,
-        replan_time_limit: float = 1.0,
         detection_mode: bool = False,
-        detector_config: DetectorConfig | None = None,
         autoscaler=None,
     ) -> None:
         self.model = model
@@ -115,13 +120,11 @@ class OnlineController:
         self.profiler = profiler or Profiler()
         self.replan = replan
         self.replan_lns_rounds = replan_lns_rounds
-        self.replan_time_limit = replan_time_limit
         #: With detection on, node failures happen *silently*
         #: (``fail_node(announce=False)``) and the controller reacts only
         #: when its failure detector confirms the node — measuring true
         #: MTTD/MTTR instead of assuming an oracle announcement.
         self.detection_mode = detection_mode
-        self.detector_config = detector_config
         #: Optional :class:`~repro.online.autoscale.Autoscaler`; attached
         #: to the simulation in :meth:`start` so its periodic backlog
         #: checks ride the same event loop as the churn schedule.
@@ -153,17 +156,24 @@ class OnlineController:
         Called by :meth:`Simulation.run` before the first event pops. The
         schedule is validated against the starting cluster first, so a
         malformed scenario fails here with a clear error instead of
-        somewhere mid-run.
+        somewhere mid-run. A zombie is rejected without ``detection_mode``:
+        only the detector's watchdog recovers the requests it stalls.
         """
         validate_schedule(self.events, sim.cluster)
+        if not self.detection_mode:
+            for event in self.events:
+                if type(event) is ZombieNode:
+                    raise ClusterError(
+                        f"ZombieNode at t={event.time:g} needs "
+                        "detection_mode: nothing else recovers the requests "
+                        f"stalled on {event.node_id!r}"
+                    )
         for event in self.events:
             sim.schedule_event(
                 event.time, lambda s, ev=event: self._handle(s, ev)
             )
         if self.detection_mode:
-            self.detector = FailureDetector(
-                sim, self.detector_config, on_confirm=self._on_confirmed
-            )
+            self.detector = FailureDetector(sim, on_confirm=self._on_confirmed)
             self.detector.start()
         if self.autoscaler is not None:
             self.autoscaler.attach(sim, self)
@@ -272,7 +282,7 @@ class OnlineController:
                     sim.cluster.subcluster(),
                     self.model,
                     self.profiler,
-                    lns_time_limit=self.replan_time_limit,
+                    lns_time_limit=REPLAN_TIME_LIMIT,
                     mip_rel_gap=0.05,
                 )
                 result = planner.replan(

@@ -20,18 +20,22 @@ exactly what a real coordinator would:
 * **Phi-accrual suspicion.** Per node, the detector keeps a window of
   observed inter-arrival times; suspicion level is the classic
   exponential phi — ``0.434 * elapsed / mean_interval`` — and crossing
-  ``phi_threshold`` raises a *crash* suspicion. A late heartbeat clears
+  :data:`PHI_THRESHOLD` raises a *crash* suspicion. A late heartbeat clears
   it (a flap), doubles that node's threshold (:data:`FLAP_DAMPING`), and
   counts toward false-positive accounting.
 * **Progress watchdog.** A zombie keeps heartbeating, so phi never
   fires; instead the watchdog suspects any node that is busy or has
   queued work but whose batch counter has not advanced for
-  ``zombie_timeout`` seconds.
+  :data:`ZOMBIE_TIMEOUT` seconds.
 * **Confirmation.** A suspicion sustained for :data:`CONFIRM_AFTER` seconds
   confirms: the ``on_confirm`` callback fires (the controller reacts by
   calling ``sim.confirm_node_failure`` and replanning). Confirming a
   healthy node is allowed — that is what a false positive *is* — and the
   simulation charges its full cost.
+* **Recovery.** When a confirmed node is restored, the controller calls
+  :meth:`FailureDetector.node_restored`: the verdict is dropped and the
+  node is monitored again from a fresh state, so a second failure of it
+  is detected too.
 
 Everything is driven by the simulation's event loop and the simulation's
 seeded fault state; two runs of the same seed and schedule produce the
@@ -42,7 +46,6 @@ identical suspicion timeline, MTTD samples, and false-positive count
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.cluster.node import COORDINATOR
 
@@ -62,33 +65,14 @@ CONFIRM_AFTER = 0.5
 FLAP_DAMPING = 2.0
 #: Period of the detector's evaluation tick.
 CHECK_INTERVAL = 0.125
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Tuning knobs of one :class:`FailureDetector`.
-
-    Attributes:
-        phi_threshold: Suspicion level that raises a crash suspicion.
-        min_samples: Heartbeat intervals observed before phi is
-            meaningful (no suspicion until then).
-        zombie_timeout: Seconds of no batch progress (while busy or
-            holding queued work) before a zombie suspicion.
-    """
-
-    phi_threshold: float = 8.0
-    min_samples: int = 3
-    zombie_timeout: float = 3.0
-
-    def __post_init__(self) -> None:
-        for name in ("zombie_timeout", "phi_threshold"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.min_samples < 1:
-            raise ValueError(
-                f"min_samples must be >= 1, got {self.min_samples}"
-            )
+#: Suspicion level (phi) that raises a crash suspicion.
+PHI_THRESHOLD = 8.0
+#: Heartbeat intervals observed before phi is meaningful (no crash
+#: suspicion until then).
+MIN_SAMPLES = 3
+#: Seconds of no batch progress (while busy or holding queued work)
+#: before a zombie suspicion.
+ZOMBIE_TIMEOUT = 3.0
 
 
 class _NodeState:
@@ -99,10 +83,10 @@ class _NodeState:
         "suspect_kind", "last_batches", "last_progress_time",
     )
 
-    def __init__(self, now: float, threshold: float) -> None:
+    def __init__(self, now: float) -> None:
         self.last_arrival = now
         self.intervals: deque[float] = deque(maxlen=16)
-        self.threshold = threshold
+        self.threshold = PHI_THRESHOLD
         self.suspect_time: float | None = None
         self.suspect_kind = ""
         self.last_batches = -1
@@ -114,16 +98,14 @@ class FailureDetector:
 
     Args:
         sim: The running :class:`~repro.sim.simulator.Simulation`.
-        config: Detector tuning.
         on_confirm: ``fn(sim, node_id, kind)`` invoked the moment a
             suspicion is confirmed (``kind`` is ``"crash"`` or
             ``"zombie"``). The detector itself never mutates cluster
             state — reacting is the controller's job.
     """
 
-    def __init__(self, sim, config: DetectorConfig | None = None, on_confirm=None):
+    def __init__(self, sim, on_confirm=None):
         self.sim = sim
-        self.config = config or DetectorConfig()
         self.on_confirm = on_confirm
         # Monitored nodes; start() inserts them sorted by id, which is
         # the order every heartbeat round and check visits them in.
@@ -145,7 +127,7 @@ class FailureDetector:
         sim = self.sim
         now = sim.now
         for node_id in sorted(sim.executors):
-            self._nodes[node_id] = _NodeState(now, self.config.phi_threshold)
+            self._nodes[node_id] = _NodeState(now)
         sim.schedule_event(now + HEARTBEAT_INTERVAL, lambda s: self._round())
         sim.schedule_event(now + CHECK_INTERVAL, lambda s: self._check())
 
@@ -154,9 +136,7 @@ class FailureDetector:
         again from a fresh state, so a second failure is detected too."""
         if node_id in self.confirmed:
             self.confirmed.discard(node_id)
-            self._nodes[node_id] = _NodeState(
-                self.sim.now, self.config.phi_threshold
-            )
+            self._nodes[node_id] = _NodeState(self.sim.now)
 
     @property
     def suspected(self) -> dict[str, str]:
@@ -249,8 +229,7 @@ class FailureDetector:
                 self._confirm(node_id, state, now)
 
     def _maybe_suspect(self, node_id, state, executor, now: float) -> None:
-        config = self.config
-        if len(state.intervals) >= config.min_samples:
+        if len(state.intervals) >= MIN_SAMPLES:
             mean = sum(state.intervals) / len(state.intervals)
             if mean > 0:
                 phi = _LOG10_E * (now - state.last_arrival) / mean
@@ -262,7 +241,7 @@ class FailureDetector:
         if (
             executor is not None
             and (executor.busy or executor.queue)
-            and now - state.last_progress_time > config.zombie_timeout
+            and now - state.last_progress_time > ZOMBIE_TIMEOUT
         ):
             state.suspect_time = now
             state.suspect_kind = "zombie"

@@ -154,8 +154,8 @@ class ZombieNode(ClusterEvent):
     """A node wedges: accepts work and keeps heartbeating, never finishes.
 
     The canonical gray failure — heartbeat-only detectors never catch it;
-    only a progress watchdog (or a TTFT timeout on the stalled requests)
-    does. Recover with a normal
+    only a progress watchdog does, so the controller accepts it only in
+    ``detection_mode``. Recover with a normal
     :class:`~repro.online.events.NodeRecovery`.
     """
 

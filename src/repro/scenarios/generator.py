@@ -692,7 +692,8 @@ def _draw_policy(rng: random.Random, limits: ScenarioLimits) -> RequestPolicy:
     # The deleted deadline's draws, so later draws do not shift.
     if rng.random() < 0.3:
         rng.uniform(horizon * 0.3, horizon * 0.6)
-    ttft_timeout = rng.uniform(horizon * 0.05, horizon * 0.15)
+    # The deleted TTFT timeout's draw, so later draws do not shift.
+    rng.uniform(horizon * 0.05, horizon * 0.15)
     # The deleted retry budget's draw, so later draws do not shift.
     rng.randint(3, 6)
     retry_backoff = rng.uniform(0.1, 0.3)
@@ -703,9 +704,7 @@ def _draw_policy(rng: random.Random, limits: ScenarioLimits) -> RequestPolicy:
     # The deleted queue cap's draws, so later draws do not shift.
     if rng.random() < 0.5:
         rng.randint(20, 60)
-    return RequestPolicy(
-        ttft_timeout=ttft_timeout, retry_backoff=retry_backoff, jitter=jitter
-    )
+    return RequestPolicy(retry_backoff=retry_backoff, jitter=jitter)
 
 
 # ----------------------------------------------------------------------

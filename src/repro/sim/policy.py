@@ -1,24 +1,16 @@
-"""Per-request lifecycle policy: TTFT timeouts and retry backoff.
+"""Per-request lifecycle policy: retry backoff.
 
-The baseline simulator retries a disrupted request at once and never gives
-up on a stalled attempt — fine when every failure is announced, fatal
-under gray failures (a zombie node accepts a prompt and simply never
-answers). :class:`RequestPolicy` bounds every attempt and paces the
-retries; a request is never abandoned, it always returns to the pending
-queue:
+A disrupted attempt (its node failed, was confirmed dead, or left the
+placement) returns its request to the pending queue; a request is never
+abandoned. :class:`RequestPolicy` paces those re-dispatches: each waits
+``retry_backoff * BACKOFF_FACTOR**(attempt-1)`` seconds plus a
+*deterministic* jitter (derived from a CRC of the request id and attempt
+number, never from global randomness, so seeded runs reproduce exactly).
 
-* **TTFT timeout** — a per-attempt bound on time-to-first-token; an
-  attempt that produced nothing by then is presumed stuck (stalled on a
-  silent-dead or zombie node) and re-dispatched.
-* **retry backoff** — each re-dispatch waits
-  ``retry_backoff * BACKOFF_FACTOR**(attempt-1)`` seconds plus a
-  *deterministic* jitter (derived from a CRC of the request id and
-  attempt number, never from global randomness, so seeded runs reproduce
-  exactly).
-
-The default-constructed policy is the legacy semantics (no timeout,
-immediate retries), and it is what a simulation built with
-``policy=None`` runs under.
+There is no per-attempt timeout: an attempt stalled on a silent-dead or
+zombie node is recovered when the failure detector confirms the node.
+The default-constructed policy retries at once, and it is what a
+simulation built with ``policy=None`` runs under.
 """
 
 from __future__ import annotations
@@ -36,12 +28,9 @@ BACKOFF_FACTOR = 2.0
 
 @dataclass(frozen=True)
 class RequestPolicy:
-    """Lifecycle knobs of every request in one simulation.
+    """Retry pacing of every request in one simulation.
 
     Attributes:
-        ttft_timeout: Seconds from an attempt's scheduling to its first
-            token before the attempt is presumed stuck and re-dispatched
-            (``None`` = wait forever).
         retry_backoff: Base delay in seconds before a re-dispatch re-enters
             the pending queue (0 = immediate, the legacy semantics).
         jitter: Fraction of the computed backoff added as deterministic
@@ -50,17 +39,11 @@ class RequestPolicy:
             and platforms.
     """
 
-    ttft_timeout: float | None = None
     retry_backoff: float = 0.0
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        # Written as ``not (lo < value < inf)`` so NaN fails every check.
-        timeout = self.ttft_timeout
-        if timeout is not None and not 0 < timeout < math.inf:
-            raise ValueError(
-                f"ttft_timeout must be finite and positive, got {timeout}"
-            )
+        # Written as ``not (lo <= value < inf)`` so NaN fails every check.
         if not 0 <= self.retry_backoff < math.inf:
             raise ValueError(
                 f"retry_backoff must be finite and >= 0, got {self.retry_backoff}"

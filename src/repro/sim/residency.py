@@ -5,9 +5,9 @@ in by the autoscaler) holds *nothing*: before it can serve its assigned
 stage it must download those layer weights through the same network the
 inference traffic uses. This module is the bookkeeping half of that story:
 
-* :class:`ResidencyConfig` — per-run switches: which nodes start
-  pre-warmed (a standby replica that already staged weights), and how big
-  one layer's transfer is (default: the model's true ``layer_bytes``).
+* :class:`ResidencyConfig` — the one per-run switch: which nodes start
+  pre-warmed (a standby replica that already staged weights). Every
+  pulled layer moves the served model's own ``layer_bytes``.
 * :class:`ResidencyManager` — the live ledger the simulator owns when
   residency is enabled. It tracks the resident layer set per node, the
   in-progress *warming* pulls (with generation tokens so a crash mid-pull
@@ -39,20 +39,16 @@ from repro.core.errors import SimulationError
 
 @dataclass(frozen=True)
 class ResidencyConfig:
-    """Switches of one residency-enabled run.
+    """The switch of one residency-enabled run.
 
     Attributes:
         warm: Pre-warmed nodes: ``node_id -> (start, end)`` layer interval
             already staged in VRAM at t=0 (on top of the initial
             placement, whose serving nodes are always resident). This is
             how a standby spare differs from a cold one.
-        layer_bytes: Bytes transferred per pulled layer. ``None`` uses the
-            served model's ``layer_bytes`` (FP16 weights); tests may
-            shrink it to keep warm-up windows tiny.
     """
 
     warm: Mapping[str, tuple[int, int]] = field(default_factory=dict)
-    layer_bytes: float | None = None
 
 
 @dataclass(frozen=True)
@@ -218,13 +214,6 @@ class ResidencyManager:
             self.eviction_log.append(EvictionRecord(node_id, now, evicted))
         return evicted
 
-    @property
-    def layer_bytes(self) -> float:
-        """Bytes per pulled layer (config override or the model's)."""
-        if self.config.layer_bytes is not None:
-            return self.config.layer_bytes
-        return self.model.layer_bytes
-
     # ------------------------------------------------------------------
     # Node-lifecycle hooks (called by the simulation)
     # ------------------------------------------------------------------
@@ -283,7 +272,7 @@ class ResidencyManager:
         now = sim.now
         budget = sim.profiler.max_layers(sim.cluster.node(node_id), sim.model)
         self.evict_for(node_id, needed, budget, now)
-        layer_bytes = self.layer_bytes
+        layer_bytes = self.model.layer_bytes
         sources: list[str] = []
         latest = now
         for layer in missing:

@@ -258,12 +258,9 @@ class Simulation:
             :class:`repro.online.OnlineController`); its ``start(sim)`` is
             called once before the event loop to inject environment events.
         policy: The per-request lifecycle
-            :class:`~repro.sim.policy.RequestPolicy` (TTFT timeout, retry
-            backoff). ``None`` is ``RequestPolicy()``: no timeout,
-            immediate retries. A disrupted request always returns to the
-            pending queue, so a TTFT timeout needs a finite ``max_time``:
-            a request routed to a node that never answers (a zombie)
-            would otherwise be retried forever.
+            :class:`~repro.sim.policy.RequestPolicy` (retry backoff).
+            ``None`` is ``RequestPolicy()``: immediate retries. A
+            disrupted request always returns to the pending queue.
         debug_validate: Run ``cluster.validate()`` after every event
             applied through :meth:`apply_event`.
         residency: Optional :class:`~repro.sim.residency.ResidencyConfig`.
@@ -302,12 +299,6 @@ class Simulation:
         if not max_time > warmup:  # also rejects NaN; inf is unbounded
             raise SimulationError(
                 f"max_time must exceed warmup ({warmup}), got {max_time}"
-            )
-        timeout = policy.ttft_timeout if policy is not None else None
-        if timeout is not None and max_time == math.inf:
-            raise SimulationError(
-                "a TTFT timeout needs a finite max_time: a request routed "
-                "to a node that never answers would be retried forever"
             )
         seen: set[str] = set()
         for request in requests:
@@ -643,12 +634,6 @@ class Simulation:
         )
         self._build_hops(active)
         self._dispatch(active)
-        policy = self._policy
-        if policy.ttft_timeout is not None:
-            self.schedule_event(
-                self._now + policy.ttft_timeout,
-                lambda s, a=active: s._ttft_check(a),
-            )
         return True
 
     def _dispatch(self, active: _ActiveRequest) -> None:
@@ -822,13 +807,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Online dynamics: failures, repairs, and live replanning
     # ------------------------------------------------------------------
-    def _ttft_check(self, active: _ActiveRequest) -> None:
-        """Re-dispatch an attempt that produced no token within the TTFT bound."""
-        if not active.live or active.record.token_times:
-            return
-        self._requeue(active, migrated=False)
-        self._retry_pending()
-
     def _requeue(self, active: _ActiveRequest, migrated: bool) -> None:
         """Abort an attempt and send the request back to the pending queue.
 
@@ -916,8 +894,8 @@ class Simulation:
         The in-flight batch goes stale, the queue keeps accumulating
         arrivals, and — unlike a crash — the KV pool keeps its contents
         (the process is alive, its memory intact). Heartbeat-only
-        detectors never notice; a progress watchdog or the stalled
-        requests' TTFT timeouts do.
+        detectors never notice; only a progress watchdog does, and the
+        stalled requests wait until it confirms the node.
         """
         self._transition(node_id, "zombie")
 

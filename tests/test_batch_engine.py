@@ -32,7 +32,7 @@ FULL_CONFIG_MATRIX = [
 
 #: Leading 16 hex digits of each pinned run's ``run_digest``.
 FULL_CONFIG_DIGESTS = {
-    ("chaos", 0): "24bb289d3a7697d7",
+    ("chaos", 0): "ea14f3b73b179632",
     ("chaos", 1): "ef5dd471b45189fa",
     ("chaos", 2): "1d7bf8184434a4a2",
     ("elastic", 0): "1bc28a04191fc6a0",
@@ -173,10 +173,10 @@ def test_window_cut_inside_a_round_matches_per_hop(point, cut, path):
 
 #: The busy-channel run, per ``(slow, path)``.
 BUSY_CHANNEL_DIGESTS = {
-    ("entry", "tenancy"): "31b8b3064bf4a3fe",
-    ("entry", "untagged"): "87acc27c46fca209",
-    ("inter-stage", "tenancy"): "d39cffb7bb75ab49",
-    ("inter-stage", "untagged"): "a6bd4e273797e924",
+    ("entry", "tenancy"): "d2678abdd3254635",
+    ("entry", "untagged"): "c9689dbf7ed46530",
+    ("inter-stage", "tenancy"): "c38586761cc06b7e",
+    ("inter-stage", "untagged"): "639bda8320c89589",
 }
 
 
@@ -186,12 +186,12 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     """A requeued attempt leaves a channel busy under a lone request.
 
     On a two-stage pipeline with one slow link, ``r0``'s 2048-token
-    prompt takes P0 on that link and its TTFT timeout D requeues it
-    mid-transmission, into a backoff that outlasts the horizon. ``r1``
-    (16-token prompt, 20 tokens) arrives alone just after; its prompt
-    queues behind ``r0``'s on the link and its run takes P1 + decode
-    there. With P1 + decode < P0 and (P0 + P1 + decode) / 2 < D < P0,
-    ``r1`` still beats its own TTFT timeout. Every observable is pinned.
+    prompt takes P0 on that link. At D < P0 after ``r0`` arrives,
+    ``a100-1`` fails and is restored in the same instant: the announced failure
+    requeues ``r0`` mid-transmission, into a backoff that outlasts the
+    horizon. ``r1`` (16-token prompt, 20 tokens) arrives alone just
+    after; its prompt queues behind ``r0``'s on the link, and it
+    finishes. Every observable is pinned.
     """
     from repro.cluster.node import COORDINATOR
     from repro.sim import RequestPolicy
@@ -210,7 +210,7 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     # The slow link carries prompt ids (entry, P0 = 0.66 s) or prompt
     # activations (inter-stage, P0 = 3.4 s); a decode round's message
     # takes ms.
-    src, dst, bandwidth, timeout = {
+    src, dst, bandwidth, fail_after = {
         "entry": (COORDINATOR, "a100-0", 0.0001 * GBIT, 0.5),
         "inter-stage": ("a100-0", "a100-1", 0.01 * GBIT, 2.5),
     }[slow]
@@ -226,13 +226,14 @@ def test_window_opening_on_a_busy_channel_matches_per_hop(slow, path):
     tenant_id = _tenant_for(path)
     requests = [
         Request("r0", 2048, 20, 10.0, tenant_id=tenant_id),
-        Request("r1", 16, 20, 10.0 + timeout + 0.001, tenant_id=tenant_id),
+        Request("r1", 16, 20, 10.0 + fail_after + 0.001, tenant_id=tenant_id),
     ]
     sim = Simulation(
         cluster, model, placement, scheduler, requests,
-        max_time=100.0, seed=0,
-        policy=RequestPolicy(ttft_timeout=timeout, retry_backoff=1000.0),
+        max_time=100.0, seed=0, policy=RequestPolicy(retry_backoff=1000.0),
     )
+    sim.schedule_event(10.0 + fail_after, lambda s: s.fail_node("a100-1"))
+    sim.schedule_event(10.0 + fail_after, lambda s: s.restore_node("a100-1"))
     metrics = sim.run()
     _pinned(BUSY_CHANNEL_DIGESTS, (slow, path), sim, metrics)
     assert sim.record_of("r0").retries == 1
@@ -369,7 +370,7 @@ def test_engine_stats_exposes_batch_telemetry():
 PINNED_EVENT_COUNTS = {
     ("full_mesh", 0): 2391,
     # Two flaky-link windows with traffic arriving inside them.
-    (CHAOS_FAMILY, 20): 2162,
+    (CHAOS_FAMILY, 20): 2132,
 }
 
 

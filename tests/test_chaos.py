@@ -16,7 +16,6 @@ import math
 
 import pytest
 
-from repro.core.errors import SimulationError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.online import (
@@ -89,7 +88,7 @@ def _heal(sim):
 #: carried a hedge delay or a deadline before those were deleted, per
 #: ``(size, seed)``.
 POLICY_DRAW_DIGESTS = {
-    ("smoke", 0): "24bb289d3a7697d7",
+    ("smoke", 0): "ea14f3b73b179632",
     ("smoke", 5): "f6f91517668bb290",
     ("smoke", 7): "07c03ac41f4a0570",
     ("smoke", 8): "84dccad649bc28ce",
@@ -317,16 +316,14 @@ class TestDetection:
 class TestRequestPolicy:
     def test_default_policy_is_legacy(self):
         policy = RequestPolicy()
-        assert policy.ttft_timeout is None
         assert [policy.retry_delay("r0", n) for n in (1, 2, 3)] == [0.0] * 3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "field",
-        ["ttft_timeout", "retry_backoff", "jitter"],
+        ["retry_backoff", "jitter"],
     )
     def test_non_finite_knobs_are_rejected(self, field, value):
-        # A NaN TTFT timeout once never returned from run().
         with pytest.raises(ValueError, match=field):
             RequestPolicy(**{field: value})
 
@@ -356,70 +353,17 @@ class TestRequestPolicy:
         assert policied_metrics.requests_finished == legacy_metrics.requests_finished
         assert policied_metrics.decode_throughput == legacy_metrics.decode_throughput
 
-    def test_ttft_timeout_retries_until_the_horizon_on_zombie(
-        self, small_cluster, tiny_model
-    ):
-        """With a single (zombie) serving node, TTFT retries never end;
-        the horizon stops the run with every request still in flight."""
-        placement = ModelPlacement.from_intervals(8, {"a100-0": (0, 8)})
-        requests = [
-            Request(f"r{i}", 32, 4, arrival_time=0.05 + i * 0.01)
-            for i in range(5)
-        ]
-        sim = make_simulation(
-            small_cluster, tiny_model, placement, requests,
-            max_time=30.0, seed=0,
-            policy=RequestPolicy(ttft_timeout=0.2, retry_backoff=0.01),
-        )
-        sim.schedule_event(0.0, lambda s: s.make_zombie("a100-0"))
-        metrics = sim.run()
-        assert metrics.requests_finished == 0
-        assert sim.in_flight_requests == 5
-        assert max(r.retries for r in sim.records) == 12
-        assert sim.events_popped == 181
-        assert run_digest(sim, metrics)[:16] == "120e2031da04ddc9"
-        assert_conserved(sim, metrics)
-
-    def test_ttft_timeout_needs_a_finite_horizon(
+    def test_failure_requeue_releases_a_dispatched_attempt_under_fairness(
         self, small_cluster, tiny_model, placement8
     ):
-        """Without a horizon, a request routed to a node that never answers
-        (a zombie) would be retried forever."""
-        with pytest.raises(SimulationError, match="finite max_time"):
-            make_simulation(
-                small_cluster, tiny_model, placement8, steady_trace(1, 0.1),
-                max_time=math.inf, policy=RequestPolicy(ttft_timeout=0.2),
-            )
-
-    def test_ttft_timeout_rescues_requests_from_zombie(
-        self, small_cluster, tiny_model, placement8
-    ):
-        """With a replica available, TTFT retries route around the zombie."""
-        requests = steady_trace(20, 0.05, output_len=4)
-        sim = make_simulation(
-            small_cluster, tiny_model, placement8, requests,
-            max_time=60.0, seed=0,
-            policy=RequestPolicy(ttft_timeout=0.3, retry_backoff=0.02),
-        )
-        sim.schedule_event(0.2, lambda s: s.make_zombie("a100-0"))
-        metrics = sim.run()
-        # Every request finishes; the healthy replica serves retries.
-        assert metrics.requests_finished == 20
-        assert metrics.requests_retried > 0
-        assert sim.in_flight_requests == 0
-        assert_conserved(sim, metrics)
-
-    def test_ttft_requeue_releases_a_dispatched_attempt_under_fairness(
-        self, small_cluster, tiny_model, placement8
-    ):
-        """A TTFT timeout requeues ``r0`` while its attempt is dispatched.
+        """A node failure requeues ``r0`` while its attempt is dispatched.
 
         Both stage-0 replicas straggle, so tenant ``a``'s ``r0`` holds
-        a pipeline with no first token when its 0.1 s TTFT timeout
-        fires, and its retry backoff outlasts the horizon; the nodes heal
-        at 0.2 s and tenant ``b``'s ``r1`` (arriving at 0.3 s) finishes.
-        Under T-mode fairness the released attempt's 0.1 s pipeline hold
-        is ``a``'s service.
+        a pipeline through ``a100-0`` with no first token when that node
+        fails at 0.1 s, and its retry backoff outlasts the horizon; the
+        nodes heal at 0.2 s and tenant ``b``'s ``r1`` (arriving at 0.3 s)
+        finishes on the surviving replica. Under T-mode fairness the
+        released attempt's 0.1 s pipeline hold is ``a``'s service.
         """
         requests = [
             Request("r0", 64, 8, arrival_time=0.0, tenant_id="a"),
@@ -427,11 +371,11 @@ class TestRequestPolicy:
         ]
         sim = make_simulation(
             small_cluster, tiny_model, placement8, requests,
-            max_time=30.0, seed=0,
-            policy=RequestPolicy(ttft_timeout=0.1, retry_backoff=60.0),
+            max_time=30.0, seed=0, policy=RequestPolicy(retry_backoff=60.0),
         )
         sim.set_compute_slowdown("a100-0", 50.0)
         sim.set_compute_slowdown("t4-1", 50.0)
+        sim.schedule_event(0.1, lambda s: s.fail_node("a100-0"))
         sim.schedule_event(0.2, _heal)
         failed = []
         inner = sim.scheduler.notify_failed
@@ -452,7 +396,7 @@ class TestRequestPolicy:
         assert {k: round(sum(v), 12) for k, v in service.items()} == {
             "a": 0.1, "b": 0.095466146968,
         }
-        assert run_digest(sim, metrics)[:16] == "5fc0e93f2f2df11b"
+        assert run_digest(sim, metrics)[:16] == "0d64b5399a6eafb5"
 
     def test_node_failure_keeps_a_requeued_attempts_tokens_as_service(
         self, small_cluster, tiny_model, placement8
@@ -708,28 +652,26 @@ class TestChaosScenarios:
         digest = run_digest(report.sim, report.metrics)[:16]
         assert digest == POLICY_DRAW_DIGESTS["smoke", seed]
 
-    def test_ttft_timeout_moves_its_one_address(self):
-        """Chaos smoke 0 is the one chaos address where a TTFT timeout
-        requeues an attempt (``azure-17``'s). Without the timeout a
-        fault requeues it later instead, so the run moves; every request
-        finishes either way."""
-        from dataclasses import replace
-
+    def test_chaos_smoke_0_requeues_on_confirmation(self):
+        """Chaos smoke 0 was the one address where a TTFT timeout (since
+        deleted) requeued an attempt: ``azure-17``'s, at 17.54 s. Now the
+        detector's confirmation of the zombie it stalls on requeues it,
+        at 18.25 s, and every request still finishes."""
         from repro.scenarios.generator import generate_scenario
 
-        digests = {}
-        for timeout in (True, False):
-            scenario = generate_scenario("chaos", 0, "smoke")
-            if not timeout:
-                scenario.policy = replace(scenario.policy, ttft_timeout=None)
-            report = run_scenario(scenario)
-            assert_scenario_ok(report)
-            assert report.metrics.requests_finished == 18
-            assert [r.request_id for r in report.sim.records if r.retries] == [
-                "azure-17"
-            ]
-            digests[timeout] = run_digest(report.sim, report.metrics)[:16]
-        assert digests == {True: "24bb289d3a7697d7", False: "ea14f3b73b179632"}
+        report = run_scenario(generate_scenario("chaos", 0, "smoke"))
+        assert_scenario_ok(report)
+        assert report.metrics.requests_finished == 18
+        assert [r.request_id for r in report.sim.records if r.retries] == [
+            "azure-17"
+        ]
+        requeued = report.sim.record_of("azure-17").requeued_attempts
+        assert [released for _, released, _ in requeued] == [18.25]
+        assert report.sim.controller.detections[0][:3] == (
+            18.25, "t4-1", "zombie",
+        )
+        digest = run_digest(report.sim, report.metrics)[:16]
+        assert digest == "ea14f3b73b179632"
 
     def test_legacy_families_are_unaffected(self):
         from repro.scenarios.generator import (

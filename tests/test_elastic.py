@@ -144,14 +144,28 @@ def _wide_model():
     )
 
 
-def _spare_recovery_run(warm: bool):
-    """Kill the sole holder of layers [0, 6); a spare rejoins shortly after.
+def _spare_model():
+    """24 layers of 5e8 weight bytes each: a T4 holds 16 of them."""
+    return ModelSpec(
+        name="elastic-spare-24L",
+        num_layers=24,
+        hidden_size=6656,
+        num_heads=52,
+        num_kv_heads=52,
+        intermediate_size=17920,
+        params_per_layer_override=2.5e8,  # ~0.4 s/layer on 10 Gbit links
+    )
 
-    The two T4s hold 6 layers each and cannot absorb the loss, so the
-    repaired placement *must* use the restored A100 spare — warm (layers
-    pre-staged) or cold (pull everything through the network).
+
+def _spare_recovery_run(warm: bool):
+    """Kill the sole holder of layers [0, 12); a spare rejoins shortly after.
+
+    The two T4s hold 12 layers each and the survivor cannot absorb the
+    loss, so the repaired placement *must* use the restored A100 spare —
+    warm (layers pre-staged) or cold (pull everything through the
+    network).
     """
-    model = _wide_model()
+    model = _spare_model()
     cluster = Cluster(name="elastic-spare")
     cluster.add_node("t4-0", T4, region="region-0")
     cluster.add_node("t4-1", T4, region="region-0")
@@ -163,7 +177,7 @@ def _spare_recovery_run(warm: bool):
     cluster.set_node_available("spare-0", False)
     cluster.validate()
     placement = ModelPlacement.from_intervals(
-        12, {"t4-0": (0, 6), "t4-1": (6, 12)}
+        24, {"t4-0": (0, 12), "t4-1": (12, 24)}
     )
     requests = steady_trace(150, 0.1, input_len=16, output_len=4)
     controller = OnlineController(
@@ -172,10 +186,7 @@ def _spare_recovery_run(warm: bool):
         replan=True,
         replan_lns_rounds=0,  # the deterministic replan mode
     )
-    config = ResidencyConfig(
-        warm={"spare-0": (0, 12)} if warm else {},
-        layer_bytes=5e8,  # ~0.4 s/layer on the 10 Gbit links
-    )
+    config = ResidencyConfig(warm={"spare-0": (0, 24)} if warm else {})
     sim = make_simulation(
         cluster, model, placement, requests,
         max_time=60.0, seed=0, controller=controller, residency=config,
@@ -202,17 +213,17 @@ class TestWarmVsColdMttr:
         # lands; the cold spare first pays its weight transfer through the
         # same links the traffic uses.
         assert warm_report.mttr == 1.5
-        assert cold_report.mttr == 3.5
-        assert round(cold_report.mttr / warm_report.mttr, 4) == 2.3333
+        assert cold_report.mttr == 6.0
+        assert round(cold_report.mttr / warm_report.mttr, 4) == 4.0
         assert warm_metrics.requests_finished == 150
         assert cold_metrics.requests_finished == 150
 
         # Only the repair's second replica pulls weights in the warm run;
-        # the cold run pulls the spare's twelve layers too.
+        # the cold run pulls the spare's 24 layers too.
         assert [
             (r.node_id, r.layers, r.bytes_pulled)
             for r in warm_sim.residency.warmup_log
-        ] == [("t4-1", (0, 1, 2, 3, 4, 5), 3e9)]
+        ] == [("t4-1", tuple(range(12)), 6e9)]
         assert [r.node_id for r in cold_sim.residency.warmup_log] == [
             "spare-0", "t4-1",
         ]
@@ -360,7 +371,6 @@ class TestAutoscaler:
                 high_ticks=2,
                 idle_ticks=8,
                 cooldown=2.0,
-                min_serving=2,
                 start_after=0.5,
             ),
             spares=["spare-0"],

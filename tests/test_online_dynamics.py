@@ -415,7 +415,6 @@ class TestOnlineController:
         ]
         controller = OnlineController(
             tiny_model, events=events, replan_lns_rounds=1,
-            replan_time_limit=0.5,
         )
         sim = Simulation(
             small_cluster, tiny_model, placement, scheduler, requests,
@@ -460,7 +459,7 @@ class TestOnlineController:
             Request(f"r{i}", 32, 8, arrival_time=i * 0.01) for i in range(300)
         ]
         controller = OnlineController(
-            tiny_model, replan_lns_rounds=0, replan_time_limit=0.5,
+            tiny_model, replan_lns_rounds=0,
         )
         applied = []
 
@@ -495,6 +494,40 @@ class TestOnlineController:
         assert applied == [without_s2, {**without_s2, "s2": (0, 8)}, without_s2]
         assert metrics.requests_finished == 300
 
+    def test_live_replan_migrates_in_flight_attempts(
+        self, small_cluster, tiny_model, placement8
+    ):
+        """A failure's replan re-binds the survivors and migrates their work.
+
+        ``t4-0`` fails at 0.3 s and requeues the 28 attempts through it.
+        The deterministic replan (no LNS round) gives each survivor the
+        whole model, so ``apply_placement`` re-binds all three and
+        migrates the 32 attempts still in flight on them. Pinned exactly.
+        """
+        from repro.testkit.golden import run_digest
+
+        controller = OnlineController(
+            tiny_model, events=[NodeFailure(0.3, "t4-0")],
+            replan_lns_rounds=0,
+        )
+        sim = make_simulation(
+            small_cluster, tiny_model, placement8,
+            [Request(f"r{i}", 32, 8, arrival_time=i * 0.002)
+             for i in range(400)],
+            max_time=10.0, seed=0, controller=controller,
+        )
+        metrics = sim.run()
+        assert [
+            (r.sim_time, r.status, r.migrated) for r in controller.replans
+        ] == [(0.3, "applied", 32)]
+        assert {
+            nid: (stage.start, stage.end)
+            for nid, stage in sim.placement.assignments.items()
+        } == {"a100-0": (0, 8), "l4-0": (0, 8), "t4-1": (0, 8)}
+        assert (metrics.requests_migrated, metrics.requests_retried) == (32, 28)
+        assert metrics.requests_finished == 400
+        assert run_digest(sim, metrics)[:16] == "b2bc02e646e72b3a"
+
     def test_unique_layer_holder_failure_needs_replan(
         self, small_cluster, tiny_model
     ):
@@ -511,7 +544,7 @@ class TestOnlineController:
         ]
         controller = OnlineController(
             tiny_model, events=[NodeFailure(0.2, "a100-0")],
-            replan_lns_rounds=1, replan_time_limit=0.5,
+            replan_lns_rounds=1,
         )
         sim = Simulation(
             small_cluster, tiny_model, placement, scheduler, requests,
@@ -627,7 +660,7 @@ class TestOnlineController:
         ]
         controller = OnlineController(
             tiny_model, events=[NodeRecovery(0.2, "l4-0")],
-            replan_lns_rounds=1, replan_time_limit=0.5,
+            replan_lns_rounds=1,
         )
         sim = Simulation(
             small_cluster, tiny_model, placement, scheduler, requests,
@@ -663,7 +696,6 @@ class TestOnlineController:
             ]
             controller = OnlineController(
                 tiny_model, events=events, replan_lns_rounds=1,
-                replan_time_limit=0.5,
             )
             sim = Simulation(
                 small_cluster, tiny_model, placement, scheduler, requests,
@@ -903,7 +935,7 @@ def test_online_churn_bench_meets_acceptance():
     )
     controller = OnlineController(
         LLAMA_30B, events=[NodeFailure(12.0, victim)], profiler=profiler,
-        replan_lns_rounds=2, replan_time_limit=1.0,
+        replan_lns_rounds=2,
     )
     sim = Simulation(
         cluster, LLAMA_30B, result.placement, scheduler, trace,
@@ -1012,6 +1044,23 @@ class TestScheduleValidation:
         with pytest.raises(ClusterError, match="unknown node"):
             sim.run()
 
+    def test_zombie_needs_detection_mode(
+        self, small_cluster, tiny_model, placement8
+    ):
+        """Only the detector's watchdog recovers a zombie's stalled
+        requests, so a schedule with one is refused without it."""
+        controller = OnlineController(
+            tiny_model, events=[ZombieNode(1.5, "t4-0")], replan=False
+        )
+        sim = make_simulation(
+            small_cluster, tiny_model, placement8, [Request("r0", 16, 2)],
+            controller=controller,
+        )
+        with pytest.raises(
+            ClusterError, match=r"^ZombieNode at t=1.5 needs detection_mode"
+        ):
+            sim.run()
+
 
 class TestDetectorDeterminism:
     """Same seed + schedule => identical detection behavior (satellite)."""
@@ -1085,10 +1134,13 @@ class TestPhiAccrualPaths:
     """Exercise the heartbeat/phi branches the watchdog usually shadows."""
 
     def test_crash_detected_by_phi_when_watchdog_disabled(
-        self, small_cluster, tiny_model, placement8
+        self, small_cluster, tiny_model, placement8, monkeypatch
     ):
-        from repro.online import DetectorConfig
+        from repro.online import detect
 
+        # Effectively disable the progress watchdog so the missing
+        # heartbeats (phi accrual) must carry the detection.
+        monkeypatch.setattr(detect, "ZOMBIE_TIMEOUT", 1e9)
         requests = [
             Request(f"r{i}", 32, 8, arrival_time=i * 0.2) for i in range(60)
         ]
@@ -1101,9 +1153,6 @@ class TestPhiAccrualPaths:
             events=[NodeFailure(2.0, "a100-0")],
             replan=False,
             detection_mode=True,
-            # Effectively disable the progress watchdog so the missing
-            # heartbeats (phi accrual) must carry the detection.
-            detector_config=DetectorConfig(zombie_timeout=1e9),
         )
         sim = Simulation(
             small_cluster, tiny_model, placement8, scheduler, requests,
@@ -1120,8 +1169,8 @@ class TestPhiAccrualPaths:
 
     def test_flap_clears_suspicion_damps_threshold_and_counts_fp(self):
         """A late heartbeat while suspected = a flap: clear + damp + FP."""
-        from repro.online import DetectorConfig, FailureDetector
-        from repro.online.detect import FLAP_DAMPING
+        from repro.online import FailureDetector
+        from repro.online.detect import FLAP_DAMPING, PHI_THRESHOLD
 
         class FakeSim:
             def __init__(self):
@@ -1140,25 +1189,26 @@ class TestPhiAccrualPaths:
         from repro.online.detect import _NodeState
 
         sim = FakeSim()
-        config = DetectorConfig(min_samples=3, phi_threshold=2.0)
-        detector = FailureDetector(sim, config)
-        detector._nodes["n0"] = state = _NodeState(0.0, config.phi_threshold)
-        # Three on-time heartbeats establish the interval window.
+        detector = FailureDetector(sim)
+        detector._nodes["n0"] = state = _NodeState(0.0)
+        # Three on-time heartbeats (MIN_SAMPLES) establish the interval
+        # window.
         for t in (0.25, 0.5, 0.75):
             sim.now = t
             detector._on_heartbeat("n0")
         assert len(state.intervals) == 3
-        # Silence long enough that phi crosses the threshold.
-        sim.now = 3.0
+        # Silence long enough that phi crosses the threshold: 4.75 s of
+        # silence after 0.25 s intervals is phi = 8.25 > 8.
+        sim.now = 5.5
         detector._check()
         assert detector.suspected == {"n0": "crash"}
-        assert (3.0, "suspect:crash", "n0") in detector.timeline
+        assert (5.5, "suspect:crash", "n0") in detector.timeline
         # The node heartbeats after all: suspicion clears, the threshold
         # damps, and (no ground-truth fault) a false positive is counted.
-        sim.now = 3.1
+        sim.now = 5.6
         detector._on_heartbeat("n0")
         assert detector.suspected == {}
-        assert state.threshold == config.phi_threshold * FLAP_DAMPING
+        assert state.threshold == PHI_THRESHOLD * FLAP_DAMPING
         assert detector.false_positives == 1
         assert any(row[1] == "clear:crash" for row in detector.timeline)
 

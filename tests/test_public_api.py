@@ -120,25 +120,100 @@ class TestKnobs:
             inspect.signature(repro.OnlineController.__init__).parameters
         ) == [
             "self", "model", "events", "profiler", "replan",
-            "replan_lns_rounds", "replan_time_limit", "detection_mode",
-            "detector_config", "autoscaler",
+            "replan_lns_rounds", "detection_mode", "autoscaler",
         ]
 
     @pytest.mark.parametrize(
         "config,fields",
         [
-            ("RequestPolicy", ["ttft_timeout", "retry_backoff", "jitter"]),
-            ("ResidencyConfig", ["warm", "layer_bytes"]),
+            ("RequestPolicy", ["retry_backoff", "jitter"]),
+            ("ResidencyConfig", ["warm"]),
             ("TenancyConfig", ["registry", "fairness"]),
             ("TenantSpec", ["tenant_id", "slo", "rate_share"]),
             ("FairnessConfig", ["mode", "window", "backlog_windows"]),
+            (
+                "AutoscalerConfig",
+                ["interval", "backlog_high", "high_ticks", "idle_ticks",
+                 "cooldown", "start_after"],
+            ),
         ],
     )
     def test_subsystem_config_fields(self, config, fields):
         import dataclasses
 
+        import repro.online
         import repro.sim
         import repro.tenancy
 
-        cls = getattr(repro.sim, config, None) or getattr(repro.tenancy, config)
+        cls = next(
+            getattr(package, config)
+            for package in (repro.sim, repro.online, repro.tenancy)
+            if hasattr(package, config)
+        )
         assert [field.name for field in dataclasses.fields(cls)] == fields
+
+    def test_every_knob_has_a_non_test_caller(self):
+        """Every option is set by keyword in ``src/``, ``bench/`` or
+        ``benchmarks/``, outside the module that defines it.
+
+        The options are the defaulted parameters of ``Simulation`` and
+        ``OnlineController`` and the fields of every ``*Config``,
+        ``*Policy`` and ``*Spec`` dataclass of their subsystems. A knob
+        only tests or examples set has one value in use: make it a
+        constant instead. Sources are parsed, so a call counts wherever
+        it sits.
+        """
+        import ast
+        import dataclasses
+        import importlib
+        import inspect
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        calls: dict[Path, set[tuple[str, str]]] = {}
+        for top in ("src", "bench", "benchmarks"):
+            for path in sorted((root / top).rglob("*.py")):
+                found = calls[path.resolve()] = set()
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    callee = getattr(func, "id", None) or getattr(
+                        func, "attr", None
+                    )
+                    found.update((callee, kw.arg) for kw in node.keywords)
+
+        def uncalled(name, options, module_file):
+            home = Path(module_file).resolve()
+            used = set().union(
+                *(found for path, found in calls.items() if path != home)
+            )
+            return [
+                f"{name}.{option}" for option in options
+                if (name, option) not in used
+            ]
+
+        missing = []
+        for cls in (repro.Simulation, repro.OnlineController):
+            options = [
+                param.name
+                for param in inspect.signature(cls.__init__).parameters.values()
+                if param.default is not inspect.Parameter.empty
+            ]
+            missing += uncalled(cls.__name__, options, inspect.getsourcefile(cls))
+        for module_name in (
+            "repro.sim.policy", "repro.sim.residency", "repro.online.detect",
+            "repro.online.autoscale", "repro.tenancy.fairness",
+            "repro.tenancy.registry", "repro.tenancy.report",
+        ):
+            module = importlib.import_module(module_name)
+            for name, cls in vars(module).items():
+                if (
+                    isinstance(cls, type)
+                    and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module_name
+                    and name.endswith(("Config", "Policy", "Spec"))
+                ):
+                    options = [field.name for field in dataclasses.fields(cls)]
+                    missing += uncalled(name, options, module.__file__)
+        assert missing == []
