@@ -26,7 +26,6 @@ def pruning_ablation():
         planner = HelixMilpPlanner(
             geo_distributed_24(), LLAMA_70B, Profiler(),
             prune_degree=prune, time_limit=15.0, mip_rel_gap=0.05,
-            lns_rounds=3, lns_window=8, lns_time_limit=6.0,
         )
         results[label] = planner.plan()
     return results
@@ -87,9 +86,9 @@ def test_fig11a_cluster_pruning(benchmark, report):
     with_p = results["with_pruning"].max_throughput
     without_p = results["without_pruning"].max_throughput
     # The robust half of the claim is the problem-size reduction; the
-    # throughput comparison is reported but only sanity-banded, since both
-    # solves are heavily time-capped and LNS is randomized (the paper saw
-    # pruning *help* by 16%/2%; we see run-to-run swings either way).
+    # throughput comparison is reported but only sanity-banded, since a
+    # solve that goes past its root probe is time-capped, so its incumbent
+    # varies run to run (the paper saw pruning *help* by 16%/2%).
     assert with_p >= 0.5 * without_p
     assert results["with_pruning"].num_variables < results[
         "without_pruning"

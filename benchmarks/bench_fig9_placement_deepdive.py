@@ -5,12 +5,18 @@ does exactly this to isolate placement quality). Paper shape, offline
 LLaMA-70B: Helix's placement beats Petals' by 1.23x / 1.49x and Swarm's by
 2.10x / 2.38x on the single / geo-distributed clusters, and Helix's
 placement leaves almost no node under-utilized (Fig. 9b).
+
+Here Helix's plan is its best heuristic hint: on both clusters the MILP's
+root probe does not beat it, so the plan is that hint, certified within
+the reported gap to the §4.5 compute-sum upper bound.
 """
 
 import pytest
 
-from benchmarks.conftest import serve
+from benchmarks.conftest import BENCH_PROFILER, HELIX_BUDGETS, MODELS, serve
 from repro.bench.tables import format_table
+from repro.placement import HelixMilpPlanner
+from repro.placement.pruning import prune_cluster
 
 PLACEMENTS = ("helix", "petals", "swarm")
 
@@ -46,9 +52,27 @@ def test_fig9_placement_deepdive(benchmark, planner_cache, bench_trace, report, 
     petals = results["petals"].decode_throughput
     assert helix > swarm, "Helix placement must beat Swarm's"
     assert helix >= petals * 0.95, "Helix placement must match or beat Petals'"
-    # The placement-level max-flow ordering must match too.
-    assert (
-        plans["helix"].max_throughput >= plans["petals"].max_throughput - 1e-6
+    # The MILP does not beat the heuristics here: the plan's max flow is
+    # the best hint's full-cluster value.
+    budget = HELIX_BUDGETS[cluster_name]
+    planner = HelixMilpPlanner(
+        planner_cache.cluster(cluster_name), MODELS["llama-70b"],
+        BENCH_PROFILER, **budget,
+    )
+    hints = planner.heuristic_hints(
+        prune_cluster(planner.cluster, budget["prune_degree"])
+    )
+    best_hint = max(planner.placement_throughput(hint) for hint in hints)
+    helix_flow = plans["helix"].max_throughput
+    assert helix_flow == pytest.approx(best_hint, rel=1e-9), (
+        f"Helix plans {helix_flow} tok/s against a best hint of {best_hint}: "
+        "a MILP win must update this assertion and the module docstring"
+    )
+    upper_bound = planner.compute_upper_bound()
+    text += (
+        f"\nhelix plan = best hint {best_hint:.1f} tok/s, within "
+        f"{1 - helix_flow / upper_bound:.1%} of the compute-sum upper bound "
+        f"{upper_bound:.1f}"
     )
     text += (
         f"\nhelix/petals {helix / petals:.2f}x (paper 1.23x single, 1.49x geo); "

@@ -78,12 +78,9 @@ SCHEDULER_OF = {
 
 #: Helix planner budgets by cluster size (seconds).
 HELIX_BUDGETS = {
-    "single-24": dict(prune_degree=6, time_limit=20.0, lns_rounds=9,
-                      lns_window=8, lns_time_limit=10.0, mip_rel_gap=0.03),
-    "geo-24": dict(prune_degree=6, time_limit=20.0, lns_rounds=9,
-                   lns_window=8, lns_time_limit=10.0, mip_rel_gap=0.03),
-    "hetero-42": dict(prune_degree=6, time_limit=25.0, lns_rounds=9,
-                      lns_window=8, lns_time_limit=12.0, mip_rel_gap=0.03),
+    "single-24": dict(prune_degree=6, time_limit=20.0, mip_rel_gap=0.03),
+    "geo-24": dict(prune_degree=6, time_limit=20.0, mip_rel_gap=0.03),
+    "hetero-42": dict(prune_degree=6, time_limit=25.0, mip_rel_gap=0.03),
     "small-10": dict(time_limit=30.0, mip_rel_gap=0.02),
 }
 

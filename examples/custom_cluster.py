@@ -52,8 +52,7 @@ def main() -> None:
     print(f"cluster: {cluster.describe()}")
 
     planner = HelixMilpPlanner(
-        cluster, model, profiler, time_limit=20.0,
-        lns_rounds=4, lns_window=6, lns_time_limit=6.0, mip_rel_gap=0.03,
+        cluster, model, profiler, time_limit=20.0, mip_rel_gap=0.03
     )
     result = planner.plan()
     print(f"\nplacement (max flow {result.max_throughput:.0f} tok/s):")

@@ -53,7 +53,7 @@ def main() -> None:
 
     helix = HelixMilpPlanner(
         cluster, model, profiler, prune_degree=6, time_limit=20.0,
-        lns_rounds=6, lns_window=8, lns_time_limit=8.0, mip_rel_gap=0.03,
+        mip_rel_gap=0.03,
     ).plan()
     swarm = SwarmPlanner(cluster, model, profiler).plan()
 

@@ -10,8 +10,8 @@ carrying the most max-flow is killed. The online controller
 2. rewrites the flow capacities through the incremental evaluator and
    hot-swaps the degraded flow into the IWRR selectors (when the
    survivors can still cover the model), and
-3. runs a warm-started incremental LNS replan on the surviving subcluster
-   and hot-swaps the repaired placement.
+3. replans on the surviving subcluster (the best of the degraded
+   placement and the heuristic ones) and hot-swaps the repaired placement.
 
 Runs end to end in a few seconds:
 
@@ -73,7 +73,6 @@ def main() -> None:
         model,
         events=[NodeFailure(FAIL_AT, victim)],
         profiler=profiler,
-        replan_lns_rounds=2,
     )
     trace = offline_arrivals(
         synthesize_azure_trace(

@@ -23,9 +23,10 @@ last one. :func:`_handoff_valid` is the one implementation of the rule.
 The max flow of the resulting graph is the placement's maximum serving
 throughput in tokens/second.
 
-Because the planner evaluates thousands of candidate placements on the same
-cluster (§4.5's warm starts, incumbent checks, and our LNS loop), a
-:class:`FlowGraph` is built *once* per cluster and re-targeted cheaply:
+Because one cluster sees many candidate placements (§4.5's warm starts,
+incumbent checks, the online controller's flow rewrites, the testkit's
+enumeration oracle), a :class:`FlowGraph` is built *once* per cluster and
+re-targeted cheaply:
 
 * The flow network contains every node edge and every physical link as a
   permanent edge; placement only decides each edge's capacity (zero for

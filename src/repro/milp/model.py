@@ -9,9 +9,9 @@ matrix in compressed sparse row (CSR) form.
 Each constraint caches its sparse row once; every
 :meth:`MilpProblem.compile` stacks the cached rows into fresh CSR arrays
 and re-gathers the objective and variable bounds. Appending or
-truncating constraints (the planner's LNS loop does both every round)
-therefore only builds the new rows, and bound tightening never rebuilds
-a row.
+truncating constraints therefore only builds the new rows, and bound
+tightening never rebuilds a row; the planner's root probe and its one
+follow-up solve share every row.
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ class MilpProblem:
 
         The constraint matrix is stacked from the constraints' cached rows;
         the objective, variable bounds and integrality are gathered fresh,
-        so bound mutations (LNS fixing) are always honored.
+        so bound mutations are always honored.
         """
         indptr, indices, data, constraint_lower, constraint_upper = (
             self._assemble_rows()

@@ -7,10 +7,10 @@ vocabulary (scripted schedules and seeded random generators);
 :mod:`repro.online.controller` reacts to each event in two tiers — an
 incremental :meth:`FlowGraph.reevaluate()
 <repro.flow.graph.FlowGraph.reevaluate>` flow rewrite for an immediate
-degraded-mode hot-swap, then a warm-started LNS :meth:`replan()
+degraded-mode hot-swap, then a deterministic :meth:`replan()
 <repro.placement.helix_milp.HelixMilpPlanner.replan>` on a freshly built
-planner, whose repaired placement is swapped into the scheduler's IWRR
-selectors.
+planner (the best of the degraded placement and the heuristic ones),
+whose repaired placement is swapped into the scheduler's IWRR selectors.
 
 Quickstart::
 

@@ -12,12 +12,13 @@ after each event, reacts in two tiers:
    is hot-swapped into the scheduler's IWRR selectors whenever a repaired
    placement is not about to land in the same instant — replanning
    disabled or failed — so serving continues on the surviving replicas.
-2. **Slow path — warm-started replanning.**
+2. **Slow path — replanning.**
    :meth:`HelixMilpPlanner.replan()
    <repro.placement.helix_milp.HelixMilpPlanner.replan>`, on a planner
-   built for the reaction over the subcluster of available nodes, runs the
-   bounds-tightening LNS loop around the degraded placement, producing a
-   *repaired* placement that re-spreads the lost layers. Its flow
+   built for the reaction over the subcluster of available nodes, ranks
+   the degraded placement against the heuristic placements by max flow,
+   producing a *repaired* placement that re-spreads the lost layers
+   whenever a heuristic beats the degraded one. Its flow
    solution is hot-swapped the same way; requests whose pipelines the
    swap invalidates are migrated through the pending queue. The planner
    scores candidates by max flow alone; it does not see which layers are
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.cluster.profiler import Profiler
-from repro.core.errors import ClusterError, PlacementError, SolverError
+from repro.core.errors import ClusterError, PlacementError
 from repro.core.placement_types import ModelPlacement
 from repro.flow.graph import FlowGraph
 from repro.models.specs import ModelSpec
@@ -60,17 +61,13 @@ from repro.sim.metrics import (
     disruption_report,
 )
 
-#: Per-round LNS solver budget of a replan, in seconds.
-REPLAN_TIME_LIMIT = 1.0
-
-
 @dataclass(frozen=True)
 class ReplanRecord:
     """Telemetry of one replanning reaction.
 
     Attributes:
         sim_time: Simulation time of the triggering event.
-        wall_seconds: Wall-clock cost of the warm-started LNS replan.
+        wall_seconds: Wall-clock cost of the replan.
         throughput: Max-flow throughput of the repaired placement
             (NaN when the replan failed).
         migrated: Requests migrated when the repaired placement applied.
@@ -98,8 +95,6 @@ class OnlineController:
         replan: Master switch for the slow path. With it off the
             controller only masks/unmasks nodes and rewrites flows — the
             "no replanning" ablation.
-        replan_lns_rounds: LNS rounds per replanning (each with a
-            :data:`REPLAN_TIME_LIMIT` budget).
         detection_mode: Fail nodes silently and react only to the
             failure detector's confirmations.
         autoscaler: Optional :class:`~repro.online.autoscale.Autoscaler`.
@@ -111,7 +106,6 @@ class OnlineController:
         events: Iterable[ClusterEvent] = (),
         profiler: Profiler | None = None,
         replan: bool = True,
-        replan_lns_rounds: int = 2,
         detection_mode: bool = False,
         autoscaler=None,
     ) -> None:
@@ -119,7 +113,6 @@ class OnlineController:
         self.events = sorted(events, key=lambda e: e.time)
         self.profiler = profiler or Profiler()
         self.replan = replan
-        self.replan_lns_rounds = replan_lns_rounds
         #: With detection on, node failures happen *silently*
         #: (``fail_node(announce=False)``) and the controller reacts only
         #: when its failure detector confirms the node — measuring true
@@ -274,21 +267,14 @@ class OnlineController:
         result = None
         wall = 0.0
         if self.replan:
-            # Tier 2: warm-started incremental LNS replanning on the
-            # subcluster.
+            # Tier 2: replanning on the subcluster.
             start = time.perf_counter()
             try:
                 planner = HelixMilpPlanner(
-                    sim.cluster.subcluster(),
-                    self.model,
-                    self.profiler,
-                    lns_time_limit=REPLAN_TIME_LIMIT,
-                    mip_rel_gap=0.05,
+                    sim.cluster.subcluster(), self.model, self.profiler
                 )
-                result = planner.replan(
-                    base=degraded, lns_rounds=self.replan_lns_rounds
-                )
-            except (ClusterError, PlacementError, SolverError):
+                result = planner.replan(base=degraded)
+            except (ClusterError, PlacementError):
                 result = None
             wall = time.perf_counter() - start
 

@@ -123,7 +123,7 @@ class PlacementPlanner(abc.ABC):
 
         The first evaluation on a cluster builds its :class:`FlowGraph`;
         subsequent evaluations re-target it incrementally, which is the hot
-        path of hint ranking, LNS, and incumbent checks. The evaluator
+        path of hint ranking and incumbent checks. The evaluator
         snapshots the cluster topology, so planners must not mutate the
         cluster mid-plan (none do). Raises :class:`PlacementError` when the
         placement cannot serve.

@@ -18,8 +18,8 @@ The §4.5 optimizations are all implemented: cluster pruning
 values (best-of Swarm/Petals/SP: the bar HiGHS's root-node probe must
 beat before any time budget is spent; :meth:`assignment_from_placement`
 turns one into a MIP start for :func:`solve_with_highs`), and the
-compute-sum upper bound both as a strengthening cut and as an early-stop
-criterion.
+compute-sum upper bound as a strengthening cut, which HiGHS's gap test
+then also uses as the early-stop criterion.
 """
 
 from __future__ import annotations
@@ -127,29 +127,13 @@ class HelixMilpPlanner(PlacementPlanner):
         prune_degree: If set, plan on a pruned copy of the cluster keeping
             at most this many outgoing links per node (§4.5).
         time_limit: Solver wall-clock budget in seconds.
-        hints: Heuristic placements: the incumbent the MILP has to beat,
-            and the fallback when it finds nothing better. The string
-            ``"auto"`` (default) derives them from the Swarm, Petals, and
-            separate-pipelines planners; ``None`` disables hinting.
+        hints: Heuristic placements for :meth:`plan`: the incumbent the
+            MILP's root probe has to beat, and the placement returned when
+            the MILP finds nothing better. The string ``"auto"`` (default)
+            derives them from the Swarm, Petals, and separate-pipelines
+            planners; ``None`` disables hinting. :meth:`replan` always
+            ranks the heuristic placements.
         mip_rel_gap: Relative optimality gap at which the solver may stop.
-        adaptive_budget: Before spending the HiGHS time budget, solve the
-            root node alone (one node, no presolve) and stop there when it
-            is solved outright or its incumbent does not beat the best
-            heuristic hint, which is what a MIP-started solver would keep.
-            The hint is not passed as a MIP start: that holds the hint and
-            makes the probe slower, not better. Otherwise
-            spend the budget in growing slices and stop as soon as a slice
-            fails to improve on the best incumbent seen (including the
-            hint). Disable to reproduce the single full-budget solve.
-        lns_mode: ``"incremental"`` (default) freezes nodes outside each
-            LNS window by tightening variable *bounds* on the formulation
-            — only the cutoff row is new, and HiGHS presolve eliminates
-            the frozen variables. ``"rebuild"`` reproduces the
-            pre-optimization behaviour (equality constraints appended per
-            round, every row rebuilt) as the differential reference.
-        lns_seed: Seed of the LNS window-selection RNG. The search never
-            touches global random state, so a planner configuration plus
-            this seed reproduces the exact round sequence.
     """
 
     name = "helix"
@@ -164,26 +148,12 @@ class HelixMilpPlanner(PlacementPlanner):
         time_limit: float = 120.0,
         hints: str | list[ModelPlacement] | None = "auto",
         mip_rel_gap: float = 1e-4,
-        lns_rounds: int = 0,
-        lns_window: int = 8,
-        lns_time_limit: float = 20.0,
-        adaptive_budget: bool = True,
-        lns_mode: str = "incremental",
-        lns_seed: int = 0,
     ) -> None:
         super().__init__(cluster, model, profiler, partial_inference)
-        if lns_mode not in ("incremental", "rebuild"):
-            raise ValueError(f"unknown lns_mode {lns_mode!r}")
         self.prune_degree = prune_degree
         self.time_limit = time_limit
         self.hints = hints
         self.mip_rel_gap = mip_rel_gap
-        self.lns_rounds = lns_rounds
-        self.lns_window = lns_window
-        self.lns_time_limit = lns_time_limit
-        self.adaptive_budget = adaptive_budget
-        self.lns_mode = lns_mode
-        self.lns_seed = lns_seed
         #: Telemetry: MILP solve calls issued during the last plan().
         self.milp_solve_count = 0
 
@@ -440,206 +410,6 @@ class HelixMilpPlanner(PlacementPlanner):
                     values[cond2_name] = 1.0 if e_i < e_j else 0.0
         return values
 
-    def _extended_placement(
-        self, formulation: MilpFormulation, placement: ModelPlacement
-    ) -> ModelPlacement:
-        """Extend a placement to all MILP nodes and canonicalize it."""
-        intervals = {
-            nid: (stage.start, stage.end)
-            for nid, stage in placement.assignments.items()
-            if nid in formulation.s_vars
-        }
-        for nid in formulation.s_vars:
-            intervals.setdefault(nid, (0, 1))
-        return ModelPlacement.from_intervals(
-            self.model.num_layers, self._canonicalize(intervals)
-        )
-
-    def _lns_window_size(self, num_nodes: int) -> int:
-        """Effective LNS window: never free most of the cluster at once.
-
-        A window that frees more than about a third of the nodes re-solves
-        nearly the full MILP, which defeats the decomposition — measured on
-        the Fig. 12 small cluster, such rounds burn their entire time limit
-        without returning, while windows of a third solve (or prove
-        no-improvement) in well under a second.
-        """
-        if self.lns_mode == "rebuild":
-            return min(self.lns_window, num_nodes)
-        return min(self.lns_window, num_nodes, max(2, (num_nodes + 2) // 3))
-
-    def _lns_free_window(
-        self, round_index: int, window: int, node_ids: list[str], by_rate, rng
-    ) -> set[str]:
-        """The set of nodes left free to move in one LNS round."""
-        phase = round_index % 3
-        if phase == 0:
-            # Contiguous rotating window: local boundary adjustments.
-            start = ((round_index // 3) * window) % len(node_ids)
-            return {
-                node_ids[(start + offset) % len(node_ids)]
-                for offset in range(window)
-            }
-        if phase == 1:
-            # Random mixed window: cross-GPU-type moves (e.g. swap an
-            # A100's span against several T4 spans).
-            return set(rng.sample(node_ids, window))
-        # High-impact window: the fastest nodes plus random fill —
-        # repositioning the big GPUs moves the min cut the most.
-        half = max(1, window // 2)
-        free = set(by_rate[:half])
-        remainder = [nid for nid in node_ids if nid not in free]
-        free.update(rng.sample(remainder, min(window - half, len(remainder))))
-        return free
-
-    def _lns_round_incremental(
-        self,
-        formulation: MilpFormulation,
-        free: set[str],
-        best: ModelPlacement,
-        cutoff: float,
-    ):
-        """One LNS re-solve that only tightens variable bounds.
-
-        Frozen nodes get their ``s``/``b`` variables pinned via variable
-        bounds (restored afterwards); the improvement cutoff rides on a
-        single appended constraint, the only row the compile has to build
-        — every other row is cached on its constraint. HiGHS presolve then
-        eliminates every pinned variable, so each round solves a genuinely
-        small problem — mirroring at the MILP layer what
-        :meth:`~repro.flow.graph.FlowGraph.reevaluate` does for flows.
-        """
-        problem = formulation.problem
-        pinned: list[tuple[Variable, float, float]] = []
-        for nid, s_var in formulation.s_vars.items():
-            if nid in free:
-                continue
-            stage = best.interval(nid)
-            pinned.append((s_var, s_var.lower, s_var.upper))
-            s_var.lower = s_var.upper = float(stage.start)
-            for j, b_var in enumerate(formulation.b_vars[nid], start=1):
-                pinned.append((b_var, b_var.lower, b_var.upper))
-                b_var.lower = b_var.upper = (
-                    1.0 if stage.num_layers == j else 0.0
-                )
-        base_len = len(problem.constraints)
-        problem.add_constraint(
-            problem.objective >= cutoff + max(1e-6, 1e-6 * cutoff),
-            name="lns_cutoff",
-        )
-        try:
-            self.milp_solve_count += 1
-            return solve_with_highs(
-                problem,
-                time_limit=self.lns_time_limit,
-                mip_rel_gap=self.mip_rel_gap,
-            )
-        finally:
-            del problem.constraints[base_len:]
-            for var, lower, upper in pinned:
-                var.lower, var.upper = lower, upper
-
-    def _lns_round_rebuild(
-        self,
-        formulation: MilpFormulation,
-        free: set[str],
-        best: ModelPlacement,
-        cutoff: float,
-    ):
-        """Pre-optimization LNS round: fix-by-constraint, full recompile.
-
-        Kept as the reference that
-        :func:`~repro.testkit.differential.check_lns_modes_agree` compares
-        the incremental round against; every cached row is dropped first,
-        so each round rebuilds every row from its expression.
-        """
-        problem = formulation.problem
-        base_len = len(problem.constraints)
-        for nid, s_var in formulation.s_vars.items():
-            if nid in free:
-                continue
-            stage = best.interval(nid)
-            problem.add_constraint(
-                s_var == stage.start, name=f"lns_fix_s[{nid}]"
-            )
-            for j, b_var in enumerate(formulation.b_vars[nid], start=1):
-                problem.add_constraint(
-                    b_var == (1.0 if stage.num_layers == j else 0.0),
-                    name=f"lns_fix_b[{nid}][{j}]",
-                )
-        problem.add_constraint(
-            problem.objective >= cutoff + max(1e-6, 1e-6 * cutoff),
-            name="lns_cutoff",
-        )
-        problem.invalidate()
-        try:
-            self.milp_solve_count += 1
-            return solve_with_highs(
-                problem,
-                time_limit=self.lns_time_limit,
-                mip_rel_gap=self.mip_rel_gap,
-            )
-        finally:
-            del problem.constraints[base_len:]
-
-    def _lns_improve(
-        self,
-        formulation: MilpFormulation,
-        cluster: Cluster,
-        placement: ModelPlacement,
-        rounds: int,
-    ) -> ModelPlacement:
-        """``rounds`` of large-neighborhood search around an incumbent.
-
-        Each round freezes every node's layer assignment except a rotating
-        window of nodes and re-solves the (now small) MILP with an
-        objective cutoff at the incumbent's value, adopting any strict
-        improvement. The cutoff is the incumbent's max flow on ``cluster``,
-        the formulation's own (possibly pruned) cluster; a candidate is
-        adopted only when it beats the incumbent on the planner's full
-        cluster, the value :meth:`plan` and :meth:`replan` adopt by. This
-        recovers, with HiGHS, the incremental
-        incumbent-improvement behaviour the paper gets from a warm-started
-        Gurobi on large clusters. In the default ``incremental`` mode each
-        round is a bounds-tightening re-solve of the same formulation; see
-        :meth:`_lns_round_incremental`.
-        """
-        import random as _random
-
-        node_ids = list(formulation.s_vars)
-        best = self._extended_placement(formulation, placement)
-        best_value = self.placement_throughput(best)
-        cutoff = self.placement_throughput(best, cluster)
-        window = self._lns_window_size(len(node_ids))
-        if window == 0 or not node_ids:
-            return best
-
-        solve_round = (
-            self._lns_round_incremental
-            if self.lns_mode == "incremental"
-            else self._lns_round_rebuild
-        )
-        rng = _random.Random(self.lns_seed)
-        by_rate = sorted(
-            node_ids,
-            key=lambda nid: -self.per_layer_rate(nid)
-            if nid in self.cluster.node_ids else 0.0,
-        )
-        for round_index in range(rounds):
-            free = self._lns_free_window(
-                round_index, window, node_ids, by_rate, rng
-            )
-            solution = solve_round(formulation, free, best, cutoff)
-            if not solution.status.has_solution:
-                continue
-            candidate = self.orchestrate(formulation, solution.values)
-            value = self.placement_throughput(candidate)
-            if value > best_value + 1e-9:
-                best = self._extended_placement(formulation, candidate)
-                best_value = value
-                cutoff = self.placement_throughput(best, cluster)
-        return best
-
     def _canonicalize(
         self, intervals: dict[str, tuple[int, int]]
     ) -> dict[str, tuple[int, int]]:
@@ -662,7 +432,6 @@ class HelixMilpPlanner(PlacementPlanner):
     def plan(self) -> PlannerResult:
         """Solve the MILP and orchestrate the solution into a placement."""
         start = time.perf_counter()
-        self.milp_solve_count = 0
         work_cluster = self.cluster
         if self.prune_degree is not None:
             work_cluster = prune_cluster(self.cluster, self.prune_degree)
@@ -701,19 +470,9 @@ class HelixMilpPlanner(PlacementPlanner):
             # would return at timeout.
             placement = best_hint[1]
         if best_hint is not None:
-            # Never start from something worse than the best hint.
+            # Never return something worse than the best hint.
             if self.placement_throughput(placement) < best_hint[0] - 1e-6:
                 placement = best_hint[1]
-
-        if self.lns_rounds > 0:
-            improved = self._lns_improve(
-                formulation, work_cluster, placement, self.lns_rounds
-            )
-            # Adopt the LNS result only if it also wins on the full cluster.
-            if self.placement_throughput(improved) >= (
-                self.placement_throughput(placement)
-            ):
-                placement = improved
 
         flow = self.solve_flow(placement)
         return PlannerResult(
@@ -726,39 +485,31 @@ class HelixMilpPlanner(PlacementPlanner):
             solve_time=time.perf_counter() - start,
         )
 
-    def replan(
-        self,
-        base: ModelPlacement | None = None,
-        lns_rounds: int | None = None,
-    ) -> PlannerResult:
-        """Warm-started incremental re-plan around an incumbent placement.
+    def replan(self, base: ModelPlacement | None = None) -> PlannerResult:
+        """Deterministic re-plan around an incumbent placement.
 
-        The online controller's entry point after cluster churn: instead of
-        a root MILP solve, start from ``base`` (typically the pre-failure
-        placement restricted to surviving nodes) and run only the
-        bounds-tightening LNS loop around it, on a formulation built for
-        this call. When ``base`` is missing or can no longer serve (a
-        failed node held irreplaceable layers), the best heuristic hint
-        seeds the search instead.
+        The online controller's entry point after cluster churn: rank
+        ``base`` (typically the pre-failure placement restricted to
+        surviving nodes) against the heuristic hints by their max flow on
+        the planner's full cluster, as :meth:`plan` adopts, and keep the
+        best. The heuristics are always scored, which is also how a
+        restored spare gets adopted (the base predates it). No MILP is
+        built or solved, so a replan reproduces bit-for-bit.
 
         Args:
-            base: Incumbent placement to improve; node ids outside this
-                planner's cluster are ignored.
-            lns_rounds: LNS round count for this replan (default: the
-                planner's ``lns_rounds``, but at least one round). With 0
-                no MILP formulation is built at all.
+            base: Incumbent placement; node ids outside this planner's
+                cluster are ignored.
 
         Returns:
             A :class:`PlannerResult` whose flow solution is ready to be
-            hot-swapped into a scheduler. Its ``num_variables`` and
-            ``num_constraints`` are 0 when no MILP was built.
+            hot-swapped into a scheduler, with ``num_variables`` and
+            ``num_constraints`` 0.
 
         Raises:
             PlacementError: When neither ``base`` nor any heuristic produces
                 a servable placement on the current cluster.
         """
         start = time.perf_counter()
-        self.milp_solve_count = 0
         work_cluster = self.cluster
         if self.prune_degree is not None:
             work_cluster = prune_cluster(self.cluster, self.prune_degree)
@@ -768,62 +519,28 @@ class HelixMilpPlanner(PlacementPlanner):
             kept = {
                 nid: (stage.start, stage.end)
                 for nid, stage in base.assignments.items()
-                if nid in work_cluster
+                if nid in self.cluster
             }
             if kept:
                 candidates.append(
                     ModelPlacement.from_intervals(self.model.num_layers, kept)
                 )
-        # ``lns_rounds=0`` explicitly selects the *deterministic* replan:
-        # no wall-clock-budgeted MILP rounds at all, just incumbent
-        # selection over the degraded base and the heuristic hints. The
-        # elastic scenario family depends on this — fingerprints must
-        # reproduce bit-for-bit, which LNS (solver time limits) cannot
-        # guarantee. ``None`` keeps the legacy at-least-one-round search.
-        rounds = (
-            max(1, self.lns_rounds) if lns_rounds is None else max(0, lns_rounds)
-        )
+        candidates += self.heuristic_hints(work_cluster)
         incumbent: tuple[float, ModelPlacement] | None = None
         for candidate in candidates:
-            value = self.placement_throughput(candidate, work_cluster)
-            if value > 0:
+            value = self.placement_throughput(candidate)
+            if value > 0 and (incumbent is None or value > incumbent[0]):
                 incumbent = (value, candidate)
-        if incumbent is None or rounds == 0:
-            # Without LNS the heuristics are the only rivals the base ever
-            # meets, so always score them (this is also how a restored
-            # spare gets adopted — the base predates it); with LNS they
-            # only reseed a base that cannot serve anymore.
-            for hint in self.heuristic_hints(work_cluster):
-                value = self.placement_throughput(hint, work_cluster)
-                if value > 0 and (incumbent is None or value > incumbent[0]):
-                    incumbent = (value, hint)
         if incumbent is None:
             raise PlacementError(
                 "no servable placement exists on the surviving cluster"
             )
 
-        num_variables = num_constraints = 0
-        if rounds == 0:
-            placement = incumbent[1]
-        else:
-            formulation = self.build_formulation(work_cluster)
-            num_variables = formulation.problem.num_variables
-            num_constraints = formulation.problem.num_constraints
-            placement = self._lns_improve(
-                formulation, work_cluster, incumbent[1], rounds
-            )
-            if self.placement_throughput(placement) < (
-                self.placement_throughput(incumbent[1])
-            ):
-                placement = incumbent[1]
-
-        flow = self.solve_flow(placement)
+        placement = incumbent[1]
         return PlannerResult(
             planner_name=self.name,
             placement=placement,
-            flow=flow,
-            num_variables=num_variables,
-            num_constraints=num_constraints,
+            flow=self.solve_flow(placement),
             solve_time=time.perf_counter() - start,
         )
 
@@ -832,88 +549,57 @@ class HelixMilpPlanner(PlacementPlanner):
         formulation: MilpFormulation,
         best_hint: tuple[float, ModelPlacement] | None,
     ) -> MilpSolution:
-        if self.adaptive_budget:
-            return self._solve_highs_adaptive(formulation, best_hint)
-        self.milp_solve_count += 1
-        return solve_with_highs(
-            formulation.problem,
-            time_limit=self.time_limit,
-            mip_rel_gap=self.mip_rel_gap,
-        )
-
-    def _solve_highs_adaptive(
-        self,
-        formulation: MilpFormulation,
-        best_hint: tuple[float, ModelPlacement] | None,
-    ) -> MilpSolution:
-        """Root-probe the MILP, then spend the budget in growing slices.
+        """Root-probe the MILP, then solve on only if the probe wins.
 
         The planner does not pass HiGHS the heuristic hint the paper
         (§4.6) starts Gurobi from as a MIP start: HiGHS then holds the hint
         and the root probe costs more. Instead, one **root-node probe** (a
-        single
-        node without presolve, hence deterministic and cheap) decides
-        whether the budget is worth spending:
+        single node without presolve, hence deterministic and cheap)
+        decides whether the budget is worth spending:
 
         * the probe solves the MILP outright (optimal, infeasible or
           unbounded): return it;
         * its incumbent, orchestrated and scored on the full cluster, does
           not beat the best hint: return it, and :meth:`plan` keeps the
-          hint — on the Fig. 12 small cluster this is the whole solve;
-        * otherwise (it beat the hint, or there is no hint): restart with
-          doubling time slices and stop when a slice fails to beat both
-          the best earlier incumbent and the hint (or reaches the §4.5
-          compute-sum early-stop bound). The doubling keeps total
-          re-exploration bounded by ~2x the final slice.
+          hint — on the figure clusters and the bench workloads this is
+          the whole solve;
+        * otherwise (it beat the hint, or there is no hint): one solve
+          with the rest of the budget, whose gap test also applies the
+          §4.5 compute-sum early stop (the bound is a row of the
+          formulation). The better of the two incumbents is returned.
 
         Incumbents are compared by full-cluster :meth:`placement_throughput`,
         the metric :meth:`plan` adopts by: a pruned formulation's objective
         under-counts the hint's value on the full cluster.
         """
-        hint_value = best_hint[0] if best_hint is not None else float("-inf")
-        remaining = max(self.time_limit, 0.1)
-        self.milp_solve_count += 1
-        best_solution = solve_with_highs(
+        budget = max(self.time_limit, 0.1)
+        self.milp_solve_count = 1
+        probe = solve_with_highs(
             formulation.problem,
-            time_limit=remaining,
+            time_limit=budget,
             mip_rel_gap=self.mip_rel_gap,
             node_limit=1,
             presolve=False,
         )
-        if best_solution.status in _CONCLUSIVE:
-            return best_solution
-        best_value = self._incumbent_value(formulation, best_solution)
-        if best_hint is not None and best_value <= hint_value + 1e-9:
-            return best_solution  # the hint stands; see plan()
-        remaining -= best_solution.solve_time
-
-        early_stop = formulation.upper_bound * (1.0 - self.mip_rel_gap)
-        slice_budget = max(0.5, self.time_limit / 8.0)
-        previous = float("-inf")
-        while remaining > 0.05:
-            self.milp_solve_count += 1
-            solution = solve_with_highs(
-                formulation.problem,
-                time_limit=min(slice_budget, remaining),
-                mip_rel_gap=self.mip_rel_gap,
-            )
-            remaining -= solution.solve_time
-            if solution.status in _CONCLUSIVE:
-                return solution
-            value = self._incumbent_value(formulation, solution)
-            if value > best_value:
-                best_solution, best_value = solution, value
-            if (
-                solution.status.has_solution
-                and solution.objective >= early_stop
-            ):
-                break  # the paper's compute-sum early stop
-            reference = max(previous, hint_value)
-            if value <= reference + 1e-9 and reference > float("-inf"):
-                break  # stalled: more budget is not buying improvement
-            previous = max(previous, value)
-            slice_budget *= 2.0
-        return best_solution
+        if probe.status in _CONCLUSIVE:
+            return probe
+        probe_value = self._incumbent_value(formulation, probe)
+        if best_hint is not None and probe_value <= best_hint[0] + 1e-9:
+            return probe  # the hint stands; see plan()
+        remaining = budget - probe.solve_time
+        if remaining <= 0.05:
+            return probe
+        self.milp_solve_count = 2
+        solution = solve_with_highs(
+            formulation.problem,
+            time_limit=remaining,
+            mip_rel_gap=self.mip_rel_gap,
+        )
+        if solution.status in _CONCLUSIVE:
+            return solution
+        if self._incumbent_value(formulation, solution) > probe_value:
+            return solution
+        return probe
 
     def _incumbent_value(
         self, formulation: MilpFormulation, solution: MilpSolution

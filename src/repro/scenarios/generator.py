@@ -76,8 +76,8 @@ CHAOS_FAMILY = "chaos"
 #: start out of service, layer residency on (recovery pays real weight
 #: transfers), a backlog-driven autoscaler, and an elasticity flavor —
 #: flash crowd, regional outage + refill, or drain-and-rejoin under load.
-#: Replanning runs in the deterministic ``lns_rounds=0`` mode so elastic
-#: fingerprints reproduce bit-for-bit.
+#: Replanning never solves a MILP, so elastic fingerprints reproduce
+#: bit-for-bit.
 ELASTIC_FAMILY = "elastic"
 
 #: The tenant family: a drawn base topology serving 2-4 tenants with

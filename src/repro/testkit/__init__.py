@@ -9,7 +9,6 @@ it (``PYTHONPATH=src python -m repro.testkit <family> <seed>``).
 from repro.testkit.differential import (
     check_formulation_optimum,
     check_incremental_compile,
-    check_lns_modes_agree,
     check_milp_oracles,
     check_reevaluate_vs_rebuild,
     random_placements,
@@ -45,7 +44,6 @@ __all__ = [
     "check_flow_solution",
     "check_formulation_optimum",
     "check_incremental_compile",
-    "check_lns_modes_agree",
     "check_milp_oracles",
     "check_planner_result",
     "check_reevaluate_vs_rebuild",

@@ -1,16 +1,15 @@
 """Differential oracles: fast paths must agree with their reference paths.
 
 The incremental machinery's only specification is "same answer as the
-slow path": :meth:`FlowGraph.reevaluate` vs. a fresh graph rebuild, a
-compile after row edits vs. a cold :meth:`MilpProblem.compile`, and the
-bounds-tightening LNS vs. ``lns_mode="rebuild"``. The MILP formulation
-itself is checked against an oracle outside it: its optimum must be the
-best enumerated placement's max flow. Each checker here runs on material
-derived from one generated scenario and returns :class:`Violation` lists,
-so a sweep cross-validates the whole stack instead of spot-checking
-hand-written fixtures. :func:`canonical_json` is the exact serialization
-the golden digests (:mod:`repro.testkit.golden`) and replay fingerprints
-compare.
+slow path": :meth:`FlowGraph.reevaluate` vs. a fresh graph rebuild, and
+a compile after row edits vs. a cold :meth:`MilpProblem.compile`. The
+MILP formulation itself is checked against an oracle outside it: its
+optimum must be the best enumerated placement's max flow. Each checker
+here runs on material derived from one generated scenario and returns
+:class:`Violation` lists, so a sweep cross-validates the whole stack
+instead of spot-checking hand-written fixtures. :func:`canonical_json` is
+the exact serialization the golden digests (:mod:`repro.testkit.golden`)
+and replay fingerprints compare.
 """
 
 from __future__ import annotations
@@ -328,43 +327,6 @@ def check_formulation_optimum(scenario: Scenario) -> list[Violation]:
 
 
 # ----------------------------------------------------------------------
-# MILP layer: incremental LNS vs. rebuild LNS
-# ----------------------------------------------------------------------
-def check_lns_modes_agree(
-    scenario: Scenario,
-    rounds: int = 3,
-    time_limit: float = 5.0,
-) -> list[Violation]:
-    """Bounds-tightening LNS must match the rebuild-mode reference.
-
-    Both planners run the same seeded window sequence (``lns_window=2``
-    keeps the effective window identical across modes) from the same
-    warm start, so their final throughputs must agree.
-    """
-    cluster, model = _milp_material(scenario)
-    results = {}
-    for mode in ("incremental", "rebuild"):
-        planner = HelixMilpPlanner(
-            cluster, model,
-            time_limit=time_limit,
-            lns_rounds=rounds,
-            lns_window=2,
-            lns_time_limit=time_limit,
-            lns_mode=mode,
-            lns_seed=scenario.seed,
-        )
-        results[mode] = planner.plan().max_throughput
-    scale = max(1.0, abs(results["rebuild"]))
-    if abs(results["incremental"] - results["rebuild"]) > 1e-5 * scale:
-        return [Violation(
-            "lns_modes_agree",
-            f"incremental LNS throughput {results['incremental']} != "
-            f"rebuild {results['rebuild']}",
-        )]
-    return []
-
-
-# ----------------------------------------------------------------------
 # MILP layer: compile after row edits vs. cold compile
 # ----------------------------------------------------------------------
 def check_incremental_compile(scenario: Scenario) -> list[Violation]:
@@ -406,9 +368,8 @@ def check_incremental_compile(scenario: Scenario) -> list[Violation]:
     compare("append")
     del problem.constraints[base_len:]
     compare("truncate")
-    # Truncate, then append a different row, as each LNS round does with
-    # its cutoff: the freed row's id() may be recycled for the new one,
-    # which must still compile as itself.
+    # Truncate, then append a different row: the freed row's id() may be
+    # recycled for the new one, which must still compile as itself.
     for k in range(8):
         problem.add_constraint(problem.objective >= k, name="testkit_cutoff")
         problem.compile()
@@ -435,7 +396,6 @@ def check_milp_oracles(
     violations: list[Violation] = []
     for check in (
         check_formulation_optimum,
-        check_lns_modes_agree,
         check_incremental_compile,
     ):
         violations.extend(check(generate_scenario(family, seed, size)))

@@ -270,16 +270,14 @@ def run_scenario(
             detection_mode=True,
         )
     elif elastic:
-        # Elastic scenarios need the slow path (replanning folds loaned
-        # spares in), but in the deterministic ``lns_rounds=0`` mode —
-        # wall-clock-budgeted LNS would break fingerprint replay.
+        # Elastic scenarios need the slow path: replanning folds loaned
+        # spares in.
         if scenario.autoscaler is not None:
             autoscaler = Autoscaler(scenario.autoscaler, scenario.spares)
         controller = OnlineController(
             scenario.model,
             events=scenario.churn,
             replan=True,
-            replan_lns_rounds=0,
             autoscaler=autoscaler,
         )
     sim = make_simulation(RunSpec(

@@ -184,7 +184,6 @@ def _spare_recovery_run(warm: bool):
         model,
         events=[NodeFailure(6.0, "t4-0"), NodeRecovery(7.0, "spare-0")],
         replan=True,
-        replan_lns_rounds=0,  # the deterministic replan mode
     )
     config = ResidencyConfig(warm={"spare-0": (0, 24)} if warm else {})
     sim = make_simulation(
@@ -263,7 +262,6 @@ class TestWarmVsColdMttr:
         controller = OnlineController(
             _wide_model(),
             events=[NodeFailure(2.0, "t4-0"), NodeRecovery(4.0, "t4-0")],
-            replan_lns_rounds=0,
         )
         sim = make_simulation(
             cluster, _wide_model(), placement,
@@ -376,8 +374,7 @@ class TestAutoscaler:
             spares=["spare-0"],
         )
         controller = OnlineController(
-            tiny_model, events=[], replan=True, replan_lns_rounds=0,
-            autoscaler=autoscaler,
+            tiny_model, events=[], replan=True, autoscaler=autoscaler,
         )
         sim = make_simulation(
             cluster, tiny_model, placement, requests,
@@ -472,35 +469,13 @@ class TestDeterministicReplan:
         expected = candidates[values.index(max(values))]
 
         def refuse(self, cluster=None):
-            raise AssertionError("lns_rounds=0 must not build the MILP")
+            raise AssertionError("replan() must not build the MILP")
 
         monkeypatch.setattr(HelixMilpPlanner, "build_formulation", refuse)
-        result = HelixMilpPlanner(cluster, model).replan(base, lns_rounds=0)
+        result = HelixMilpPlanner(cluster, model).replan(base)
         assert result.placement == expected
         assert result.max_throughput == pytest.approx(max(values))
         assert (result.num_variables, result.num_constraints) == (0, 0)
-
-    def test_lns_rounds_build_the_formulation_once(self, monkeypatch):
-        from repro.placement.helix_milp import HelixMilpPlanner
-
-        model, base, cluster = _elastic_replan_material()
-        built = []
-        original = HelixMilpPlanner.build_formulation
-
-        def counted(self, cluster=None):
-            formulation = original(self, cluster)
-            built.append(formulation)
-            return formulation
-
-        monkeypatch.setattr(HelixMilpPlanner, "build_formulation", counted)
-        planner = HelixMilpPlanner(cluster, model, lns_time_limit=2.0)
-        for replans in (1, 2):
-            result = planner.replan(base, lns_rounds=1)
-            # Each LNS replan builds exactly one formulation of its own.
-            assert len(built) == replans
-            problem = built[-1].problem
-            assert result.num_variables == problem.num_variables > 0
-            assert result.num_constraints == problem.num_constraints > 0
 
 
 # ----------------------------------------------------------------------

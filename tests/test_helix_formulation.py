@@ -8,8 +8,6 @@ from repro.core.units import GBIT
 from repro.milp.scipy_backend import solve_with_highs
 from repro.models.specs import ModelSpec
 from repro.placement import HelixMilpPlanner, PetalsPlanner
-from repro.placement.pruning import prune_cluster
-from repro.scenarios import generate_scenario
 
 
 @pytest.fixture()
@@ -159,47 +157,3 @@ class TestCanonicalization:
             ModelPlacement.from_intervals(tiny_model.num_layers, canonical)
         ) == pytest.approx(value, rel=1e-9)
 
-
-class TestLNS:
-    def test_lns_never_worsens(self, small_cluster, tiny_model):
-        with_lns = HelixMilpPlanner(
-            small_cluster, tiny_model, time_limit=10, mip_rel_gap=0.05,
-            lns_rounds=3, lns_window=2, lns_time_limit=5,
-        ).plan()
-        without = HelixMilpPlanner(
-            small_cluster, tiny_model, time_limit=10, mip_rel_gap=0.05,
-        ).plan()
-        assert with_lns.max_throughput >= without.max_throughput * 0.999
-
-    def test_lns_improves_poor_start(self, small_cluster, tiny_model):
-        planner = HelixMilpPlanner(
-            small_cluster, tiny_model, hints=None, time_limit=5,
-            lns_rounds=4, lns_window=2, lns_time_limit=5,
-        )
-        formulation = planner.build_formulation()
-        # Deliberately bad incumbent: everything stacked on layer 0..2.
-        poor = ModelPlacement.from_intervals(
-            tiny_model.num_layers,
-            {"a100-0": (0, 8), "l4-0": (0, 2), "t4-0": (0, 2), "t4-1": (0, 2)},
-        )
-        improved = planner._lns_improve(
-            formulation, small_cluster, poor, planner.lns_rounds
-        )
-        assert planner.placement_throughput(improved, small_cluster) >= (
-            planner.placement_throughput(poor, small_cluster)
-        )
-
-    def test_lns_on_a_pruned_cluster_never_loses_full_cluster_value(self):
-        # The pruned formulation undervalues the best hint (2377.8 against
-        # 3806.4 tok/s on the full cluster), and a placement worth 2642.5
-        # on both clusters beats it only on the pruned one.
-        scenario = generate_scenario("full_mesh", 2)
-        planner = HelixMilpPlanner(
-            scenario.cluster, scenario.model, prune_degree=1, lns_rounds=3
-        )
-        work = prune_cluster(scenario.cluster, 1)
-        formulation = planner.build_formulation(work)
-        for hint in planner.heuristic_hints(work):
-            start = planner.placement_throughput(hint)
-            improved = planner._lns_improve(formulation, work, hint, 3)
-            assert planner.placement_throughput(improved) >= start - 1e-9

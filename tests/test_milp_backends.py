@@ -143,22 +143,7 @@ class TestMipStart:
 
 
 class TestPlannerEdgeCases:
-    def test_lns_on_single_node_cluster_does_not_crash(self):
-        # The incremental window heuristic must clamp to the node count
-        # (regression: rng.sample raised on a 1-node cluster).
-        cluster = Cluster(name="one")
-        cluster.add_node("n0", A100_40G, region="r0")
-        cluster.connect("coordinator", "n0", 10 * GBIT, 0.001)
-        cluster.connect("n0", "coordinator", 10 * GBIT, 0.001)
-        cluster.validate()
-        planner = HelixMilpPlanner(
-            cluster, TINY_MODEL, Profiler(),
-            time_limit=5.0, lns_rounds=3, lns_time_limit=1.0,
-        )
-        result = planner.plan()
-        assert result.max_throughput > 0
-
-    def test_adaptive_budget_with_tiny_time_limit_returns_solution(self):
+    def test_tiny_time_limit_returns_solution(self):
         # Regression: a sub-50ms budget must still produce one solve.
         cluster = random_helix_cluster(0)
         planner = HelixMilpPlanner(
@@ -255,19 +240,22 @@ def _differential_cases():
 class TestRootProbe:
     @pytest.mark.parametrize("make_cluster", _differential_cases())
     def test_default_matches_full_budget_reference(self, make_cluster):
-        # The root probe may stop the default path early; it must never
-        # cost more than the gap against the single full-budget solve.
+        # The root probe may stop the planner early; it must never cost
+        # more than the gap against one full-budget solve of the MILP.
         cluster = make_cluster()
         gap = 1e-4
-        default = HelixMilpPlanner(
-            cluster, TINY_MODEL, Profiler(), time_limit=10,
-            mip_rel_gap=gap,
-        ).plan()
-        reference = HelixMilpPlanner(
-            cluster, TINY_MODEL, Profiler(), time_limit=10,
-            mip_rel_gap=gap, adaptive_budget=False,
-        ).plan()
-        assert default.max_throughput >= reference.max_throughput * (1 - gap)
+        planner = HelixMilpPlanner(
+            cluster, TINY_MODEL, Profiler(), time_limit=10, mip_rel_gap=gap
+        )
+        default = planner.plan()
+        formulation = planner.build_formulation()
+        solution = solve_with_highs(
+            formulation.problem, time_limit=10, mip_rel_gap=gap
+        )
+        reference = planner.placement_throughput(
+            planner.orchestrate(formulation, solution.values)
+        )
+        assert default.max_throughput >= reference * (1 - gap)
 
     def test_fig12_plan_is_deterministic_and_single_solve(self):
         # The benchmark's fig12 configuration: the probe cannot beat the
@@ -295,9 +283,10 @@ class TestRootProbe:
     ):
         # geo with prune_degree=6: the best heuristic placement scores
         # ~5099 on the full cluster but only ~2264 as the pruned MILP's
-        # objective. Seeded with a weaker hint (~3935), an incumbent equal
-        # to that best placement beats the hint and is no stall, even
-        # though its MILP objective is below the hint's value.
+        # objective. Seeded with a weaker hint (~3935), a probe incumbent
+        # equal to that best placement beats the hint, even though its
+        # MILP objective is below the hint's value, so the planner spends
+        # the rest of its budget on exactly one more solve.
         cluster = geo_distributed_24()
         planner = HelixMilpPlanner(
             cluster, LLAMA_30B, Profiler(), prune_degree=6,
@@ -314,21 +303,25 @@ class TestRootProbe:
         assert value(weak) < value(best)
 
         calls = []
+        probe_time = 0.25
 
         def fake_solve(problem, **kwargs):
             calls.append(kwargs)
             return MilpSolution(
                 status=SolveStatus.FEASIBLE, objective=objective,
-                values=dict(values), solve_time=0.01,
+                values=dict(values), solve_time=probe_time,
             )
 
         monkeypatch.setattr(helix_milp, "solve_with_highs", fake_solve)
         planner.hints = [weak]
         result = planner.plan()
-        # Probe, one slice that beats the hint, one slice that stalls.
-        assert planner.milp_solve_count == len(calls) == 3
-        assert calls[0]["node_limit"] == 1 and calls[0]["presolve"] is False
-        assert all("node_limit" not in kwargs for kwargs in calls[1:])
+        assert planner.milp_solve_count == len(calls) == 2
+        probe, solve = calls
+        assert probe["node_limit"] == 1 and probe["presolve"] is False
+        assert probe["time_limit"] == 20
+        assert "node_limit" not in solve and "presolve" not in solve
+        assert solve["time_limit"] == 20 - probe_time
+        assert solve["mip_rel_gap"] == 0.03
         assert result.max_throughput == pytest.approx(value(best))
 
 

@@ -24,6 +24,8 @@ from repro.online import (
     validate_schedule,
 )
 from repro.placement.helix_milp import HelixMilpPlanner
+from repro.placement.pruning import prune_cluster
+from repro.scenarios import generate_scenario
 from repro.scheduling import HelixScheduler
 from repro.sim import Request, Simulation
 from repro.sim.metrics import disruption_report, goodput_timeline
@@ -413,9 +415,7 @@ class TestOnlineController:
             NodeFailure(1.2, "a100-0"),
             NodeRecovery(1.6, "a100-0"),
         ]
-        controller = OnlineController(
-            tiny_model, events=events, replan_lns_rounds=1,
-        )
+        controller = OnlineController(tiny_model, events=events)
         sim = Simulation(
             small_cluster, tiny_model, placement, scheduler, requests,
             max_time=5.0, seed=0, controller=controller,
@@ -458,9 +458,7 @@ class TestOnlineController:
         requests = [
             Request(f"r{i}", 32, 8, arrival_time=i * 0.01) for i in range(300)
         ]
-        controller = OnlineController(
-            tiny_model, replan_lns_rounds=0,
-        )
+        controller = OnlineController(tiny_model)
         applied = []
 
         def reacting(change):
@@ -500,15 +498,14 @@ class TestOnlineController:
         """A failure's replan re-binds the survivors and migrates their work.
 
         ``t4-0`` fails at 0.3 s and requeues the 28 attempts through it.
-        The deterministic replan (no LNS round) gives each survivor the
+        The deterministic replan gives each survivor the
         whole model, so ``apply_placement`` re-binds all three and
         migrates the 32 attempts still in flight on them. Pinned exactly.
         """
         from repro.testkit.golden import run_digest
 
         controller = OnlineController(
-            tiny_model, events=[NodeFailure(0.3, "t4-0")],
-            replan_lns_rounds=0,
+            tiny_model, events=[NodeFailure(0.3, "t4-0")]
         )
         sim = make_simulation(
             small_cluster, tiny_model, placement8,
@@ -531,7 +528,7 @@ class TestOnlineController:
     def test_unique_layer_holder_failure_needs_replan(
         self, small_cluster, tiny_model
     ):
-        """Fast path fails (lost layers), the LNS replan repairs coverage."""
+        """Fast path fails (lost layers), the replan repairs coverage."""
         placement = ModelPlacement.from_intervals(
             8, {"a100-0": (0, 4), "l4-0": (4, 8), "t4-0": (4, 8)}
         )
@@ -543,8 +540,7 @@ class TestOnlineController:
             Request(f"r{i}", 32, 6, arrival_time=i * 0.005) for i in range(100)
         ]
         controller = OnlineController(
-            tiny_model, events=[NodeFailure(0.2, "a100-0")],
-            replan_lns_rounds=1,
+            tiny_model, events=[NodeFailure(0.2, "a100-0")]
         )
         sim = Simulation(
             small_cluster, tiny_model, placement, scheduler, requests,
@@ -659,8 +655,7 @@ class TestOnlineController:
             Request(f"r{i}", 32, 6, arrival_time=i * 0.002) for i in range(200)
         ]
         controller = OnlineController(
-            tiny_model, events=[NodeRecovery(0.2, "l4-0")],
-            replan_lns_rounds=1,
+            tiny_model, events=[NodeRecovery(0.2, "l4-0")]
         )
         sim = Simulation(
             small_cluster, tiny_model, placement, scheduler, requests,
@@ -694,9 +689,7 @@ class TestOnlineController:
                 Request(f"r{i}", 24, 5, arrival_time=i * 0.004)
                 for i in range(150)
             ]
-            controller = OnlineController(
-                tiny_model, events=events, replan_lns_rounds=1,
-            )
+            controller = OnlineController(tiny_model, events=events)
             sim = Simulation(
                 small_cluster, tiny_model, placement, scheduler, requests,
                 max_time=6.0, seed=seed, controller=controller,
@@ -877,11 +870,7 @@ class TestReplanEntryPoint:
             8, {"a100-0": (0, 4), "l4-0": (4, 8), "t4-0": (4, 8)}
         )
         survivors = small_cluster.subcluster(["l4-0", "t4-0", "t4-1"])
-        planner = HelixMilpPlanner(
-            survivors, tiny_model, time_limit=5.0,
-            lns_time_limit=0.5, mip_rel_gap=0.05,
-        )
-        result = planner.replan(base=base, lns_rounds=1)
+        result = HelixMilpPlanner(survivors, tiny_model).replan(base=base)
         assert result.max_throughput > 0
         result.placement.validate()
         assert set(result.placement.used_nodes) <= {"l4-0", "t4-0", "t4-1"}
@@ -890,13 +879,33 @@ class TestReplanEntryPoint:
         base = ModelPlacement.from_intervals(
             8, {"a100-0": (0, 4), "t4-1": (0, 4), "l4-0": (4, 8), "t4-0": (4, 8)}
         )
-        planner = HelixMilpPlanner(
-            small_cluster, tiny_model, time_limit=5.0,
-            lns_time_limit=0.5, mip_rel_gap=0.05,
-        )
+        planner = HelixMilpPlanner(small_cluster, tiny_model)
         base_value = planner.placement_throughput(base)
-        result = planner.replan(base=base, lns_rounds=2)
+        result = planner.replan(base=base)
         assert result.max_throughput >= base_value - 1e-6
+
+    @pytest.mark.parametrize(
+        "family, seed, prune_degree, expected",
+        [("geo_regions", 3, 2, 1913.869024), ("full_mesh", 2, 1, 3806.389448)],
+    )
+    def test_replan_ranks_on_the_full_cluster(
+        self, family, seed, prune_degree, expected
+    ):
+        # On the pruned cluster these hints rank differently: the replan
+        # used to return 1154.2 (geo_regions/3) and 3618.1 (full_mesh/2)
+        # tok/s of full-cluster value, a hint it had scored and rejected.
+        scenario = generate_scenario(family, seed)
+        planner = HelixMilpPlanner(
+            scenario.cluster, scenario.model, prune_degree=prune_degree
+        )
+        hints = planner.heuristic_hints(
+            prune_cluster(scenario.cluster, prune_degree)
+        )
+        result = planner.replan()
+        assert result.max_throughput == max(
+            planner.placement_throughput(hint) for hint in hints
+        )
+        assert result.max_throughput == pytest.approx(expected, rel=1e-9)
 
 
 def test_online_churn_bench_meets_acceptance():
@@ -906,8 +915,7 @@ def test_online_churn_bench_meets_acceptance():
     Azure trace (KV capacity scaled alike); the planned node carrying the
     most max flow dies at t=12 s. Acceptance: windowed goodput recovers to
     >= 70% of its pre-failure level after the repaired placement applies,
-    and the replanning itself rides the incremental paths (warm-started
-    LNS re-solve < 2 s wall).
+    and the replanning itself stays cheap (< 2 s wall).
     """
     from repro.cluster import Profiler, small_cluster_fig12
     from repro.models.specs import LLAMA_30B
@@ -934,8 +942,7 @@ def test_online_churn_bench_meets_acceptance():
         result.placement.used_nodes, key=lambda nid: node_flows.get(nid, 0.0)
     )
     controller = OnlineController(
-        LLAMA_30B, events=[NodeFailure(12.0, victim)], profiler=profiler,
-        replan_lns_rounds=2,
+        LLAMA_30B, events=[NodeFailure(12.0, victim)], profiler=profiler
     )
     sim = Simulation(
         cluster, LLAMA_30B, result.placement, scheduler, trace,

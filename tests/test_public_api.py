@@ -113,14 +113,12 @@ class TestKnobs:
         ) == [
             "self", "cluster", "model", "profiler", "partial_inference",
             "prune_degree", "time_limit", "hints", "mip_rel_gap",
-            "lns_rounds", "lns_window", "lns_time_limit", "adaptive_budget",
-            "lns_mode", "lns_seed",
         ]
         assert list(
             inspect.signature(repro.OnlineController.__init__).parameters
         ) == [
             "self", "model", "events", "profiler", "replan",
-            "replan_lns_rounds", "detection_mode", "autoscaler",
+            "detection_mode", "autoscaler",
         ]
 
     @pytest.mark.parametrize(
@@ -153,15 +151,16 @@ class TestKnobs:
         assert [field.name for field in dataclasses.fields(cls)] == fields
 
     def test_every_knob_has_a_non_test_caller(self):
-        """Every option is set by keyword in ``src/``, ``bench/`` or
-        ``benchmarks/``, outside the module that defines it.
+        """Every option is set in ``src/``, ``bench/`` or ``benchmarks/``,
+        outside the module that defines it.
 
-        The options are the defaulted parameters of ``Simulation`` and
-        ``OnlineController`` and the fields of every ``*Config``,
-        ``*Policy`` and ``*Spec`` dataclass of their subsystems. A knob
-        only tests or examples set has one value in use: make it a
-        constant instead. Sources are parsed, so a call counts wherever
-        it sits.
+        The options are the defaulted parameters of ``Simulation``,
+        ``HelixMilpPlanner`` and ``OnlineController`` and the fields of
+        every ``*Config``, ``*Policy`` and ``*Spec`` dataclass of their
+        subsystems. A knob only tests or examples set has one value in
+        use: make it a constant instead. Sources are parsed, so a call
+        counts wherever it sits, and a positional argument counts as the
+        parameter at its position.
         """
         import ast
         import dataclasses
@@ -170,7 +169,7 @@ class TestKnobs:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[1]
-        calls: dict[Path, set[tuple[str, str]]] = {}
+        calls: dict[Path, set[tuple[str, str | int]]] = {}
         for top in ("src", "bench", "benchmarks"):
             for path in sorted((root / top).rglob("*.py")):
                 found = calls[path.resolve()] = set()
@@ -182,25 +181,31 @@ class TestKnobs:
                         func, "attr", None
                     )
                     found.update((callee, kw.arg) for kw in node.keywords)
+                    found.update((callee, i) for i in range(len(node.args)))
 
-        def uncalled(name, options, module_file):
+        def uncalled(name, params, options, module_file):
             home = Path(module_file).resolve()
             used = set().union(
                 *(found for path, found in calls.items() if path != home)
             )
             return [
                 f"{name}.{option}" for option in options
-                if (name, option) not in used
+                if not {(name, option), (name, params.index(option))} & used
             ]
 
         missing = []
-        for cls in (repro.Simulation, repro.OnlineController):
+        for cls in (
+            repro.Simulation, repro.HelixMilpPlanner, repro.OnlineController
+        ):
+            params = list(inspect.signature(cls.__init__).parameters.values())[1:]
             options = [
-                param.name
-                for param in inspect.signature(cls.__init__).parameters.values()
+                param.name for param in params
                 if param.default is not inspect.Parameter.empty
             ]
-            missing += uncalled(cls.__name__, options, inspect.getsourcefile(cls))
+            missing += uncalled(
+                cls.__name__, [param.name for param in params], options,
+                inspect.getsourcefile(cls),
+            )
         for module_name in (
             "repro.sim.policy", "repro.sim.residency", "repro.online.detect",
             "repro.online.autoscale", "repro.tenancy.fairness",
@@ -215,5 +220,5 @@ class TestKnobs:
                     and name.endswith(("Config", "Policy", "Spec"))
                 ):
                     options = [field.name for field in dataclasses.fields(cls)]
-                    missing += uncalled(name, options, module.__file__)
+                    missing += uncalled(name, options, options, module.__file__)
         assert missing == []

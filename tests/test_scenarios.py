@@ -257,16 +257,3 @@ class TestSeedPlumbing:
         random.seed(2)
         b = random_churn(["n0", "n1"], config, seed=6)
         assert a == b
-
-    def test_helix_lns_seed_reproducible(self, small_cluster, tiny_model):
-        from repro.placement.helix_milp import HelixMilpPlanner
-
-        values = []
-        for _ in range(2):
-            planner = HelixMilpPlanner(
-                small_cluster, tiny_model,
-                time_limit=5.0, lns_rounds=2, lns_time_limit=1.0,
-                lns_seed=11,
-            )
-            values.append(planner.plan().max_throughput)
-        assert values[0] == values[1]
