@@ -25,7 +25,7 @@ from repro.cluster.gpus import (
 from repro.cluster.node import ComputeNode, COORDINATOR
 from repro.cluster.network import Link
 from repro.cluster.cluster import Cluster
-from repro.cluster.profiler import Profiler, NodeProfile
+from repro.cluster.profiler import Profiler
 from repro.cluster.presets import (
     single_cluster_24,
     geo_distributed_24,
@@ -50,7 +50,6 @@ __all__ = [
     "Link",
     "Cluster",
     "Profiler",
-    "NodeProfile",
     "single_cluster_24",
     "geo_distributed_24",
     "high_heterogeneity_42",

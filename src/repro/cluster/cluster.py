@@ -86,29 +86,6 @@ class Cluster:
             for a in ids:
                 self.connect(COORDINATOR, a, bandwidth, latency)
 
-    def remove_link(self, src: str, dst: str) -> None:
-        """Remove one directed link; raises if absent."""
-        try:
-            del self._links[(src, dst)]
-        except KeyError:
-            raise ClusterError(f"no link {src!r}->{dst!r}") from None
-
-    def remove_node(self, node_id: str) -> ComputeNode:
-        """Remove a compute node and every link incident to it.
-
-        Dropping the incident links keeps the referential integrity that
-        :meth:`validate` checks — no dangling link may reference the removed
-        node. Returns the removed node; raises if unknown.
-        """
-        try:
-            node = self._nodes.pop(node_id)
-        except KeyError:
-            raise ClusterError(f"unknown node {node_id!r}") from None
-        for key in [k for k in self._links if node_id in k]:
-            del self._links[key]
-        self._down.discard(node_id)
-        return node
-
     def set_link_bandwidth(self, src: str, dst: str, bandwidth: float) -> Link:
         """Replace the ``src -> dst`` link with one at ``bandwidth``.
 
@@ -221,10 +198,6 @@ class Cluster:
         for node in self._nodes.values():
             seen.setdefault(node.region, None)
         return list(seen)
-
-    def nodes_in_region(self, region: str) -> list[ComputeNode]:
-        """All compute nodes whose region label matches."""
-        return [n for n in self._nodes.values() if n.region == region]
 
     def gpu_type_counts(self) -> dict[str, int]:
         """Histogram of node GPU labels (``"T4"``, ``"2xL4"``, ...)."""

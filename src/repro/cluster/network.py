@@ -47,7 +47,3 @@ class Link:
     def key(self) -> tuple[str, str]:
         """Dictionary key for this link's direction."""
         return (self.src, self.dst)
-
-    def transmission_time(self, num_bytes: float) -> float:
-        """Time to push ``num_bytes`` through the link, excluding latency."""
-        return num_bytes / self.bandwidth

@@ -25,43 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.models.specs import ModelSpec
 from repro.models.memory import kv_token_capacity, max_layers_on_vram
 from repro.cluster.network import Link
 from repro.cluster.node import ComputeNode
-
-
-@dataclass(frozen=True)
-class NodeProfile:
-    """Profiled constants for one node serving one model.
-
-    Attributes:
-        node_id: The profiled node.
-        max_layers: Most layers the node can hold (weight half of VRAM).
-        compute_rate: Token-layers/second of compute (``R_c`` above).
-        weight_read_time: Seconds to stream one resident layer's weights.
-        batch_overhead: Fixed per-batch overhead in seconds.
-        throughput_per_layers: ``T_j`` for ``j = 1 .. max_layers``; index 0
-            corresponds to holding one layer.
-    """
-
-    node_id: str
-    max_layers: int
-    compute_rate: float
-    weight_read_time: float
-    batch_overhead: float
-    throughput_per_layers: tuple[float, ...]
-
-    def throughput(self, num_layers: int) -> float:
-        """``T_j`` — max tokens/second when holding ``num_layers`` layers."""
-        if not 1 <= num_layers <= self.max_layers:
-            raise ValueError(
-                f"node {self.node_id!r} cannot hold {num_layers} layers "
-                f"(max {self.max_layers})"
-            )
-        return self.throughput_per_layers[num_layers - 1]
 
 
 @dataclass(frozen=True)
@@ -114,7 +82,7 @@ class Profiler:
     # ------------------------------------------------------------------
     def max_layers(self, node: ComputeNode, model: ModelSpec) -> int:
         """Maximum layers the node can hold in its weight partition."""
-        return _cached_max_layers(self, node, model)
+        return max_layers_on_vram(model, node.vram_bytes, self.weight_fraction)
 
     def compute_rate(self, node: ComputeNode, model: ModelSpec) -> float:
         """Compute rate in token-layers/second (``R_c``)."""
@@ -157,20 +125,8 @@ class Profiler:
         """
         if num_layers < 1:
             raise ValueError(f"num_layers must be >= 1, got {num_layers}")
-        return _cached_throughput(self, node, model, num_layers)
-
-    def node_profile(self, node: ComputeNode, model: ModelSpec) -> NodeProfile:
-        """Profile a node: max layers and the full ``T_j`` table."""
-        k = self.max_layers(node, model)
-        table = tuple(self.throughput(node, model, j) for j in range(1, k + 1))
-        return NodeProfile(
-            node_id=node.node_id,
-            max_layers=k,
-            compute_rate=self.compute_rate(node, model),
-            weight_read_time=self.weight_read_time(node, model),
-            batch_overhead=self.batch_overhead,
-            throughput_per_layers=table,
-        )
+        batch = float(self.reference_batch)
+        return batch / self.batch_time(node, model, batch * num_layers, num_layers)
 
     def kv_capacity(
         self, node: ComputeNode, model: ModelSpec, resident_layers: int
@@ -201,27 +157,3 @@ class Profiler:
         else:
             per_token = float(model.token_bytes)
         return link.bandwidth / per_token
-
-
-# ----------------------------------------------------------------------
-# Memoized kernels. Profiler, ComputeNode, and ModelSpec are all frozen
-# (hashable) dataclasses, so identical lookups — which the planners issue
-# thousands of times while evaluating candidate placements — hit the cache
-# instead of re-deriving the same timing-model constants. Link capacity is
-# deliberately not cached: it is one division, and a cache key hashes four
-# dataclasses (and compares equal-but-distinct profilers field by field).
-# On a 2-core Xeon a hit cost 0.96 µs (1.65 µs with an equal-but-distinct
-# profiler) against 0.37 µs for computing it outright.
-# ----------------------------------------------------------------------
-@lru_cache(maxsize=None)
-def _cached_max_layers(profiler: Profiler, node: ComputeNode, model: ModelSpec) -> int:
-    return max_layers_on_vram(model, node.vram_bytes, profiler.weight_fraction)
-
-
-@lru_cache(maxsize=None)
-def _cached_throughput(
-    profiler: Profiler, node: ComputeNode, model: ModelSpec, num_layers: int
-) -> float:
-    batch = float(profiler.reference_batch)
-    time = profiler.batch_time(node, model, batch * num_layers, num_layers)
-    return batch / time

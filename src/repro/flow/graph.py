@@ -23,23 +23,12 @@ last one. :func:`_handoff_valid` is the one implementation of the rule.
 The max flow of the resulting graph is the placement's maximum serving
 throughput in tokens/second.
 
-Because one cluster sees many candidate placements (§4.5's warm starts,
-incumbent checks, the online controller's flow rewrites, the testkit's
-enumeration oracle), a :class:`FlowGraph` is built *once* per cluster and
-re-targeted cheaply:
-
-* The flow network contains every node edge and every physical link as a
-  permanent edge; placement only decides each edge's capacity (zero for
-  invalid connections and unused nodes). The underlying flat-array kernel
-  skips zero-capacity edges entirely, so solves stay as fast as on a graph
-  containing only the valid edges.
-* Link token capacities are computed once per graph; ``T_j`` only for
-  nodes whose stage size changed.
-* :meth:`FlowGraph.reevaluate` diffs the new placement against the current
-  one and rewrites capacities only for node edges whose interval changed
-  and link edges incident to a changed node — no vertex, edge, or registry
-  reconstruction. Re-evaluating an unchanged placement returns the cached
-  solution without re-solving.
+The graph holds every node edge and every physical link as a permanent
+edge; the placement only decides each edge's capacity (zero for unused
+nodes and invalid connections), and the max-flow kernel skips
+zero-capacity edges. :meth:`FlowGraph.reevaluate` points the graph at
+another placement by rewriting every capacity, which the online
+controller does after each churn event.
 """
 
 from __future__ import annotations
@@ -47,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.network import Link
 from repro.cluster.node import COORDINATOR
 from repro.cluster.profiler import Profiler
 from repro.core.errors import PlacementError
@@ -125,24 +115,9 @@ class FlowSolution:
     node_capacities: dict[str, float]
     connection_capacities: dict[tuple[str, str], float]
 
-    def node_utilization(self, node_id: str) -> float:
-        """Fraction of the node's token throughput used by the max flow."""
-        capacity = self.node_capacities.get(node_id, 0.0)
-        if capacity <= 0:
-            return 0.0
-        return self.node_flows.get(node_id, 0.0) / capacity
-
-    def outgoing_flows(self, src: str) -> dict[str, float]:
-        """Positive flows leaving ``src`` keyed by destination."""
-        return {
-            dst: flow
-            for (s, dst), flow in self.connection_flows.items()
-            if s == src and flow > 0.0
-        }
-
 
 class FlowGraph:
-    """Builds and solves the paper's graph abstraction, reusably.
+    """Builds and solves the paper's graph abstraction.
 
     Args:
         cluster: The serving cluster.
@@ -166,24 +141,13 @@ class FlowGraph:
         self.placement = placement
         self.profiler = profiler or Profiler()
         self.partial_inference = partial_inference
-        # Per-token message size, indexed by "carries activations": token
-        # ids on coordinator links, hidden states between compute nodes
-        # (the sizes Profiler.link_token_capacity divides by).
-        self._per_token = (
-            float(model.token_bytes), model.activation_bytes_per_token
-        )
         self._network = FlowNetwork()
-        # Static structure, built once per cluster.
         self._node_edge_ids: dict[str, int] = {}
         self._link_edge_ids: dict[tuple[str, str], int] = {}
         self._link_caps: dict[tuple[str, str], float] = {}
-        self._links_by_node: dict[str, list[tuple[str, str]]] = {}
-        # Placement-dependent state, updated incrementally.
-        self._intervals: dict[str, _Span | None] = {}
-        self._link_valid: dict[tuple[str, str], bool] = {}
         self._node_capacities: dict[str, float] = {}
         self._connection_capacities: dict[tuple[str, str], float] = {}
-        self._solution: FlowSolution | None = None
+        self._check_serves(placement)
         self._build_network()
         self._apply_placement(placement)
 
@@ -191,113 +155,57 @@ class FlowGraph:
     def _build_network(self) -> None:
         """Create every vertex and edge once; capacities start at zero."""
         net = self._network
-        add_edge = net.add_edge
         net.add_node(SOURCE)
         net.add_node(SINK)
-
-        node_edge_ids = self._node_edge_ids
-        intervals = self._intervals
-        links_by_node = self._links_by_node
-        in_vertex: dict[str, str] = {}
-        out_vertex: dict[str, str] = {}
         for node_id in self.cluster.node_ids:
-            u = in_vertex[node_id] = f"{node_id}::in"
-            v = out_vertex[node_id] = f"{node_id}::out"
-            node_edge_ids[node_id] = add_edge(u, v, 0.0)
-            intervals[node_id] = None
-            links_by_node[node_id] = []
-
-        token_bytes, activation_bytes = self._per_token
-        link_edge_ids = self._link_edge_ids
-        link_caps = self._link_caps
-        link_valid = self._link_valid
+            self._node_edge_ids[node_id] = net.add_edge(
+                f"{node_id}::in", f"{node_id}::out", 0.0
+            )
         for key, link in self.cluster.links.items():
             src, dst = key
-            if src == COORDINATOR:
-                u, v, per_token = SOURCE, in_vertex[dst], token_bytes
-                links_by_node[dst].append(key)
-            elif dst == COORDINATOR:
-                u, v, per_token = out_vertex[src], SINK, token_bytes
-                links_by_node[src].append(key)
-            else:
-                u, v = out_vertex[src], in_vertex[dst]
-                per_token = activation_bytes
-                links_by_node[src].append(key)
-                links_by_node[dst].append(key)
-            link_edge_ids[key] = add_edge(u, v, 0.0)
-            link_caps[key] = link.bandwidth / per_token
-            link_valid[key] = False
+            u = SOURCE if src == COORDINATOR else f"{src}::out"
+            v = SINK if dst == COORDINATOR else f"{dst}::in"
+            self._link_edge_ids[key] = net.add_edge(u, v, 0.0)
+            self._link_caps[key] = self._link_capacity(key, link)
 
-    def _apply_placement(self, placement: ModelPlacement) -> None:
-        """Point the network at ``placement``, rewriting only changed edges."""
+    def _link_capacity(self, key: tuple[str, str], link: Link) -> float:
+        """Tokens/second: ids on coordinator links, activations between
+        compute nodes."""
+        return self.profiler.link_token_capacity(
+            link, self.model, COORDINATOR not in key
+        )
+
+    def _check_serves(self, placement: ModelPlacement) -> None:
+        """Raise unless ``placement`` covers both ends of the model on
+        nodes of the cluster."""
         if not placement.first_layer_holders():
             raise PlacementError("no node holds the first layer")
         if not placement.last_layer_holders():
             raise PlacementError("no node holds the last layer")
         for node_id in placement.assignments:
-            if node_id not in self._node_edge_ids:
-                self.cluster.node(node_id)  # raises ClusterError
+            self.cluster.node(node_id)  # raises ClusterError if unknown
 
+    def _apply_placement(self, placement: ModelPlacement) -> None:
+        """Rewrite every node and link capacity from ``placement``."""
         net = self._network
-        assignments = placement.assignments
-        intervals = self._intervals
-        changed: list[str] = []
-        for node_id, previous in intervals.items():
-            stage = assignments.get(node_id)
-            current = (stage.start, stage.end) if stage is not None else None
-            if current == previous:
-                continue
-            changed.append(node_id)
-            intervals[node_id] = current
-            if current is None:
-                capacity = 0.0
-                self._node_capacities.pop(node_id, None)
-            else:
+        self._node_capacities = {}
+        for node_id, edge_id in self._node_edge_ids.items():
+            stage = placement.assignments.get(node_id)
+            capacity = 0.0
+            if stage is not None:
                 capacity = self.profiler.throughput(
                     self.cluster.node(node_id), self.model, stage.num_layers
                 )
                 self._node_capacities[node_id] = capacity
-            net.set_capacity(self._node_edge_ids[node_id], capacity)
+            net.set_capacity(edge_id, capacity)
 
-        # Sink-side validity compares interval ends against num_layers, so a
-        # different model length invalidates every link, not just those at
-        # changed nodes.
-        if placement.num_layers != self.placement.num_layers:
-            recheck = list(self._link_valid)
-        else:
-            seen: set[tuple[str, str]] = set()
-            recheck = []
-            for node_id in changed:
-                for key in self._links_by_node[node_id]:
-                    if key not in seen:
-                        seen.add(key)
-                        recheck.append(key)
-
-        flipped = False
-        partial = self.partial_inference
-        sink = _sink_span(placement.num_layers)
-        link_valid = self._link_valid
-        for key in recheck:
-            src, dst = key
-            valid = _handoff_valid(
-                _SOURCE_SPAN if src == COORDINATOR else intervals[src],
-                sink if dst == COORDINATOR else intervals[dst],
-                partial,
-            )
-            if valid == link_valid[key]:
-                continue
-            flipped = True
-            link_valid[key] = valid
-            if valid:
+        self._connection_capacities = {}
+        for key, edge_id in self._link_edge_ids.items():
+            capacity = 0.0
+            if connection_is_valid(placement, *key, self.partial_inference):
                 capacity = self._link_caps[key]
                 self._connection_capacities[key] = capacity
-            else:
-                capacity = 0.0
-                self._connection_capacities.pop(key, None)
-            net.set_capacity(self._link_edge_ids[key], capacity)
-
-        if changed or flipped:
-            self._solution = None
+            net.set_capacity(edge_id, capacity)
         self.placement = placement
 
     # ------------------------------------------------------------------
@@ -311,83 +219,52 @@ class FlowGraph:
         return list(self._connection_capacities)
 
     def solve(self) -> FlowSolution:
-        """Solve the max flow and aggregate per-connection and per-node flow.
-
-        The solution is cached until the placement changes, so repeated
-        value queries on the same placement (common in the planner's
-        incumbent checks) cost a dict lookup.
-        """
-        if self._solution is not None:
-            return self._solution
+        """Solve the max flow and aggregate per-connection and per-node flow."""
         result = self._network.max_flow(SOURCE, SINK)
         edge_flows = result.edge_flows
-        node_flows = {
-            node_id: edge_flows[edge_id]
-            for node_id, edge_id in self._node_edge_ids.items()
-            if node_id in self._node_capacities
-        }
-        connection_flows = {
-            key: edge_flows[self._link_edge_ids[key]]
-            for key in self._connection_capacities
-        }
-        self._solution = FlowSolution(
+        return FlowSolution(
             max_flow=result.value,
-            connection_flows=connection_flows,
-            node_flows=node_flows,
+            connection_flows={
+                key: edge_flows[self._link_edge_ids[key]]
+                for key in self._connection_capacities
+            },
+            node_flows={
+                node_id: edge_flows[self._node_edge_ids[node_id]]
+                for node_id in self._node_capacities
+            },
             node_capacities=dict(self._node_capacities),
             connection_capacities=dict(self._connection_capacities),
         )
-        return self._solution
 
     def reevaluate(self, placement: ModelPlacement) -> FlowSolution:
-        """Re-solve for a new placement without rebuilding the graph.
+        """Point the graph at another placement and solve it.
 
-        Only capacities of edges whose validity or stage size changed are
-        rewritten; everything else — vertices, edges, profiler lookups,
-        registries — is reused. Raises :class:`PlacementError` (leaving the
-        evaluator pointed at the previous placement) when the new placement
-        cannot serve at all.
+        Raises :class:`PlacementError` (leaving the graph pointed at the
+        previous placement) when the new placement cannot serve at all.
         """
+        self._check_serves(placement)
         self._apply_placement(placement)
         return self.solve()
 
-    def refresh_links(
-        self, keys: list[tuple[str, str]] | None = None
-    ) -> list[tuple[str, str]]:
+    def refresh_links(self) -> list[tuple[str, str]]:
         """Re-read link bandwidths from the cluster after in-place changes.
 
         The online controller degrades and repairs links mid-serving by
-        swapping the cluster's :class:`~repro.cluster.network.Link` objects;
-        this re-derives the affected token capacities and rewrites the
-        corresponding edge capacities (for currently-valid connections)
-        without touching graph structure.
-
-        Args:
-            keys: The ``(src, dst)`` connections to refresh; ``None``
-                refreshes every known link.
+        swapping the cluster's :class:`~repro.cluster.network.Link`
+        objects; this re-derives their token capacities and rewrites the
+        edge capacities of the current placement.
 
         Returns:
-            The connections whose capacity actually changed.
+            The connections whose capacity changed.
         """
-        cluster_links = self.cluster.links
-        changed: list[tuple[str, str]] = []
-        for key in keys if keys is not None else list(self._link_caps):
-            link = cluster_links.get(key)
-            if link is None or key not in self._link_edge_ids:
-                continue
-            carries_activations = (
-                key[0] != COORDINATOR and key[1] != COORDINATOR
-            )
-            capacity = link.bandwidth / self._per_token[carries_activations]
-            if capacity == self._link_caps[key]:
-                continue
-            changed.append(key)
-            self._link_caps[key] = capacity
-            if self._link_valid[key]:
-                self._connection_capacities[key] = capacity
-                self._network.set_capacity(self._link_edge_ids[key], capacity)
+        changed = []
+        for key, link in self.cluster.links.items():
+            capacity = self._link_capacity(key, link)
+            if capacity != self._link_caps[key]:
+                changed.append(key)
+                self._link_caps[key] = capacity
         if changed:
-            self._solution = None
+            self._apply_placement(self.placement)
         return changed
 
 

@@ -8,8 +8,8 @@ preflow), which the scheduler needs intact for deriving IWRR weights from
 per-edge flows (§5.1). Results are cross-checked against networkx's
 preflow-push in the test suite.
 
-Because the planner evaluates thousands of candidate placements, the kernel
-is built for *reuse*, not one-shot solves:
+The kernel keeps the network in flat arrays and can be re-solved after
+capacity changes:
 
 * Arcs live in parallel flat arrays (``_arc_to`` / ``_arc_cap`` /
   ``_arc_flow``) rather than per-arc objects. Arc ``2*i`` is edge ``i``'s
@@ -25,9 +25,7 @@ is built for *reuse*, not one-shot solves:
   touching Python's recursion limit.
 * :meth:`FlowNetwork.set_capacity` retunes an edge in O(1) and
   :meth:`FlowNetwork.max_flow` may be called repeatedly on the same
-  network; each call resets flows and solves the current capacities. The
-  epsilon scale (largest original capacity) is maintained incrementally on
-  ``add_edge``/``set_capacity`` instead of being rescanned per solve.
+  network; each call resets flows and solves the current capacities.
 
 Capacities are floats (tokens/second); a relative epsilon guards
 comparisons. Parallel edges are supported and reported separately.
@@ -83,10 +81,6 @@ class FlowNetwork:
         self._csr_start: list[int] = []
         self._csr_arcs: list[int] = []
         self._csr_dirty = True
-        # Largest original capacity, maintained incrementally; goes stale
-        # (dirty) only when the current maximum is lowered.
-        self._max_cap = 0.0
-        self._max_cap_dirty = False
 
     # ------------------------------------------------------------------
     # Construction and reuse
@@ -121,8 +115,6 @@ class FlowNetwork:
         self._arc_to.extend((v, u))
         self._arc_cap.extend((capacity, 0.0))
         self._arc_flow.extend((0.0, 0.0))
-        if capacity > self._max_cap:
-            self._max_cap = capacity
         self._csr_dirty = True
         return edge_id
 
@@ -144,12 +136,6 @@ class FlowNetwork:
         self._arc_cap[arc] = capacity
         if (old > 0.0) != (capacity > 0.0):
             self._csr_dirty = True
-        if capacity >= self._max_cap:
-            self._max_cap = capacity
-            self._max_cap_dirty = False
-        elif old >= self._max_cap:
-            # The former maximum shrank; recompute lazily at the next solve.
-            self._max_cap_dirty = True
 
     def reset_flow(self) -> None:
         """Zero all arc flows (done automatically by :meth:`max_flow`)."""
@@ -200,11 +186,7 @@ class FlowNetwork:
 
     def _epsilon(self) -> float:
         """Solve epsilon, scaled to the largest original capacity."""
-        if self._max_cap_dirty:
-            caps = self._arc_cap
-            self._max_cap = max(caps[0::2], default=0.0)
-            self._max_cap_dirty = False
-        return EPSILON * max(self._max_cap, 1.0)
+        return EPSILON * max(max(self._arc_cap[0::2], default=0.0), 1.0)
 
     # ------------------------------------------------------------------
     # Max flow (Dinic's blocking-flow algorithm, iterative)

@@ -4,20 +4,15 @@ Supports exactly what the Helix placement formulation needs: bounded
 continuous/integer/binary variables, linear expressions with operator
 overloading, ``<=``/``>=``/``==`` constraints, and one linear objective.
 Problems compile to the numpy arrays HiGHS consumes, with the constraint
-matrix in compressed sparse row (CSR) form.
-
-Each constraint caches its sparse row once; every
-:meth:`MilpProblem.compile` stacks the cached rows into fresh CSR arrays
-and re-gathers the objective and variable bounds. Appending or
-truncating constraints therefore only builds the new rows, and bound
-tightening never rebuilds a row; the planner's root probe and its one
-follow-up solve share every row.
+matrix in compressed sparse row (CSR) form. Each
+:meth:`MilpProblem.compile` reads the constraints, objective and variable
+bounds as they are when it runs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -99,14 +94,13 @@ class Variable:
 class LinExpr:
     """An affine expression ``sum(coef_i * var_i) + constant``."""
 
-    __slots__ = ("terms", "constant", "_arrays")
+    __slots__ = ("terms", "constant")
 
     def __init__(
         self, terms: Mapping[Variable, float] | None = None, constant: float = 0.0
     ) -> None:
         self.terms: dict[Variable, float] = dict(terms or {})
         self.constant = float(constant)
-        self._arrays: tuple | None = None
 
     def copy(self) -> "LinExpr":
         return LinExpr(dict(self.terms), self.constant)
@@ -164,38 +158,12 @@ class LinExpr:
     def __hash__(self) -> int:
         return id(self)
 
-    def term_arrays(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """Cached ``(names, variable indices, coefficients)`` arrays.
-
-        The cache keys on the term count, which catches every mutation the
-        expression API can produce (operators always build fresh objects;
-        only in-place ``terms`` edits of an already-compiled expression
-        could go stale, and nothing in the codebase does that).
-        """
-        cached = self._arrays
-        if cached is not None and cached[0] == len(self.terms):
-            return cached[1], cached[2], cached[3]
-        count = len(self.terms)
-        names = tuple(var.name for var in self.terms)
-        indices = np.fromiter(
-            (var.index for var in self.terms), dtype=np.int64, count=count
-        )
-        coefs = np.fromiter(self.terms.values(), dtype=np.float64, count=count)
-        self._arrays = (count, names, indices, coefs)
-        return names, indices, coefs
-
     def evaluate(self, values: Mapping[str, float]) -> float:
         """Evaluate under a ``{variable name: value}`` assignment."""
-        names, _, coefs = self.term_arrays()
-        if len(names) < 16:  # small expressions: the plain loop is faster
-            total = self.constant
-            for name, coef in zip(names, coefs):
-                total += coef * values[name]
-            return float(total)
-        vals = np.fromiter(
-            (values[name] for name in names), dtype=np.float64, count=len(names)
-        )
-        return float(self.constant + coefs @ vals)
+        total = self.constant
+        for var, coef in self.terms.items():
+            total += coef * values[var.name]
+        return float(total)
 
     def __repr__(self) -> str:
         parts = [f"{coef:+g}*{var.name}" for var, coef in self.terms.items()]
@@ -219,7 +187,6 @@ class Constraint:
     expr: LinExpr
     sense: Sense
     name: str = ""
-    _row: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def violated_by(self, values: Mapping[str, float], tol: float = 1e-6) -> bool:
         """Whether an assignment violates the constraint beyond ``tol``."""
@@ -229,27 +196,6 @@ class Constraint:
         if self.sense is Sense.GE:
             return lhs < -tol
         return abs(lhs) > tol
-
-    def row(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Cached sparse row ``(columns, coefficients, lower, upper)``.
-
-        Zero coefficients are dropped; the two-sided row bounds encode the
-        sense (``lower <= row @ x <= upper``).
-        """
-        if self._row is None:
-            _, indices, coefs = self.expr.term_arrays()
-            nonzero = coefs != 0.0
-            if not nonzero.all():
-                indices, coefs = indices[nonzero], coefs[nonzero]
-            rhs = -self.expr.constant
-            if self.sense is Sense.LE:
-                lower, upper = -np.inf, rhs
-            elif self.sense is Sense.GE:
-                lower, upper = rhs, np.inf
-            else:
-                lower = upper = rhs
-            self._row = (indices, coefs, lower, upper)
-        return self._row
 
 
 @dataclass
@@ -331,44 +277,31 @@ class MilpProblem:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    def invalidate(self) -> None:
-        """Drop every constraint's cached row, so the next compile rebuilds
-        each row from its expression."""
-        for constraint in self.constraints:
-            constraint._row = None
-
-    def _assemble_rows(self) -> tuple[np.ndarray, ...]:
-        """Stack the constraints' cached rows into CSR arrays
-        ``(indptr, indices, data, lower, upper)``."""
-        m = len(self.constraints)
-        rows = [c.row() for c in self.constraints]
-        lengths = np.fromiter((len(r[0]) for r in rows), dtype=np.int64, count=m)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        if m:
-            indices = np.concatenate([r[0] for r in rows])
-            data = np.concatenate([r[1] for r in rows])
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
-        lower = np.fromiter((r[2] for r in rows), dtype=np.float64, count=m)
-        upper = np.fromiter((r[3] for r in rows), dtype=np.float64, count=m)
-        return indptr, indices, data, lower, upper
-
     def compile(self) -> CompiledArrays:
         """Compile to the arrays HiGHS consumes.
 
-        The constraint matrix is stacked from the constraints' cached rows;
-        the objective, variable bounds and integrality are gathered fresh,
-        so bound mutations are always honored.
+        Zero coefficients are dropped from the constraint rows; each row's
+        two-sided bounds encode its sense (``lower <= row @ x <= upper``).
         """
-        indptr, indices, data, constraint_lower, constraint_upper = (
-            self._assemble_rows()
-        )
+        m = len(self.constraints)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        indices: list[int] = []
+        data: list[float] = []
+        constraint_lower = np.empty(m)
+        constraint_upper = np.empty(m)
+        for i, constraint in enumerate(self.constraints):
+            for var, coef in constraint.expr.terms.items():
+                if coef != 0.0:
+                    indices.append(var.index)
+                    data.append(coef)
+            indptr[i + 1] = len(indices)
+            rhs = -constraint.expr.constant
+            constraint_lower[i] = -np.inf if constraint.sense is Sense.LE else rhs
+            constraint_upper[i] = np.inf if constraint.sense is Sense.GE else rhs
         n = self.num_variables
         c = np.zeros(n)
-        _, obj_indices, obj_coefs = self.objective.term_arrays()
-        np.add.at(c, obj_indices, obj_coefs)
+        for var, coef in self.objective.terms.items():
+            c[var.index] += coef
         if self.maximize:
             c = -c
         lower = np.fromiter((v.lower for v in self.variables), np.float64, count=n)
@@ -379,8 +312,8 @@ class MilpProblem:
         return CompiledArrays(
             c=c,
             indptr=indptr,
-            indices=indices,
-            data=data,
+            indices=np.array(indices, dtype=np.int64),
+            data=np.array(data, dtype=np.float64),
             constraint_lower=constraint_lower,
             constraint_upper=constraint_upper,
             lower=lower,
@@ -393,28 +326,13 @@ class MilpProblem:
     def check_feasible(self, values: Mapping[str, float], tol: float = 1e-5) -> list[str]:
         """Names/indices of constraints an assignment violates.
 
-        Vectorized: one CSR mat-vec over the stacked constraint rows
-        instead of a Python loop per constraint. Assignments that do not cover
-        every variable fall back to the per-constraint reference path.
+        Raises :class:`ValueError` naming a variable ``values`` lacks.
         """
-        if not self.constraints:
-            return []
-        try:
-            x = np.fromiter(
-                (values[v.name] for v in self.variables),
-                np.float64,
-                count=self.num_variables,
-            )
-        except KeyError:
-            return [
-                constraint.name or f"constraint[{i}]"
-                for i, constraint in enumerate(self.constraints)
-                if constraint.violated_by(values, tol)
-            ]
-        indptr, indices, data, lower, upper = self._assemble_rows()
-        rows = np.repeat(np.arange(len(lower)), np.diff(indptr))
-        activity = np.bincount(rows, data * x[indices], minlength=len(lower))
-        bad = np.nonzero((activity > upper + tol) | (activity < lower - tol))[0]
+        for var in self.variables:
+            if var.name not in values:
+                raise ValueError(f"assignment has no value for {var.name!r}")
         return [
-            self.constraints[i].name or f"constraint[{i}]" for i in bad
+            constraint.name or f"constraint[{i}]"
+            for i, constraint in enumerate(self.constraints)
+            if constraint.violated_by(values, tol)
         ]

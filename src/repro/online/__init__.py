@@ -4,8 +4,8 @@ The paper plans a placement once and serves a static cluster; this package
 closes the loop for clusters that lose nodes, degrade links, and bring
 spare nodes back mid-flight. :mod:`repro.online.events` is the churn
 vocabulary (scripted schedules and seeded random generators);
-:mod:`repro.online.controller` reacts to each event in two tiers — an
-incremental :meth:`FlowGraph.reevaluate()
+:mod:`repro.online.controller` reacts to each event in two tiers — a
+:meth:`FlowGraph.reevaluate()
 <repro.flow.graph.FlowGraph.reevaluate>` flow rewrite for an immediate
 degraded-mode hot-swap, then a deterministic :meth:`replan()
 <repro.placement.helix_milp.HelixMilpPlanner.replan>` on a freshly built

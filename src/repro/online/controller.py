@@ -6,9 +6,9 @@ after each event, reacts in two tiers:
 
 1. **Fast path — flow rewrite.** The reference placement restricted to
    surviving nodes is pushed through a persistent
-   :meth:`FlowGraph.reevaluate() <repro.flow.graph.FlowGraph.reevaluate>`
-   (the incremental evaluator: only capacities of changed edges are
-   rewritten). If the degraded placement still carries flow, the solution
+   :meth:`FlowGraph.reevaluate() <repro.flow.graph.FlowGraph.reevaluate>`,
+   which rewrites the graph's edge capacities after re-reading the link
+   bandwidths. If the degraded placement still carries flow, the solution
    is hot-swapped into the scheduler's IWRR selectors whenever a repaired
    placement is not about to land in the same instant — replanning
    disabled or failed — so serving continues on the surviving replicas.
@@ -229,7 +229,7 @@ class OnlineController:
     def _ensure_flow_graph(
         self, sim, placement: ModelPlacement
     ) -> tuple[FlowGraph, bool]:
-        """The persistent incremental evaluator, plus whether it was just
+        """The persistent flow graph, plus whether it was just
         built (a fresh graph already reflects current link bandwidths, so
         ``refresh_links`` cannot report what changed before it existed)."""
         if self._flow_graph is None:
@@ -243,7 +243,7 @@ class OnlineController:
         """Run both reaction tiers and record the outcome."""
         if self._reference_placement is None:
             self._reference_placement = sim.placement
-        # Tier 1: incremental flow rewrite over the surviving replicas.
+        # Tier 1: flow rewrite over the surviving replicas.
         degraded = self._degraded_placement(sim)
         degraded_flow = None
         flow_state_changed = False

@@ -1,9 +1,14 @@
-"""Planner interface and result container."""
+"""Planner interface and result container.
+
+A planner scores each candidate placement by the max flow of a freshly
+built :class:`~repro.flow.graph.FlowGraph` (paper §4.3); a plan scores a
+handful of them.
+"""
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.profiler import Profiler
@@ -76,9 +81,6 @@ class PlacementPlanner(abc.ABC):
         self.model = model
         self.profiler = profiler or Profiler()
         self.partial_inference = partial_inference
-        #: Per-cluster :class:`FlowGraph`, built once and re-targeted via
-        #: :meth:`FlowGraph.reevaluate` for every later candidate.
-        self._flow_evaluators: dict[int, tuple[Cluster, FlowGraph]] = {}
 
     @abc.abstractmethod
     def plan(self) -> PlannerResult:
@@ -119,27 +121,16 @@ class PlacementPlanner(abc.ABC):
     def evaluate_placement(
         self, placement: ModelPlacement, cluster: Cluster | None = None
     ) -> FlowSolution:
-        """Solve a placement's max flow through the per-cluster evaluator.
-
-        The first evaluation on a cluster builds its :class:`FlowGraph`;
-        subsequent evaluations re-target it incrementally, which is the hot
-        path of hint ranking and incumbent checks. The evaluator
-        snapshots the cluster topology, so planners must not mutate the
-        cluster mid-plan (none do). Raises :class:`PlacementError` when the
-        placement cannot serve.
+        """Solve a placement's max flow on ``cluster`` (default: the
+        planner's). Raises :class:`PlacementError` when the placement
+        cannot serve.
         """
         if cluster is None:  # not truthiness: an empty Cluster is falsy
             cluster = self.cluster
-        entry = self._flow_evaluators.get(id(cluster))
-        if entry is None:
-            graph = FlowGraph(
-                cluster, self.model, placement, self.profiler,
-                self.partial_inference,
-            )
-            # Keep the cluster reference alive so its id stays unique.
-            self._flow_evaluators[id(cluster)] = (cluster, graph)
-            return graph.solve()
-        return entry[1].reevaluate(placement)
+        return FlowGraph(
+            cluster, self.model, placement, self.profiler,
+            self.partial_inference,
+        ).solve()
 
     def placement_throughput(
         self, placement: ModelPlacement, cluster: Cluster | None = None

@@ -74,10 +74,6 @@ class Scheduler(abc.ABC):
         profiler: Performance model (for KV capacities).
         partial_inference: Whether mid-interval handoffs are valid.
         expected_output_len: Output-length estimate for KV accounting.
-        kv_high_water_mark: Node occupancy fraction above which the node is
-            masked from scheduling.
-        kv_masking: Disable to study scheduling without KV admission
-            control (used in ablations).
     """
 
     name = "base"
@@ -90,8 +86,6 @@ class Scheduler(abc.ABC):
         profiler: Profiler | None = None,
         partial_inference: bool = True,
         expected_output_len: float = 232.0,
-        kv_high_water_mark: float = 0.9,
-        kv_masking: bool = True,
     ) -> None:
         placement.validate()
         self.cluster = cluster
@@ -100,7 +94,6 @@ class Scheduler(abc.ABC):
         self.profiler = profiler or Profiler()
         self.partial_inference = partial_inference
         self.topology = TopologyGraph(cluster, placement, partial_inference)
-        self.kv_masking = kv_masking
 
         capacities = {}
         for node_id in placement.used_nodes:
@@ -110,9 +103,7 @@ class Scheduler(abc.ABC):
                 node, model, stage.num_layers
             )
         self.kv = KVCacheEstimator(
-            capacities,
-            expected_output_len=expected_output_len,
-            high_water_mark=kv_high_water_mark,
+            capacities, expected_output_len=expected_output_len
         )
         self.outstanding: dict[str, int] = {nid: 0 for nid in placement.used_nodes}
         #: Nodes still pulling their assigned layers (layer residency):
@@ -162,7 +153,7 @@ class Scheduler(abc.ABC):
                 if nid not in visited
                 and available(nid)
                 and nid not in self.warming_nodes
-                and self._admits(nid, input_len)
+                and self.kv.admits(nid, input_len)
             ]
             chosen = self._choose_next(current, candidates, input_len)
             if chosen is None:
@@ -177,11 +168,6 @@ class Scheduler(abc.ABC):
         pipeline = RequestPipeline.from_stages(stages)
         pipeline.validate(num_layers)
         return pipeline
-
-    def _admits(self, node_id: str, input_len: int) -> bool:
-        if not self.kv_masking:
-            return True
-        return self.kv.admits(node_id, input_len)
 
     @abc.abstractmethod
     def _choose_next(

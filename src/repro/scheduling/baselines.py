@@ -139,7 +139,7 @@ class FixedPipelineScheduler(Scheduler):
             index = (self._cursor + offset) % count
             pipeline = self._pipelines[index]
             if all(
-                self._admits(stage.node_id, input_len)
+                self.kv.admits(stage.node_id, input_len)
                 for stage in pipeline.stages
             ):
                 self._cursor = (index + 1) % count

@@ -3,8 +3,9 @@
 Output lengths are unknown at schedule time, so the scheduler tracks an
 *estimate* of each node's KV-cache occupancy — every in-flight request
 charges ``input_len + expected_output_len`` tokens to every node in its
-pipeline — and masks out nodes whose estimate exceeds a high-water mark.
-Charges are released when the request finishes.
+pipeline — and masks out nodes whose estimate exceeds
+:data:`HIGH_WATER_MARK` of their capacity. Charges are released when the
+request finishes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.errors import SchedulingError
+
+#: Fraction of a node's KV capacity above which it stops receiving new
+#: requests.
+HIGH_WATER_MARK = 0.9
 
 
 @dataclass(slots=True)
@@ -31,18 +36,13 @@ class KVCacheEstimator:
         expected_output_len: The average output length used to estimate a
             request's final footprint (the paper uses the trace average);
             finite and >= 0.
-        high_water_mark: Fraction of capacity above which a node stops
-            receiving new requests.
     """
 
     def __init__(
         self,
         capacities: dict[str, int],
         expected_output_len: float = 232.0,
-        high_water_mark: float = 0.9,
     ) -> None:
-        if not 0.0 < high_water_mark <= 1.0:
-            raise ValueError(f"high_water_mark must be in (0, 1], got {high_water_mark}")
         # A NaN estimate would mask every node forever (every comparison
         # with it is False), so a simulation would stall silently.
         if not (math.isfinite(expected_output_len) and expected_output_len >= 0):
@@ -55,7 +55,6 @@ class KVCacheEstimator:
             for nid, cap in capacities.items()
         }
         self.expected_output_len = expected_output_len
-        self.high_water_mark = high_water_mark
 
     # ------------------------------------------------------------------
     def estimate_for(self, input_len: int) -> float:
@@ -68,7 +67,7 @@ class KVCacheEstimator:
         if state is None or state.capacity_tokens <= 0:
             return False
         projected = state.estimated_tokens + self.estimate_for(input_len)
-        return projected <= self.high_water_mark * state.capacity_tokens
+        return projected <= HIGH_WATER_MARK * state.capacity_tokens
 
     def charge(self, node_id: str, input_len: int) -> None:
         """Record a scheduled request's estimated footprint on a node."""

@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--milp-oracles", action="store_true",
-        help="also run the (slower) MILP differential oracles",
+        help="also run the (slower) MILP formulation oracle",
     )
     args = parser.parse_args(argv)
 

@@ -7,8 +7,8 @@ and fingerprints the run for determinism comparisons.
 :func:`verify_scenario` is the sweep entry point: it generates the
 scenario from its ``(family, seed, size)`` address, runs it (twice when
 checking determinism — churn and serving mutate the cluster, so each run
-gets a fresh generation), optionally cross-validates the incremental flow
-evaluator, and folds everything into one :class:`ScenarioReport` whose
+gets a fresh generation), optionally cross-validates the re-targeted
+flow graph against fresh builds, and folds everything into one :class:`ScenarioReport` whose
 failure text always carries the one-line repro command.
 """
 

@@ -91,10 +91,6 @@ class TestLink:
                 cluster.set_link_bandwidth("n0", "n1", bandwidth)
             assert cluster.link("n0", "n1").bandwidth == 1e9
 
-    def test_transmission_time(self):
-        link = Link("a", "b", bandwidth=1000.0, latency=0.5)
-        assert link.transmission_time(500) == pytest.approx(0.5)
-
 
 class TestClusterBuilder:
     def test_duplicate_node_rejected(self):
@@ -122,43 +118,6 @@ class TestClusterBuilder:
         cluster.add_node("b", T4)
         cluster.connect("a", "b", 1e9, bidirectional=False)
         assert cluster.has_link("a", "b") and not cluster.has_link("b", "a")
-
-    def test_remove_link(self):
-        cluster = Cluster()
-        cluster.add_node("a", T4)
-        cluster.add_node("b", T4)
-        cluster.connect("a", "b", 1e9)
-        cluster.remove_link("a", "b")
-        assert not cluster.has_link("a", "b")
-        with pytest.raises(ClusterError):
-            cluster.remove_link("a", "b")
-
-    def test_remove_node_drops_incident_links(self):
-        cluster = Cluster()
-        cluster.add_node("a", T4)
-        cluster.add_node("b", T4)
-        cluster.add_node("c", T4)
-        cluster.connect("a", "b", 1e9)
-        cluster.connect("b", "c", 1e9)
-        cluster.connect("coordinator", "b", 1e9)
-        removed = cluster.remove_node("b")
-        assert removed.node_id == "b"
-        assert "b" not in cluster
-        assert not cluster.has_link("a", "b")
-        assert not cluster.has_link("b", "c")
-        assert not cluster.has_link("coordinator", "b")
-        assert not cluster.has_link("b", "coordinator")
-
-    def test_remove_unknown_node_raises(self):
-        with pytest.raises(ClusterError, match="unknown node"):
-            Cluster().remove_node("ghost")
-
-    def test_remove_node_clears_availability(self):
-        cluster = Cluster()
-        cluster.add_node("a", T4)
-        cluster.set_node_available("a", False)
-        cluster.remove_node("a")
-        assert cluster.down_node_ids == []
 
     def test_node_availability_roundtrip(self, small_cluster):
         assert small_cluster.node_available("t4-0")
@@ -214,7 +173,7 @@ class TestClusterBuilder:
 
     def test_region_helpers(self, small_cluster):
         assert small_cluster.regions() == ["r0"]
-        assert len(small_cluster.nodes_in_region("r0")) == 4
+        assert sum(node.region == "r0" for node in small_cluster) == 4
 
     def test_container_protocol(self, small_cluster):
         assert len(small_cluster) == 4
@@ -242,7 +201,7 @@ class TestPresets:
     def test_geo_distributed_regions(self):
         cluster = geo_distributed_24()
         assert len(cluster.regions()) == 3
-        assert len(cluster.nodes_in_region("region-1")) == 10
+        assert sum(node.region == "region-1" for node in cluster) == 10
 
     def test_high_heterogeneity_composition(self):
         cluster = high_heterogeneity_42()
@@ -280,15 +239,6 @@ class TestProfiler:
         l4 = profiler.throughput(cluster.node("l4-0"), LLAMA_70B, 1)
         t4 = profiler.throughput(cluster.node("t4-0"), LLAMA_70B, 1)
         assert a100 > l4 > t4
-
-    def test_node_profile_table(self, profiler):
-        node = single_cluster_24().node("t4-0")
-        prof = profiler.node_profile(node, LLAMA_70B)
-        assert prof.max_layers == 4
-        assert len(prof.throughput_per_layers) == 4
-        assert prof.throughput(4) == prof.throughput_per_layers[3]
-        with pytest.raises(ValueError):
-            prof.throughput(5)
 
     def test_batch_time_components(self, profiler):
         node = single_cluster_24().node("t4-0")

@@ -88,13 +88,14 @@ class TestFlowGraph:
         solution = FlowGraph(small_cluster, tiny_model, placement8).solve()
         for node_id, flow in solution.node_flows.items():
             assert flow <= solution.node_capacities[node_id] + 1e-6
-            assert 0.0 <= solution.node_utilization(node_id) <= 1.0 + 1e-9
+            assert 0.0 <= flow / solution.node_capacities[node_id] <= 1.0 + 1e-9
 
     def test_outgoing_flows_filter(self, small_cluster, tiny_model, placement8):
+        # Positive flow leaves the coordinator only for first-layer holders.
         solution = FlowGraph(small_cluster, tiny_model, placement8).solve()
-        for dst, flow in solution.outgoing_flows(COORDINATOR).items():
-            assert flow > 0
-            assert dst in ("a100-0", "t4-1")
+        for (src, dst), flow in solution.connection_flows.items():
+            if src == COORDINATOR and flow > 0:
+                assert dst in ("a100-0", "t4-1")
 
     def test_missing_first_layer_raises(self, small_cluster, tiny_model):
         placement = ModelPlacement.from_intervals(8, {"a100-0": (1, 8)})
@@ -178,7 +179,7 @@ class TestFlowGraph:
 
 
 class TestReevaluate:
-    """The incremental fast path must be indistinguishable from rebuilding."""
+    """A re-targeted graph must be indistinguishable from a fresh build."""
 
     CANDIDATES = [
         {"a100-0": (0, 4), "l4-0": (4, 8), "t4-0": (4, 8), "t4-1": (0, 4)},
@@ -200,15 +201,7 @@ class TestReevaluate:
         for placement in placements:
             incremental = evaluator.reevaluate(placement)
             fresh = FlowGraph(small_cluster, tiny_model, placement, profiler).solve()
-            assert incremental.max_flow == pytest.approx(fresh.max_flow)
-            assert incremental.node_capacities == pytest.approx(fresh.node_capacities)
-            assert incremental.connection_capacities == pytest.approx(
-                fresh.connection_capacities
-            )
-            assert incremental.node_flows == pytest.approx(fresh.node_flows)
-            assert set(incremental.connection_flows) == set(fresh.connection_flows)
-            for key, flow in fresh.connection_flows.items():
-                assert incremental.connection_flows[key] == pytest.approx(flow)
+            assert incremental == fresh
 
     def test_valid_connections_track_the_placement(self, small_cluster, tiny_model):
         chain = ModelPlacement.from_intervals(8, {"a100-0": (0, 4), "l4-0": (4, 8)})
@@ -218,15 +211,6 @@ class TestReevaluate:
         evaluator.reevaluate(solo)
         assert ("a100-0", "l4-0") not in evaluator.valid_connections()
         assert (COORDINATOR, "a100-0") in evaluator.valid_connections()
-
-    def test_unchanged_placement_reuses_cached_solution(
-        self, small_cluster, tiny_model
-    ):
-        placement = ModelPlacement.from_intervals(8, {"a100-0": (0, 8)})
-        identical = ModelPlacement.from_intervals(8, {"a100-0": (0, 8)})
-        evaluator = FlowGraph(small_cluster, tiny_model, placement)
-        first = evaluator.solve()
-        assert evaluator.reevaluate(identical) is first
 
     def test_invalid_placement_raises_and_evaluator_recovers(
         self, small_cluster, tiny_model

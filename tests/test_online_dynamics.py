@@ -130,8 +130,9 @@ class TestPendingQueueUnderMasking:
         flow = FlowGraph(small_cluster, tiny_model, placement8).solve()
         scheduler = HelixScheduler(
             small_cluster, tiny_model, placement8, flow=flow,
-            expected_output_len=4.0,
-            kv_high_water_mark=0.2,  # tight: forces queuing
+            # Each request reserves 512 + 50,000 of a T4's ~970k KV
+            # tokens, so most requests wait in the pending queue.
+            expected_output_len=50_000.0,
         )
         requests = [Request(f"r{i}", 512, 4) for i in range(120)]
         sim = Simulation(
@@ -143,6 +144,10 @@ class TestPendingQueueUnderMasking:
         metrics = sim.run()
         assert metrics.requests_finished == 120
         assert metrics.kv_overflow_events == 0
+        assert any(
+            sim.record_of(r.request_id).schedule_time > r.arrival_time
+            for r in requests
+        )
 
     def test_all_successors_down_pends_then_drains(
         self, small_cluster, tiny_model, placement8
@@ -280,8 +285,20 @@ class TestLinkEvents:
         assert ("coordinator", "a100-0") in changed
         after = graph.solve().max_flow
         assert after < before
-        # A no-op refresh reports nothing and keeps the cached solution.
+        # A no-op refresh reports nothing.
         assert graph.refresh_links() == []
+        # The controller's path: re-read the links, then re-target the
+        # graph; it must match a graph built on the mutated cluster.
+        other = ModelPlacement.from_intervals(
+            8, {"a100-0": (0, 6), "l4-0": (4, 8), "t4-1": (0, 4)}
+        )
+        small_cluster.set_link_bandwidth("a100-0", "l4-0", 2e6)
+        assert graph.refresh_links() == [("a100-0", "l4-0")]
+        retargeted = graph.reevaluate(other)
+        assert retargeted == FlowGraph(small_cluster, tiny_model, other).solve()
+        assert retargeted.connection_capacities[("a100-0", "l4-0")] == (
+            2e6 / tiny_model.activation_bytes_per_token
+        )
 
 
 class TestPlacementHotSwap:

@@ -87,13 +87,15 @@ class TestPublicAPI:
 
 
 class TestKnobs:
-    """The simulator's, planner's and controller's options, pinned by name.
+    """The simulator's, scheduler's, planner's and controller's options,
+    pinned by name.
 
     A change that adds, renames or removes an option of
     :class:`~repro.sim.simulator.Simulation`, of one of its subsystem
-    configs, of :class:`~repro.placement.helix_milp.HelixMilpPlanner` or
-    of :class:`~repro.online.controller.OnlineController` has to edit a
-    pin here, so the new knob is visible in review.
+    configs, of :class:`~repro.scheduling.base.Scheduler`, of
+    :class:`~repro.placement.helix_milp.HelixMilpPlanner` or of
+    :class:`~repro.online.controller.OnlineController` has to edit a pin
+    here, so the new knob is visible in review.
     """
 
     def test_simulation_parameters(self):
@@ -103,6 +105,16 @@ class TestKnobs:
             "self", "cluster", "model", "placement", "scheduler", "requests",
             "profiler", "max_batch_tokens", "max_time", "warmup", "seed",
             "controller", "policy", "debug_validate", "residency",
+        ]
+
+    def test_scheduler_parameters(self):
+        import inspect
+
+        from repro.scheduling import Scheduler
+
+        assert list(inspect.signature(Scheduler.__init__).parameters) == [
+            "self", "cluster", "model", "placement", "profiler",
+            "partial_inference", "expected_output_len",
         ]
 
     def test_planner_and_controller_parameters(self):

@@ -81,10 +81,14 @@ class TestSweepMachinery:
     def test_cli_verifies_one_address(self, capsys):
         from repro.testkit.__main__ import main
 
-        exit_code = main(["star", "1", "--skip-determinism"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "OK: every invariant and oracle held" in out
+        for argv in (
+            ["star", "1", "--skip-determinism"],
+            ["star", "1", "--skip-determinism", "--milp-oracles"],
+        ):
+            exit_code = main(argv)
+            out = capsys.readouterr().out
+            assert exit_code == 0, argv
+            assert "OK: every invariant and oracle held" in out
 
     def test_cli_rejects_unknown_family(self):
         from repro.testkit.__main__ import main

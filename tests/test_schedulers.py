@@ -63,7 +63,7 @@ class TestPipelineTypes:
 
 class TestKVEstimator:
     def test_admit_until_high_water(self):
-        est = KVCacheEstimator({"n": 1000}, expected_output_len=50, high_water_mark=0.9)
+        est = KVCacheEstimator({"n": 1000}, expected_output_len=50)
         # Each request: 100 + 50 = 150 estimated tokens; 6 x 150 = 900 = HWM.
         for _ in range(6):
             assert est.admits("n", 100)
@@ -86,10 +86,6 @@ class TestKVEstimator:
         est.charge("n", 250)
         assert est.occupancy("n") == pytest.approx(0.25)
         assert est.capacity("n") == 1000
-
-    def test_invalid_high_water_mark(self):
-        with pytest.raises(ValueError):
-            KVCacheEstimator({}, high_water_mark=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_bad_expected_output_len_rejected(
@@ -134,8 +130,7 @@ class TestHelixScheduler:
         self, small_cluster, tiny_model, placement8, flow8
     ):
         scheduler = HelixScheduler(
-            small_cluster, tiny_model, placement8, flow=flow8,
-            kv_masking=False,
+            small_cluster, tiny_model, placement8, flow=flow8
         )
         first_hops = {}
         n = 400

@@ -142,8 +142,9 @@ class TestSchedulingIntegration:
         flow = FlowGraph(small_cluster, tiny_model, placement8).solve()
         scheduler = HelixScheduler(
             small_cluster, tiny_model, placement8, flow=flow,
-            expected_output_len=4.0,
-            kv_high_water_mark=0.2,  # tight: forces queuing
+            # Each request reserves 512 + 50,000 of a T4's ~970k KV
+            # tokens, so most requests wait in the pending queue.
+            expected_output_len=50_000.0,
         )
         requests = [Request(f"r{i}", 512, 4) for i in range(200)]
         sim = Simulation(
@@ -152,6 +153,10 @@ class TestSchedulingIntegration:
         )
         metrics = sim.run()
         assert metrics.requests_finished == 200
+        assert any(
+            sim.record_of(r.request_id).schedule_time > r.arrival_time
+            for r in requests
+        )
 
     def test_kv_masking_prevents_overflow(
         self, small_cluster, tiny_model, placement8
