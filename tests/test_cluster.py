@@ -240,6 +240,21 @@ class TestProfiler:
         t4 = profiler.throughput(cluster.node("t4-0"), LLAMA_70B, 1)
         assert a100 > l4 > t4
 
+    def test_node_profile_table(self, profiler):
+        # A node's profile is its throughput at every layer count it can
+        # hold, each entry computed from the batch time at the reference
+        # batch; fewer than one layer has no entry.
+        node = single_cluster_24().node("t4-0")
+        assert profiler.max_layers(node, LLAMA_70B) == 4
+        batch = float(profiler.reference_batch)
+        table = [profiler.throughput(node, LLAMA_70B, j) for j in range(1, 5)]
+        assert table == [
+            batch / profiler.batch_time(node, LLAMA_70B, batch * j, j)
+            for j in range(1, 5)
+        ]
+        with pytest.raises(ValueError):
+            profiler.throughput(node, LLAMA_70B, 0)
+
     def test_batch_time_components(self, profiler):
         node = single_cluster_24().node("t4-0")
         base = profiler.batch_time(node, LLAMA_70B, 0.0, 0)

@@ -4,16 +4,19 @@ Each oracle cross-validates one path against a reference on
 scenario-generated material:
 
 * ``FlowGraph.reevaluate`` vs. building a fresh graph per placement;
-* the MILP's optimum vs. the best enumerated placement's max flow.
+* the MILP's optimum vs. the best enumerated placement's max flow;
+* a compile after row edits vs. a compile of a freshly built formulation.
 """
 
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.flow.graph import FlowGraph
-from repro.scenarios import SCENARIO_FAMILIES, generate_scenario
+from repro.placement import HelixMilpPlanner
+from repro.scenarios import generate_scenario
 from repro.scenarios.generator import ALL_FAMILIES
 from repro.testkit import (
     check_formulation_optimum,
@@ -27,7 +30,7 @@ def _fail(violations):
 
 
 class TestFlowOracles:
-    @pytest.mark.parametrize("family", SCENARIO_FAMILIES)
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_reevaluate_matches_rebuild(self, family):
         _fail(check_reevaluate_vs_rebuild(generate_scenario(family, 0)))
 
@@ -85,6 +88,34 @@ class TestFlowOracles:
         assert violations
         assert all("node capacities" in v.detail for v in violations)
 
+    @pytest.mark.parametrize(
+        "field, label",
+        [("connection_flows", "connection flows"), ("node_flows", "node flows")],
+    )
+    def test_flow_mismatch_below_any_tolerance_is_flagged(
+        self, monkeypatch, field, label
+    ):
+        # The IWRR weights read these flows, so a re-targeted solution
+        # must carry the rebuild's values exactly: one positive flow off
+        # by a relative 1e-12 (inside pytest.approx) is a violation.
+        original = FlowGraph.reevaluate
+
+        def nudged_reevaluate(graph, placement):
+            solution = original(graph, placement)
+            flows = dict(getattr(solution, field))
+            for key, flow in flows.items():
+                if flow > 0:
+                    flows[key] = flow * (1.0 + 1e-12)
+                    assert flows[key] != flow
+                    assert flows[key] == pytest.approx(flow)
+                    break
+            return dataclasses.replace(solution, **{field: flows})
+
+        monkeypatch.setattr(FlowGraph, "reevaluate", nudged_reevaluate)
+        violations = check_reevaluate_vs_rebuild(generate_scenario("star", 0))
+        assert violations
+        assert all(label in v.detail for v in violations)
+
 
 class TestMilpOracles:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -99,6 +130,44 @@ class TestMilpOracles:
         # optimum off (elastic/5: 0 against 1286.9 tok/s) or turns the
         # best placement's assignment into one worth 0 (star/12).
         _fail(check_formulation_optimum(generate_scenario(family, seed)))
+
+    @pytest.mark.parametrize("family", ["geo_regions", "star"])
+    def test_incremental_compile_matches_cold(self, family):
+        # Rows appended to and truncated from a compiled formulation, as a
+        # cutoff round does, compile exactly like the same rows added to a
+        # freshly built formulation.
+        scenario = generate_scenario(family, 3)
+
+        def build():
+            planner = HelixMilpPlanner(scenario.cluster, scenario.model)
+            return planner.build_formulation().problem
+
+        def assert_same(ours, cold):
+            for name in ("indptr", "indices", "data", "c", "constraint_lower",
+                         "constraint_upper", "lower", "upper", "integrality"):
+                np.testing.assert_array_equal(
+                    getattr(ours, name), getattr(cold, name), err_msg=name
+                )
+
+        problem = build()
+        base = problem.compile()
+        n = len(problem.constraints)
+        var = problem.variables[0]
+        problem.add_constraint(var <= var.upper, name="append")
+        cold = build()
+        cold.add_constraint(cold.variables[0] <= var.upper, name="append")
+        assert_same(problem.compile(), cold.compile())
+        del problem.constraints[n:]
+        assert_same(problem.compile(), base)
+        for k in range(3):
+            problem.add_constraint(problem.objective >= k, name="cutoff")
+            problem.compile()
+            del problem.constraints[n:]
+            problem.add_constraint(problem.objective >= k + 0.5, name="cutoff")
+            cold = build()
+            cold.add_constraint(cold.objective >= k + 0.5, name="cutoff")
+            assert_same(problem.compile(), cold.compile())
+            del problem.constraints[n:]
 
 
 class TestPlannerDominance:

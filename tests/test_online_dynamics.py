@@ -300,6 +300,21 @@ class TestLinkEvents:
             2e6 / tiny_model.activation_bytes_per_token
         )
 
+    def test_flow_graph_refresh_links_tracks_repair(
+        self, small_cluster, tiny_model, placement8
+    ):
+        # Degrade then repair a link: after the repair's refresh the graph
+        # solves exactly as it did before the degradation.
+        graph = FlowGraph(small_cluster, tiny_model, placement8)
+        healthy = graph.solve()
+        original = small_cluster.link("coordinator", "a100-0").bandwidth
+        small_cluster.set_link_bandwidth("coordinator", "a100-0", 1e3)
+        assert graph.refresh_links() == [("coordinator", "a100-0")]
+        assert graph.solve().max_flow < healthy.max_flow
+        small_cluster.set_link_bandwidth("coordinator", "a100-0", original)
+        assert graph.refresh_links() == [("coordinator", "a100-0")]
+        assert graph.solve() == healthy
+
 
 class TestPlacementHotSwap:
     def test_apply_placement_migrates_invalidated_requests(

@@ -261,6 +261,23 @@ class TestPlacementEvaluator:
                 placement_max_flow(small_cluster, tiny_model, placement)
             )
 
+    def test_evaluation_reads_the_cluster_as_it_is(self, small_cluster, tiny_model):
+        # Each evaluation builds its own flow graph, so a link changed
+        # between two evaluations of one placement shows in the second.
+        from repro.core.placement_types import ModelPlacement
+        from repro.flow.graph import FlowGraph
+        from repro.placement.petals import PetalsPlanner
+
+        planner = PetalsPlanner(small_cluster, tiny_model)
+        placement = ModelPlacement.from_intervals(
+            8, {"a100-0": (0, 4), "l4-0": (4, 8)}
+        )
+        before = planner.evaluate_placement(placement)
+        small_cluster.set_link_bandwidth("a100-0", "l4-0", 1e3)
+        after = planner.evaluate_placement(placement)
+        assert after.max_flow < before.max_flow
+        assert after == FlowGraph(small_cluster, tiny_model, placement).solve()
+
     def test_invalid_placement_scores_zero(self, small_cluster, tiny_model):
         from repro.core.placement_types import ModelPlacement
         from repro.placement.petals import PetalsPlanner
